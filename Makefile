@@ -15,9 +15,13 @@ test:
 # suite. The eval pass includes the worker-pool determinism tests
 # (bit-identical figures at Workers=1 vs Workers=8), the telemetry
 # inertness tests (bit-identical figures with the recorder on vs off),
-# and the shared trace-cache concurrency tests.
+# and the shared trace-cache concurrency tests. The second line re-runs
+# the shared-tape tests twice in one process on top of the full
+# solver/montecarlo pass — the second pass re-enters warm scratch pools
+# while 24 hour coordinators extend a fresh solve's one tape.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry' ./internal/eval/... ./internal/carbon/...
 

@@ -13,9 +13,12 @@ import (
 
 // ResultSchema tags the blob payload format a cached Result is stored
 // under in a runstore.Store. Bump the version suffix whenever resultBlob
-// or the record types it embeds change shape: old blobs then read as a
-// schema mismatch (a miss) and are transparently recomputed.
-const ResultSchema = "caribou/eval.Result@v1"
+// or the record types it embeds change shape — or the draws behind a run
+// change, so results of the two commits must not meet in one figure: old
+// blobs then read as a schema mismatch (a miss) and are transparently
+// recomputed. @v2: the solver's Monte Carlo stream became per solve
+// instead of per hour.
+const ResultSchema = "caribou/eval.Result@v2"
 
 // CanonicalKey returns the canonical serialization of the defaulted
 // configuration — the string whose SHA-256 (runstore.KeyOf) addresses

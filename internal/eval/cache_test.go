@@ -133,6 +133,46 @@ func TestPoolCorruptBlobRecomputed(t *testing.T) {
 	}
 }
 
+// TestPoolStaleSchemaBlobRecomputed pins the schema bump: a well-framed
+// blob an earlier commit wrote under @v1 reads as a miss, is recomputed
+// rather than decoded into a new figure, and is overwritten under the
+// current schema.
+func TestPoolStaleSchemaBlobRecomputed(t *testing.T) {
+	store, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{
+		Workload: workloads.ImageProcessing(),
+		Class:    workloads.Small,
+		Strategy: CoarseIn("aws:us-east-1"),
+		PerDay:   48,
+	}
+	key := runstore.KeyOf(cfg.CanonicalKey())
+	const stale = "caribou/eval.Result@v1"
+	if stale == ResultSchema {
+		t.Fatal("test must write a schema older than the current one")
+	}
+	if err := store.Put(key, stale, []byte("results of other draws")); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := NewPool(1)
+	pool.AttachStore(store)
+	if _, err := pool.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s := pool.Stats(); s.Executed != 1 || s.DiskHits != 0 || s.DiskWrites != 1 {
+		t.Fatalf("stats = %+v, want the @v1 blob missed, recomputed and overwritten", s)
+	}
+	if _, ok, _ := store.Get(key, stale); ok {
+		t.Fatal("the @v1 blob survived the recompute")
+	}
+	if _, ok, _ := store.Get(key, ResultSchema); !ok {
+		t.Fatal("no blob under the current schema after the recompute")
+	}
+}
+
 // TestEncodeDecodeResultRoundTrip pins that a decoded Result reproduces
 // the exact summaries of the live one under every accounting window the
 // drivers use.

@@ -1,12 +1,14 @@
 package executor
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"caribou/internal/dag"
 	"caribou/internal/platform"
 	"caribou/internal/region"
+	"caribou/internal/simclock"
 	"caribou/internal/workloads"
 )
 
@@ -261,5 +263,37 @@ func TestCommonRandomNumbersAcrossPlans(t *testing.T) {
 				t.Fatalf("invocation %d node %s: home %d vs remote %d (branch decisions diverged)", i, n, c, remote[i][n])
 			}
 		}
+	}
+}
+
+// TestRngForStreamsMatchDerivedLabels pins the pooled per-decision streams
+// to the labels they have always carried: rngFor's append-built label and
+// pooled source must give the stream DeriveRand gives for
+// "<workflow>/<kind>/<inv>/<part>[/<part>]", so recorded runs replay.
+func TestRngForStreamsMatchDerivedLabels(t *testing.T) {
+	_, p := newTestEnv(t)
+	var recs []*platform.InvocationRecord
+	e := newEngine(t, p, condWorkload(0.5), ModeCaribou, HomeOnly{}, &recs)
+	for _, tc := range []struct {
+		kind string
+		inv  uint64
+		a, b string
+	}{
+		{"dur", 0, "start", ""},
+		{"util", 18446744073709551615, "join", ""},
+		{"branch", 41, "start", "left"},
+	} {
+		label := fmt.Sprintf("%s/%s/%d/%s", e.wl.Name, tc.kind, tc.inv, tc.a)
+		if tc.b != "" {
+			label += "/" + tc.b
+		}
+		want := simclock.DeriveRand(e.seed, label)
+		got := e.rngFor(tc.kind, tc.inv, tc.a, tc.b)
+		for i := 0; i < 4; i++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Errorf("%s draw %d: %v, want %v", label, i, g, w)
+			}
+		}
+		got.Release()
 	}
 }

@@ -105,6 +105,7 @@ type Engine struct {
 	benchFr float64
 	seed    int64
 	rng     *simclock.Rand
+	label   []byte // rngFor's stream-label scratch
 	done    func(*platform.InvocationRecord)
 
 	nextID uint64

@@ -3,6 +3,7 @@ package executor
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"caribou/internal/dag"
@@ -162,12 +163,7 @@ func (e *Engine) beginExecution(ref platform.FunctionRef, id uint64, node dag.No
 	}
 
 	reg, _ := e.p.Catalogue().Get(ref.Region)
-	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.rngFor("dur", id, string(node)))
-	prof := e.wl.Profile(node)
-	util := prof.CPUUtil * e.rngFor("util", id, string(node)).Uniform(0.92, 1.05)
-	if util > 1 {
-		util = 1
-	}
+	durSec, util, prof := e.sampleExecution(inv, id, node, reg.PerfFactor)
 	inv.rec.Executions = append(inv.rec.Executions, platform.ExecutionEvent{
 		Node: node, Region: ref.Region, Start: now.Add(delay),
 		DurationSec: durSec, InitSec: coldDelay.Seconds(),
@@ -196,8 +192,7 @@ func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
 
 	var offset time.Duration
 	for _, edge := range e.wl.DAG.Out(node) {
-		taken := !edge.Conditional ||
-			e.rngFor("branch", id, string(edge.From), string(edge.To)).Bool(edge.Probability)
+		taken := e.branchTaken(id, edge)
 		if taken {
 			if e.wl.DAG.IsSync(edge.To) {
 				offset = e.sendToSync(inv, id, edge, src, offset)
@@ -262,13 +257,46 @@ func (e *Engine) sendDirect(inv *invocation, id uint64, edge dag.Edge, src regio
 	return offset + publishCallLatency
 }
 
-// rngFor derives the deterministic per-invocation random stream for one
-// decision. Seeding by (invocation, purpose) gives common random numbers
-// across deployment strategies, so strategy comparisons are paired.
-func (e *Engine) rngFor(kind string, inv uint64, parts ...string) *simclock.Rand {
-	label := fmt.Sprintf("%s/%s/%d", e.wl.Name, kind, inv)
-	for _, p := range parts {
-		label += "/" + p
+// sampleExecution draws one node execution's duration and CPU utilization
+// from their per-decision streams.
+func (e *Engine) sampleExecution(inv *invocation, id uint64, node dag.NodeID, perfFactor float64) (durSec, util float64, prof workloads.NodeProfile) {
+	rng := e.rngFor("dur", id, string(node), "")
+	durSec = e.wl.SampleDuration(node, inv.class, perfFactor, rng)
+	rng.Release()
+	prof = e.wl.Profile(node)
+	rng = e.rngFor("util", id, string(node), "")
+	util = prof.CPUUtil * rng.Uniform(0.92, 1.05)
+	rng.Release()
+	if util > 1 {
+		util = 1
 	}
-	return simclock.DeriveRand(e.seed, label)
+	return durSec, util, prof
+}
+
+// branchTaken decides whether a successor edge fires for this invocation.
+func (e *Engine) branchTaken(id uint64, edge dag.Edge) bool {
+	if !edge.Conditional {
+		return true
+	}
+	rng := e.rngFor("branch", id, string(edge.From), string(edge.To))
+	defer rng.Release()
+	return rng.Bool(edge.Probability)
+}
+
+// rngFor acquires the deterministic per-invocation random stream for one
+// decision, labelled <workflow>/<kind>/<inv>/<a>[/<b>]; the caller
+// releases it once the decision is drawn. Seeding by (invocation, purpose)
+// gives common random numbers across deployment strategies, so strategy
+// comparisons are paired. The stream is pooled and the label built in the
+// engine's scratch buffer: a decision allocates only its label string.
+func (e *Engine) rngFor(kind string, inv uint64, a, b string) *simclock.Rand {
+	l := append(e.label[:0], e.wl.Name...)
+	l = append(append(l, '/'), kind...)
+	l = strconv.AppendUint(append(l, '/'), inv, 10)
+	l = append(append(l, '/'), a...)
+	if b != "" {
+		l = append(append(l, '/'), b...)
+	}
+	e.label = l
+	return simclock.AcquireDerived(e.seed, string(l))
 }

@@ -38,12 +38,7 @@ func (e *Engine) sfRun(id uint64, node dag.NodeID) {
 	ref := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: e.home}
 	delay := e.p.ColdStartPenalty(ref, e.wl.ImageBytes)
 	reg, _ := e.p.Catalogue().Get(e.home)
-	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.rngFor("dur", id, string(node)))
-	prof := e.wl.Profile(node)
-	util := prof.CPUUtil * e.rngFor("util", id, string(node)).Uniform(0.92, 1.05)
-	if util > 1 {
-		util = 1
-	}
+	durSec, util, prof := e.sampleExecution(inv, id, node, reg.PerfFactor)
 	inv.rec.Executions = append(inv.rec.Executions, platform.ExecutionEvent{
 		Node: node, Region: e.home, Start: now.Add(delay),
 		DurationSec: durSec, InitSec: delay.Seconds(),
@@ -64,8 +59,7 @@ func (e *Engine) sfComplete(id uint64, node dag.NodeID) {
 		inv.maxEnd = now
 	}
 	for _, edge := range e.wl.DAG.Out(node) {
-		taken := !edge.Conditional ||
-			e.rngFor("branch", id, string(edge.From), string(edge.To)).Bool(edge.Probability)
+		taken := e.branchTaken(id, edge)
 		if taken {
 			e.sfFollow(inv, id, edge)
 		} else {

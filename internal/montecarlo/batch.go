@@ -4,7 +4,7 @@ package montecarlo
 //
 // The solver evaluates candidate plans in groups — an HBSS proposal round,
 // a chunk of the exhaustive enumeration — and every plan in a group
-// replays the *same* per-hour tape. Plan-at-a-time replay therefore
+// replays the *same* tape. Plan-at-a-time replay therefore
 // streams the plan-independent columns (node ids, flags, payload bytes,
 // baked quantile triples, edge records) K times per group. EstimateBatch
 // restructures the loop: steps outermost, lanes innermost, so each
@@ -25,7 +25,7 @@ package montecarlo
 // every sample count it could still stop at. Abandoned lanes return a
 // nil Estimate; survivors finish the full stopping rule, so every field
 // of every returned Estimate is bit-identical to the plan-at-a-time
-// path. Pruning is gated on the tape's bndOK latch and each lane's
+// path. Pruning is gated on the hour's bounds ok latch and each lane's
 // threshold being finite; disabling it (Config.NoBatchEval routes around
 // this file entirely) changes cost, never results.
 //
@@ -118,7 +118,7 @@ func (s *Snapshot) releaseLanes(lanes []*batchLane) {
 }
 
 // EstimateBatch evaluates all candidate plans at hour h through shared
-// sweeps over the hour's tape. Results align with assigns; an entry is
+// sweeps over the tape. Results align with assigns; an entry is
 // nil exactly when pruning proved that candidate's Metric mean exceeds
 // its threshold, and otherwise bit-identical to Estimate(assigns[i], h).
 // Snapshots without SoA tapes (or with deferred exec errors) fall back
@@ -367,7 +367,7 @@ func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*bat
 // compacted live set (filtering active in place — callers pass a copy).
 func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metric BatchMetric) ([]*batchLane, error) {
 	live := active[:0]
-	c := td.soa
+	b := td.bnd
 	for _, ln := range active {
 		if ln.acc.converged() || n >= MaxSamples {
 			est, err := ln.acc.summarize()
@@ -380,7 +380,7 @@ func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metri
 			s.tel.tapeReplays.Add(int64(n))
 			continue
 		}
-		if c.bndOK && !math.IsInf(ln.thr, 1) && batchLowerBound(c, ln, n, td.n, metric) > ln.thr {
+		if b != nil && b.ok && !math.IsInf(ln.thr, 1) && batchLowerBound(b, ln, n, td.n, metric) > ln.thr {
 			ln.pruned = true
 			s.tel.prunedCandidates.Inc()
 			continue
@@ -395,9 +395,9 @@ func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metri
 // halt at. The lane's partial sum is re-accumulated left-to-right — the
 // exact float prefix of the summation stats.Mean would perform — and the
 // remaining samples contribute their prefix-sum floors (bounds.go);
-// samples past the compiled tape contribute an implicit 0, valid because
-// the floors are non-negative whenever bndOK holds.
-func batchLowerBound(c *soaCols, ln *batchLane, n, compiled int, metric BatchMetric) float64 {
+// samples past the hour's baked prefix contribute an implicit 0, valid
+// because the floors are non-negative whenever the hour's ok latch holds.
+func batchLowerBound(c *hourBounds, ln *batchLane, n, compiled int, metric BatchMetric) float64 {
 	var series, pre []float64
 	switch metric {
 	case BatchCostMean:

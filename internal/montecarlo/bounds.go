@@ -7,9 +7,10 @@ package montecarlo
 // solver-supplied threshold. That requires, for every compiled sample, a
 // lower bound on the metric contribution the sample makes under *any*
 // assignment. Because the tape fixes the event skeleton, such a bound is
-// computable once per sample at transpose time by replaying the sample
-// with every region-dependent coefficient replaced by its minimum over
-// the choices a plan could make:
+// computable once per (sample, hour) — carbon floors fold the hour's
+// intensities, so the columns live on the hour's header, not the shared
+// tape — by replaying the sample with every region-dependent coefficient
+// replaced by its minimum over the choices a plan could make:
 //
 //   - per (step, region) terms — the duration quantile, the
 //     intensity-weighted energy product, and the execution cost — take
@@ -26,17 +27,17 @@ package montecarlo
 // is ≤ the real replay's float result for every plan, sample by sample:
 // the bound is exact at the float level, not just in real arithmetic.
 // Per-sample bounds are accumulated into prefix-sum columns
-// (soaCols.preLat/preCost/preCarb) so the remaining-sample floor of any
+// (hourBounds.preLat/preCost/preCarb) so the remaining-sample floor of any
 // span is two loads and a subtraction at prune-check time. The only slack
 // the consumer must absorb is prefix-sum reassociation (≤ n·ε relative),
 // which the solver's threshold margin covers by many orders of magnitude.
 //
 // Bounds are only valid as *floors of a mean* when per-sample values are
-// non-negative: samples past the compiled tape prefix contribute an
+// non-negative: samples past the hour's baked prefix contribute an
 // implicit 0 to the floor (they are unknown at prune time). If any baked
 // bound ever goes negative — possible only with pathological negative
-// duration or transfer inputs — bndOK latches false and pruning is
-// disabled for the tape; results are unaffected because pruning is an
+// duration or transfer inputs — ok latches false and pruning is disabled
+// for that hour; results are unaffected because pruning is an
 // optimization, never a semantic change.
 
 import "caribou/internal/carbon"
@@ -113,11 +114,52 @@ func (s *Snapshot) bakeBoundTables() {
 	s.bnd.ok = true
 }
 
+// hourBounds holds one hour's pruning-bound columns over a prefix of the
+// shared tape: bndStep is per-step minimum triples at si*3 {duration,
+// energy contribution, exec cost}, and preLat/preCost/preCarb are
+// per-sample metric-floor prefix sums (len nSamples+1). ok latches false —
+// disabling pruning for the hour, never changing a result — when a
+// per-sample floor goes negative. Immutable once attached to a published
+// header; extendBounds builds a longer copy.
+type hourBounds struct {
+	bndStep                  []float64
+	preLat, preCost, preCarb []float64
+	ok                       bool
+}
+
+// extendBounds returns hour h's bound columns over td's first td.n
+// samples: the columns of the hour's previous header (nil before its first)
+// copied, the new span baked with the hour's intensities. All columns are
+// carved from one arena block.
+func (s *Snapshot) extendBounds(old, td *tapeData, h int) *hourBounds {
+	prev, oldSamp := &hourBounds{ok: true}, 0
+	if old != nil {
+		prev, oldSamp = old.bnd, old.n
+	}
+	if !prev.ok {
+		return prev
+	}
+	n, bs := td.n, int(td.stepOff[td.n])*3
+	arena := make([]float64, bs+3*(n+1))
+	b := &hourBounds{ok: true}
+	b.bndStep, arena = arena[:bs:bs], arena[bs:]
+	b.preLat, arena = arena[:n+1:n+1], arena[n+1:]
+	b.preCost, b.preCarb = arena[:n+1:n+1], arena[n+1:]
+	copy(b.bndStep, prev.bndStep)
+	copy(b.preLat, prev.preLat)
+	copy(b.preCost, prev.preCost)
+	copy(b.preCarb, prev.preCarb)
+	s.bakeBoundSteps(td.soa, b, h, len(prev.bndStep)/3, bs/3)
+	s.bakeBoundSamples(td, b, h, oldSamp, n)
+	s.tel.boundBakeSamples.Add(int64(n - oldSamp))
+	return b
+}
+
 // bakeBoundSteps fills the per-step bound triples for steps
 // [oldSteps, nS): the minimum over regions of each drc entry, with the
 // energy intermediate folded against the hour's intensities and PUE in
 // the replay's exact expression shape (inten[r]*drc*PUE).
-func (s *Snapshot) bakeBoundSteps(c *soaCols, h, oldSteps, nS int) {
+func (s *Snapshot) bakeBoundSteps(c *soaCols, b *hourBounds, h, oldSteps, nS int) {
 	nR := s.nR
 	inten := s.intensity[h]
 	for i := oldSteps; i < nS; i++ {
@@ -137,9 +179,9 @@ func (s *Snapshot) bakeBoundSteps(c *soaCols, h, oldSteps, nS int) {
 			}
 		}
 		o := i * 3
-		c.bndStep[o] = minD
-		c.bndStep[o+1] = minE
-		c.bndStep[o+2] = minC
+		b.bndStep[o] = minD
+		b.bndStep[o+1] = minE
+		b.bndStep[o+2] = minC
 	}
 }
 
@@ -147,9 +189,10 @@ func (s *Snapshot) bakeBoundSteps(c *soaCols, h, oldSteps, nS int) {
 // coefficient at its minimum, returning per-sample floors for the three
 // convergence metrics. The control flow mirrors replaySoA/runSoASteps
 // expression for expression so float monotonicity applies term-wise.
-func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replayScratch) (lat, cost, carb float64) {
+func (s *Snapshot) boundReplay(ref *tapeData, hb *hourBounds, i, h int, sc *replayScratch) (lat, cost, carb float64) {
 	sc.reset()
 	var smp sample
+	c := ref.soa
 	b := &s.bnd
 	rfHR, rfHC, rfAll := b.rfHomeRow[h], b.rfHomeCol[h], b.rfAll[h]
 	msgOverhead := s.msgOverhead
@@ -168,7 +211,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 	if eb < 0 {
 		eb = 0
 	}
-	sc.setStart(s.start, s.kvAccess[s.home]+msgOverhead+(b.txBaseHomeRow+eb*b.txPerByteHomeRow))
+	sc.start[s.start] = s.kvAccess[s.home] + msgOverhead + (b.txBaseHomeRow + eb*b.txPerByteHomeRow)
 
 	for si := ref.stepOff[i]; si < ref.stepOff[i+1]; si++ {
 		n := int(c.node[si])
@@ -179,7 +222,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 			smp.cost += snsHome
 			smp.txCarbon += rfHR * (controlBytes / 1e9)
 			smp.cost += controlBytes / 1e9 * b.egressHomeRow
-			arrive := sc.getReady(n) + msgOverhead + (b.txBaseHomeRow + controlBytes*b.txPerByteHomeRow)
+			arrive := sc.ready[n] + msgOverhead + (b.txBaseHomeRow + controlBytes*b.txPerByteHomeRow)
 			ld := staged
 			if ld < 0 {
 				ld = 0
@@ -193,16 +236,16 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 			}
 			startN = arrive + load
 		} else {
-			startN = sc.getStart(n)
+			startN = sc.start[n]
 		}
 
 		o := int(si) * 3
-		finish := startN + c.bndStep[o]
+		finish := startN + hb.bndStep[o]
 		if finish > smp.latency {
 			smp.latency = finish
 		}
-		smp.execCarbon += c.bndStep[o+1]
-		smp.cost += c.bndStep[o+2]
+		smp.execCarbon += hb.bndStep[o+1]
+		smp.cost += hb.bndStep[o+2]
 
 		if flags&stepOutput != 0 {
 			if c.out[si] > 0 {
@@ -219,8 +262,8 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 			case tapeEdgeSkip:
 				for k := c.skipOff[ei]; k < c.skipOff[ei+1]; k++ {
 					sn := int(ref.skipSyncs[k])
-					if finish > sc.getReady(sn) {
-						sc.setReady(sn, finish)
+					if finish > sc.ready[sn] {
+						sc.ready[sn] = finish
 					}
 				}
 				smp.cost += dynWrite
@@ -238,8 +281,8 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 					smp.cost += q * b.egressHomeCol
 				}
 				ready := finish + (b.txBaseHomeCol + tb*b.txPerByteHomeCol) + b.kv
-				if ready > sc.getReady(to) {
-					sc.setReady(to, ready)
+				if ready > sc.ready[to] {
+					sc.ready[to] = ready
 				}
 			case tapeEdgeDirect:
 				smp.cost += b.sns
@@ -254,8 +297,8 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 					tb = 0
 				}
 				arrive := finish + msgOverhead + (b.txBaseAll + tb*b.txPerByteAll)
-				if arrive > sc.getStart(to) {
-					sc.setStart(to, arrive)
+				if arrive > sc.start[to] {
+					sc.start[to] = arrive
 				}
 			}
 		}
@@ -264,18 +307,18 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 }
 
 // bakeBoundSamples extends the metric prefix-sum columns over samples
-// [oldSamp, nSamp), latching bndOK false if any per-sample floor is
+// [oldSamp, nSamp), latching ok false if any per-sample floor is
 // negative (see package comment above).
-func (s *Snapshot) bakeBoundSamples(ref *tapeData, c *soaCols, h, oldSamp, nSamp int) {
+func (s *Snapshot) bakeBoundSamples(ref *tapeData, b *hourBounds, h, oldSamp, nSamp int) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	for i := oldSamp; i < nSamp; i++ {
-		lat, cost, carb := s.boundReplay(ref, c, i, h, sc)
+		lat, cost, carb := s.boundReplay(ref, b, i, h, sc)
 		if lat < 0 || cost < 0 || carb < 0 {
-			c.bndOK = false
+			b.ok = false
 		}
-		c.preLat[i+1] = c.preLat[i] + lat
-		c.preCost[i+1] = c.preCost[i] + cost
-		c.preCarb[i+1] = c.preCarb[i] + carb
+		b.preLat[i+1] = b.preLat[i] + lat
+		b.preCost[i+1] = b.preCost[i] + cost
+		b.preCarb[i+1] = b.preCarb[i] + carb
 	}
 }

@@ -235,14 +235,9 @@ func (s *Snapshot) EstimateDelta(base *Estimate, baseAssign, assign []int, h int
 // incumbent. Neighbors that converge slower than the anchor's horizon
 // replay their excess samples in full (estimateFromAnchor).
 func (s *Snapshot) estimateRecordingAnchor(t *hourTape, h int, plan []int) (*Estimate, *deltaAnchor, error) {
-	sc := s.getScratch()
+	sc, sc2 := s.getScratch(), s.getScratch() // sc2: the pair replayers' second sample
 	defer s.putScratch(sc)
-	var sc2 *replayScratch
-	defer func() {
-		if sc2 != nil {
-			s.putScratch(sc2)
-		}
-	}()
+	defer s.putScratch(sc2)
 	acc := s.getAcc()
 	defer s.putAcc(acc)
 	nNodes := s.nodes.Len()
@@ -297,9 +292,6 @@ func (s *Snapshot) estimateRecordingAnchor(t *hourTape, h int, plan []int) (*Est
 			acc.add(smp)
 		}
 		if !s.anyExecErr {
-			if sc2 == nil {
-				sc2 = s.getScratch()
-			}
 			for ; i+1 < need; i += 2 {
 				a, b, err := s.replaySoAPair(td, i, h, an.assign, sc, sc2)
 				if err != nil {
@@ -333,14 +325,9 @@ func (s *Snapshot) estimateRecordingAnchor(t *hourTape, h int, plan []int) (*Est
 // later samples replay in full.
 func (s *Snapshot) estimateFromAnchor(an *deltaAnchor, assign []int, h int, f int32, b int) (*Estimate, error) {
 	t := s.tapes[h]
-	sc := s.getScratch()
+	sc, sc2 := s.getScratch(), s.getScratch() // sc2: the pair replayers' second sample
 	defer s.putScratch(sc)
-	var sc2 *replayScratch
-	defer func() {
-		if sc2 != nil {
-			s.putScratch(sc2)
-		}
-	}()
+	defer s.putScratch(sc2)
 	acc := s.getAcc()
 	defer s.putAcc(acc)
 	resumed := 0
@@ -351,9 +338,6 @@ func (s *Snapshot) estimateFromAnchor(an *deltaAnchor, assign []int, h int, f in
 		if !s.anyExecErr {
 			// Resume and replay pairwise (same interleaving rationale as
 			// estimateTaped's pair loop; bit-identical per sample).
-			if sc2 == nil {
-				sc2 = s.getScratch()
-			}
 			for ; i+1 < need && i+1 < an.n; i += 2 {
 				a, bs, err := s.resumeSamplePair(td, an, i, h, assign, sc, sc2, f, b)
 				if err != nil {
@@ -436,34 +420,20 @@ func (s *Snapshot) resumeSample(td *tapeData, an *deltaAnchor, i, h int, assign 
 // resumeSamplePair resumes checkpointed samples i and i+1 together so the
 // two suffix replays interleave through runSoAStepsPair (the samples are
 // data-independent; each one's instruction order is unchanged, so results
-// are bit-identical to two resumeSample calls). Samples that never cross
-// the boundary short-circuit to the anchor's finals as in resumeSample.
+// are bit-identical to two resumeSample calls).
 func (s *Snapshot) resumeSamplePair(td *tapeData, an *deltaAnchor, i, h int, assign []int, scA, scB *replayScratch, f int32, b int) (sample, sample, error) {
 	nB := len(an.bounds)
 	jA := an.jump[i*nB+b]
 	jB := an.jump[(i+1)*nB+b]
 	if jA < 0 || jB < 0 {
-		var smpA, smpB sample
-		var err error
-		if jA < 0 {
-			o := i * 4
-			smpA = sample{latency: an.final[o], cost: an.final[o+1], execCarbon: an.final[o+2], txCarbon: an.final[o+3]}
-		} else {
-			smpA, err = s.resumeSample(td, an, i, h, assign, scA, f, b)
-			if err != nil {
-				return sample{}, sample{}, err
-			}
+		// At least one sample never crosses the boundary: nothing to
+		// interleave, resumeSample short-circuits it to the anchor's finals.
+		smpA, err := s.resumeSample(td, an, i, h, assign, scA, f, b)
+		if err != nil {
+			return sample{}, sample{}, err
 		}
-		if jB < 0 {
-			o := (i + 1) * 4
-			smpB = sample{latency: an.final[o], cost: an.final[o+1], execCarbon: an.final[o+2], txCarbon: an.final[o+3]}
-		} else {
-			smpB, err = s.resumeSample(td, an, i+1, h, assign, scB, f, b)
-			if err != nil {
-				return sample{}, sample{}, err
-			}
-		}
-		return smpA, smpB, nil
+		smpB, err := s.resumeSample(td, an, i+1, h, assign, scB, f, b)
+		return smpA, smpB, err
 	}
 	n := an.nNodes
 	offA := int(an.base[b]) + i*int(an.stride[b])

@@ -88,13 +88,16 @@ type Estimator struct {
 type mcTelemetry struct {
 	estimates *telemetry.Counter
 	samples   *telemetry.Counter
-	// Tape accounting (tape.go): batches/samples compiled onto per-hour
-	// tapes, and samples evaluated by replay. tapeSamples counts drawing
-	// work done once per hour; tapeReplays counts evaluations served from
+	// Tape accounting (tape.go): batches/samples compiled onto the solve's
+	// tape, and samples evaluated by replay. tapeSamples counts drawing
+	// work done once per solve; tapeReplays counts evaluations served from
 	// it — their ratio is the common-random-number amortization factor.
-	tapeBatches *telemetry.Counter
-	tapeSamples *telemetry.Counter
-	tapeReplays *telemetry.Counter
+	// boundBakeSamples counts the per-hour work that remains: samples whose
+	// pruning bounds an hour's header baked (bounds.go).
+	tapeBatches      *telemetry.Counter
+	tapeSamples      *telemetry.Counter
+	tapeReplays      *telemetry.Counter
+	boundBakeSamples *telemetry.Counter
 	// Delta-replay accounting (delta.go): anchors built, samples resumed
 	// from an anchor checkpoint (the incremental win), and EstimateDelta
 	// calls that fell back to full replay (multi-node diff, entry-node
@@ -118,6 +121,7 @@ func newMCTelemetry() mcTelemetry {
 		tapeBatches:      rec.Counter("montecarlo.tape_batches"),
 		tapeSamples:      rec.Counter("montecarlo.tape_samples"),
 		tapeReplays:      rec.Counter("montecarlo.tape_replays"),
+		boundBakeSamples: rec.Counter("montecarlo.bound_bake_samples"),
 		deltaAnchors:     rec.Counter("montecarlo.delta_anchors"),
 		deltaResumed:     rec.Counter("montecarlo.delta_resumed"),
 		deltaFallbacks:   rec.Counter("montecarlo.delta_fallbacks"),
@@ -155,7 +159,10 @@ func (e *Estimator) Estimate(plan dag.Plan, at, now time.Time) (*Estimate, error
 		intensity[r] = v
 	}
 
-	rng := simclock.DeriveRand(e.seed, fmt.Sprintf("mc/%s/%d", d.Name(), at.Unix()))
+	// One stream per workflow, not per instant: estimates at different
+	// hours see the same draws and differ only through intensity (the
+	// Snapshot paths mirror this exactly).
+	rng := simclock.DeriveRand(e.seed, "mc/"+d.Name())
 	var acc seriesAcc
 	for acc.samples() < MaxSamples {
 		for i := 0; i < BatchSize; i++ {

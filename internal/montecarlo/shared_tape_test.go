@@ -1,0 +1,248 @@
+package montecarlo
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"caribou/internal/carbon"
+	"caribou/internal/region"
+)
+
+// hourlyInputs scales a workflow's grid intensities by a per-hour factor,
+// so a compiled window can hold hours with equal and with different
+// intensity rows. A negative factor drives that hour's carbon floors
+// below zero — the condition that latches an hour's pruning bounds off.
+type hourlyInputs struct {
+	Inputs
+	scale map[int]float64 // by t.Hour(); missing hours scale by 1
+}
+
+func (in *hourlyInputs) IntensityAt(r region.ID, t, now time.Time) (float64, error) {
+	v, err := in.Inputs.IntensityAt(r, t, now)
+	if s, ok := in.scale[t.Hour()]; ok {
+		v *= s
+	}
+	return v, err
+}
+
+func hoursFrom(n int) []time.Time {
+	hours := make([]time.Time, n)
+	for h := range hours {
+		hours[h] = t0.Add(time.Duration(h) * time.Hour)
+	}
+	return hours
+}
+
+// TestHourInvarianceAcrossEvalModes is the per-solve-stream invariant:
+// every hour replays the same draws, so for any assignment two hours'
+// estimates have bit-equal latency and cost fields whenever their sample
+// counts agree (the stopping rule also watches carbon, which may stop one
+// hour a batch earlier), and are bit-equal in every field when the two
+// hours' intensity rows are equal — through the taped SoA path, the
+// untaped reference, the AoS layout, the batch sweep and delta replay.
+func TestHourInvarianceAcrossEvalModes(t *testing.T) {
+	base := richInputs(t)
+	// Hours 0 and 2 share an intensity row; hour 1 is three times dirtier.
+	in := &hourlyInputs{Inputs: &noisyInputs{base}, scale: map[int]float64{1: 3}}
+	compile := func(soa bool) *Snapshot {
+		snap, err := New(in, carbon.BestCase(), 42).Compile(nil, hoursFrom(3), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.SetSoA(soa)
+		return snap
+	}
+	soa, aos := compile(true), compile(false)
+	if !slices.Equal(soa.intensity[0], soa.intensity[2]) || slices.Equal(soa.intensity[0], soa.intensity[1]) {
+		t.Fatal("fixture must give hours 0 and 2 equal intensity rows and hour 1 a different one")
+	}
+	home := soa.HomeAssign()
+	homeEst := make([]*Estimate, 3)
+	for h := range homeEst {
+		var err error
+		if homeEst[h], err = soa.Estimate(home, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	modes := []struct {
+		name string
+		eval func(a []int, h int) (*Estimate, error)
+	}{
+		{"taped", soa.Estimate},
+		{"untaped", soa.EstimateUntaped},
+		{"aos", aos.Estimate},
+		{"batch", func(a []int, h int) (*Estimate, error) {
+			es, err := soa.EstimateBatch([][]int{a, home}, h, nil)
+			if err != nil {
+				return nil, err
+			}
+			return es[0], nil
+		}},
+		{"delta", func(a []int, h int) (*Estimate, error) {
+			return soa.EstimateDelta(homeEst[h], home, a, h)
+		}},
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := make([]int, soa.NumNodes())
+		for i := range a {
+			a[i] = rng.Intn(soa.NumRegions())
+		}
+		for _, m := range modes {
+			var e [3]*Estimate
+			for h := range e {
+				var err error
+				if e[h], err = m.eval(a, h); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+			if *e[0] != *e[2] {
+				t.Logf("%s %v: equal intensity rows, unequal estimates: %+v vs %+v", m.name, a, e[0], e[2])
+				return false
+			}
+			if e[0].CarbonMean == e[1].CarbonMean {
+				t.Logf("%s %v: hour 1's intensities did not reach the estimate", m.name, a)
+				return false
+			}
+			if e[0].Samples == e[1].Samples &&
+				(e[0].LatencyMean != e[1].LatencyMean || e[0].LatencyP95 != e[1].LatencyP95 ||
+					e[0].CostMean != e[1].CostMean || e[0].CostP95 != e[1].CostP95) {
+				t.Logf("%s %v: latency/cost moved with the hour: %+v vs %+v", m.name, a, e[0], e[1])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEstimateBatchBoundsPerHour pins what stays per hour over the shared
+// tape. An hour's bound columns cover only the prefix that hour asked
+// for, however far another hour has already extended the tape; extending
+// them later, in steps, bakes exactly the columns a one-shot bake gives;
+// two hours' latency and cost floors are bit-equal and only the carbon
+// floor folds the hour; and an hour whose floors go negative latches its
+// own pruning off without touching its neighbour's.
+func TestEstimateBatchBoundsPerHour(t *testing.T) {
+	enableTelemetry(t)
+	base := &heavyTailInputs{richInputs(t)}
+	// Hour 1 is dirtier; hour 2's intensities are negative.
+	in := &hourlyInputs{Inputs: base, scale: map[int]float64{1: 3, 2: -1}}
+	compile := func() *Snapshot {
+		snap, err := New(in, carbon.BestCase(), 42).Compile(nil, hoursFrom(3), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	snap := compile()
+	plans := batchPlanSet(base.d)
+	assigns := make([][]int, len(plans))
+	for i, p := range plans {
+		var err error
+		if assigns[i], err = snap.Assign(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hour 0 extends the shared tape over several batches; hour 1 has asked
+	// for nothing yet, and its first batch must see a one-batch horizon.
+	e0, err := snap.Estimate(assigns[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.tape.data.Load().n; got != e0.Samples || got < 3*BatchSize {
+		t.Fatalf("shared tape holds %d samples after a %d-sample estimate, want several batches", got, e0.Samples)
+	}
+	if snap.tapes[1].data.Load() != nil {
+		t.Fatal("hour 1 has a header before any hour-1 estimate")
+	}
+	if d := snap.tapes[1].ensure(snap, 1, BatchSize); d.n != BatchSize || len(d.bnd.preLat) != BatchSize+1 {
+		t.Fatalf("hour 1 header covers %d samples (%d floors), want one batch", d.n, len(d.bnd.preLat)-1)
+	}
+	baked := snap.tel.boundBakeSamples.Value()
+	if want := int64(e0.Samples + BatchSize); baked != want {
+		t.Errorf("bound_bake_samples = %d, want %d (hour 0 in full, hour 1 one batch)", baked, want)
+	}
+
+	// Pruning parity at hour 1 on the stepwise-extended sidecar.
+	prune := &BatchPrune{Metric: BatchCarbonMean, Threshold: []float64{math.Inf(1), 0, math.Inf(1)}}
+	got, err := snap.EstimateBatch(assigns, 1, prune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[1] != nil {
+		t.Errorf("hour 1: threshold 0 should prune, got %+v", got[1])
+	}
+	for _, i := range []int{0, 2} {
+		want, err := snap.EstimateUntaped(assigns[i], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || *got[i] != *want {
+			t.Errorf("hour 1 plan %d: survivor %+v, reference %+v", i, got[i], want)
+		}
+	}
+
+	// Extended batch by batch ≡ baked in one shot, and floors differ between
+	// hours only in carbon.
+	h0, h1 := snap.tapes[0].data.Load().bnd, snap.tapes[1].data.Load().bnd
+	n1 := len(h1.preLat) - 1
+	if n1 < 3*BatchSize {
+		t.Fatalf("hour 1 bounds cover %d samples, want several extensions", n1)
+	}
+	fresh := compile()
+	oneShot := fresh.tapes[1].ensure(fresh, 1, n1).bnd
+	if !slices.Equal(h1.bndStep, oneShot.bndStep) || !slices.Equal(h1.preLat, oneShot.preLat) ||
+		!slices.Equal(h1.preCost, oneShot.preCost) || !slices.Equal(h1.preCarb, oneShot.preCarb) {
+		t.Error("hour 1 bounds extended in steps differ from a one-shot bake")
+	}
+	m := min(len(h0.preLat), len(h1.preLat))
+	if !slices.Equal(h0.preLat[:m], h1.preLat[:m]) || !slices.Equal(h0.preCost[:m], h1.preCost[:m]) {
+		t.Error("latency/cost floors differ between hours of one tape")
+	}
+	if slices.Equal(h0.preCarb[:m], h1.preCarb[:m]) {
+		t.Error("carbon floors ignore the hour's intensities")
+	}
+
+	// Hour 2's negative floors latch its bounds off: nothing is pruned
+	// there, results stay exact, and hours 0 and 1 keep pruning.
+	p0 := snap.tel.prunedCandidates.Value()
+	got, err = snap.EstimateBatch(assigns, 2, prune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.tapes[2].data.Load().bnd.ok {
+		t.Fatal("negative carbon floors did not latch hour 2's bounds off")
+	}
+	for i := range assigns {
+		want, err := snap.EstimateUntaped(assigns[i], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || *got[i] != *want {
+			t.Errorf("hour 2 plan %d: %+v with bounds latched off, reference %+v", i, got[i], want)
+		}
+	}
+	if snap.tel.prunedCandidates.Value() != p0 {
+		t.Error("hour 2 pruned a candidate with its bounds latched off")
+	}
+	for _, h := range []int{0, 1} {
+		if !snap.tapes[h].data.Load().bnd.ok {
+			t.Errorf("hour 2's latch disabled hour %d's bounds", h)
+		}
+		if got, err = snap.EstimateBatch(assigns, h, prune); err != nil {
+			t.Fatal(err)
+		} else if got[1] != nil {
+			t.Errorf("hour %d stopped pruning after hour 2 latched off", h)
+		}
+	}
+}

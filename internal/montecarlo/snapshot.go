@@ -31,8 +31,6 @@ import (
 // serialization at fixed bandwidth) and every Inputs implementation in
 // the repository.
 type Snapshot struct {
-	name  string
-	seed  int64
 	tx    carbon.TransmissionModel
 	nodes *dag.Interner
 
@@ -42,16 +40,16 @@ type Snapshot struct {
 	home      int
 	start     int
 
-	hours    []time.Time
-	hourUnix []int64
-	// hourSeed[h] is DeriveSeed(seed, "mc/<workflow>/<hourUnix>"),
-	// precomputed at compile so no Estimate formats a stream label in the
-	// hot loop.
-	hourSeed []int64
+	hours []time.Time
+	// mcSeed is DeriveSeed(seed, "mc/<workflow>"): the solve's one Monte
+	// Carlo stream. Every hour draws the same samples, so estimates of
+	// different hours differ only through intensity[h]/txRF[h].
+	mcSeed int64
 
-	// tapes[h] is the hour's lazily compiled sample tape (tape.go); nil
-	// when tape replay is disabled and every Estimate takes the untaped
-	// reference path.
+	// tape is the solve's lazily compiled sample tape and tapes[h] the
+	// hour's sidecar over it (tape.go); both nil when tape replay is
+	// disabled and every Estimate takes the untaped reference path.
+	tape  *sampleTape
 	tapes []*hourTape
 	// soaTapes selects the structure-of-arrays tape layout (the default);
 	// false keeps the array-of-structs reference layout. Flipped only via
@@ -161,8 +159,7 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		regions = cat.IDs()
 	}
 	s := &Snapshot{
-		name:        d.Name(),
-		seed:        seed,
+		mcSeed:      simclock.DeriveSeed(seed, "mc/"+d.Name()),
 		tx:          tx,
 		nodes:       dag.NewInterner(d),
 		regionIdx:   make(map[region.ID]int, len(regions)+1),
@@ -184,13 +181,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 	s.nR = len(s.regions)
 	s.home = s.regionIdx[in.Home()]
 
-	for _, t := range s.hours {
-		s.hourUnix = append(s.hourUnix, t.Unix())
-	}
-	s.hourSeed = make([]int64, len(s.hours))
-	for h, u := range s.hourUnix {
-		s.hourSeed[h] = simclock.DeriveSeed(seed, fmt.Sprintf("mc/%s/%d", s.name, u)) //caribou:allow hotsprintf runs once per hour at snapshot compile, never in the sampling loop
-	}
 	s.soaTapes = true
 	s.SetTapes(true)
 
@@ -366,12 +356,13 @@ func (s *Snapshot) NumHours() int { return len(s.hours) }
 func (s *Snapshot) SetTapes(on bool) {
 	switch {
 	case on && s.tapes == nil:
+		s.tape = &sampleTape{}
 		s.tapes = make([]*hourTape, len(s.hours))
 		for i := range s.tapes {
 			s.tapes[i] = &hourTape{}
 		}
 	case !on:
-		s.tapes = nil
+		s.tape, s.tapes = nil, nil
 	}
 }
 
@@ -477,7 +468,7 @@ func (s *Snapshot) Assign(plan dag.Plan) ([]int, error) {
 // rule, and the sampled event sequence are identical — but the sampling
 // loop touches only the snapshot's baked slices, so estimates are pure
 // functions of (assign, h) and safe to compute concurrently. With tapes
-// enabled (the default) the plan is replayed against the hour's compiled
+// enabled (the default) the plan is replayed against the solve's compiled
 // sample tape; the result is bit-identical to the untaped path either
 // way.
 func (s *Snapshot) Estimate(assign []int, h int) (*Estimate, error) {
@@ -516,7 +507,7 @@ func (s *Snapshot) checkArgs(assign []int, h int) error {
 }
 
 func (s *Snapshot) estimateUntaped(assign []int, h int) (*Estimate, error) {
-	rng := simclock.AcquireRand(s.hourSeed[h])
+	rng := simclock.AcquireRand(s.mcSeed)
 	defer rng.Release()
 	// RNG, scratch, and accumulator come from pools: the untaped
 	// reference path is itself called thousands of times per solve in

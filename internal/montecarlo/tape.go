@@ -12,36 +12,38 @@ import (
 // Sample tapes: common-random-number compilation of the Monte Carlo hot
 // path.
 //
-// Snapshot.Estimate derives its RNG stream from (seed, workflow, hour)
-// only, and every uniform draw inside sampleOnce — entry bytes, the
+// Snapshot.Estimate derives its RNG stream from (seed, workflow) only,
+// and every uniform draw inside sampleOnce — entry bytes, the
 // conditional-edge coin flips, edge/output payload bytes, and the
 // exec-duration quantiles — is consumed in an order decided solely by
-// those draws, never by the plan under evaluation. The realized control
-// flow (which nodes execute, which edges are taken, which sync nodes
-// fire, where skips propagate) is therefore a pure function of (seed,
-// workflow, hour) too: a plan changes *where* a stage runs, not *what
-// the invocation does*.
+// those draws, never by the plan or the hour under evaluation. The
+// realized control flow (which nodes execute, which edges are taken, which
+// sync nodes fire, where skips propagate) is therefore a pure function of
+// (seed, workflow) too: a plan changes *where* a stage runs and an hour
+// how carbon-intensive that is, not *what the invocation does*.
 //
-// A tape exploits that: per hour it records, per sample, the resolved
-// skeleton — executed nodes in loop order, each with its pre-drawn
-// exec-duration quantile, per-edge outcomes with pre-drawn payload
-// bytes, pre-summed sync staging totals, and the ordered sync targets of
-// every skip propagation. Replaying a plan against the tape performs no
-// RNG calls, no stream derivation, no conditional-probability branching,
-// and no recursive skip walks — only the region-dependent lookups
-// (duration quantile resolution, transfer/egress coefficients,
+// The tape exploits that: once per solve it records, per sample, the
+// resolved skeleton — executed nodes in loop order, each with its
+// pre-drawn exec-duration quantile, per-edge outcomes with pre-drawn
+// payload bytes, pre-summed sync staging totals, and the ordered sync
+// targets of every skip propagation. Replaying a plan against the tape
+// performs no RNG calls, no stream derivation, no conditional-probability
+// branching, and no recursive skip walks — only the region-dependent
+// lookups (duration quantile resolution, transfer/egress coefficients,
 // intensity-weighted carbon) and the exact arithmetic of the reference
 // path, in the exact same order, so replayed estimates are bit-identical
 // to untaped ones by construction (pinned by the tape parity tests).
 //
-// Tapes are compiled lazily in BatchSize increments up to MaxSamples:
+// The tape is compiled lazily in BatchSize increments up to MaxSamples:
 // the first Estimate that needs samples [0,200) builds them, a later
 // plan that converges slower extends the tape, and the extension rule
-// means one tape per hour serves every candidate plan the solver
-// evaluates — HBSS rounds, exhaustive enumeration, and all hourly
-// solves amortize the drawing work that the untaped path repeats per
-// plan. Memory is bounded by MaxSamples × (nodes + edges) records per
-// hour.
+// means one tape serves every candidate plan at every hour the solver
+// evaluates — HBSS rounds, exhaustive enumeration, and all hourly solves
+// amortize the drawing work that the untaped path repeats per plan, and
+// hour-to-hour plan differences reflect intensity, never sampling noise.
+// Memory is bounded by MaxSamples × (nodes + edges) records per solve.
+// Only what reads intensity[h]/txRF[h] stays per hour: the pruning-bound
+// columns and the delta anchor (hourTape).
 
 // tapeStep flags.
 const (
@@ -74,10 +76,12 @@ type tapeEdge struct {
 	skipOff, skipEnd int32   // tapeEdgeSkip: [skipOff,skipEnd) into skipSyncs
 }
 
-// tapeData is an immutable compiled prefix of one hour's sample stream.
+// tapeData is an immutable compiled prefix of the solve's sample stream.
 // Extensions append past every published header's length and publish a
 // new header, so a reader holding an old header only ever touches the
 // prefix that was complete when it loaded — no locking on the read side.
+// An hour's header (hourTape) is a copy of the shared one cut to the
+// prefix that hour has asked for, with that hour's bound columns attached.
 //
 // Two layouts exist. The array-of-structs steps/edges slices are the
 // reference layout the compiler emits; with SoA replay enabled (the
@@ -93,6 +97,7 @@ type tapeData struct {
 	edges     []tapeEdge
 	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
 	soa       *soaCols
+	bnd       *hourBounds // hour headers only; nil when bounds are unavailable
 }
 
 // soaCols is the structure-of-arrays layout of one compiled tape prefix:
@@ -140,41 +145,26 @@ type soaCols struct {
 	// staging edges, (bytes+controlBytes)/1e9 for direct edges (the
 	// reference adds the control envelope before converting), 0 for skips.
 	e9 []float64
-	// Pruning-bound columns (bounds.go), present only when the snapshot's
-	// coefficient minima are valid: bndStep holds per-step minimum triples
-	// at si*3 {duration, energy contribution, exec cost}, and
-	// preLat/preCost/preCarb are per-sample metric-floor prefix sums (len
-	// nSamples+1). bndOK latches false — disabling pruning for the tape,
-	// never changing a result — when a per-sample floor goes negative.
-	bndStep                  []float64
-	preLat, preCost, preCarb []float64
-	bndOK                    bool
 }
 
-// hourTape owns one hour's lazily extended tape. The mutex serializes
-// extensions (the RNG stream must advance sequentially); readers load the
-// latest immutable prefix through the atomic pointer. ref is the growing
-// AoS master the compiler appends to; in SoA mode it stays private and
-// each extension is transposed into fresh column headers before
-// publication. The anchor fields cache one delta-replay anchor per hour
-// (delta.go), invalidated whenever the base plan changes.
-type hourTape struct {
+// sampleTape owns the solve's lazily extended tape, shared read-only by
+// every hour. The mutex serializes extensions (the RNG stream must advance
+// sequentially); readers load the latest immutable prefix through the
+// atomic pointer. ref is the growing AoS master the compiler appends to; in
+// SoA mode it stays private and each extension is transposed into fresh
+// column headers before publication.
+type sampleTape struct {
 	mu   sync.Mutex
 	rng  *simclock.Rand // positioned after the last compiled sample
 	bld  *tapeBuilder
 	ref  *tapeData // AoS master; only published directly in AoS mode
 	data atomic.Pointer[tapeData]
-
-	// anchorMu serializes anchor recording (TryLock: contenders replay
-	// plain rather than queue); anchor publishes the result.
-	anchorMu sync.Mutex
-	anchor   atomic.Pointer[deltaAnchor]
 }
 
 // ensure returns a tape prefix holding at least n samples (capped at
 // MaxSamples), compiling missing batches under the extension lock. The
 // fast path is a single atomic load.
-func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
+func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 	if d := t.data.Load(); d != nil && d.n >= n {
 		return d
 	}
@@ -182,7 +172,7 @@ func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
 	defer t.mu.Unlock()
 	d := t.data.Load()
 	if d == nil {
-		t.rng = simclock.NewRand(s.hourSeed[h])
+		t.rng = simclock.NewRand(s.mcSeed)
 		t.bld = newTapeBuilder(s.nodes.Len())
 		t.ref = &tapeData{stepOff: []int32{0}}
 		d = t.ref
@@ -201,7 +191,7 @@ func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
 	}
 	nd := &tapeData{n: ref.n, entry: ref.entry, stepOff: ref.stepOff, skipSyncs: ref.skipSyncs}
 	if s.soaTapes {
-		nd.soa = s.transposeSoA(d.soa, ref, oldSteps, oldEdges, h)
+		nd.soa = s.transposeSoA(d.soa, ref, oldSteps, oldEdges)
 	} else {
 		nd.steps = ref.steps
 		nd.edges = ref.edges
@@ -210,13 +200,51 @@ func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
 	return nd
 }
 
+// hourTape is what stays per hour over the shared tape: the header
+// carrying the hour's pruning-bound columns (bounds.go), extended only as
+// far as this hour's estimates have asked for — so its n, the look-ahead
+// horizon of the prune rule, never depends on what other hours compiled —
+// and one delta-replay anchor (delta.go), invalidated whenever the base
+// plan changes. Both fold intensity[h]/txRF[h]; nothing else does.
+type hourTape struct {
+	mu   sync.Mutex // serializes header extensions
+	data atomic.Pointer[tapeData]
+
+	// anchorMu serializes anchor recording (TryLock: contenders replay
+	// plain rather than queue); anchor publishes the result.
+	anchorMu sync.Mutex
+	anchor   atomic.Pointer[deltaAnchor]
+}
+
+// ensure returns hour h's header over a shared-tape prefix of at least n
+// samples, extending the tape and then the hour's bound columns as needed.
+// The fast path is a single atomic load.
+func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
+	if d := t.data.Load(); d != nil && d.n >= n {
+		return d
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d := t.data.Load()
+	if d != nil && d.n >= n {
+		return d
+	}
+	nd := *s.tape.ensure(s, n)
+	nd.n = min(n, nd.n)
+	if nd.soa != nil && s.bnd.ok {
+		nd.bnd = s.extendBounds(d, &nd, h)
+	}
+	t.data.Store(&nd)
+	return &nd
+}
+
 // transposeSoA extends the published columns with the AoS records the
 // compiler just appended (steps[oldSteps:], edges[oldEdges:]). Columns are
 // immutable once published: each extension allocates exact-size arrays —
 // every float64 column carved from one arena block per extension — copies
 // the prior prefix, and fills the new span, so readers holding an old
 // header never observe growth.
-func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges, h int) *soaCols {
+func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges int) *soaCols {
 	nR := s.nR
 	nS, nE := len(ref.steps), len(ref.edges)
 	c := &soaCols{
@@ -228,11 +256,7 @@ func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges
 		skipOff: make([]int32, nE+1),
 	}
 	nSamp := ref.n
-	size := nS*4 + nE*2 + nSamp + nS*nR*3
-	if s.bnd.ok {
-		size += nS*3 + 3*(nSamp+1)
-	}
-	arena := make([]float64, size)
+	arena := make([]float64, nS*4+nE*2+nSamp+nS*nR*3)
 	c.staged, arena = arena[:nS:nS], arena[nS:]
 	c.out, arena = arena[:nS:nS], arena[nS:]
 	c.aux9, arena = arena[:nS:nS], arena[nS:]
@@ -240,16 +264,7 @@ func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges
 	c.bytes, arena = arena[:nE:nE], arena[nE:]
 	c.e9, arena = arena[:nE:nE], arena[nE:]
 	c.entry9, arena = arena[:nSamp:nSamp], arena[nSamp:]
-	drcLen := nS * nR * 3
-	c.drc, arena = arena[:drcLen:drcLen], arena[drcLen:]
-	if s.bnd.ok {
-		bs := nS * 3
-		c.bndStep, arena = arena[:bs:bs], arena[bs:]
-		c.preLat, arena = arena[:nSamp+1:nSamp+1], arena[nSamp+1:]
-		c.preCost, arena = arena[:nSamp+1:nSamp+1], arena[nSamp+1:]
-		c.preCarb = arena
-		c.bndOK = prev == nil || prev.bndOK
-	}
+	c.drc = arena
 	if prev != nil {
 		copy(c.node, prev.node)
 		copy(c.flags, prev.flags)
@@ -265,12 +280,6 @@ func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges
 		copy(c.e9, prev.e9)
 		copy(c.skipOff, prev.skipOff)
 		copy(c.entry9, prev.entry9)
-		if prev.bndStep != nil {
-			copy(c.bndStep, prev.bndStep)
-			copy(c.preLat, prev.preLat)
-			copy(c.preCost, prev.preCost)
-			copy(c.preCarb, prev.preCarb)
-		}
 	}
 	oldSamp := 0
 	if prev != nil {
@@ -318,10 +327,6 @@ func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges
 		}
 	}
 	c.skipOff[nE] = skips
-	if c.bndOK {
-		s.bakeBoundSteps(c, h, oldSteps, nS)
-		s.bakeBoundSamples(ref, c, h, oldSamp, nSamp)
-	}
 	return c
 }
 
@@ -512,30 +517,17 @@ func (sc *replayScratch) reset() {
 	}
 }
 
-func (sc *replayScratch) getStart(i int) float64 { return sc.start[i] }
-
-func (sc *replayScratch) setStart(i int, v float64) { sc.start[i] = v }
-
-func (sc *replayScratch) getReady(i int) float64 { return sc.ready[i] }
-
-func (sc *replayScratch) setReady(i int, v float64) { sc.ready[i] = v }
-
 // estimateTaped mirrors estimateUntaped's batched stopping rule but
 // replays pre-compiled samples instead of drawing them, extending the
-// hour's shared tape only as far as this plan's convergence requires.
+// shared tape only as far as this plan's convergence requires.
 func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 	t := s.tapes[h]
-	sc := s.getScratch()
+	sc, sc2 := s.getScratch(), s.getScratch() // sc2: the pair replayers' second sample
 	defer s.putScratch(sc)
+	defer s.putScratch(sc2)
 	inten := s.intensity[h]
 	acc := s.getAcc()
 	defer s.putAcc(acc)
-	var sc2 *replayScratch
-	defer func() {
-		if sc2 != nil {
-			s.putScratch(sc2)
-		}
-	}()
 	for acc.samples() < MaxSamples {
 		need := acc.samples() + BatchSize
 		td := t.ensure(s, h, need)
@@ -545,9 +537,6 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 			// their serial float chains overlap (see replaySoAPair). Only
 			// when no exec error can fire — error replays take the
 			// sequential path so failures surface at the reference step.
-			if sc2 == nil {
-				sc2 = s.getScratch()
-			}
 			for ; i+1 < need; i += 2 {
 				a, b, err := s.replaySoAPair(td, i, h, assign, sc, sc2)
 				if err != nil {
@@ -611,7 +600,7 @@ func (s *Snapshot) replaySoA(td *tapeData, i, h int, assign []int, sc *replayScr
 	}
 	// Parenthesized so the transfer term is summed before being added to
 	// the access+overhead prefix, exactly as the reference's helper call.
-	sc.setStart(entry, s.kvAccess[home]+s.msgOverhead+(s.txBase[home*nR+entryRegion]+eb*s.txPerByte[home*nR+entryRegion]))
+	sc.start[entry] = s.kvAccess[home] + s.msgOverhead + (s.txBase[home*nR+entryRegion] + eb*s.txPerByte[home*nR+entryRegion])
 
 	return s.runSoASteps(td, td.stepOff[i], td.stepOff[i+1], h, assign, sc, smp, rec)
 }
@@ -655,7 +644,7 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 			smp.cost += snsHome
 			smp.txCarbon += rf[hr] * (controlBytes / 1e9)
 			smp.cost += controlBytes / 1e9 * egress[hr]
-			arrive := sc.getReady(n) + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
+			arrive := sc.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
 			ld := staged
 			if ld < 0 {
 				ld = 0
@@ -669,7 +658,7 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 			}
 			startN = arrive + load
 		} else {
-			startN = sc.getStart(n)
+			startN = sc.start[n]
 		}
 
 		if hasErr {
@@ -703,8 +692,8 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 			case tapeEdgeSkip:
 				for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
 					sn := int(td.skipSyncs[k])
-					if finish > sc.getReady(sn) {
-						sc.setReady(sn, finish)
+					if finish > sc.ready[sn] {
+						sc.ready[sn] = finish
 					}
 				}
 				smp.cost += s.dynWriteUSD // skip annotation
@@ -723,8 +712,8 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 					smp.cost += q * egress[rh]
 				}
 				ready := finish + (txBase[rh] + tb*txPerByte[rh]) + s.kvAccess[r]
-				if ready > sc.getReady(to) {
-					sc.setReady(to, ready)
+				if ready > sc.ready[to] {
+					sc.ready[to] = ready
 				}
 			case tapeEdgeDirect:
 				smp.cost += s.snsUSD[r]
@@ -740,8 +729,8 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 					tb = 0
 				}
 				arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-				if arrive > sc.getStart(to) {
-					sc.setStart(to, arrive)
+				if arrive > sc.start[to] {
+					sc.start[to] = arrive
 				}
 			}
 		}
@@ -799,8 +788,8 @@ func (s *Snapshot) replaySoAPair(td *tapeData, i, h int, assign []int, scA, scB 
 	if ebB < 0 {
 		ebB = 0
 	}
-	scA.setStart(entry, kvAccess[home]+msgOverhead+(txBase[he]+ebA*txPerByte[he]))
-	scB.setStart(entry, kvAccess[home]+msgOverhead+(txBase[he]+ebB*txPerByte[he]))
+	scA.start[entry] = kvAccess[home] + msgOverhead + (txBase[he] + ebA*txPerByte[he])
+	scB.start[entry] = kvAccess[home] + msgOverhead + (txBase[he] + ebB*txPerByte[he])
 
 	return s.runSoAStepsPair(td, td.stepOff[i], td.stepOff[i+1], td.stepOff[i+1], td.stepOff[i+2], h, assign, scA, scB, smpA, smpB)
 }
@@ -839,7 +828,7 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 				smpA.cost += snsHome
 				smpA.txCarbon += rf[hr] * (controlBytes / 1e9)
 				smpA.cost += controlBytes / 1e9 * egress[hr]
-				arrive := scA.getReady(n) + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
+				arrive := scA.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
 				ld := staged
 				if ld < 0 {
 					ld = 0
@@ -853,7 +842,7 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 				}
 				startN = arrive + load
 			} else {
-				startN = scA.getStart(n)
+				startN = scA.start[n]
 			}
 			base := (int(siA)*nR + r) * 3
 			finish := startN + drcC[base]
@@ -878,8 +867,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 					case tapeEdgeSkip:
 						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
 							sn := int(skipS[k])
-							if finish > scA.getReady(sn) {
-								scA.setReady(sn, finish)
+							if finish > scA.ready[sn] {
+								scA.ready[sn] = finish
 							}
 						}
 						smpA.cost += dynWrite // skip annotation
@@ -898,8 +887,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 							smpA.cost += q * egress[rh]
 						}
 						ready := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if ready > scA.getReady(to) {
-							scA.setReady(to, ready)
+						if ready > scA.ready[to] {
+							scA.ready[to] = ready
 						}
 					case tapeEdgeDirect:
 						smpA.cost += snsUSD[r]
@@ -915,8 +904,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 							tb = 0
 						}
 						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > scA.getStart(to) {
-							scA.setStart(to, arrive)
+						if arrive > scA.start[to] {
+							scA.start[to] = arrive
 						}
 					}
 				}
@@ -934,7 +923,7 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 				smpB.cost += snsHome
 				smpB.txCarbon += rf[hr] * (controlBytes / 1e9)
 				smpB.cost += controlBytes / 1e9 * egress[hr]
-				arrive := scB.getReady(n) + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
+				arrive := scB.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
 				ld := staged
 				if ld < 0 {
 					ld = 0
@@ -948,7 +937,7 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 				}
 				startN = arrive + load
 			} else {
-				startN = scB.getStart(n)
+				startN = scB.start[n]
 			}
 			base := (int(siB)*nR + r) * 3
 			finish := startN + drcC[base]
@@ -973,8 +962,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 					case tapeEdgeSkip:
 						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
 							sn := int(skipS[k])
-							if finish > scB.getReady(sn) {
-								scB.setReady(sn, finish)
+							if finish > scB.ready[sn] {
+								scB.ready[sn] = finish
 							}
 						}
 						smpB.cost += dynWrite // skip annotation
@@ -993,8 +982,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 							smpB.cost += q * egress[rh]
 						}
 						ready := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if ready > scB.getReady(to) {
-							scB.setReady(to, ready)
+						if ready > scB.ready[to] {
+							scB.ready[to] = ready
 						}
 					case tapeEdgeDirect:
 						smpB.cost += snsUSD[r]
@@ -1010,8 +999,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 							tb = 0
 						}
 						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > scB.getStart(to) {
-							scB.setStart(to, arrive)
+						if arrive > scB.start[to] {
+							scB.start[to] = arrive
 						}
 					}
 				}
@@ -1061,7 +1050,7 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 	smp.cost += s.dynReadUSD
 	smp.cost += s.snsUSD[home]
 	txCarbon(home, entryRegion, entryBytes)
-	sc.setStart(entry, s.kvAccess[home]+s.msgOverhead+transfer(home, entryRegion, entryBytes))
+	sc.start[entry] = s.kvAccess[home] + s.msgOverhead + transfer(home, entryRegion, entryBytes)
 
 	for si := td.stepOff[i]; si < td.stepOff[i+1]; si++ {
 		st := &td.steps[si]
@@ -1072,13 +1061,13 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 			staged := st.staged
 			smp.cost += s.snsUSD[home]
 			txCarbon(home, r, controlBytes)
-			arrive := sc.getReady(n) + s.msgOverhead + transfer(home, r, controlBytes)
+			arrive := sc.ready[n] + s.msgOverhead + transfer(home, r, controlBytes)
 			load := s.kvAccess[r] + transfer(home, r, staged)
 			smp.cost += s.dynReadUSD
 			txCarbon(home, r, staged)
 			startN = arrive + load
 		} else {
-			startN = sc.getStart(n)
+			startN = sc.start[n]
 		}
 
 		if err := s.execErr[n*nR+r]; err != nil {
@@ -1106,8 +1095,8 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 			case tapeEdgeSkip:
 				for k := e.skipOff; k < e.skipEnd; k++ {
 					sn := int(td.skipSyncs[k])
-					if finish > sc.getReady(sn) {
-						sc.setReady(sn, finish)
+					if finish > sc.ready[sn] {
+						sc.ready[sn] = finish
 					}
 				}
 				smp.cost += s.dynWriteUSD // skip annotation
@@ -1116,16 +1105,16 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 				smp.cost += s.dynWriteUSD
 				txCarbon(r, home, e.bytes)
 				ready := finish + transfer(r, home, e.bytes) + s.kvAccess[r]
-				if ready > sc.getReady(to) {
-					sc.setReady(to, ready)
+				if ready > sc.ready[to] {
+					sc.ready[to] = ready
 				}
 			case tapeEdgeDirect:
 				smp.cost += s.snsUSD[r]
 				total := e.bytes + controlBytes
 				txCarbon(r, assign[to], total)
 				arrive := finish + s.msgOverhead + transfer(r, assign[to], total)
-				if arrive > sc.getStart(to) {
-					sc.setStart(to, arrive)
+				if arrive > sc.start[to] {
+					sc.start[to] = arrive
 				}
 			}
 		}

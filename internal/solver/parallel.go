@@ -29,10 +29,10 @@ const evalChunk = 16
 // semaphore bounding concurrent evaluations.
 //
 // Determinism: a plan estimate is a pure function of (assignment, hour) —
-// the Monte Carlo stream is derived from (seed, workflow, hour), never
-// from shared state — so a memo hit is indistinguishable from a fresh
-// computation and neither scheduling order nor the worker count can
-// change any result.
+// the Monte Carlo stream is derived from (seed, workflow), never from
+// shared state, and the hour enters only through its intensities — so a
+// memo hit is indistinguishable from a fresh computation and neither
+// scheduling order nor the worker count can change any result.
 type search struct {
 	s     *Solver
 	snap  *montecarlo.Snapshot
@@ -94,10 +94,10 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Tapes are per-snapshot, so one lazily compiled tape per hour is
-	// shared — read-only after each extension — by every estimate this
-	// search performs: HBSS rounds, exhaustive enumeration, the coarse
-	// baseline, and all hourly solves.
+	// The tape is per-snapshot, so one lazily compiled tape is shared —
+	// read-only after each extension — by every estimate this search
+	// performs: HBSS rounds, exhaustive enumeration, the coarse baseline,
+	// and all hourly solves.
 	snap.SetSoA(!s.nosoa)
 	snap.SetTapes(!s.untaped)
 	elig := make([][]int, len(s.order))

@@ -1,0 +1,128 @@
+package solver
+
+import (
+	"testing"
+	"time"
+
+	"caribou/internal/carbon"
+	"caribou/internal/executor"
+	"caribou/internal/metrics"
+	"caribou/internal/montecarlo"
+	"caribou/internal/netmodel"
+	"caribou/internal/platform"
+	"caribou/internal/pricing"
+	"caribou/internal/region"
+	"caribou/internal/simclock"
+	"caribou/internal/telemetry"
+	"caribou/internal/workloads"
+)
+
+// learnedHeavyTail learns HeavyTailAnalytics homed in ca-central-1 from
+// 200 simulated invocations (as bench_test.go's benchInputsHome): the
+// regime where lanes stay unconverged at batch boundaries, so every hour
+// keeps extending the tape and bound-based pruning fires.
+func learnedHeavyTail(t *testing.T) *metrics.Manager {
+	t.Helper()
+	wl := workloads.HeavyTailAnalytics()
+	home := region.CACentral1
+	cat, err := region.NorthAmerica().Subset(region.EvaluationFour())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := carbon.NewSyntheticSource(1, t0.Add(-8*24*time.Hour), t0.Add(2*24*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netmodel.New(cat)
+	mm := metrics.New(wl.DAG, home, cat, net, src, pricing.DefaultBook())
+	sched := simclock.New(t0)
+	p, err := platform.New(platform.Options{Sched: sched, Catalogue: cat, Net: net, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := executor.New(executor.Options{
+		Platform: p, Workload: wl, Home: home, Seed: 1,
+		OnComplete: func(r *platform.InvocationRecord) { mm.Ingest(r) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.DeployHome(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		eng.InvokeAt(t0.Add(time.Duration(i)*5*time.Minute), workloads.Small, nil)
+	}
+	sched.Run()
+	if err := mm.RefreshForecasts(t0.Add(24 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	return mm
+}
+
+// TestSharedTapeConcurrentHoursDeterministic races 24 hour coordinators
+// × Workers: 8 into extending the solve's one sample tape (run under
+// -race by `make race`): plans, every estimate field including the sample
+// count, and the montecarlo sample, estimate and pruned-candidate totals
+// must equal the Workers: 1 solve's. The last holds because an hour's
+// prune horizon is its own header's length, never the shared tape's —
+// which other hours extend at times scheduling decides.
+func TestSharedTapeConcurrentHoursDeterministic(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	t.Cleanup(telemetry.Disable)
+	counters := []*telemetry.Counter{
+		rec.Counter("montecarlo.pruned_candidates"),
+		rec.Counter("montecarlo.samples"),
+		rec.Counter("montecarlo.estimates"),
+		rec.Counter("montecarlo.tape_samples"),
+		rec.Counter("montecarlo.bound_bake_samples"),
+	}
+	mm := learnedHeavyTail(t)
+	now := t0.Add(24 * time.Hour)
+	solve := func(workers int) ([]Result, []int64) {
+		before := make([]int64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
+		s, err := New(Config{
+			Inputs:    mm,
+			Estimator: montecarlo.New(mm, carbon.BestCase(), 1),
+			Objective: Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(25)}},
+			Seed:      1,
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, results, err := s.SolveHourly(now, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range counters {
+			before[i] = c.Value() - before[i]
+		}
+		return results, before
+	}
+	serial, serialCtr := solve(1)
+	if serialCtr[0] == 0 {
+		t.Fatal("pruning never fired on the heavy-tail solve — the parity check would be vacuous")
+	}
+	if serialCtr[3] <= montecarlo.BatchSize || serialCtr[3] > montecarlo.MaxSamples {
+		t.Errorf("one solve compiled %d tape samples, want one tape extended past its first batch", serialCtr[3])
+	}
+	parallel, parallelCtr := solve(8)
+	for h := range serial {
+		if !serial[h].Plan.Equal(parallel[h].Plan) {
+			t.Errorf("hour %d plans diverge: %v vs %v", h, serial[h].Plan, parallel[h].Plan)
+		}
+		if *serial[h].Estimate != *parallel[h].Estimate {
+			t.Errorf("hour %d estimates diverge: %+v vs %+v", h, serial[h].Estimate, parallel[h].Estimate)
+		}
+	}
+	names := []string{"pruned_candidates", "samples", "estimates", "tape_samples", "bound_bake_samples"}
+	for i := range counters {
+		if serialCtr[i] != parallelCtr[i] {
+			t.Errorf("montecarlo.%s: %d at Workers 1, %d at Workers 8", names[i], serialCtr[i], parallelCtr[i])
+		}
+	}
+}
