@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json bench-json-pr8 bench-json-pr9 bench-json-pr10 sweep-clean verify eval-output
+.PHONY: all build test race fuzz vet lint bench bench-json bench-json-pr8 bench-json-pr9 bench-json-pr10 sweep-clean verify eval-output
 
 all: build
 
@@ -15,15 +15,29 @@ test:
 # suite. The eval pass includes the worker-pool determinism tests
 # (bit-identical figures at Workers=1 vs Workers=8), the telemetry
 # inertness tests (bit-identical figures with the recorder on vs off),
-# and the shared trace-cache concurrency tests. The second line re-runs
-# the shared-tape tests twice in one process on top of the full
-# solver/montecarlo pass — the second pass re-enters warm scratch pools
-# while 24 hour coordinators extend a fresh solve's one tape.
+# and the shared trace-cache concurrency tests. The first line runs
+# -short: that trims only the exhaustive-rows grid's plan-at-a-time
+# heavy-tail solves (6144 unpruned estimates each, a minute under the
+# detector) to the nobatch one — Workers 8 vs 1 on the row path, with its
+# counter totals, runs in full. The second line re-runs the shared-tape and
+# hour-row tests twice in one process — the second pass re-enters warm
+# scratch and row-accumulator pools while Workers: 8 row chunks (or 24 HBSS
+# hour coordinators) extend a fresh solve's one tape.
 race:
-	$(GO) test -race ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry' ./internal/eval/... ./internal/carbon/...
+
+# fuzz gives the module's native fuzz targets a short budget each (go test
+# takes one -fuzz target per package per run). FuzzEstimateRows: bytes →
+# fixture, metric, threshold scale and up to four dense assignments; every
+# row entry must equal Estimate(a, h) field for field, every pruned one
+# must really exceed its threshold. Seed corpus under
+# internal/montecarlo/testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and
@@ -44,7 +58,7 @@ vet:
 # controlplane function may transitively reach a wallclock or
 # global-rand sink — the chain is printed), hotalloc (no closure
 # literals, interface boxing, fmt calls, or grow-in-loop appends in the
-# montecarlo tape/delta/batch/bounds and solver HBSS hot files), and
+# montecarlo tape/delta/batch/rows/bounds and solver HBSS hot files), and
 # atomicpub (values published via atomic.Pointer.Store are
 # write-complete at publish; shard-owned controlplane state mutates
 # only inside its owning worker). Suppress an individual finding with

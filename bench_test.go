@@ -529,6 +529,23 @@ func BenchmarkSnapshotEstimateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotEstimateRows measures one row sweep: the same 16 plans
+// priced at all 24 hours from one pass over the tape — 24 × 16 estimates,
+// to be read against 24 × BenchmarkSnapshotEstimateBatch.
+func BenchmarkSnapshotEstimateRows(b *testing.B) {
+	snap, home := benchSnapshotAssign(b)
+	assigns := batchBenchAssigns(snap, home, 16)
+	if _, err := snap.EstimateRows(assigns, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.EstimateRows(assigns, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveHourlySerial pins the daily solve to one worker — the
 // baseline the parallel bench is compared against (the two must produce
 // identical plans; see the solver determinism tests).

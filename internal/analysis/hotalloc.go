@@ -8,7 +8,7 @@ import (
 )
 
 // hotallocFiles pins the hand-optimized hot paths nothing guarded until
-// now: the Monte Carlo tape replay/delta/batch/bounds loops and the
+// now: the Monte Carlo tape replay/delta/batch/rows/bounds loops and the
 // solver's HBSS proposal loop. These files were profiled down to
 // zero-allocation inner loops (see DESIGN.md); the analyzer keeps them
 // that way by flagging the regressions that creep back in — fmt calls,
@@ -19,6 +19,7 @@ var hotallocFiles = map[string]map[string]bool{
 		"tape.go":   true,
 		"delta.go":  true,
 		"batch.go":  true,
+		"rows.go":   true,
 		"bounds.go": true,
 	},
 	"caribou/internal/solver": {
@@ -34,7 +35,7 @@ var hotallocFiles = map[string]map[string]bool{
 // file is cheap, and the sanctioned exceptions carry //caribou:allow.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag fmt calls, closures, interface boxing, and grow-in-loop appends in montecarlo replay/delta/batch and solver HBSS hot paths",
+	Doc:  "flag fmt calls, closures, interface boxing, and grow-in-loop appends in montecarlo replay/delta/batch/rows and solver HBSS hot paths",
 	Run: func(pass *Pass) {
 		files, ok := hotallocFiles[pass.PkgPath]
 		if !ok {

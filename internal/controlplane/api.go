@@ -186,7 +186,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Seed:          TenantSeed(s.cfg.Seed, id),
 	}
 	var tenant *Tenant
-	solveStart := s.clk.Now()
+	solveTimer := s.tel.solveLatency.Start()
 	err = s.shardOf(id).submit(func() error {
 		var err error
 		tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.MaxIterations)
@@ -202,7 +202,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.tel.solveLatency.Observe(s.clk.Now().Sub(solveStart).Seconds())
+	solveTimer.Stop()
 
 	s.mu.Lock()
 	delete(s.reserved, id)
@@ -299,7 +299,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var res DeltaResult
-	solveStart := s.clk.Now()
+	solveTimer := s.tel.solveLatency.Start()
 	err = s.shardOf(id).submit(func() error {
 		var err error
 		res, err = tenant.OnDelta(Delta{At: at, Invocations: req.Invocations, Class: class, MeanRuntimeSec: req.MeanRuntimeSec})
@@ -315,7 +315,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.Solved {
 		s.solves.Add(1)
-		s.tel.solveLatency.Observe(s.clk.Now().Sub(solveStart).Seconds())
+		solveTimer.Stop()
 	}
 	if res.Skipped {
 		s.skips.Add(1)
@@ -366,7 +366,7 @@ type PlanResponse struct {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	start := s.clk.Now()
+	queryTimer := s.tel.queryLatency.Start()
 	id := r.PathValue("id")
 	tenant, ok := s.tenant(id)
 	if !ok {
@@ -408,7 +408,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 	s.tel.queries.Inc()
-	s.tel.queryLatency.Observe(s.clk.Now().Sub(start).Seconds())
+	queryTimer.Stop()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -431,7 +431,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var g manager.Granularity
-	solveStart := s.clk.Now()
+	solveTimer := s.tel.solveLatency.Start()
 	err := s.shardOf(id).submit(func() error {
 		var err error
 		g, err = tenant.ForceCheck(tenant.VNow())
@@ -450,7 +450,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.solves.Add(1)
-	s.tel.solveLatency.Observe(s.clk.Now().Sub(solveStart).Seconds())
+	solveTimer.Stop()
 	sp.Annotate(telemetry.String("workflow", id), telemetry.String("granularity", g.String()))
 	version := 0
 	if snap := tenant.Plan(); snap != nil {

@@ -9,8 +9,9 @@ import (
 // seam between the simulation core and the serving edge. Everything that
 // decides plan *content* (token accrual, solve triggering, expiry)
 // advances on tenant-pushed trace timestamps, never on this clock; the
-// Clock only stamps serving-side metadata (the served_at field) and feeds
-// latency instruments. cmd/caribou-server injects the wall clock behind
+// Clock only stamps serving-side metadata (the served_at field) — latency
+// instruments are telemetry stopwatches on the real clock, so freezing
+// this one does not zero them. cmd/caribou-server injects the wall clock behind
 // an annotated //caribou:allow wallclock site; tests and -sim mode inject
 // a SimClock, which makes every response body byte-reproducible.
 type Clock interface {

@@ -52,10 +52,11 @@ type Config struct {
 	// Catalogue is the universe of candidate regions (default
 	// region.NorthAmerica()).
 	Catalogue *region.Catalogue
-	// Clock stamps serving-side metadata (served_at, latency
-	// instruments) and never influences plan content. Defaults to a
-	// SimClock frozen at Start — inject the wall clock explicitly to get
-	// real timestamps.
+	// Clock stamps serving-side metadata (served_at) and never influences
+	// plan content. Defaults to a SimClock frozen at Start — inject the
+	// wall clock explicitly to get real timestamps. Latency instruments do
+	// not read it: they time themselves with telemetry stopwatches, so a
+	// -sim server still measures real durations.
 	Clock Clock
 	// MaxIterations caps each tenant solver's HBSS iterations (default
 	// 24): thousands of tenants trade per-solve search depth for

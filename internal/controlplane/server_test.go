@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"caribou/internal/telemetry"
 )
 
 // newTestServer builds a SimClock-backed server over the evaluation
@@ -263,5 +265,46 @@ func TestSimClock(t *testing.T) {
 	var fn Clock = ClockFunc(func() time.Time { return DefaultStart })
 	if !fn.Now().Equal(DefaultStart) {
 		t.Error("ClockFunc adapter broken")
+	}
+}
+
+// TestSimServerMeasuresRealLatency: a SimClock freezes served_at, not the
+// latency instruments — they are telemetry stopwatches on the real clock.
+// With telemetry on, a -sim server records non-zero solve and query
+// latency, and its response bodies are byte-identical to the bodies of the
+// same script with telemetry off.
+func TestSimServerMeasuresRealLatency(t *testing.T) {
+	script := func() []string {
+		srv := newTestServer(t, 2)
+		var bodies []string
+		for _, rq := range [][3]string{
+			{"POST", "/v1/workflows", `{"id":"t1","workload":"text2speech-censoring","initial_tokens":1e9}`},
+			{"POST", "/v1/workflows/t1/trace", `{"at":"` + DefaultStart.Add(3*time.Hour).Format(time.RFC3339) + `","invocations":200}`},
+			{"POST", "/v1/workflows/t1/solve", ""},
+			{"GET", "/v1/workflows/t1/plan?hours=all", ""},
+		} {
+			w := do(t, srv, rq[0], rq[1], rq[2])
+			if w.Code >= 300 {
+				t.Fatalf("%s %s: status %d: %s", rq[0], rq[1], w.Code, w.Body.String())
+			}
+			bodies = append(bodies, w.Body.String())
+		}
+		return bodies
+	}
+	off := script()
+
+	rec := telemetry.Enable(telemetry.Options{})
+	t.Cleanup(telemetry.Disable)
+	on := script()
+	for i := range off {
+		if on[i] != off[i] {
+			t.Errorf("request %d: body differs with telemetry on:\n%s\nvs\n%s", i, on[i], off[i])
+		}
+	}
+	for _, name := range []string{"controlplane.solve_latency_sec", "controlplane.query_latency_sec"} {
+		h := rec.Histogram(name, nil)
+		if h.Count() == 0 || !(h.Sum() > 0) {
+			t.Errorf("%s: %d observations summing to %g s on a frozen SimClock, want real time", name, h.Count(), h.Sum())
+		}
 	}
 }

@@ -2,14 +2,14 @@ package montecarlo
 
 // Batched multi-plan replay: one sweep over the tape, K candidate plans.
 //
-// The solver evaluates candidate plans in groups — an HBSS proposal round,
-// a chunk of the exhaustive enumeration — and every plan in a group
-// replays the *same* tape. Plan-at-a-time replay therefore
-// streams the plan-independent columns (node ids, flags, payload bytes,
-// baked quantile triples, edge records) K times per group. EstimateBatch
-// restructures the loop: steps outermost, lanes innermost, so each
-// column load is fetched once per sweep and reused K ways, while each
-// lane keeps its own scratch vectors and accumulator. A lane's
+// The solver evaluates candidate plans in groups — an HBSS proposal round
+// at one hour (exhaustive enumeration sweeps whole hour rows, rows.go) —
+// and every plan in a group replays the *same* tape. Plan-at-a-time replay
+// therefore streams the plan-independent columns (node ids, flags, payload
+// bytes, baked quantile triples, edge records) K times per group.
+// EstimateBatch restructures the loop: steps outermost, lanes innermost,
+// so each column load is fetched once per sweep and reused K ways, while
+// each lane keeps its own scratch vectors and accumulator. A lane's
 // additions, comparisons, and their order are exactly replaySoA's — the
 // lanes are data-independent, so interleaving their instruction streams
 // changes no result bit (the same argument as replaySoAPair, generalized
@@ -17,17 +17,17 @@ package montecarlo
 //
 // On top of the shared sweep sits exact pruning. The solver knows, per
 // candidate, a metric threshold above which the candidate cannot be
-// chosen (hbss.go: the inverted acceptWorse cutoff; exhaustive: the
-// incumbent metric). At every batch boundary — after the convergence
-// check, which must see exactly the states the reference path sees — a
-// lane that has not converged is abandoned once the bound columns
-// (bounds.go) prove its final mean metric exceeds its threshold for
-// every sample count it could still stop at. Abandoned lanes return a
-// nil Estimate; survivors finish the full stopping rule, so every field
-// of every returned Estimate is bit-identical to the plan-at-a-time
-// path. Pruning is gated on the hour's bounds ok latch and each lane's
-// threshold being finite; disabling it (Config.NoBatchEval routes around
-// this file entirely) changes cost, never results.
+// chosen (hbss.go: the inverted acceptWorse cutoff). At every batch
+// boundary — after the convergence check, which must see exactly the
+// states the reference path sees — a lane that has not converged is
+// abandoned once the bound columns (bounds.go) prove its final mean metric
+// exceeds its threshold for every sample count it could still stop at.
+// Abandoned lanes return a nil Estimate; survivors finish the full
+// stopping rule, so every field of every returned Estimate is
+// bit-identical to the plan-at-a-time path. Pruning is gated on the hour's
+// bounds ok latch and each lane's threshold being finite; disabling it
+// (Config.NoBatchEval routes around this file entirely) changes cost,
+// never results.
 //
 // Lane scratch (start/ready vectors) is carved from a single arena per
 // batch; accumulators come from the snapshot's pool. Both live only for
@@ -393,10 +393,7 @@ func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metri
 // batchLowerBound returns a lower bound on the lane's final mean of the
 // pruning metric over every sample count the stopping rule could still
 // halt at. The lane's partial sum is re-accumulated left-to-right — the
-// exact float prefix of the summation stats.Mean would perform — and the
-// remaining samples contribute their prefix-sum floors (bounds.go);
-// samples past the hour's baked prefix contribute an implicit 0, valid
-// because the floors are non-negative whenever the hour's ok latch holds.
+// exact float prefix of the summation stats.Mean would perform.
 func batchLowerBound(c *hourBounds, ln *batchLane, n, compiled int, metric BatchMetric) float64 {
 	var series, pre []float64
 	switch metric {
@@ -411,11 +408,20 @@ func batchLowerBound(c *hourBounds, ln *batchLane, n, compiled int, metric Batch
 	for _, v := range series {
 		partial += v
 	}
+	return lowerBound(partial, pre, n, compiled)
+}
+
+// lowerBound floors the final mean of a metric whose first n samples sum
+// to partial: the remaining samples contribute their prefix-sum floors
+// (bounds.go) out to the look-ahead horizon; samples past it contribute an
+// implicit 0, valid because the floors are non-negative whenever the hour's
+// ok latch holds.
+func lowerBound(partial float64, pre []float64, n, horizon int) float64 {
 	low := math.Inf(1)
 	for nf := n + BatchSize; nf <= MaxSamples; nf += BatchSize {
 		known := nf
-		if known > compiled {
-			known = compiled
+		if known > horizon {
+			known = horizon
 		}
 		b := (partial + (pre[known] - pre[n])) / float64(nf)
 		if b < low {

@@ -14,7 +14,7 @@ package montecarlo
 //
 //   - per (step, region) terms — the duration quantile, the
 //     intensity-weighted energy product, and the execution cost — take
-//     their per-step minimum over regions (baked into bndStep triples);
+//     their per-step minimum over regions (stepFloor);
 //   - transfer/egress/transmission-factor coefficients take the minimum
 //     over the region pairs the event can touch (home-row for entry and
 //     sync loads, home-column for staging and write-back, all pairs for
@@ -115,14 +115,12 @@ func (s *Snapshot) bakeBoundTables() {
 }
 
 // hourBounds holds one hour's pruning-bound columns over a prefix of the
-// shared tape: bndStep is per-step minimum triples at si*3 {duration,
-// energy contribution, exec cost}, and preLat/preCost/preCarb are
-// per-sample metric-floor prefix sums (len nSamples+1). ok latches false —
+// shared tape: preLat/preCost/preCarb are per-sample metric-floor prefix
+// sums (len nSamples+1) — all a prune check reads. ok latches false —
 // disabling pruning for the hour, never changing a result — when a
 // per-sample floor goes negative. Immutable once attached to a published
 // header; extendBounds builds a longer copy.
 type hourBounds struct {
-	bndStep                  []float64
 	preLat, preCost, preCarb []float64
 	ok                       bool
 }
@@ -139,61 +137,52 @@ func (s *Snapshot) extendBounds(old, td *tapeData, h int) *hourBounds {
 	if !prev.ok {
 		return prev
 	}
-	n, bs := td.n, int(td.stepOff[td.n])*3
-	arena := make([]float64, bs+3*(n+1))
+	n := td.n
+	arena := make([]float64, 3*(n+1))
 	b := &hourBounds{ok: true}
-	b.bndStep, arena = arena[:bs:bs], arena[bs:]
 	b.preLat, arena = arena[:n+1:n+1], arena[n+1:]
 	b.preCost, b.preCarb = arena[:n+1:n+1], arena[n+1:]
-	copy(b.bndStep, prev.bndStep)
 	copy(b.preLat, prev.preLat)
 	copy(b.preCost, prev.preCost)
 	copy(b.preCarb, prev.preCarb)
-	s.bakeBoundSteps(td.soa, b, h, len(prev.bndStep)/3, bs/3)
 	s.bakeBoundSamples(td, b, h, oldSamp, n)
 	s.tel.boundBakeSamples.Add(int64(n - oldSamp))
 	return b
 }
 
-// bakeBoundSteps fills the per-step bound triples for steps
-// [oldSteps, nS): the minimum over regions of each drc entry, with the
-// energy intermediate folded against the hour's intensities and PUE in
-// the replay's exact expression shape (inten[r]*drc*PUE).
-func (s *Snapshot) bakeBoundSteps(c *soaCols, b *hourBounds, h, oldSteps, nS int) {
-	nR := s.nR
-	inten := s.intensity[h]
-	for i := oldSteps; i < nS; i++ {
-		base := i * nR * 3
-		minD := c.drc[base]
-		minE := inten[0] * c.drc[base+1] * carbon.PUE
-		minC := c.drc[base+2]
-		for r := 1; r < nR; r++ {
-			if d := c.drc[base+r*3]; d < minD {
-				minD = d
-			}
-			if e := inten[r] * c.drc[base+r*3+1] * carbon.PUE; e < minE {
-				minE = e
-			}
-			if cc := c.drc[base+r*3+2]; cc < minC {
-				minC = cc
-			}
+// stepFloor returns one step's bound triple — duration, energy
+// contribution, exec cost — from its drc row: the minimum over regions of
+// each entry, with the energy intermediate folded against the hour's
+// intensities and PUE in the replay's exact expression shape
+// (inten[r]*drc*PUE).
+func stepFloor(drc, inten []float64) (minD, minE, minC float64) {
+	minD = drc[0]
+	minE = inten[0] * drc[1] * carbon.PUE
+	minC = drc[2]
+	for r := 1; r < len(inten); r++ {
+		if d := drc[r*3]; d < minD {
+			minD = d
 		}
-		o := i * 3
-		b.bndStep[o] = minD
-		b.bndStep[o+1] = minE
-		b.bndStep[o+2] = minC
+		if e := inten[r] * drc[r*3+1] * carbon.PUE; e < minE {
+			minE = e
+		}
+		if cc := drc[r*3+2]; cc < minC {
+			minC = cc
+		}
 	}
+	return minD, minE, minC
 }
 
 // boundReplay replays recorded sample i with every region-dependent
 // coefficient at its minimum, returning per-sample floors for the three
 // convergence metrics. The control flow mirrors replaySoA/runSoASteps
 // expression for expression so float monotonicity applies term-wise.
-func (s *Snapshot) boundReplay(ref *tapeData, hb *hourBounds, i, h int, sc *replayScratch) (lat, cost, carb float64) {
+func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat, cost, carb float64) {
 	sc.reset()
 	var smp sample
 	c := ref.soa
 	b := &s.bnd
+	nR3, inten := s.nR*3, s.intensity[h]
 	rfHR, rfHC, rfAll := b.rfHomeRow[h], b.rfHomeCol[h], b.rfAll[h]
 	msgOverhead := s.msgOverhead
 	snsHome := s.snsUSD[s.home]
@@ -239,13 +228,13 @@ func (s *Snapshot) boundReplay(ref *tapeData, hb *hourBounds, i, h int, sc *repl
 			startN = sc.start[n]
 		}
 
-		o := int(si) * 3
-		finish := startN + hb.bndStep[o]
+		minD, minE, minC := stepFloor(c.drc[int(si)*nR3:(int(si)+1)*nR3], inten)
+		finish := startN + minD
 		if finish > smp.latency {
 			smp.latency = finish
 		}
-		smp.execCarbon += hb.bndStep[o+1]
-		smp.cost += hb.bndStep[o+2]
+		smp.execCarbon += minE
+		smp.cost += minC
 
 		if flags&stepOutput != 0 {
 			if c.out[si] > 0 {
@@ -313,7 +302,7 @@ func (s *Snapshot) bakeBoundSamples(ref *tapeData, b *hourBounds, h, oldSamp, nS
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	for i := oldSamp; i < nSamp; i++ {
-		lat, cost, carb := s.boundReplay(ref, b, i, h, sc)
+		lat, cost, carb := s.boundReplay(ref, i, h, sc)
 		if lat < 0 || cost < 0 || carb < 0 {
 			b.ok = false
 		}

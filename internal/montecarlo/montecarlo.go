@@ -111,6 +111,11 @@ type mcTelemetry struct {
 	batchSweeps      *telemetry.Counter
 	batchPlans       *telemetry.Counter
 	prunedCandidates *telemetry.Counter
+	// Row accounting (rows.go): all-hours sweeps run, and (sample, hour)
+	// pairs they priced — the per-hour work a row sample still costs, where
+	// samples/tapeReplays count the row sample itself once.
+	rowSweeps  *telemetry.Counter
+	hourPrices *telemetry.Counter
 }
 
 func newMCTelemetry() mcTelemetry {
@@ -128,6 +133,8 @@ func newMCTelemetry() mcTelemetry {
 		batchSweeps:      rec.Counter("montecarlo.batch_sweeps"),
 		batchPlans:       rec.Counter("montecarlo.batch_plans"),
 		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),
+		rowSweeps:        rec.Counter("montecarlo.row_sweeps"),
+		hourPrices:       rec.Counter("montecarlo.hour_prices"),
 	}
 }
 

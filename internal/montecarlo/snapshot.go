@@ -48,7 +48,9 @@ type Snapshot struct {
 
 	// tape is the solve's lazily compiled sample tape and tapes[h] the
 	// hour's sidecar over it (tape.go); both nil when tape replay is
-	// disabled and every Estimate takes the untaped reference path.
+	// disabled and every Estimate takes the untaped reference path. Row
+	// sweeps (rows.go) replay tape directly and read a sidecar only for
+	// its pruning floors.
 	tape  *sampleTape
 	tapes []*hourTape
 	// soaTapes selects the structure-of-arrays tape layout (the default);
@@ -126,6 +128,10 @@ type Snapshot struct {
 	// txRF * (bytes/1e9) — the reference's route*factor*gb grouping — without
 	// touching the intensity vectors.
 	txRF [][]float64 // [hour][from*nR+to]
+	// intenT and rfT are intensity and txRF transposed hour-major —
+	// intenT[r*H+h], rfT[(from*nR+to)*H+h] — so the row kernel (rows.go)
+	// prices one tape event at every hour from one contiguous run.
+	intenT, rfT []float64
 
 	tel mcTelemetry
 }
@@ -325,6 +331,7 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		}
 		s.txRF[h] = rf
 	}
+	s.bakeHourTables()
 	s.bakeBoundTables()
 	return s, nil
 }
@@ -398,6 +405,21 @@ func (s *Snapshot) getAcc() *seriesAcc {
 }
 
 func (s *Snapshot) putAcc(a *seriesAcc) { s.accPool.Put(a) }
+
+// rowAccPool recycles row accumulators across sweeps and across solves —
+// a snapshot lives for one solve, and a lane's series (hours × samples)
+// are the one sizeable allocation a row needs. Every slot is written
+// before it is read, so pooling cannot leak one plan's numbers into
+// another's.
+var rowAccPool = sync.Pool{New: func() any { return new(rowAcc) }}
+
+func getRowAcc(hours int) *rowAcc {
+	a := rowAccPool.Get().(*rowAcc)
+	a.reset(hours)
+	return a
+}
+
+func putRowAcc(a *rowAcc) { rowAccPool.Put(a) }
 
 // HourTime returns the solve instant at hour index h.
 func (s *Snapshot) HourTime(h int) time.Time { return s.hours[h] }

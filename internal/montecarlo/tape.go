@@ -203,9 +203,10 @@ func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 // hourTape is what stays per hour over the shared tape: the header
 // carrying the hour's pruning-bound columns (bounds.go), extended only as
 // far as this hour's estimates have asked for — so its n, the look-ahead
-// horizon of the prune rule, never depends on what other hours compiled —
-// and one delta-replay anchor (delta.go), invalidated whenever the base
-// plan changes. Both fold intensity[h]/txRF[h]; nothing else does.
+// horizon of the single-hour prune rule, never depends on what other hours
+// compiled (row sweeps pass their own horizon and ignore n; rows.go) — and
+// one delta-replay anchor (delta.go), invalidated whenever the base plan
+// changes. Both fold intensity[h]/txRF[h]; nothing else does.
 type hourTape struct {
 	mu   sync.Mutex // serializes header extensions
 	data atomic.Pointer[tapeData]

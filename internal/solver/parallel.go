@@ -15,13 +15,23 @@ import (
 // enumeration is cheaper than sampling.
 const exhaustiveCutoff = 256
 
-// evalChunk is how many deduplicated evaluation jobs one batched
-// EstimateBatch/EstimateBatchDelta call carries. An HBSS round's fresh
-// proposals (≤ hbssBatch) always fit one chunk; larger exhaustive job
-// lists split into chunk-grained goroutines so the worker bound still
-// applies. Chunk boundaries depend only on the job order, never on
-// scheduling, so the pruning decisions inside a chunk are deterministic.
+// evalChunk bounds how many deduplicated evaluation jobs one batched
+// sweep carries (EstimateBatch/EstimateBatchDelta lanes, EstimateRows
+// rows), whatever the worker count. An HBSS round's fresh proposals
+// (≤ hbssBatch) always fit one chunk; longer job lists split into
+// chunk-grained goroutines so the worker bound still applies. Chunk
+// boundaries depend only on the job order, never on scheduling.
 const evalChunk = 16
+
+// rowSeries bounds what one EstimateRows chunk holds in flight, in hour
+// series (lanes × hours): every row lane keeps hours × samples of carbon
+// series while it sweeps. A 24-hour window gets 4 lanes per chunk — a lane
+// there prices every hour at each tape event, so sharing the event's
+// column loads across more lanes buys nothing (4, 8, 16 and 32 lanes time
+// the same) while 16 lanes take the heavy-tail solve's peak RSS from 24 to
+// 43 MB — and a one-hour window (SolveOne, SolveCoarse), where sharing
+// still pays, the full evalChunk.
+const rowSeries = 96
 
 // search is the per-solve context: the compiled evaluation snapshot,
 // dense per-stage eligibility, the (plan, hour) estimate memo shared
@@ -124,30 +134,40 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 
 // estimate evaluates a single assignment at hour h through the memo.
 func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
-	ests, err := c.evalAll([][]int{assign}, h)
+	ests, err := c.evalAllPruned(nil, nil, [][]int{assign}, h, nil)
 	if err != nil {
 		return nil, err
 	}
 	return ests[0], nil
 }
 
-// evalAll returns estimates for the assignments at hour h: memo hits are
-// returned directly, misses are deduplicated and computed — concurrently
-// when more than one worker is configured, bounded by the shared
-// semaphore — then memoized. Errors surface in first-assignment order so
-// failure behaviour is as deterministic as success.
-func (c *search) evalAll(assigns [][]int, h int) ([]*montecarlo.Estimate, error) {
-	return c.evalAllFrom(nil, nil, assigns, h)
-}
-
-// evalAllFrom is evalAll with an optional evaluation anchor: when delta
-// replay is enabled and a base plan (with its estimate) is supplied,
-// cache misses are computed via EstimateDelta against it instead of a
-// full Estimate. Delta results are bit-identical to full replay (pinned
-// by the montecarlo delta parity tests), so memo entries stay
-// interchangeable regardless of which path produced them.
-func (c *search) evalAllFrom(baseAssign []int, baseEst *montecarlo.Estimate, assigns [][]int, h int) ([]*montecarlo.Estimate, error) {
-	return c.evalAllPruned(baseAssign, baseEst, assigns, h, nil)
+// forEach runs fn(0) … fn(n-1): inline on a serial solver, otherwise each
+// call under an evaluation slot — concurrently when there is more than one
+// — so Monte Carlo work stays bounded by the worker count however many
+// coordinators fan out at once.
+func (c *search) forEach(n int, fn func(i int)) {
+	switch {
+	case c.s.workers <= 1:
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	case n == 1:
+		c.sem <- struct{}{}
+		fn(0)
+		<-c.sem
+	default:
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c.sem <- struct{}{}
+				fn(i)
+				<-c.sem
+			}(i)
+		}
+		wg.Wait()
+	}
 }
 
 // batchMetric maps the solver priority onto the batch sweep's pruning
@@ -163,9 +183,19 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 	}
 }
 
-// evalAllPruned is evalAllFrom with per-assignment abandonment
-// thresholds (nil thr, or +Inf entries, disable pruning). With batch
-// evaluation enabled, deduplicated cache misses are evaluated in
+// evalAllPruned returns estimates for the assignments at hour h: memo
+// hits are returned directly, misses are deduplicated and computed —
+// concurrently when more than one worker is configured, bounded by the
+// shared semaphore — then memoized. Errors surface in first-assignment
+// order so failure behaviour is as deterministic as success.
+//
+// When delta replay is enabled and a base plan (with its estimate) is
+// supplied, misses are computed against it (EstimateDelta) instead of by
+// full replay; delta results are bit-identical, so memo entries stay
+// interchangeable regardless of which path produced them.
+//
+// thr carries per-assignment abandonment thresholds (nil, or +Inf entries,
+// disable pruning). With batch evaluation enabled, misses are evaluated in
 // evalChunk-sized groups through one shared tape sweep each; a returned
 // nil estimate means the sweep proved that candidate's priority metric
 // exceeds its threshold. Pruned results are never memoized — the proof
@@ -214,7 +244,8 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 	ests := make([]*montecarlo.Estimate, len(jobs))
 	errs := make([]error, len(jobs))
 	if c.batch {
-		runChunk := func(lo, hi int) {
+		c.forEach((len(jobs)+evalChunk-1)/evalChunk, func(k int) {
+			lo, hi := k*evalChunk, min((k+1)*evalChunk, len(jobs))
 			as := make([][]int, hi-lo)
 			ts := make([]float64, hi-lo)
 			for j := lo; j < hi; j++ {
@@ -236,57 +267,15 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 				}
 				ests[j] = es[j-lo]
 			}
-		}
-		if c.s.workers <= 1 {
-			runChunk(0, len(jobs))
-		} else if len(jobs) <= evalChunk {
-			// One chunk, run inline — but under an evaluation slot, so
-			// concurrent hour coordinators stay bounded by the worker
-			// count now that the coordinator itself sweeps the tape.
-			c.sem <- struct{}{}
-			runChunk(0, len(jobs))
-			<-c.sem
-		} else {
-			var wg sync.WaitGroup
-			for lo := 0; lo < len(jobs); lo += evalChunk {
-				hi := lo + evalChunk
-				if hi > len(jobs) {
-					hi = len(jobs)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					c.sem <- struct{}{}
-					runChunk(lo, hi)
-					<-c.sem
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
+		})
 	} else {
-		eval := func(a []int) (*montecarlo.Estimate, error) {
+		c.forEach(len(jobs), func(j int) {
 			if c.delta && baseAssign != nil {
-				return c.snap.EstimateDelta(baseEst, baseAssign, a, h)
+				ests[j], errs[j] = c.snap.EstimateDelta(baseEst, baseAssign, jobs[j].assign, h)
+			} else {
+				ests[j], errs[j] = c.snap.Estimate(jobs[j].assign, h)
 			}
-			return c.snap.Estimate(a, h)
-		}
-		if c.s.workers <= 1 || len(jobs) == 1 {
-			for j := range jobs {
-				ests[j], errs[j] = eval(jobs[j].assign)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for j := range jobs {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					c.sem <- struct{}{}
-					ests[j], errs[j] = eval(jobs[j].assign)
-					<-c.sem
-				}(j)
-			}
-			wg.Wait()
-		}
+		})
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -312,44 +301,135 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 	return out, nil
 }
 
+// evalRows returns, for distinct assignments, their estimates at every
+// hour of the compiled window: rows[i][h]. Memoized (plan, hour) pairs are
+// returned directly; a plan with any pair missing is evaluated as one hour
+// row — with batch evaluation enabled through montecarlo.EstimateRows,
+// where one sweep over the tape prices every hour, in chunks of at most
+// rowSeries hour series across the worker semaphore; on the reference
+// paths hour by hour through Estimate. prune carries the per-hour
+// abandonment thresholds (nil disables pruning; the reference paths never
+// prune): a nil entry means the sweep proved that plan's priority metric
+// at that hour exceeds the hour's threshold, and — the proof being
+// relative to this call — is not memoized.
+func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*montecarlo.Estimate, error) {
+	H := c.snap.NumHours()
+	rows := make([][]*montecarlo.Estimate, len(assigns))
+	type job struct {
+		assign []int
+		key    string
+		i      int
+	}
+	var jobs []job
+	var hits, misses int64
+	cells := make([]*montecarlo.Estimate, len(assigns)*H)
+	c.mu.Lock()
+	for i, a := range assigns {
+		k := assignKey(a)
+		row := cells[i*H : (i+1)*H : (i+1)*H]
+		missing := 0
+		for h := range row {
+			if est, ok := c.cache[memoKey{k, h}]; ok {
+				row[h] = est
+			} else {
+				missing++
+			}
+		}
+		rows[i] = row
+		hits += int64(H - missing)
+		misses += int64(missing)
+		if missing > 0 {
+			jobs = append(jobs, job{a, k, i})
+		}
+	}
+	c.mu.Unlock()
+	c.s.tel.memoHits.Add(hits)
+	c.s.tel.estimates.Add(misses)
+	if len(jobs) == 0 {
+		return rows, nil
+	}
+
+	ests := make([][]*montecarlo.Estimate, len(jobs))
+	errs := make([]error, len(jobs))
+	if c.batch {
+		// Short job lists split finer still, so every worker gets a chunk:
+		// row results do not depend on how lanes are grouped.
+		chunk := max(1, min(evalChunk, rowSeries/H, (len(jobs)+c.s.workers-1)/c.s.workers))
+		c.forEach((len(jobs)+chunk-1)/chunk, func(k int) {
+			lo, hi := k*chunk, min((k+1)*chunk, len(jobs))
+			as := make([][]int, hi-lo)
+			for j := lo; j < hi; j++ {
+				as[j-lo] = jobs[j].assign
+			}
+			es, err := c.snap.EstimateRows(as, prune)
+			if err != nil {
+				errs[lo] = err
+				return
+			}
+			copy(ests[lo:hi], es)
+		})
+	} else {
+		c.forEach(len(jobs), func(j int) {
+			ests[j] = make([]*montecarlo.Estimate, H)
+			for h := 0; h < H && errs[j] == nil; h++ {
+				ests[j][h], errs[j] = c.snap.Estimate(jobs[j].assign, h)
+			}
+		})
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	c.mu.Lock()
+	for j, jb := range jobs {
+		row := rows[jb.i]
+		for h, est := range ests[j] {
+			if row[h] != nil || est == nil {
+				continue // memoized already, or pruned against this call's thresholds
+			}
+			c.cache[memoKey{jb.key, h}] = est
+			row[h] = est
+		}
+	}
+	c.mu.Unlock()
+	return rows, nil
+}
+
 // denseResult pairs a dense assignment with its estimate.
 type denseResult struct {
 	assign []int
 	est    *montecarlo.Estimate
 }
 
-// solveHour solves one hour of the compiled window.
-func (c *search) solveHour(h int) (Result, error) {
-	homeAssign := c.snap.HomeAssign()
-	homeEst, err := c.estimate(homeAssign, h)
-	if err != nil {
-		return Result{}, err
-	}
-	home := denseResult{homeAssign, homeEst}
-	var best denseResult
-	if c.space <= exhaustiveCutoff {
-		best, err = c.solveExhaustive(h, home)
-	} else {
-		best, err = c.solveHBSS(h, home)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{c.snap.PlanOf(best.assign), best.est}, nil
-}
-
-// solveAllHours fans the hourly solves across goroutines. Hour
+// solveAllHours solves every hour of the compiled window: small spaces by
+// one exhaustive enumeration priced at all hours, larger ones by one HBSS
+// search per hour. The hourly searches fan across goroutines; their
 // coordinators hold no evaluation slots — the shared semaphore bounds
 // actual Monte Carlo work at the configured worker count — and each
 // hour's outcome is independent of the others, so the fan-out cannot
 // perturb results.
 func (c *search) solveAllHours() ([]Result, error) {
+	if c.space <= exhaustiveCutoff {
+		return c.solveExhaustive()
+	}
 	n := c.snap.NumHours()
 	results := make([]Result, n)
 	errs := make([]error, n)
+	solve := func(h int) {
+		homeAssign := c.snap.HomeAssign()
+		homeEst, err := c.estimate(homeAssign, h)
+		if err != nil {
+			errs[h] = err
+			return
+		}
+		best, err := c.solveHBSS(h, denseResult{homeAssign, homeEst})
+		results[h], errs[h] = Result{c.snap.PlanOf(best.assign), best.est}, err
+	}
 	if c.s.workers <= 1 {
 		for h := 0; h < n; h++ {
-			results[h], errs[h] = c.solveHour(h)
+			solve(h)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -357,7 +437,7 @@ func (c *search) solveAllHours() ([]Result, error) {
 			wg.Add(1)
 			go func(h int) {
 				defer wg.Done()
-				results[h], errs[h] = c.solveHour(h)
+				solve(h)
 			}(h)
 		}
 		wg.Wait()
@@ -370,11 +450,11 @@ func (c *search) solveAllHours() ([]Result, error) {
 	return results, nil
 }
 
-// solveExhaustive enumerates the full plan space in odometer order (the
-// same order as the pre-snapshot recursive walk), evaluates every plan
-// through the pool, and picks the winner by a sequential scan in
-// enumeration order.
-func (c *search) solveExhaustive(h int, home denseResult) (denseResult, error) {
+// solveExhaustive enumerates the full plan space once, in odometer order
+// (the same order as the pre-snapshot recursive walk), evaluates the home
+// row and then every plan's hour row through the pool, and picks each
+// hour's winner by a sequential scan in enumeration order.
+func (c *search) solveExhaustive() ([]Result, error) {
 	var all [][]int
 	cur := make([]int, len(c.elig))
 	var walk func(i int)
@@ -389,33 +469,51 @@ func (c *search) solveExhaustive(h int, home denseResult) (denseResult, error) {
 		}
 	}
 	walk(0)
-	// The winner is the argmin starting from home, so any candidate whose
-	// priority metric provably exceeds the home metric (plus the bound
-	// slack margin) can be abandoned mid-sweep: best only improves on
-	// home, hence a pruned candidate can never be the final argmin.
-	mHome := metricOf(home.est, c.s.obj.Priority)
-	cut := mHome + pruneMargin*math.Abs(mHome)
-	thr := make([]float64, len(all))
-	for i := range thr {
-		thr[i] = cut
-	}
-	ests, err := c.evalAllPruned(nil, nil, all, h, thr)
+
+	homeAssign := c.snap.HomeAssign()
+	homeRows, err := c.evalRows([][]int{homeAssign}, nil)
 	if err != nil {
-		return denseResult{}, err
+		return nil, err
 	}
-	best := home
-	for i, est := range ests {
-		if est == nil {
-			continue // pruned: metric above the home baseline
-		}
-		if c.s.violates(est, home.est) {
-			continue
-		}
-		if metricOf(est, c.s.obj.Priority) < metricOf(best.est, c.s.obj.Priority) {
-			best = denseResult{all[i], est}
-		}
+	home := homeRows[0]
+	// An hour's winner is the argmin starting from home, so any candidate
+	// whose priority metric there provably exceeds the home metric (plus
+	// the bound slack margin) can be abandoned mid-sweep: best only improves
+	// on home, hence a pruned candidate can never be the final argmin. The
+	// bound looks ahead as far as the home row sampled at that hour.
+	prio := c.s.obj.Priority
+	prune := &montecarlo.RowPrune{
+		Metric:    batchMetric(prio),
+		Threshold: make([]float64, len(home)),
+		Horizon:   make([]int, len(home)),
 	}
-	return best, nil
+	for h, est := range home {
+		m := metricOf(est, prio)
+		prune.Threshold[h] = m + pruneMargin*math.Abs(m)
+		prune.Horizon[h] = est.Samples
+	}
+	rows, err := c.evalRows(all, prune)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(home))
+	for h := range results {
+		best := denseResult{homeAssign, home[h]}
+		for i, row := range rows {
+			est := row[h]
+			if est == nil {
+				continue // pruned: metric above the home baseline
+			}
+			if c.s.violates(est, home[h]) {
+				continue
+			}
+			if metricOf(est, prio) < metricOf(best.est, prio) {
+				best = denseResult{all[i], est}
+			}
+		}
+		results[h] = Result{c.snap.PlanOf(best.assign), best.est}
+	}
+	return results, nil
 }
 
 // rankedEligible orders each stage's eligible regions by ascending grid

@@ -17,14 +17,10 @@ import (
 	"caribou/internal/workloads"
 )
 
-// learnedHeavyTail learns HeavyTailAnalytics homed in ca-central-1 from
-// 200 simulated invocations (as bench_test.go's benchInputsHome): the
-// regime where lanes stay unconverged at batch boundaries, so every hour
-// keeps extending the tape and bound-based pruning fires.
-func learnedHeavyTail(t *testing.T) *metrics.Manager {
+// learned learns wl homed at home from 200 simulated invocations (as
+// bench_test.go's benchInputsHome) over the evaluation-four regions.
+func learned(t *testing.T, wl *workloads.Workload, home region.ID) *metrics.Manager {
 	t.Helper()
-	wl := workloads.HeavyTailAnalytics()
-	home := region.CACentral1
 	cat, err := region.NorthAmerica().Subset(region.EvaluationFour())
 	if err != nil {
 		t.Fatal(err)
@@ -60,13 +56,21 @@ func learnedHeavyTail(t *testing.T) *metrics.Manager {
 	return mm
 }
 
-// TestSharedTapeConcurrentHoursDeterministic races 24 hour coordinators
-// × Workers: 8 into extending the solve's one sample tape (run under
-// -race by `make race`): plans, every estimate field including the sample
-// count, and the montecarlo sample, estimate and pruned-candidate totals
-// must equal the Workers: 1 solve's. The last holds because an hour's
-// prune horizon is its own header's length, never the shared tape's —
-// which other hours extend at times scheduling decides.
+// learnedHeavyTail is HeavyTailAnalytics homed in ca-central-1: the regime
+// where lanes stay unconverged at batch boundaries, so rows keep extending
+// the tape and bound-based pruning fires.
+func learnedHeavyTail(t *testing.T) *metrics.Manager {
+	return learned(t, workloads.HeavyTailAnalytics(), region.CACentral1)
+}
+
+// TestSharedTapeConcurrentHoursDeterministic races Workers: 8 row chunks
+// into extending the solve's one sample tape and every hour's bound
+// columns (run under -race by `make race`): plans, every estimate field
+// including the sample count, and the montecarlo sample, estimate,
+// pruned-candidate and bake totals must equal the Workers: 1 solve's. The
+// last three hold because a (plan, hour) prune decision looks ahead
+// exactly as far as the home row sampled at that hour — never as far as
+// whichever chunk scheduling let run first had extended a header.
 func TestSharedTapeConcurrentHoursDeterministic(t *testing.T) {
 	rec := telemetry.Enable(telemetry.Options{})
 	t.Cleanup(telemetry.Disable)

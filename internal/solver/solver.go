@@ -12,9 +12,10 @@
 // evaluation snapshot (montecarlo.Snapshot) and then searches over dense
 // integer assignments: plan estimates become pure functions of
 // (assignment, hour), which lets the search memoize them by (plan, hour)
-// and fan evaluations — HBSS rounds, exhaustive enumeration, and the 24
-// hourly solves — across a bounded worker pool while staying bit-identical
-// to the serial search at any GOMAXPROCS.
+// and fan evaluations — HBSS rounds of the 24 hourly searches, or the hour
+// rows of one exhaustive enumeration priced at all 24 hours per sweep —
+// across a bounded worker pool while staying bit-identical to the serial
+// search at any GOMAXPROCS.
 package solver
 
 import (
@@ -303,13 +304,17 @@ func (s *Solver) violates(est, home *montecarlo.Estimate) bool {
 
 // SolveOne finds the best plan for one instant using HBSS, or exhaustive
 // enumeration when the search space is small enough that enumeration is
-// cheaper than sampling.
+// cheaper than sampling: SolveHourly's search over a one-hour window.
 func (s *Solver) SolveOne(at, now time.Time) (Result, error) {
 	c, err := s.newSearch([]time.Time{at}, now)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.solveHour(0)
+	results, err := c.solveAllHours()
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
 }
 
 // SolveHourly emits one plan per hour of the day starting at dayStart
@@ -354,11 +359,7 @@ func (s *Solver) SolveCoarse(at, now time.Time) (Result, error) {
 		return Result{}, err
 	}
 	homeAssign := c.snap.HomeAssign()
-	homeEst, err := c.estimate(homeAssign, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	var assigns [][]int
+	assigns := [][]int{homeAssign}
 	for _, r := range s.commonEligible() {
 		if r == s.in.Home() {
 			continue
@@ -373,17 +374,19 @@ func (s *Solver) SolveCoarse(at, now time.Time) (Result, error) {
 		}
 		assigns = append(assigns, a)
 	}
-	ests, err := c.evalAll(assigns, 0)
+	rows, err := c.evalRows(assigns, nil)
 	if err != nil {
 		return Result{}, err
 	}
+	homeEst := rows[0][0]
 	best := Result{c.snap.PlanOf(homeAssign), homeEst}
-	for i, est := range ests {
+	for i, row := range rows[1:] {
+		est := row[0]
 		if s.violates(est, homeEst) {
 			continue
 		}
 		if metricOf(est, s.obj.Priority) < best.Metric(s.obj.Priority) {
-			best = Result{c.snap.PlanOf(assigns[i]), est}
+			best = Result{c.snap.PlanOf(assigns[i+1]), est}
 		}
 	}
 	return best, nil

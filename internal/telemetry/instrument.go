@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // The instrument registry: named counters, gauges, and fixed-bucket
@@ -181,12 +182,49 @@ func (h *Histogram) Observe(v float64) {
 	h.sumF.add(v)
 }
 
+// Stopwatch times one section of code against the wall clock and records
+// the elapsed seconds in its histogram: `sw := h.Start(); …; sw.Stop()`.
+// It is the sanctioned seam for latency instruments — components that
+// stamp their *output* with an injected (possibly simulated, possibly
+// frozen) clock must not time themselves with it, or a -sim server
+// observes zero. The zero Stopwatch, which the nil Histogram hands out,
+// reads no clock and records nothing.
+type Stopwatch struct {
+	h     *Histogram
+	start time.Time
+}
+
+// Start begins timing a section; no clock is read on nil.
+func (h *Histogram) Start() Stopwatch {
+	if h == nil {
+		return Stopwatch{}
+	}
+	return Stopwatch{h: h, start: time.Now()}
+}
+
+// Stop observes the seconds elapsed since Start. A section that ends
+// without Stop (an error path) simply records nothing.
+func (sw Stopwatch) Stop() {
+	if sw.h == nil {
+		return
+	}
+	sw.h.Observe(time.Since(sw.start).Seconds())
+}
+
 // Count reports total observations; zero on nil.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.n.Load()
+}
+
+// Sum reports the total of all observed values; zero on nil.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sumF.load()
 }
 
 // snapshot types for export.

@@ -45,8 +45,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1.5)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram count must be 0")
+	h.Start().Stop()
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("nil histogram count and sum must be 0")
 	}
 	if err := r.WriteNDJSON(&bytes.Buffer{}); err != nil {
 		t.Fatalf("nil WriteNDJSON: %v", err)
@@ -215,5 +216,17 @@ func TestWriteSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStopwatchObservesElapsedSeconds: Start/Stop records one observation
+// of real elapsed time, whatever clock the timed component itself runs on.
+func TestStopwatchObservesElapsedSeconds(t *testing.T) {
+	h := New(Options{}).Histogram("section_sec", []float64{1e-3, 1})
+	sw := h.Start()
+	time.Sleep(2 * time.Millisecond)
+	sw.Stop()
+	if h.Count() != 1 || h.Sum() < 2e-3 || h.Sum() > 1 {
+		t.Fatalf("stopwatch recorded %d observations summing to %g s, want one of ≥ 2 ms", h.Count(), h.Sum())
 	}
 }
