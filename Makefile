@@ -15,7 +15,9 @@ test:
 # suite. The eval pass includes the worker-pool determinism tests
 # (bit-identical figures at Workers=1 vs Workers=8), the telemetry
 # inertness tests (bit-identical figures with the recorder on vs off),
-# and the shared trace-cache concurrency tests. The first line runs
+# the shared trace-cache concurrency tests, and the result codec's round
+# trip and byte-determinism (pool workers decode blobs concurrently against
+# the shared carbon traces). The first line runs
 # -short: that trims only the exhaustive-rows grid's plan-at-a-time
 # heavy-tail solves (6144 unpruned estimates each, a minute under the
 # detector) to the nobatch one — Workers 8 vs 1 on the row path, with its
@@ -27,17 +29,24 @@ race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
 	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
-	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry' ./internal/eval/... ./internal/carbon/...
+	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic' ./internal/eval/... ./internal/carbon/...
 
 # fuzz gives the module's native fuzz targets a short budget each (go test
 # takes one -fuzz target per package per run). FuzzEstimateRows: bytes →
 # fixture, metric, threshold scale and up to four dense assignments; every
 # row entry must equal Estimate(a, h) field for field, every pruned one
-# must really exceed its threshold. Seed corpus under
-# internal/montecarlo/testdata/fuzz/.
+# must really exceed its threshold. FuzzDecodeBlob and FuzzDecodeResult are
+# the two decoders of on-disk bytes (the store's frame, the result payload
+# inside it): neither may panic, and whatever one accepts must re-encode to
+# the same bytes. Seed corpora under each package's testdata/fuzz/;
+# FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
+# mutants would each take the default minute to minimize, so that target
+# runs with minimization off.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
+	$(GO) test -run xxx -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/runstore/
+	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/eval/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and

@@ -703,6 +703,54 @@ func BenchmarkCarbonAccounting(b *testing.B) {
 	}
 }
 
+// benchCachedResult runs one quick fig7-sized fine run (Text2Speech, small,
+// 96 invocations a day) and returns it with its cache payload — the unit a
+// warm sweep decodes and re-accounts 54 times per pass.
+func benchCachedResult(b *testing.B) (eval.RunConfig, *eval.Result, []byte) {
+	b.Helper()
+	cfg := eval.RunConfig{Workload: workloads.Text2SpeechCensoring(), Class: workloads.Small, PerDay: 96, Seed: 1}
+	res, err := eval.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, err := eval.EncodeResult(cfg, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cfg, res, payload
+}
+
+// BenchmarkDecodeResult times the durable cache's read path after the
+// store: payload bytes to a Result ready to summarize.
+func BenchmarkDecodeResult(b *testing.B) {
+	cfg, _, payload := benchCachedResult(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval.DecodeResult(cfg, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSummarize times one accounting pass over a decoded result.
+func BenchmarkSummarize(b *testing.B) {
+	cfg, _, payload := benchCachedResult(b)
+	res, err := eval.DecodeResult(cfg, payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx := carbon.WorstCase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := res.Summarize(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Extension and ablation benches ---
 
 func BenchmarkExtGlobalShifting(b *testing.B) {

@@ -129,8 +129,8 @@ func realMain() int {
 	}
 	if store != nil {
 		ps := pool.Stats()
-		fmt.Fprintf(os.Stderr, "[cache: submitted=%d executed=%d memo=%d disk=%d writes=%d]\n",
-			ps.Submitted, ps.Executed, ps.Hits, ps.DiskHits, ps.DiskWrites)
+		fmt.Fprintf(os.Stderr, "[cache: submitted=%d executed=%d memo=%d disk=%d writes=%d decode-errors=%d]\n",
+			ps.Submitted, ps.Executed, ps.Hits, ps.DiskHits, ps.DiskWrites, ps.DiskDecodeErrors)
 	}
 
 	// All diagnostics go to stderr or side files so stdout stays

@@ -1,8 +1,8 @@
 // Command caribou-sweep is the durable sweep engine's job-queue CLI: it
 // expands a sweep specification into a manifest of content-addressed run
 // keys, lets any number of processes claim shards of that manifest via
-// O_EXCL lock files, and exports deterministic per-run summaries from
-// the shared on-disk store.
+// exclusive-create lock files, and exports deterministic per-run summaries
+// from the shared on-disk store.
 //
 // Usage:
 //
@@ -240,8 +240,8 @@ func runSweep(store *runstore.Store, clk runstore.Clock, name, owner string, wor
 	}
 
 	ps, ss := pool.Stats(), store.Stats()
-	fmt.Fprintf(os.Stderr, "[%s done: submitted=%d executed=%d memo=%d disk=%d writes=%d store-corrupt=%d]\n",
-		owner, ps.Submitted, ps.Executed, ps.Hits, ps.DiskHits, ps.DiskWrites, ss.Corrupt)
+	fmt.Fprintf(os.Stderr, "[%s done: submitted=%d executed=%d memo=%d disk=%d writes=%d store-corrupt=%d decode-errors=%d]\n",
+		owner, ps.Submitted, ps.Executed, ps.Hits, ps.DiskHits, ps.DiskWrites, ss.Corrupt, ps.DiskDecodeErrors)
 	if bench != "" {
 		elapsed := clk.Now().Sub(started)
 		fmt.Printf("Benchmark%s 1 %d ns/op\n", bench, elapsed.Nanoseconds())

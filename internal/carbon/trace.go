@@ -127,17 +127,39 @@ func synthesize(p zoneProfile, rng *simclock.Rand, start time.Time, hours int) [
 	return out
 }
 
-// At implements Source with floor-to-hour lookup.
-func (s *SyntheticSource) At(zone string, t time.Time) (float64, error) {
+// ZoneTrace is one grid zone's hourly series, resolved once so that a
+// caller pricing many events in the same zone skips the per-lookup zone
+// map (platform.Accounts).
+type ZoneTrace struct {
+	start  time.Time
+	hourly []float64
+}
+
+// Zone resolves a grid zone to its trace.
+func (s *SyntheticSource) Zone(zone string) (ZoneTrace, error) {
 	tr, ok := s.traces[zone]
 	if !ok {
-		return 0, fmt.Errorf("carbon: unknown grid zone %q", zone)
+		return ZoneTrace{}, fmt.Errorf("carbon: unknown grid zone %q", zone)
 	}
-	h := int(t.UTC().Sub(s.start) / time.Hour)
-	if h < 0 || h >= len(tr) {
-		return 0, fmt.Errorf("carbon: time %v outside trace horizon [%v, +%dh)", t, s.start, s.hours)
+	return ZoneTrace{start: s.start, hourly: tr}, nil
+}
+
+// At returns the hourly average intensity in effect at t (floor-to-hour).
+func (z ZoneTrace) At(t time.Time) (float64, error) {
+	h := int(t.UTC().Sub(z.start) / time.Hour)
+	if h < 0 || h >= len(z.hourly) {
+		return 0, fmt.Errorf("carbon: time %v outside trace horizon [%v, +%dh)", t, z.start, len(z.hourly))
 	}
-	return tr[h], nil
+	return z.hourly[h], nil
+}
+
+// At implements Source with floor-to-hour lookup.
+func (s *SyntheticSource) At(zone string, t time.Time) (float64, error) {
+	z, err := s.Zone(zone)
+	if err != nil {
+		return 0, err
+	}
+	return z.At(t)
 }
 
 // Hourly returns the trace slice for [from, to) at hourly resolution.

@@ -29,25 +29,28 @@ type Summary struct {
 
 // Summarize accounts the records under the given transmission model.
 // Records are re-accounted, not re-simulated, so one run can be summarized
-// under both the best- and worst-case scenarios (§9.1 step 4).
+// under both the best- and worst-case scenarios (§9.1 step 4). One
+// platform.Accounts serves the whole pass, so each distinct region is
+// resolved to its grid trace and price row once per call.
 func (e *Env) Summarize(records []*platform.InvocationRecord, tx carbon.TransmissionModel) (Summary, error) {
 	var s Summary
 	if len(records) == 0 {
 		return s, fmt.Errorf("core: no records to summarize")
 	}
-	var svc []float64
+	acct := platform.NewAccounts(e.Carbon, e.Cat, e.Book)
+	svc := make([]float64, 0, len(records))
 	for _, r := range records {
 		s.Invocations++
 		if r.Succeeded {
 			s.Succeeded++
 		}
-		execG, txG, err := r.CarbonGrams(e.Carbon, e.Cat, tx)
+		execG, txG, err := acct.CarbonGrams(r, tx)
 		if err != nil {
 			return s, err
 		}
 		s.MeanExecCarbonG += execG
 		s.MeanTxCarbonG += txG
-		s.MeanCostUSD += r.CostUSD(e.Book)
+		s.MeanCostUSD += acct.CostUSD(r)
 		svc = append(svc, r.ServiceTime().Seconds())
 	}
 	n := float64(s.Invocations)

@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 	"time"
 
 	"caribou/internal/core"
@@ -12,13 +11,14 @@ import (
 )
 
 // ResultSchema tags the blob payload format a cached Result is stored
-// under in a runstore.Store. Bump the version suffix whenever resultBlob
-// or the record types it embeds change shape — or the draws behind a run
-// change, so results of the two commits must not meet in one figure: old
-// blobs then read as a schema mismatch (a miss) and are transparently
-// recomputed. @v2: the solver's Monte Carlo stream became per solve
-// instead of per hour.
-const ResultSchema = "caribou/eval.Result@v2"
+// under in a runstore.Store. Bump the version suffix whenever the wire
+// format in codec.go or the record types it carries change shape — or the
+// draws behind a run change, so results of the two commits must not meet
+// in one figure: old blobs then read as a schema mismatch (a miss) and are
+// transparently recomputed. @v2: the solver's Monte Carlo stream became
+// per solve instead of per hour. @v3: the payload is the interned binary
+// format of codec.go instead of a gob stream (no result changed).
+const ResultSchema = "caribou/eval.Result@v3"
 
 // CanonicalKey returns the canonical serialization of the defaulted
 // configuration — the string whose SHA-256 (runstore.KeyOf) addresses
@@ -47,15 +47,12 @@ type resultBlob struct {
 }
 
 // EncodeResult serializes res (produced by running cfg) into a blob
-// payload for storage under cfg.CanonicalKey().
+// payload for storage under cfg.CanonicalKey(). Equal results encode to
+// equal bytes.
 func EncodeResult(cfg RunConfig, res *Result) ([]byte, error) {
 	cfg = cfg.withDefaults()
-	name := ""
-	if cfg.Workload != nil {
-		name = cfg.Workload.Name
-	}
-	blob := resultBlob{
-		Workload:     name,
+	payload, err := encodeBlob(&resultBlob{
+		Workload:     workloadName(cfg),
 		Seed:         cfg.Seed,
 		Regions:      cfg.Regions,
 		Home:         cfg.Home,
@@ -64,38 +61,49 @@ func EncodeResult(cfg RunConfig, res *Result) ([]byte, error) {
 		Start:        res.Start,
 		InvokeErrors: res.App.InvokeErrors,
 		Records:      res.App.Records,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("eval: encode cached result: %w", err)
 	}
-	return buf.Bytes(), nil
+	return payload, nil
+}
+
+func workloadName(cfg RunConfig) string {
+	if cfg.Workload == nil {
+		return ""
+	}
+	return cfg.Workload.Name
 }
 
 // DecodeResult rebuilds a Result from a blob payload previously produced
-// by EncodeResult for the same canonical configuration. The returned
-// Result supports everything the figure drivers use — Summarize,
-// SummarizeWindow, and App.Records — but carries no live executor wiring
-// (it cannot be resumed).
+// by EncodeResult for the same canonical configuration; a payload whose
+// header names another workload, seed, region set or window is refused.
+// The returned Result supports everything the figure drivers use —
+// Summarize, SummarizeWindow, and App.Records — but carries no live
+// executor wiring (it cannot be resumed), and its records are read-only
+// views of shared slabs whose service-count maps are nil when empty.
 func DecodeResult(cfg RunConfig, payload []byte) (*Result, error) {
 	cfg = cfg.withDefaults()
-	var blob resultBlob
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&blob); err != nil {
+	blob, err := decodeBlob(payload)
+	if err != nil {
 		return nil, fmt.Errorf("eval: decode cached result: %w", err)
 	}
-	name := ""
-	if cfg.Workload != nil {
-		name = cfg.Workload.Name
-	}
-	if blob.Workload != name {
+	if name := workloadName(cfg); blob.Workload != name {
 		return nil, fmt.Errorf("eval: cached result is for workload %q, not %q", blob.Workload, name)
 	}
-	total := time.Duration(blob.WarmupDays+blob.EvalDays) * 24 * time.Hour
+	// The environment is rebuilt from cfg, so the blob must describe the
+	// same one — which also keeps a corrupt window from sizing the traces.
+	if blob.Seed != cfg.Seed || blob.Home != cfg.Home || !slices.Equal(blob.Regions, cfg.Regions) ||
+		blob.WarmupDays != cfg.WarmupDays || blob.EvalDays != cfg.EvalDays {
+		return nil, fmt.Errorf("eval: cached result is for another configuration (seed %d, home %s, regions %v, %d+%d days)",
+			blob.Seed, blob.Home, blob.Regions, blob.WarmupDays, blob.EvalDays)
+	}
+	total := time.Duration(cfg.WarmupDays+cfg.EvalDays) * 24 * time.Hour
 	env, err := core.NewEnv(core.EnvConfig{
-		Seed:    blob.Seed,
+		Seed:    cfg.Seed,
 		Start:   EvalStart,
 		End:     EvalStart.Add(total),
-		Regions: blob.Regions,
+		Regions: cfg.Regions,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("eval: rebuild env for cached result: %w", err)
@@ -103,7 +111,7 @@ func DecodeResult(cfg RunConfig, payload []byte) (*Result, error) {
 	app := &core.App{
 		Env:          env,
 		Workload:     cfg.Workload,
-		Home:         blob.Home,
+		Home:         cfg.Home,
 		Records:      blob.Records,
 		InvokeErrors: blob.InvokeErrors,
 	}

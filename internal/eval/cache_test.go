@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"caribou/internal/runstore"
+	"caribou/internal/telemetry"
 	"caribou/internal/workloads"
 )
 
@@ -133,11 +134,53 @@ func TestPoolCorruptBlobRecomputed(t *testing.T) {
 	}
 }
 
-// TestPoolStaleSchemaBlobRecomputed pins the schema bump: a well-framed
-// blob an earlier commit wrote under @v1 reads as a miss, is recomputed
-// rather than decoded into a new figure, and is overwritten under the
-// current schema.
+// TestPoolStaleSchemaBlobRecomputed pins the schema bumps: a well-framed
+// blob an earlier commit wrote under @v1 or @v2 (the gob payloads, which
+// no reader remains for) reads as a miss, is recomputed rather than
+// decoded into a new figure, and is overwritten under the current schema.
 func TestPoolStaleSchemaBlobRecomputed(t *testing.T) {
+	for _, stale := range []string{"caribou/eval.Result@v1", "caribou/eval.Result@v2"} {
+		if stale == ResultSchema {
+			t.Fatal("test must write a schema older than the current one")
+		}
+		store, err := runstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := RunConfig{
+			Workload: workloads.ImageProcessing(),
+			Class:    workloads.Small,
+			Strategy: CoarseIn("aws:us-east-1"),
+			PerDay:   48,
+		}
+		key := runstore.KeyOf(cfg.CanonicalKey())
+		if err := store.Put(key, stale, []byte("results of other draws")); err != nil {
+			t.Fatal(err)
+		}
+
+		pool := NewPool(1)
+		pool.AttachStore(store)
+		if _, err := pool.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if s := pool.Stats(); s.Executed != 1 || s.DiskHits != 0 || s.DiskWrites != 1 || s.DiskDecodeErrors != 0 {
+			t.Fatalf("%s: stats = %+v, want the blob missed, recomputed and overwritten", stale, s)
+		}
+		if _, ok, _ := store.Get(key, stale); ok {
+			t.Fatalf("the %s blob survived the recompute", stale)
+		}
+		if _, ok, _ := store.Get(key, ResultSchema); !ok {
+			t.Fatalf("%s: no blob under the current schema after the recompute", stale)
+		}
+	}
+}
+
+// TestPoolUndecodableBlobCounted: a blob the store accepts (frame, schema
+// tag and checksum intact) whose payload DecodeResult refuses is counted,
+// recomputed and overwritten, and the next pool reads the repaired blob.
+func TestPoolUndecodableBlobCounted(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	defer telemetry.Disable()
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +192,7 @@ func TestPoolStaleSchemaBlobRecomputed(t *testing.T) {
 		PerDay:   48,
 	}
 	key := runstore.KeyOf(cfg.CanonicalKey())
-	const stale = "caribou/eval.Result@v1"
-	if stale == ResultSchema {
-		t.Fatal("test must write a schema older than the current one")
-	}
-	if err := store.Put(key, stale, []byte("results of other draws")); err != nil {
+	if err := store.Put(key, ResultSchema, []byte("framed correctly, not a result")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,14 +201,23 @@ func TestPoolStaleSchemaBlobRecomputed(t *testing.T) {
 	if _, err := pool.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s := pool.Stats(); s.Executed != 1 || s.DiskHits != 0 || s.DiskWrites != 1 {
-		t.Fatalf("stats = %+v, want the @v1 blob missed, recomputed and overwritten", s)
+	if s := pool.Stats(); s.DiskDecodeErrors != 1 || s.Executed != 1 || s.DiskHits != 0 || s.DiskWrites != 1 {
+		t.Fatalf("stats = %+v, want one decode error, one execution and one publish", s)
 	}
-	if _, ok, _ := store.Get(key, stale); ok {
-		t.Fatal("the @v1 blob survived the recompute")
+	if got := rec.Counter("pool.disk_decode_errors").Value(); got != 1 {
+		t.Fatalf("pool.disk_decode_errors = %d, want 1", got)
 	}
-	if _, ok, _ := store.Get(key, ResultSchema); !ok {
-		t.Fatal("no blob under the current schema after the recompute")
+	if store.Stats().Corrupt != 0 {
+		t.Fatal("the store classified a well-framed blob as corrupt")
+	}
+
+	warm := NewPool(1)
+	warm.AttachStore(store)
+	if _, err := warm.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Stats(); s.DiskDecodeErrors != 0 || s.Executed != 0 || s.DiskHits != 1 {
+		t.Fatalf("post-repair stats = %+v, want a pure disk hit", s)
 	}
 }
 

@@ -41,11 +41,12 @@ type Pool struct {
 	// publish their results to it.
 	store *runstore.Store
 
-	submitted  int
-	executed   int
-	hits       int
-	diskHits   int
-	diskWrites int
+	submitted        int
+	executed         int
+	hits             int
+	diskHits         int
+	diskWrites       int
+	diskDecodeErrors int
 
 	tel poolTelemetry
 }
@@ -55,25 +56,27 @@ type Pool struct {
 // PoolStats fields (which drivers keep using programmatically) so pool
 // activity shows up in trace exports alongside the other layers.
 type poolTelemetry struct {
-	rec        *telemetry.Recorder
-	submitted  *telemetry.Counter
-	executed   *telemetry.Counter
-	memoHits   *telemetry.Counter
-	diskHits   *telemetry.Counter
-	diskWrites *telemetry.Counter
-	runSeconds *telemetry.Histogram
+	rec              *telemetry.Recorder
+	submitted        *telemetry.Counter
+	executed         *telemetry.Counter
+	memoHits         *telemetry.Counter
+	diskHits         *telemetry.Counter
+	diskWrites       *telemetry.Counter
+	diskDecodeErrors *telemetry.Counter
+	runSeconds       *telemetry.Histogram
 }
 
 func newPoolTelemetry() poolTelemetry {
 	rec := telemetry.Default()
 	return poolTelemetry{
-		rec:        rec,
-		submitted:  rec.Counter("pool.submitted"),
-		executed:   rec.Counter("pool.executed"),
-		memoHits:   rec.Counter("pool.memo_hits"),
-		diskHits:   rec.Counter("pool.disk_hits"),
-		diskWrites: rec.Counter("pool.disk_writes"),
-		runSeconds: rec.Histogram("pool.run_seconds", []float64{0.5, 1, 2, 5, 10, 30, 60, 120}),
+		rec:              rec,
+		submitted:        rec.Counter("pool.submitted"),
+		executed:         rec.Counter("pool.executed"),
+		memoHits:         rec.Counter("pool.memo_hits"),
+		diskHits:         rec.Counter("pool.disk_hits"),
+		diskWrites:       rec.Counter("pool.disk_writes"),
+		diskDecodeErrors: rec.Counter("pool.disk_decode_errors"),
+		runSeconds:       rec.Histogram("pool.run_seconds", []float64{0.5, 1, 2, 5, 10, 30, 60, 120}),
 	}
 }
 
@@ -91,13 +94,16 @@ type memoEntry struct {
 // duplicate); DiskHits counts memo misses served from the attached
 // durable store without executing: Submitted == Executed + Hits +
 // DiskHits once all submissions have returned, and a fully warm cache
-// shows Executed == 0.
+// shows Executed == 0. DiskDecodeErrors counts blobs the store accepted
+// (frame and checksum intact) whose payload DecodeResult then refused;
+// each such run was executed and its blob overwritten.
 type PoolStats struct {
-	Submitted  int
-	Executed   int
-	Hits       int
-	DiskHits   int
-	DiskWrites int
+	Submitted        int
+	Executed         int
+	Hits             int
+	DiskHits         int
+	DiskWrites       int
+	DiskDecodeErrors int
 }
 
 // NewPool builds a runner executing at most workers runs concurrently;
@@ -142,11 +148,12 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Submitted:  p.submitted,
-		Executed:   p.executed,
-		Hits:       p.hits,
-		DiskHits:   p.diskHits,
-		DiskWrites: p.diskWrites,
+		Submitted:        p.submitted,
+		Executed:         p.executed,
+		Hits:             p.hits,
+		DiskHits:         p.diskHits,
+		DiskWrites:       p.diskWrites,
+		DiskDecodeErrors: p.diskDecodeErrors,
 	}
 }
 
@@ -180,10 +187,12 @@ func (p *Pool) Run(cfg RunConfig) (*Result, error) {
 		// Durable tier: a valid blob under this key replaces the execution
 		// outright. A corrupt blob was already classified as a miss by the
 		// store; a blob that fails to decode (schema drift inside a valid
-		// frame) falls through to a recompute whose Put overwrites it.
+		// frame) is counted and falls through to a recompute whose Put
+		// overwrites it.
 		if store != nil {
 			if payload, ok, _ := store.Get(runstore.KeyOf(key), ResultSchema); ok {
-				if res, derr := DecodeResult(cfg, payload); derr == nil {
+				res, derr := DecodeResult(cfg, payload)
+				if derr == nil {
 					p.mu.Lock()
 					p.diskHits++
 					p.mu.Unlock()
@@ -191,6 +200,10 @@ func (p *Pool) Run(cfg RunConfig) (*Result, error) {
 					e.res = res
 					return
 				}
+				p.mu.Lock()
+				p.diskDecodeErrors++
+				p.mu.Unlock()
+				p.tel.diskDecodeErrors.Inc()
 			}
 		}
 		p.mu.Lock()

@@ -135,83 +135,20 @@ func NewInvocationRecord(workflow string, id uint64, class string) *InvocationRe
 func (r *InvocationRecord) ServiceTime() time.Duration { return r.End.Sub(r.Start) }
 
 // CostUSD prices the invocation: Lambda execution, SNS publishes, KV
-// requests, and inter-region egress on every transfer.
+// requests, and inter-region egress on every transfer. Callers pricing
+// many records share one Accounts instead.
 func (r *InvocationRecord) CostUSD(book *pricing.Book) float64 {
-	var c float64
-	for _, e := range r.Executions {
-		c += book.ExecutionCost(e.Region, e.MemoryMB, e.DurationSec)
-	}
-	// Sorted region order keeps the floating-point sum independent of map
-	// iteration order.
-	for _, reg := range sortedRegions(r.Services.SNSPublishes) {
-		c += book.SNSCost(reg, r.Services.SNSPublishes[reg])
-	}
-	for _, reg := range sortedRegions(r.Services.KVReads) {
-		c += book.DynamoCost(reg, r.Services.KVReads[reg], 0)
-	}
-	for _, reg := range sortedRegions(r.Services.KVWrites) {
-		c += book.DynamoCost(reg, 0, r.Services.KVWrites[reg])
-	}
-	for _, t := range r.Transfers {
-		c += book.EgressCost(t.From, t.To, t.Bytes)
-	}
-	return c
-}
-
-// sortedRegions returns m's keys in sorted order.
-func sortedRegions(m map[region.ID]int) []region.ID {
-	out := make([]region.ID, 0, len(m))
-	for reg := range m {
-		out = append(out, reg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return NewAccounts(nil, nil, book).CostUSD(r)
 }
 
 // CarbonGrams accounts operational carbon under the given transmission
 // model: execution carbon per Eq 7.1-7.4 at the grid intensity in effect
 // when each execution ran, and transmission carbon per Eq 7.5 for every
 // transfer. It returns execution and transmission components separately
-// (Fig 8 plots their ratio).
+// (Fig 8 plots their ratio). Callers accounting many records share one
+// Accounts instead.
 func (r *InvocationRecord) CarbonGrams(src carbon.Source, cat *region.Catalogue, tx carbon.TransmissionModel) (execG, txG float64, err error) {
-	zone := func(id region.ID) (string, error) {
-		reg, ok := cat.Get(id)
-		if !ok {
-			return "", fmt.Errorf("platform: unknown region %q in record", id)
-		}
-		return reg.GridZone, nil
-	}
-	for _, e := range r.Executions {
-		z, zerr := zone(e.Region)
-		if zerr != nil {
-			return 0, 0, zerr
-		}
-		intensity, ierr := src.At(z, e.Start)
-		if ierr != nil {
-			return 0, 0, ierr
-		}
-		execG += carbon.ExecutionCarbon(intensity, e.MemoryMB, e.DurationSec, e.CPUUtil)
-	}
-	for _, t := range r.Transfers {
-		zf, zerr := zone(t.From)
-		if zerr != nil {
-			return 0, 0, zerr
-		}
-		zt, zerr := zone(t.To)
-		if zerr != nil {
-			return 0, 0, zerr
-		}
-		fi, ierr := src.At(zf, t.At)
-		if ierr != nil {
-			return 0, 0, ierr
-		}
-		ti, ierr := src.At(zt, t.At)
-		if ierr != nil {
-			return 0, 0, ierr
-		}
-		txG += tx.Carbon(fi, ti, t.From == t.To, t.Bytes)
-	}
-	return execG, txG, nil
+	return NewAccounts(src, cat, nil).CarbonGrams(r, tx)
 }
 
 // TotalBytes sums transferred bytes, optionally filtered to inter-region

@@ -83,10 +83,14 @@ func (b *Book) Prices(id region.ID) RegionPrices {
 // ExecutionCost returns the Lambda cost of one execution: configured
 // memory (MB) for durationSec seconds plus the per-invocation fee.
 func (b *Book) ExecutionCost(id region.ID, memMB, durationSec float64) USD {
+	return b.Prices(id).ExecutionCost(memMB, durationSec)
+}
+
+// ExecutionCost is Book.ExecutionCost at an already resolved price row.
+func (p RegionPrices) ExecutionCost(memMB, durationSec float64) USD {
 	if memMB < 0 || durationSec < 0 {
 		return 0
 	}
-	p := b.Prices(id)
 	gbSeconds := memMB / 1024 * durationSec
 	return gbSeconds*p.LambdaGBSecondUSD + p.LambdaRequestUSD
 }
@@ -107,18 +111,27 @@ func (b *Book) EgressCost(src, dst region.ID, bytes float64) USD {
 
 // SNSCost returns the cost of publishes SNS messages in the region.
 func (b *Book) SNSCost(id region.ID, publishes int) USD {
+	return b.Prices(id).SNSCost(publishes)
+}
+
+// SNSCost is Book.SNSCost at an already resolved price row.
+func (p RegionPrices) SNSCost(publishes int) USD {
 	if publishes <= 0 {
 		return 0
 	}
-	return float64(publishes) * b.Prices(id).SNSPublishUSD
+	return float64(publishes) * p.SNSPublishUSD
 }
 
 // DynamoCost returns the cost of the given DynamoDB read and write request
 // units in the region. Caribou's wrapper performs these accesses for DP
 // retrieval and sync-node annotations.
 func (b *Book) DynamoCost(id region.ID, reads, writes int) USD {
+	return b.Prices(id).DynamoCost(reads, writes)
+}
+
+// DynamoCost is Book.DynamoCost at an already resolved price row.
+func (p RegionPrices) DynamoCost(reads, writes int) USD {
 	var c USD
-	p := b.Prices(id)
 	if reads > 0 {
 		c += float64(reads) * p.DynamoReadUSD
 	}

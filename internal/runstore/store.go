@@ -11,9 +11,12 @@
 //
 // The repo's determinism invariants (caribou-lint, seeded streams) make
 // every run reproducible bit-for-bit, which is what lets N processes
-// share one store with no coordination beyond O_EXCL shard locks: any
+// share one store with no coordination beyond exclusive shard locks: any
 // two writers of the same key write identical results, so last-rename-
-// wins is safe.
+// wins is safe. As of eval.ResultSchema @v3 that holds for the bytes too:
+// the payload codec is byte-deterministic (maps are written in sorted key
+// order), so two stores populated from the same manifest hold identical
+// objects whoever computed them.
 package runstore
 
 import (
@@ -170,18 +173,8 @@ func (s *Store) Put(key, schema string, payload []byte) error {
 // atomicWrite publishes data at dst via temp file + rename in dst's
 // directory (rename is atomic only within one filesystem).
 func atomicWrite(dst string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(dst), ".tmp-*")
+	tmp, err := writeTemp(filepath.Dir(dst), data)
 	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, dst); err != nil {
@@ -189,6 +182,24 @@ func atomicWrite(dst string, data []byte) error {
 		return err
 	}
 	return nil
+}
+
+// writeTemp writes data to a new temp file in dir and returns its name.
+func writeTemp(dir string, data []byte) (string, error) {
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
 }
 
 // encodeBlob frames payload with the store header and trailing checksum.
@@ -218,7 +229,7 @@ func decodeBlob(data []byte, schema string) ([]byte, error) {
 		return nil, fmt.Errorf("unsupported version %d", rest[0])
 	}
 	rest = rest[1:]
-	slen, n := binary.Uvarint(rest)
+	slen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < slen {
 		return nil, fmt.Errorf("truncated schema")
 	}
@@ -227,12 +238,14 @@ func decodeBlob(data []byte, schema string) ([]byte, error) {
 		return nil, fmt.Errorf("schema mismatch")
 	}
 	rest = rest[slen:]
-	plen, n := binary.Uvarint(rest)
+	plen, n := uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("truncated length")
 	}
 	rest = rest[n:]
-	if uint64(len(rest)) != plen+sha256.Size {
+	// Compare before adding: plen is attacker-sized, and plen+sha256.Size
+	// wraps for lengths near 2^64.
+	if uint64(len(rest)) < sha256.Size || plen != uint64(len(rest))-sha256.Size {
 		return nil, fmt.Errorf("payload length mismatch")
 	}
 	payload := rest[:plen]
@@ -242,4 +255,14 @@ func decodeBlob(data []byte, schema string) ([]byte, error) {
 		return nil, fmt.Errorf("checksum mismatch")
 	}
 	return payload, nil
+}
+
+// uvarint reads a shortest-form uvarint. encodeBlob never pads one, and a
+// padded length would give one payload more than one valid frame.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }

@@ -2,8 +2,11 @@ package runstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -130,6 +133,59 @@ func TestStoreBadHeader(t *testing.T) {
 	if _, ok, err := s.Get(key, "runstore/other@v9"); ok || err != nil {
 		t.Errorf("wrong schema: ok=%v err=%v (want miss)", ok, err)
 	}
+}
+
+// overflowFrame is a well-formed header whose payload length, 2^64-22,
+// wraps to 10 once the 32 checksum bytes are added to it — exactly the 10
+// bytes that follow. The schema is empty, so the frame is 30 bytes.
+func overflowFrame() []byte {
+	b := append([]byte(storeMagic), formatVersion, 0)
+	b = binary.AppendUvarint(b, math.MaxUint64-21)
+	return append(b, "0123456789"...)
+}
+
+// TestStoreLengthOverflowReadsAsMiss: the length check used to add before
+// comparing, accepted that frame and panicked slicing the payload.
+func TestStoreLengthOverflowReadsAsMiss(t *testing.T) {
+	s := openTestStore(t)
+	key := KeyOf("length-overflow")
+	frame := overflowFrame()
+	if len(frame) != 30 {
+		t.Fatalf("frame is %d bytes, want 30", len(frame))
+	}
+	if err := os.MkdirAll(filepath.Dir(s.Path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.Path(key), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(key, ""); ok || err != nil {
+		t.Fatalf("overflowing length: ok=%v err=%v (want miss)", ok, err)
+	}
+	if got := s.Stats().Corrupt; got != 1 {
+		t.Fatalf("corrupt count = %d, want 1", got)
+	}
+}
+
+// FuzzDecodeBlob feeds decodeBlob arbitrary file contents: it must never
+// panic, and a frame it accepts is the one encodeBlob writes for that
+// schema and payload — no second spelling of a valid blob exists. The
+// overflow frame is in the checked-in corpus (testdata/fuzz).
+func FuzzDecodeBlob(f *testing.F) {
+	valid := encodeBlob(testSchema, []byte("payload bytes"))
+	f.Add(valid, testSchema)
+	f.Add(valid[:len(valid)-1], testSchema)
+	f.Add(valid[:len(storeMagic)+3], testSchema)
+	f.Add(encodeBlob("", nil), "")
+	f.Fuzz(func(t *testing.T, data []byte, schema string) {
+		payload, err := decodeBlob(data, schema)
+		if err != nil {
+			return
+		}
+		if again := encodeBlob(schema, payload); !bytes.Equal(again, data) {
+			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data, again)
+		}
+	})
 }
 
 // TestStoreConcurrentWriters races many writers on the same key: every

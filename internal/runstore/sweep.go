@@ -11,8 +11,8 @@ import (
 
 // A sweep is a named manifest of content-addressed runs partitioned into
 // shards. Submitting writes the manifest once; any number of `run`
-// processes then claim shards via O_EXCL lock files and fill the shared
-// object store. Because results are content-addressed and every run is
+// processes then claim shards via exclusive-create lock files and fill
+// the shared object store. Because results are content-addressed and every run is
 // bit-reproducible, shards merge trivially: the merged result set is
 // simply the union of blobs, byte-identical regardless of which process
 // executed which shard (or whether a shard was executed twice after a
@@ -177,16 +177,12 @@ func (s *Sweep) tryClaim(shard int, owner string, leaseSec int64) (bool, error) 
 		return false, err
 	}
 	path := s.lockPath(shard)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	// A fresh lock appears with its body already in it (link of a written
+	// temp file; like O_EXCL, link fails if the name exists). Creating the
+	// file and then writing it would show a concurrent claimer an empty
+	// lock, which reads as corrupt and is stolen — two owners of one shard.
+	err = linkNew(path, body)
 	if err == nil {
-		_, werr := f.Write(body)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			os.Remove(path)
-			return false, fmt.Errorf("runstore: write lock: %w", werr)
-		}
 		return true, nil
 	}
 	if !os.IsExist(err) {
@@ -207,6 +203,17 @@ func (s *Sweep) tryClaim(shard int, owner string, leaseSec int64) (bool, error) 
 	}
 	after, ok := s.readLock(shard)
 	return ok && after.Owner == owner, nil
+}
+
+// linkNew creates path holding data, atomically, failing with an
+// os.IsExist error if path already exists.
+func linkNew(path string, data []byte) error {
+	tmp, err := writeTemp(filepath.Dir(path), data)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
+	return os.Link(tmp, path)
 }
 
 // readLock parses a shard's lock file; ok is false when the lock is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -111,6 +112,39 @@ func TestSweepClaimPartitionsShards(t *testing.T) {
 	clk.Advance(48 * time.Hour)
 	if _, ok, err := sw.Claim("w0", time.Hour); ok || err != nil {
 		t.Fatalf("claim after all done: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestSweepConcurrentClaimHasOneWinner races owners for one fresh shard:
+// a lock must never be visible without its body, or a rival reads it as
+// corrupt, steals it, and both believe they hold the shard.
+func TestSweepConcurrentClaimHasOneWinner(t *testing.T) {
+	s := openTestStore(t)
+	clk := newManualClock()
+	for round := 0; round < 100; round++ {
+		sw, err := CreateSweep(s, testManifest(fmt.Sprintf("race-%d", round), 1, 1), clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var wins atomic.Int32
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(owner string) {
+				defer wg.Done()
+				_, ok, err := sw.Claim(owner, time.Hour)
+				if err != nil {
+					t.Error(err)
+				}
+				if ok {
+					wins.Add(1)
+				}
+			}(fmt.Sprintf("w%d", w))
+		}
+		wg.Wait()
+		if got := wins.Load(); got != 1 {
+			t.Fatalf("round %d: %d owners claimed the one shard", round, got)
+		}
 	}
 }
 
