@@ -21,13 +21,15 @@ test:
 # -short: that trims only the exhaustive-rows grid's plan-at-a-time
 # heavy-tail solves (6144 unpruned estimates each, a minute under the
 # detector) to the nobatch one — Workers 8 vs 1 on the row path, with its
-# counter totals, runs in full. The second line re-runs the shared-tape and
-# hour-row tests twice in one process — the second pass re-enters warm
-# scratch and row-accumulator pools while Workers: 8 row chunks (or 24 HBSS
-# hour coordinators) extend a fresh solve's one tape.
+# counter totals, runs in full. The second line re-runs the shared-tape,
+# hour-row and basis tests twice in one process — the second pass re-enters
+# warm scratch, accumulator and arena-slab pools while Workers: 8 row chunks
+# (or 24 HBSS hour coordinators sharing one basis memo: a plan's first
+# replay in flight is waited for without holding an evaluation slot) extend
+# a fresh solve's one tape.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic' ./internal/eval/... ./internal/carbon/...
 

@@ -7,6 +7,7 @@ package caribou
 // full-scale experiments with cmd/caribou-eval.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -395,9 +396,10 @@ func BenchmarkSolver24HourlyUntaped(b *testing.B) {
 }
 
 // BenchmarkSolver24HourlyNoBatch is the daily plan generation with the
-// batched sweep and exact pruning disabled: candidates evaluate one at a
-// time (still taped, still delta-resumed). The gap to
-// BenchmarkSolver24Hourly is the batching + pruning speedup; results are
+// shared sweeps, the per-plan basis memo and exact pruning disabled: every
+// (plan, hour) is evaluated on its own (still taped). The gap to
+// BenchmarkSolver24Hourly is what sharing replays across hours and lanes,
+// and pruning, buy; results are
 // bit-identical either way (see TestSolveDeterministicAcrossEvalModes).
 func BenchmarkSolver24HourlyNoBatch(b *testing.B) {
 	mm, est := benchInputs(b)
@@ -529,9 +531,10 @@ func BenchmarkSnapshotEstimateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotEstimateRows measures one row sweep: the same 16 plans
-// priced at all 24 hours from one pass over the tape — 24 × 16 estimates,
-// to be read against 24 × BenchmarkSnapshotEstimateBatch.
+// BenchmarkSnapshotEstimateRows measures one row sweep on Text2Speech: the
+// same 16 plans replayed once and priced at all 24 hours — 24 × 16
+// estimates, to be read against 24 × BenchmarkSnapshotEstimateBatch and
+// against BenchmarkReplayBasis/lanes=16 + 16 × BenchmarkPriceHour/all-24.
 func BenchmarkSnapshotEstimateRows(b *testing.B) {
 	snap, home := benchSnapshotAssign(b)
 	assigns := batchBenchAssigns(snap, home, 16)
@@ -544,6 +547,117 @@ func BenchmarkSnapshotEstimateRows(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchBases builds k fresh bases over a new arena for the first k plans of
+// batchBenchAssigns.
+func benchBases(b *testing.B, snap *montecarlo.Snapshot, assigns [][]int) ([]*montecarlo.Basis, *montecarlo.BasisArena) {
+	b.Helper()
+	arena := montecarlo.NewBasisArena()
+	bases := make([]*montecarlo.Basis, len(assigns))
+	for i, a := range assigns {
+		var err error
+		if bases[i], err = snap.NewBasis(arena, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bases, arena
+}
+
+// BenchmarkReplayBasis measures what the first hour to want a plan pays:
+// K fresh Text2Speech bases replayed through one shared sweep (one batch —
+// every lane converges at the first boundary) and priced at one hour.
+// Subtract K × BenchmarkPriceHour/one-more-hour for the replay alone; the
+// per-lane cost at 8 and 16 lanes against 1 is what sharing a sweep buys.
+func BenchmarkReplayBasis(b *testing.B) {
+	snap, home := benchSnapshotAssign(b)
+	all := batchBenchAssigns(snap, home, 16)
+	if _, err := snap.EstimateBatch(all, 0, nil); err != nil { // compile the tape
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 8, 16} {
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bases, arena := benchBases(b, snap, all[:k])
+				if _, err := snap.EstimateBases(bases, 0, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+				arena.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkPriceHour measures what every later hour pays: one more hour
+// priced from a 200-sample Text2Speech basis (the HBSS memo hit that needs
+// no replay), and all 24 hours priced from the longest basis the heavy-tail
+// fixture produces (1 200 samples: a row of the exhaustive sweep, its
+// pricing half only; the length is reported as samples/op).
+func BenchmarkPriceHour(b *testing.B) {
+	b.Run("one-more-hour", func(b *testing.B) {
+		snap, home := benchSnapshotAssign(b)
+		bases, arena := benchBases(b, snap, batchBenchAssigns(snap, home, 1))
+		defer arena.Release()
+		if _, err := snap.EstimateBases(bases, 0, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		if n := bases[0].Samples(); n != montecarlo.BatchSize {
+			b.Fatalf("basis holds %d samples, want one batch", n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := snap.EstimateBases(bases, 1+i%23, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("all-24-hours", func(b *testing.B) {
+		_, est := benchInputsHome(b, workloads.HeavyTailAnalytics(), region.CACentral1)
+		now := benchStart.Add(24 * time.Hour)
+		hours := make([]time.Time, 24)
+		for h := range hours {
+			hours[h] = now.Add(time.Duration(h) * time.Hour)
+		}
+		snap, err := est.Compile(nil, hours, now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Of the 4⁴ plans, the one whose hungriest hour runs furthest down the
+		// tape: priced once at every hour, a basis is as long as that hour
+		// needed.
+		var bases []*montecarlo.Basis
+		for code := 0; code < 256; code++ {
+			a := make([]int, snap.NumNodes())
+			for i := range a {
+				a[i] = code >> (2 * i) % snap.NumRegions()
+			}
+			cand, arena := benchBases(b, snap, [][]int{a})
+			defer arena.Release()
+			for h := range hours {
+				if _, err := snap.EstimateBases(cand, h, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if bases == nil || cand[0].Samples() > bases[0].Samples() {
+				bases = cand
+			}
+		}
+		if n := bases[0].Samples(); n < 3*montecarlo.BatchSize {
+			b.Fatalf("longest basis holds %d samples, want several batches", n)
+		}
+		b.ReportMetric(float64(bases[0].Samples()), "samples/op")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for h := range hours {
+				if _, err := snap.EstimateBases(bases, h, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkSolveHourlySerial pins the daily solve to one worker — the

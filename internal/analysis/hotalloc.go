@@ -8,7 +8,7 @@ import (
 )
 
 // hotallocFiles pins the hand-optimized hot paths nothing guarded until
-// now: the Monte Carlo tape replay/delta/batch/rows/bounds loops and the
+// now: the Monte Carlo tape/basis replay, sweep, rows and bounds loops and the
 // solver's HBSS proposal loop. These files were profiled down to
 // zero-allocation inner loops (see DESIGN.md); the analyzer keeps them
 // that way by flagging the regressions that creep back in — fmt calls,
@@ -17,7 +17,7 @@ import (
 var hotallocFiles = map[string]map[string]bool{
 	"caribou/internal/montecarlo": {
 		"tape.go":   true,
-		"delta.go":  true,
+		"basis.go":  true,
 		"batch.go":  true,
 		"rows.go":   true,
 		"bounds.go": true,
@@ -35,7 +35,7 @@ var hotallocFiles = map[string]map[string]bool{
 // file is cheap, and the sanctioned exceptions carry //caribou:allow.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag fmt calls, closures, interface boxing, and grow-in-loop appends in montecarlo replay/delta/batch/rows and solver HBSS hot paths",
+	Doc:  "flag fmt calls, closures, interface boxing, and grow-in-loop appends in montecarlo replay/basis/batch/rows and solver HBSS hot paths",
 	Run: func(pass *Pass) {
 		files, ok := hotallocFiles[pass.PkgPath]
 		if !ok {

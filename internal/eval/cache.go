@@ -17,8 +17,12 @@ import (
 // in one figure: old blobs then read as a schema mismatch (a miss) and are
 // transparently recomputed. @v2: the solver's Monte Carlo stream became
 // per solve instead of per hour. @v3: the payload is the interned binary
-// format of codec.go instead of a gob stream (no result changed).
-const ResultSchema = "caribou/eval.Result@v3"
+// format of codec.go instead of a gob stream (no result changed). @v4: the
+// solver prices a replayed sample's carbon from its energy by region and
+// gigabytes by region pair instead of event by event — every carbon
+// estimate moved by summation order (≈1e-15 relative), which no printed
+// figure shows, but blobs of the two definitions still must not meet.
+const ResultSchema = "caribou/eval.Result@v4"
 
 // CanonicalKey returns the canonical serialization of the defaulted
 // configuration — the string whose SHA-256 (runstore.KeyOf) addresses

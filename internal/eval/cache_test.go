@@ -136,10 +136,11 @@ func TestPoolCorruptBlobRecomputed(t *testing.T) {
 
 // TestPoolStaleSchemaBlobRecomputed pins the schema bumps: a well-framed
 // blob an earlier commit wrote under @v1 or @v2 (the gob payloads, which
-// no reader remains for) reads as a miss, is recomputed rather than
+// no reader remains for) or @v3 (the current wire format, but results of
+// per-event carbon pricing) reads as a miss, is recomputed rather than
 // decoded into a new figure, and is overwritten under the current schema.
 func TestPoolStaleSchemaBlobRecomputed(t *testing.T) {
-	for _, stale := range []string{"caribou/eval.Result@v1", "caribou/eval.Result@v2"} {
+	for _, stale := range []string{"caribou/eval.Result@v1", "caribou/eval.Result@v2", "caribou/eval.Result@v3"} {
 		if stale == ResultSchema {
 			t.Fatal("test must write a schema older than the current one")
 		}

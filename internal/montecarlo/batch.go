@@ -1,46 +1,41 @@
 package montecarlo
 
-// Batched multi-plan replay: one sweep over the tape, K candidate plans.
+// Sweeps: the batched §7.1 stopping rule over plan bases.
 //
 // The solver evaluates candidate plans in groups — an HBSS proposal round
-// at one hour (exhaustive enumeration sweeps whole hour rows, rows.go) —
-// and every plan in a group replays the *same* tape. Plan-at-a-time replay
-// therefore streams the plan-independent columns (node ids, flags, payload
-// bytes, baked quantile triples, edge records) K times per group.
-// EstimateBatch restructures the loop: steps outermost, lanes innermost,
-// so each column load is fetched once per sweep and reused K ways, while
-// each lane keeps its own scratch vectors and accumulator. A lane's
-// additions, comparisons, and their order are exactly replaySoA's — the
-// lanes are data-independent, so interleaving their instruction streams
-// changes no result bit (the same argument as replaySoAPair, generalized
-// from 2 fixed samples to K plans of one sample).
+// at one hour, a chunk of an exhaustive enumeration at every hour — and
+// every plan in a group replays the same tape. A sweep walks the batch
+// boundaries 200, 400, …: at each it brings every live lane's basis up to
+// the boundary (one shared K-lane replay for the lanes that lack the
+// batch, basis.go; nothing for a basis an earlier hour already extended),
+// prices the new block at each hour the lane still has open, and settles
+// every open (lane, hour) there — all lanes at one boundary before any
+// lane at the next, so what one lane does never reaches another's prune
+// decision:
 //
-// On top of the shared sweep sits exact pruning. The solver knows, per
-// candidate, a metric threshold above which the candidate cannot be
-// chosen (hbss.go: the inverted acceptWorse cutoff). At every batch
-// boundary — after the convergence check, which must see exactly the
-// states the reference path sees — a lane that has not converged is
-// abandoned once the bound columns (bounds.go) prove its final mean metric
-// exceeds its threshold for every sample count it could still stop at.
-// Abandoned lanes return a nil Estimate; survivors finish the full
-// stopping rule, so every field of every returned Estimate is
-// bit-identical to the plan-at-a-time path. Pruning is gated on the hour's
-// bounds ok latch and each lane's threshold being finite; disabling it
-// (Config.NoBatchEval routes around this file entirely) changes cost,
-// never results.
+//   - converged (the check runs at every boundary on exactly the series
+//     the reference rule sees: latency and cost CVs once per basis per
+//     boundary, the carbon CV per hour) or out of tape → summarized;
+//   - unconverged, and the bound columns (bounds.go) prove its final mean
+//     metric exceeds its threshold at every sample count it could still
+//     stop at → abandoned, a nil Estimate;
+//   - otherwise still open.
 //
-// Lane scratch (start/ready vectors) is carved from a single arena per
-// batch; accumulators come from the snapshot's pool. Both live only for
-// the duration of one EstimateBatch call — lanes never escape, and the
-// returned Estimates are plain values.
+// Survivors finish the full stopping rule, so every field of every
+// returned Estimate is bit-identical to the plan-at-a-time paths. An hour
+// is summarized at its own boundary from series prefixes, so a basis is
+// never permuted and stays valid for the hours that come later. Only the
+// per-hour carbon series are kept per lane (exec/tx means are running
+// left-to-right sums, the exact prefix of stats.Mean's summation), in
+// pooled accumulators.
 
 import (
 	"math"
 
-	"caribou/internal/carbon"
+	"caribou/internal/stats"
 )
 
-// BatchMetric selects which metric mean a batch's prune thresholds bound.
+// BatchMetric selects which metric mean a sweep's prune thresholds bound.
 // It mirrors the solver's optimization priority.
 type BatchMetric int
 
@@ -54,8 +49,9 @@ const (
 // may be abandoned once its final Metric mean provably exceeds
 // Threshold[i]. A nil BatchPrune (or +Inf entries) disables pruning for
 // the call (or candidate); thresholds must already include whatever
-// slack the caller needs for the bound's prefix-sum reassociation error
-// (see bounds.go).
+// slack the caller needs for the bound's reassociation error (see
+// bounds.go). The bound looks ahead as far as the hour's header has been
+// extended — the furthest boundary any estimate of that hour has asked for.
 type BatchPrune struct {
 	Metric    BatchMetric
 	Threshold []float64
@@ -68,347 +64,341 @@ func (p *BatchPrune) threshold(i int) float64 {
 	return p.Threshold[i]
 }
 
-func pruneMetric(p *BatchPrune) BatchMetric {
-	if p == nil {
-		return BatchCarbonMean
+// hourAcc is one lane's per-hour store through a sweep: the carbon series
+// of every hour of the sweep's window in per-batch blocks (batch b's
+// samples of hour slot k at blocks[b][k*BatchSize:]) and the running sums
+// whose prefixes are the means. Blocks are appended as the lane outlives
+// batches — never regrown — and stay with the accumulator when it returns
+// to the pool.
+type hourAcc struct {
+	blocks                [][]float64
+	exSum, txSum, carbSum []float64 // per hour slot
+}
+
+// block returns the carbon block of batch b, appending it on first use.
+func (a *hourAcc) block(b int) []float64 {
+	if b == len(a.blocks) {
+		a.blocks = append(a.blocks, make([]float64, len(a.exSum)*BatchSize))
 	}
-	return p.Metric
+	return a.blocks[b]
 }
 
-// batchLane is one candidate plan's state through a shared sweep: its
-// scratch vectors (carved from the batch arena), running sample, pooled
-// accumulator, prune threshold, and — once finished — its estimate.
-type batchLane struct {
-	assign []int
-	out    int // index into the caller's assigns/results
-	thr    float64
-	acc    *seriesAcc
-	smp    sample
-	start  []float64
-	ready  []float64
-	est    *Estimate
-	pruned bool
-}
-
-// newBatchLanes builds one lane per candidate, all scratch vectors carved
-// from a single arena allocation.
-func (s *Snapshot) newBatchLanes(assigns [][]int, prune *BatchPrune) []*batchLane {
-	n := s.nodes.Len()
-	arena := make([]float64, 2*len(assigns)*n)
-	ls := make([]batchLane, len(assigns))
-	lanes := make([]*batchLane, len(assigns))
-	for i, a := range assigns {
-		ln := &ls[i]
-		ln.assign = a
-		ln.out = i
-		ln.thr = prune.threshold(i)
-		ln.acc = s.getAcc()
-		ln.start, arena = arena[:n:n], arena[n:]
-		ln.ready, arena = arena[:n:n], arena[n:]
-		lanes[i] = ln
+// sqDev continues the left-to-right sum of squared deviations from mean
+// over xs — stats.MeanVariance's second pass, resumable across blocks.
+func sqDev(sum float64, xs []float64, mean float64) float64 {
+	for _, x := range xs {
+		d := x - mean
+		sum += d * d
 	}
-	return lanes
+	return sum
 }
 
-func (s *Snapshot) releaseLanes(lanes []*batchLane) {
-	for _, ln := range lanes {
-		s.putAcc(ln.acc)
-		ln.acc = nil
+// cvOf is meanCV given the n-sample series' mean — its running
+// left-to-right sum over n, exactly stats.Mean's value — and its sum of
+// squared deviations.
+func cvOf(sq float64, n int, mean float64) float64 {
+	if mean == 0 {
+		return 0
 	}
+	se := math.Sqrt(sq/float64(n)) / math.Sqrt(float64(n))
+	return math.Abs(se / mean)
 }
 
-// EstimateBatch evaluates all candidate plans at hour h through shared
-// sweeps over the tape. Results align with assigns; an entry is
-// nil exactly when pruning proved that candidate's Metric mean exceeds
-// its threshold, and otherwise bit-identical to Estimate(assigns[i], h).
-// Snapshots without SoA tapes (or with deferred exec errors) fall back
-// to sequential evaluation with pruning disabled.
-func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
-	for _, a := range assigns {
-		if err := s.checkArgs(a, h); err != nil {
-			return nil, err
+// carbCV is meanCV of hour slot k's first n carbon samples.
+func (a *hourAcc) carbCV(k, n int, mean float64) float64 {
+	var sq float64
+	for b := 0; b*BatchSize < n; b++ {
+		sq = sqDev(sq, a.blocks[b][k*BatchSize:(k+1)*BatchSize], mean)
+	}
+	return cvOf(sq, n, mean)
+}
+
+// p95 gathers the first n samples of a blocked series — column
+// [off, off+BatchSize) of each block — into tmp and selects their 95th
+// percentile there, leaving the blocks in sample order.
+func p95(blocks [][]float64, off, n int, tmp []float64) (float64, error) {
+	for b := 0; b*BatchSize < n; b++ {
+		copy(tmp[b*BatchSize:], blocks[b][off:off+BatchSize])
+	}
+	return stats.PercentileInPlace(tmp[:n], 95)
+}
+
+// lane is one plan's state through a sweep.
+type lane struct {
+	b    *Basis
+	thr  float64     // single-hour sweeps: the candidate's threshold
+	out  []*Estimate // results by hour slot
+	open []int       // hour slots still sampling, ascending
+	acc  *hourAcc
+	ests []Estimate // backing store of this lane's summaries
+}
+
+// sweep is one call's shared state: the hour window [h0, h0+nh), the
+// prune rule — rows carries explicit per-hour thresholds and horizons,
+// without it lanes carry their own threshold and the bound looks ahead to
+// the hour's header hdr — and the evaluation slots replay is bounded by
+// (nil: the caller already holds one, or the solve is serial).
+type sweep struct {
+	s      *Snapshot
+	h0, nh int
+	metric BatchMetric
+	rows   *RowPrune
+	hdr    *tapeData
+	sem    chan struct{}
+
+	tmp           *[MaxSamples]float64 // pooled percentile scratch, taken on first use
+	lanes         []lane               // one per basis, in the caller's order
+	active        []*lane              // lanes with an hour still open
+	held, late    []*lane              // boundary's partition of active
+	fresh         []replayLane
+	ests, pruned  int64
+	pricedSamples int64
+}
+
+// newSweep builds one lane per basis with every hour of the window open.
+// Callers point each lane's out at its result cells before run.
+func (s *Snapshot) newSweep(bases []*Basis, h0, nh int, sem chan struct{}) *sweep {
+	n := len(bases)
+	ptrs := make([]*lane, 3*n)
+	sw := &sweep{
+		s: s, h0: h0, nh: nh, sem: sem,
+		lanes:  make([]lane, n),
+		active: ptrs[:n:n],
+		held:   ptrs[n : n : 2*n],
+		late:   ptrs[2*n : 2*n],
+	}
+	open := make([]int, n*nh)
+	for i, b := range bases {
+		ln := &sw.lanes[i]
+		ln.b, ln.thr = b, math.Inf(1)
+		ln.acc = getHourAcc(nh)
+		ln.open, open = open[:nh:nh], open[nh:]
+		for k := range ln.open {
+			ln.open[k] = k
+		}
+		sw.active[i] = ln
+	}
+	return sw
+}
+
+// run drives the lanes boundary by boundary until none has an open hour,
+// then returns their accumulators to the pool.
+func (sw *sweep) run() error {
+	s := sw.s
+	var err error
+	for n := BatchSize; len(sw.active) > 0 && err == nil; n += BatchSize {
+		err = sw.boundary(n)
+	}
+	for i := range sw.lanes {
+		putHourAcc(sw.lanes[i].acc)
+		sw.lanes[i].acc = nil
+	}
+	if sw.tmp != nil {
+		putTmp(sw.tmp)
+		sw.tmp = nil
+	}
+	s.tel.estimates.Add(sw.ests)
+	s.tel.prunedCandidates.Add(sw.pruned)
+	s.tel.hourPrices.Add(sw.pricedSamples)
+	return err
+}
+
+// replay appends one batch to the bases of sw.fresh under an evaluation
+// slot. The callers hold those bases' locks: lock first, slot second.
+func (sw *sweep) replay(n int) error {
+	if len(sw.fresh) == 0 {
+		return nil
+	}
+	if sw.sem != nil {
+		sw.sem <- struct{}{}
+	}
+	var err error
+	sw.fresh, err = sw.s.replayBatch(sw.fresh, n-BatchSize)
+	if sw.sem != nil {
+		<-sw.sem
+	}
+	sw.fresh = sw.fresh[:0]
+	return err
+}
+
+// boundary brings every active lane to sample count n and settles it
+// there. Lanes whose basis is free are taken together: those lacking the
+// batch replay it in one shared sweep. A basis another goroutine holds —
+// another hour of the same solve is extending or pricing it — is waited
+// for afterwards, one at a time, with no slot and no other basis held, so
+// waiting can neither starve the replay workers nor deadlock.
+func (sw *sweep) boundary(n int) error {
+	s := sw.s
+	if sw.rows == nil {
+		// Single-hour sweeps extend the hour's header (and bake its bound
+		// columns) as far as the hour's estimates sample: its length is the
+		// look-ahead horizon of this hour's prune checks.
+		sw.hdr = s.tapes[sw.h0].ensure(s, sw.h0, n)
+	}
+	held, late := sw.held[:0], sw.late[:0]
+	for _, ln := range sw.active {
+		if !ln.b.mu.TryLock() {
+			late = append(late, ln)
+			continue
+		}
+		held = append(held, ln)
+		if ln.b.n < n {
+			sw.fresh = append(sw.fresh, replayLane{b: ln.b})
 		}
 	}
-	out := make([]*Estimate, len(assigns))
-	if len(assigns) == 0 {
-		return out, nil
-	}
-	if s.tapes == nil || !s.soaTapes || s.anyExecErr {
-		for i, a := range assigns {
-			est, err := s.Estimate(a, h)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = est
+	err := sw.replay(n)
+	sw.active = sw.active[:0]
+	for _, ln := range held {
+		if err == nil {
+			err = sw.settle(ln, n)
 		}
-		return out, nil
+		ln.b.mu.Unlock()
 	}
-	if len(assigns) == 1 {
-		est, err := s.estimateTaped(assigns[0], h)
+	for _, ln := range late {
 		if err != nil {
-			return nil, err
+			break
 		}
-		out[0] = est
-		return out, nil
+		ln.b.mu.Lock()
+		if ln.b.n < n {
+			sw.fresh = append(sw.fresh, replayLane{b: ln.b})
+			err = sw.replay(n)
+		}
+		if err == nil {
+			err = sw.settle(ln, n)
+		}
+		ln.b.mu.Unlock()
 	}
-	lanes := s.newBatchLanes(assigns, prune)
-	defer s.releaseLanes(lanes)
-	if err := s.batchSweepFull(s.tapes[h], lanes, h, pruneMetric(prune)); err != nil {
-		return nil, err
-	}
-	for _, ln := range lanes {
-		out[ln.out] = ln.est
-	}
-	return out, nil
+	return err
 }
 
-// batchSweepFull runs the batched stopping rule from sample 0: per batch,
-// replay BatchSize samples across all live lanes, then settle each lane at
-// the boundary (converged/exhausted → summarize, bound-beaten → prune).
-func (s *Snapshot) batchSweepFull(t *hourTape, lanes []*batchLane, h int, metric BatchMetric) error {
-	s.tel.batchSweeps.Inc()
-	s.tel.batchPlans.Add(int64(len(lanes)))
-	// Boundary filtering compacts in place, so work on a copy and leave
-	// the caller's slice (its result index) untouched.
-	active := append([]*batchLane(nil), lanes...)
-	n := 0
-	for n < MaxSamples && len(active) > 0 {
-		td := t.ensure(s, h, n+BatchSize)
-		for i := n; i < n+BatchSize; i++ {
-			s.batchInitSample(td, i, h, active)
-			s.batchRunSteps(td, td.stepOff[i], td.stepOff[i+1], h, active)
-			for _, ln := range active {
-				ln.acc.add(ln.smp)
+// settle prices the lane's newest block at every open hour and applies the
+// stopping rule and the prune rule at sample count n. A lane with an hour
+// still open afterwards rejoins sw.active.
+func (sw *sweep) settle(ln *lane, n int) error {
+	s := sw.s
+	b, a := ln.b, ln.acc
+	k := n/BatchSize - 1
+	st := b.statAt(k)
+	fn := float64(n)
+	latMean, costMean := st.latSum/fn, st.costSum/fn
+	blk, carb := b.blocks[k], a.block(k)
+	nRegs, w := len(b.regs), b.width()
+	sw.pricedSamples += int64(BatchSize * len(ln.open))
+
+	open := ln.open[:0]
+	for _, hs := range ln.open {
+		h := sw.h0 + hs
+		inten, rf := s.intensity[h], s.txRF[h]
+		exSum, txSum, carbSum := a.exSum[hs], a.txSum[hs], a.carbSum[hs]
+		series := carb[hs*BatchSize : (hs+1)*BatchSize]
+		for i := range series {
+			rec := blk[2*BatchSize+i*w : 2*BatchSize+(i+1)*w]
+			ex, tx := priceSample(inten, rf, b.regs, b.pairs, rec[:nRegs], rec[nRegs:])
+			c := ex + tx
+			series[i] = c
+			exSum += ex
+			txSum += tx
+			carbSum += c
+		}
+		a.exSum[hs], a.txSum[hs], a.carbSum[hs] = exSum, txSum, carbSum
+
+		carbMean := carbSum / fn
+		done := st.sharedOK && a.carbCV(hs, n, carbMean) < TargetCV
+		if done || n >= MaxSamples {
+			if sw.tmp == nil {
+				sw.tmp = getTmp()
 			}
+			tmp := sw.tmp[:]
+			if !st.haveP95 {
+				// Later hours may still read the basis: select on a copy so
+				// its series keep their order.
+				var err error
+				if st.latP95, err = p95(b.blocks, 0, n, tmp); err != nil {
+					return err
+				}
+				if st.costP95, err = p95(b.blocks, BatchSize, n, tmp); err != nil {
+					return err
+				}
+				st.haveP95 = true
+			}
+			carbP95, err := p95(a.blocks, hs*BatchSize, n, tmp)
+			if err != nil {
+				return err
+			}
+			if ln.ests == nil {
+				ln.ests = make([]Estimate, len(ln.out))
+			}
+			est := &ln.ests[hs]
+			*est = Estimate{
+				Samples:        n,
+				LatencyMean:    latMean,
+				LatencyP95:     st.latP95,
+				CostMean:       costMean,
+				CostP95:        st.costP95,
+				CarbonMean:     carbMean,
+				CarbonP95:      carbP95,
+				ExecCarbonMean: exSum / fn,
+				TxCarbonMean:   txSum / fn,
+				Converged:      done,
+			}
+			ln.out[hs] = est
+			sw.ests++
+			continue
 		}
-		n += BatchSize
-		var err error
-		if active, err = s.batchBoundary(td, active, n, metric); err != nil {
-			return err
+		partial := carbSum
+		switch sw.metric {
+		case BatchCostMean:
+			partial = st.costSum
+		case BatchLatencyMean:
+			partial = st.latSum
 		}
+		if sw.prunedAt(ln, h, n, partial) {
+			sw.pruned++
+			continue
+		}
+		open = append(open, hs)
+	}
+	ln.open = open
+	if len(open) > 0 {
+		sw.active = append(sw.active, ln)
 	}
 	return nil
 }
 
-// batchInitSample resets every lane's scratch and replays recorded sample
-// i's entry block for each lane, mirroring replaySoA's prologue exactly.
-func (s *Snapshot) batchInitSample(td *tapeData, i, h int, lanes []*batchLane) {
-	home := s.home
-	nR := s.nR
-	rf := s.txRF[h]
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	entry := s.start
-	entryBytes := td.entry[i]
-	q := td.soa.entry9[i]
-	eb := entryBytes
-	if eb < 0 {
-		eb = 0
+// prunedAt reports whether the lane can be abandoned at hour h, sample
+// count n: its running metric sum plus the hour's floors for the samples
+// still to come (lowerBound) exceeds the threshold at every count the
+// stopping rule could halt at. A row sweep looks ahead to max(n,
+// Horizon[h]), extending the hour's header that far on demand and never
+// reading how much further other rows took it; a single-hour sweep looks
+// ahead over the header boundary extended. Only the ok latch sees more
+// than that, and it only turns pruning off.
+func (sw *sweep) prunedAt(ln *lane, h, n int, partial float64) bool {
+	s := sw.s
+	thr, horizon, hdr := ln.thr, n, sw.hdr
+	if sw.rows != nil {
+		thr, horizon = sw.rows.at(h, n)
 	}
-	kvHome := s.kvAccess[home]
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	dynRead := s.dynReadUSD
-	for _, ln := range lanes {
-		st, rd := ln.start, ln.ready
-		for k := range st {
-			st[k] = 0
-			rd[k] = 0
-		}
-		var smp sample
-		he := home*nR + ln.assign[entry]
-		smp.cost += dynRead
-		smp.cost += snsHome
-		if entryBytes > 0 {
-			smp.txCarbon += rf[he] * q
-			smp.cost += q * egress[he]
-		}
-		st[entry] = kvHome + msgOverhead + (txBase[he] + eb*txPerByte[he])
-		ln.smp = smp
+	if math.IsInf(thr, 1) || !s.bnd.ok {
+		return false
 	}
-}
-
-// batchRunSteps replays the step span [lo, hi) for every lane: steps
-// outermost so each plan-independent column load is shared, lanes
-// innermost with each lane executing the exact runSoASteps body against
-// its own scratch and accumulators. Callers must guarantee no exec
-// errors exist (s.anyExecErr false) — like the pair replayers, the batch
-// body omits the per-step error check.
-func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*batchLane) {
-	c := td.soa
-	home := s.home
-	nR := s.nR
-	inten := s.intensity[h]
-	rf := s.txRF[h]
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	kvAccess := s.kvAccess
-	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
-	snsUSD := s.snsUSD
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
-	skipS := td.skipSyncs
-
-	for si := lo; si < hi; si++ {
-		n := int(nodeC[si])
-		flags := flagsC[si]
-		staged := stagedC[si]
-		aux9v := aux9C[si]
-		drcRow := drcC[int(si)*nR*3 : (int(si)+1)*nR*3]
-		isSync := flags&stepSync != 0
-		isOut := flags&stepOutput != 0
-		var outV, out9v float64
-		var eLo, eHi int32
-		if isOut {
-			outV = outC[si]
-			out9v = out9C[si]
-		} else {
-			eLo, eHi = edgeOffC[si], edgeOffC[si+1]
-		}
-		for _, ln := range lanes {
-			smp := ln.smp
-			r := ln.assign[n]
-			var startN float64
-			if isSync {
-				hr := home*nR + r
-				smp.cost += snsHome
-				smp.txCarbon += rf[hr] * (controlBytes / 1e9)
-				smp.cost += controlBytes / 1e9 * egress[hr]
-				arrive := ln.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
-				ld := staged
-				if ld < 0 {
-					ld = 0
-				}
-				load := kvAccess[r] + (txBase[hr] + ld*txPerByte[hr])
-				smp.cost += dynRead
-				if staged > 0 {
-					smp.txCarbon += rf[hr] * aux9v
-					smp.cost += aux9v * egress[hr]
-				}
-				startN = arrive + load
-			} else {
-				startN = ln.start[n]
-			}
-			base := r * 3
-			finish := startN + drcRow[base]
-			if finish > smp.latency {
-				smp.latency = finish
-			}
-			smp.execCarbon += inten[r] * drcRow[base+1] * carbon.PUE
-			smp.cost += drcRow[base+2]
-			if isOut {
-				if outV > 0 {
-					rh := r*nR + home
-					smp.txCarbon += rf[rh] * out9v
-					smp.cost += out9v * egress[rh]
-				}
-			} else {
-				for ei := eLo; ei < eHi; ei++ {
-					to := int(toC[ei])
-					switch kindC[ei] {
-					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
-							if finish > ln.ready[sn] {
-								ln.ready[sn] = finish
-							}
-						}
-						smp.cost += dynWrite // skip annotation
-					case tapeEdgeStage:
-						b := bytesC[ei]
-						rh := r*nR + home
-						smp.cost += dynWrite
-						smp.cost += dynWrite
-						tb := b
-						if tb < 0 {
-							tb = 0
-						}
-						if b > 0 {
-							q := e9C[ei]
-							smp.txCarbon += rf[rh] * q
-							smp.cost += q * egress[rh]
-						}
-						ready := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if ready > ln.ready[to] {
-							ln.ready[to] = ready
-						}
-					case tapeEdgeDirect:
-						smp.cost += snsUSD[r]
-						total := bytesC[ei] + controlBytes
-						rt := r*nR + ln.assign[to]
-						if total > 0 {
-							q := e9C[ei]
-							smp.txCarbon += rf[rt] * q
-							smp.cost += q * egress[rt]
-						}
-						tb := total
-						if tb < 0 {
-							tb = 0
-						}
-						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > ln.start[to] {
-							ln.start[to] = arrive
-						}
-					}
-				}
-			}
-			ln.smp = smp
-		}
+	if sw.rows != nil {
+		hdr = s.tapes[h].ensure(s, h, horizon)
+	} else {
+		horizon = hdr.n
 	}
-}
-
-// batchBoundary settles every live lane at sample count n: lanes that
-// converged (the check runs for every lane at every boundary, exactly as
-// the reference loop calls it) or exhausted the tape are summarized;
-// unconverged lanes whose bound proves their final mean must exceed
-// their threshold are abandoned; the rest stay live. Returns the
-// compacted live set (filtering active in place — callers pass a copy).
-func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metric BatchMetric) ([]*batchLane, error) {
-	live := active[:0]
-	b := td.bnd
-	for _, ln := range active {
-		if ln.acc.converged() || n >= MaxSamples {
-			est, err := ln.acc.summarize()
-			if err != nil {
-				return nil, err
-			}
-			ln.est = est
-			s.tel.estimates.Inc()
-			s.tel.samples.Add(int64(n))
-			s.tel.tapeReplays.Add(int64(n))
-			continue
-		}
-		if b != nil && b.ok && !math.IsInf(ln.thr, 1) && batchLowerBound(b, ln, n, td.n, metric) > ln.thr {
-			ln.pruned = true
-			s.tel.prunedCandidates.Inc()
-			continue
-		}
-		live = append(live, ln)
+	bnd := hdr.bnd
+	if bnd == nil || !bnd.ok {
+		return false
 	}
-	return live, nil
-}
-
-// batchLowerBound returns a lower bound on the lane's final mean of the
-// pruning metric over every sample count the stopping rule could still
-// halt at. The lane's partial sum is re-accumulated left-to-right — the
-// exact float prefix of the summation stats.Mean would perform.
-func batchLowerBound(c *hourBounds, ln *batchLane, n, compiled int, metric BatchMetric) float64 {
-	var series, pre []float64
-	switch metric {
+	pre := bnd.preCarb
+	switch sw.metric {
 	case BatchCostMean:
-		series, pre = ln.acc.cost, c.preCost
+		pre = bnd.preCost
 	case BatchLatencyMean:
-		series, pre = ln.acc.lat, c.preLat
-	default:
-		series, pre = ln.acc.carb, c.preCarb
+		pre = bnd.preLat
 	}
-	var partial float64
-	for _, v := range series {
-		partial += v
-	}
-	return lowerBound(partial, pre, n, compiled)
+	return lowerBound(partial, pre, n, horizon) > thr
 }
 
 // lowerBound floors the final mean of a metric whose first n samples sum
@@ -431,26 +421,31 @@ func lowerBound(partial float64, pre []float64, n, horizon int) float64 {
 	return low
 }
 
-// EstimateBatchDelta is EstimateBatch composed with delta anchors: lanes
-// whose dirty cone against the cached anchor opens at the same firstUse
-// boundary share one checkpoint restore per sample and sweep the dirty
-// suffix together. Per-lane semantics match EstimateDelta exactly — the
-// trivial no-diff shortcut, the fallback conditions (each counted), and
-// the anchor lifecycle are evaluated lane by lane — with nil results for
-// pruned lanes, as in EstimateBatch.
-func (s *Snapshot) EstimateBatchDelta(base *Estimate, baseAssign []int, assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
-	for _, a := range assigns {
-		if err := s.checkArgs(a, h); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]*Estimate, len(assigns))
-	if len(assigns) == 0 {
+// sweepable reports whether the snapshot can run sweeps: SoA tapes are
+// on. Without them the batch entry points evaluate plan by plan through
+// Estimate, unpruned.
+func (s *Snapshot) sweepable() bool { return s.tapes != nil && s.soaTapes }
+
+// EstimateBases evaluates the plans of bases at hour h, replaying only
+// what the bases lack: out[i] is nil exactly when pruning proved plan i's
+// Metric mean exceeds its threshold, and otherwise bit-identical to
+// Estimate(plan, h). Bases may be shared with concurrent calls at other
+// hours; sem, when non-nil, is the semaphore every replay runs under — a
+// call waits for another's basis without holding a slot. Snapshots without
+// SoA tapes — and several plans on a snapshot with deferred exec errors,
+// which must surface in first-plan order — fall back to sequential
+// evaluation with pruning disabled.
+func (s *Snapshot) EstimateBases(bases []*Basis, h int, prune *BatchPrune, sem chan struct{}) ([]*Estimate, error) {
+	out := make([]*Estimate, len(bases))
+	if len(bases) == 0 {
 		return out, nil
 	}
-	if s.tapes == nil || !s.soaTapes || s.anyExecErr {
-		for i, a := range assigns {
-			est, err := s.EstimateDelta(base, baseAssign, a, h)
+	if err := s.checkArgs(bases[0].assign, h); err != nil {
+		return nil, err
+	}
+	if !s.sweepable() || s.anyExecErr && len(bases) > 1 {
+		for i, b := range bases {
+			est, err := s.Estimate(b.assign, h)
 			if err != nil {
 				return nil, err
 			}
@@ -458,189 +453,45 @@ func (s *Snapshot) EstimateBatchDelta(base *Estimate, baseAssign []int, assigns 
 		}
 		return out, nil
 	}
-	if err := s.checkArgs(baseAssign, h); err != nil {
+	sw := s.newSweep(bases, h, 1, sem)
+	if prune != nil {
+		sw.metric = prune.Metric
+	}
+	s.tel.batchSweeps.Inc()
+	s.tel.batchPlans.Add(int64(len(bases)))
+	for i := range sw.lanes {
+		sw.lanes[i].out, sw.lanes[i].thr = out[i:i+1:i+1], prune.threshold(i)
+	}
+	if err := sw.run(); err != nil {
 		return nil, err
-	}
-	if s.nodes.Len() > deltaMaxNodes || len(s.fuBounds) == 0 {
-		s.tel.deltaFallbacks.Add(int64(len(assigns)))
-		return s.EstimateBatch(assigns, h, prune)
-	}
-	lanes := s.newBatchLanes(assigns, prune)
-	defer s.releaseLanes(lanes)
-	metric := pruneMetric(prune)
-	t := s.tapes[h]
-
-	// Partition lanes by how they evaluate. Trivial no-diff lanes take the
-	// incumbent's estimate; lanes that cannot resume (entry-node cone,
-	// anchor unavailable) replay in full together; the rest group by their
-	// resume boundary so each group shares one checkpoint restore.
-	pending := make([]*batchLane, 0, len(lanes))
-	full := make([]*batchLane, 0, len(lanes))
-	for _, ln := range lanes {
-		fInc := coneBoundary(s.firstUse, baseAssign, ln.assign)
-		switch {
-		case fInc == math.MaxInt32 && base != nil:
-			ln.est = base
-		case fInc < 1:
-			s.tel.deltaFallbacks.Inc()
-			full = append(full, ln)
-		default:
-			pending = append(pending, ln)
-		}
-	}
-
-	min := reanchorBoundary(s.nodes.Len())
-	an := t.anchor.Load()
-	if len(pending) > 0 && (an == nil || coneBoundary(s.firstUse, an.assign, baseAssign) < min) {
-		// No usable anchor. As in EstimateDelta, the first anchor-eligible
-		// lane (cone vs the incumbent ≥ 1, so an anchor at its plan stays
-		// fresh) records its own full replay as the new anchor; TryLock
-		// keeps concurrent workers moving — losers replay their whole
-		// group in full.
-		if t.anchorMu.TryLock() {
-			a2 := t.anchor.Load()
-			if a2 == nil || coneBoundary(s.firstUse, a2.assign, baseAssign) < min {
-				est, a, err := s.estimateRecordingAnchor(t, h, pending[0].assign)
-				if err != nil {
-					t.anchorMu.Unlock()
-					return nil, err
-				}
-				t.anchor.Store(a)
-				t.anchorMu.Unlock()
-				pending[0].est = est
-				pending = pending[1:]
-				an = a
-			} else {
-				t.anchorMu.Unlock()
-				an = a2
-			}
-		} else {
-			s.tel.deltaFallbacks.Add(int64(len(pending)))
-			full = append(full, pending...)
-			pending = nil
-		}
-	}
-
-	// groups is indexed by resume-boundary position in fuBounds, so group
-	// execution order is deterministic regardless of lane order or anchor
-	// races.
-	groups := make([][]*batchLane, len(s.fuBounds))
-	for _, ln := range pending {
-		f := coneBoundary(s.firstUse, an.assign, ln.assign)
-		switch {
-		case f < 1:
-			s.tel.deltaFallbacks.Inc()
-			full = append(full, ln)
-		case f == math.MaxInt32:
-			// The lane is the anchor plan itself; a full replay is cheaper
-			// than resuming every sample at its last boundary.
-			full = append(full, ln)
-		default:
-			b := 0
-			for an.bounds[b] != f {
-				b++
-			}
-			groups[b] = append(groups[b], ln)
-		}
-	}
-
-	if len(full) == 1 {
-		est, err := s.estimateTaped(full[0].assign, h)
-		if err != nil {
-			return nil, err
-		}
-		full[0].est = est
-	} else if len(full) > 1 {
-		if err := s.batchSweepFull(t, full, h, metric); err != nil {
-			return nil, err
-		}
-	}
-	for b, g := range groups {
-		switch {
-		case len(g) == 0:
-		case len(g) == 1:
-			est, err := s.estimateFromAnchor(an, g[0].assign, h, an.bounds[b], b)
-			if err != nil {
-				return nil, err
-			}
-			g[0].est = est
-		default:
-			if err := s.batchSweepResume(t, an, g, h, an.bounds[b], b, metric); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, ln := range lanes {
-		out[ln.out] = ln.est
 	}
 	return out, nil
 }
 
-// batchSweepResume is batchSweepFull with per-sample anchor resume: all
-// lanes in the group share the boundary, so checkpointed samples restore
-// one recorded cone block (per lane) and sweep only the dirty suffix;
-// samples the anchor never checkpointed replay in full.
-func (s *Snapshot) batchSweepResume(t *hourTape, an *deltaAnchor, lanes []*batchLane, h int, f int32, b int, metric BatchMetric) error {
-	s.tel.batchSweeps.Inc()
-	s.tel.batchPlans.Add(int64(len(lanes)))
-	active := append([]*batchLane(nil), lanes...)
-	nB := len(an.bounds)
-	resumed := 0
-	n := 0
-	for n < MaxSamples && len(active) > 0 {
-		td := t.ensure(s, h, n+BatchSize)
-		for i := n; i < n+BatchSize; i++ {
-			if i < an.n {
-				resumed += len(active)
-				j := an.jump[i*nB+b]
-				if j < 0 {
-					// No step reads a changed assignment: the anchor's
-					// result holds for every lane in the group.
-					o := i * 4
-					smp := sample{
-						latency:    an.final[o],
-						cost:       an.final[o+1],
-						execCarbon: an.final[o+2],
-						txCarbon:   an.final[o+3],
-					}
-					for _, ln := range active {
-						ln.acc.add(smp)
-					}
-					continue
-				}
-				o := (i*nB + b) * 4
-				smp := sample{
-					latency:    an.acc[o],
-					cost:       an.acc[o+1],
-					execCarbon: an.acc[o+2],
-					txCarbon:   an.acc[o+3],
-				}
-				nN := an.nNodes
-				off0 := int(an.base[b]) + i*int(an.stride[b])
-				for _, ln := range active {
-					off := off0
-					for v := int(f); v < nN; v++ {
-						ln.start[v] = an.start[off]
-						ln.ready[v] = an.ready[off]
-						off++
-					}
-					ln.smp = smp
-				}
-				s.batchRunSteps(td, j, td.stepOff[i+1], h, active)
-			} else {
-				s.batchInitSample(td, i, h, active)
-				s.batchRunSteps(td, td.stepOff[i], td.stepOff[i+1], h, active)
-			}
-			for _, ln := range active {
-				ln.acc.add(ln.smp)
-			}
+// newBases builds call-private bases for assigns over a fresh arena.
+func (s *Snapshot) newBases(assigns [][]int) ([]*Basis, *BasisArena, error) {
+	arena := NewBasisArena()
+	bases := make([]*Basis, len(assigns))
+	for i, a := range assigns {
+		b, err := s.NewBasis(arena, a)
+		if err != nil {
+			return nil, nil, err
 		}
-		n += BatchSize
-		var err error
-		if active, err = s.batchBoundary(td, active, n, metric); err != nil {
-			return err
-		}
+		bases[i] = b
 	}
-	s.tel.deltaResumed.Add(int64(resumed))
-	return nil
+	return bases, arena, nil
+}
+
+// EstimateBatch evaluates all candidate plans at hour h: replay once,
+// price h. Results align with assigns; an entry is nil exactly when
+// pruning proved that candidate's Metric mean exceeds its threshold, and
+// otherwise bit-identical to Estimate(assigns[i], h). It is EstimateBases
+// over bases that live for the call.
+func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
+	bases, arena, err := s.newBases(assigns)
+	if err != nil {
+		return nil, err
+	}
+	defer arena.Release()
+	return s.EstimateBases(bases, h, prune, nil)
 }

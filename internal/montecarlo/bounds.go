@@ -2,7 +2,7 @@ package montecarlo
 
 // Exact pruning bounds: plan-independent per-sample metric floors.
 //
-// The batch evaluator (batch.go) abandons a candidate plan mid-sweep once
+// A sweep (batch.go) abandons a candidate plan mid-way once
 // no completion of its replay can bring its final mean metric below the
 // solver-supplied threshold. That requires, for every compiled sample, a
 // lower bound on the metric contribution the sample makes under *any*
@@ -25,12 +25,18 @@ package montecarlo
 // non-negative operand, and max — is monotone in each input, and IEEE-754
 // round-to-nearest is itself monotone, so the bound replay's float result
 // is ≤ the real replay's float result for every plan, sample by sample:
-// the bound is exact at the float level, not just in real arithmetic.
-// Per-sample bounds are accumulated into prefix-sum columns
-// (hourBounds.preLat/preCost/preCarb) so the remaining-sample floor of any
-// span is two loads and a subtraction at prune-check time. The only slack
-// the consumer must absorb is prefix-sum reassociation (≤ n·ε relative),
-// which the solver's threshold margin covers by many orders of magnitude.
+// the latency and cost bounds are exact at the float level, not just in
+// real arithmetic. The carbon bound is a sum over events of
+// min-coefficient × quantity, while a replayed sample's carbon is priced
+// from per-region energy and per-pair gigabyte totals (basis.go): term by
+// term the floor is below in real arithmetic, and the two summation orders
+// differ by ≤ events·ε relative. Per-sample bounds are accumulated into
+// prefix-sum columns (hourBounds.preLat/preCost/preCarb) so the
+// remaining-sample floor of any span is two loads and a subtraction at
+// prune-check time. The slack the consumer must absorb is that summation
+// order plus prefix-sum reassociation (≤ n·ε relative) — ≈1e-13 together,
+// which the solver's 1e-9 threshold margin covers by four orders of
+// magnitude.
 //
 // Bounds are only valid as *floors of a mean* when per-sample values are
 // non-negative: samples past the hour's baked prefix contribute an
@@ -175,8 +181,12 @@ func stepFloor(drc, inten []float64) (minD, minE, minC float64) {
 
 // boundReplay replays recorded sample i with every region-dependent
 // coefficient at its minimum, returning per-sample floors for the three
-// convergence metrics. The control flow mirrors replaySoA/runSoASteps
-// expression for expression so float monotonicity applies term-wise.
+// convergence metrics. The control flow mirrors the step kernel
+// (replaySamples) expression for expression, with the carbon of each event
+// added where the kernel adds its energy or gigabytes, so float
+// monotonicity applies term-wise to latency and cost and the carbon floor
+// is a per-event sum — equal, up to summation order, to a floor on the
+// per-sample pricing the kernel's output goes through (basis.go).
 func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat, cost, carb float64) {
 	sc.reset()
 	var smp sample

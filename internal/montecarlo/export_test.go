@@ -1,0 +1,55 @@
+package montecarlo
+
+import "fmt"
+
+// SlotLeak replays assign's first batch one sample at a time and reports
+// the first sample that left a dense kwh/gb accumulator non-zero outside
+// the plan's static slot lists ("" when none did), plus how many dense
+// entries the batch touched at all.
+func (s *Snapshot) SlotLeak(assign []int) (leak string, touched int, err error) {
+	b, err := s.NewBasis(nil, assign)
+	if err != nil {
+		return "", 0, err
+	}
+	inSlot := make([]bool, s.nR+s.nR*s.nR)
+	for _, r := range b.regs {
+		inSlot[r] = true
+	}
+	for _, p := range b.pairs {
+		inSlot[s.nR+int(p)] = true
+	}
+	seen := make([]bool, len(inSlot))
+	td := s.tape.ensure(s, BatchSize)
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	lanes := []replayLane{{b: b, sc: sc, assign: assign, buf: sc.buf, blk: make([]float64, BatchSize*(2+b.width()))}}
+	for i := 0; i < BatchSize; i++ {
+		lanes[0].j = i
+		if err := s.replaySamples(td, 0, lanes); err != nil {
+			return "", 0, err
+		}
+		for k, v := range sc.buf[2*s.nodes.Len():] { // kwh then gb, dense
+			if v == 0 {
+				continue
+			}
+			seen[k] = true
+			if !inSlot[k] && leak == "" {
+				leak = fmt.Sprintf("sample %d: dense entry %d (of %d regions + %d pairs) = %g is outside regs %v pairs %v", i, k, s.nR, s.nR*s.nR, v, b.regs, b.pairs)
+			}
+		}
+		lanes[0].commit()
+		for k, v := range sc.buf[2*s.nodes.Len():] {
+			if v != 0 && leak == "" {
+				leak = fmt.Sprintf("sample %d: commit left dense entry %d = %g behind", i, k, v)
+			}
+		}
+		clear(sc.kwh)
+		clear(sc.gb)
+	}
+	for _, ok := range seen {
+		if ok {
+			touched++
+		}
+	}
+	return leak, touched, nil
+}

@@ -98,24 +98,18 @@ type mcTelemetry struct {
 	tapeSamples      *telemetry.Counter
 	tapeReplays      *telemetry.Counter
 	boundBakeSamples *telemetry.Counter
-	// Delta-replay accounting (delta.go): anchors built, samples resumed
-	// from an anchor checkpoint (the incremental win), and EstimateDelta
-	// calls that fell back to full replay (multi-node diff, entry-node
-	// diff, oversized DAG, or non-SoA tapes).
-	deltaAnchors   *telemetry.Counter
-	deltaResumed   *telemetry.Counter
-	deltaFallbacks *telemetry.Counter
-	// Batch-replay accounting (batch.go): shared sweeps run, candidate
-	// plans evaluated through them, and candidates abandoned mid-sweep by
-	// the exact bound-based pruning rule.
+	// Sweep accounting (basis.go, batch.go): single-hour sweeps run and the
+	// plans they carried, all-hours row sweeps run, plan-batches replayed
+	// onto bases — samples/tapeReplays count each such sample once per plan,
+	// however many hours it is then priced at — (sample, hour) pairs priced,
+	// and (plan, hour) candidates abandoned mid-sweep by the exact
+	// bound-based pruning rule.
 	batchSweeps      *telemetry.Counter
 	batchPlans       *telemetry.Counter
+	rowSweeps        *telemetry.Counter
+	basisReplays     *telemetry.Counter
+	hourPrices       *telemetry.Counter
 	prunedCandidates *telemetry.Counter
-	// Row accounting (rows.go): all-hours sweeps run, and (sample, hour)
-	// pairs they priced — the per-hour work a row sample still costs, where
-	// samples/tapeReplays count the row sample itself once.
-	rowSweeps  *telemetry.Counter
-	hourPrices *telemetry.Counter
 }
 
 func newMCTelemetry() mcTelemetry {
@@ -127,14 +121,12 @@ func newMCTelemetry() mcTelemetry {
 		tapeSamples:      rec.Counter("montecarlo.tape_samples"),
 		tapeReplays:      rec.Counter("montecarlo.tape_replays"),
 		boundBakeSamples: rec.Counter("montecarlo.bound_bake_samples"),
-		deltaAnchors:     rec.Counter("montecarlo.delta_anchors"),
-		deltaResumed:     rec.Counter("montecarlo.delta_resumed"),
-		deltaFallbacks:   rec.Counter("montecarlo.delta_fallbacks"),
 		batchSweeps:      rec.Counter("montecarlo.batch_sweeps"),
 		batchPlans:       rec.Counter("montecarlo.batch_plans"),
-		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),
 		rowSweeps:        rec.Counter("montecarlo.row_sweeps"),
+		basisReplays:     rec.Counter("montecarlo.basis_replays"),
 		hourPrices:       rec.Counter("montecarlo.hour_prices"),
+		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),
 	}
 }
 

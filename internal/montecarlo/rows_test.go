@@ -344,3 +344,43 @@ func FuzzEstimateRows(f *testing.F) {
 		checkRows(t, fx, assigns, metric, scale)
 	})
 }
+
+// TestStaticSlotsCoverDenseAccumulation is the slot-list contract: for the
+// five Table-1 workflows (and the heavy-tail chain), at both homes, no
+// sample of any plan — home, every single-region plan, 40 seeded random
+// ones — leaves a non-zero in the dense nR + nR² accumulators outside the
+// plan's static slot lists, and commit leaves the accumulators zero.
+func TestStaticSlotsCoverDenseAccumulation(t *testing.T) {
+	for _, f := range rowFixtures(t) {
+		rng := rand.New(rand.NewSource(3))
+		assigns := [][]int{f.snap.HomeAssign()}
+		for r := 0; r < f.snap.NumRegions(); r++ {
+			a := make([]int, f.snap.NumNodes())
+			for i := range a {
+				a[i] = r
+			}
+			assigns = append(assigns, a)
+		}
+		for k := 0; k < 40; k++ {
+			a := make([]int, f.snap.NumNodes())
+			for i := range a {
+				a[i] = rng.Intn(f.snap.NumRegions())
+			}
+			assigns = append(assigns, a)
+		}
+		touched := 0
+		for _, a := range assigns {
+			leak, n, err := f.snap.SlotLeak(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if leak != "" {
+				t.Errorf("%s plan %v: %s", f.name, a, leak)
+			}
+			touched += n
+		}
+		if touched == 0 {
+			t.Errorf("%s: no dense entry was ever touched", f.name)
+		}
+	}
+}

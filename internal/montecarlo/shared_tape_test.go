@@ -43,7 +43,8 @@ func hoursFrom(n int) []time.Time {
 // counts agree (the stopping rule also watches carbon, which may stop one
 // hour a batch earlier), and are bit-equal in every field when the two
 // hours' intensity rows are equal — through the taped SoA path, the
-// untaped reference, the AoS layout, the batch sweep and delta replay.
+// untaped reference, the AoS layout, the batch sweep, a row sweep and a
+// basis shared by the three hours.
 func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 	base := richInputs(t)
 	// Hours 0 and 2 share an intensity row; hour 1 is three times dirtier.
@@ -61,13 +62,10 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 		t.Fatal("fixture must give hours 0 and 2 equal intensity rows and hour 1 a different one")
 	}
 	home := soa.HomeAssign()
-	homeEst := make([]*Estimate, 3)
-	for h := range homeEst {
-		var err error
-		if homeEst[h], err = soa.Estimate(home, h); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The "basis" mode prices hours 1 and 2 from the basis hour 0 replayed.
+	arena := NewBasisArena()
+	defer arena.Release()
+	var shared *Basis
 
 	modes := []struct {
 		name string
@@ -83,8 +81,26 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 			}
 			return es[0], nil
 		}},
-		{"delta", func(a []int, h int) (*Estimate, error) {
-			return soa.EstimateDelta(homeEst[h], home, a, h)
+		{"rows", func(a []int, h int) (*Estimate, error) {
+			rows, err := soa.EstimateRows([][]int{a}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return rows[0][h], nil
+		}},
+		{"basis", func(a []int, h int) (*Estimate, error) {
+			if h == 0 {
+				arena.Release()
+				var err error
+				if shared, err = soa.NewBasis(arena, a); err != nil {
+					return nil, err
+				}
+			}
+			es, err := soa.EstimateBases([]*Basis{shared}, h, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			return es[0], nil
 		}},
 	}
 	f := func(seed int64) bool {
@@ -129,8 +145,12 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 // for, however far another hour has already extended the tape; extending
 // them later, in steps, bakes exactly the columns a one-shot bake gives;
 // two hours' latency and cost floors are bit-equal and only the carbon
-// floor folds the hour; and an hour whose floors go negative latches its
-// own pruning off without touching its neighbour's.
+// floor folds the hour; an hour whose floors go negative latches its own
+// pruning off without touching its neighbour's; and none of it depends on
+// how long a plan's basis already is — hour 0 extends plan 0's basis over
+// several batches, and hour 1, pricing that same basis, still looks ahead
+// one batch at its first boundary and prunes exactly what a fresh snapshot
+// prunes.
 func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	enableTelemetry(t)
 	base := &heavyTailInputs{richInputs(t)}
@@ -153,11 +173,26 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 		}
 	}
 
-	// Hour 0 extends the shared tape over several batches; hour 1 has asked
-	// for nothing yet, and its first batch must see a one-batch horizon.
-	e0, err := snap.Estimate(assigns[0], 0)
+	arena := NewBasisArena()
+	defer arena.Release()
+	bases := make([]*Basis, len(assigns))
+	for i, a := range assigns {
+		var err error
+		if bases[i], err = snap.NewBasis(arena, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Hour 0 extends the shared tape — and plan 0's basis — over several
+	// batches; hour 1 has asked for nothing yet, and its first batch must see
+	// a one-batch horizon.
+	es0, err := snap.EstimateBases(bases[:1], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	e0 := es0[0]
+	if bases[0].Samples() != e0.Samples {
+		t.Fatalf("plan 0's basis holds %d samples after a %d-sample estimate", bases[0].Samples(), e0.Samples)
 	}
 	if got := snap.tape.data.Load().n; got != e0.Samples || got < 3*BatchSize {
 		t.Fatalf("shared tape holds %d samples after a %d-sample estimate, want several batches", got, e0.Samples)
@@ -173,14 +208,39 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 		t.Errorf("bound_bake_samples = %d, want %d (hour 0 in full, hour 1 one batch)", baked, want)
 	}
 
-	// Pruning parity at hour 1 on the stepwise-extended sidecar.
+	// Pruning parity at hour 1 on the stepwise-extended sidecar, through the
+	// bases: plan 0's is already long, the others are empty.
 	prune := &BatchPrune{Metric: BatchCarbonMean, Threshold: []float64{math.Inf(1), 0, math.Inf(1)}}
-	got, err := snap.EstimateBatch(assigns, 1, prune)
+	p1, s1 := snap.tel.prunedCandidates.Value(), snap.tel.samples.Value()
+	got, err := snap.EstimateBases(bases, 1, prune, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[1] != nil {
 		t.Errorf("hour 1: threshold 0 should prune, got %+v", got[1])
+	}
+	if bases[1].Samples() != BatchSize {
+		t.Errorf("the pruned plan's basis holds %d samples, want the one batch it was abandoned at", bases[1].Samples())
+	}
+	// (The counters are process-wide: take the deltas before the next run.)
+	pruned1, samples1 := snap.tel.prunedCandidates.Value()-p1, snap.tel.samples.Value()-s1
+	cold := compile()
+	pc, sc := cold.tel.prunedCandidates.Value(), cold.tel.samples.Value()
+	coldGot, err := cold.EstimateBatch(assigns, 1, prune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if (got[i] == nil) != (coldGot[i] == nil) {
+			t.Errorf("hour 1 plan %d: pruned=%v over a long basis, %v on a fresh snapshot", i, got[i] == nil, coldGot[i] == nil)
+		}
+	}
+	if a, b := pruned1, cold.tel.prunedCandidates.Value()-pc; a != b {
+		t.Errorf("hour 1 pruned %d candidates over the bases, %d on a fresh snapshot", a, b)
+	}
+	// Plan 0 was replayed at hour 0 already: the bases replay that much less.
+	if a, b := samples1, cold.tel.samples.Value()-sc; a != b-int64(got[0].Samples) {
+		t.Errorf("hour 1 replayed %d samples over the bases, fresh snapshot %d, plan 0 alone %d", a, b, got[0].Samples)
 	}
 	for _, i := range []int{0, 2} {
 		want, err := snap.EstimateUntaped(assigns[i], 1)

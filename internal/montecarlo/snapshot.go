@@ -2,8 +2,8 @@ package montecarlo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"caribou/internal/carbon"
@@ -48,26 +48,18 @@ type Snapshot struct {
 
 	// tape is the solve's lazily compiled sample tape and tapes[h] the
 	// hour's sidecar over it (tape.go); both nil when tape replay is
-	// disabled and every Estimate takes the untaped reference path. Row
-	// sweeps (rows.go) replay tape directly and read a sidecar only for
-	// its pruning floors.
+	// disabled and every Estimate takes the untaped reference path. Replay
+	// (basis.go) reads tape directly; a sidecar is read only for its length
+	// and its pruning floors.
 	tape  *sampleTape
 	tapes []*hourTape
+	// replays counts the plan-batches replayed onto bases over this
+	// snapshot's life — one solve's — for the solver's span attributes.
+	replays atomic.Int64
 	// soaTapes selects the structure-of-arrays tape layout (the default);
 	// false keeps the array-of-structs reference layout. Flipped only via
 	// SetSoA, which drops any tapes compiled in the other layout.
 	soaTapes bool
-
-	// firstUse[n] is the smallest node index whose step reads assign[n]:
-	// n itself, lowered to the smallest direct-edge predecessor (staging
-	// and skip edges never read the target's assignment). The entry node
-	// is -1 — its assignment is read before the step loop. Delta replay
-	// (delta.go) resumes a neighbor differing at node k from the anchor
-	// checkpoint at boundary firstUse[k]. fuBounds lists the distinct
-	// values ≥ 1 ascending — the only possible resume boundaries, and the
-	// points anchors checkpoint.
-	firstUse []int32
-	fuBounds []int32
 
 	// scratchPool, snapPool, and accPool recycle the per-Estimate replay
 	// scratch, the untaped path's sampling scratch, and series accumulators
@@ -128,10 +120,10 @@ type Snapshot struct {
 	// txRF * (bytes/1e9) — the reference's route*factor*gb grouping — without
 	// touching the intensity vectors.
 	txRF [][]float64 // [hour][from*nR+to]
-	// intenT and rfT are intensity and txRF transposed hour-major —
-	// intenT[r*H+h], rfT[(from*nR+to)*H+h] — so the row kernel (rows.go)
-	// prices one tape event at every hour from one contiguous run.
-	intenT, rfT []float64
+	// allRegs and allPairs are the identity slot lists 0..nR-1 and
+	// 0..nR²-1: what the reference samplers, which accumulate energy and
+	// traffic densely, hand to priceSample (basis.go).
+	allRegs, allPairs []int32
 
 	tel mcTelemetry
 }
@@ -191,8 +183,17 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 	s.SetTapes(true)
 
 	n := s.nodes.Len()
-	s.scratchPool.New = func() any { return newReplayScratch(n) }
-	s.snapPool.New = func() any { return newSnapScratch(n) }
+	nR := s.nR
+	s.scratchPool.New = func() any { return newReplayScratch(n, nR) }
+	s.snapPool.New = func() any { return newSnapScratch(n, nR) }
+	s.allRegs = make([]int32, nR)
+	for i := range s.allRegs {
+		s.allRegs[i] = int32(i)
+	}
+	s.allPairs = make([]int32, nR*nR)
+	for i := range s.allPairs {
+		s.allPairs[i] = int32(i)
+	}
 	s.accPool.New = func() any { return new(seriesAcc) }
 	startIdx, _ := s.nodes.Index(d.Start())
 	s.start = startIdx
@@ -240,27 +241,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		}
 	}
 	s.entryBytes = in.EntryBytes().SortedValues()
-
-	s.firstUse = make([]int32, n)
-	for i := range s.firstUse {
-		s.firstUse[i] = int32(i)
-	}
-	s.firstUse[s.start] = -1
-	for p := 0; p < n; p++ {
-		for _, e := range s.outEdges[p] {
-			if !e.toSync && int32(p) < s.firstUse[e.to] {
-				s.firstUse[e.to] = int32(p)
-			}
-		}
-	}
-	seen := make(map[int32]bool, n)
-	for _, f := range s.firstUse {
-		if f >= 1 && !seen[f] {
-			seen[f] = true
-			s.fuBounds = append(s.fuBounds, f)
-		}
-	}
-	sort.Slice(s.fuBounds, func(a, b int) bool { return s.fuBounds[a] < s.fuBounds[b] })
 
 	book := in.CostBook()
 	s.kvAccess = make([]float64, s.nR)
@@ -331,7 +311,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		}
 		s.txRF[h] = rf
 	}
-	s.bakeHourTables()
 	s.bakeBoundTables()
 	return s, nil
 }
@@ -406,20 +385,39 @@ func (s *Snapshot) getAcc() *seriesAcc {
 
 func (s *Snapshot) putAcc(a *seriesAcc) { s.accPool.Put(a) }
 
-// rowAccPool recycles row accumulators across sweeps and across solves —
-// a snapshot lives for one solve, and a lane's series (hours × samples)
-// are the one sizeable allocation a row needs. Every slot is written
-// before it is read, so pooling cannot leak one plan's numbers into
-// another's.
-var rowAccPool = sync.Pool{New: func() any { return new(rowAcc) }}
+// hourAccPool recycles accumulators across sweeps and across solves. Every
+// slot is written before it is read, so pooling cannot leak one plan's
+// numbers into another's.
+var hourAccPool = sync.Pool{New: func() any { return new(hourAcc) }}
 
-func getRowAcc(hours int) *rowAcc {
-	a := rowAccPool.Get().(*rowAcc)
-	a.reset(hours)
+// getHourAcc readies a pooled accumulator for a lane over nh hours,
+// keeping the blocks earlier lanes of the same width grew it to.
+func getHourAcc(nh int) *hourAcc {
+	a := hourAccPool.Get().(*hourAcc)
+	if len(a.exSum) != nh {
+		sums := make([]float64, 3*nh)
+		a.exSum, a.txSum, a.carbSum = sums[:nh:nh], sums[nh:2*nh:2*nh], sums[2*nh:]
+		a.blocks = nil
+	}
+	clear(a.exSum)
+	clear(a.txSum)
+	clear(a.carbSum)
 	return a
 }
 
-func putRowAcc(a *rowAcc) { rowAccPool.Put(a) }
+func putHourAcc(a *hourAcc) { hourAccPool.Put(a) }
+
+// tmpPool recycles the percentile scratch of sweeps: one per sweep that
+// summarizes anything, so as many live as sweeps run at once.
+var tmpPool = sync.Pool{New: func() any { return new([MaxSamples]float64) }}
+
+func getTmp() *[MaxSamples]float64 { return tmpPool.Get().(*[MaxSamples]float64) }
+
+func putTmp(t *[MaxSamples]float64) { tmpPool.Put(t) }
+
+// ReplayedSamples reports how many tape samples have been replayed onto
+// plan bases so far: each once per plan, however many hours priced it.
+func (s *Snapshot) ReplayedSamples() int64 { return s.replays.Load() * BatchSize }
 
 // HourTime returns the solve instant at hour index h.
 func (s *Snapshot) HourTime(h int) time.Time { return s.hours[h] }
@@ -491,16 +489,26 @@ func (s *Snapshot) Assign(plan dag.Plan) ([]int, error) {
 // loop touches only the snapshot's baked slices, so estimates are pure
 // functions of (assign, h) and safe to compute concurrently. With tapes
 // enabled (the default) the plan is replayed against the solve's compiled
-// sample tape; the result is bit-identical to the untaped path either
-// way.
+// sample tape — a one-lane sweep (batch.go) over the column layout, sample
+// by sample over the record layout; the result is bit-identical to the
+// untaped path either way. Carbon is priced per sample from its energy by
+// region and gigabytes by region pair (basis.go), where Estimator.Estimate
+// prices every event: the two agree to summation order, ≈1e-15 relative.
 func (s *Snapshot) Estimate(assign []int, h int) (*Estimate, error) {
 	if err := s.checkArgs(assign, h); err != nil {
 		return nil, err
 	}
-	if s.tapes != nil {
+	switch {
+	case s.tapes == nil:
+		return s.estimateUntaped(assign, h)
+	case !s.soaTapes:
 		return s.estimateTaped(assign, h)
 	}
-	return s.estimateUntaped(assign, h)
+	ests, err := s.EstimateBatch([][]int{assign}, h, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ests[0], nil
 }
 
 // EstimateUntaped evaluates a dense assignment through the reference
@@ -544,7 +552,7 @@ func (s *Snapshot) estimateUntaped(assign []int, h int) (*Estimate, error) {
 	defer s.putAcc(acc)
 	for acc.samples() < MaxSamples {
 		for i := 0; i < BatchSize; i++ {
-			smp, err := s.sampleOnce(assign, s.intensity[h], rng, sc)
+			smp, err := s.sampleOnce(assign, h, rng, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -579,9 +587,12 @@ type snapScratch struct {
 	syncReady   []float64
 	syncStaged  []float64
 	skipStack   []snapEdge
+	// Dense energy-by-region and gigabytes-by-pair accumulators of the
+	// sample in flight, zeroed by priceDense.
+	kwh, gb []float64
 }
 
-func newSnapScratch(n int) *snapScratch {
+func newSnapScratch(n, nR int) *snapScratch {
 	return &snapScratch{
 		executed:    make([]bool, n),
 		skipped:     make([]bool, n),
@@ -590,6 +601,8 @@ func newSnapScratch(n int) *snapScratch {
 		finish:      make([]float64, n),
 		syncReady:   make([]float64, n),
 		syncStaged:  make([]float64, n),
+		kwh:         make([]float64, nR),
+		gb:          make([]float64, nR*nR),
 	}
 }
 
@@ -605,18 +618,21 @@ func (sc *snapScratch) reset() {
 	}
 }
 
-// sampleOnce simulates one invocation under the dense assignment. The
-// event sequence and RNG draw order replicate Estimator.sampleOnce
-// exactly; only the data representation differs.
-func (s *Snapshot) sampleOnce(assign []int, inten []float64, rng *simclock.Rand, sc *snapScratch) (sample, error) {
+// sampleOnce simulates one invocation under the dense assignment and
+// prices it at hour h. The event sequence and RNG draw order replicate
+// Estimator.sampleOnce exactly; the data representation differs, and
+// carbon is accumulated as energy by region and gigabytes by region pair
+// and priced once per sample (basis.go).
+func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapScratch) (sample, error) {
 	sc.reset()
 	var smp sample
 	home := s.home
 
 	txCarbon := func(from, to int, bytes float64) {
-		smp.txCarbon += s.tx.Carbon(inten[from], inten[to], from == to, bytes)
 		if bytes > 0 {
-			smp.cost += bytes / 1e9 * s.egressPerGB[from*s.nR+to]
+			q := bytes / 1e9
+			sc.gb[from*s.nR+to] += q
+			smp.cost += q * s.egressPerGB[from*s.nR+to]
 		}
 	}
 	transfer := func(from, to int, bytes float64) float64 {
@@ -669,6 +685,8 @@ func (s *Snapshot) sampleOnce(assign []int, inten []float64, rng *simclock.Rand,
 
 		r := assign[n]
 		if err := s.execErr[n*s.nR+r]; err != nil {
+			clear(sc.kwh)
+			clear(sc.gb)
 			return smp, err
 		}
 		dur := stats.SampleSorted(s.exec[n*s.nR+r], rng.Float64())
@@ -677,7 +695,7 @@ func (s *Snapshot) sampleOnce(assign []int, inten []float64, rng *simclock.Rand,
 		if sc.finish[n] > smp.latency {
 			smp.latency = sc.finish[n]
 		}
-		smp.execCarbon += carbon.ExecutionCarbon(inten[r], mem, dur, s.cpuUtil[n])
+		sc.kwh[r] += carbon.ExecutionEnergyKWh(mem, dur, s.cpuUtil[n])
 		if mem >= 0 && dur >= 0 {
 			smp.cost += mem/1024*dur*s.gbSecUSD[r] + s.reqUSD[r]
 		}
@@ -724,6 +742,7 @@ func (s *Snapshot) sampleOnce(assign []int, inten []float64, rng *simclock.Rand,
 			}
 		}
 	}
+	smp.execCarbon, smp.txCarbon = s.priceDense(h, sc.kwh, sc.gb)
 	return smp, nil
 }
 

@@ -43,7 +43,7 @@ import (
 // hour-to-hour plan differences reflect intensity, never sampling noise.
 // Memory is bounded by MaxSamples × (nodes + edges) records per solve.
 // Only what reads intensity[h]/txRF[h] stays per hour: the pruning-bound
-// columns and the delta anchor (hourTape).
+// columns (hourTape) and pricing (basis.go).
 
 // tapeStep flags.
 const (
@@ -204,17 +204,11 @@ func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 // carrying the hour's pruning-bound columns (bounds.go), extended only as
 // far as this hour's estimates have asked for — so its n, the look-ahead
 // horizon of the single-hour prune rule, never depends on what other hours
-// compiled (row sweeps pass their own horizon and ignore n; rows.go) — and
-// one delta-replay anchor (delta.go), invalidated whenever the base plan
-// changes. Both fold intensity[h]/txRF[h]; nothing else does.
+// compiled (row sweeps pass their own horizon and ignore n; rows.go). The
+// bound columns fold intensity[h]/txRF[h]; replay itself knows no hour.
 type hourTape struct {
 	mu   sync.Mutex // serializes header extensions
 	data atomic.Pointer[tapeData]
-
-	// anchorMu serializes anchor recording (TryLock: contenders replay
-	// plain rather than queue); anchor publishes the result.
-	anchorMu sync.Mutex
-	anchor   atomic.Pointer[deltaAnchor]
 }
 
 // ensure returns hour h's header over a shared-tape prefix of at least n
@@ -487,24 +481,34 @@ func (b *tapeBuilder) propagateSkip(s *Snapshot, edge snapEdge, syncs []int32) [
 	return syncs
 }
 
-// replayScratch holds the region-dependent per-sample times. Slots hold
-// real zeros between samples (reset is a pair of small memclears), so
-// every access is a plain indexed load/store with no per-access staleness
-// branch — measurably cheaper in the replay loop than the former epoch
-// stamping for the node counts real DAGs have.
+// replayScratch holds the region-dependent per-sample times and the dense
+// energy-by-region and gigabytes-by-pair accumulators of the sample in
+// flight. Time slots hold real zeros between samples (reset is a pair of
+// small memclears), so every access is a plain indexed load/store with no
+// per-access staleness branch; kwh and gb are zeroed by whoever consumes
+// the sample (commit, priceDense), which touches only what the sample did.
 type replayScratch struct {
 	start []float64
 	ready []float64
+	kwh   []float64 // per region
+	gb    []float64 // per region pair, from*nR+to
+	// buf backs the four vectors in that order, so the step kernel reaches
+	// all of a lane's state through one slice header.
+	buf []float64
 }
 
-func newReplayScratch(n int) *replayScratch {
+func newReplayScratch(n, nR int) *replayScratch {
+	buf := make([]float64, 2*n+nR+nR*nR)
 	return &replayScratch{
-		start: make([]float64, n),
-		ready: make([]float64, n),
+		start: buf[:n:n],
+		ready: buf[n : 2*n : 2*n],
+		kwh:   buf[2*n : 2*n+nR : 2*n+nR],
+		gb:    buf[2*n+nR:],
+		buf:   buf,
 	}
 }
 
-// reset zeroes all slots, the state the reference path starts a sample
+// reset zeroes the time slots, the state the reference path starts a sample
 // with. The fused loop stays an open-coded store sequence — a
 // single-slice clear loop would compile to a runtime memclr call, whose
 // fixed overhead dwarfs the handful of stores at real DAG sizes and
@@ -518,43 +522,22 @@ func (sc *replayScratch) reset() {
 	}
 }
 
-// estimateTaped mirrors estimateUntaped's batched stopping rule but
-// replays pre-compiled samples instead of drawing them, extending the
-// shared tape only as far as this plan's convergence requires.
+// estimateTaped is the array-of-structs layout's plan-at-a-time path: it
+// mirrors estimateUntaped's batched stopping rule but replays pre-compiled
+// samples instead of drawing them, extending the shared tape only as far as
+// this plan's convergence requires. (SoA tapes evaluate through sweeps,
+// batch.go.)
 func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 	t := s.tapes[h]
-	sc, sc2 := s.getScratch(), s.getScratch() // sc2: the pair replayers' second sample
+	sc := s.getScratch()
 	defer s.putScratch(sc)
-	defer s.putScratch(sc2)
-	inten := s.intensity[h]
 	acc := s.getAcc()
 	defer s.putAcc(acc)
 	for acc.samples() < MaxSamples {
 		need := acc.samples() + BatchSize
 		td := t.ensure(s, h, need)
-		i := acc.samples()
-		if td.soa != nil && !s.anyExecErr {
-			// Pairwise interleaved replay: two samples per iteration so
-			// their serial float chains overlap (see replaySoAPair). Only
-			// when no exec error can fire — error replays take the
-			// sequential path so failures surface at the reference step.
-			for ; i+1 < need; i += 2 {
-				a, b, err := s.replaySoAPair(td, i, h, assign, sc, sc2)
-				if err != nil {
-					return nil, err
-				}
-				acc.add(a)
-				acc.add(b)
-			}
-		}
-		for ; i < need; i++ {
-			var smp sample
-			var err error
-			if td.soa != nil {
-				smp, err = s.replaySoA(td, i, h, assign, sc, nil)
-			} else {
-				smp, err = s.replaySample(td, i, assign, inten, sc)
-			}
+		for i := acc.samples(); i < need; i++ {
+			smp, err := s.replaySample(td, i, h, assign, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -570,472 +553,21 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 	return acc.summarize()
 }
 
-// replaySoA evaluates recorded sample i against the column layout. The
-// arithmetic and its order match replaySample — and hence sampleOnce —
-// exactly; the duration quantile, energy intermediate, and execution cost
-// are read from the baked columns instead of being recomputed (identical
-// values by construction, see bakeStepCols). A non-nil rec captures
-// per-step checkpoints for delta replay (delta.go).
-func (s *Snapshot) replaySoA(td *tapeData, i, h int, assign []int, sc *replayScratch, rec *deltaAnchor) (sample, error) {
-	sc.reset()
-	var smp sample
-	home := s.home
-	nR := s.nR
-	rf := s.txRF[h]
-
-	entry := s.start
-	entryRegion := assign[entry]
-	entryBytes := td.entry[i]
-	smp.cost += s.dynReadUSD
-	smp.cost += s.snsUSD[home]
-	if entryBytes > 0 {
-		// txRF*entry9 is the reference's route*factor*(bytes/1e9) grouping
-		// with the quotient baked at transpose time.
-		q := td.soa.entry9[i]
-		smp.txCarbon += rf[home*nR+entryRegion] * q
-		smp.cost += q * s.egressPerGB[home*nR+entryRegion]
-	}
-	eb := entryBytes
-	if eb < 0 {
-		eb = 0
-	}
-	// Parenthesized so the transfer term is summed before being added to
-	// the access+overhead prefix, exactly as the reference's helper call.
-	sc.start[entry] = s.kvAccess[home] + s.msgOverhead + (s.txBase[home*nR+entryRegion] + eb*s.txPerByte[home*nR+entryRegion])
-
-	return s.runSoASteps(td, td.stepOff[i], td.stepOff[i+1], h, assign, sc, smp, rec)
-}
-
-// runSoASteps replays the step span [lo, hi) on top of smp and the
-// current scratch state. It is shared by full replay (span = whole
-// sample) and delta resume (span = the dirty suffix, state restored from
-// an anchor checkpoint). The body is deliberately closure-free — the
-// transfer-latency and transmission-carbon helpers of the reference path
-// are inlined against hoisted table slices — so the per-step accumulators
-// stay in registers; every addition still happens in the reference order.
-func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, sc *replayScratch, smp sample, rec *deltaAnchor) (sample, error) {
-	c := td.soa
-	home := s.home
-	nR := s.nR
-	inten := s.intensity[h]
-	rf := s.txRF[h]
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	hasErr := s.anyExecErr
-	// Column headers hoisted into locals so the loop indexes registers
-	// instead of re-loading slice headers through the *soaCols pointer.
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
-
-	for si := lo; si < hi; si++ {
-		n := int(nodeC[si])
-		if rec != nil {
-			// Checkpoint the state in force before this step executes;
-			// reading the step's node first does not alter it.
-			rec.record(si, int32(n), sc, &smp)
-		}
-		r := assign[n]
-		flags := flagsC[si]
-		var startN float64
-		if flags&stepSync != 0 {
-			staged := stagedC[si]
-			hr := home*nR + r
-			smp.cost += snsHome
-			smp.txCarbon += rf[hr] * (controlBytes / 1e9)
-			smp.cost += controlBytes / 1e9 * egress[hr]
-			arrive := sc.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
-			ld := staged
-			if ld < 0 {
-				ld = 0
-			}
-			load := s.kvAccess[r] + (txBase[hr] + ld*txPerByte[hr])
-			smp.cost += s.dynReadUSD
-			if staged > 0 {
-				q := aux9C[si]
-				smp.txCarbon += rf[hr] * q
-				smp.cost += q * egress[hr]
-			}
-			startN = arrive + load
-		} else {
-			startN = sc.start[n]
-		}
-
-		if hasErr {
-			if err := s.execErr[n*nR+r]; err != nil {
-				return smp, err
-			}
-		}
-		base := (int(si)*nR + r) * 3
-		dur := drcC[base]
-		finish := startN + dur
-		if finish > smp.latency {
-			smp.latency = finish
-		}
-		smp.execCarbon += inten[r] * drcC[base+1] * carbon.PUE
-		smp.cost += drcC[base+2]
-
-		if flags&stepOutput != 0 {
-			out := outC[si]
-			if out > 0 {
-				q := out9C[si]
-				rh := r*nR + home
-				smp.txCarbon += rf[rh] * q
-				smp.cost += q * egress[rh]
-			}
-			continue
-		}
-		eHi := edgeOffC[si+1]
-		for ei := edgeOffC[si]; ei < eHi; ei++ {
-			to := int(toC[ei])
-			switch kindC[ei] {
-			case tapeEdgeSkip:
-				for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-					sn := int(td.skipSyncs[k])
-					if finish > sc.ready[sn] {
-						sc.ready[sn] = finish
-					}
-				}
-				smp.cost += s.dynWriteUSD // skip annotation
-			case tapeEdgeStage:
-				b := bytesC[ei]
-				rh := r*nR + home
-				smp.cost += s.dynWriteUSD
-				smp.cost += s.dynWriteUSD
-				tb := b
-				if tb < 0 {
-					tb = 0
-				}
-				if b > 0 {
-					q := e9C[ei]
-					smp.txCarbon += rf[rh] * q
-					smp.cost += q * egress[rh]
-				}
-				ready := finish + (txBase[rh] + tb*txPerByte[rh]) + s.kvAccess[r]
-				if ready > sc.ready[to] {
-					sc.ready[to] = ready
-				}
-			case tapeEdgeDirect:
-				smp.cost += s.snsUSD[r]
-				total := bytesC[ei] + controlBytes
-				rt := r*nR + assign[to]
-				if total > 0 {
-					q := e9C[ei]
-					smp.txCarbon += rf[rt] * q
-					smp.cost += q * egress[rt]
-				}
-				tb := total
-				if tb < 0 {
-					tb = 0
-				}
-				arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-				if arrive > sc.start[to] {
-					sc.start[to] = arrive
-				}
-			}
-		}
-	}
-	return smp, nil
-}
-
-// replaySoAPair replays recorded samples i and i+1 together, executing one
-// step of each per loop iteration. Every addition, comparison, and their
-// order within each sample is exactly replaySoA's — the two samples are
-// data-independent, so interleaving their instruction streams changes no
-// result bit. It exists because the replay loop is bound by the latency of
-// its serial accumulator chains, not by issue width; overlapping two
-// independent chains recovers much of the stalled pipeline. Tails beyond
-// the common step count drain through runSoASteps. Callers must guarantee
-// no exec errors exist (s.anyExecErr false): the pair body omits the
-// per-step error check, so error surfacing stays on the sequential path.
-func (s *Snapshot) replaySoAPair(td *tapeData, i, h int, assign []int, scA, scB *replayScratch) (sample, sample, error) {
-	scA.reset()
-	scB.reset()
-	var smpA, smpB sample
-	home := s.home
-	nR := s.nR
-	rf := s.txRF[h]
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	kvAccess := s.kvAccess
-	dynRead := s.dynReadUSD
-	c := td.soa
-
-	entry := s.start
-	entryRegion := assign[entry]
-	he := home*nR + entryRegion
-	entryA, entryB := td.entry[i], td.entry[i+1]
-	smpA.cost += dynRead
-	smpA.cost += snsHome
-	smpB.cost += dynRead
-	smpB.cost += snsHome
-	if entryA > 0 {
-		q := c.entry9[i]
-		smpA.txCarbon += rf[he] * q
-		smpA.cost += q * egress[he]
-	}
-	if entryB > 0 {
-		q := c.entry9[i+1]
-		smpB.txCarbon += rf[he] * q
-		smpB.cost += q * egress[he]
-	}
-	ebA, ebB := entryA, entryB
-	if ebA < 0 {
-		ebA = 0
-	}
-	if ebB < 0 {
-		ebB = 0
-	}
-	scA.start[entry] = kvAccess[home] + msgOverhead + (txBase[he] + ebA*txPerByte[he])
-	scB.start[entry] = kvAccess[home] + msgOverhead + (txBase[he] + ebB*txPerByte[he])
-
-	return s.runSoAStepsPair(td, td.stepOff[i], td.stepOff[i+1], td.stepOff[i+1], td.stepOff[i+2], h, assign, scA, scB, smpA, smpB)
-}
-
-// runSoAStepsPair is runSoASteps for two independent spans at once: one
-// step of each per iteration, each span's arithmetic in exactly the
-// sequential order. Shared by pair replay (full spans) and pair resume
-// (dirty suffixes). Tails beyond the common step count drain through
-// runSoASteps. Callers must guarantee no exec errors exist.
-func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int, assign []int, scA, scB *replayScratch, smpA, smpB sample) (sample, sample, error) {
-	home := s.home
-	nR := s.nR
-	inten := s.intensity[h]
-	rf := s.txRF[h]
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	kvAccess := s.kvAccess
-	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
-	snsUSD := s.snsUSD
-	c := td.soa
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
-	skipS := td.skipSyncs
-
-	for siA < hiA && siB < hiB {
-		{ // one step of sample A
-			n := int(nodeC[siA])
-			r := assign[n]
-			flags := flagsC[siA]
-			var startN float64
-			if flags&stepSync != 0 {
-				staged := stagedC[siA]
-				hr := home*nR + r
-				smpA.cost += snsHome
-				smpA.txCarbon += rf[hr] * (controlBytes / 1e9)
-				smpA.cost += controlBytes / 1e9 * egress[hr]
-				arrive := scA.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
-				ld := staged
-				if ld < 0 {
-					ld = 0
-				}
-				load := kvAccess[r] + (txBase[hr] + ld*txPerByte[hr])
-				smpA.cost += dynRead
-				if staged > 0 {
-					q := aux9C[siA]
-					smpA.txCarbon += rf[hr] * q
-					smpA.cost += q * egress[hr]
-				}
-				startN = arrive + load
-			} else {
-				startN = scA.start[n]
-			}
-			base := (int(siA)*nR + r) * 3
-			finish := startN + drcC[base]
-			if finish > smpA.latency {
-				smpA.latency = finish
-			}
-			smpA.execCarbon += inten[r] * drcC[base+1] * carbon.PUE
-			smpA.cost += drcC[base+2]
-			if flags&stepOutput != 0 {
-				out := outC[siA]
-				if out > 0 {
-					q := out9C[siA]
-					rh := r*nR + home
-					smpA.txCarbon += rf[rh] * q
-					smpA.cost += q * egress[rh]
-				}
-			} else {
-				eHi := edgeOffC[siA+1]
-				for ei := edgeOffC[siA]; ei < eHi; ei++ {
-					to := int(toC[ei])
-					switch kindC[ei] {
-					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
-							if finish > scA.ready[sn] {
-								scA.ready[sn] = finish
-							}
-						}
-						smpA.cost += dynWrite // skip annotation
-					case tapeEdgeStage:
-						b := bytesC[ei]
-						rh := r*nR + home
-						smpA.cost += dynWrite
-						smpA.cost += dynWrite
-						tb := b
-						if tb < 0 {
-							tb = 0
-						}
-						if b > 0 {
-							q := e9C[ei]
-							smpA.txCarbon += rf[rh] * q
-							smpA.cost += q * egress[rh]
-						}
-						ready := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if ready > scA.ready[to] {
-							scA.ready[to] = ready
-						}
-					case tapeEdgeDirect:
-						smpA.cost += snsUSD[r]
-						total := bytesC[ei] + controlBytes
-						rt := r*nR + assign[to]
-						if total > 0 {
-							q := e9C[ei]
-							smpA.txCarbon += rf[rt] * q
-							smpA.cost += q * egress[rt]
-						}
-						tb := total
-						if tb < 0 {
-							tb = 0
-						}
-						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > scA.start[to] {
-							scA.start[to] = arrive
-						}
-					}
-				}
-			}
-			siA++
-		}
-		{ // one step of sample B — mirror of the block above
-			n := int(nodeC[siB])
-			r := assign[n]
-			flags := flagsC[siB]
-			var startN float64
-			if flags&stepSync != 0 {
-				staged := stagedC[siB]
-				hr := home*nR + r
-				smpB.cost += snsHome
-				smpB.txCarbon += rf[hr] * (controlBytes / 1e9)
-				smpB.cost += controlBytes / 1e9 * egress[hr]
-				arrive := scB.ready[n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
-				ld := staged
-				if ld < 0 {
-					ld = 0
-				}
-				load := kvAccess[r] + (txBase[hr] + ld*txPerByte[hr])
-				smpB.cost += dynRead
-				if staged > 0 {
-					q := aux9C[siB]
-					smpB.txCarbon += rf[hr] * q
-					smpB.cost += q * egress[hr]
-				}
-				startN = arrive + load
-			} else {
-				startN = scB.start[n]
-			}
-			base := (int(siB)*nR + r) * 3
-			finish := startN + drcC[base]
-			if finish > smpB.latency {
-				smpB.latency = finish
-			}
-			smpB.execCarbon += inten[r] * drcC[base+1] * carbon.PUE
-			smpB.cost += drcC[base+2]
-			if flags&stepOutput != 0 {
-				out := outC[siB]
-				if out > 0 {
-					q := out9C[siB]
-					rh := r*nR + home
-					smpB.txCarbon += rf[rh] * q
-					smpB.cost += q * egress[rh]
-				}
-			} else {
-				eHi := edgeOffC[siB+1]
-				for ei := edgeOffC[siB]; ei < eHi; ei++ {
-					to := int(toC[ei])
-					switch kindC[ei] {
-					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
-							if finish > scB.ready[sn] {
-								scB.ready[sn] = finish
-							}
-						}
-						smpB.cost += dynWrite // skip annotation
-					case tapeEdgeStage:
-						b := bytesC[ei]
-						rh := r*nR + home
-						smpB.cost += dynWrite
-						smpB.cost += dynWrite
-						tb := b
-						if tb < 0 {
-							tb = 0
-						}
-						if b > 0 {
-							q := e9C[ei]
-							smpB.txCarbon += rf[rh] * q
-							smpB.cost += q * egress[rh]
-						}
-						ready := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if ready > scB.ready[to] {
-							scB.ready[to] = ready
-						}
-					case tapeEdgeDirect:
-						smpB.cost += snsUSD[r]
-						total := bytesC[ei] + controlBytes
-						rt := r*nR + assign[to]
-						if total > 0 {
-							q := e9C[ei]
-							smpB.txCarbon += rf[rt] * q
-							smpB.cost += q * egress[rt]
-						}
-						tb := total
-						if tb < 0 {
-							tb = 0
-						}
-						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > scB.start[to] {
-							scB.start[to] = arrive
-						}
-					}
-				}
-			}
-			siB++
-		}
-	}
-	var err error
-	if siA < hiA {
-		if smpA, err = s.runSoASteps(td, siA, hiA, h, assign, scA, smpA, nil); err != nil {
-			return smpA, smpB, err
-		}
-	}
-	if siB < hiB {
-		if smpB, err = s.runSoASteps(td, siB, hiB, h, assign, scB, smpB, nil); err != nil {
-			return smpA, smpB, err
-		}
-	}
-	return smpA, smpB, nil
-}
-
-// replaySample evaluates recorded sample i under the dense assignment.
-// The arithmetic — every addition, comparison, and their order — matches
-// sampleOnce exactly; only the draws are read from the tape.
-func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float64, sc *replayScratch) (sample, error) {
+// replaySample evaluates recorded sample i under the dense assignment and
+// prices it at hour h. The arithmetic — every addition, comparison, and
+// their order — matches sampleOnce exactly; only the draws are read from
+// the tape.
+func (s *Snapshot) replaySample(td *tapeData, i, h int, assign []int, sc *replayScratch) (sample, error) {
 	sc.reset()
 	var smp sample
 	home := s.home
 	nR := s.nR
 
-	txCarbon := func(from, to int, bytes float64) {
-		smp.txCarbon += s.tx.Carbon(inten[from], inten[to], from == to, bytes)
+	traffic := func(from, to int, bytes float64) {
 		if bytes > 0 {
-			smp.cost += bytes / 1e9 * s.egressPerGB[from*nR+to]
+			q := bytes / 1e9
+			sc.gb[from*nR+to] += q
+			smp.cost += q * s.egressPerGB[from*nR+to]
 		}
 	}
 	transfer := func(from, to int, bytes float64) float64 {
@@ -1050,7 +582,7 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 	entryBytes := td.entry[i]
 	smp.cost += s.dynReadUSD
 	smp.cost += s.snsUSD[home]
-	txCarbon(home, entryRegion, entryBytes)
+	traffic(home, entryRegion, entryBytes)
 	sc.start[entry] = s.kvAccess[home] + s.msgOverhead + transfer(home, entryRegion, entryBytes)
 
 	for si := td.stepOff[i]; si < td.stepOff[i+1]; si++ {
@@ -1061,17 +593,19 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 		if st.flags&stepSync != 0 {
 			staged := st.staged
 			smp.cost += s.snsUSD[home]
-			txCarbon(home, r, controlBytes)
+			traffic(home, r, controlBytes)
 			arrive := sc.ready[n] + s.msgOverhead + transfer(home, r, controlBytes)
 			load := s.kvAccess[r] + transfer(home, r, staged)
 			smp.cost += s.dynReadUSD
-			txCarbon(home, r, staged)
+			traffic(home, r, staged)
 			startN = arrive + load
 		} else {
 			startN = sc.start[n]
 		}
 
 		if err := s.execErr[n*nR+r]; err != nil {
+			clear(sc.kwh)
+			clear(sc.gb)
 			return smp, err
 		}
 		dur := stats.SampleSorted(s.exec[n*nR+r], st.u)
@@ -1080,13 +614,13 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 		if finish > smp.latency {
 			smp.latency = finish
 		}
-		smp.execCarbon += carbon.ExecutionCarbonFromFactors(inten[r], s.execMemKW[n], s.execProcKW[n], dur)
+		sc.kwh[r] += carbon.ExecutionEnergyKWh(mem, dur, s.cpuUtil[n])
 		if mem >= 0 && dur >= 0 {
 			smp.cost += mem/1024*dur*s.gbSecUSD[r] + s.reqUSD[r]
 		}
 
 		if st.flags&stepOutput != 0 {
-			txCarbon(r, home, st.out)
+			traffic(r, home, st.out)
 			continue
 		}
 		for ei := st.edgeOff; ei < st.edgeEnd; ei++ {
@@ -1104,7 +638,7 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 			case tapeEdgeStage:
 				smp.cost += s.dynWriteUSD
 				smp.cost += s.dynWriteUSD
-				txCarbon(r, home, e.bytes)
+				traffic(r, home, e.bytes)
 				ready := finish + transfer(r, home, e.bytes) + s.kvAccess[r]
 				if ready > sc.ready[to] {
 					sc.ready[to] = ready
@@ -1112,7 +646,7 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 			case tapeEdgeDirect:
 				smp.cost += s.snsUSD[r]
 				total := e.bytes + controlBytes
-				txCarbon(r, assign[to], total)
+				traffic(r, assign[to], total)
 				arrive := finish + s.msgOverhead + transfer(r, assign[to], total)
 				if arrive > sc.start[to] {
 					sc.start[to] = arrive
@@ -1120,5 +654,6 @@ func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float
 			}
 		}
 	}
+	smp.execCarbon, smp.txCarbon = s.priceDense(h, sc.kwh, sc.gb)
 	return smp, nil
 }

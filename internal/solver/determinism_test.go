@@ -69,14 +69,14 @@ func TestSolveHourlyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestSolveDeterministicAcrossEvalModes is the PR-wide bit-identity grid:
-// worker counts 1 and 8 crossed with every evaluation mode — batched SoA
-// sweeps with exact pruning (the default), per-plan evaluation (nobatch),
-// delta replay off (nodelta), the array-of-structs tape layout (nosoa),
-// and the untaped reference estimator — must all produce exactly the same
-// 24 hourly plans and bit-identical estimates. Each mode is defined as a
-// pure reorganization of the reference arithmetic (batching shares column
-// loads, pruning only abandons candidates a bound proves rejected), and
-// this test is the contract.
+// worker counts 1 and 8 crossed with every evaluation mode — shared sweeps
+// over per-plan bases with exact pruning (the default), per-(plan, hour)
+// evaluation (nobatch), the array-of-structs tape layout (nosoa), and the
+// untaped reference estimator — must all produce exactly the same 24
+// hourly plans and bit-identical estimates. Each mode is defined as a pure
+// reorganization of the reference arithmetic (sweeps share column loads
+// and replays, pruning only abandons candidates a bound proves rejected),
+// and this test is the contract.
 func TestSolveDeterministicAcrossEvalModes(t *testing.T) {
 	in := chainInputs(t, 6)
 	modes := []struct {
@@ -85,7 +85,6 @@ func TestSolveDeterministicAcrossEvalModes(t *testing.T) {
 	}{
 		{"batch", func(*Config) {}},
 		{"nobatch", func(c *Config) { c.NoBatchEval = true }},
-		{"nodelta", func(c *Config) { c.NoDeltaEval = true }},
 		{"nosoa", func(c *Config) { c.NoSoATape = true }},
 		{"untaped", func(c *Config) { c.UntapedEstimates = true }},
 	}

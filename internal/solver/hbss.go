@@ -26,12 +26,14 @@ const (
 const hbssBatch = 16
 
 // pruneMargin is the relative slack added to every prune threshold. The
-// bound replay itself is float-exact (bounds.go), but the prefix-sum
-// floors are accumulated in a different association than the lane's own
-// running sum, and inverting acceptWorse's exp into a metric cutoff
-// crosses exp/ln once; both slacks are O(n·ε) ≈ 1e-13 relative, absorbed
-// with four orders of magnitude to spare. The margin only ever keeps a
-// candidate alive longer — never prunes one the reference would accept.
+// bound replay's latency and cost floors are float-exact (bounds.go), but
+// its carbon floor sums events where a sample's carbon is priced from
+// per-region and per-pair totals, the prefix-sum floors are accumulated
+// in a different association than the lane's own running sum, and
+// inverting acceptWorse's exp into a metric cutoff crosses exp/ln once;
+// all three slacks are O(n·ε) ≈ 1e-13 relative, absorbed with four orders
+// of magnitude to spare. The margin only ever keeps a candidate alive
+// longer — never prunes one the reference would accept.
 const pruneMargin = 1e-9
 
 // clampDenom mirrors acceptWorse's denominator guard: the relative
@@ -90,17 +92,20 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 	labelPrefix := "solver/" + strconv.FormatInt(atUnix, 10) + "/"
 	labelBuf := make([]byte, 0, len(labelPrefix)+20)
 
-	type proposal struct {
-		assign  []int
-		key     string
-		uAccept float64
-	}
-
 	gamma := gammaInit
 	current := home
 	best := home
 	seen := map[string]bool{assignKey(home.assign): true}
 	explored := int64(1)
+
+	// A round's proposals, their memo keys (computed once, shared with the
+	// memo lookup), prune thresholds and pre-drawn acceptance uniforms live
+	// in four buffers reused by every round. The proposed assignments
+	// themselves are handed to the memo and never touched again.
+	assigns := make([][]int, 0, hbssBatch)
+	keys := make([]string, 0, hbssBatch)
+	thrs := make([]float64, 0, hbssBatch)
+	uAccept := make([]float64, 0, hbssBatch)
 
 	for iter := 0; iter < alpha; {
 		end := iter + hbssBatch
@@ -111,9 +116,7 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 		// derived from; the acceptance loop re-checks its premise before
 		// honoring a pruned (nil) estimate.
 		m0 := metricOf(current.est, s.obj.Priority)
-		props := make([]proposal, 0, end-iter)
-		assigns := make([][]int, 0, end-iter)
-		thrs := make([]float64, 0, end-iter)
+		assigns, keys, thrs, uAccept = assigns[:0], keys[:0], thrs[:0], uAccept[:0]
 		for i := iter; i < end; i++ {
 			labelBuf = append(labelBuf[:0], labelPrefix...)
 			labelBuf = strconv.AppendInt(labelBuf, int64(i), 10)
@@ -121,30 +124,29 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 			nd := c.propose(current.assign, ranked, rng)
 			u := rng.Float64()
 			rng.Release()
-			props = append(props, proposal{nd, assignKey(nd), u})
 			assigns = append(assigns, nd)
+			keys = append(keys, assignKey(nd))
 			thrs = append(thrs, pruneThreshold(m0, gamma, u))
+			uAccept = append(uAccept, u)
 		}
 		iter = end
 
-		// Previously seen plans are already memoized, so evaluating the
-		// whole round costs only its fresh plans. Neighbor proposals all
-		// derive from the round-start incumbent, so its plan anchors the
-		// delta evaluations (single-node diffs resume from the anchor's
-		// checkpoints; wider perturbations fall back to full replay
-		// inside EstimateDelta).
+		// Previously seen (plan, hour) pairs are memoized and plans some
+		// other hour already replayed are priced from their bases, so
+		// evaluating the whole round replays only the plans new to the
+		// solve — together, in one sweep.
 		s.tel.hbssBatches.Inc()
-		ests, err := c.evalAllPruned(current.assign, current.est, assigns, h, thrs)
+		ests, err := c.evalAllPruned(assigns, keys, h, thrs)
 		if err != nil {
 			return denseResult{}, err
 		}
 
 		// Sequential acceptance replay, identical at any worker count.
-		for j, p := range props {
-			if seen[p.key] {
+		for j, key := range keys {
+			if seen[key] {
 				continue
 			}
-			seen[p.key] = true
+			seen[key] = true
 			explored++
 			est := ests[j]
 			if est == nil {
@@ -164,16 +166,16 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 					continue
 				}
 				var eerr error
-				if est, eerr = c.estimate(p.assign, h); eerr != nil {
+				if est, eerr = c.estimate(assigns[j], h); eerr != nil {
 					return denseResult{}, eerr
 				}
 			}
 			if s.violates(est, home.est) {
 				continue
 			}
-			cand := denseResult{p.assign, est}
+			cand := denseResult{assigns[j], est}
 			accept := metricOf(cand.est, s.obj.Priority) < metricOf(current.est, s.obj.Priority) ||
-				acceptWorse(p.uAccept, gamma, current, cand, s.obj.Priority)
+				acceptWorse(uAccept[j], gamma, current, cand, s.obj.Priority)
 			if accept {
 				current = cand
 				gamma *= gammaCool

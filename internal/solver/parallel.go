@@ -15,12 +15,11 @@ import (
 // enumeration is cheaper than sampling.
 const exhaustiveCutoff = 256
 
-// evalChunk bounds how many deduplicated evaluation jobs one batched
-// sweep carries (EstimateBatch/EstimateBatchDelta lanes, EstimateRows
-// rows), whatever the worker count. An HBSS round's fresh proposals
-// (≤ hbssBatch) always fit one chunk; longer job lists split into
-// chunk-grained goroutines so the worker bound still applies. Chunk
-// boundaries depend only on the job order, never on scheduling.
+// evalChunk bounds how many plans one EstimateRows sweep carries, whatever
+// the worker count: longer job lists split into chunk-grained goroutines so
+// the worker bound still applies. Chunk boundaries depend only on the job
+// order, never on scheduling. (An HBSS round's ≤ hbssBatch proposals are
+// one EstimateBases sweep.)
 const evalChunk = 16
 
 // rowSeries bounds what one EstimateRows chunk holds in flight, in hour
@@ -35,8 +34,8 @@ const rowSeries = 96
 
 // search is the per-solve context: the compiled evaluation snapshot,
 // dense per-stage eligibility, the (plan, hour) estimate memo shared
-// across HBSS, exhaustive enumeration, and all hourly solves, and the
-// semaphore bounding concurrent evaluations.
+// across HBSS, exhaustive enumeration, and all hourly solves, the per-plan
+// basis memo under it, and the semaphore bounding concurrent evaluations.
 //
 // Determinism: a plan estimate is a pure function of (assignment, hour) —
 // the Monte Carlo stream is derived from (seed, workflow), never from
@@ -49,21 +48,35 @@ type search struct {
 	elig  [][]int // per dense node index: eligible region indices
 	space int64
 
-	// delta routes HBSS neighbor evaluations through
-	// montecarlo.EstimateDelta anchored at the round's incumbent plan;
-	// disabled by Config.NoDeltaEval and implied off by NoSoATape and
-	// UntapedEstimates (delta replay resumes SoA tape checkpoints).
-	delta bool
-	// batch routes grouped evaluations through the shared-sweep batch
-	// replayers with bound-based pruning (montecarlo.EstimateBatch);
-	// disabled by Config.NoBatchEval and implied off by NoSoATape and
-	// UntapedEstimates (the batch sweep walks SoA columns).
+	// batch routes grouped evaluations through shared sweeps with
+	// bound-based pruning (montecarlo.EstimateBases/EstimateRows); disabled
+	// by Config.NoBatchEval and implied off by NoSoATape and
+	// UntapedEstimates (sweeps walk SoA columns).
 	batch bool
 
 	mu    sync.Mutex
 	cache map[memoKey]*montecarlo.Estimate
+	// bases memoizes, per plan, its hour-free replay (montecarlo.Basis): the
+	// first hour that wants a plan replays it, every later hour prices the
+	// cached series, and the basis grows only when an hour needs a batch
+	// boundary no earlier hour reached. Blocks come from arena; release
+	// drops both when the solve returns.
+	bases map[string]*montecarlo.Basis
+	arena *montecarlo.BasisArena
+	// rowPlans counts the plans evalRows swept (their bases live only for
+	// the sweep), for the solve span's plans attribute.
+	rowPlans int64
 
-	sem chan struct{} // bounds concurrent Estimate calls across all hours
+	// sem bounds concurrent Monte Carlo replay across all hours; nil on a
+	// serial solver, which runs everything inline.
+	sem chan struct{}
+}
+
+// release returns the basis slabs to their pool; the bases are dead
+// afterwards. Solve entry points defer it.
+func (c *search) release() {
+	c.arena.Release()
+	c.bases = nil
 }
 
 // memoKey identifies one (plan, hour) evaluation.
@@ -120,21 +133,25 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 			elig[i] = append(elig[i], idx)
 		}
 	}
-	return &search{
+	c := &search{
 		s:     s,
 		snap:  snap,
 		elig:  elig,
 		space: s.searchSpace(),
-		delta: !s.nodelta && !s.nosoa && !s.untaped,
 		batch: !s.nobatch && !s.nosoa && !s.untaped,
 		cache: make(map[memoKey]*montecarlo.Estimate),
-		sem:   make(chan struct{}, s.workers),
-	}, nil
+		bases: make(map[string]*montecarlo.Basis),
+		arena: montecarlo.NewBasisArena(),
+	}
+	if s.workers > 1 {
+		c.sem = make(chan struct{}, s.workers)
+	}
+	return c, nil
 }
 
 // estimate evaluates a single assignment at hour h through the memo.
 func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
-	ests, err := c.evalAllPruned(nil, nil, [][]int{assign}, h, nil)
+	ests, err := c.evalAllPruned([][]int{assign}, []string{assignKey(assign)}, h, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +164,7 @@ func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
 // coordinators fan out at once.
 func (c *search) forEach(n int, fn func(i int)) {
 	switch {
-	case c.s.workers <= 1:
+	case c.sem == nil:
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -183,119 +200,119 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 	}
 }
 
-// evalAllPruned returns estimates for the assignments at hour h: memo
-// hits are returned directly, misses are deduplicated and computed —
-// concurrently when more than one worker is configured, bounded by the
-// shared semaphore — then memoized. Errors surface in first-assignment
-// order so failure behaviour is as deterministic as success.
+// evalAllPruned returns estimates for the assignments at hour h (keys are
+// their assignKeys, computed once by the caller): memo hits are returned
+// directly, misses are deduplicated, computed, and memoized. Errors surface
+// in first-assignment order so failure behaviour is as deterministic as
+// success. The assignments are retained, never copied: callers hand over
+// slices they will not modify.
 //
-// When delta replay is enabled and a base plan (with its estimate) is
-// supplied, misses are computed against it (EstimateDelta) instead of by
-// full replay; delta results are bit-identical, so memo entries stay
-// interchangeable regardless of which path produced them.
-//
-// thr carries per-assignment abandonment thresholds (nil, or +Inf entries,
-// disable pruning). With batch evaluation enabled, misses are evaluated in
-// evalChunk-sized groups through one shared tape sweep each; a returned
-// nil estimate means the sweep proved that candidate's priority metric
-// exceeds its threshold. Pruned results are never memoized — the proof
-// is relative to this call's thresholds — so out[i] stays nil for every
-// occurrence of a pruned plan. A duplicated assignment's job carries the
-// threshold of its first unmemoized occurrence; that is the only
-// occurrence whose estimate the HBSS acceptance loop can reach (later
+// With batch evaluation enabled a miss is priced from its plan's basis
+// (montecarlo.EstimateBases): plans new to the solve replay their first
+// batch together in one shared sweep, a plan some hour already replayed
+// costs only the pricing of this hour, and a basis another hour's
+// coordinator is working on is waited for without holding an evaluation
+// slot — the calling coordinator holds none; replay takes one inside the
+// sweep, after the basis lock. thr carries per-assignment abandonment
+// thresholds (nil, or +Inf entries, disable pruning): a returned nil
+// estimate means the sweep proved that candidate's priority metric exceeds
+// its threshold. Pruned results are never memoized — the proof is relative
+// to this call's thresholds — so out[i] stays nil for every occurrence of a
+// pruned plan, and the basis stays usable. A duplicated assignment's job
+// carries the threshold of its first unmemoized occurrence; that is the
+// only occurrence whose estimate the HBSS acceptance loop can reach (later
 // duplicates fail its seen check), so the sharing cannot leak a prune
-// decision across different thresholds.
-func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, assigns [][]int, h int, thr []float64) ([]*montecarlo.Estimate, error) {
+// decision across different thresholds. On the reference paths every miss
+// is a plain Estimate under an evaluation slot, unpruned.
+func (c *search) evalAllPruned(assigns [][]int, keys []string, h int, thr []float64) ([]*montecarlo.Estimate, error) {
 	out := make([]*montecarlo.Estimate, len(assigns))
-	keys := make([]string, len(assigns))
-	type job struct {
-		assign []int
-		key    string
-		thr    float64
+	jobs := make([]int, 0, len(assigns)) // first unmemoized occurrence of each plan
+	var bases []*montecarlo.Basis
+	var ts []float64
+	if c.batch {
+		bases = make([]*montecarlo.Basis, 0, len(assigns))
+		ts = make([]float64, 0, len(assigns))
 	}
-	var jobs []job
-	hits := int64(0)
-	pending := map[string]bool{}
+	var hits, basisHits int64
 	c.mu.Lock()
-	for i, a := range assigns {
-		k := assignKey(a)
-		keys[i] = k
+next:
+	for i, k := range keys {
 		if est, ok := c.cache[memoKey{k, h}]; ok {
 			out[i] = est
 			hits++
 			continue
 		}
-		if !pending[k] {
-			pending[k] = true
-			t := math.Inf(1)
-			if thr != nil {
-				t = thr[i]
+		for _, j := range jobs {
+			if keys[j] == k {
+				continue next
 			}
-			jobs = append(jobs, job{append([]int(nil), a...), k, t})
 		}
+		jobs = append(jobs, i)
+		if !c.batch {
+			continue
+		}
+		b := c.bases[k]
+		if b == nil {
+			var err error
+			if b, err = c.snap.NewBasis(c.arena, assigns[i]); err != nil {
+				c.mu.Unlock()
+				return nil, err
+			}
+			c.bases[k] = b
+		} else {
+			basisHits++
+		}
+		bases = append(bases, b)
+		t := math.Inf(1)
+		if thr != nil {
+			t = thr[i]
+		}
+		ts = append(ts, t)
 	}
 	c.mu.Unlock()
 	c.s.tel.memoHits.Add(hits)
+	c.s.tel.basisHits.Add(basisHits)
 	c.s.tel.estimates.Add(int64(len(jobs)))
 	if len(jobs) == 0 {
 		return out, nil
 	}
 
-	ests := make([]*montecarlo.Estimate, len(jobs))
-	errs := make([]error, len(jobs))
+	var ests []*montecarlo.Estimate
 	if c.batch {
-		c.forEach((len(jobs)+evalChunk-1)/evalChunk, func(k int) {
-			lo, hi := k*evalChunk, min((k+1)*evalChunk, len(jobs))
-			as := make([][]int, hi-lo)
-			ts := make([]float64, hi-lo)
-			for j := lo; j < hi; j++ {
-				as[j-lo] = jobs[j].assign
-				ts[j-lo] = jobs[j].thr
-			}
-			prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
-			var es []*montecarlo.Estimate
-			var err error
-			if c.delta && baseAssign != nil {
-				es, err = c.snap.EstimateBatchDelta(baseEst, baseAssign, as, h, prune)
-			} else {
-				es, err = c.snap.EstimateBatch(as, h, prune)
-			}
-			for j := lo; j < hi; j++ {
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				ests[j] = es[j-lo]
-			}
-		})
-	} else {
-		c.forEach(len(jobs), func(j int) {
-			if c.delta && baseAssign != nil {
-				ests[j], errs[j] = c.snap.EstimateDelta(baseEst, baseAssign, jobs[j].assign, h)
-			} else {
-				ests[j], errs[j] = c.snap.Estimate(jobs[j].assign, h)
-			}
-		})
-	}
-	for _, err := range errs {
-		if err != nil {
+		prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
+		var err error
+		if ests, err = c.snap.EstimateBases(bases, h, prune, c.sem); err != nil {
 			return nil, err
+		}
+	} else {
+		ests = make([]*montecarlo.Estimate, len(jobs))
+		errs := make([]error, len(jobs))
+		c.forEach(len(jobs), func(j int) {
+			ests[j], errs[j] = c.snap.Estimate(assigns[jobs[j]], h)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	computed := make(map[string]*montecarlo.Estimate, len(jobs))
 	c.mu.Lock()
-	for j := range jobs {
-		if ests[j] == nil {
-			continue // pruned: valid only against this call's thresholds
+	for j, i := range jobs {
+		if ests[j] != nil { // nil: pruned, valid only against this call's thresholds
+			c.cache[memoKey{keys[i], h}] = ests[j]
 		}
-		c.cache[memoKey{jobs[j].key, h}] = ests[j]
-		computed[jobs[j].key] = ests[j]
 	}
 	c.mu.Unlock()
 	for i := range out {
-		if out[i] == nil {
-			out[i] = computed[keys[i]]
+		if out[i] != nil {
+			continue
+		}
+		for j, first := range jobs {
+			if keys[first] == keys[i] {
+				out[i] = ests[j]
+				break
+			}
 		}
 	}
 	return out, nil
@@ -348,6 +365,7 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*mon
 	if len(jobs) == 0 {
 		return rows, nil
 	}
+	c.rowPlans += int64(len(jobs))
 
 	ests := make([][]*montecarlo.Estimate, len(jobs))
 	errs := make([]error, len(jobs))
@@ -427,7 +445,7 @@ func (c *search) solveAllHours() ([]Result, error) {
 		best, err := c.solveHBSS(h, denseResult{homeAssign, homeEst})
 		results[h], errs[h] = Result{c.snap.PlanOf(best.assign), best.est}, err
 	}
-	if c.s.workers <= 1 {
+	if c.sem == nil {
 		for h := 0; h < n; h++ {
 			solve(h)
 		}

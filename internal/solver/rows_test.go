@@ -51,17 +51,19 @@ func learnedSolver(t *testing.T, mm *metrics.Manager, workers int, apply func(*C
 // once and prices every plan's hour row in one sweep: the row path must
 // give the 24 plans and bit-identical estimates of the reference paths
 // (nobatch, nosoa, untaped evaluate (plan, hour) pairs one at a time, and
-// never prune). In the default mode the montecarlo totals — samples,
-// estimates, pruned candidates, hour prices, bound bakes — must also agree
-// between Workers 1 and 8: prune decisions are pure, so neither the worker
-// count nor the chunking it implies can move them (`make race` runs this
-// under the race detector, with -short).
+// never prune). In the default mode — also run at Workers 2 — the
+// montecarlo totals — samples, estimates, pruned candidates, plan-batches
+// replayed, hour prices, bound bakes — must also agree with Workers 1:
+// prune decisions are pure, so neither the worker count nor the chunking it
+// implies can move them (`make race` runs this under the race detector,
+// with -short).
 func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 	rec := telemetry.Enable(telemetry.Options{})
 	t.Cleanup(telemetry.Disable)
 	names := []string{
 		"montecarlo.samples", "montecarlo.estimates", "montecarlo.pruned_candidates",
 		"montecarlo.hour_prices", "montecarlo.bound_bake_samples", "solver.estimates", "solver.memo_hits",
+		"montecarlo.basis_replays",
 	}
 	modes := []struct {
 		name  string
@@ -70,7 +72,6 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 	}{
 		{"batch", true, nil},
 		{"nobatch", false, func(c *Config) { c.NoBatchEval = true }},
-		{"nodelta", true, func(c *Config) { c.NoDeltaEval = true }},
 		{"nosoa", false, func(c *Config) { c.NoSoATape = true }},
 		{"untaped", false, func(c *Config) { c.UntapedEstimates = true }},
 	}
@@ -102,10 +103,16 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 		if refCtr[3] == 0 {
 			t.Errorf("%s: no hour prices counted — the solve did not take the row path", name)
 		}
-		for _, workers := range []int{1, 8} {
+		if refCtr[0] != refCtr[7]*montecarlo.BatchSize {
+			t.Errorf("%s: montecarlo.samples = %d, but %d plan-batches were replayed: a row sample must count once per plan", name, refCtr[0], refCtr[7])
+		}
+		for _, workers := range []int{1, 2, 8} {
 			for _, m := range modes {
 				if workers == 1 && m.name == "batch" {
 					continue // the reference itself
+				}
+				if workers == 2 && !m.rows {
+					continue // Workers 2 only adds a third point to the counter check
 				}
 				// A plan-at-a-time heavy-tail solve is 6144 unpruned
 				// estimates: run them fanned out only, and under -short

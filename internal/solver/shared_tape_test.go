@@ -63,11 +63,12 @@ func learnedHeavyTail(t *testing.T) *metrics.Manager {
 	return learned(t, workloads.HeavyTailAnalytics(), region.CACentral1)
 }
 
-// TestSharedTapeConcurrentHoursDeterministic races Workers: 8 row chunks
-// into extending the solve's one sample tape and every hour's bound
+// TestSharedTapeConcurrentHoursDeterministic races Workers: 2 and 8 row
+// chunks into extending the solve's one sample tape and every hour's bound
 // columns (run under -race by `make race`): plans, every estimate field
 // including the sample count, and the montecarlo sample, estimate,
-// pruned-candidate and bake totals must equal the Workers: 1 solve's. The
+// pruned-candidate, bake, replay and hour-price totals must equal the
+// Workers: 1 solve's. The
 // last three hold because a (plan, hour) prune decision looks ahead
 // exactly as far as the home row sampled at that hour — never as far as
 // whichever chunk scheduling let run first had extended a header.
@@ -80,6 +81,8 @@ func TestSharedTapeConcurrentHoursDeterministic(t *testing.T) {
 		rec.Counter("montecarlo.estimates"),
 		rec.Counter("montecarlo.tape_samples"),
 		rec.Counter("montecarlo.bound_bake_samples"),
+		rec.Counter("montecarlo.basis_replays"),
+		rec.Counter("montecarlo.hour_prices"),
 	}
 	mm := learnedHeavyTail(t)
 	now := t0.Add(24 * time.Hour)
@@ -114,19 +117,21 @@ func TestSharedTapeConcurrentHoursDeterministic(t *testing.T) {
 	if serialCtr[3] <= montecarlo.BatchSize || serialCtr[3] > montecarlo.MaxSamples {
 		t.Errorf("one solve compiled %d tape samples, want one tape extended past its first batch", serialCtr[3])
 	}
-	parallel, parallelCtr := solve(8)
-	for h := range serial {
-		if !serial[h].Plan.Equal(parallel[h].Plan) {
-			t.Errorf("hour %d plans diverge: %v vs %v", h, serial[h].Plan, parallel[h].Plan)
+	names := []string{"pruned_candidates", "samples", "estimates", "tape_samples", "bound_bake_samples", "basis_replays", "hour_prices"}
+	for _, workers := range []int{2, 8} {
+		parallel, parallelCtr := solve(workers)
+		for h := range serial {
+			if !serial[h].Plan.Equal(parallel[h].Plan) {
+				t.Errorf("workers %d hour %d plans diverge: %v vs %v", workers, h, serial[h].Plan, parallel[h].Plan)
+			}
+			if *serial[h].Estimate != *parallel[h].Estimate {
+				t.Errorf("workers %d hour %d estimates diverge: %+v vs %+v", workers, h, serial[h].Estimate, parallel[h].Estimate)
+			}
 		}
-		if *serial[h].Estimate != *parallel[h].Estimate {
-			t.Errorf("hour %d estimates diverge: %+v vs %+v", h, serial[h].Estimate, parallel[h].Estimate)
-		}
-	}
-	names := []string{"pruned_candidates", "samples", "estimates", "tape_samples", "bound_bake_samples"}
-	for i := range counters {
-		if serialCtr[i] != parallelCtr[i] {
-			t.Errorf("montecarlo.%s: %d at Workers 1, %d at Workers 8", names[i], serialCtr[i], parallelCtr[i])
+		for i := range counters {
+			if serialCtr[i] != parallelCtr[i] {
+				t.Errorf("montecarlo.%s: %d at Workers 1, %d at Workers %d", names[i], serialCtr[i], parallelCtr[i], workers)
+			}
 		}
 	}
 }

@@ -102,19 +102,14 @@ type Config struct {
 	// Results are bit-identical either way (asserted by the tape parity
 	// tests); the switch exists for benchmarks and ablations.
 	UntapedEstimates bool
-	// NoDeltaEval routes HBSS neighbor evaluations through full tape
-	// replay instead of delta replay anchored at the incumbent plan.
-	// Results are bit-identical either way (asserted by the solver mode
-	// grid tests); the switch exists for benchmarks and ablations.
-	NoDeltaEval bool
 	// NoSoATape keeps sample tapes in the array-of-structs reference
 	// layout instead of the structure-of-arrays columns. Bit-identical
-	// either way; delta replay requires the column layout, so this also
-	// implies full replay for neighbor evaluations.
+	// either way; sweeps require the column layout, so this also implies
+	// plan-at-a-time evaluation.
 	NoSoATape bool
-	// NoBatchEval evaluates candidate plans one at a time instead of
-	// through the batched multi-plan sweep with bound-based pruning
-	// (montecarlo.EstimateBatch). Results are bit-identical either way —
+	// NoBatchEval evaluates candidate plans one (plan, hour) at a time
+	// instead of through shared sweeps over per-plan bases with bound-based
+	// pruning (montecarlo.EstimateBases). Results are bit-identical either way —
 	// surviving candidates replay the exact reference arithmetic, and
 	// every pruned candidate is one the acceptance rule provably rejects
 	// (re-evaluated in full when the proof's premise lapses) — asserted by
@@ -124,15 +119,14 @@ type Config struct {
 }
 
 // EvalModes bundles the evaluation-path escape hatches
-// (UntapedEstimates, NoDeltaEval, NoSoATape, NoBatchEval) so
+// (UntapedEstimates, NoSoATape, NoBatchEval) so
 // process-level tooling — caribou-eval's -eval-mode flag — can route
 // every solve in a run through a reference path without threading new
 // fields through each experiment constructor. All modes are
-// bit-identical by construction; see DESIGN.md "SoA tape layout & delta
-// replay" and "Batched replay & exact pruning".
+// bit-identical by construction; see DESIGN.md "SoA tape layout" and
+// "Batched replay & exact pruning".
 type EvalModes struct {
 	UntapedEstimates bool
-	NoDeltaEval      bool
 	NoSoATape        bool
 	NoBatchEval      bool
 }
@@ -162,7 +156,6 @@ type Solver struct {
 	maxIter  int
 	workers  int
 	untaped  bool
-	nodelta  bool
 	nosoa    bool
 	nobatch  bool
 
@@ -179,6 +172,10 @@ type solverTelemetry struct {
 	hbssBatches *telemetry.Counter
 	estimates   *telemetry.Counter
 	memoHits    *telemetry.Counter
+	// basisHits counts (plan, hour) memo misses that found the plan's basis
+	// already in the solve's basis memo: per solve, estimates minus the
+	// distinct plans it replayed, whatever the scheduling.
+	basisHits *telemetry.Counter
 }
 
 func newSolverTelemetry() solverTelemetry {
@@ -189,6 +186,7 @@ func newSolverTelemetry() solverTelemetry {
 		hbssBatches: rec.Counter("solver.hbss_batches"),
 		estimates:   rec.Counter("solver.estimates"),
 		memoHits:    rec.Counter("solver.memo_hits"),
+		basisHits:   rec.Counter("solver.basis_hits"),
 	}
 }
 
@@ -241,7 +239,6 @@ func New(cfg Config) (*Solver, error) {
 		maxIter:  cfg.MaxIterations,
 		workers:  workers,
 		untaped:  cfg.UntapedEstimates || defaultEvalModes.UntapedEstimates,
-		nodelta:  cfg.NoDeltaEval || defaultEvalModes.NoDeltaEval,
 		nosoa:    cfg.NoSoATape || defaultEvalModes.NoSoATape,
 		nobatch:  cfg.NoBatchEval || defaultEvalModes.NoBatchEval,
 		tel:      newSolverTelemetry(),
@@ -310,6 +307,7 @@ func (s *Solver) SolveOne(at, now time.Time) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	results, err := c.solveAllHours()
 	if err != nil {
 		return Result{}, err
@@ -337,10 +335,14 @@ func (s *Solver) SolveHourly(dayStart, now time.Time) (dag.HourlyPlans, []Result
 	if err != nil {
 		return plans, nil, fmt.Errorf("solver: %w", err)
 	}
+	defer c.release()
 	hourly, err := c.solveAllHours()
 	if err != nil {
 		return plans, nil, fmt.Errorf("solver: %w", err)
 	}
+	sp.Annotate(telemetry.Int("plans", int64(len(c.bases))+c.rowPlans),
+		telemetry.Int("estimates", int64(len(c.cache))),
+		telemetry.Int("replayed_samples", c.snap.ReplayedSamples()))
 	results := make([]Result, 24)
 	for h := 0; h < 24; h++ {
 		at := hours[h]
@@ -358,6 +360,7 @@ func (s *Solver) SolveCoarse(at, now time.Time) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	homeAssign := c.snap.HomeAssign()
 	assigns := [][]int{homeAssign}
 	for _, r := range s.commonEligible() {
