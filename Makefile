@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz vet lint bench bench-json bench-json-pr8 bench-json-pr9 bench-json-pr10 sweep-clean verify eval-output
+.PHONY: all build test race fuzz vet lint bench sweep-clean verify eval-output
 
 all: build
 
@@ -17,11 +17,10 @@ test:
 # inertness tests (bit-identical figures with the recorder on vs off),
 # the shared trace-cache concurrency tests, and the result codec's round
 # trip and byte-determinism (pool workers decode blobs concurrently against
-# the shared carbon traces). The first line runs
-# -short: that trims only the exhaustive-rows grid's plan-at-a-time
-# heavy-tail solves (6144 unpruned estimates each, a minute under the
-# detector) to the nobatch one — Workers 8 vs 1 on the row path, with its
-# counter totals, runs in full. The second line re-runs the shared-tape,
+# the shared carbon traces). The first line runs -short: that skips only
+# the exhaustive-rows grid's untaped heavy-tail solve (6144 unpruned
+# estimates, a minute under the detector) — Workers 8 vs 1 on the row path,
+# with its counter totals, runs in full. The second line re-runs the shared-tape,
 # hour-row and basis tests twice in one process — the second pass re-enters
 # warm scratch, accumulator and arena-slab pools while Workers: 8 row chunks
 # (or 24 HBSS hour coordinators sharing one basis memo: a plan's first
@@ -40,7 +39,10 @@ race:
 # must really exceed its threshold. FuzzDecodeBlob and FuzzDecodeResult are
 # the two decoders of on-disk bytes (the store's frame, the result payload
 # inside it): neither may panic, and whatever one accepts must re-encode to
-# the same bytes. Seed corpora under each package's testdata/fuzz/;
+# the same bytes. FuzzLoadManifest is the deployment manifest's JSON
+# decoder: it may not panic, and an accepted manifest must re-marshal and
+# re-load to an equal DeploymentConfig. Seed corpora live under each
+# package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline);
 # FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
 # mutants would each take the default minute to minimize, so that target
 # runs with minimization off.
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
 	$(GO) test -run xxx -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/eval/
+	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and
@@ -64,12 +67,11 @@ vet:
 # outside simclock), maporder (no observable output from unsorted map
 # iteration), hotsprintf (no Sprintf/concat in montecarlo/solver/stats
 # loops), goroutines (go statements only in the approved concurrency
-# packages), taperecord (no tapeStep/tapeEdge AoS literals outside
-# internal/montecarlo), dettaint (no exported solver/montecarlo/eval/
+# packages), dettaint (no exported solver/montecarlo/eval/
 # controlplane function may transitively reach a wallclock or
 # global-rand sink — the chain is printed), hotalloc (no closure
 # literals, interface boxing, fmt calls, or grow-in-loop appends in the
-# montecarlo tape/delta/batch/rows/bounds and solver HBSS hot files), and
+# montecarlo tape/basis/batch/rows/bounds and solver HBSS hot files), and
 # atomicpub (values published via atomic.Pointer.Store are
 # write-complete at publish; shard-owned controlplane state mutates
 # only inside its owning worker). Suppress an individual finding with
@@ -91,81 +93,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 	$(GO) run ./cmd/caribou-load -tenants 64 -deltas 2 -queries 3 -workers 16
 
-# bench-json times the tracked solver/tape benchmarks and merges the
-# ns/op numbers into BENCH_PR7.json under $(LABEL) (see cmd/benchjson;
-# existing labels such as "baseline" are preserved). Run on an otherwise
-# idle machine for stable numbers. Compare the two sections afterwards
-# with `go run ./cmd/benchjson -compare BENCH_PR7.json BENCH_PR7.json`,
-# which flags any >5% regression and exits non-zero.
-LABEL ?= after
-BENCHES = BenchmarkSolver24Hourly$$|BenchmarkSolver24HourlyUntaped$$|BenchmarkSolver24HourlyNoBatch$$|BenchmarkFig7Parallel$$|BenchmarkSnapshotEstimateTaped$$|BenchmarkSnapshotEstimateUntaped$$|BenchmarkSnapshotEstimateBatch$$
-bench-json:
-	$(GO) test -run xxx -bench '$(BENCHES)' -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR7.json -label $(LABEL)
-
-# bench-json-pr8 measures the control plane end-to-end: it builds
-# caribou-server and caribou-load, starts the server in -sim mode on
-# PR8_ADDR, drives 10k concurrent tenants over real HTTP, and merges the
-# resulting benchmark lines (p99 plan-query latency, ns-per-solve
-# throughput, admission-rejection count) into BENCH_PR8.json. Numbers are
-# host-dependent; re-run on an idle machine before comparing.
-PR8_ADDR ?= localhost:8456
-bench-json-pr8:
-	@mkdir -p .bench
-	$(GO) build -o .bench/caribou-server ./cmd/caribou-server
-	$(GO) build -o .bench/caribou-load ./cmd/caribou-load
-	@.bench/caribou-server -sim -addr $(PR8_ADDR) -shards 8 -queue-depth 256 & \
-	SERVER=$$!; sleep 1; \
-	.bench/caribou-load -addr http://$(PR8_ADDR) -tenants 10000 -deltas 3 -queries 5 -workers 128 \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR8.json -label $(LABEL); \
-	STATUS=$$?; kill $$SERVER 2>/dev/null; exit $$STATUS
-
-# bench-json-pr9 measures the durable sweep engine end-to-end: a cold
-# quick fig7-fig10 sweep into a fresh store, a warm re-sweep of the same
-# store (served entirely from disk — zero solver executions), the same
-# cold sweep split across two concurrent sharded processes, and the
-# heavy-tail pruning bench (whose pruned/op metric must be nonzero; see
-# BenchmarkSolver24HourlyHeavyTail). Everything merges into
-# BENCH_PR9.json. Numbers are host-dependent; re-run on an idle machine.
-PR9_CACHE = .bench/pr9-cache
-PR9_FIGS = fig7,fig8,fig9,fig10
-bench-json-pr9:
-	@mkdir -p .bench
-	$(GO) build -o .bench/caribou-sweep ./cmd/caribou-sweep
-	rm -rf $(PR9_CACHE) $(PR9_CACHE)-sharded
-	.bench/caribou-sweep submit -cache-dir $(PR9_CACHE) -name pr9 -figures $(PR9_FIGS) -quick
-	.bench/caribou-sweep run -cache-dir $(PR9_CACHE) -name pr9 -bench SweepColdQuick \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR9.json -label $(LABEL)
-	.bench/caribou-sweep submit -cache-dir $(PR9_CACHE) -name pr9-warm -figures $(PR9_FIGS) -quick
-	.bench/caribou-sweep run -cache-dir $(PR9_CACHE) -name pr9-warm -bench SweepWarmQuick \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR9.json -label $(LABEL)
-	.bench/caribou-sweep submit -cache-dir $(PR9_CACHE)-sharded -name pr9 -figures $(PR9_FIGS) -quick -shards 2
-	@.bench/caribou-sweep run -cache-dir $(PR9_CACHE)-sharded -name pr9 -owner p1 -bench SweepShard1of2 > .bench/pr9-shard1.out & \
-	P1=$$!; \
-	.bench/caribou-sweep run -cache-dir $(PR9_CACHE)-sharded -name pr9 -owner p2 -bench SweepShard2of2 > .bench/pr9-shard2.out; \
-	wait $$P1; \
-	cat .bench/pr9-shard1.out .bench/pr9-shard2.out | $(GO) run ./cmd/benchjson -out BENCH_PR9.json -label $(LABEL)
-	$(GO) test -run xxx -bench 'BenchmarkSolver24HourlyHeavyTail$$' -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR9.json -label $(LABEL)
-
-# bench-json-pr10 times the lint driver's cache: caribou-lint -bench
-# wipes a scratch cache, runs the full module cold (type-checking every
-# package), re-runs it warm (every package served from the on-disk
-# summary cache, zero type-checks), asserts the two outputs are
-# byte-identical, and prints both timings as benchmark lines, which
-# merge into BENCH_PR10.json. The warm run must be >=3x faster than the
-# cold run; in practice it is two orders of magnitude faster. Numbers
-# are host-dependent; re-run on an idle machine before comparing.
-bench-json-pr10:
-	@mkdir -p .bench
-	$(GO) run ./cmd/caribou-lint -bench -cache .bench/pr10-lint-cache . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR10.json -label $(LABEL)
-
-# sweep-clean removes the durable run caches: the default store
-# caribou-eval -cache-dir and caribou-sweep write to, plus the scratch
-# stores bench-json-pr9 leaves under .bench/.
+# sweep-clean removes the durable run cache: the default store
+# caribou-eval -cache-dir and caribou-sweep write to.
 sweep-clean:
-	rm -rf .caribou-cache $(PR9_CACHE) $(PR9_CACHE)-sharded
+	rm -rf .caribou-cache
 
 # verify is the pre-merge gate: full build + full suite + race-checked
 # solver/montecarlo/telemetry/eval-pool + vet + the determinism lint.

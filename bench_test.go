@@ -395,35 +395,6 @@ func BenchmarkSolver24HourlyUntaped(b *testing.B) {
 	}
 }
 
-// BenchmarkSolver24HourlyNoBatch is the daily plan generation with the
-// shared sweeps, the per-plan basis memo and exact pruning disabled: every
-// (plan, hour) is evaluated on its own (still taped). The gap to
-// BenchmarkSolver24Hourly is what sharing replays across hours and lanes,
-// and pruning, buy; results are
-// bit-identical either way (see TestSolveDeterministicAcrossEvalModes).
-func BenchmarkSolver24HourlyNoBatch(b *testing.B) {
-	mm, est := benchInputs(b)
-	s, err := solver.New(solver.Config{
-		Inputs: mm, Estimator: est,
-		Objective: solver.Objective{
-			Priority:   solver.PriorityCarbon,
-			Tolerances: solver.Tolerances{Latency: solver.Tol(25)},
-		},
-		Seed:        1,
-		NoBatchEval: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	now := benchStart.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.SolveHourly(now, now); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSolver24HourlyHeavyTail is the daily plan generation on the
 // synthetic heavy-tail workload (not in Table 1), homed in the clean
 // ca-central-1 grid: per-draw durations spread over a ~2.5x coefficient
@@ -631,7 +602,7 @@ func BenchmarkPriceHour(b *testing.B) {
 		for code := 0; code < 256; code++ {
 			a := make([]int, snap.NumNodes())
 			for i := range a {
-				a[i] = code >> (2 * i) % snap.NumRegions()
+				a[i] = code >> (2 * i) % snap.Regions()
 			}
 			cand, arena := benchBases(b, snap, [][]int{a})
 			defer arena.Release()

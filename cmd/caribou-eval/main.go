@@ -14,9 +14,9 @@
 // both enable the telemetry recorder, which is otherwise off. Telemetry
 // is inert — figure output on stdout is bit-identical with it on or off.
 // -pprof ADDR serves net/http/pprof, and -cpuprofile/-memprofile write
-// runtime profiles. -eval-mode {nobatch,nosoa,untaped} routes
-// every solve through one of the solver's reference evaluation paths;
-// stdout stays bit-identical in every mode (see EXPERIMENTS.md).
+// runtime profiles. -eval-mode untaped routes every solve through the
+// solver's reference evaluation path; stdout stays bit-identical (see
+// EXPERIMENTS.md).
 package main
 
 import (
@@ -50,7 +50,7 @@ func realMain() int {
 	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS)")
 	traceFile := flag.String("trace", "", "write an NDJSON telemetry trace to this file")
 	summary := flag.Bool("telemetry", false, "print a telemetry summary table to stderr")
-	evalMode := flag.String("eval-mode", "", "solver evaluation path: nobatch, nosoa, or untaped (default: shared sweeps over per-plan bases; all paths are bit-identical)")
+	evalMode := flag.String("eval-mode", "", "solver evaluation path: untaped, the draw-per-sample reference (default: shared sweeps over per-plan bases; the two are bit-identical)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -68,18 +68,14 @@ func realMain() int {
 		telemetry.Enable(telemetry.Options{})
 	}
 	// The evaluation-path override must likewise land before any solver
-	// is built. Every mode is bit-identical on stdout — the flag exists
+	// is built. Both modes are bit-identical on stdout — the flag exists
 	// so that claim can be checked end-to-end (see EXPERIMENTS.md).
 	switch *evalMode {
 	case "":
-	case "nobatch":
-		solver.SetDefaultEvalModes(solver.EvalModes{NoBatchEval: true})
-	case "nosoa":
-		solver.SetDefaultEvalModes(solver.EvalModes{NoSoATape: true})
 	case "untaped":
-		solver.SetDefaultEvalModes(solver.EvalModes{UntapedEstimates: true})
+		solver.SetDefaultUntapedEstimates(true)
 	default:
-		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want nobatch, nosoa, or untaped)\n", *evalMode)
+		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want untaped)\n", *evalMode)
 		return 2
 	}
 	if *pprofAddr != "" {

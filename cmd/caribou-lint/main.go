@@ -26,7 +26,7 @@
 //
 // -bench wipes the cache, times a cold run, times a warm run, asserts
 // the two outputs are byte-identical, and prints the pair in go-bench
-// format for cmd/benchjson.
+// format.
 //
 // Suppress an individual finding with a trailing (or immediately
 // preceding) comment
@@ -124,9 +124,9 @@ func render(root string, diags []analysis.Diagnostic, jsonOut bool) ([]byte, err
 	return analysis.FormatText(root, diags), nil
 }
 
-// runBench is the timing harness behind make bench-json-pr10: one cold
+// runBench is the timing harness CI's warm-rerun step drives: one cold
 // run (cache wiped first), one warm run, a byte-identity assertion
-// between them, and two go-bench lines on stdout for cmd/benchjson.
+// between them, and two go-bench lines on stdout.
 func runBench(root string, opts analysis.RunOptions, jsonOut bool) int {
 	if opts.CacheDir == "" {
 		fmt.Fprintln(os.Stderr, "caribou-lint: -bench requires the cache (do not pass -cache off)")

@@ -2,8 +2,8 @@
 // concurrent simulated tenants: each registers a workflow, streams trace
 // deltas, and queries its plan. It reports p99 plan-query latency, solver
 // throughput, and admission-rejection counts as go-test benchmark lines
-// on stdout, ready to pipe into cmd/benchjson (rates and counts are
-// encoded in the ns/op slot; the label says which is which).
+// on stdout (rates and counts are encoded in the ns/op slot; the label
+// says which is which).
 //
 // Usage:
 //
@@ -209,8 +209,8 @@ func runLoad(doer requestDoer, tenants, deltas, queries, workers int) int {
 	}
 
 	// Solver throughput: completed solves per second of wall time,
-	// reported as ns-per-solve so benchjson's lower-is-better comparison
-	// applies.
+	// reported as ns-per-solve so lower is better, like every other
+	// benchmark line.
 	var solves int64
 	if code, _, body, err := doer.do("GET", "/v1/stats", ""); err == nil && code == http.StatusOK {
 		var s struct {

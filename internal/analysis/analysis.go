@@ -136,7 +136,6 @@ func Analyzers() []*Analyzer {
 		MapOrderAnalyzer,
 		HotSprintfAnalyzer,
 		GoroutinesAnalyzer,
-		TapeRecordAnalyzer,
 		DetTaintAnalyzer,
 		HotAllocAnalyzer,
 		AtomicPubAnalyzer,

@@ -144,14 +144,6 @@ func TestWallclockRunstoreSeam(t *testing.T) {
 	checkFixture(t, "wallclock_runstore", "caribou/internal/runstore")
 }
 
-func TestTapeRecordFixture(t *testing.T) {
-	checkFixture(t, "taperecord_bad", "caribou/internal/solver")
-}
-
-func TestTapeRecordOwnerPackage(t *testing.T) {
-	checkFixture(t, "taperecord_ok", "caribou/internal/montecarlo")
-}
-
 // TestAllowCommentValidation pins the meta-check: an allow comment that
 // names no check, names an unknown check, or carries no reason is itself
 // a diagnostic — and a reasonless allow suppresses nothing, so the

@@ -24,7 +24,7 @@ package montecarlo
 // per-batch blocks carved from a per-solve arena. A slot a sample never
 // reached holds an exact zero, and x + I·0·PUE = x, so pricing the compact
 // record equals pricing the dense nR + nR² accumulators the reference
-// samplers (Snapshot.sampleOnce, replaySample) hand to the same function:
+// sampler (Snapshot.sampleOnce) hands to the same function:
 // the parity grid is bit-exact under this definition. Against the
 // per-event sums of Estimator.Estimate — Σ_events I·kwh_e·PUE — it differs
 // by summation order only (≈1e-15 relative; tests hold it under 1e-12).
@@ -306,7 +306,6 @@ func (s *Snapshot) replayBatch(lanes []replayLane, i0 int) ([]replayLane, error)
 // to kwh[region] and the gigabytes to gb[pair]. An exec-duration lookup
 // that failed at Compile surfaces at the step that reads it.
 func (s *Snapshot) replaySamples(td *tapeData, i0 int, lanes []replayLane) error {
-	c := td.soa
 	home := s.home
 	nR := s.nR
 	entry := s.start
@@ -319,9 +318,9 @@ func (s *Snapshot) replaySamples(td *tapeData, i0 int, lanes []replayLane) error
 	snsUSD := s.snsUSD
 	hasErr := s.anyExecErr
 	// Column headers hoisted into locals so the loop indexes registers
-	// instead of re-loading slice headers through the *soaCols pointer.
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
+	// instead of re-loading slice headers through the *tapeData pointer.
+	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := td.node, td.flags, td.staged, td.out, td.drc, td.aux9, td.out9
+	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := td.edgeOff, td.to, td.kind, td.bytes, td.skipOff, td.e9
 	skipS := td.skipSyncs
 
 	// Entry: the DP fetch at home and the routed entry payload. The transfer
@@ -343,7 +342,7 @@ func (s *Snapshot) replaySamples(td *tapeData, i0 int, lanes []replayLane) error
 		cost += dynRead
 		cost += snsHome
 		if entryBytes > 0 {
-			q := c.entry9[i]
+			q := td.entry9[i]
 			ln.buf[oGb+he] += q
 			cost += q * egress[he]
 		}

@@ -68,7 +68,7 @@ func spreadPlans(t *testing.T, snap *Snapshot, d *dag.DAG) [][]int {
 	for k := 0; k < 3; k++ {
 		a := make([]int, snap.NumNodes())
 		for i := range a {
-			a[i] = rng.Intn(snap.NumRegions())
+			a[i] = rng.Intn(snap.Regions())
 		}
 		assigns = append(assigns, a)
 	}
@@ -735,52 +735,45 @@ func TestDeltaHeavyTailConcurrentParity(t *testing.T) {
 	}
 }
 
-// TestEstimateDeltaFallsBackWithoutSoA pins the escape hatches: with the
-// AoS layout or no tapes at all there are no columns to sweep, so
-// EstimateBases degrades to the corresponding plan-at-a-time path — still
-// bit-identical — and leaves the basis empty.
+// TestEstimateDeltaFallsBackWithoutSoA pins the reference mode: with no
+// tapes there are no columns to sweep, so EstimateBases degrades to the
+// plan-at-a-time untaped path — still bit-identical — and leaves the basis
+// empty.
 func TestEstimateDeltaFallsBackWithoutSoA(t *testing.T) {
 	enableTelemetry(t)
 	in := richInputs(t)
 	neighbor := neighborOf(in.d, dag.Plan{"tail": region.CACentral1})
-	for _, mode := range []string{"aos", "untaped"} {
-		t.Run(mode, func(t *testing.T) {
-			snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch mode {
-			case "aos":
-				snap.SetSoA(false)
-			case "untaped":
-				snap.SetTapes(false)
-			}
-			assign, err := snap.Assign(neighbor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arena := NewBasisArena()
-			defer arena.Release()
-			b, err := snap.NewBasis(arena, assign)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := snap.EstimateBases([]*Basis{b}, 0, &BatchPrune{Threshold: []float64{0}}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := snap.EstimateUntaped(assign, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[0] == nil || *got[0] != *want {
-				t.Errorf("%s: fallback %+v, reference %+v", mode, got[0], want)
-			}
-			if b.Samples() != 0 || snap.tel.basisReplays.Value() != 0 {
-				t.Errorf("%s mode must not replay onto bases (%d samples, %d replays)", mode, b.Samples(), snap.tel.basisReplays.Value())
-			}
-		})
-	}
+	t.Run("untaped", func(t *testing.T) {
+		snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.SetTapes(false)
+		assign, err := snap.Assign(neighbor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := NewBasisArena()
+		defer arena.Release()
+		b, err := snap.NewBasis(arena, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.EstimateBases([]*Basis{b}, 0, &BatchPrune{Threshold: []float64{0}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := snap.EstimateUntaped(assign, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] == nil || *got[0] != *want {
+			t.Errorf("fallback %+v, reference %+v", got[0], want)
+		}
+		if b.Samples() != 0 || snap.tel.basisReplays.Value() != 0 {
+			t.Errorf("untaped mode must not replay onto bases (%d samples, %d replays)", b.Samples(), snap.tel.basisReplays.Value())
+		}
+	})
 }
 
 // TestEstimateBatchDeltaBitIdenticalToFull covers a whole HBSS round: the

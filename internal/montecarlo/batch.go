@@ -421,20 +421,15 @@ func lowerBound(partial float64, pre []float64, n, horizon int) float64 {
 	return low
 }
 
-// sweepable reports whether the snapshot can run sweeps: SoA tapes are
-// on. Without them the batch entry points evaluate plan by plan through
-// Estimate, unpruned.
-func (s *Snapshot) sweepable() bool { return s.tapes != nil && s.soaTapes }
-
 // EstimateBases evaluates the plans of bases at hour h, replaying only
 // what the bases lack: out[i] is nil exactly when pruning proved plan i's
 // Metric mean exceeds its threshold, and otherwise bit-identical to
 // Estimate(plan, h). Bases may be shared with concurrent calls at other
 // hours; sem, when non-nil, is the semaphore every replay runs under — a
 // call waits for another's basis without holding a slot. Snapshots without
-// SoA tapes — and several plans on a snapshot with deferred exec errors,
-// which must surface in first-plan order — fall back to sequential
-// evaluation with pruning disabled.
+// tapes — and several plans on a snapshot with deferred exec errors, which
+// must surface in first-plan order — fall back to sequential evaluation
+// with pruning disabled, each Estimate under a slot of sem.
 func (s *Snapshot) EstimateBases(bases []*Basis, h int, prune *BatchPrune, sem chan struct{}) ([]*Estimate, error) {
 	out := make([]*Estimate, len(bases))
 	if len(bases) == 0 {
@@ -443,9 +438,15 @@ func (s *Snapshot) EstimateBases(bases []*Basis, h int, prune *BatchPrune, sem c
 	if err := s.checkArgs(bases[0].assign, h); err != nil {
 		return nil, err
 	}
-	if !s.sweepable() || s.anyExecErr && len(bases) > 1 {
+	if s.tapes == nil || s.anyExecErr && len(bases) > 1 {
 		for i, b := range bases {
+			if sem != nil {
+				sem <- struct{}{}
+			}
 			est, err := s.Estimate(b.assign, h)
+			if sem != nil {
+				<-sem
+			}
 			if err != nil {
 				return nil, err
 			}

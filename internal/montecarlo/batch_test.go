@@ -241,44 +241,37 @@ func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchFallsBackWithoutSoA pins the escape hatches: with the
-// AoS tape layout or no tapes at all there are no SoA columns to sweep,
-// so EstimateBatch must degrade to sequential full estimates — still
-// bit-identical, never pruned (the bound needs the columns).
+// TestEstimateBatchFallsBackWithoutSoA pins the reference mode: with no
+// tapes there are no columns to sweep, so EstimateBatch must degrade to
+// sequential full estimates — still bit-identical, never pruned (the bound
+// needs the columns).
 func TestEstimateBatchFallsBackWithoutSoA(t *testing.T) {
 	in := richInputs(t)
-	for _, mode := range []string{"aos", "untaped"} {
-		t.Run(mode, func(t *testing.T) {
-			snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
+	t.Run("untaped", func(t *testing.T) {
+		snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.SetTapes(false)
+		plans := batchPlanSet(in.d)
+		assigns := make([][]int, len(plans))
+		for i, p := range plans {
+			if assigns[i], err = snap.Assign(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: []float64{0, 0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, est := range got {
+			want, err := snap.Estimate(assigns[i], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch mode {
-			case "aos":
-				snap.SetSoA(false)
-			case "untaped":
-				snap.SetTapes(false)
+			if est == nil || *est != *want {
+				t.Errorf("plan %d: fallback diverges (%+v vs %+v)", i, est, want)
 			}
-			plans := batchPlanSet(in.d)
-			assigns := make([][]int, len(plans))
-			for i, p := range plans {
-				if assigns[i], err = snap.Assign(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: []float64{0, 0, 0}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, est := range got {
-				want, err := snap.Estimate(assigns[i], 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if est == nil || *est != *want {
-					t.Errorf("%s plan %d: fallback diverges (%+v vs %+v)", mode, i, est, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -187,10 +187,9 @@ func stepFloor(drc, inten []float64) (minD, minE, minC float64) {
 // monotonicity applies term-wise to latency and cost and the carbon floor
 // is a per-event sum — equal, up to summation order, to a floor on the
 // per-sample pricing the kernel's output goes through (basis.go).
-func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat, cost, carb float64) {
+func (s *Snapshot) boundReplay(c *tapeData, i, h int, sc *replayScratch) (lat, cost, carb float64) {
 	sc.reset()
 	var smp sample
-	c := ref.soa
 	b := &s.bnd
 	nR3, inten := s.nR*3, s.intensity[h]
 	rfHR, rfHC, rfAll := b.rfHomeRow[h], b.rfHomeCol[h], b.rfAll[h]
@@ -198,7 +197,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat,
 	snsHome := s.snsUSD[s.home]
 	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
 
-	entryBytes := ref.entry[i]
+	entryBytes := c.entry[i]
 	smp.cost += dynRead
 	smp.cost += snsHome
 	if entryBytes > 0 {
@@ -212,7 +211,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat,
 	}
 	sc.start[s.start] = s.kvAccess[s.home] + msgOverhead + (b.txBaseHomeRow + eb*b.txPerByteHomeRow)
 
-	for si := ref.stepOff[i]; si < ref.stepOff[i+1]; si++ {
+	for si := c.stepOff[i]; si < c.stepOff[i+1]; si++ {
 		n := int(c.node[si])
 		flags := c.flags[si]
 		var startN float64
@@ -260,7 +259,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, i, h int, sc *replayScratch) (lat,
 			switch c.kind[ei] {
 			case tapeEdgeSkip:
 				for k := c.skipOff[ei]; k < c.skipOff[ei+1]; k++ {
-					sn := int(ref.skipSyncs[k])
+					sn := int(c.skipSyncs[k])
 					if finish > sc.ready[sn] {
 						sc.ready[sn] = finish
 					}

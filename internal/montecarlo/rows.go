@@ -44,8 +44,8 @@ func (p *RowPrune) at(h, n int) (thr float64, horizon int) {
 // replay once, price every open hour: out[i][h] is nil exactly when
 // pruning proved that plan's Metric mean at hour h exceeds Threshold[h],
 // and otherwise bit-identical to Estimate(assigns[i], h). Snapshots
-// without SoA tapes (or with deferred exec errors) fall back to
-// sequential single-hour evaluation with pruning disabled.
+// without tapes (or with deferred exec errors) fall back to sequential
+// single-hour evaluation with pruning disabled.
 func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate, error) {
 	H := len(s.hours)
 	for _, a := range assigns {
@@ -61,7 +61,7 @@ func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate
 	if len(assigns) == 0 {
 		return out, nil
 	}
-	if !s.sweepable() || s.anyExecErr {
+	if s.tapes == nil || s.anyExecErr {
 		for i, a := range assigns {
 			for h := range out[i] {
 				est, err := s.Estimate(a, h)

@@ -192,7 +192,7 @@ func TestEstimateRowsMatchEstimate(t *testing.T) {
 		for len(assigns) < 13 {
 			a := make([]int, f.snap.NumNodes())
 			for i := range a {
-				a[i] = rng.Intn(f.snap.NumRegions())
+				a[i] = rng.Intn(f.snap.Regions())
 			}
 			assigns = append(assigns, a)
 		}
@@ -247,7 +247,7 @@ func TestEstimateRowsPruneIsPure(t *testing.T) {
 		for i := range assigns {
 			assigns[i] = make([]int, snap.NumNodes())
 			for j := range assigns[i] {
-				assigns[i][j] = rng.Intn(snap.NumRegions())
+				assigns[i][j] = rng.Intn(snap.Regions())
 			}
 		}
 		return snap, prune, assigns
@@ -336,7 +336,7 @@ func FuzzEstimateRows(f *testing.F) {
 		for rest := data[3:]; len(assigns) < 4 && (len(rest) > 0 || len(assigns) == 0); {
 			a := make([]int, n)
 			for i := 0; i < n && i < len(rest); i++ {
-				a[i] = int(rest[i]) % fx.snap.NumRegions()
+				a[i] = int(rest[i]) % fx.snap.Regions()
 			}
 			assigns = append(assigns, a)
 			rest = rest[min(n, len(rest)):]
@@ -354,7 +354,7 @@ func TestStaticSlotsCoverDenseAccumulation(t *testing.T) {
 	for _, f := range rowFixtures(t) {
 		rng := rand.New(rand.NewSource(3))
 		assigns := [][]int{f.snap.HomeAssign()}
-		for r := 0; r < f.snap.NumRegions(); r++ {
+		for r := 0; r < f.snap.Regions(); r++ {
 			a := make([]int, f.snap.NumNodes())
 			for i := range a {
 				a[i] = r
@@ -364,7 +364,7 @@ func TestStaticSlotsCoverDenseAccumulation(t *testing.T) {
 		for k := 0; k < 40; k++ {
 			a := make([]int, f.snap.NumNodes())
 			for i := range a {
-				a[i] = rng.Intn(f.snap.NumRegions())
+				a[i] = rng.Intn(f.snap.Regions())
 			}
 			assigns = append(assigns, a)
 		}

@@ -42,26 +42,21 @@ func hoursFrom(n int) []time.Time {
 // estimates have bit-equal latency and cost fields whenever their sample
 // counts agree (the stopping rule also watches carbon, which may stop one
 // hour a batch earlier), and are bit-equal in every field when the two
-// hours' intensity rows are equal — through the taped SoA path, the
-// untaped reference, the AoS layout, the batch sweep, a row sweep and a
-// basis shared by the three hours.
+// hours' intensity rows are equal — through the taped path, the untaped
+// reference, the batch sweep, a row sweep and a basis shared by the three
+// hours.
 func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 	base := richInputs(t)
 	// Hours 0 and 2 share an intensity row; hour 1 is three times dirtier.
 	in := &hourlyInputs{Inputs: &noisyInputs{base}, scale: map[int]float64{1: 3}}
-	compile := func(soa bool) *Snapshot {
-		snap, err := New(in, carbon.BestCase(), 42).Compile(nil, hoursFrom(3), t0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.SetSoA(soa)
-		return snap
+	snap, err := New(in, carbon.BestCase(), 42).Compile(nil, hoursFrom(3), t0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	soa, aos := compile(true), compile(false)
-	if !slices.Equal(soa.intensity[0], soa.intensity[2]) || slices.Equal(soa.intensity[0], soa.intensity[1]) {
+	if !slices.Equal(snap.intensity[0], snap.intensity[2]) || slices.Equal(snap.intensity[0], snap.intensity[1]) {
 		t.Fatal("fixture must give hours 0 and 2 equal intensity rows and hour 1 a different one")
 	}
-	home := soa.HomeAssign()
+	home := snap.HomeAssign()
 	// The "basis" mode prices hours 1 and 2 from the basis hour 0 replayed.
 	arena := NewBasisArena()
 	defer arena.Release()
@@ -71,18 +66,17 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 		name string
 		eval func(a []int, h int) (*Estimate, error)
 	}{
-		{"taped", soa.Estimate},
-		{"untaped", soa.EstimateUntaped},
-		{"aos", aos.Estimate},
+		{"taped", snap.Estimate},
+		{"untaped", snap.EstimateUntaped},
 		{"batch", func(a []int, h int) (*Estimate, error) {
-			es, err := soa.EstimateBatch([][]int{a, home}, h, nil)
+			es, err := snap.EstimateBatch([][]int{a, home}, h, nil)
 			if err != nil {
 				return nil, err
 			}
 			return es[0], nil
 		}},
 		{"rows", func(a []int, h int) (*Estimate, error) {
-			rows, err := soa.EstimateRows([][]int{a}, nil)
+			rows, err := snap.EstimateRows([][]int{a}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -92,11 +86,11 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 			if h == 0 {
 				arena.Release()
 				var err error
-				if shared, err = soa.NewBasis(arena, a); err != nil {
+				if shared, err = snap.NewBasis(arena, a); err != nil {
 					return nil, err
 				}
 			}
-			es, err := soa.EstimateBases([]*Basis{shared}, h, nil, nil)
+			es, err := snap.EstimateBases([]*Basis{shared}, h, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -105,9 +99,9 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := make([]int, soa.NumNodes())
+		a := make([]int, snap.NumNodes())
 		for i := range a {
-			a[i] = rng.Intn(soa.NumRegions())
+			a[i] = rng.Intn(snap.Regions())
 		}
 		for _, m := range modes {
 			var e [3]*Estimate

@@ -56,10 +56,6 @@ type Snapshot struct {
 	// replays counts the plan-batches replayed onto bases over this
 	// snapshot's life — one solve's — for the solver's span attributes.
 	replays atomic.Int64
-	// soaTapes selects the structure-of-arrays tape layout (the default);
-	// false keeps the array-of-structs reference layout. Flipped only via
-	// SetSoA, which drops any tapes compiled in the other layout.
-	soaTapes bool
 
 	// scratchPool, snapPool, and accPool recycle the per-Estimate replay
 	// scratch, the untaped path's sampling scratch, and series accumulators
@@ -179,7 +175,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 	s.nR = len(s.regions)
 	s.home = s.regionIdx[in.Home()]
 
-	s.soaTapes = true
 	s.SetTapes(true)
 
 	n := s.nodes.Len()
@@ -320,12 +315,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 // NumNodes reports the number of interned stages.
 func (s *Snapshot) NumNodes() int { return s.nodes.Len() }
 
-// NumRegions reports the number of interned regions.
-func (s *Snapshot) NumRegions() int { return s.nR }
-
-// HomeIndex returns the dense index of the home region.
-func (s *Snapshot) HomeIndex() int { return s.home }
-
 // Hours returns a copy of the solve instants the snapshot was compiled
 // for. Callers that only need the count should use NumHours, which does
 // not allocate.
@@ -352,38 +341,9 @@ func (s *Snapshot) SetTapes(on bool) {
 	}
 }
 
-// SetSoA selects the tape layout: true (the default) replays
-// structure-of-arrays columns, false the array-of-structs reference
-// records. Results are bit-identical either way (pinned by the tape
-// parity tests); the toggle exists for benchmarks and ablations. Tapes
-// already compiled in the other layout are dropped and recompiled
-// lazily. Like SetTapes, not safe to call concurrently with Estimate.
-func (s *Snapshot) SetSoA(on bool) {
-	if s.soaTapes == on {
-		return
-	}
-	s.soaTapes = on
-	if s.tapes != nil {
-		s.tapes = nil
-		s.SetTapes(true)
-	}
-}
-
 func (s *Snapshot) getScratch() *replayScratch { return s.scratchPool.Get().(*replayScratch) }
 
 func (s *Snapshot) putScratch(sc *replayScratch) { s.scratchPool.Put(sc) }
-
-func (s *Snapshot) getSnapScratch() *snapScratch { return s.snapPool.Get().(*snapScratch) }
-
-func (s *Snapshot) putSnapScratch(sc *snapScratch) { s.snapPool.Put(sc) }
-
-func (s *Snapshot) getAcc() *seriesAcc {
-	a := s.accPool.Get().(*seriesAcc)
-	a.reset()
-	return a
-}
-
-func (s *Snapshot) putAcc(a *seriesAcc) { s.accPool.Put(a) }
 
 // hourAccPool recycles accumulators across sweeps and across solves. Every
 // slot is written before it is read, so pooling cannot leak one plan's
@@ -427,12 +387,6 @@ func (s *Snapshot) RegionIndex(id region.ID) (int, bool) {
 	i, ok := s.regionIdx[id]
 	return i, ok
 }
-
-// RegionID returns the region at dense index i.
-func (s *Snapshot) RegionID(i int) region.ID { return s.regions[i] }
-
-// NodeIndex returns the dense index of a stage.
-func (s *Snapshot) NodeIndex(n dag.NodeID) (int, bool) { return s.nodes.Index(n) }
 
 // NodeID returns the stage at dense index i.
 func (s *Snapshot) NodeID(i int) dag.NodeID { return s.nodes.Node(i) }
@@ -489,20 +443,17 @@ func (s *Snapshot) Assign(plan dag.Plan) ([]int, error) {
 // loop touches only the snapshot's baked slices, so estimates are pure
 // functions of (assign, h) and safe to compute concurrently. With tapes
 // enabled (the default) the plan is replayed against the solve's compiled
-// sample tape — a one-lane sweep (batch.go) over the column layout, sample
-// by sample over the record layout; the result is bit-identical to the
-// untaped path either way. Carbon is priced per sample from its energy by
-// region and gigabytes by region pair (basis.go), where Estimator.Estimate
-// prices every event: the two agree to summation order, ≈1e-15 relative.
+// sample tape — a one-lane sweep (batch.go) — and the result is
+// bit-identical to the untaped path. Carbon is priced per sample from its
+// energy by region and gigabytes by region pair (basis.go), where
+// Estimator.Estimate prices every event: the two agree to summation order,
+// ≈1e-15 relative.
 func (s *Snapshot) Estimate(assign []int, h int) (*Estimate, error) {
 	if err := s.checkArgs(assign, h); err != nil {
 		return nil, err
 	}
-	switch {
-	case s.tapes == nil:
+	if s.tapes == nil {
 		return s.estimateUntaped(assign, h)
-	case !s.soaTapes:
-		return s.estimateTaped(assign, h)
 	}
 	ests, err := s.EstimateBatch([][]int{assign}, h, nil)
 	if err != nil {
@@ -544,12 +495,13 @@ func (s *Snapshot) estimateUntaped(assign []int, h int) (*Estimate, error) {
 	// untaped mode, and per-call allocation of the RNG register and the
 	// eight scratch slices was its largest constant cost. All are fully
 	// reset on reuse (Seed resets the register; sampleOnce resets the
-	// scratch per sample; getAcc resets the series), so the arithmetic is
+	// scratch per sample; the series is reset here), so the arithmetic is
 	// unchanged.
-	sc := s.getSnapScratch()
-	defer s.putSnapScratch(sc)
-	acc := s.getAcc()
-	defer s.putAcc(acc)
+	sc := s.snapPool.Get().(*snapScratch)
+	defer s.snapPool.Put(sc)
+	acc := s.accPool.Get().(*seriesAcc)
+	defer s.accPool.Put(acc)
+	acc.reset()
 	for acc.samples() < MaxSamples {
 		for i := 0; i < BatchSize; i++ {
 			smp, err := s.sampleOnce(assign, h, rng, sc)

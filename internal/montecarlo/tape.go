@@ -1,10 +1,10 @@
 package montecarlo
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"caribou/internal/carbon"
 	"caribou/internal/simclock"
 	"caribou/internal/stats"
 )
@@ -29,10 +29,11 @@ import (
 // targets of every skip propagation. Replaying a plan against the tape
 // performs no RNG calls, no stream derivation, no conditional-probability
 // branching, and no recursive skip walks — only the region-dependent
-// lookups (duration quantile resolution, transfer/egress coefficients,
-// intensity-weighted carbon) and the exact arithmetic of the reference
-// path, in the exact same order, so replayed estimates are bit-identical
-// to untaped ones by construction (pinned by the tape parity tests).
+// lookups (the step's duration, energy and cost in the assigned region,
+// resolved for every region at compile time; transfer/egress coefficients)
+// and the exact arithmetic of the reference path, in the exact same order,
+// so replayed estimates are bit-identical to untaped ones by construction
+// (pinned by the tape parity tests).
 //
 // The tape is compiled lazily in BatchSize increments up to MaxSamples:
 // the first Estimate that needs samples [0,200) builds them, a later
@@ -45,75 +46,51 @@ import (
 // Only what reads intensity[h]/txRF[h] stays per hour: the pruning-bound
 // columns (hourTape) and pricing (basis.go).
 
-// tapeStep flags.
+// Step flags.
 const (
 	stepSync   uint8 = 1 << iota // step executes as a fired sync node
 	stepOutput                   // terminal step with a write-back draw
 )
 
-// tapeEdge kinds.
+// Edge kinds.
 const (
 	tapeEdgeSkip   uint8 = iota // conditional edge not taken: skip annotation
 	tapeEdgeStage               // taken edge into a sync node: KV staging
 	tapeEdgeDirect              // taken pub/sub edge
 )
 
-// tapeStep is one executed node of one recorded sample.
-type tapeStep struct {
-	node             int32
-	flags            uint8
-	u                float64 // pre-drawn exec-duration quantile
-	staged           float64 // sync steps: staged bytes, pre-summed in edge order
-	out              float64 // stepOutput steps: pre-drawn write-back bytes
-	edgeOff, edgeEnd int32   // [edgeOff,edgeEnd) into tapeData.edges
-}
-
-// tapeEdge is one out-edge outcome of an executed node.
-type tapeEdge struct {
-	to               int32
-	kind             uint8
-	bytes            float64 // pre-drawn payload (0 for unobserved edges)
-	skipOff, skipEnd int32   // tapeEdgeSkip: [skipOff,skipEnd) into skipSyncs
-}
-
-// tapeData is an immutable compiled prefix of the solve's sample stream.
-// Extensions append past every published header's length and publish a
-// new header, so a reader holding an old header only ever touches the
-// prefix that was complete when it loaded — no locking on the read side.
-// An hour's header (hourTape) is a copy of the shared one cut to the
-// prefix that hour has asked for, with that hour's bound columns attached.
+// tapeData is a header over a compiled prefix of the solve's sample
+// stream: one dense column per record field — replay is the solver's hot
+// loop, and columns stream only the bytes a step reads — plus
+// per-(step, region) columns that bake every plan-independent quantile and
+// coefficient the replay loop would otherwise recompute per candidate plan.
 //
-// Two layouts exist. The array-of-structs steps/edges slices are the
-// reference layout the compiler emits; with SoA replay enabled (the
-// default) the published header instead carries transposed dense columns
-// (soaCols) and leaves steps/edges nil. Both layouts replay bit-identically
-// (pinned by the tape parity tests); the column form exists because replay
-// is the solver's hot loop and streams far fewer bytes per step.
+// Columns are append-only. The compiler (compileSample) appends to the
+// master copy under the extension lock and publishes a copy of its slice
+// headers; an append either writes past every published length or moves
+// the column to a new array, so a reader holding an old header only ever
+// touches the prefix that was complete when it loaded — no locking on the
+// read side. That is why the offset columns hold end offsets behind a
+// leading 0 (step si's edges are [edgeOff[si], edgeOff[si+1]), edge ei's
+// skip targets [skipOff[ei], skipOff[ei+1])): a start offset plus a closing
+// sentinel would have every extension rewrite an index a published header
+// can read.
+//
+// An hour's header (hourTape) is a copy of the shared one with n cut to the
+// prefix that hour has asked for and that hour's bound columns attached.
 type tapeData struct {
-	n         int       // samples compiled
-	entry     []float64 // per sample: entry payload incl. control bytes
-	stepOff   []int32   // len n+1: sample i occupies steps[stepOff[i]:stepOff[i+1]]
-	steps     []tapeStep
-	edges     []tapeEdge
-	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
-	soa       *soaCols
-	bnd       *hourBounds // hour headers only; nil when bounds are unavailable
-}
+	n int // samples compiled
 
-// soaCols is the structure-of-arrays layout of one compiled tape prefix:
-// one dense column per record field, plus per-(step, region) columns that
-// bake every plan-independent quantile and coefficient the replay loop
-// would otherwise recompute per candidate plan. Offsets are cumulative
-// (edges of step si span edgeOff[si:si+1], skip targets of edge ei span
-// skipOff[ei:ei+1]), which the compiler's contiguous emission order
-// guarantees. All float64 columns of one extension are carved from a
-// single arena block (see transposeSoA).
-type soaCols struct {
-	// Per step.
+	// Per sample.
+	entry   []float64 // entry payload incl. control bytes
+	entry9  []float64 // entry / 1e9
+	stepOff []int32   // len n+1: sample i occupies steps stepOff[i]:stepOff[i+1]
+
+	// Per step (an executed node of one sample, in loop order).
 	node    []int32
 	flags   []uint8
-	staged  []float64 // sync steps: staged bytes
-	out     []float64 // stepOutput steps: write-back bytes
+	staged  []float64 // sync steps: staged bytes, pre-summed in edge order
+	out     []float64 // stepOutput steps: pre-drawn write-back bytes
 	edgeOff []int32   // len(node)+1
 	// Per (step, region) triples at (si*nR+r)*3: the resolved
 	// exec-duration quantile, the execution energy intermediate
@@ -126,38 +103,39 @@ type soaCols struct {
 	// aux9 holds the sync step's staged total divided by 1e9 (gigabytes).
 	// The quotient is plan-independent, and float division is the single
 	// longest-latency operation the replay loop would otherwise perform
-	// per step, so it is baked once at transpose time — same operands,
-	// same operation, bit-identical result.
+	// per step, so it is baked once at compile time — same operands, same
+	// operation, bit-identical result.
 	aux9 []float64
 	// out9 is the output step's write-back draw divided by 1e9. It is a
 	// separate column from aux9 because a terminal sync node with an
 	// output distribution carries both flags and needs both quotients
 	// (e.g. Text2Speech's final censoring stage).
 	out9 []float64
-	// entry9 is the per-sample entry payload divided by 1e9.
-	entry9 []float64
-	// Per edge.
+
+	// Per edge (an out-edge outcome of an executed node).
 	to      []int32
 	kind    []uint8
-	bytes   []float64
-	skipOff []int32 // len(to)+1, cumulative into tapeData.skipSyncs
+	bytes   []float64 // pre-drawn payload (0 for unobserved edges)
+	skipOff []int32   // len(to)+1, into skipSyncs
 	// e9 is the edge's transmitted payload in gigabytes: bytes/1e9 for
 	// staging edges, (bytes+controlBytes)/1e9 for direct edges (the
 	// reference adds the control envelope before converting), 0 for skips.
 	e9 []float64
+
+	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
+
+	bnd *hourBounds // hour headers only; nil when bounds are unavailable
 }
 
 // sampleTape owns the solve's lazily extended tape, shared read-only by
 // every hour. The mutex serializes extensions (the RNG stream must advance
-// sequentially); readers load the latest immutable prefix through the
-// atomic pointer. ref is the growing AoS master the compiler appends to; in
-// SoA mode it stays private and each extension is transposed into fresh
-// column headers before publication.
+// sequentially); readers load the latest published header through the
+// atomic pointer. cols is the column master only ensure appends to.
 type sampleTape struct {
 	mu   sync.Mutex
 	rng  *simclock.Rand // positioned after the last compiled sample
 	bld  *tapeBuilder
-	ref  *tapeData // AoS master; only published directly in AoS mode
+	cols tapeData
 	data atomic.Pointer[tapeData]
 }
 
@@ -170,34 +148,54 @@ func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	d := t.data.Load()
-	if d == nil {
-		t.rng = simclock.NewRand(s.mcSeed)
-		t.bld = newTapeBuilder(s.nodes.Len())
-		t.ref = &tapeData{stepOff: []int32{0}}
-		d = t.ref
-	}
-	if d.n >= n {
+	if d := t.data.Load(); d != nil && d.n >= n {
 		return d
 	}
-	ref := t.ref
-	oldSteps, oldEdges := len(ref.steps), len(ref.edges)
-	for ref.n < n && ref.n < MaxSamples {
+	if t.rng == nil {
+		t.rng = simclock.NewRand(s.mcSeed)
+		t.bld = newTapeBuilder(s)
+		t.cols = tapeData{stepOff: []int32{0}, edgeOff: []int32{0}, skipOff: []int32{0}}
+	}
+	cols := &t.cols
+	if more := min(n, MaxSamples) - cols.n; more > 0 {
+		more = (more + BatchSize - 1) / BatchSize * BatchSize
+		cols.reserve(more, more*len(t.bld.executed), more*t.bld.edges, s.nR)
+	}
+	for cols.n < n && cols.n < MaxSamples {
 		for i := 0; i < BatchSize; i++ {
-			s.compileSample(t.bld, t.rng, ref)
+			s.compileSample(t.bld, t.rng, cols)
 		}
 		s.tel.tapeBatches.Inc()
 		s.tel.tapeSamples.Add(BatchSize)
 	}
-	nd := &tapeData{n: ref.n, entry: ref.entry, stepOff: ref.stepOff, skipSyncs: ref.skipSyncs}
-	if s.soaTapes {
-		nd.soa = s.transposeSoA(d.soa, ref, oldSteps, oldEdges)
-	} else {
-		nd.steps = ref.steps
-		nd.edges = ref.edges
-	}
-	t.data.Store(nd)
-	return nd
+	nd := *cols
+	t.data.Store(&nd)
+	return &nd
+}
+
+// reserve makes room for an extension of samples more samples holding at
+// most steps step records and edges edge records — a sample executes each
+// node and resolves each out-edge at most once — so the extension allocates
+// once per column instead of climbing append's doubling ladder (most solves
+// never compile a second batch). slices.Grow keeps growth across extensions
+// amortized; skipSyncs has no such bound and grows by append alone.
+func (d *tapeData) reserve(samples, steps, edges, nR int) {
+	d.entry = slices.Grow(d.entry, samples)
+	d.entry9 = slices.Grow(d.entry9, samples)
+	d.stepOff = slices.Grow(d.stepOff, samples)
+	d.node = slices.Grow(d.node, steps)
+	d.flags = slices.Grow(d.flags, steps)
+	d.staged = slices.Grow(d.staged, steps)
+	d.out = slices.Grow(d.out, steps)
+	d.aux9 = slices.Grow(d.aux9, steps)
+	d.out9 = slices.Grow(d.out9, steps)
+	d.edgeOff = slices.Grow(d.edgeOff, steps)
+	d.drc = slices.Grow(d.drc, steps*nR*3)
+	d.to = slices.Grow(d.to, edges)
+	d.kind = slices.Grow(d.kind, edges)
+	d.bytes = slices.Grow(d.bytes, edges)
+	d.e9 = slices.Grow(d.e9, edges)
+	d.skipOff = slices.Grow(d.skipOff, edges)
 }
 
 // hourTape is what stays per hour over the shared tape: the header
@@ -226,103 +224,11 @@ func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
 	}
 	nd := *s.tape.ensure(s, n)
 	nd.n = min(n, nd.n)
-	if nd.soa != nil && s.bnd.ok {
+	if s.bnd.ok {
 		nd.bnd = s.extendBounds(d, &nd, h)
 	}
 	t.data.Store(&nd)
 	return &nd
-}
-
-// transposeSoA extends the published columns with the AoS records the
-// compiler just appended (steps[oldSteps:], edges[oldEdges:]). Columns are
-// immutable once published: each extension allocates exact-size arrays —
-// every float64 column carved from one arena block per extension — copies
-// the prior prefix, and fills the new span, so readers holding an old
-// header never observe growth.
-func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges int) *soaCols {
-	nR := s.nR
-	nS, nE := len(ref.steps), len(ref.edges)
-	c := &soaCols{
-		node:    make([]int32, nS),
-		flags:   make([]uint8, nS),
-		edgeOff: make([]int32, nS+1),
-		to:      make([]int32, nE),
-		kind:    make([]uint8, nE),
-		skipOff: make([]int32, nE+1),
-	}
-	nSamp := ref.n
-	arena := make([]float64, nS*4+nE*2+nSamp+nS*nR*3)
-	c.staged, arena = arena[:nS:nS], arena[nS:]
-	c.out, arena = arena[:nS:nS], arena[nS:]
-	c.aux9, arena = arena[:nS:nS], arena[nS:]
-	c.out9, arena = arena[:nS:nS], arena[nS:]
-	c.bytes, arena = arena[:nE:nE], arena[nE:]
-	c.e9, arena = arena[:nE:nE], arena[nE:]
-	c.entry9, arena = arena[:nSamp:nSamp], arena[nSamp:]
-	c.drc = arena
-	if prev != nil {
-		copy(c.node, prev.node)
-		copy(c.flags, prev.flags)
-		copy(c.staged, prev.staged)
-		copy(c.out, prev.out)
-		copy(c.aux9, prev.aux9)
-		copy(c.out9, prev.out9)
-		copy(c.edgeOff, prev.edgeOff)
-		copy(c.drc, prev.drc)
-		copy(c.to, prev.to)
-		copy(c.kind, prev.kind)
-		copy(c.bytes, prev.bytes)
-		copy(c.e9, prev.e9)
-		copy(c.skipOff, prev.skipOff)
-		copy(c.entry9, prev.entry9)
-	}
-	oldSamp := 0
-	if prev != nil {
-		oldSamp = len(prev.entry9)
-	}
-	for i := oldSamp; i < nSamp; i++ {
-		c.entry9[i] = ref.entry[i] / 1e9
-	}
-	for i := oldSteps; i < nS; i++ {
-		st := &ref.steps[i]
-		c.node[i] = st.node
-		c.flags[i] = st.flags
-		c.staged[i] = st.staged
-		c.out[i] = st.out
-		if st.flags&stepSync != 0 {
-			c.aux9[i] = st.staged / 1e9
-		}
-		if st.flags&stepOutput != 0 {
-			c.out9[i] = st.out / 1e9
-		}
-		c.edgeOff[i] = st.edgeOff
-		s.bakeStepCols(int(st.node), st.u, c.drc[i*nR*3:(i+1)*nR*3])
-	}
-	c.edgeOff[nS] = int32(nE)
-	skips := int32(0)
-	if prev != nil {
-		skips = prev.skipOff[oldEdges]
-	}
-	for e := oldEdges; e < nE; e++ {
-		te := &ref.edges[e]
-		c.to[e] = te.to
-		c.kind[e] = te.kind
-		c.bytes[e] = te.bytes
-		switch te.kind {
-		case tapeEdgeStage:
-			c.e9[e] = te.bytes / 1e9
-		case tapeEdgeDirect:
-			// The reference adds the control envelope first, then
-			// converts: (bytes+controlBytes)/1e9 with that exact sum.
-			c.e9[e] = (te.bytes + controlBytes) / 1e9
-		}
-		c.skipOff[e] = skips
-		if te.kind == tapeEdgeSkip {
-			skips = te.skipEnd
-		}
-	}
-	c.skipOff[nE] = skips
-	return c
 }
 
 // bakeStepCols resolves one step's region-dependent terms for every
@@ -362,15 +268,21 @@ type tapeBuilder struct {
 	syncReached []bool
 	staged      []float64
 	stack       []snapEdge // explicit DFS stack for skip propagation
+	edges       int        // out-edges in the DAG: the most one sample resolves
 }
 
-func newTapeBuilder(n int) *tapeBuilder {
-	return &tapeBuilder{
+func newTapeBuilder(s *Snapshot) *tapeBuilder {
+	n := s.nodes.Len()
+	b := &tapeBuilder{
 		executed:    make([]bool, n),
 		skipped:     make([]bool, n),
 		syncReached: make([]bool, n),
 		staged:      make([]float64, n),
 	}
+	for _, out := range s.outEdges {
+		b.edges += len(out)
+	}
+	return b
 }
 
 func (b *tapeBuilder) reset() {
@@ -383,14 +295,16 @@ func (b *tapeBuilder) reset() {
 }
 
 // compileSample resolves one sample's skeleton, consuming RNG draws in
-// exactly the order of the reference sampleOnce, and appends the records
-// to nd. Only plan-invariant state is tracked; everything region-dependent
-// is deferred to replay.
+// exactly the order of the reference sampleOnce, and appends it to nd's
+// columns. Only plan-invariant state is tracked; everything
+// region-dependent is either baked per region here (bakeStepCols) or
+// deferred to replay.
 func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeData) {
 	b.reset()
 	entryBytes := stats.SampleSorted(s.entryBytes, rng.Float64()) + controlBytes
 	entry := s.start
 	b.executed[entry] = true
+	nR3 := s.nR * 3
 
 	for n := 0; n < len(b.executed); n++ {
 		if b.skipped[n] {
@@ -409,46 +323,64 @@ func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeDat
 			}
 		}
 
-		st := tapeStep{node: int32(n), flags: flags, staged: b.staged[n]}
-		st.u = rng.Float64()
-		st.edgeOff = int32(len(nd.edges))
+		staged := b.staged[n]
+		u := rng.Float64() // exec-duration quantile
+		var outBytes, aux9, out9 float64
+		if flags&stepSync != 0 {
+			aux9 = staged / 1e9
+		}
 		out := s.outEdges[n]
 		if len(out) == 0 {
 			if ob := s.output[n]; ob != nil {
-				st.flags |= stepOutput
-				st.out = stats.SampleSorted(ob, rng.Float64())
+				flags |= stepOutput
+				outBytes = stats.SampleSorted(ob, rng.Float64())
+				out9 = outBytes / 1e9
 			}
 		} else {
 			for _, edge := range out {
 				taken := !edge.conditional || rng.Bool(edge.prob)
-				te := tapeEdge{to: int32(edge.to)}
+				kind := tapeEdgeSkip
+				var bytes, e9 float64
 				if !taken {
-					te.kind = tapeEdgeSkip
-					te.skipOff = int32(len(nd.skipSyncs))
 					nd.skipSyncs = b.propagateSkip(s, edge, nd.skipSyncs)
-					te.skipEnd = int32(len(nd.skipSyncs))
 				} else {
 					if edge.bytes != nil {
-						te.bytes = stats.SampleSorted(edge.bytes, rng.Float64())
+						bytes = stats.SampleSorted(edge.bytes, rng.Float64())
 					}
 					if edge.toSync {
-						te.kind = tapeEdgeStage
-						b.staged[edge.to] += te.bytes
+						kind = tapeEdgeStage
+						e9 = bytes / 1e9
+						b.staged[edge.to] += bytes
 						b.syncReached[edge.to] = true
 					} else {
-						te.kind = tapeEdgeDirect
+						kind = tapeEdgeDirect
+						// The reference adds the control envelope first, then
+						// converts: (bytes+controlBytes)/1e9 with that exact sum.
+						e9 = (bytes + controlBytes) / 1e9
 						b.executed[edge.to] = true
 					}
 				}
-				nd.edges = append(nd.edges, te)
+				nd.to = append(nd.to, int32(edge.to))
+				nd.kind = append(nd.kind, kind)
+				nd.bytes = append(nd.bytes, bytes)
+				nd.e9 = append(nd.e9, e9)
+				nd.skipOff = append(nd.skipOff, int32(len(nd.skipSyncs)))
 			}
 		}
-		st.edgeEnd = int32(len(nd.edges))
-		nd.steps = append(nd.steps, st)
+		nd.node = append(nd.node, int32(n))
+		nd.flags = append(nd.flags, flags)
+		nd.staged = append(nd.staged, staged)
+		nd.out = append(nd.out, outBytes)
+		nd.aux9 = append(nd.aux9, aux9)
+		nd.out9 = append(nd.out9, out9)
+		nd.edgeOff = append(nd.edgeOff, int32(len(nd.to)))
+		nd.drc = append(nd.drc, make([]float64, nR3)...)
+		s.bakeStepCols(n, u, nd.drc[len(nd.drc)-nR3:])
 	}
 
 	nd.entry = append(nd.entry, entryBytes)
-	nd.stepOff = append(nd.stepOff, int32(len(nd.steps)))
+	nd.entry9 = append(nd.entry9, entryBytes/1e9)
+	nd.stepOff = append(nd.stepOff, int32(len(nd.node)))
 	nd.n++
 }
 
@@ -520,140 +452,4 @@ func (sc *replayScratch) reset() {
 		st[i] = 0
 		rd[i] = 0
 	}
-}
-
-// estimateTaped is the array-of-structs layout's plan-at-a-time path: it
-// mirrors estimateUntaped's batched stopping rule but replays pre-compiled
-// samples instead of drawing them, extending the shared tape only as far as
-// this plan's convergence requires. (SoA tapes evaluate through sweeps,
-// batch.go.)
-func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
-	t := s.tapes[h]
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	acc := s.getAcc()
-	defer s.putAcc(acc)
-	for acc.samples() < MaxSamples {
-		need := acc.samples() + BatchSize
-		td := t.ensure(s, h, need)
-		for i := acc.samples(); i < need; i++ {
-			smp, err := s.replaySample(td, i, h, assign, sc)
-			if err != nil {
-				return nil, err
-			}
-			acc.add(smp)
-		}
-		if acc.converged() {
-			break
-		}
-	}
-	s.tel.estimates.Inc()
-	s.tel.samples.Add(int64(acc.samples()))
-	s.tel.tapeReplays.Add(int64(acc.samples()))
-	return acc.summarize()
-}
-
-// replaySample evaluates recorded sample i under the dense assignment and
-// prices it at hour h. The arithmetic — every addition, comparison, and
-// their order — matches sampleOnce exactly; only the draws are read from
-// the tape.
-func (s *Snapshot) replaySample(td *tapeData, i, h int, assign []int, sc *replayScratch) (sample, error) {
-	sc.reset()
-	var smp sample
-	home := s.home
-	nR := s.nR
-
-	traffic := func(from, to int, bytes float64) {
-		if bytes > 0 {
-			q := bytes / 1e9
-			sc.gb[from*nR+to] += q
-			smp.cost += q * s.egressPerGB[from*nR+to]
-		}
-	}
-	transfer := func(from, to int, bytes float64) float64 {
-		if bytes < 0 {
-			bytes = 0
-		}
-		return s.txBase[from*nR+to] + bytes*s.txPerByte[from*nR+to]
-	}
-
-	entry := s.start
-	entryRegion := assign[entry]
-	entryBytes := td.entry[i]
-	smp.cost += s.dynReadUSD
-	smp.cost += s.snsUSD[home]
-	traffic(home, entryRegion, entryBytes)
-	sc.start[entry] = s.kvAccess[home] + s.msgOverhead + transfer(home, entryRegion, entryBytes)
-
-	for si := td.stepOff[i]; si < td.stepOff[i+1]; si++ {
-		st := &td.steps[si]
-		n := int(st.node)
-		r := assign[n]
-		var startN float64
-		if st.flags&stepSync != 0 {
-			staged := st.staged
-			smp.cost += s.snsUSD[home]
-			traffic(home, r, controlBytes)
-			arrive := sc.ready[n] + s.msgOverhead + transfer(home, r, controlBytes)
-			load := s.kvAccess[r] + transfer(home, r, staged)
-			smp.cost += s.dynReadUSD
-			traffic(home, r, staged)
-			startN = arrive + load
-		} else {
-			startN = sc.start[n]
-		}
-
-		if err := s.execErr[n*nR+r]; err != nil {
-			clear(sc.kwh)
-			clear(sc.gb)
-			return smp, err
-		}
-		dur := stats.SampleSorted(s.exec[n*nR+r], st.u)
-		mem := s.memoryMB[n]
-		finish := startN + dur
-		if finish > smp.latency {
-			smp.latency = finish
-		}
-		sc.kwh[r] += carbon.ExecutionEnergyKWh(mem, dur, s.cpuUtil[n])
-		if mem >= 0 && dur >= 0 {
-			smp.cost += mem/1024*dur*s.gbSecUSD[r] + s.reqUSD[r]
-		}
-
-		if st.flags&stepOutput != 0 {
-			traffic(r, home, st.out)
-			continue
-		}
-		for ei := st.edgeOff; ei < st.edgeEnd; ei++ {
-			e := &td.edges[ei]
-			to := int(e.to)
-			switch e.kind {
-			case tapeEdgeSkip:
-				for k := e.skipOff; k < e.skipEnd; k++ {
-					sn := int(td.skipSyncs[k])
-					if finish > sc.ready[sn] {
-						sc.ready[sn] = finish
-					}
-				}
-				smp.cost += s.dynWriteUSD // skip annotation
-			case tapeEdgeStage:
-				smp.cost += s.dynWriteUSD
-				smp.cost += s.dynWriteUSD
-				traffic(r, home, e.bytes)
-				ready := finish + transfer(r, home, e.bytes) + s.kvAccess[r]
-				if ready > sc.ready[to] {
-					sc.ready[to] = ready
-				}
-			case tapeEdgeDirect:
-				smp.cost += s.snsUSD[r]
-				total := e.bytes + controlBytes
-				traffic(r, assign[to], total)
-				arrive := finish + s.msgOverhead + transfer(r, assign[to], total)
-				if arrive > sc.start[to] {
-					sc.start[to] = arrive
-				}
-			}
-		}
-	}
-	smp.execCarbon, smp.txCarbon = s.priceDense(h, sc.kwh, sc.gb)
-	return smp, nil
 }

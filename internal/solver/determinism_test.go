@@ -68,15 +68,14 @@ func TestSolveHourlyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertIdenticalSolves(t, onePlans, eightPlans, oneRes, eightRes)
 }
 
-// TestSolveDeterministicAcrossEvalModes is the PR-wide bit-identity grid:
-// worker counts 1 and 8 crossed with every evaluation mode — shared sweeps
-// over per-plan bases with exact pruning (the default), per-(plan, hour)
-// evaluation (nobatch), the array-of-structs tape layout (nosoa), and the
-// untaped reference estimator — must all produce exactly the same 24
-// hourly plans and bit-identical estimates. Each mode is defined as a pure
-// reorganization of the reference arithmetic (sweeps share column loads
-// and replays, pruning only abandons candidates a bound proves rejected),
-// and this test is the contract.
+// TestSolveDeterministicAcrossEvalModes is the bit-identity grid: worker
+// counts 1 and 8 crossed with both evaluation modes — shared sweeps over
+// per-plan bases with exact pruning (the default, "batch") and the untaped
+// reference estimator, one unpruned (plan, hour) at a time — must produce
+// exactly the same 24 hourly plans and bit-identical estimates. The sweep
+// is defined as a pure reorganization of the reference arithmetic (it
+// shares column loads and replays, pruning only abandons candidates a
+// bound proves rejected), and this test is the contract.
 func TestSolveDeterministicAcrossEvalModes(t *testing.T) {
 	in := chainInputs(t, 6)
 	modes := []struct {
@@ -84,8 +83,6 @@ func TestSolveDeterministicAcrossEvalModes(t *testing.T) {
 		apply func(*Config)
 	}{
 		{"batch", func(*Config) {}},
-		{"nobatch", func(c *Config) { c.NoBatchEval = true }},
-		{"nosoa", func(c *Config) { c.NoSoATape = true }},
 		{"untaped", func(c *Config) { c.UntapedEstimates = true }},
 	}
 	solve := func(workers int, apply func(*Config)) (dag.HourlyPlans, []Result) {

@@ -48,12 +48,6 @@ type search struct {
 	elig  [][]int // per dense node index: eligible region indices
 	space int64
 
-	// batch routes grouped evaluations through shared sweeps with
-	// bound-based pruning (montecarlo.EstimateBases/EstimateRows); disabled
-	// by Config.NoBatchEval and implied off by NoSoATape and
-	// UntapedEstimates (sweeps walk SoA columns).
-	batch bool
-
 	mu    sync.Mutex
 	cache map[memoKey]*montecarlo.Estimate
 	// bases memoizes, per plan, its hour-free replay (montecarlo.Basis): the
@@ -121,7 +115,6 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 	// read-only after each extension — by every estimate this search
 	// performs: HBSS rounds, exhaustive enumeration, the coarse baseline,
 	// and all hourly solves.
-	snap.SetSoA(!s.nosoa)
 	snap.SetTapes(!s.untaped)
 	elig := make([][]int, len(s.order))
 	for i, n := range s.order {
@@ -138,7 +131,6 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 		snap:  snap,
 		elig:  elig,
 		space: s.searchSpace(),
-		batch: !s.nobatch && !s.nosoa && !s.untaped,
 		cache: make(map[memoKey]*montecarlo.Estimate),
 		bases: make(map[string]*montecarlo.Basis),
 		arena: montecarlo.NewBasisArena(),
@@ -207,32 +199,29 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 // success. The assignments are retained, never copied: callers hand over
 // slices they will not modify.
 //
-// With batch evaluation enabled a miss is priced from its plan's basis
-// (montecarlo.EstimateBases): plans new to the solve replay their first
-// batch together in one shared sweep, a plan some hour already replayed
-// costs only the pricing of this hour, and a basis another hour's
-// coordinator is working on is waited for without holding an evaluation
-// slot — the calling coordinator holds none; replay takes one inside the
-// sweep, after the basis lock. thr carries per-assignment abandonment
-// thresholds (nil, or +Inf entries, disable pruning): a returned nil
-// estimate means the sweep proved that candidate's priority metric exceeds
-// its threshold. Pruned results are never memoized — the proof is relative
-// to this call's thresholds — so out[i] stays nil for every occurrence of a
-// pruned plan, and the basis stays usable. A duplicated assignment's job
-// carries the threshold of its first unmemoized occurrence; that is the
-// only occurrence whose estimate the HBSS acceptance loop can reach (later
-// duplicates fail its seen check), so the sharing cannot leak a prune
-// decision across different thresholds. On the reference paths every miss
-// is a plain Estimate under an evaluation slot, unpruned.
+// A miss is priced from its plan's basis (montecarlo.EstimateBases): plans
+// new to the solve replay their first batch together in one shared sweep, a
+// plan some hour already replayed costs only the pricing of this hour, and
+// a basis another hour's coordinator is working on is waited for without
+// holding an evaluation slot — the calling coordinator holds none; replay
+// takes one inside the sweep, after the basis lock. thr carries
+// per-assignment abandonment thresholds (nil, or +Inf entries, disable
+// pruning): a returned nil estimate means the sweep proved that candidate's
+// priority metric exceeds its threshold. Pruned results are never memoized
+// — the proof is relative to this call's thresholds — so out[i] stays nil
+// for every occurrence of a pruned plan, and the basis stays usable. A
+// duplicated assignment's job carries the threshold of its first
+// unmemoized occurrence; that is the only occurrence whose estimate the
+// HBSS acceptance loop can reach (later duplicates fail its seen check), so
+// the sharing cannot leak a prune decision across different thresholds.
+// With UntapedEstimates, EstimateBases itself evaluates every miss as a
+// plain untaped Estimate under an evaluation slot, one after the other,
+// unpruned.
 func (c *search) evalAllPruned(assigns [][]int, keys []string, h int, thr []float64) ([]*montecarlo.Estimate, error) {
 	out := make([]*montecarlo.Estimate, len(assigns))
 	jobs := make([]int, 0, len(assigns)) // first unmemoized occurrence of each plan
-	var bases []*montecarlo.Basis
-	var ts []float64
-	if c.batch {
-		bases = make([]*montecarlo.Basis, 0, len(assigns))
-		ts = make([]float64, 0, len(assigns))
-	}
+	bases := make([]*montecarlo.Basis, 0, len(assigns))
+	ts := make([]float64, 0, len(assigns))
 	var hits, basisHits int64
 	c.mu.Lock()
 next:
@@ -248,9 +237,6 @@ next:
 			}
 		}
 		jobs = append(jobs, i)
-		if !c.batch {
-			continue
-		}
 		b := c.bases[k]
 		if b == nil {
 			var err error
@@ -277,24 +263,10 @@ next:
 		return out, nil
 	}
 
-	var ests []*montecarlo.Estimate
-	if c.batch {
-		prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
-		var err error
-		if ests, err = c.snap.EstimateBases(bases, h, prune, c.sem); err != nil {
-			return nil, err
-		}
-	} else {
-		ests = make([]*montecarlo.Estimate, len(jobs))
-		errs := make([]error, len(jobs))
-		c.forEach(len(jobs), func(j int) {
-			ests[j], errs[j] = c.snap.Estimate(assigns[jobs[j]], h)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
+	ests, err := c.snap.EstimateBases(bases, h, prune, c.sem)
+	if err != nil {
+		return nil, err
 	}
 
 	c.mu.Lock()
@@ -321,14 +293,13 @@ next:
 // evalRows returns, for distinct assignments, their estimates at every
 // hour of the compiled window: rows[i][h]. Memoized (plan, hour) pairs are
 // returned directly; a plan with any pair missing is evaluated as one hour
-// row — with batch evaluation enabled through montecarlo.EstimateRows,
-// where one sweep over the tape prices every hour, in chunks of at most
-// rowSeries hour series across the worker semaphore; on the reference
-// paths hour by hour through Estimate. prune carries the per-hour
-// abandonment thresholds (nil disables pruning; the reference paths never
-// prune): a nil entry means the sweep proved that plan's priority metric
-// at that hour exceeds the hour's threshold, and — the proof being
-// relative to this call — is not memoized.
+// row through montecarlo.EstimateRows, where one sweep over the tape prices
+// every hour (hour by hour through untaped Estimates with
+// UntapedEstimates), in chunks of at most rowSeries hour series across the
+// worker semaphore. prune carries the per-hour abandonment thresholds (nil
+// disables pruning; the untaped path never prunes): a nil entry means the
+// sweep proved that plan's priority metric at that hour exceeds the hour's
+// threshold, and — the proof being relative to this call — is not memoized.
 func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*montecarlo.Estimate, error) {
 	H := c.snap.NumHours()
 	rows := make([][]*montecarlo.Estimate, len(assigns))
@@ -369,31 +340,22 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*mon
 
 	ests := make([][]*montecarlo.Estimate, len(jobs))
 	errs := make([]error, len(jobs))
-	if c.batch {
-		// Short job lists split finer still, so every worker gets a chunk:
-		// row results do not depend on how lanes are grouped.
-		chunk := max(1, min(evalChunk, rowSeries/H, (len(jobs)+c.s.workers-1)/c.s.workers))
-		c.forEach((len(jobs)+chunk-1)/chunk, func(k int) {
-			lo, hi := k*chunk, min((k+1)*chunk, len(jobs))
-			as := make([][]int, hi-lo)
-			for j := lo; j < hi; j++ {
-				as[j-lo] = jobs[j].assign
-			}
-			es, err := c.snap.EstimateRows(as, prune)
-			if err != nil {
-				errs[lo] = err
-				return
-			}
-			copy(ests[lo:hi], es)
-		})
-	} else {
-		c.forEach(len(jobs), func(j int) {
-			ests[j] = make([]*montecarlo.Estimate, H)
-			for h := 0; h < H && errs[j] == nil; h++ {
-				ests[j][h], errs[j] = c.snap.Estimate(jobs[j].assign, h)
-			}
-		})
-	}
+	// Short job lists split finer still, so every worker gets a chunk:
+	// row results do not depend on how lanes are grouped.
+	chunk := max(1, min(evalChunk, rowSeries/H, (len(jobs)+c.s.workers-1)/c.s.workers))
+	c.forEach((len(jobs)+chunk-1)/chunk, func(k int) {
+		lo, hi := k*chunk, min((k+1)*chunk, len(jobs))
+		as := make([][]int, hi-lo)
+		for j := lo; j < hi; j++ {
+			as[j-lo] = jobs[j].assign
+		}
+		es, err := c.snap.EstimateRows(as, prune)
+		if err != nil {
+			errs[lo] = err
+			return
+		}
+		copy(ests[lo:hi], es)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -67,8 +67,9 @@ func randomSpreadChain(t *testing.T, seed int64) *spreadInputs {
 // the exact-pruning contract: across random workloads, seeds, and
 // objective priorities, a solve with batched evaluation and bound-based
 // pruning (the default) must select the identical winning plan and a
-// byte-identical winner estimate as a solve with batching disabled
-// (NoBatchEval), where every candidate is always evaluated to completion.
+// byte-identical winner estimate as a solve on the untaped reference path
+// (UntapedEstimates), where every candidate is always evaluated to
+// completion.
 // The workloads use spread durations so candidates stay unconverged
 // across several batch boundaries and pruning genuinely fires (asserted
 // via the montecarlo.pruned_candidates counter at the end).
@@ -77,13 +78,13 @@ func TestQuickPruningPreservesSolveExactly(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 	pruned := rec.Counter("montecarlo.pruned_candidates")
 
-	solve := func(in montecarlo.Inputs, seed int64, prio Priority, nobatch bool) (Result, bool) {
+	solve := func(in montecarlo.Inputs, seed int64, prio Priority, untaped bool) (Result, bool) {
 		s, err := New(Config{
-			Inputs:      in,
-			Estimator:   montecarlo.New(in, carbon.BestCase(), seed),
-			Objective:   Objective{Priority: prio, Tolerances: Tolerances{Latency: Tol(50)}},
-			Seed:        seed,
-			NoBatchEval: nobatch,
+			Inputs:           in,
+			Estimator:        montecarlo.New(in, carbon.BestCase(), seed),
+			Objective:        Objective{Priority: prio, Tolerances: Tolerances{Latency: Tol(50)}},
+			Seed:             seed,
+			UntapedEstimates: untaped,
 		})
 		if err != nil {
 			t.Log(err)
@@ -109,7 +110,7 @@ func TestQuickPruningPreservesSolveExactly(t *testing.T) {
 			return false
 		}
 		if !batched.Plan.Equal(plain.Plan) {
-			t.Logf("seed %d prio %v: batched plan %v != unbatched %v", seed, prio, batched.Plan, plain.Plan)
+			t.Logf("seed %d prio %v: batched plan %v != untaped %v", seed, prio, batched.Plan, plain.Plan)
 			return false
 		}
 		if *batched.Estimate != *plain.Estimate {

@@ -184,7 +184,7 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 // TestSolveHourlyTinySearches: the shapes with the least to share must not
 // wedge the basis memo — a one-stage workflow (four plans, exhaustive, no
 // memo at all) and one HBSS iteration per hour, at every worker count, in
-// the default mode and plan by plan.
+// the default mode and on the untaped reference path.
 func TestSolveHourlyTinySearches(t *testing.T) {
 	single := chainInputs(t, 1)
 	for _, tc := range []struct {
@@ -197,15 +197,15 @@ func TestSolveHourlyTinySearches(t *testing.T) {
 	} {
 		var ref []Result
 		for _, workers := range []int{1, 2, 8} {
-			for _, nobatch := range []bool{false, true} {
+			for _, untaped := range []bool{false, true} {
 				s, err := New(Config{
-					Inputs:        tc.in,
-					Estimator:     montecarlo.New(tc.in, carbon.BestCase(), 5),
-					Objective:     Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(50)}},
-					Seed:          5,
-					Workers:       workers,
-					MaxIterations: tc.maxIter,
-					NoBatchEval:   nobatch,
+					Inputs:           tc.in,
+					Estimator:        montecarlo.New(tc.in, carbon.BestCase(), 5),
+					Objective:        Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(50)}},
+					Seed:             5,
+					Workers:          workers,
+					MaxIterations:    tc.maxIter,
+					UntapedEstimates: untaped,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSolveHourlyTinySearches(t *testing.T) {
 				select {
 				case results = <-done:
 				case <-time.After(time.Minute):
-					t.Fatalf("%s workers=%d nobatch=%v: SolveHourly did not return", tc.name, workers, nobatch)
+					t.Fatalf("%s workers=%d untaped=%v: SolveHourly did not return", tc.name, workers, untaped)
 				}
 				if ref == nil {
 					ref = results
@@ -230,7 +230,7 @@ func TestSolveHourlyTinySearches(t *testing.T) {
 				}
 				for h := range ref {
 					if !ref[h].Plan.Equal(results[h].Plan) || *ref[h].Estimate != *results[h].Estimate {
-						t.Errorf("%s workers=%d nobatch=%v hour %d diverges", tc.name, workers, nobatch, h)
+						t.Errorf("%s workers=%d untaped=%v hour %d diverges", tc.name, workers, untaped, h)
 					}
 				}
 			}

@@ -49,9 +49,9 @@ func learnedSolver(t *testing.T, mm *metrics.Manager, workers int, apply func(*C
 // TestExhaustiveRowsDeterministicAcrossEvalModes extends the workers
 // {1,8} × eval-mode grid to exhaustive spaces, where SolveHourly enumerates
 // once and prices every plan's hour row in one sweep: the row path must
-// give the 24 plans and bit-identical estimates of the reference paths
-// (nobatch, nosoa, untaped evaluate (plan, hour) pairs one at a time, and
-// never prune). In the default mode — also run at Workers 2 — the
+// give the 24 plans and bit-identical estimates of the untaped reference
+// path (which evaluates (plan, hour) pairs one at a time, and never
+// prunes). In the default mode — also run at Workers 2 — the
 // montecarlo totals — samples, estimates, pruned candidates, plan-batches
 // replayed, hour prices, bound bakes — must also agree with Workers 1:
 // prune decisions are pure, so neither the worker count nor the chunking it
@@ -71,8 +71,6 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 		apply func(*Config)
 	}{
 		{"batch", true, nil},
-		{"nobatch", false, func(c *Config) { c.NoBatchEval = true }},
-		{"nosoa", false, func(c *Config) { c.NoSoATape = true }},
 		{"untaped", false, func(c *Config) { c.UntapedEstimates = true }},
 	}
 	now := t0.Add(24 * time.Hour)
@@ -114,10 +112,9 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 				if workers == 2 && !m.rows {
 					continue // Workers 2 only adds a third point to the counter check
 				}
-				// A plan-at-a-time heavy-tail solve is 6144 unpruned
-				// estimates: run them fanned out only, and under -short
-				// (make race) only the nobatch one.
-				if name == "heavy-tail" && !m.rows && (workers == 1 || testing.Short() && m.name != "nobatch") {
+				// The untaped heavy-tail solve is 6144 unpruned estimates:
+				// run it fanned out only, and not under -short (make race).
+				if name == "heavy-tail" && !m.rows && (workers == 1 || testing.Short()) {
 					continue
 				}
 				res, ctr := solve(workers, m.apply)
@@ -131,7 +128,7 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 						}
 					}
 					if !m.rows {
-						return // reference paths count (plan, hour) samples, and never prune
+						return // the reference path counts (plan, hour) samples, and never prunes
 					}
 					for i, n := range names {
 						if ctr[i] != refCtr[i] {
@@ -147,12 +144,13 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 // TestSolveOneMatchesSolveHourlyHour: SolveOne is the exhaustive row solve
 // over a one-hour window, so its plan and estimate are SolveHourly's for
 // that hour, bit for bit — on both exhaustive fixtures, in the default
-// mode and on the plan-at-a-time reference path.
+// mode ("batch") and on the untaped plan-at-a-time reference path
+// ("nobatch").
 func TestSolveOneMatchesSolveHourlyHour(t *testing.T) {
 	now := t0.Add(24 * time.Hour)
 	for name, mm := range exhaustiveFixtures(t) {
 		for _, mode := range []string{"batch", "nobatch"} {
-			apply := func(c *Config) { c.NoBatchEval = mode == "nobatch" }
+			apply := func(c *Config) { c.UntapedEstimates = mode == "nobatch" }
 			s := learnedSolver(t, mm, 0, apply)
 			_, hourly, err := s.SolveHourly(now, now)
 			if err != nil {

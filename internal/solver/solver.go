@@ -98,48 +98,27 @@ type Config struct {
 	// deterministic at any parallelism.
 	Workers int
 	// UntapedEstimates routes plan evaluations through the reference
-	// draw-per-sample path instead of replaying compiled sample tapes.
-	// Results are bit-identical either way (asserted by the tape parity
-	// tests); the switch exists for benchmarks and ablations.
+	// draw-per-sample path — one (plan, hour) at a time, never pruned —
+	// instead of shared sweeps over per-plan bases replayed from the
+	// solve's compiled sample tape. Results are bit-identical either way:
+	// surviving candidates replay the exact reference arithmetic, and every
+	// pruned candidate is one the acceptance rule provably rejects (asserted
+	// by the solver mode grid and the pruning property tests). The switch is
+	// the oracle those tests compare against.
 	UntapedEstimates bool
-	// NoSoATape keeps sample tapes in the array-of-structs reference
-	// layout instead of the structure-of-arrays columns. Bit-identical
-	// either way; sweeps require the column layout, so this also implies
-	// plan-at-a-time evaluation.
-	NoSoATape bool
-	// NoBatchEval evaluates candidate plans one (plan, hour) at a time
-	// instead of through shared sweeps over per-plan bases with bound-based
-	// pruning (montecarlo.EstimateBases). Results are bit-identical either way —
-	// surviving candidates replay the exact reference arithmetic, and
-	// every pruned candidate is one the acceptance rule provably rejects
-	// (re-evaluated in full when the proof's premise lapses) — asserted by
-	// the solver mode grid and pruning property tests. Batch evaluation
-	// requires SoA tapes, so NoSoATape and UntapedEstimates imply it off.
-	NoBatchEval bool
 }
 
-// EvalModes bundles the evaluation-path escape hatches
-// (UntapedEstimates, NoSoATape, NoBatchEval) so
-// process-level tooling — caribou-eval's -eval-mode flag — can route
-// every solve in a run through a reference path without threading new
-// fields through each experiment constructor. All modes are
-// bit-identical by construction; see DESIGN.md "SoA tape layout" and
-// "Batched replay & exact pruning".
-type EvalModes struct {
-	UntapedEstimates bool
-	NoSoATape        bool
-	NoBatchEval      bool
-}
+// defaultUntaped is ORed into Config.UntapedEstimates of every Solver
+// built afterwards. Written once at process start (before any solver
+// exists), read by New; deliberately not synchronized.
+var defaultUntaped bool
 
-// defaultEvalModes is ORed into the Config flags of every Solver built
-// afterwards. Written once at process start (before any solver exists),
-// read by New; deliberately not synchronized.
-var defaultEvalModes EvalModes
-
-// SetDefaultEvalModes selects the evaluation path for all subsequently
-// constructed Solvers. Call once at process start, before building any
-// environment; per-Config flags still apply on top.
-func SetDefaultEvalModes(m EvalModes) { defaultEvalModes = m }
+// SetDefaultUntapedEstimates routes every subsequently constructed Solver
+// through the untaped reference path, so process-level tooling —
+// caribou-eval's -eval-mode flag — can do so without threading a field
+// through each experiment constructor. Call once at process start, before
+// building any environment.
+func SetDefaultUntapedEstimates(on bool) { defaultUntaped = on }
 
 // Solver searches deployment plans.
 type Solver struct {
@@ -156,8 +135,6 @@ type Solver struct {
 	maxIter  int
 	workers  int
 	untaped  bool
-	nosoa    bool
-	nobatch  bool
 
 	tel solverTelemetry
 }
@@ -238,9 +215,7 @@ func New(cfg Config) (*Solver, error) {
 		eligible: make(map[dag.NodeID][]region.ID, d.Len()),
 		maxIter:  cfg.MaxIterations,
 		workers:  workers,
-		untaped:  cfg.UntapedEstimates || defaultEvalModes.UntapedEstimates,
-		nosoa:    cfg.NoSoATape || defaultEvalModes.NoSoATape,
-		nobatch:  cfg.NoBatchEval || defaultEvalModes.NoBatchEval,
+		untaped:  cfg.UntapedEstimates || defaultUntaped,
 		tel:      newSolverTelemetry(),
 	}
 	for _, n := range s.order {

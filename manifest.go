@@ -33,14 +33,29 @@ type Manifest struct {
 }
 
 // LoadManifest parses a JSON deployment manifest into a DeploymentConfig.
+// The input must be exactly one JSON object: unknown fields and anything
+// but whitespace after the object are errors.
 func LoadManifest(r io.Reader) (DeploymentConfig, error) {
+	m, err := decodeManifest(r)
+	if err != nil {
+		return DeploymentConfig{}, err
+	}
+	return m.Config()
+}
+
+func decodeManifest(r io.Reader) (Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
-		return DeploymentConfig{}, fmt.Errorf("caribou: parse manifest: %w", err)
+		return m, fmt.Errorf("caribou: parse manifest: %w", err)
 	}
-	return m.Config()
+	// Decode reads one value and stops; Token skips whitespace and reports
+	// io.EOF only when nothing else follows.
+	if _, err := dec.Token(); err != io.EOF {
+		return m, fmt.Errorf("caribou: parse manifest: unexpected data after the JSON object")
+	}
+	return m, nil
 }
 
 // Config validates the manifest and converts it.

@@ -2,6 +2,7 @@ package caribou
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,73 @@ func TestLoadManifestErrors(t *testing.T) {
 			t.Errorf("manifest %q accepted", in)
 		}
 	}
+}
+
+// TestLoadManifestTrailingData: json.Decoder.Decode reads one value and
+// stops, so the loader checks the rest itself — only whitespace may follow
+// the object.
+func TestLoadManifestTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{`{"home_region":"aws:us-east-1"}`, true},
+		{"{\"home_region\":\"aws:us-east-1\"} \n\t\r\n", true},
+		{`{"home_region":"aws:us-east-1"} garbage`, false},
+		{`{"home_region":"aws:us-east-1"}{"priority":"cost"}`, false},
+		{`{} 1`, false},
+		{`{} null`, false},
+		{`{}]`, false},
+		{`{}}`, false},
+	} {
+		cfg, err := LoadManifest(strings.NewReader(tc.in))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("manifest %q rejected: %v", tc.in, err)
+		case tc.ok && cfg.HomeRegion != "aws:us-east-1":
+			t.Errorf("manifest %q: cfg = %+v", tc.in, cfg)
+		case !tc.ok && err == nil:
+			t.Errorf("manifest %q accepted", tc.in)
+		case !tc.ok && !strings.Contains(err.Error(), "parse manifest"):
+			t.Errorf("manifest %q: error %q does not say what failed", tc.in, err)
+		}
+	}
+}
+
+// FuzzLoadManifest: no byte string may panic the manifest loader, and an
+// accepted manifest must re-marshal and re-load to an equal config.
+func FuzzLoadManifest(f *testing.F) {
+	f.Add([]byte(`{
+	  "home_region": "aws:us-east-1",
+	  "priority": "carbon",
+	  "latency_tolerance_pct": 10,
+	  "allowed_countries": ["US"],
+	  "adaptive": true
+	}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"unknown_field": 1}`))
+	f.Add([]byte(`{"home_region":"aws:us-east-1"} garbage`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := LoadManifest(strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		m, err := decodeManifest(strings.NewReader(string(data)))
+		if err != nil {
+			t.Fatalf("LoadManifest accepted what decodeManifest rejects: %v", err)
+		}
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not marshal: %v", err)
+		}
+		again, err := LoadManifest(strings.NewReader(string(out)))
+		if err != nil {
+			t.Fatalf("re-marshalled manifest %s rejected: %v", out, err)
+		}
+		if !reflect.DeepEqual(cfg, again) {
+			t.Fatalf("round trip changed the config: %+v, then %+v via %s", cfg, again, out)
+		}
+	})
 }
 
 func TestManifestDeploysEndToEnd(t *testing.T) {
