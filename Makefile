@@ -15,9 +15,13 @@ test:
 # suite. The eval pass includes the worker-pool determinism tests
 # (bit-identical figures at Workers=1 vs Workers=8), the telemetry
 # inertness tests (bit-identical figures with the recorder on vs off),
-# the shared trace-cache concurrency tests, and the result codec's round
+# the shared trace-cache concurrency tests, the result codec's round
 # trip and byte-determinism (pool workers decode blobs concurrently against
-# the shared carbon traces). The first line runs -short: that skips only
+# the shared carbon traces), and TestSimulatorBlobDigests (every quick
+# Fig 7 run, a plain-SNS and a Step Functions day and an adaptive Fig 11
+# run must record the bytes whose SHA-256 is checked in: the simulator's
+# draws, event order and record layout under the detector's scheduling).
+# The first line runs -short: that skips only
 # the exhaustive-rows grid's untaped heavy-tail solve (6144 unpruned
 # estimates, a minute under the detector) — Workers 8 vs 1 on the row path,
 # with its counter totals, runs in full. The second line re-runs the shared-tape,
@@ -30,7 +34,7 @@ race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
 	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
-	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic' ./internal/eval/... ./internal/carbon/...
+	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests' ./internal/eval/... ./internal/carbon/...
 
 # fuzz gives the module's native fuzz targets a short budget each (go test
 # takes one -fuzz target per package per run). FuzzEstimateRows: bytes →
@@ -41,7 +45,16 @@ race:
 # inside it): neither may panic, and whatever one accepts must re-encode to
 # the same bytes. FuzzLoadManifest is the deployment manifest's JSON
 # decoder: it may not panic, and an accepted manifest must re-marshal and
-# re-load to an equal DeploymentConfig. Seed corpora live under each
+# re-load to an equal DeploymentConfig. FuzzEnvelope delivers arbitrary
+# bytes to a deployed function's topic and to the executor's drop callback
+# while an invocation is live: nothing panics, a payload that is not that
+# stage's envelope is nacked until the broker drops it, and the live
+# invocation's record does not change. FuzzBuild maps bytes to a node/edge
+# list (cycles, self-loops, duplicate and empty ids, several starts, NaN
+# and out-of-range probabilities): Build never panics and an accepted graph
+# has one start, a forward-pointing topological order, probabilities in
+# [0, 1], compiles into the executor's node table and drains an invocation
+# in every orchestration mode. Seed corpora live under each
 # package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline);
 # FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
 # mutants would each take the default minute to minimize, so that target
@@ -52,6 +65,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .
+	$(GO) test -run xxx -fuzz FuzzEnvelope -fuzztime $(FUZZTIME) ./internal/executor/
+	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/dag/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and

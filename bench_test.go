@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"caribou/internal/carbon"
+	"caribou/internal/core"
 	"caribou/internal/dag"
 	"caribou/internal/eval"
 	"caribou/internal/executor"
@@ -702,6 +703,7 @@ func BenchmarkExecutorInvocation(b *testing.B) {
 	if err := eng.DeployHome(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.InvokeAt(sched.Now().Add(time.Minute), workloads.Small, nil)
@@ -709,6 +711,31 @@ func BenchmarkExecutorInvocation(b *testing.B) {
 	}
 	if done != b.N {
 		b.Fatalf("completed %d of %d", done, b.N)
+	}
+}
+
+// BenchmarkSimulatedDay is one coarse, home-only day of Text2Speech at 96
+// invocations through core.Env — platform, executor, metric ingest and
+// record keeping with no solver in the loop: the simulator's share of an
+// eval.Run, the unit the harness reports as eval.run_coarse_ms.
+func BenchmarkSimulatedDay(b *testing.B) {
+	const perDay = 96
+	wl := workloads.Text2SpeechCensoring()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env, err := core.NewEnv(core.EnvConfig{Seed: 1, Start: benchStart, End: benchStart.Add(24 * time.Hour), Regions: region.EvaluationFour()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		app, err := env.NewApp(core.AppConfig{Workload: wl, Home: region.USEast1, Mode: executor.ModeCaribou, Seed: 1, BenchFraction: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		app.ScheduleUniform(benchStart, perDay, 24*time.Hour/perDay, workloads.Small)
+		env.Run()
+		if len(app.Records) != perDay {
+			b.Fatalf("completed %d of %d invocations", len(app.Records), perDay)
+		}
 	}
 }
 

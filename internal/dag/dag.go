@@ -75,9 +75,9 @@ func (b *Builder) AddEdge(from, to NodeID) *Builder {
 }
 
 // AddConditionalEdge adds a conditional dependency taken with probability
-// p (clamped to [0, 1]).
+// p (clamped to [0, 1]; NaN counts as 0).
 func (b *Builder) AddConditionalEdge(from, to NodeID, p float64) *Builder {
-	if p < 0 {
+	if !(p >= 0) {
 		p = 0
 	}
 	if p > 1 {

@@ -88,30 +88,9 @@ func Fig12(opt Fig12Options) ([]Fig12Row, error) {
 }
 
 func fig12Run(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, opt Fig12Options) (mean, p95 float64, err error) {
-	env, err := core.NewEnv(core.EnvConfig{
-		Seed:    opt.Seed,
-		Start:   EvalStart,
-		End:     EvalStart.Add(24 * time.Hour),
-		Regions: region.EvaluationFour(),
-	})
+	app, err := fig12App(wl, class, mode, opt)
 	if err != nil {
 		return 0, 0, err
-	}
-	app, err := env.NewApp(core.AppConfig{
-		Workload:      wl,
-		Home:          region.USEast1,
-		Mode:          mode,
-		Seed:          opt.Seed,
-		BenchFraction: -1, // pure home execution in all modes
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	gap := 24 * time.Hour / time.Duration(opt.Invocations)
-	app.ScheduleUniform(EvalStart, opt.Invocations, gap, class)
-	env.Run()
-	if len(app.Records) < opt.Invocations {
-		return 0, 0, fmt.Errorf("completed %d of %d", len(app.Records), opt.Invocations)
 	}
 	var svc []float64
 	for _, r := range app.Records {
@@ -122,6 +101,37 @@ func fig12Run(wl *workloads.Workload, class workloads.InputClass, mode executor.
 		return 0, 0, err
 	}
 	return stats.Mean(svc), p, nil
+}
+
+// fig12App drives one measurement day of pure home execution under mode
+// and returns the drained application.
+func fig12App(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, opt Fig12Options) (*core.App, error) {
+	env, err := core.NewEnv(core.EnvConfig{
+		Seed:    opt.Seed,
+		Start:   EvalStart,
+		End:     EvalStart.Add(24 * time.Hour),
+		Regions: region.EvaluationFour(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	app, err := env.NewApp(core.AppConfig{
+		Workload:      wl,
+		Home:          region.USEast1,
+		Mode:          mode,
+		Seed:          opt.Seed,
+		BenchFraction: -1, // pure home execution in all modes
+	})
+	if err != nil {
+		return nil, err
+	}
+	gap := 24 * time.Hour / time.Duration(opt.Invocations)
+	app.ScheduleUniform(EvalStart, opt.Invocations, gap, class)
+	env.Run()
+	if len(app.Records) < opt.Invocations {
+		return nil, fmt.Errorf("completed %d of %d", len(app.Records), opt.Invocations)
+	}
+	return app, nil
 }
 
 // Fig12Overheads summarizes the §9.6 headline percentages per class:

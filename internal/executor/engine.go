@@ -8,8 +8,9 @@
 package executor
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -105,8 +106,16 @@ type Engine struct {
 	benchFr float64
 	seed    int64
 	rng     *simclock.Rand
-	label   []byte // rngFor's stream-label scratch
 	done    func(*platform.InvocationRecord)
+
+	// The workflow resolved to dense indices, once (compile).
+	nodes        []node
+	pos          map[dag.NodeID]int
+	syncNodes    []int // positions of the synchronization nodes
+	classes      []workloads.InputClass
+	entry        []float64 // request payload bytes, per class
+	maxTransfers int       // per invocation absent duplicates: a record's capacity
+	scratch      []byte    // stream labels and annotation keys are built here
 
 	nextID uint64
 	live   map[uint64]*invocation
@@ -136,32 +145,40 @@ func newExecutorTelemetry() executorTelemetry {
 // invocation tracks one in-flight workflow execution.
 type invocation struct {
 	rec     *platform.InvocationRecord
-	class   workloads.InputClass
+	class   int      // column of the per-class tables
 	plan    dag.Plan // effective routing plan, fixed at entry
 	pending int      // node executions scheduled or running
 	maxEnd  time.Time
 	started bool
-	// stagedBytes accumulates intermediate data staged in the KV store
-	// per sync node, loaded by the sync node when it fires.
-	stagedBytes map[dag.NodeID]float64
-	// sfState holds Step Functions-mode in-memory join state.
-	sfState map[dag.NodeID]*sfJoin
+	joins   []join // sync-node state by node position; nil without sync nodes
 }
 
-type sfJoin struct {
-	arrived int
-	skipped int
-	bytes   float64
+type join struct {
+	staged           float64 // bytes staged in the KV store, loaded when the node fires
+	arrived, skipped int     // Step Functions mode: the in-memory join
 }
 
-// envelope is the message payload carried on pub/sub invocations.
-type envelope struct {
-	Inv  uint64     `json:"inv"`
-	Node dag.NodeID `json:"node"`
+// The pub/sub payload: invocation id and target stage position,
+// little-endian (the piggybacked plan is modeled by controlMessageBytes).
+const envelopeLen = 8 + 4
+
+func sealEnvelope(inv uint64, pos int) (b [envelopeLen]byte) {
+	binary.LittleEndian.PutUint64(b[:8], inv)
+	binary.LittleEndian.PutUint32(b[8:], uint32(pos))
+	return b
 }
 
-// New validates options and returns an engine. The caller must deploy
-// functions (at minimum the home-region deployment) before invoking.
+// openEnvelope refuses anything but exactly one envelope.
+func openEnvelope(data []byte) (inv uint64, pos int, ok bool) {
+	if len(data) != envelopeLen {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(data[:8]), int(binary.LittleEndian.Uint32(data[8:])), true
+}
+
+// New validates options, compiles the node table and returns an engine.
+// The caller must deploy functions (at minimum the home-region deployment)
+// before invoking.
 func New(opts Options) (*Engine, error) {
 	if opts.Platform == nil || opts.Workload == nil {
 		return nil, fmt.Errorf("executor: Platform and Workload are required")
@@ -196,6 +213,9 @@ func New(opts Options) (*Engine, error) {
 		live:    make(map[uint64]*invocation),
 		tel:     newExecutorTelemetry(),
 	}
+	if err := e.compile(); err != nil {
+		return nil, err
+	}
 	e.p.Broker().OnDrop(e.onDrop)
 	return e, nil
 }
@@ -207,10 +227,15 @@ func (e *Engine) Workload() *workloads.Workload { return e.wl }
 func (e *Engine) Home() region.ID { return e.home }
 
 // EnsureDeployment replicates the workflow image to r if needed and
-// deploys the function for node there, wiring the engine's handler. It
-// returns the bytes moved by the image copy (zero when already present)
-// so the deployer can account migration overhead.
+// deploys the function for node there, wiring the engine's handler and
+// keeping the deployment's handle. It returns the bytes moved by the
+// image copy (zero when already present) so the deployer can account
+// migration overhead.
 func (e *Engine) EnsureDeployment(node dag.NodeID, r region.ID) (float64, error) {
+	pos, ok := e.pos[node]
+	if !ok {
+		return 0, fmt.Errorf("executor: workflow %s has no stage %q", e.wl.Name, node)
+	}
 	if !e.p.HasImage(e.wl.Name, e.home) {
 		if err := e.p.PushImage(e.wl.Name, e.wl.ImageBytes, e.home); err != nil {
 			return 0, err
@@ -228,25 +253,29 @@ func (e *Engine) EnsureDeployment(node dag.NodeID, r region.ID) (float64, error)
 		return 0, err
 	}
 	ref := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r}
-	if e.p.IsDeployed(ref) {
-		return moved, nil
+	if !e.p.IsDeployed(ref) {
+		handler := func(msg pubsub.Message) error { return e.onArrive(pos, r, msg) }
+		if err := e.p.DeployFunction(ref, handler); err != nil {
+			return moved, err
+		}
 	}
-	err := e.p.DeployFunction(ref, func(msg pubsub.Message) error {
-		return e.onArrive(ref, msg)
-	})
-	return moved, err
+	e.nodes[pos].deployed[r] = e.p.Deployment(ref)
+	return moved, nil
 }
 
 // RemoveDeployment tears down the function for node in r.
 func (e *Engine) RemoveDeployment(node dag.NodeID, r region.ID) {
 	e.p.RemoveFunction(platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r})
+	if pos, ok := e.pos[node]; ok {
+		delete(e.nodes[pos].deployed, r)
+	}
 }
 
 // DeployHome deploys every stage to the home region (initial deployment,
 // §6.1).
 func (e *Engine) DeployHome() error {
-	for _, n := range e.wl.DAG.Nodes() {
-		if _, err := e.EnsureDeployment(n, e.home); err != nil {
+	for i := range e.nodes {
+		if _, err := e.EnsureDeployment(e.nodes[i].id, e.home); err != nil {
 			return err
 		}
 	}
@@ -257,14 +286,11 @@ func (e *Engine) DeployHome() error {
 func (e *Engine) Live() int { return len(e.live) }
 
 func (e *Engine) onDrop(msg pubsub.Message) {
-	if !strings.HasPrefix(msg.Topic, e.wl.Name+"/") {
-		return // another workflow's message
+	id, pos, ok := openEnvelope(msg.Data)
+	if !ok || pos >= len(e.nodes) || !strings.HasPrefix(msg.Topic, e.wl.Name+"/"+string(e.nodes[pos].id)+"/") {
+		return // another workflow's message, or not an envelope for the topic's stage
 	}
-	var env envelope
-	if json.Unmarshal(msg.Data, &env) != nil {
-		return
-	}
-	inv, ok := e.live[env.Inv]
+	inv, ok := e.live[id]
 	if !ok {
 		return
 	}
@@ -273,7 +299,7 @@ func (e *Engine) onDrop(msg pubsub.Message) {
 	e.tel.dropped.Inc()
 	inv.rec.Succeeded = false
 	inv.pending--
-	e.maybeFinish(env.Inv, inv)
+	e.maybeFinish(id, inv)
 }
 
 func (e *Engine) maybeFinish(id uint64, inv *invocation) {
@@ -282,6 +308,12 @@ func (e *Engine) maybeFinish(id uint64, inv *invocation) {
 	}
 	inv.rec.End = inv.maxEnd
 	delete(e.live, id)
+	if e.mode != ModeStepFunctions {
+		// A late duplicate is acknowledged before it could re-create these.
+		for _, pos := range e.syncNodes {
+			e.p.KV().Delete(e.annotationKey(id, pos))
+		}
+	}
 	e.tel.completed.Inc()
 	if !inv.rec.Succeeded {
 		e.tel.failed.Inc()
@@ -307,4 +339,87 @@ func (e *Engine) SetBenchFraction(f float64) {
 	if f >= 0 && f < 1 {
 		e.benchFr = f
 	}
+}
+
+// The node table: the workflow compiled once into a slice indexed by
+// topological position, so the per-stage path reads successors, profiles
+// and payload sizes by index instead of copying edge lists out of the DAG
+// and hashing into the workload's maps on every event. Per-class columns
+// (mu, output, edge.bytes, Engine.entry) are indexed like Engine.classes.
+type node struct {
+	id     dag.NodeID
+	out    []edge
+	inDeg  int // more than one makes a synchronization node
+	prof   workloads.NodeProfile
+	mu     []float64 // execution time is lognormal(mu[class], sigma) × region perf factor
+	sigma  float64
+	output []float64 // a terminal's result written back home; 0 for none
+	// deployed is the stage's row of the handle table, kept by
+	// Ensure/RemoveDeployment.
+	deployed map[region.ID]*platform.Deployment
+}
+
+type edge struct {
+	dag.Edge
+	toPos  int       // successor's position
+	slot   int       // position among the successor's in-edges
+	toSync bool      // the successor is a synchronization node
+	bytes  []float64 // intermediate data carried
+}
+
+// compile builds the node table.
+func (e *Engine) compile() error {
+	d := e.wl.DAG
+	order := d.Nodes() // order[0] is the start node
+	e.pos = make(map[dag.NodeID]int, len(order))
+	for i, id := range order {
+		e.pos[id] = i
+	}
+	e.nodes = make([]node, len(order))
+	e.maxTransfers = 1 // the entry request
+	for i, id := range order {
+		prof, ok := e.wl.Nodes[id]
+		if !ok {
+			return fmt.Errorf("executor: workload %s has no profile for stage %q", e.wl.Name, id)
+		}
+		n := &e.nodes[i]
+		*n = node{id: id, inDeg: len(d.In(id)), prof: prof, deployed: map[region.ID]*platform.Deployment{}}
+		if n.inDeg > 1 {
+			e.syncNodes = append(e.syncNodes, i)
+			e.maxTransfers += 2 // the control message and the staged-data load
+		}
+		for _, de := range d.Out(id) {
+			ed := edge{Edge: de, toPos: e.pos[de.To], toSync: d.IsSync(de.To)}
+			for k, in := range d.In(de.To) {
+				if in.From == id {
+					ed.slot = k
+				}
+			}
+			n.out = append(n.out, ed)
+		}
+		e.maxTransfers += max(len(n.out), 1) // a payload per edge, or the terminal's output
+	}
+	return nil
+}
+
+// classIndex returns class's column in the per-class tables, adding it on
+// first use with the lookups the stage path used to make per event (an
+// undefined size reads as zero, an undefined duration as the default).
+func (e *Engine) classIndex(class workloads.InputClass) int {
+	if i := slices.Index(e.classes, class); i >= 0 {
+		return i
+	}
+	e.classes = append(e.classes, class)
+	e.entry = append(e.entry, e.wl.EntryBytes[class])
+	for i := range e.nodes {
+		n := &e.nodes[i]
+		mu, sigma := e.wl.DurationParams(n.id, class)
+		n.mu, n.sigma = append(n.mu, mu), sigma
+		n.output = append(n.output, e.wl.OutputBytes[n.id][class])
+		for j := range n.out {
+			ed := &n.out[j]
+			ed.bytes = append(ed.bytes, e.wl.Bytes(ed.From, ed.To, class))
+		}
+	}
+	return len(e.classes) - 1
 }

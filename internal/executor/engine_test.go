@@ -16,11 +16,17 @@ var testStart = time.Date(2023, 10, 15, 0, 0, 0, 0, time.UTC)
 
 func newTestEnv(t *testing.T) (*simclock.Scheduler, *platform.Platform) {
 	t.Helper()
+	return newTestEnvWith(t, platform.Options{})
+}
+
+// newTestEnvWith is newTestEnv with the caller's broker and concurrency
+// options.
+func newTestEnvWith(t *testing.T, opts platform.Options) (*simclock.Scheduler, *platform.Platform) {
+	t.Helper()
 	sched := simclock.New(testStart)
 	cat := region.NorthAmerica()
-	p, err := platform.New(platform.Options{
-		Sched: sched, Catalogue: cat, Net: netmodel.New(cat), Seed: 42,
-	})
+	opts.Sched, opts.Catalogue, opts.Net, opts.Seed = sched, cat, netmodel.New(cat), 42
+	p, err := platform.New(opts)
 	if err != nil {
 		t.Fatalf("platform.New: %v", err)
 	}

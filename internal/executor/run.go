@@ -1,18 +1,18 @@
 package executor
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
 
-	"caribou/internal/dag"
 	"caribou/internal/platform"
 	"caribou/internal/pubsub"
 	"caribou/internal/region"
 	"caribou/internal/simclock"
 	"caribou/internal/workloads"
 )
+
+const entryPos = 0 // the start node leads the topological order
 
 // Invoke starts one workflow invocation with the given input class at the
 // current virtual time and returns its ID. The request originates at the
@@ -21,21 +21,23 @@ func (e *Engine) Invoke(class workloads.InputClass) (uint64, error) {
 	e.nextID++
 	id := e.nextID
 	inv := &invocation{
-		rec:         platform.NewInvocationRecord(e.wl.Name, id, string(class)),
-		class:       class,
-		stagedBytes: make(map[dag.NodeID]float64),
-		sfState:     make(map[dag.NodeID]*sfJoin),
+		rec:   platform.NewInvocationRecord(e.wl.Name, id, string(class)),
+		class: e.classIndex(class),
 	}
+	inv.rec.Executions = make([]platform.ExecutionEvent, 0, len(e.nodes))
+	inv.rec.Transfers = make([]platform.TransferEvent, 0, e.maxTransfers)
 	inv.rec.Succeeded = true
 	e.live[id] = inv
 	e.tel.invocations.Inc()
 
+	if len(e.syncNodes) > 0 {
+		inv.joins = make([]join, len(e.nodes))
+	}
 	if e.mode == ModeStepFunctions {
 		return id, e.invokeStepFunctions(id, inv)
 	}
 
 	now := e.p.Scheduler().Now()
-	var offset time.Duration
 	if e.mode == ModeCaribou {
 		// The home endpoint consults the active DP to route the
 		// request (§6.2) unless this invocation is pinned home for
@@ -51,16 +53,15 @@ func (e *Engine) Invoke(class workloads.InputClass) (uint64, error) {
 		}
 	}
 
-	entry := e.wl.DAG.Start()
-	entryRegion := e.resolveRegion(inv, entry)
-	bytes := e.wl.EntryBytes[class] + controlMessageBytes
+	entryRegion := e.resolveRegion(inv, entryPos)
+	bytes := e.entry[inv.class] + controlMessageBytes
 	inv.rec.Services.SNSPublishes[e.home]++
 	e.logTransfer(inv, platform.TransferEvent{
-		Kind: platform.TransferEntry, From: e.home, To: entryRegion, ToNode: entry, Bytes: bytes, At: now.Add(offset),
+		Kind: platform.TransferEntry, From: e.home, To: entryRegion, ToNode: e.nodes[entryPos].id, Bytes: bytes, At: now,
 	})
 	inv.pending++
-	latency := offset + publishCallLatency + e.p.MessageLatency(e.home, entryRegion, bytes)
-	return id, e.publish(id, entry, entryRegion, latency)
+	latency := publishCallLatency + e.p.MessageLatency(e.home, entryRegion, bytes)
+	return id, e.publish(id, entryPos, entryRegion, latency)
 }
 
 // InvokeAt schedules an invocation at a future virtual time.
@@ -72,45 +73,42 @@ func (e *Engine) InvokeAt(t time.Time, class workloads.InputClass, onErr func(er
 	})
 }
 
-func (e *Engine) publish(inv uint64, node dag.NodeID, r region.ID, latency time.Duration) error {
-	data, err := json.Marshal(envelope{Inv: inv, Node: node})
-	if err != nil {
-		return fmt.Errorf("executor: marshal envelope: %w", err)
+// publish sends invocation inv's message for stage pos to region r.
+func (e *Engine) publish(inv uint64, pos int, r region.ID, latency time.Duration) error {
+	env := sealEnvelope(inv, pos)
+	if d := e.nodes[pos].deployed[r]; d.Live() {
+		return d.Publish(env[:], latency)
 	}
-	topic := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r}.Topic()
-	return e.p.Publish(topic, data, latency)
+	// Only home is targeted without a live deployment: the message goes to
+	// the topic one would own, for a deployment that appears before the
+	// broker gives up; otherwise the drop fails the invocation.
+	ref := platform.FunctionRef{Workflow: e.wl.Name, Node: e.nodes[pos].id, Region: r}
+	return e.p.Publish(ref.Topic(), env[:], latency)
 }
 
 // resolveRegion maps a stage to its execution region: the active plan's
 // assignment when a live deployment exists there, otherwise the home
 // region — the fallback that guarantees no invocation is routed through an
 // invalid deployment (§6.1).
-func (e *Engine) resolveRegion(inv *invocation, node dag.NodeID) region.ID {
-	r := e.home
-	if inv.plan != nil {
-		if pr, ok := inv.plan[node]; ok {
-			r = pr
-		}
+func (e *Engine) resolveRegion(inv *invocation, pos int) region.ID {
+	n := &e.nodes[pos]
+	if r, ok := inv.plan[n.id]; ok && r != e.home && n.deployed[r].Live() {
+		return r
 	}
-	if r != e.home {
-		ref := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r}
-		if !e.p.IsDeployed(ref) {
-			return e.home
-		}
-	}
-	return r
+	return e.home
 }
 
-// onArrive handles delivery of an invocation message at a deployment: the
-// invocation waits for region execution capacity, the function environment
-// spins up (cold start), sync nodes load their staged predecessor data,
-// and the stage executes for a sampled duration.
-func (e *Engine) onArrive(ref platform.FunctionRef, msg pubsub.Message) error {
-	var env envelope
-	if err := json.Unmarshal(msg.Data, &env); err != nil {
-		return fmt.Errorf("executor: bad envelope on %s: %w", msg.Topic, err)
+// onArrive handles delivery of an invocation message at stage pos's
+// deployment in r: the invocation waits for region execution capacity, the
+// function environment spins up (cold start), sync nodes load their staged
+// data, and the stage executes for a sampled duration. A payload that is
+// not an envelope for this stage is nacked.
+func (e *Engine) onArrive(pos int, r region.ID, msg pubsub.Message) error {
+	id, target, ok := openEnvelope(msg.Data)
+	if !ok || target != pos {
+		return fmt.Errorf("executor: bad envelope on %s", msg.Topic)
 	}
-	inv, ok := e.live[env.Inv]
+	inv, ok := e.live[id]
 	if !ok {
 		// Duplicate delivery for a finished invocation: acknowledge.
 		return nil
@@ -120,67 +118,69 @@ func (e *Engine) onArrive(ref platform.FunctionRef, msg pubsub.Message) error {
 		inv.rec.Start = e.p.Scheduler().Now()
 	}
 	// Region capacity: queueing (if any) counts toward service time.
-	e.p.AcquireExecutionSlot(ref.Region, func() {
-		e.beginExecution(ref, env.Inv, env.Node)
+	e.p.AcquireExecutionSlot(r, func() {
+		e.beginExecution(id, pos, r)
 	})
 	return nil
 }
 
 // beginExecution runs once a capacity slot is held; it must release the
 // slot when the execution finishes.
-func (e *Engine) beginExecution(ref platform.FunctionRef, id uint64, node dag.NodeID) {
+func (e *Engine) beginExecution(id uint64, pos int, r region.ID) {
 	inv, ok := e.live[id]
 	now := e.p.Scheduler().Now()
 	if !ok {
-		e.p.ReleaseExecutionSlot(ref.Region)
+		e.p.ReleaseExecutionSlot(r)
 		return
 	}
+	n := &e.nodes[pos]
 
-	coldDelay := e.p.ColdStartPenalty(ref, e.wl.ImageBytes)
+	// Looked up now: a stage queued while its deployment was replaced warms the new one.
+	coldDelay := n.deployed[r].ColdStartPenalty(e.wl.ImageBytes)
 	cold := coldDelay > 0
 	delay := coldDelay
 
-	if e.mode == ModeCaribou && node == e.wl.DAG.Start() {
+	if e.mode == ModeCaribou && pos == entryPos {
 		// The entry wrapper's DP fetch (§6.2) happens inside the
 		// first function: its latency is part of the end-to-end
 		// service time Fig 12 measures.
-		delay += e.p.KVAccessLatency(ref.Region, e.home)
+		delay += e.p.KVAccessLatency(r, e.home)
 	}
 
-	if e.wl.DAG.IsSync(node) {
+	if n.inDeg > 1 {
 		// Load intermediate data staged by predecessors from the
 		// workflow's KV table at home (§4, Fig 5).
-		staged := inv.stagedBytes[node]
+		staged := inv.joins[pos].staged
 		inv.rec.Services.KVReads[e.home]++
 		e.logTransfer(inv, platform.TransferEvent{
-			Kind: platform.TransferKVData, From: e.home, To: ref.Region, ToNode: node, Bytes: staged, At: now,
+			Kind: platform.TransferKVData, From: e.home, To: r, ToNode: n.id, Bytes: staged, At: now,
 		})
-		load, err := e.p.Net().TransferTime(e.home, ref.Region, staged)
+		load, err := e.p.Net().TransferTime(e.home, r, staged)
 		if err != nil {
 			load = 0
 		}
-		delay += e.p.KVAccessLatency(ref.Region, e.home) + load
+		delay += e.p.KVAccessLatency(r, e.home) + load
 	}
 
-	reg, _ := e.p.Catalogue().Get(ref.Region)
-	durSec, util, prof := e.sampleExecution(inv, id, node, reg.PerfFactor)
+	reg, _ := e.p.Catalogue().Get(r)
+	durSec, util := e.sampleExecution(inv, id, n, reg.PerfFactor)
 	inv.rec.Executions = append(inv.rec.Executions, platform.ExecutionEvent{
-		Node: node, Region: ref.Region, Start: now.Add(delay),
+		Node: n.id, Region: r, Start: now.Add(delay),
 		DurationSec: durSec, InitSec: coldDelay.Seconds(),
-		MemoryMB: prof.MemoryMB, CPUUtil: util, ColdStart: cold,
+		MemoryMB: n.prof.MemoryMB, CPUUtil: util, ColdStart: cold,
 	})
 	e.p.Scheduler().After(delay+secs(durSec), func() {
-		e.p.ReleaseExecutionSlot(ref.Region)
-		e.onNodeComplete(id, node, ref.Region)
+		e.p.ReleaseExecutionSlot(r)
+		e.onNodeComplete(id, pos, r)
 	})
 }
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// onNodeComplete runs the wrapper's post-execution logic: invoke or skip
-// each successor, stage data for synchronization nodes, and write terminal
-// results back to home storage.
-func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
+// onNodeComplete runs the wrapper's post-execution logic for stage pos,
+// which ran in region src: invoke or skip each successor, stage data for
+// synchronization nodes, and write terminal results back to home storage.
+func (e *Engine) onNodeComplete(id uint64, pos int, src region.ID) {
 	inv, ok := e.live[id]
 	if !ok {
 		return
@@ -190,22 +190,21 @@ func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
 		inv.maxEnd = now
 	}
 
+	n := &e.nodes[pos]
 	var offset time.Duration
-	for _, edge := range e.wl.DAG.Out(node) {
-		taken := e.branchTaken(id, edge)
-		if taken {
-			if e.wl.DAG.IsSync(edge.To) {
-				offset = e.sendToSync(inv, id, edge, src, offset)
-			} else {
-				offset = e.sendDirect(inv, id, edge, src, offset)
-			}
-		} else {
-			offset = e.skipEdge(inv, id, edge, src, offset)
+	for i := range n.out {
+		ed := &n.out[i]
+		switch {
+		case !e.branchTaken(id, ed):
+			offset = e.skipEdge(inv, id, ed, src, offset)
+		case ed.toSync:
+			offset = e.sendToSync(inv, id, ed, src, offset)
+		default:
+			offset = e.sendDirect(inv, id, ed, src, offset)
 		}
 	}
-
-	if len(e.wl.DAG.Out(node)) == 0 {
-		e.writeOutput(inv, node, src)
+	if len(n.out) == 0 {
+		e.writeOutput(inv, n, src)
 	}
 
 	inv.pending--
@@ -216,17 +215,13 @@ func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
 // workflow's fixed external storage at home. The write time is considered
 // part of the recorded execution duration (profiles were calibrated
 // including IO), so no extra virtual time is charged.
-func (e *Engine) writeOutput(inv *invocation, node dag.NodeID, src region.ID) {
-	out, ok := e.wl.OutputBytes[node]
-	if !ok {
-		return
-	}
-	bytes := out[inv.class]
+func (e *Engine) writeOutput(inv *invocation, n *node, src region.ID) {
+	bytes := n.output[inv.class]
 	if bytes <= 0 {
 		return
 	}
 	e.logTransfer(inv, platform.TransferEvent{
-		Kind: platform.TransferOutput, From: src, To: e.home, FromNode: node, Bytes: bytes, At: e.p.Scheduler().Now(),
+		Kind: platform.TransferOutput, From: src, To: e.home, FromNode: n.id, Bytes: bytes, At: e.p.Scheduler().Now(),
 	})
 }
 
@@ -240,17 +235,16 @@ func (e *Engine) logTransfer(inv *invocation, ev platform.TransferEvent) {
 // sendDirect invokes a non-synchronization successor by publishing the
 // intermediate data (with the piggybacked plan) to the successor's topic
 // in its plan region.
-func (e *Engine) sendDirect(inv *invocation, id uint64, edge dag.Edge, src region.ID, offset time.Duration) time.Duration {
-	succRegion := e.resolveRegion(inv, edge.To)
-	bytes := e.wl.Bytes(edge.From, edge.To, inv.class) + controlMessageBytes
-	now := e.p.Scheduler().Now()
+func (e *Engine) sendDirect(inv *invocation, id uint64, ed *edge, src region.ID, offset time.Duration) time.Duration {
+	succRegion := e.resolveRegion(inv, ed.toPos)
+	bytes := ed.bytes[inv.class] + controlMessageBytes
 	inv.rec.Services.SNSPublishes[src]++
 	e.logTransfer(inv, platform.TransferEvent{
-		Kind: platform.TransferPayload, From: src, To: succRegion, FromNode: edge.From, ToNode: edge.To, Bytes: bytes, At: now.Add(offset),
+		Kind: platform.TransferPayload, From: src, To: succRegion, FromNode: ed.From, ToNode: ed.To, Bytes: bytes, At: e.p.Scheduler().Now().Add(offset),
 	})
 	inv.pending++
 	latency := offset + publishCallLatency + e.p.MessageLatency(src, succRegion, bytes)
-	if err := e.publish(id, edge.To, succRegion, latency); err != nil {
+	if err := e.publish(id, ed.toPos, succRegion, latency); err != nil {
 		inv.pending--
 		inv.rec.Succeeded = false
 	}
@@ -259,44 +253,43 @@ func (e *Engine) sendDirect(inv *invocation, id uint64, edge dag.Edge, src regio
 
 // sampleExecution draws one node execution's duration and CPU utilization
 // from their per-decision streams.
-func (e *Engine) sampleExecution(inv *invocation, id uint64, node dag.NodeID, perfFactor float64) (durSec, util float64, prof workloads.NodeProfile) {
-	rng := e.rngFor("dur", id, string(node), "")
-	durSec = e.wl.SampleDuration(node, inv.class, perfFactor, rng)
+func (e *Engine) sampleExecution(inv *invocation, id uint64, n *node, perfFactor float64) (durSec, util float64) {
+	rng := e.rngFor("dur", id, string(n.id), "")
+	durSec = rng.LogNormal(n.mu[inv.class], n.sigma) * perfFactor
 	rng.Release()
-	prof = e.wl.Profile(node)
-	rng = e.rngFor("util", id, string(node), "")
-	util = prof.CPUUtil * rng.Uniform(0.92, 1.05)
+	rng = e.rngFor("util", id, string(n.id), "")
+	util = n.prof.CPUUtil * rng.Uniform(0.92, 1.05)
 	rng.Release()
 	if util > 1 {
 		util = 1
 	}
-	return durSec, util, prof
+	return durSec, util
 }
 
 // branchTaken decides whether a successor edge fires for this invocation.
-func (e *Engine) branchTaken(id uint64, edge dag.Edge) bool {
-	if !edge.Conditional {
+func (e *Engine) branchTaken(id uint64, ed *edge) bool {
+	if !ed.Conditional {
 		return true
 	}
-	rng := e.rngFor("branch", id, string(edge.From), string(edge.To))
+	rng := e.rngFor("branch", id, string(ed.From), string(ed.To))
 	defer rng.Release()
-	return rng.Bool(edge.Probability)
+	return rng.Bool(ed.Probability)
 }
 
 // rngFor acquires the deterministic per-invocation random stream for one
 // decision, labelled <workflow>/<kind>/<inv>/<a>[/<b>]; the caller
 // releases it once the decision is drawn. Seeding by (invocation, purpose)
 // gives common random numbers across deployment strategies, so strategy
-// comparisons are paired. The stream is pooled and the label built in the
-// engine's scratch buffer: a decision allocates only its label string.
+// comparisons are paired. The stream is pooled and its label is built and
+// hashed in the engine's scratch buffer, so a decision allocates nothing.
 func (e *Engine) rngFor(kind string, inv uint64, a, b string) *simclock.Rand {
-	l := append(e.label[:0], e.wl.Name...)
+	l := append(e.scratch[:0], e.wl.Name...)
 	l = append(append(l, '/'), kind...)
 	l = strconv.AppendUint(append(l, '/'), inv, 10)
 	l = append(append(l, '/'), a...)
 	if b != "" {
 		l = append(append(l, '/'), b...)
 	}
-	e.label = l
-	return simclock.AcquireDerived(e.seed, string(l))
+	e.scratch = l
+	return simclock.AcquireRand(simclock.DeriveSeedBytes(e.seed, l))
 }

@@ -1,9 +1,6 @@
 package executor
 
-import (
-	"caribou/internal/dag"
-	"caribou/internal/platform"
-)
+import "caribou/internal/platform"
 
 // Step Functions-mode orchestration (§9.6 baseline): a first-party state
 // machine in the home region drives the workflow with fast transitions,
@@ -12,20 +9,23 @@ import (
 // comparison isolates orchestration overhead.
 
 func (e *Engine) invokeStepFunctions(id uint64, inv *invocation) error {
-	now := e.p.Scheduler().Now()
-	bytes := e.wl.EntryBytes[inv.class]
 	e.logTransfer(inv, platform.TransferEvent{
-		Kind: platform.TransferEntry, From: e.home, To: e.home, ToNode: e.wl.DAG.Start(), Bytes: bytes, At: now,
+		Kind: platform.TransferEntry, From: e.home, To: e.home, ToNode: e.nodes[entryPos].id, Bytes: e.entry[inv.class], At: e.p.Scheduler().Now(),
 	})
-	inv.pending++
-	e.p.Scheduler().After(platform.StepFunctionsTransition, func() {
-		e.sfRun(id, e.wl.DAG.Start())
-	})
+	e.sfStart(inv, id, entryPos)
 	return nil
 }
 
+// sfStart runs the stage at pos one state transition from now.
+func (e *Engine) sfStart(inv *invocation, id uint64, pos int) {
+	inv.pending++
+	e.p.Scheduler().After(platform.StepFunctionsTransition, func() {
+		e.sfRun(id, pos)
+	})
+}
+
 // sfRun executes one stage at home under the orchestrator.
-func (e *Engine) sfRun(id uint64, node dag.NodeID) {
+func (e *Engine) sfRun(id uint64, pos int) {
 	inv, ok := e.live[id]
 	if !ok {
 		return
@@ -35,21 +35,21 @@ func (e *Engine) sfRun(id uint64, node dag.NodeID) {
 		inv.started = true
 		inv.rec.Start = now
 	}
-	ref := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: e.home}
-	delay := e.p.ColdStartPenalty(ref, e.wl.ImageBytes)
+	n := &e.nodes[pos]
+	delay := n.deployed[e.home].ColdStartPenalty(e.wl.ImageBytes)
 	reg, _ := e.p.Catalogue().Get(e.home)
-	durSec, util, prof := e.sampleExecution(inv, id, node, reg.PerfFactor)
+	durSec, util := e.sampleExecution(inv, id, n, reg.PerfFactor)
 	inv.rec.Executions = append(inv.rec.Executions, platform.ExecutionEvent{
-		Node: node, Region: e.home, Start: now.Add(delay),
+		Node: n.id, Region: e.home, Start: now.Add(delay),
 		DurationSec: durSec, InitSec: delay.Seconds(),
-		MemoryMB: prof.MemoryMB, CPUUtil: util, ColdStart: delay > 0,
+		MemoryMB: n.prof.MemoryMB, CPUUtil: util, ColdStart: delay > 0,
 	})
 	e.p.Scheduler().After(delay+secs(durSec), func() {
-		e.sfComplete(id, node)
+		e.sfComplete(id, pos)
 	})
 }
 
-func (e *Engine) sfComplete(id uint64, node dag.NodeID) {
+func (e *Engine) sfComplete(id uint64, pos int) {
 	inv, ok := e.live[id]
 	if !ok {
 		return
@@ -58,16 +58,17 @@ func (e *Engine) sfComplete(id uint64, node dag.NodeID) {
 	if now.After(inv.maxEnd) {
 		inv.maxEnd = now
 	}
-	for _, edge := range e.wl.DAG.Out(node) {
-		taken := e.branchTaken(id, edge)
-		if taken {
-			e.sfFollow(inv, id, edge)
+	n := &e.nodes[pos]
+	for i := range n.out {
+		ed := &n.out[i]
+		if e.branchTaken(id, ed) {
+			e.sfFollow(inv, id, ed)
 		} else {
-			e.sfSkip(inv, id, edge)
+			e.sfSkip(inv, id, ed)
 		}
 	}
-	if len(e.wl.DAG.Out(node)) == 0 {
-		e.writeOutput(inv, node, e.home)
+	if len(n.out) == 0 {
+		e.writeOutput(inv, n, e.home)
 	}
 	inv.pending--
 	e.maybeFinish(id, inv)
@@ -76,60 +77,51 @@ func (e *Engine) sfComplete(id uint64, node dag.NodeID) {
 // sfFollow passes state along a taken edge: direct successors start after
 // one transition; synchronization joins are tracked in the orchestrator's
 // memory.
-func (e *Engine) sfFollow(inv *invocation, id uint64, edge dag.Edge) {
-	bytes := e.wl.Bytes(edge.From, edge.To, inv.class)
-	now := e.p.Scheduler().Now()
-	if bytes > 0 {
+func (e *Engine) sfFollow(inv *invocation, id uint64, ed *edge) {
+	if bytes := ed.bytes[inv.class]; bytes > 0 {
 		e.logTransfer(inv, platform.TransferEvent{
-			Kind: platform.TransferPayload, From: e.home, To: e.home, FromNode: edge.From, ToNode: edge.To, Bytes: bytes, At: now,
+			Kind: platform.TransferPayload, From: e.home, To: e.home, FromNode: ed.From, ToNode: ed.To, Bytes: bytes, At: e.p.Scheduler().Now(),
 		})
 	}
-	if !e.wl.DAG.IsSync(edge.To) {
-		inv.pending++
-		e.p.Scheduler().After(platform.StepFunctionsTransition, func() {
-			e.sfRun(id, edge.To)
-		})
+	if ed.toSync {
+		e.sfJoinArrive(inv, id, ed.toPos, true)
 		return
 	}
-	e.sfJoinArrive(inv, id, edge.To, true)
+	e.sfStart(inv, id, ed.toPos)
 }
 
 // sfSkip propagates an untaken conditional edge through the in-memory
 // state machine.
-func (e *Engine) sfSkip(inv *invocation, id uint64, edge dag.Edge) {
-	if e.wl.DAG.IsSync(edge.To) {
-		e.sfJoinArrive(inv, id, edge.To, false)
+func (e *Engine) sfSkip(inv *invocation, id uint64, ed *edge) {
+	if ed.toSync {
+		e.sfJoinArrive(inv, id, ed.toPos, false)
 		return
 	}
-	for _, out := range e.wl.DAG.Out(edge.To) {
-		e.sfSkip(inv, id, out)
+	e.sfSkipFrom(inv, id, ed.toPos)
+}
+
+// sfSkipFrom skips every out-edge of the node at pos.
+func (e *Engine) sfSkipFrom(inv *invocation, id uint64, pos int) {
+	out := e.nodes[pos].out
+	for i := range out {
+		e.sfSkip(inv, id, &out[i])
 	}
 }
 
-func (e *Engine) sfJoinArrive(inv *invocation, id uint64, node dag.NodeID, reached bool) {
-	st := inv.sfState[node]
-	if st == nil {
-		st = &sfJoin{}
-		inv.sfState[node] = st
-	}
+func (e *Engine) sfJoinArrive(inv *invocation, id uint64, pos int, reached bool) {
+	st := &inv.joins[pos]
 	if reached {
 		st.arrived++
 	} else {
 		st.skipped++
 	}
-	want := len(e.wl.DAG.In(node))
-	if st.arrived+st.skipped < want {
+	if st.arrived+st.skipped < e.nodes[pos].inDeg {
 		return
 	}
 	if st.arrived == 0 {
 		// Whole join skipped.
-		for _, out := range e.wl.DAG.Out(node) {
-			e.sfSkip(inv, id, out)
-		}
+		e.sfSkipFrom(inv, id, pos)
 		return
 	}
-	inv.pending++
-	e.p.Scheduler().After(platform.StepFunctionsTransition, func() {
-		e.sfRun(id, node)
-	})
+	e.sfStart(inv, id, pos)
 }

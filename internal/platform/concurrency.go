@@ -17,9 +17,12 @@ const DefaultRegionConcurrency = 1000
 type regionLimiter struct {
 	capacity int
 	inUse    int
-	waiting  []func()
-	peak     int
-	queued   uint64
+	// waiting[head:] is the FIFO queue; popped slots are cleared so their
+	// closures are collectable, and a drained queue restarts at slot 0.
+	waiting []func()
+	head    int
+	peak    int
+	queued  uint64
 }
 
 func (p *Platform) limiter(r region.ID) *regionLimiter {
@@ -51,16 +54,20 @@ func (p *Platform) AcquireExecutionSlot(r region.ID, fn func()) {
 	p.tel.limiterQueued.Inc()
 	p.tel.rec.Event("platform.limiter.queued", p.sched.Now(),
 		telemetry.String("region", string(r)),
-		telemetry.Int("depth", int64(len(l.waiting))))
+		telemetry.Int("depth", int64(len(l.waiting)-l.head)))
 }
 
 // ReleaseExecutionSlot returns a slot to the region and starts the oldest
 // queued execution, if any.
 func (p *Platform) ReleaseExecutionSlot(r region.ID) {
 	l := p.limiter(r)
-	if len(l.waiting) > 0 {
-		next := l.waiting[0]
-		l.waiting = l.waiting[1:]
+	if l.head < len(l.waiting) {
+		next := l.waiting[l.head]
+		l.waiting[l.head] = nil
+		l.head++
+		if l.head == len(l.waiting) {
+			l.waiting, l.head = l.waiting[:0], 0
+		}
 		// The slot transfers directly to the queued execution.
 		next()
 		return

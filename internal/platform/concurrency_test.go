@@ -90,6 +90,56 @@ func TestLimiterFIFOWakeupOrder(t *testing.T) {
 	}
 }
 
+// TestLimiterSaturateThenDrain: wake-up order stays FIFO when arrivals
+// interleave with releases, a popped slot no longer references its
+// closure, and once the queue drains its array is reused from the start
+// instead of sliding forward until it is regrown.
+func TestLimiterSaturateThenDrain(t *testing.T) {
+	p := newLimitedPlatform(t, 1)
+	r := region.USEast1
+	l := p.limiter(r)
+
+	var order []int
+	next := 0
+	enqueue := func(n int) {
+		for i := 0; i < n; i++ {
+			id := next
+			next++
+			p.AcquireExecutionSlot(r, func() { order = append(order, id) })
+		}
+	}
+	for round := 0; round < 3; round++ {
+		p.AcquireExecutionSlot(r, func() {}) // holds the only slot
+		enqueue(4)
+		p.ReleaseExecutionSlot(r)
+		p.ReleaseExecutionSlot(r)
+		enqueue(3) // arrivals behind a half-drained queue
+		for l.head < len(l.waiting) {
+			p.ReleaseExecutionSlot(r)
+		}
+		p.ReleaseExecutionSlot(r) // the last woken execution finishes
+		if l.inUse != 0 || l.head != 0 || len(l.waiting) != 0 {
+			t.Fatalf("round %d: drained limiter has inUse=%d head=%d len=%d", round, l.inUse, l.head, len(l.waiting))
+		}
+		for i, fn := range l.waiting[:cap(l.waiting)] {
+			if fn != nil {
+				t.Errorf("round %d: drained queue still references the closure in slot %d", round, i)
+			}
+		}
+		if round > 0 && cap(l.waiting) > 8 {
+			t.Errorf("round %d: queue array grew to %d slots for a depth of 7; it is not being reused", round, cap(l.waiting))
+		}
+	}
+	if len(order) != next {
+		t.Fatalf("%d of %d queued executions ran", len(order), next)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("wakeup order = %v, want FIFO", order)
+		}
+	}
+}
+
 // TestLimiterTelemetryCounters checks the instrument view of saturation:
 // the peak gauge and queued counter mirror ConcurrencyStats, and each
 // queueing emits a flight-recorder event stamped with simulated time.

@@ -32,9 +32,9 @@ type FunctionRef struct {
 }
 
 // Topic returns the pub/sub topic name of the deployment, one topic per
-// function per region as in §6.1.
+// function per region as in §6.1 (a Deployment keeps its own copy).
 func (f FunctionRef) Topic() string {
-	return fmt.Sprintf("%s/%s/%s", f.Workflow, f.Node, f.Region)
+	return f.Workflow + "/" + string(f.Node) + "/" + string(f.Region)
 }
 
 func (f FunctionRef) String() string { return f.Topic() }
@@ -87,8 +87,8 @@ type Platform struct {
 	rng    *simclock.Rand
 
 	registry    map[string]map[region.ID]float64 // workflow -> region -> image bytes
-	deployments map[string]*deployment           // by topic
-	roles       map[string]map[region.ID]bool    // workflow -> region -> IAM role exists
+	deployments map[FunctionRef]*Deployment
+	roles       map[string]map[region.ID]bool // workflow -> region -> IAM role exists
 
 	regionConcurrency int
 	limiters          map[region.ID]*regionLimiter
@@ -126,8 +126,14 @@ func newPlatformTelemetry() platformTelemetry {
 	}
 }
 
-type deployment struct {
+// Deployment is the handle of one deployed function: resolved once
+// (Platform.Deployment), it publishes, charges cold starts and reports
+// liveness without rebuilding the topic name. RemoveFunction retires it.
+type Deployment struct {
+	p        *Platform
 	ref      FunctionRef
+	topic    string
+	live     bool
 	lastUsed time.Time
 	everUsed bool
 }
@@ -151,7 +157,7 @@ func New(opts Options) (*Platform, error) {
 		kv:                kvstore.New(),
 		rng:               simclock.DeriveRand(opts.Seed, "platform"),
 		registry:          make(map[string]map[region.ID]float64),
-		deployments:       make(map[string]*deployment),
+		deployments:       make(map[FunctionRef]*Deployment),
 		roles:             make(map[string]map[region.ID]bool),
 		regionConcurrency: conc,
 		limiters:          make(map[region.ID]*regionLimiter),
@@ -277,24 +283,30 @@ func (p *Platform) DeployFunction(ref FunctionRef, handler pubsub.Handler) error
 	if !p.HasRole(ref.Workflow, ref.Region) {
 		return fmt.Errorf("platform: IAM role for %q missing in %q", ref.Workflow, ref.Region)
 	}
-	topic := ref.Topic()
-	p.deployments[topic] = &deployment{ref: ref}
-	p.broker.Subscribe(topic, handler)
+	p.RemoveFunction(ref) // a re-deployment retires the old handle
+	d := &Deployment{p: p, ref: ref, topic: ref.Topic(), live: true}
+	p.deployments[ref] = d
+	p.broker.Subscribe(d.topic, handler)
 	return nil
 }
 
 // RemoveFunction deletes the deployment and its topic.
 func (p *Platform) RemoveFunction(ref FunctionRef) {
-	topic := ref.Topic()
-	delete(p.deployments, topic)
-	p.broker.Unsubscribe(topic)
+	if d := p.deployments[ref]; d != nil {
+		d.live = false
+		delete(p.deployments, ref)
+		p.broker.Unsubscribe(d.topic)
+	}
 }
 
+// Deployment returns the handle of the live deployment of ref, or nil.
+func (p *Platform) Deployment(ref FunctionRef) *Deployment { return p.deployments[ref] }
+
 // IsDeployed reports whether ref exists.
-func (p *Platform) IsDeployed(ref FunctionRef) bool {
-	_, ok := p.deployments[ref.Topic()]
-	return ok
-}
+func (p *Platform) IsDeployed(ref FunctionRef) bool { return p.deployments[ref].Live() }
+
+// Live reports whether the deployment exists; nil and retired handles do not.
+func (d *Deployment) Live() bool { return d != nil && d.live }
 
 // Deployments returns the refs of all live deployments of a workflow.
 func (p *Platform) Deployments(workflow string) []FunctionRef {
@@ -313,15 +325,20 @@ func (p *Platform) Deployments(workflow string) []FunctionRef {
 	return out
 }
 
-// ColdStartPenalty returns the environment-initialization delay to charge
-// for an invocation of ref arriving now, and updates the deployment's
-// usage clock. The first invocation and invocations after a long idle
-// period pay the penalty, scaled by image size.
+// ColdStartPenalty is Deployment.ColdStartPenalty for the deployment of ref.
 func (p *Platform) ColdStartPenalty(ref FunctionRef, imageBytes float64) time.Duration {
-	d, ok := p.deployments[ref.Topic()]
-	if !ok {
+	return p.deployments[ref].ColdStartPenalty(imageBytes)
+}
+
+// ColdStartPenalty returns the environment-initialization delay to charge
+// for an invocation of the deployment arriving now, and updates its usage
+// clock. The first invocation and invocations after a long idle period pay
+// the penalty, scaled by image size; a missing deployment charges nothing.
+func (d *Deployment) ColdStartPenalty(imageBytes float64) time.Duration {
+	if !d.Live() {
 		return 0
 	}
+	p := d.p
 	p.tel.invocations.Inc()
 	now := p.sched.Now()
 	cold := !d.everUsed || now.Sub(d.lastUsed) > coldIdleThreshold
@@ -332,9 +349,9 @@ func (p *Platform) ColdStartPenalty(ref FunctionRef, imageBytes float64) time.Du
 	}
 	p.tel.coldStarts.Inc()
 	p.tel.rec.Event("platform.cold_start", now,
-		telemetry.String("workflow", ref.Workflow),
-		telemetry.String("node", string(ref.Node)),
-		telemetry.String("region", string(ref.Region)))
+		telemetry.String("workflow", d.ref.Workflow),
+		telemetry.String("node", string(d.ref.Node)),
+		telemetry.String("region", string(d.ref.Region)))
 	penalty := coldStartBase + time.Duration(imageBytes/1e9*float64(coldStartPerGB))
 	// Mild deterministic jitter.
 	return time.Duration(float64(penalty) * p.rng.Uniform(0.85, 1.25))
@@ -356,6 +373,12 @@ func (p *Platform) MessageLatency(from, to region.ID, bytes float64) time.Durati
 func (p *Platform) Publish(topic string, data []byte, latency time.Duration) error {
 	p.tel.publishes.Inc()
 	return p.broker.PublishAfter(topic, data, latency)
+}
+
+// Publish sends data to the deployment's topic; if the deployment is gone on
+// arrival the message takes the broker's retry-then-drop path.
+func (d *Deployment) Publish(data []byte, latency time.Duration) error {
+	return d.p.Publish(d.topic, data, latency)
 }
 
 // NoteTransfer counts one logged data movement in the platform's

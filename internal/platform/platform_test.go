@@ -266,6 +266,63 @@ func TestRecordHelpers(t *testing.T) {
 	}
 }
 
+// TestDeploymentHandle: the handle resolved once stands for the deployment
+// for as long as it exists. Removing the function retires it — it reads
+// as not deployed, charges no cold start and keeps no books — while a
+// message already published through it still travels the broker's
+// no-subscriber → retry path and lands on a re-deployment of the same
+// ref, which gets a handle of its own.
+func TestDeploymentHandle(t *testing.T) {
+	sched, p := newPlatform(t)
+	ref := FunctionRef{Workflow: "wf", Node: "n", Region: region.USEast1}
+	if p.Deployment(ref).Live() || p.Deployment(ref).ColdStartPenalty(1e6) != 0 {
+		t.Error("an undeployed ref has a live handle")
+	}
+	if err := p.PushImage("wf", 500e6, region.USEast1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnsureRole("wf", region.USEast1); err != nil {
+		t.Fatal(err)
+	}
+	first, second := 0, 0
+	if err := p.DeployFunction(ref, func(pubsub.Message) error { first++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	d := p.Deployment(ref)
+	if !d.Live() || !p.IsDeployed(ref) {
+		t.Fatal("a deployed ref has no live handle")
+	}
+	if d.ColdStartPenalty(500e6) <= 0 || d.ColdStartPenalty(500e6) != 0 || p.ColdStartPenalty(ref, 500e6) != 0 {
+		t.Error("want a cold first invocation and warm ones after it, by handle and by ref alike")
+	}
+	if err := d.Publish([]byte("in flight"), 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	p.RemoveFunction(ref)
+	if d.Live() || p.IsDeployed(ref) || p.Deployment(ref) != nil {
+		t.Error("a removed deployment still reads as deployed")
+	}
+	if d.ColdStartPenalty(500e6) != 0 {
+		t.Error("a retired handle charged a cold start")
+	}
+	sched.After(500*time.Millisecond, func() {
+		if err := p.DeployFunction(ref, func(pubsub.Message) error { second++; return nil }); err != nil {
+			t.Error(err)
+		}
+	})
+	sched.Run()
+	if first != 0 || second != 1 {
+		t.Errorf("the in-flight message reached the old handler %d times and the new one %d; want 0 and 1", first, second)
+	}
+	if d.Live() || !p.Deployment(ref).Live() || p.Deployment(ref) == d {
+		t.Error("re-deployment must make a new live handle and leave the retired one retired")
+	}
+	if p.Deployment(ref).ColdStartPenalty(500e6) <= 0 {
+		t.Error("the re-deployed function should start cold")
+	}
+}
+
 func TestFunctionRefTopic(t *testing.T) {
 	ref := FunctionRef{Workflow: "wf", Node: dag.NodeID("stage"), Region: region.USWest2}
 	if got := ref.Topic(); got != "wf/stage/aws:us-west-2" {

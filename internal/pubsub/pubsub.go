@@ -10,6 +10,7 @@
 package pubsub
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -116,17 +117,7 @@ func (b *Broker) OnDrop(fn func(Message)) { b.onDrop = append(b.onDrop, fn) }
 // traffic); if none exists at delivery time the attempt counts and the
 // message retries, matching pub/sub redelivery behaviour.
 func (b *Broker) Publish(topic string, data []byte) error {
-	if topic == "" {
-		return fmt.Errorf("pubsub: empty topic")
-	}
-	b.published++
-	msg := Message{Topic: topic, Data: append([]byte(nil), data...), Attempt: 0}
-	b.scheduleDelivery(msg, b.latency(topic, len(data)))
-	if b.cfg.DuplicateProb > 0 && b.rng.Bool(b.cfg.DuplicateProb) {
-		dup := Message{Topic: topic, Data: append([]byte(nil), msg.Data...), Attempt: 0}
-		b.scheduleDelivery(dup, b.latency(topic, len(data))+b.cfg.RetryDelay)
-	}
-	return nil
+	return b.PublishAfter(topic, data, b.latency(topic, len(data)))
 }
 
 // PublishAfter is Publish with an explicit delivery latency, used when the
@@ -136,42 +127,54 @@ func (b *Broker) PublishAfter(topic string, data []byte, latency time.Duration) 
 		return fmt.Errorf("pubsub: empty topic")
 	}
 	b.published++
-	msg := Message{Topic: topic, Data: append([]byte(nil), data...), Attempt: 0}
-	b.scheduleDelivery(msg, latency)
+	b.scheduleDelivery(topic, data, latency)
 	if b.cfg.DuplicateProb > 0 && b.rng.Bool(b.cfg.DuplicateProb) {
-		dup := Message{Topic: topic, Data: append([]byte(nil), msg.Data...), Attempt: 0}
-		b.scheduleDelivery(dup, latency+b.cfg.RetryDelay)
+		b.scheduleDelivery(topic, data, latency+b.cfg.RetryDelay)
 	}
 	return nil
 }
 
-func (b *Broker) scheduleDelivery(msg Message, after time.Duration) {
-	b.inflight++
-	b.sched.After(after, func() {
-		b.inflight--
-		msg.Attempt++
-		h, ok := b.subs[msg.Topic]
-		var err error
-		if !ok {
-			err = fmt.Errorf("pubsub: no subscriber for %s", msg.Topic)
-		} else {
-			err = h(msg)
-		}
-		if err == nil {
-			b.delivered++
-			return
-		}
-		if msg.Attempt >= b.cfg.MaxAttempts {
-			b.dropped++
-			for _, fn := range b.onDrop {
-				fn(msg)
-			}
-			return
-		}
-		backoff := b.cfg.RetryDelay << uint(msg.Attempt-1)
-		b.scheduleDelivery(msg, backoff)
-	})
+// delivery is one copy of a published message in flight, rescheduled as
+// it stands on every retry; fire is its attempt method, bound once.
+type delivery struct {
+	b    *Broker
+	msg  Message
+	fire func()
 }
+
+func (b *Broker) scheduleDelivery(topic string, data []byte, after time.Duration) {
+	d := &delivery{b: b, msg: Message{Topic: topic, Data: append([]byte(nil), data...)}}
+	d.fire = d.attempt
+	b.inflight++
+	b.sched.After(after, d.fire)
+}
+
+// attempt delivers the message once; nacked or without a subscriber it
+// backs off and retries until MaxAttempts, then drops.
+func (d *delivery) attempt() {
+	b := d.b
+	b.inflight--
+	d.msg.Attempt++
+	err := errNoSubscriber
+	if h, ok := b.subs[d.msg.Topic]; ok {
+		err = h(d.msg)
+	}
+	if err == nil {
+		b.delivered++
+		return
+	}
+	if d.msg.Attempt >= b.cfg.MaxAttempts {
+		b.dropped++
+		for _, fn := range b.onDrop {
+			fn(d.msg)
+		}
+		return
+	}
+	b.inflight++
+	b.sched.After(b.cfg.RetryDelay<<uint(d.msg.Attempt-1), d.fire)
+}
+
+var errNoSubscriber = errors.New("pubsub: no subscriber")
 
 // Stats reports cumulative publish/deliver/drop counts and in-flight
 // deliveries.

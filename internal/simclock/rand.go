@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -26,15 +25,23 @@ func NewRand(seed int64) *Rand {
 // for (seed, label). It is exposed so hot paths that derive many sibling
 // streams — e.g. the solver's per-iteration proposal streams — can compute
 // or compare stream identities without constructing a Rand.
-func DeriveSeed(seed int64, label string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
+func DeriveSeed(seed int64, label string) int64 { return fnvSeed(seed, label) }
+
+// DeriveSeedBytes is DeriveSeed for a label built in a byte buffer.
+func DeriveSeedBytes(seed int64, label []byte) int64 { return fnvSeed(seed, label) }
+
+// fnvSeed is hash/fnv's FNV-1a over the seed's little-endian bytes, then
+// the label, inline so neither a hash.Hash64 nor a label copy is allocated.
+func fnvSeed[L string | []byte](seed int64, label L) int64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+		h = (h ^ uint64(byte(seed>>(8*i)))) * prime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(label))
-	return int64(h.Sum64())
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime64
+	}
+	return int64(h)
 }
 
 // DeriveRand returns an independent stream derived from a root seed and a

@@ -5,7 +5,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -17,9 +16,8 @@ import (
 // the caller's goroutine.
 type Scheduler struct {
 	now    time.Time
-	queue  eventHeap
+	queue  []event // binary min-heap on (at, seq), sifted by hand: no boxing
 	seq    uint64
-	fired  uint64
 	halted bool
 }
 
@@ -29,24 +27,44 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before orders events by timestamp, then scheduling order; the key stays a
+// time.Time under Equal/Before so the zero Time orders as it always has.
+func (a *event) before(b *event) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// push adds ev, sifting it up from the last leaf.
+func (s *Scheduler) push(ev event) {
+	q := append(s.queue, ev)
+	i := len(q) - 1
+	for p := (i - 1) / 2; i > 0 && ev.before(&q[p]); p = (i - 1) / 2 {
+		q[i], i = q[p], p
+	}
+	q[i] = ev
+	s.queue = q
+}
+
+// pop removes the earliest event, sifting the last leaf down from the root.
+func (s *Scheduler) pop() event {
+	q, n := s.queue, len(s.queue)-1
+	top, last := q[0], q[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i], i = q[c], c
+	}
+	q[i] = last
+	q[n] = event{} // release the vacated slot's closure (after q[i]: i is n when n is 0)
+	s.queue = q[:n]
+	return top
 }
 
 // New returns a scheduler whose clock starts at start.
@@ -60,9 +78,6 @@ func (s *Scheduler) Now() time.Time { return s.now }
 // Pending reports the number of events not yet fired.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// Fired reports the total number of events executed so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
-
 // At schedules fn to run at the given virtual time. Scheduling in the past
 // is a programming error and panics, since it would silently reorder the
 // causal event stream.
@@ -71,7 +86,7 @@ func (s *Scheduler) At(t time.Time, fn func()) {
 		panic(fmt.Sprintf("simclock: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
+	s.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -89,9 +104,8 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 || s.halted {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*event)
+	ev := s.pop()
 	s.now = ev.at
-	s.fired++
 	ev.fn()
 	return true
 }

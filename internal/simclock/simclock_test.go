@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -146,6 +147,44 @@ func TestQuickEventOrderInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeapFiresInTimeThenSchedulingOrder drives the hand-sifted heap with
+// many ties and with handlers that schedule further events, and checks the
+// firing order against a stable sort of (time, scheduling order).
+func TestHeapFiresInTimeThenSchedulingOrder(t *testing.T) {
+	rng := NewRand(5)
+	s := New(t0)
+	type stamp struct {
+		at  time.Time
+		seq int
+	}
+	var scheduled, fired []stamp
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		st := stamp{at: s.Now().Add(time.Duration(rng.Intn(8)) * time.Millisecond), seq: len(scheduled)}
+		scheduled = append(scheduled, st)
+		s.At(st.at, func() {
+			fired = append(fired, st)
+			if depth < 3 && rng.Bool(0.6) {
+				schedule(depth + 1)
+				schedule(depth + 1)
+			}
+		})
+	}
+	for i := 0; i < 300; i++ {
+		schedule(0)
+	}
+	s.Run()
+	if len(fired) != len(scheduled) || s.Pending() != 0 {
+		t.Fatalf("fired %d of %d events, %d pending", len(fired), len(scheduled), s.Pending())
+	}
+	sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].at.Before(scheduled[j].at) })
+	for i := range fired {
+		if fired[i] != scheduled[i] {
+			t.Fatalf("event %d fired as (%v, #%d), want (%v, #%d)", i, fired[i].at, fired[i].seq, scheduled[i].at, scheduled[i].seq)
+		}
 	}
 }
 

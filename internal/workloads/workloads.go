@@ -85,21 +85,29 @@ func (w *Workload) Bytes(from, to dag.NodeID, class InputClass) float64 {
 	return m[class]
 }
 
-// SampleDuration draws one execution time (seconds) for node id under
-// class, scaled by the region performance factor.
-func (w *Workload) SampleDuration(id dag.NodeID, class InputClass, perfFactor float64, rng *simclock.Rand) float64 {
+// DurationParams returns the parameters (mu, sigma) of the lognormal that
+// node id's home-region execution time follows under class, with mu chosen
+// so that the distribution's mean is the profile's mean duration. A caller
+// that samples a node many times resolves them once.
+func (w *Workload) DurationParams(id dag.NodeID, class InputClass) (mu, sigma float64) {
 	p := w.Profile(id)
 	mean := p.MeanDurationSec[class]
 	if mean <= 0 {
 		mean = 0.05
 	}
-	sigma := p.DurationSigma
+	sigma = p.DurationSigma
 	if sigma <= 0 {
 		sigma = 0.08
 	}
-	// Lognormal with mu = ln(mean) - sigma^2/2 so E[duration] == mean.
-	d := rng.LogNormal(math.Log(mean)-sigma*sigma/2, sigma)
-	return d * perfFactor
+	// mu = ln(mean) - sigma^2/2 so E[duration] == mean.
+	return math.Log(mean) - sigma*sigma/2, sigma
+}
+
+// SampleDuration draws one execution time (seconds) for node id under
+// class, scaled by the region performance factor.
+func (w *Workload) SampleDuration(id dag.NodeID, class InputClass, perfFactor float64, rng *simclock.Rand) float64 {
+	mu, sigma := w.DurationParams(id, class)
+	return rng.LogNormal(mu, sigma) * perfFactor
 }
 
 // MeanServiceTimeSec returns a rough analytic mean end-to-end service time
