@@ -29,10 +29,13 @@ test:
 # warm scratch, accumulator and arena-slab pools while Workers: 8 row chunks
 # (or 24 HBSS hour coordinators sharing one basis memo: a plan's first
 # replay in flight is waited for without holding an evaluation slot) extend
-# a fresh solve's one tape.
+# a fresh solve's one tape. TestScreen and TestExhaustiveScreen are the row
+# screen's soundness and solver-parity tests (the statistics against the
+# reference rule; screened, tightened exhaustive solves against untaped at
+# Workers 1 and 8); TestFuzzSeeds replays the corpus seeds that reach it.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests' ./internal/eval/... ./internal/carbon/...
 
@@ -54,8 +57,15 @@ race:
 # and out-of-range probabilities): Build never panics and an accepted graph
 # has one start, a forward-pointing topological order, probabilities in
 # [0, 1], compiles into the executor's node table and drains an invocation
-# in every orchestration mode. Seed corpora live under each
-# package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline);
+# in every orchestration mode. FuzzRunSpec is the sweep manifest's run
+# decoder (bytes → RunSpec JSON → Config): nothing panics, the canonical
+# key of an accepted configuration is well-formed, and SpecOf(cfg) is a
+# fixed point of the JSON round trip. FuzzShardLock plants arbitrary bytes
+# as a shard's lock file: Claim and Renew never panic, a malformed lock
+# neither blocks a claim nor counts as the claimer's, and a live lock of
+# another owner is never stolen. Seed corpora live under each
+# package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline, most of
+# FuzzRunSpec's and FuzzShardLock's too);
 # FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
 # mutants would each take the default minute to minimize, so that target
 # runs with minimization off.
@@ -67,6 +77,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzEnvelope -fuzztime $(FUZZTIME) ./internal/executor/
 	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/dag/
+	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime $(FUZZTIME) ./internal/eval/
+	$(GO) test -run xxx -fuzz FuzzShardLock -fuzztime $(FUZZTIME) ./internal/runstore/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and

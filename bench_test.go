@@ -422,6 +422,74 @@ func BenchmarkSolver24HourlyHeavyTail(b *testing.B) {
 	b.ReportMetric(float64(pruned.Value())/float64(b.N), "pruned/op")
 }
 
+// BenchmarkSolveExhaustiveDay is the daily plan generation on an exhaustive
+// space whose estimates all converge at the first boundary — Text2Speech
+// over {us-east-1, ca-central-1}, 2⁶ = 64 plans × 24 hours: the regime the
+// row screen serves. Every plan's first block proves its stop at every
+// hour, so the solve replays 64 batches, screens 1 536 cells and prices
+// only the contenders (priced/op, next to screened/op; the 24 home cells
+// are priced before the enumeration).
+func BenchmarkSolveExhaustiveDay(b *testing.B) {
+	rec := telemetry.Enable(telemetry.Options{})
+	defer telemetry.Disable()
+	mm, est := benchInputs(b)
+	s, err := solver.New(solver.Config{
+		Inputs: mm, Estimator: est,
+		Objective: solver.Objective{Priority: solver.PriorityCarbon, Tolerances: solver.Tolerances{Latency: solver.Tol(25)}},
+		Regions:   []region.ID{region.USEast1, region.CACentral1},
+		Seed:      1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := benchStart.Add(24 * time.Hour)
+	screened, prices := rec.Counter("montecarlo.screened_candidates"), rec.Counter("montecarlo.hour_prices")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.SolveHourly(now, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(screened.Value())/float64(b.N), "screened/op")
+	b.ReportMetric(float64(prices.Value())/montecarlo.BatchSize/float64(b.N), "priced/op")
+}
+
+// BenchmarkScreenStats measures what deferring a plan costs: one fresh
+// Text2Speech basis through a parking row sweep — its first batch replayed,
+// the per-slot sums and deviation norms of that block (two passes), the 24
+// hour screens, the block's latency and cost p95, and the move to the
+// solve's arena; nothing priced. screen-ns/op is everything but the replay,
+// by the snapshot's own section clock; read the rest against
+// BenchmarkReplayBasis/lanes=1, and the whole against 24 ×
+// BenchmarkPriceHour/one-more-hour, which a deferred plan no longer pays.
+func BenchmarkScreenStats(b *testing.B) {
+	telemetry.Enable(telemetry.Options{})
+	defer telemetry.Disable()
+	snap, home := benchSnapshotAssign(b)
+	assigns := batchBenchAssigns(snap, home, 1)
+	if _, err := snap.EstimateBatch(assigns, 0, nil); err != nil { // compile the tape
+		b.Fatal(err)
+	}
+	keep := montecarlo.NewBasisArena()
+	defer keep.Release()
+	park := &montecarlo.RowPrune{Park: keep}
+	before := snap.Sweeps.ScreenNS.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bases, arena := benchBases(b, snap, assigns)
+		if _, err := snap.EstimateBasisRows(bases, park); err != nil || bases[0].Parked() == nil {
+			b.Fatalf("first block proved nothing (err %v)", err)
+		}
+		arena.Release()
+		if i%64 == 63 {
+			keep.Release()
+		}
+	}
+	b.ReportMetric(float64(snap.Sweeps.ScreenNS.Load()-before)/float64(b.N), "screen-ns/op")
+}
+
 // benchSnapshotAssign compiles a 24-hour snapshot of the learned inputs
 // and returns it with the home assignment, for the estimate micro-pair.
 func benchSnapshotAssign(b *testing.B) (*montecarlo.Snapshot, []int) {
@@ -510,14 +578,17 @@ func BenchmarkSnapshotEstimateBatch(b *testing.B) {
 func BenchmarkSnapshotEstimateRows(b *testing.B) {
 	snap, home := benchSnapshotAssign(b)
 	assigns := batchBenchAssigns(snap, home, 16)
-	if _, err := snap.EstimateRows(assigns, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snap.EstimateRows(assigns, nil); err != nil {
+	sweep := func() {
+		bases, arena := benchBases(b, snap, assigns)
+		defer arena.Release()
+		if _, err := snap.EstimateBasisRows(bases, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+	sweep() // compiles the tape
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 }
 

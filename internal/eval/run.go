@@ -7,6 +7,7 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"caribou/internal/carbon"
@@ -35,9 +36,12 @@ var Fine = Strategy{}
 // CoarseIn returns a coarse single-region strategy.
 func CoarseIn(r region.ID) Strategy { return Strategy{Coarse: r} }
 
+// String labels the strategy in figure legends and canonical keys: the
+// coarse region without its provider prefix. The region may come from a
+// sweep manifest and be any string.
 func (s Strategy) String() string {
 	if s.Coarse != "" {
-		return "coarse(" + string(s.Coarse)[4:] + ")"
+		return "coarse(" + strings.TrimPrefix(string(s.Coarse), "aws:") + ")"
 	}
 	return "fine"
 }

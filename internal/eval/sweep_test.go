@@ -2,6 +2,8 @@ package eval
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"caribou/internal/solver"
@@ -139,4 +141,65 @@ func TestExpandSweepGridAndRuns(t *testing.T) {
 	if _, err := ExpandSweep(SweepSpec{Grid: &GridSpec{Workloads: []string{"nope"}}}); err == nil {
 		t.Fatal("unknown grid workload accepted")
 	}
+}
+
+// FuzzRunSpec feeds arbitrary bytes to the sweep manifest's run decoder:
+// bytes → RunSpec JSON → Config. Nothing may panic — not Config, not the
+// canonical key the pool and ExpandSweep derive from an accepted
+// configuration — and an accepted spec is a fixed point of the round trip:
+// SpecOf(cfg) survives JSON unchanged, decodes to a configuration with the
+// same canonical key, and re-serializes to itself.
+func FuzzRunSpec(f *testing.F) {
+	for _, cfg := range []RunConfig{
+		{Workload: workloads.Text2SpeechCensoring(), Class: workloads.Small, Strategy: CoarseIn("aws:us-west-2")},
+		{Workload: workloads.DNAVisualization(), Class: workloads.Large, EvalDays: 2, Tolerances: &solver.Tolerances{Latency: solver.Tol(5)}},
+		{Workload: workloads.ImageProcessing(), Tolerances: &solver.Tolerances{}},
+	} {
+		buf, err := json.Marshal(SpecOf(cfg))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	for _, s := range []string{
+		`{"workload":"rag-ingestion"}`, `{"workload":"no-such-workflow"}`, `{}`, `null`, `[]`,
+		`{"workload":"rag-ingestion","coarse":"x"}`, `{"workload":"rag-ingestion","coarse":"aws:"}`,
+		`{"workload":"rag-ingestion","regions":[],"home":"","per_day":-1,"seed":-9223372036854775808}`,
+		`{"workload":"rag-ingestion","tolerances":{"latency":-0,"carbon":1e308},"plan_tx_inter":5e-324}`,
+		`{"workload":"rag-ingestion","regions":["aws:us-east-1","aws:us-east-1",""],"bench_fraction":2}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rs RunSpec
+		if json.Unmarshal(data, &rs) != nil {
+			return
+		}
+		cfg, err := rs.Config()
+		if err != nil {
+			return
+		}
+		key, spec := cfg.CanonicalKey(), SpecOf(cfg)
+		if strings.Contains(key, "%!") {
+			t.Fatalf("canonical key carries a fmt error: %s", key)
+		}
+		buf, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not serialize: %v", spec, err)
+		}
+		var back RunSpec
+		if err := json.Unmarshal(buf, &back); err != nil || !reflect.DeepEqual(back, spec) {
+			t.Fatalf("spec %s decodes to %+v (err %v), want %+v", buf, back, err, spec)
+		}
+		cfg2, err := back.Config()
+		if err != nil {
+			t.Fatalf("re-decoded spec %s rejected: %v", buf, err)
+		}
+		if got := cfg2.CanonicalKey(); got != key {
+			t.Fatalf("canonical key moved across the round trip:\n %s\n %s", key, got)
+		}
+		if again := SpecOf(cfg2); !reflect.DeepEqual(again, spec) {
+			t.Fatalf("SpecOf is not a fixed point: %+v then %+v", spec, again)
+		}
+	})
 }

@@ -5,34 +5,81 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"caribou/internal/telemetry"
+	"caribou/internal/workloads"
 )
 
 // TestTelemetryInertFig7 pins the telemetry subsystem's core contract:
 // enabling the recorder must not change a single bit of figure output, at
 // any worker count. Telemetry only reads simulation state — it never
 // draws from RNG streams or perturbs scheduling — so the reduced Fig 7
-// rows must be deeply equal with the recorder on and off.
+// rows must be deeply equal with the recorder on and off, the printed
+// figure must be the same bytes, and so must the encoded result of the
+// fine run, which carries every invocation the solver's hourly plans
+// placed. With the recorder on, the exhaustive solves behind those plans
+// must have reported their in-solve attribution on the solve span.
 func TestTelemetryInertFig7(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Fatal("telemetry unexpectedly enabled at test entry")
 	}
+	fine := RunConfig{Workload: workloads.DNAVisualization(), Class: workloads.Small, PerDay: 48, Seed: 7}
+	figure := func(workers int) ([]Fig7Row, []byte, []byte) {
+		t.Helper()
+		pool := NewPool(workers)
+		rows, err := Fig7(fig7TestOptions(pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		PrintFig7(&stdout, rows)
+		res, err := pool.Run(fine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := EncodeResult(fine, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, stdout.Bytes(), blob
+	}
 	for _, workers := range []int{1, 8} {
-		off, err := Fig7(fig7TestOptions(NewPool(workers)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		telemetry.Enable(telemetry.Options{})
-		on, err := Fig7(fig7TestOptions(NewPool(workers)))
+		off, offOut, offBlob := figure(workers)
+		rec := telemetry.Enable(telemetry.Options{})
+		on, onOut, onBlob := figure(workers)
+		records := rec.Records()
 		telemetry.Disable()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !reflect.DeepEqual(off, on) {
 			t.Fatalf("workers=%d: rows differ with telemetry on vs off:\n%+v\nvs\n%+v", workers, off, on)
+		}
+		if !bytes.Equal(offOut, onOut) {
+			t.Errorf("workers=%d: printed figure differs with telemetry on vs off:\n%s\nvs\n%s", workers, offOut, onOut)
+		}
+		if !bytes.Equal(offBlob, onBlob) {
+			t.Errorf("workers=%d: the fine run's encoded result differs with telemetry on vs off", workers)
+		}
+		var screened, priced, priceNS int64
+		for _, r := range records {
+			if r.Name != "solver.solve_hourly" {
+				continue
+			}
+			for _, k := range []string{"screened", "priced_cells", "replay_ns", "price_ns", "screen_ns"} {
+				if _, ok := r.Attrs[k]; !ok {
+					t.Fatalf("workers=%d: solve span lacks attribute %q: %v", workers, k, r.Attrs)
+				}
+			}
+			n, _ := strconv.ParseInt(r.Attrs["screened"], 10, 64)
+			screened += n
+			n, _ = strconv.ParseInt(r.Attrs["priced_cells"], 10, 64)
+			priced += n
+			n, _ = strconv.ParseInt(r.Attrs["price_ns"], 10, 64)
+			priceNS += n
+		}
+		if screened == 0 || priced == 0 || priceNS == 0 {
+			t.Errorf("workers=%d: solve spans report screened=%d priced_cells=%d price_ns=%d; all should be positive on an exhaustive 24-hour solve", workers, screened, priced, priceNS)
 		}
 	}
 }

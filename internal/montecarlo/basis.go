@@ -36,6 +36,7 @@ package montecarlo
 // hour reached.
 
 import (
+	"math"
 	"sync"
 
 	"caribou/internal/carbon"
@@ -115,8 +116,10 @@ func (s *Snapshot) staticSlots(assign []int) (regs, pairs []int32) {
 // ask for boundaries: block k holds samples [k·BatchSize, (k+1)·BatchSize)
 // as [lat ×BatchSize][cost ×BatchSize][per sample: kwh by region slot, gb
 // by pair slot]. stat caches the hour-independent half of each boundary's
-// stopping rule. mu serializes extension, the stat cache and pricing;
-// EstimateBases takes it before an evaluation slot, never after.
+// stopping rule, screen what the first block proves about every hour, parked
+// what a row sweep left instead of pricing it. mu serializes extension, the
+// caches and pricing; EstimateBases takes it before an evaluation slot,
+// never after.
 type Basis struct {
 	mu     sync.Mutex
 	assign []int
@@ -126,6 +129,8 @@ type Basis struct {
 	n      int
 	blocks [][]float64
 	stat   []boundStat
+	screen []float64
+	parked *RowScreen
 }
 
 // boundStat is what the first (plan, hour) to settle at a boundary leaves
@@ -191,6 +196,67 @@ func (b *Basis) statAt(k int) *boundStat {
 		b.stat = append(b.stat, st)
 	}
 	return &b.stat[k]
+}
+
+// screenRow returns what the first block proves about each hour, hour-free
+// (DESIGN.md "Row screening"): scr[h] is the CarbonMean the reference rule
+// stops with at hour h after one batch, or -Inf where the block does not
+// prove that stop. With S_j and D_j = sqrt(Σ_i (x_ij − S_j/n)²) the block's
+// per-slot sums and deviation norms, and a_j the hour's coefficient of slot
+// j, the mean is Σ a_j·S_j / n and, by Minkowski, sqrt(Σ_i (c_i − c̄)²) ≤
+// Σ |a_j|·D_j; that ceiling's CV under TargetCV by 1e-6 (≫ the n·ε of these
+// sums), with the shared CVs passing, proves the stop. The mean sums
+// priceSample's terms by slot, not by sample: within 2(n+w)·ε ≈ 5e-14 for
+// terms of one sign, and an hour whose terms cancel beyond 8× is left
+// unproven, so within 4e-13 whatever the signs.
+func (s *Snapshot) screenRow(b *Basis) []float64 {
+	if b.screen != nil {
+		return b.screen
+	}
+	w, nRegs := b.width(), len(b.regs)
+	buf := make([]float64, len(s.hours)+3*w)
+	sum, dev, coef, scr := buf[:w], buf[w:2*w], buf[2*w:3*w], buf[3*w:]
+	ok := b.statAt(0).sharedOK // settle asks only when they pass
+	recs := b.blocks[0][2*BatchSize:]
+	for j := 0; ok && j < w; j++ {
+		var t, q float64
+		for i := j; i < len(recs); i += w {
+			t += recs[i]
+		}
+		for i, m := j, t/BatchSize; i < len(recs); i += w {
+			q += (recs[i] - m) * (recs[i] - m)
+		}
+		sum[j], dev[j] = t, math.Sqrt(q)
+	}
+	for h := range scr {
+		scr[h] = math.Inf(-1)
+		for j, r := range b.regs {
+			coef[j] = s.intensity[h][r] * carbon.PUE
+		}
+		for j, p := range b.pairs {
+			coef[nRegs+j] = s.txRF[h][p]
+		}
+		var tot, abs, norm float64
+		for j, a := range coef {
+			tot += a * sum[j]
+			abs += math.Abs(a * sum[j])
+			norm += math.Abs(a) * dev[j]
+		}
+		if ok && abs <= 8*math.Abs(tot) && cvOf(norm*norm, BatchSize, tot/BatchSize) < TargetCV*(1-1e-6) {
+			scr[h] = tot / BatchSize
+		}
+	}
+	b.screen = scr
+	return scr
+}
+
+// moveTo re-homes the basis, which the caller owns, in arena a.
+func (b *Basis) moveTo(a *BasisArena) {
+	for k, blk := range b.blocks {
+		b.blocks[k] = a.take(len(blk))
+		copy(b.blocks[k], blk)
+	}
+	b.arena = a
 }
 
 // replayLane is one (plan, sample) in flight through the kernel: the
@@ -287,7 +353,7 @@ func (s *Snapshot) replayBatch(lanes []replayLane, i0 int) ([]replayLane, error)
 		return lanes, err
 	}
 	replayed := int64(k) * BatchSize
-	s.replays.Add(int64(k))
+	s.Sweeps.Replays.Add(int64(k))
 	s.tel.basisReplays.Add(int64(k))
 	s.tel.samples.Add(replayed)
 	s.tel.tapeReplays.Add(replayed)

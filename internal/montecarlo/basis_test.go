@@ -317,8 +317,8 @@ func TestBasisExtension(t *testing.T) {
 		if got := snap.tel.samples.Value() - samples0; got != int64(long) {
 			t.Errorf("order %v: montecarlo.samples grew by %d, want %d", order, got, long)
 		}
-		if snap.ReplayedSamples() != int64(long) {
-			t.Errorf("order %v: snapshot tallied %d replayed samples, want %d", order, snap.ReplayedSamples(), long)
+		if snap.Sweeps.Replays.Load()*BatchSize != int64(long) {
+			t.Errorf("order %v: snapshot tallied %d replayed samples, want %d", order, snap.Sweeps.Replays.Load()*BatchSize, long)
 		}
 		arena.Release()
 	}

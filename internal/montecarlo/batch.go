@@ -13,6 +13,10 @@ package montecarlo
 // lane at the next, so what one lane does never reaches another's prune
 // decision:
 //
+//   - row sweeps, first boundary, before the hour is priced: the first
+//     block's hour-free statistics (basis.go: screenRow) prove the estimate
+//     stops here with a metric mean above its threshold → screened, a nil
+//     Estimate, never priced;
 //   - converged (the check runs at every boundary on exactly the series
 //     the reference rule sees: latency and cost CVs once per basis per
 //     boundary, the carbon CV per hour) or out of tape → summarized;
@@ -31,6 +35,7 @@ package montecarlo
 
 import (
 	"math"
+	"slices"
 
 	"caribou/internal/stats"
 )
@@ -123,6 +128,20 @@ func p95(blocks [][]float64, off, n int, tmp []float64) (float64, error) {
 	return stats.PercentileInPlace(tmp[:n], 95)
 }
 
+// sharedP95 fills the boundary's latency and cost p95, once per basis:
+// p95 selects on a copy, so later hours still read the series in order.
+func (b *Basis) sharedP95(st *boundStat, n int, tmp []float64) (err error) {
+	if st.haveP95 {
+		return nil
+	}
+	if st.latP95, err = p95(b.blocks, 0, n, tmp); err != nil {
+		return err
+	}
+	st.costP95, err = p95(b.blocks, BatchSize, n, tmp)
+	st.haveP95 = err == nil
+	return err
+}
+
 // lane is one plan's state through a sweep.
 type lane struct {
 	b    *Basis
@@ -153,6 +172,9 @@ type sweep struct {
 	fresh         []replayLane
 	ests, pruned  int64
 	pricedSamples int64
+	screened      int64
+	// Section nanoseconds by Lap: zeros with telemetry off.
+	replayNS, priceNS, screenNS int64
 }
 
 // newSweep builds one lane per basis with every hour of the window open.
@@ -171,7 +193,6 @@ func (s *Snapshot) newSweep(bases []*Basis, h0, nh int, sem chan struct{}) *swee
 	for i, b := range bases {
 		ln := &sw.lanes[i]
 		ln.b, ln.thr = b, math.Inf(1)
-		ln.acc = getHourAcc(nh)
 		ln.open, open = open[:nh:nh], open[nh:]
 		for k := range ln.open {
 			ln.open[k] = k
@@ -190,8 +211,10 @@ func (sw *sweep) run() error {
 		err = sw.boundary(n)
 	}
 	for i := range sw.lanes {
-		putHourAcc(sw.lanes[i].acc)
-		sw.lanes[i].acc = nil
+		if a := sw.lanes[i].acc; a != nil {
+			putHourAcc(a)
+			sw.lanes[i].acc = nil
+		}
 	}
 	if sw.tmp != nil {
 		putTmp(sw.tmp)
@@ -200,6 +223,12 @@ func (sw *sweep) run() error {
 	s.tel.estimates.Add(sw.ests)
 	s.tel.prunedCandidates.Add(sw.pruned)
 	s.tel.hourPrices.Add(sw.pricedSamples)
+	s.tel.screened.Add(sw.screened)
+	s.Sweeps.Screened.Add(sw.screened)
+	s.Sweeps.Priced.Add(sw.pricedSamples / BatchSize)
+	s.Sweeps.ReplayNS.Add(sw.replayNS)
+	s.Sweeps.PriceNS.Add(sw.priceNS)
+	s.Sweeps.ScreenNS.Add(sw.screenNS)
 	return err
 }
 
@@ -212,8 +241,10 @@ func (sw *sweep) replay(n int) error {
 	if sw.sem != nil {
 		sw.sem <- struct{}{}
 	}
+	lap := sw.s.tel.rec.Lap()
 	var err error
 	sw.fresh, err = sw.s.replayBatch(sw.fresh, n-BatchSize)
+	sw.replayNS += lap.NS()
 	if sw.sem != nil {
 		<-sw.sem
 	}
@@ -235,6 +266,9 @@ func (sw *sweep) boundary(n int) error {
 		// look-ahead horizon of this hour's prune checks.
 		sw.hdr = s.tapes[sw.h0].ensure(s, sw.h0, n)
 	}
+	// What a boundary spends outside replay and screening is pricing, with
+	// its summaries and prune checks (and any wait for a late lane's basis).
+	lap, other := s.tel.rec.Lap(), sw.replayNS+sw.screenNS
 	held, late := sw.held[:0], sw.late[:0]
 	for _, ln := range sw.active {
 		if !ln.b.mu.TryLock() {
@@ -268,13 +302,87 @@ func (sw *sweep) boundary(n int) error {
 		}
 		ln.b.mu.Unlock()
 	}
+	sw.priceNS += lap.NS() - (sw.replayNS + sw.screenNS - other)
 	return err
 }
 
-// settle prices the lane's newest block at every open hour and applies the
+// screenMinHours is the shortest window a row sweep screens: the statistics
+// cost two hour pricings a plan, which a one-hour window cannot win back.
+// screenTol is how far a predicted carbon mean must clear a threshold: the
+// prediction is within 4e-13 of what pricing would return (screenRow), so
+// the estimate itself is above — whatever margin the threshold carries.
+const (
+	screenMinHours = 4
+	screenTol      = 1e-12
+)
+
+// screen is settle's first clause, at the first boundary of a row sweep: it
+// closes, unpriced, every open hour at which the lane's first block proves
+// the estimate stops there with a metric mean above the hour's threshold
+// (latency and cost means are the estimate's own). The decision reads the
+// plan's block, the hour's tables and the hour's threshold, nothing else.
+// With rows.Park set, a lane proven at every hour and still open at one is
+// parked instead: its basis moves to Park carrying what the block proves
+// and every hour closes, uncounted — the caller's next sweep decides them.
+func (sw *sweep) screen(ln *lane, st *boundStat) error {
+	b := ln.b
+	scr := sw.s.screenRow(b)
+	est := Estimate{Samples: BatchSize, Converged: true, LatencyMean: st.latSum / BatchSize, CostMean: st.costSum / BatchSize}
+	open, closed := ln.open[:0], len(ln.open)
+	for _, hs := range ln.open {
+		m := scr[hs]
+		if !math.IsInf(m, -1) {
+			switch sw.metric {
+			case BatchCostMean:
+				m = est.CostMean
+			case BatchLatencyMean:
+				m = est.LatencyMean
+			}
+		}
+		if thr, _ := sw.rows.at(hs, BatchSize); !(m-screenTol*math.Abs(m) > thr) {
+			open = append(open, hs)
+		}
+	}
+	ln.open, closed = open, closed-len(open)
+	if len(open) == 0 || sw.rows.Park == nil || math.IsInf(slices.Min(scr), -1) {
+		sw.screened += int64(closed)
+		return nil
+	}
+	if sw.tmp == nil {
+		sw.tmp = getTmp()
+	}
+	if err := b.sharedP95(st, BatchSize, sw.tmp[:]); err != nil {
+		return err
+	}
+	est.LatencyP95, est.CostP95 = st.latP95, st.costP95
+	b.moveTo(sw.rows.Park)
+	b.parked = &RowScreen{Estimate: est, Carbon: scr}
+	ln.open = open[:0]
+	return nil
+}
+
+// settle brings the lane to sample count n: at the first boundary the
+// screen clause, then an accumulator for what is left to price — a lane
+// screened or parked whole never holds one — and at every boundary price.
+func (sw *sweep) settle(ln *lane, n int) error {
+	if n == BatchSize {
+		if st := ln.b.statAt(0); sw.rows != nil && sw.nh >= screenMinHours && st.sharedOK {
+			lap := sw.s.tel.rec.Lap()
+			err := sw.screen(ln, st)
+			sw.screenNS += lap.NS()
+			if err != nil || len(ln.open) == 0 {
+				return err
+			}
+		}
+		ln.acc = getHourAcc(sw.nh)
+	}
+	return sw.price(ln, n)
+}
+
+// price prices the lane's newest block at every open hour and applies the
 // stopping rule and the prune rule at sample count n. A lane with an hour
 // still open afterwards rejoins sw.active.
-func (sw *sweep) settle(ln *lane, n int) error {
+func (sw *sweep) price(ln *lane, n int) error {
 	s := sw.s
 	b, a := ln.b, ln.acc
 	k := n/BatchSize - 1
@@ -309,17 +417,8 @@ func (sw *sweep) settle(ln *lane, n int) error {
 				sw.tmp = getTmp()
 			}
 			tmp := sw.tmp[:]
-			if !st.haveP95 {
-				// Later hours may still read the basis: select on a copy so
-				// its series keep their order.
-				var err error
-				if st.latP95, err = p95(b.blocks, 0, n, tmp); err != nil {
-					return err
-				}
-				if st.costP95, err = p95(b.blocks, BatchSize, n, tmp); err != nil {
-					return err
-				}
-				st.haveP95 = true
+			if err := b.sharedP95(st, n, tmp); err != nil {
+				return err
 			}
 			carbP95, err := p95(a.blocks, hs*BatchSize, n, tmp)
 			if err != nil {

@@ -53,3 +53,34 @@ func (s *Snapshot) SlotLeak(assign []int) (leak string, touched int, err error) 
 	}
 	return leak, touched, nil
 }
+
+// EstimateRows is EstimateBasisRows over bases that live for the call.
+func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate, error) {
+	bases, arena, err := s.newBases(assigns)
+	if err != nil {
+		return nil, err
+	}
+	defer arena.Release()
+	return s.EstimateBasisRows(bases, prune)
+}
+
+// ScreenRow replays assign's first batch onto a private basis and returns
+// a copy of what the block proves per hour (screenRow): the carbon mean the
+// reference rule stops with at the first boundary, or -Inf.
+func (s *Snapshot) ScreenRow(assign []int) ([]float64, error) {
+	bases, arena, err := s.newBases([][]int{assign})
+	if err != nil {
+		return nil, err
+	}
+	defer arena.Release()
+	lanes := make([]replayLane, 1, lanesInFlight)
+	lanes[0].b = bases[0]
+	if _, err := s.replayBatch(lanes, 0); err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), s.screenRow(bases[0])...), nil
+}
+
+// HourTables returns hour h's live intensity (by region) and route factor
+// (by region pair) tables, for tests that hand-build an hour's signal.
+func (s *Snapshot) HourTables(h int) (inten, rf []float64) { return s.intensity[h], s.txRF[h] }

@@ -86,6 +86,7 @@ type Estimator struct {
 // counters are bumped once per Estimate call — never inside the sampling
 // loop — so the instrumented hot path is unchanged.
 type mcTelemetry struct {
+	rec       *telemetry.Recorder // sweeps time their sections with rec.Lap
 	estimates *telemetry.Counter
 	samples   *telemetry.Counter
 	// Tape accounting (tape.go): batches/samples compiled onto the solve's
@@ -102,19 +103,21 @@ type mcTelemetry struct {
 	// plans they carried, all-hours row sweeps run, plan-batches replayed
 	// onto bases — samples/tapeReplays count each such sample once per plan,
 	// however many hours it is then priced at — (sample, hour) pairs priced,
-	// and (plan, hour) candidates abandoned mid-sweep by the exact
-	// bound-based pruning rule.
+	// (plan, hour) candidates abandoned mid-sweep by the exact bound-based
+	// pruning rule, and row cells the screen clause closed unpriced.
 	batchSweeps      *telemetry.Counter
 	batchPlans       *telemetry.Counter
 	rowSweeps        *telemetry.Counter
 	basisReplays     *telemetry.Counter
 	hourPrices       *telemetry.Counter
 	prunedCandidates *telemetry.Counter
+	screened         *telemetry.Counter
 }
 
 func newMCTelemetry() mcTelemetry {
 	rec := telemetry.Default()
 	return mcTelemetry{
+		rec:              rec,
 		estimates:        rec.Counter("montecarlo.estimates"),
 		samples:          rec.Counter("montecarlo.samples"),
 		tapeBatches:      rec.Counter("montecarlo.tape_batches"),
@@ -127,6 +130,7 @@ func newMCTelemetry() mcTelemetry {
 		basisReplays:     rec.Counter("montecarlo.basis_replays"),
 		hourPrices:       rec.Counter("montecarlo.hour_prices"),
 		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),
+		screened:         rec.Counter("montecarlo.screened_candidates"),
 	}
 }
 

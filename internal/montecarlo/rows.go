@@ -21,10 +21,17 @@ import "math"
 // of the lane's own boundary and no further, so a prune decision is a pure
 // function of (plan, hour, threshold, horizon) — never of what other rows,
 // hours or workers happened to compile first.
+//
+// Park, when set, defers a plan whose first block proves its stop at every
+// hour and which the thresholds leave open at one (batch.go: screen): its
+// row comes back nil and its basis moves to Park and answers Parked, so the
+// caller can tighten the thresholds from every parked plan's screen before
+// sweeping those bases again.
 type RowPrune struct {
 	Metric    BatchMetric
 	Threshold []float64
 	Horizon   []int
+	Park      *BasisArena
 }
 
 // at returns hour h's threshold and the look-ahead horizon of a prune
@@ -40,31 +47,28 @@ func (p *RowPrune) at(h, n int) (thr float64, horizon int) {
 	return p.Threshold[h], horizon
 }
 
-// EstimateRows evaluates every candidate plan at every compiled hour —
-// replay once, price every open hour: out[i][h] is nil exactly when
-// pruning proved that plan's Metric mean at hour h exceeds Threshold[h],
-// and otherwise bit-identical to Estimate(assigns[i], h). Snapshots
-// without tapes (or with deferred exec errors) fall back to sequential
-// single-hour evaluation with pruning disabled.
-func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate, error) {
+// EstimateBasisRows evaluates every plan of bases — which the caller owns —
+// at every compiled hour: replay what a basis lacks once, price every open
+// hour. out[i][h] is nil exactly when the sweep proved that plan's Metric
+// mean at hour h exceeds Threshold[h] — by the screen at the first boundary
+// or by the bounds at a later one — or parked the plan, and otherwise
+// bit-identical to Estimate(plan, h). Snapshots without tapes (or with
+// deferred exec errors) fall back to sequential single-hour evaluation
+// with pruning disabled.
+func (s *Snapshot) EstimateBasisRows(bases []*Basis, prune *RowPrune) ([][]*Estimate, error) {
 	H := len(s.hours)
-	for _, a := range assigns {
-		if err := s.checkArgs(a, 0); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]*Estimate, len(assigns))
-	cells := make([]*Estimate, len(assigns)*H)
+	out := make([][]*Estimate, len(bases))
+	cells := make([]*Estimate, len(bases)*H)
 	for i := range out {
 		out[i] = cells[i*H : (i+1)*H : (i+1)*H]
 	}
-	if len(assigns) == 0 {
+	if len(bases) == 0 {
 		return out, nil
 	}
 	if s.tapes == nil || s.anyExecErr {
-		for i, a := range assigns {
+		for i, b := range bases {
 			for h := range out[i] {
-				est, err := s.Estimate(a, h)
+				est, err := s.Estimate(b.assign, h)
 				if err != nil {
 					return nil, err
 				}
@@ -73,11 +77,6 @@ func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate
 		}
 		return out, nil
 	}
-	bases, arena, err := s.newBases(assigns)
-	if err != nil {
-		return nil, err
-	}
-	defer arena.Release()
 	sw := s.newSweep(bases, 0, H, nil)
 	if prune == nil {
 		prune = &RowPrune{}
@@ -92,3 +91,15 @@ func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate
 	}
 	return out, nil
 }
+
+// RowScreen is what a parked plan's first block proves about its hour row:
+// every hour's estimate has the embedded Estimate's sample count, latency
+// and cost fields, and a CarbonMean within 4e-13 of Carbon[h] (screenRow).
+// CarbonP95 and the carbon split are not hour-free and stay zero.
+type RowScreen struct {
+	Estimate
+	Carbon []float64
+}
+
+// Parked returns what the row sweep that parked b recorded; nil if none did.
+func (b *Basis) Parked() *RowScreen { return b.parked }

@@ -122,10 +122,12 @@ func metricMean(e *montecarlo.Estimate, m montecarlo.BatchMetric) float64 {
 // Estimate(a, h) field for field. With thresholds at scale × the home
 // row's metric (horizon: the home row's sample count), every surviving
 // entry is still bit-identical and every pruned entry's unpruned metric
-// mean really exceeds its threshold. It reports how many entries were
-// pruned and whether some row stopped at different boundaries at different
-// hours.
-func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.BatchMetric, scale float64) (pruned int, ragged bool) {
+// mean really exceeds its threshold — whichever clause closed it: the
+// first-boundary screen, which never priced the cell, or the bounds at a
+// later boundary. It reports how many entries came back nil, how many of
+// those the screen closed, and whether some row stopped at different
+// boundaries at different hours.
+func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.BatchMetric, scale float64) (pruned, screened int, ragged bool) {
 	tb.Helper()
 	H := f.snap.NumHours()
 	want := make([][]*montecarlo.Estimate, len(assigns))
@@ -141,6 +143,7 @@ func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.
 			}
 		}
 	}
+	before := f.snap.Sweeps.Screened.Load()
 	got, err := f.snap.EstimateRows(assigns, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -152,8 +155,11 @@ func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.
 			}
 		}
 	}
+	if n := f.snap.Sweeps.Screened.Load() - before; n != 0 {
+		tb.Fatalf("%s: %d cells screened by a sweep without thresholds", f.name, n)
+	}
 	if math.IsInf(scale, 1) {
-		return 0, ragged
+		return 0, 0, ragged
 	}
 	prune := &montecarlo.RowPrune{Metric: metric, Threshold: make([]float64, H), Horizon: make([]int, H)}
 	for h := range prune.Threshold {
@@ -163,6 +169,7 @@ func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.
 	if got, err = f.snap.EstimateRows(assigns, prune); err != nil {
 		tb.Fatal(err)
 	}
+	screened = int(f.snap.Sweeps.Screened.Load() - before)
 	for i := range assigns {
 		for h := 0; h < H; h++ {
 			switch {
@@ -176,7 +183,10 @@ func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.
 			}
 		}
 	}
-	return pruned, ragged
+	if screened > pruned {
+		tb.Fatalf("%s: %d cells screened but only %d came back nil", f.name, screened, pruned)
+	}
+	return pruned, screened, ragged
 }
 
 // TestEstimateRowsMatchEstimate checks the row contract on every fixture:
@@ -184,7 +194,7 @@ func checkRows(tb testing.TB, f *rowFixture, assigns [][]int, metric montecarlo.
 // each pruning metric, with thresholds just above the home row (the
 // exhaustive solver's) and well below it.
 func TestEstimateRowsMatchEstimate(t *testing.T) {
-	var pruned, multiBatch int
+	var pruned, screened, multiBatch int
 	ragged := false
 	for _, f := range rowFixtures(t) {
 		rng := rand.New(rand.NewSource(7))
@@ -203,14 +213,15 @@ func TestEstimateRowsMatchEstimate(t *testing.T) {
 		}
 		for _, metric := range []montecarlo.BatchMetric{montecarlo.BatchCarbonMean, montecarlo.BatchCostMean, montecarlo.BatchLatencyMean} {
 			for _, scale := range []float64{1 + 1e-9, 0.5} {
-				p, r := checkRows(t, f, assigns, metric, scale)
+				p, sc, r := checkRows(t, f, assigns, metric, scale)
 				pruned += p
+				screened += sc
 				ragged = ragged || r
 			}
 		}
 	}
-	if pruned == 0 {
-		t.Error("no (plan, hour) was ever pruned: the threshold half of the contract is vacuous")
+	if screened == 0 || pruned == screened {
+		t.Errorf("%d (plan, hour) cells came back nil, %d of them screened: the threshold half of the contract must see both the screen and the bounds fire", pruned, screened)
 	}
 	if multiBatch == 0 {
 		t.Error("no fixture needs more than one batch: multi-batch lanes are not covered")
@@ -224,95 +235,112 @@ func TestEstimateRowsMatchEstimate(t *testing.T) {
 // (plan, hour, threshold, horizon): the same plans swept alone, in one
 // chunk, in reverse order, and on a snapshot whose tape other estimates
 // already extended all the way give the same nil pattern and the same
-// pruned_candidates count.
+// pruned_candidates and screened_candidates counts — on the heavy-tail
+// chain, where only the bounds fire, and on Text2Speech, where every nil
+// cell is a screened one.
 func TestEstimateRowsPruneIsPure(t *testing.T) {
 	rec := telemetry.Enable(telemetry.Options{})
 	t.Cleanup(telemetry.Disable)
-	prunedCtr := rec.Counter("montecarlo.pruned_candidates")
-	wl := workloads.HeavyTailAnalytics()
-	fresh := func() (*montecarlo.Snapshot, *montecarlo.RowPrune, [][]int) {
-		snap := learnSnapshot(t, wl, region.CACentral1)
-		H := snap.NumHours()
-		home, err := snap.EstimateRows([][]int{snap.HomeAssign()}, nil)
-		if err != nil {
-			t.Fatal(err)
+	ctrs := []*telemetry.Counter{rec.Counter("montecarlo.pruned_candidates"), rec.Counter("montecarlo.screened_candidates")}
+	for ci, tc := range []struct {
+		wl   *workloads.Workload
+		home region.ID
+	}{{workloads.HeavyTailAnalytics(), region.CACentral1}, {workloads.Text2SpeechCensoring(), region.USEast1}} {
+		fresh := func() (*montecarlo.Snapshot, *montecarlo.RowPrune, [][]int) {
+			snap := learnSnapshot(t, tc.wl, tc.home)
+			H := snap.NumHours()
+			home, err := snap.EstimateRows([][]int{snap.HomeAssign()}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prune := &montecarlo.RowPrune{Metric: montecarlo.BatchCarbonMean, Threshold: make([]float64, H), Horizon: make([]int, H)}
+			for h, e := range home[0] {
+				prune.Threshold[h] = e.CarbonMean * (1 + 1e-9)
+				prune.Horizon[h] = e.Samples
+			}
+			rng := rand.New(rand.NewSource(11))
+			assigns := make([][]int, 24)
+			for i := range assigns {
+				assigns[i] = make([]int, snap.NumNodes())
+				for j := range assigns[i] {
+					assigns[i][j] = rng.Intn(snap.Regions())
+				}
+			}
+			return snap, prune, assigns
 		}
-		prune := &montecarlo.RowPrune{Metric: montecarlo.BatchCarbonMean, Threshold: make([]float64, H), Horizon: make([]int, H)}
-		for h, e := range home[0] {
-			prune.Threshold[h] = e.CarbonMean * (1 + 1e-9)
-			prune.Horizon[h] = e.Samples
+		// counted runs sweep and returns its nil pattern with the counters'
+		// movement, pruned then screened.
+		counted := func(sweep func() [][]*montecarlo.Estimate) ([]bool, [2]int64) {
+			var d [2]int64
+			for i, c := range ctrs {
+				d[i] = c.Value()
+			}
+			var p []bool
+			for _, row := range sweep() {
+				for _, e := range row {
+					p = append(p, e == nil)
+				}
+			}
+			for i, c := range ctrs {
+				d[i] = c.Value() - d[i]
+			}
+			return p, d
 		}
-		rng := rand.New(rand.NewSource(11))
-		assigns := make([][]int, 24)
-		for i := range assigns {
-			assigns[i] = make([]int, snap.NumNodes())
-			for j := range assigns[i] {
-				assigns[i][j] = rng.Intn(snap.Regions())
+		same := func(how string, got []bool, gotN [2]int64, want []bool, wantN [2]int64) {
+			t.Helper()
+			if gotN != wantN {
+				t.Errorf("%s: %s pruned/screened %v (plan, hour) pairs, one chunk %v", tc.wl.Name, how, gotN, wantN)
+			}
+			for i, nilHere := range got {
+				if nilHere != want[i] {
+					t.Fatalf("%s plan %d hour %d: nil=%v %s, %v in one chunk", tc.wl.Name, i/24, i%24, nilHere, how, want[i])
+				}
 			}
 		}
-		return snap, prune, assigns
-	}
-	pattern := func(rows [][]*montecarlo.Estimate) []bool {
-		var p []bool
-		for _, row := range rows {
-			for _, e := range row {
-				p = append(p, e == nil)
+
+		snap, prune, assigns := fresh()
+		want, wantN := counted(func() [][]*montecarlo.Estimate {
+			rows, err := snap.EstimateRows(assigns, prune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		})
+		if wantN[ci] == 0 || wantN[1-ci] != 0 {
+			t.Fatalf("%s: pruned/screened %v: the purity check would be vacuous or covers the wrong clause", tc.wl.Name, wantN)
+		}
+
+		// One lane per sweep, last plan first, on a fresh snapshot.
+		snap, prune, assigns = fresh()
+		got, gotN := counted(func() [][]*montecarlo.Estimate {
+			single := make([][]*montecarlo.Estimate, len(assigns))
+			for i := len(assigns) - 1; i >= 0; i-- {
+				rows, err := snap.EstimateRows(assigns[i:i+1], prune)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single[i] = rows[0]
+			}
+			return single
+		})
+		same("one lane per sweep", got, gotN, want, wantN)
+
+		// Tape and every hour's bound columns already compiled to the end.
+		snap, prune, assigns = fresh()
+		slow := make([]int, snap.NumNodes()) // all in region 0: dirtier than home, never converges early on the chain
+		for h := 0; h < snap.NumHours(); h++ {
+			if _, err := snap.Estimate(slow, h); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return p
-	}
-
-	snap, prune, assigns := fresh()
-	before := prunedCtr.Value()
-	whole, err := snap.EstimateRows(assigns, prune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantPruned := pattern(whole), prunedCtr.Value()-before
-	if wantPruned == 0 {
-		t.Fatal("nothing pruned: the purity check would be vacuous")
-	}
-
-	// One lane per sweep, last plan first, on a fresh snapshot.
-	snap, prune, assigns = fresh()
-	before = prunedCtr.Value()
-	single := make([][]*montecarlo.Estimate, len(assigns))
-	for i := len(assigns) - 1; i >= 0; i-- {
-		rows, err := snap.EstimateRows(assigns[i:i+1], prune)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single[i] = rows[0]
-	}
-	if got := prunedCtr.Value() - before; got != wantPruned {
-		t.Errorf("one lane per sweep pruned %d (plan, hour) pairs, one chunk pruned %d", got, wantPruned)
-	}
-	for i, nilHere := range pattern(single) {
-		if nilHere != want[i] {
-			t.Fatalf("plan %d hour %d: pruned=%v one lane per sweep, %v in one chunk", i/24, i%24, nilHere, want[i])
-		}
-	}
-
-	// Tape and every hour's bound columns already compiled to the end.
-	snap, prune, assigns = fresh()
-	slow := make([]int, snap.NumNodes()) // all in region 0: dirtier than home, never converges early
-	for h := 0; h < snap.NumHours(); h++ {
-		if _, err := snap.Estimate(slow, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before = prunedCtr.Value()
-	warm, err := snap.EstimateRows(assigns, prune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := prunedCtr.Value() - before; got != wantPruned {
-		t.Errorf("pre-extended tape pruned %d (plan, hour) pairs, fresh tape pruned %d", got, wantPruned)
-	}
-	for i, nilHere := range pattern(warm) {
-		if nilHere != want[i] {
-			t.Fatalf("plan %d hour %d: pruned=%v on a pre-extended tape, %v on a fresh one", i/24, i%24, nilHere, want[i])
-		}
+		got, gotN = counted(func() [][]*montecarlo.Estimate {
+			rows, err := snap.EstimateRows(assigns, prune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		})
+		same("on a pre-extended tape", got, gotN, want, wantN)
 	}
 }
 
@@ -323,26 +351,48 @@ func TestEstimateRowsPruneIsPure(t *testing.T) {
 // (`make fuzz`).
 func FuzzEstimateRows(f *testing.F) {
 	f.Add([]byte{3, 0, 48, 1, 2, 3, 0, 1, 2}) // more seeds under testdata/fuzz/FuzzEstimateRows
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for len(data) < 3 {
-			data = append(data, 0)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzRows(t, data) })
+}
+
+// fuzzRows is FuzzEstimateRows's body; it reports checkRows's nil and
+// screened counts.
+func fuzzRows(t *testing.T, data []byte) (pruned, screened int) {
+	for len(data) < 3 {
+		data = append(data, 0)
+	}
+	fixtures := rowFixtures(t)
+	fx := fixtures[int(data[0])%len(fixtures)]
+	metric := montecarlo.BatchMetric(data[1] % 3)
+	scale := 0.25 + float64(data[2])/64
+	n := fx.snap.NumNodes()
+	var assigns [][]int
+	for rest := data[3:]; len(assigns) < 4 && (len(rest) > 0 || len(assigns) == 0); {
+		a := make([]int, n)
+		for i := 0; i < n && i < len(rest); i++ {
+			a[i] = int(rest[i]) % fx.snap.Regions()
 		}
-		fixtures := rowFixtures(t)
-		fx := fixtures[int(data[0])%len(fixtures)]
-		metric := montecarlo.BatchMetric(data[1] % 3)
-		scale := 0.25 + float64(data[2])/64
-		n := fx.snap.NumNodes()
-		var assigns [][]int
-		for rest := data[3:]; len(assigns) < 4 && (len(rest) > 0 || len(assigns) == 0); {
-			a := make([]int, n)
-			for i := 0; i < n && i < len(rest); i++ {
-				a[i] = int(rest[i]) % fx.snap.Regions()
-			}
-			assigns = append(assigns, a)
-			rest = rest[min(n, len(rest)):]
+		assigns = append(assigns, a)
+		rest = rest[min(n, len(rest)):]
+	}
+	pruned, screened, _ = checkRows(t, fx, assigns, metric, scale)
+	return pruned, screened
+}
+
+// TestFuzzSeedsHitScreen runs the two corpus seeds added with the screen
+// clause (testdata/fuzz/FuzzEstimateRows/text2speech-screened-carbon and
+// text2speech-central-screened-cost) and requires that the screen closes
+// some cells and leaves others to be priced on both — carbon against a mean
+// the statistics predict, cost against the block's own mean — so the fuzzer
+// starts from inputs that reach the clause from both sides.
+func TestFuzzSeedsHitScreen(t *testing.T) {
+	for name, seed := range map[string][]byte{
+		"text2speech-screened-carbon":       {6, 0, 44, 0, 1, 2, 3, 0, 3, 3, 3, 1, 1, 2, 2, 2, 2},
+		"text2speech-central-screened-cost": {7, 1, 56, 0, 1, 2, 3, 0, 3, 3, 3, 1, 1, 2, 2, 2, 2},
+	} {
+		if pruned, screened := fuzzRows(t, seed); screened == 0 || screened == 3*24 {
+			t.Errorf("%s: %d of 72 cells nil, %d of them screened", name, pruned, screened)
 		}
-		checkRows(t, fx, assigns, metric, scale)
-	})
+	}
 }
 
 // TestStaticSlotsCoverDenseAccumulation is the slot-list contract: for the

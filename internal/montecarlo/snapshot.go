@@ -53,9 +53,11 @@ type Snapshot struct {
 	// and its pruning floors.
 	tape  *sampleTape
 	tapes []*hourTape
-	// replays counts the plan-batches replayed onto bases over this
-	// snapshot's life — one solve's — for the solver's span attributes.
-	replays atomic.Int64
+	// Sweeps is what this snapshot's sweeps did in its life — one solve's —
+	// for the solver's span: plan-batches replayed, row cells screened,
+	// (block, hour) pricings and, with telemetry on, nanoseconds in replay,
+	// pricing with its summaries, and screening, summed over workers.
+	Sweeps struct{ Replays, Screened, Priced, ReplayNS, PriceNS, ScreenNS atomic.Int64 }
 
 	// scratchPool, snapPool, and accPool recycle the per-Estimate replay
 	// scratch, the untaped path's sampling scratch, and series accumulators
@@ -315,11 +317,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 // NumNodes reports the number of interned stages.
 func (s *Snapshot) NumNodes() int { return s.nodes.Len() }
 
-// Hours returns a copy of the solve instants the snapshot was compiled
-// for. Callers that only need the count should use NumHours, which does
-// not allocate.
-func (s *Snapshot) Hours() []time.Time { return append([]time.Time(nil), s.hours...) }
-
 // NumHours reports the number of compiled solve instants.
 func (s *Snapshot) NumHours() int { return len(s.hours) }
 
@@ -374,10 +371,6 @@ var tmpPool = sync.Pool{New: func() any { return new([MaxSamples]float64) }}
 func getTmp() *[MaxSamples]float64 { return tmpPool.Get().(*[MaxSamples]float64) }
 
 func putTmp(t *[MaxSamples]float64) { tmpPool.Put(t) }
-
-// ReplayedSamples reports how many tape samples have been replayed onto
-// plan bases so far: each once per plan, however many hours priced it.
-func (s *Snapshot) ReplayedSamples() int64 { return s.replays.Load() * BatchSize }
 
 // HourTime returns the solve instant at hour index h.
 func (s *Snapshot) HourTime(h int) time.Time { return s.hours[h] }

@@ -3,6 +3,7 @@ package runstore
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -130,6 +131,17 @@ func (l shardLock) expired(now time.Time) bool {
 	return now.Unix() >= l.AcquiredUnix+l.LeaseSec
 }
 
+// wellFormed reports whether l is a lock this protocol could have written
+// and now could still honour: an owner, a positive lease whose end is a
+// representable time, and an acquisition instant no further ahead of now
+// than that lease (a holder's clock may run a little fast; a lock dated
+// beyond its own lease would never expire). Anything else — a torn or
+// foreign file that happens to parse — is nobody's lock.
+func (l shardLock) wellFormed(now time.Time) bool {
+	return l.Owner != "" && l.LeaseSec > 0 && l.AcquiredUnix >= 0 &&
+		l.AcquiredUnix <= math.MaxInt64-l.LeaseSec && l.AcquiredUnix-now.Unix() <= l.LeaseSec
+}
+
 func (s *Sweep) lockPath(shard int) string {
 	return filepath.Join(sweepDir(s.store, s.name), "shards", fmt.Sprintf("%d.lock", shard))
 }
@@ -217,14 +229,14 @@ func linkNew(path string, data []byte) error {
 }
 
 // readLock parses a shard's lock file; ok is false when the lock is
-// absent or unreadable (an unreadable lock is treated as stale).
+// absent, unreadable or not well-formed (such a lock is treated as stale).
 func (s *Sweep) readLock(shard int) (shardLock, bool) {
 	buf, err := os.ReadFile(s.lockPath(shard))
 	if err != nil {
 		return shardLock{}, false
 	}
 	var l shardLock
-	if err := json.Unmarshal(buf, &l); err != nil {
+	if err := json.Unmarshal(buf, &l); err != nil || !l.wellFormed(s.clock.Now()) {
 		return shardLock{}, false
 	}
 	return l, true

@@ -1,8 +1,10 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -266,4 +268,99 @@ func TestSweepShardsClampedToRuns(t *testing.T) {
 	if got := sw.Manifest().Shards; got != 3 {
 		t.Fatalf("shards = %d, want 3", got)
 	}
+}
+
+// FuzzShardLock writes arbitrary bytes as shard 0's lock file and lets two
+// runners at it. Nothing may panic, and a malformed lock is nobody's: the
+// oracle below reads a lock the way the protocol writes one — a JSON
+// object with an owner, a positive lease and an acquisition time that is
+// not further ahead than that lease — and
+//
+//   - Claim reports the shard held by someone else only for a well-formed,
+//     unexpired lock of another owner (anything else is stale and stolen);
+//   - Claim leaves the file alone — "already ours" — only for a
+//     well-formed, unexpired lock of the claimer, and otherwise the file it
+//     leaves is the claimer's own fresh lock;
+//   - Renew succeeds only on a well-formed lock of the renewer, and never
+//     for the empty owner.
+func FuzzShardLock(f *testing.F) {
+	clk := newManualClock()
+	now := clk.Now().Unix()
+	for _, seed := range []string{
+		fmt.Sprintf(`{"owner":"me","acquired_unix":%d,"lease_sec":60}`, now-5),
+		fmt.Sprintf(`{"owner":"other","acquired_unix":%d,"lease_sec":60}`, now-5),
+		fmt.Sprintf(`{"owner":"other","acquired_unix":%d,"lease_sec":60}`, now-600),
+		``, `{}`, `null`, `{"owner":"me"}`, `[1,2]`, `{"owner":"me","acquired_unix":1e400}`,
+		fmt.Sprintf(`{"owner":"me","acquired_unix":%d,"lease_sec":-3}`, now),
+		fmt.Sprintf(`{"owner":"other","acquired_unix":%d,"lease_sec":0}`, int64(math.MaxInt64)),
+		fmt.Sprintf(`{"owner":"other","acquired_unix":%d,"lease_sec":%d}`, int64(math.MaxInt64), int64(math.MaxInt64)),
+		fmt.Sprintf(`{"owner":"","acquired_unix":%d,"lease_sec":60}`, now),
+		fmt.Sprintf(`{"owner":"me","acquired_unix":%d,"lease_sec":60} trailing`, now),
+	} {
+		f.Add([]byte(seed))
+	}
+	store, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	sw, err := CreateSweep(store, testManifest("fuzz", 2, 1), clk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const lease = time.Minute
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var l shardLock
+		wellFormed := json.Unmarshal(data, &l) == nil && l.Owner != "" && l.LeaseSec > 0 &&
+			l.AcquiredUnix >= 0 && l.AcquiredUnix-now <= l.LeaseSec && l.AcquiredUnix <= math.MaxInt64-l.LeaseSec
+		live := wellFormed && now < l.AcquiredUnix+l.LeaseSec
+		plant := func() {
+			t.Helper()
+			if err := os.WriteFile(sw.lockPath(0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := func() []byte {
+			t.Helper()
+			buf, err := os.ReadFile(sw.lockPath(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return buf
+		}
+		fresh, _ := json.Marshal(shardLock{Owner: "me", AcquiredUnix: now, LeaseSec: int64(lease / time.Second)})
+
+		plant()
+		shard, ok, err := sw.Claim("me", lease)
+		if err != nil || shard != 0 {
+			t.Fatalf("Claim over %q: shard %d, err %v", data, shard, err)
+		}
+		switch left := after(); {
+		case !ok:
+			if !live || l.Owner == "me" {
+				t.Fatalf("lock %q blocked the claim (well-formed %v, live %v)", data, wellFormed, live)
+			}
+			if !bytes.Equal(left, data) {
+				t.Fatalf("a refused claim rewrote the lock: %q → %q", data, left)
+			}
+		case live && l.Owner != "me":
+			t.Fatalf("claim stole the live lock %q", data)
+		case bytes.Equal(left, fresh):
+			// stolen (or re-stamped): the claimer's own lock is in place
+		case !bytes.Equal(left, data) || !live || l.Owner != "me":
+			t.Fatalf("claim succeeded over %q and left %q, neither the claimer's fresh lock nor a live lock of its own", data, left)
+		}
+
+		plant()
+		err = sw.Renew(0, "me", lease)
+		if (err == nil) != (wellFormed && l.Owner == "me") {
+			t.Fatalf("Renew over %q: err %v, but well-formed %v owner %q", data, err, wellFormed, l.Owner)
+		}
+		if left := after(); err == nil && !bytes.Equal(left, fresh) || err != nil && !bytes.Equal(left, data) {
+			t.Fatalf("Renew over %q (err %v) left %q", data, err, left)
+		}
+		plant()
+		if err := sw.Renew(0, "", lease); err == nil {
+			t.Fatalf("Renew for the empty owner succeeded over %q", data)
+		}
+	})
 }

@@ -59,9 +59,11 @@ func pruneThreshold(m0, gamma, u float64) float64 {
 	if u <= 0 {
 		return math.Inf(1)
 	}
-	t := m0 - clampDenom(m0)*gamma*math.Log(u)
-	return t + pruneMargin*math.Abs(t)
+	return withMargin(m0 - clampDenom(m0)*gamma*math.Log(u))
 }
+
+// withMargin is metric cutoff t with pruneMargin's slack on top.
+func withMargin(t float64) float64 { return t + pruneMargin*math.Abs(t) }
 
 // solveHBSS runs the batched, deterministic variant of Alg. 1 from the
 // home deployment. Iteration i draws all of its randomness — the

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -293,14 +294,21 @@ next:
 // evalRows returns, for distinct assignments, their estimates at every
 // hour of the compiled window: rows[i][h]. Memoized (plan, hour) pairs are
 // returned directly; a plan with any pair missing is evaluated as one hour
-// row through montecarlo.EstimateRows, where one sweep over the tape prices
+// row through a montecarlo row sweep, where one pass over the tape prices
 // every hour (hour by hour through untaped Estimates with
 // UntapedEstimates), in chunks of at most rowSeries hour series across the
 // worker semaphore. prune carries the per-hour abandonment thresholds (nil
 // disables pruning; the untaped path never prunes): a nil entry means the
 // sweep proved that plan's priority metric at that hour exceeds the hour's
 // threshold, and — the proof being relative to this call — is not memoized.
-func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*montecarlo.Estimate, error) {
+//
+// With prune.Park set, a plan whose first block proves its stop at every
+// hour is parked there unpriced (montecarlo.RowPrune); tighten turns the
+// parked plans' screens into the thresholds of a second sweep, which prices
+// them only where they still contend. Both threshold sets are fixed before
+// the sweep that reads them prices anything, so results and counters do not
+// depend on the worker count or the chunking.
+func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten func([]*montecarlo.Basis) *montecarlo.RowPrune) ([][]*montecarlo.Estimate, error) {
 	H := c.snap.NumHours()
 	rows := make([][]*montecarlo.Estimate, len(assigns))
 	type job struct {
@@ -339,26 +347,50 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune) ([][]*mon
 	c.rowPlans += int64(len(jobs))
 
 	ests := make([][]*montecarlo.Estimate, len(jobs))
+	bases := make([]*montecarlo.Basis, len(jobs))
 	errs := make([]error, len(jobs))
 	// Short job lists split finer still, so every worker gets a chunk:
-	// row results do not depend on how lanes are grouped.
+	// row results do not depend on how lanes are grouped. A chunk's bases
+	// live in its own arena — cache-hot, released with the chunk — except
+	// those the sweep parks, which it moves to prune.Park.
 	chunk := max(1, min(evalChunk, rowSeries/H, (len(jobs)+c.s.workers-1)/c.s.workers))
 	c.forEach((len(jobs)+chunk-1)/chunk, func(k int) {
 		lo, hi := k*chunk, min((k+1)*chunk, len(jobs))
-		as := make([][]int, hi-lo)
+		arena := montecarlo.NewBasisArena()
+		defer arena.Release()
 		for j := lo; j < hi; j++ {
-			as[j-lo] = jobs[j].assign
+			if bases[j], errs[lo] = c.snap.NewBasis(arena, jobs[j].assign); errs[lo] != nil {
+				return
+			}
 		}
-		es, err := c.snap.EstimateRows(as, prune)
-		if err != nil {
-			errs[lo] = err
-			return
+		var es [][]*montecarlo.Estimate
+		if es, errs[lo] = c.snap.EstimateBasisRows(bases[lo:hi], prune); errs[lo] == nil {
+			copy(ests[lo:hi], es)
 		}
-		copy(ests[lo:hi], es)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
+		}
+	}
+	// The parked plans, in one sweep of their own: nearly every cell is
+	// screened against the tightened thresholds, a few per hour are priced.
+	var parked []*montecarlo.Basis
+	var at []int
+	for j, b := range bases {
+		if b.Parked() != nil {
+			parked, at = append(parked, b), append(at, j)
+		}
+	}
+	if len(parked) > 0 {
+		var es [][]*montecarlo.Estimate
+		var err error
+		c.forEach(1, func(int) { es, err = c.snap.EstimateBasisRows(parked, tighten(parked)) })
+		if err != nil {
+			return nil, err
+		}
+		for t, j := range at {
+			ests[j] = es[t]
 		}
 	}
 
@@ -451,7 +483,7 @@ func (c *search) solveExhaustive() ([]Result, error) {
 	walk(0)
 
 	homeAssign := c.snap.HomeAssign()
-	homeRows, err := c.evalRows([][]int{homeAssign}, nil)
+	homeRows, err := c.evalRows([][]int{homeAssign}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -468,11 +500,34 @@ func (c *search) solveExhaustive() ([]Result, error) {
 		Horizon:   make([]int, len(home)),
 	}
 	for h, est := range home {
-		m := metricOf(est, prio)
-		prune.Threshold[h] = m + pruneMargin*math.Abs(m)
+		prune.Threshold[h] = withMargin(metricOf(est, prio))
 		prune.Horizon[h] = est.Samples
 	}
-	rows, err := c.evalRows(all, prune)
+	// A parked plan whose p95s — its first block's own — keep the latency and
+	// cost tolerances at hour h is a feasible candidate there whose exact
+	// metric is its screen mean, to 4e-13: no cell above that mean plus the
+	// margin can be the hour's argmin either, and everything within the
+	// margin of the minimum is still priced exactly, so ties resolve as
+	// before. CarbonP95 is not hour-free: with a carbon tolerance set nothing
+	// is parked and the home thresholds stand alone.
+	if !c.s.obj.Tolerances.Carbon.Set {
+		prune.Park = c.arena
+	}
+	tighten := func(parked []*montecarlo.Basis) *montecarlo.RowPrune {
+		tight := montecarlo.RowPrune{Metric: prune.Metric, Threshold: slices.Clone(prune.Threshold), Horizon: prune.Horizon}
+		for _, b := range parked {
+			sc := b.Parked()
+			est := sc.Estimate
+			for h, m := range sc.Carbon {
+				est.CarbonMean = m
+				if !c.s.violates(&est, home[h]) {
+					tight.Threshold[h] = min(tight.Threshold[h], withMargin(metricOf(&est, prio)))
+				}
+			}
+		}
+		return &tight
+	}
+	rows, err := c.evalRows(all, prune, tighten)
 	if err != nil {
 		return nil, err
 	}

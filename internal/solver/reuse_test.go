@@ -115,7 +115,7 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 					o.wanted[k.plan] = max(o.wanted[k.plan], est.Samples)
 					o.pairs += est.Samples
 				}
-				if got := c.snap.ReplayedSamples(); got != o.counters[0] {
+				if got := c.snap.Sweeps.Replays.Load() * montecarlo.BatchSize; got != o.counters[0] {
 					t.Errorf("workers %d: snapshot tallied %d replayed samples, montecarlo.samples grew by %d", workers, got, o.counters[0])
 				}
 				return o

@@ -315,9 +315,13 @@ func (s *Solver) SolveHourly(dayStart, now time.Time) (dag.HourlyPlans, []Result
 	if err != nil {
 		return plans, nil, fmt.Errorf("solver: %w", err)
 	}
+	sw := &c.snap.Sweeps
 	sp.Annotate(telemetry.Int("plans", int64(len(c.bases))+c.rowPlans),
 		telemetry.Int("estimates", int64(len(c.cache))),
-		telemetry.Int("replayed_samples", c.snap.ReplayedSamples()))
+		telemetry.Int("replayed_samples", sw.Replays.Load()*montecarlo.BatchSize),
+		telemetry.Int("screened", sw.Screened.Load()), telemetry.Int("priced_cells", sw.Priced.Load()),
+		telemetry.Int("replay_ns", sw.ReplayNS.Load()), telemetry.Int("price_ns", sw.PriceNS.Load()),
+		telemetry.Int("screen_ns", sw.ScreenNS.Load()))
 	results := make([]Result, 24)
 	for h := 0; h < 24; h++ {
 		at := hours[h]
@@ -352,7 +356,7 @@ func (s *Solver) SolveCoarse(at, now time.Time) (Result, error) {
 		}
 		assigns = append(assigns, a)
 	}
-	rows, err := c.evalRows(assigns, nil)
+	rows, err := c.evalRows(assigns, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}

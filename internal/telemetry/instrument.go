@@ -211,6 +211,28 @@ func (sw Stopwatch) Stop() {
 	sw.h.Observe(time.Since(sw.start).Seconds())
 }
 
+// Lap times one section of code for callers that accumulate nanoseconds
+// themselves and report the totals as span attributes: `lap := rec.Lap();
+// …; ns += lap.NS()`. The zero Lap, which the nil Recorder hands out, reads
+// no clock and measures zero.
+type Lap struct{ start time.Time }
+
+// Lap starts timing at the current instant; no clock is read on nil.
+func (r *Recorder) Lap() Lap {
+	if r == nil {
+		return Lap{}
+	}
+	return Lap{start: time.Now()}
+}
+
+// NS returns the nanoseconds since Lap.
+func (l Lap) NS() int64 {
+	if l.start.IsZero() {
+		return 0
+	}
+	return int64(time.Since(l.start))
+}
+
 // Count reports total observations; zero on nil.
 func (h *Histogram) Count() int64 {
 	if h == nil {

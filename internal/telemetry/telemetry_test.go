@@ -230,3 +230,15 @@ func TestStopwatchObservesElapsedSeconds(t *testing.T) {
 		t.Fatalf("stopwatch recorded %d observations summing to %g s, want one of ≥ 2 ms", h.Count(), h.Sum())
 	}
 }
+
+func TestLapMeasuresOnlyWhenEnabled(t *testing.T) {
+	lap := New(Options{}).Lap()
+	time.Sleep(2 * time.Millisecond)
+	if ns := lap.NS(); ns < 2e6 || ns > 1e9 {
+		t.Errorf("lap measured %d ns across a 2 ms sleep", ns)
+	}
+	var off *Recorder
+	if ns := off.Lap().NS(); ns != 0 {
+		t.Errorf("nil recorder's lap measured %d ns, want 0", ns)
+	}
+}
