@@ -65,7 +65,12 @@ race:
 # neither blocks a claim nor counts as the claimer's, and a live lock of
 # another owner is never stolen. Seed corpora live under each
 # package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline, most of
-# FuzzRunSpec's and FuzzShardLock's too);
+# FuzzRunSpec's and FuzzShardLock's too). FuzzTraceBody and
+# FuzzRegisterBody post arbitrary bytes as a trace delta of, and as a
+# registration beside, a freshly registered tenant: no 5xx, no panic, a
+# 2xx body is JSON, a refused request leaves that tenant's GET /plan
+# bytes and virtual time unchanged, virtual time never decreases, and the
+# tenant's next in-horizon delta answers 200 (seeds inline).
 # FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
 # mutants would each take the default minute to minimize, so that target
 # runs with minimization off.
@@ -79,6 +84,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/dag/
 	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime $(FUZZTIME) ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzShardLock -fuzztime $(FUZZTIME) ./internal/runstore/
+	$(GO) test -run xxx -fuzz FuzzTraceBody -fuzztime $(FUZZTIME) ./internal/controlplane/
+	$(GO) test -run xxx -fuzz FuzzRegisterBody -fuzztime $(FUZZTIME) ./internal/controlplane/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and
@@ -89,36 +96,19 @@ vet:
 	GOFLAGS=-mod=mod $(GO) vet -tags '$(VET_TAGS)' ./...
 
 # lint runs the in-repo determinism & telemetry analyzer suite
-# (internal/analysis, driven by cmd/caribou-lint): wallclock (no
-# time.Now/Since/Sleep outside telemetry), globalrand (no math/rand
-# outside simclock), maporder (no observable output from unsorted map
-# iteration), hotsprintf (no Sprintf/concat in montecarlo/solver/stats
-# loops), goroutines (go statements only in the approved concurrency
-# packages), dettaint (no exported solver/montecarlo/eval/
-# controlplane function may transitively reach a wallclock or
-# global-rand sink — the chain is printed), hotalloc (no closure
-# literals, interface boxing, fmt calls, or grow-in-loop appends in the
-# montecarlo tape/basis/batch/rows/bounds and solver HBSS hot files), and
-# atomicpub (values published via atomic.Pointer.Store are
-# write-complete at publish; shard-owned controlplane state mutates
-# only inside its owning worker). Suppress an individual finding with
-# //caribou:allow <check> <reason> — the reason is mandatory and a
-# suppression that no longer matches a finding is itself a diagnostic.
-# Results are cached under .caribou-cache/lint/ keyed by source and
-# import hashes, so warm runs are sub-second and byte-identical to cold
-# runs; -cache off disables, -cache DIR relocates. See DESIGN.md
-# "Static analysis" and "Static analysis v2".
+# (internal/analysis, driven by cmd/caribou-lint): wallclock, globalrand,
+# maporder, hotsprintf, goroutines, dettaint, hotalloc and atomicpub, plus
+# the allow meta-check on //caribou:allow <check> <reason> suppressions.
+# DESIGN.md "Static analysis" and "Static analysis v2" say what each
+# enforces and why.
 lint:
 	$(GO) run ./cmd/caribou-lint ./...
 
 # bench is a short smoke pass (one iteration per benchmark) so the whole
 # suite stays in CI budget; use `go test -bench . -benchtime Nx .` for
-# stable timings. The control-plane load generator runs a small
-# in-process population as part of the same pass (benchmark lines on
-# stdout; see cmd/caribou-load).
+# stable timings, and `go run ./benchmark` for the serving workloads.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
-	$(GO) run ./cmd/caribou-load -tenants 64 -deltas 2 -queries 3 -workers 16
 
 # sweep-clean removes the durable run cache: the default store
 # caribou-eval -cache-dir and caribou-sweep write to.

@@ -24,13 +24,12 @@ const allowCheck = "allow"
 // same way — dead annotations cannot survive a burn-down.
 const allowPrefix = "//caribou:allow"
 
-// AllowComment is one parsed, well-formed suppression. It is part of the
-// cacheable PkgUnit, so it serializes.
+// AllowComment is one parsed, well-formed suppression.
 type AllowComment struct {
-	File  string `json:"file"`
-	Line  int    `json:"line"`
-	Col   int    `json:"col"`
-	Check string `json:"check"`
+	File  string
+	Line  int
+	Col   int
+	Check string
 }
 
 // collectAllows parses every //caribou:allow comment in the files,

@@ -17,10 +17,7 @@
 // type-checked package at a time, while module analyzers (dettaint,
 // atomicpub's ownership rule) run over a conservative call graph built
 // from per-package fact summaries (summary.go) — static call edges plus
-// name-and-signature method-set matching for interface dispatch. The
-// summaries are JSON-serializable, which is what lets the cached driver
-// (driver.go) skip type-checking entirely on warm runs and still produce
-// byte-identical output.
+// name-and-signature method-set matching for interface dispatch.
 //
 // A finding can be suppressed with a trailing or preceding comment
 //
@@ -29,7 +26,7 @@
 // where the reason is mandatory: an allow comment without one is itself
 // a diagnostic (check "allow"), and so is a well-formed allow that
 // suppresses nothing — burn-downs cannot leave dead annotations behind.
-// See cmd/caribou-lint for the driver and DESIGN.md "Static analysis v2"
+// See cmd/caribou-lint for the command and DESIGN.md "Static analysis v2"
 // for the rationale behind each check.
 package analysis
 
@@ -42,12 +39,11 @@ import (
 )
 
 // Diagnostic is one finding: a position, the check that fired, and a
-// human-readable message. The driver renders it as
-// "file:line: [check] message".
+// human-readable message, rendered as "file:line: [check] message".
 type Diagnostic struct {
-	Pos     token.Position `json:"pos"`
-	Check   string         `json:"check"`
-	Message string         `json:"message"`
+	Pos     token.Position
+	Check   string
+	Message string
 }
 
 // Analyzer is one named check. Run inspects a single type-checked
@@ -84,8 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ModulePass hands one module analyzer the whole module: every package's
 // fact summary, in import-path order. Positions are plain
-// token.Positions (summaries carry no FileSet — warm cache runs never
-// construct one).
+// token.Positions (summaries carry no FileSet).
 type ModulePass struct {
 	Units []*PkgUnit
 
@@ -112,22 +107,20 @@ func (mp *ModulePass) SiteSanctioned(file string, line int) bool {
 	return mp.allows.use(mp.check, file, line)
 }
 
-// PkgUnit is the cacheable per-package analysis result: the raw
-// (pre-suppression) findings of every per-package analyzer, the parsed
-// allow comments, the malformed-allow diagnostics, and the fact summary
-// the module phase consumes. The cached driver serializes this struct
-// verbatim; Finish recombines units into final output identically
-// whether they were just computed or decoded from disk.
+// PkgUnit is one package's analysis result: the raw (pre-suppression)
+// findings of every per-package analyzer, the parsed allow comments, the
+// malformed-allow diagnostics, and the fact summary the module phase
+// consumes.
 type PkgUnit struct {
-	Path       string         `json:"path"`
-	Raw        []Diagnostic   `json:"raw,omitempty"`
-	AllowDiags []Diagnostic   `json:"allow_diags,omitempty"`
-	Allows     []AllowComment `json:"allows,omitempty"`
-	Summary    *PkgSummary    `json:"summary"`
+	Path       string
+	Raw        []Diagnostic
+	AllowDiags []Diagnostic
+	Allows     []AllowComment
+	Summary    *PkgSummary
 }
 
 // Analyzers returns the full suite in a fixed order. The "allow" check
-// (malformed and stale suppression comments) is implemented by Finish
+// (malformed and stale suppression comments) is implemented by finish
 // itself, not listed here, but its name is reserved — see ValidChecks.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -152,11 +145,9 @@ func ValidChecks(analyzers []*Analyzer) map[string]bool {
 	return valid
 }
 
-// AnalyzePackage runs every per-package analyzer over pkg and builds its
-// fact summary. Raw findings are sorted into canonical order so the
-// result — and its cached serialization — is deterministic regardless of
-// analyzer-internal map iteration.
-func AnalyzePackage(pkg *Package, analyzers []*Analyzer) *PkgUnit {
+// analyzePackage runs every per-package analyzer over pkg and builds its
+// fact summary.
+func analyzePackage(pkg *Package, analyzers []*Analyzer) *PkgUnit {
 	unit := &PkgUnit{Path: pkg.Path}
 	for _, a := range analyzers {
 		if a.Run == nil {
@@ -177,19 +168,15 @@ func AnalyzePackage(pkg *Package, analyzers []*Analyzer) *PkgUnit {
 	unit.Allows = allows
 	unit.AllowDiags = diags
 	unit.Summary = BuildSummary(pkg)
-	sortDiagnostics(unit.Raw)
-	sortDiagnostics(unit.AllowDiags)
 	return unit
 }
 
-// Finish combines per-package units into the final diagnostic list: it
+// finish combines per-package units into the final diagnostic list: it
 // runs the module analyzers over the summaries, applies //caribou:allow
 // suppressions, reports malformed and stale allow comments, and returns
 // everything sorted by (file, line, column, check). Unit order does not
-// matter — Finish sorts them by path first — so cold, warm, and
-// mixed-cache runs produce identical bytes.
-func Finish(units []*PkgUnit, analyzers []*Analyzer) []Diagnostic {
-	units = append([]*PkgUnit(nil), units...)
+// matter — finish sorts them by path first.
+func finish(units []*PkgUnit, analyzers []*Analyzer) []Diagnostic {
 	sort.Slice(units, func(i, j int) bool { return units[i].Path < units[j].Path })
 
 	allows := newAllowIndex(units)
@@ -227,9 +214,9 @@ func Finish(units []*PkgUnit, analyzers []*Analyzer) []Diagnostic {
 func Lint(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	units := make([]*PkgUnit, 0, len(pkgs))
 	for _, pkg := range pkgs {
-		units = append(units, AnalyzePackage(pkg, analyzers))
+		units = append(units, analyzePackage(pkg, analyzers))
 	}
-	return Finish(units, analyzers)
+	return finish(units, analyzers)
 }
 
 // sortDiagnostics orders diagnostics by (file, line, column, check,

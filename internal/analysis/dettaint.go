@@ -69,7 +69,7 @@ func runDetTaint(mp *ModulePass) {
 			if _, dup := nodes[f.ID]; dup {
 				continue // e.g. build-tag twins; first declaration wins
 			}
-			nodes[f.ID] = &taintNode{fun: f, pkg: u.Summary.Path}
+			nodes[f.ID] = &taintNode{fun: f, pkg: u.Path}
 			order = append(order, f.ID)
 		}
 		for _, m := range u.Summary.Methods {

@@ -9,15 +9,14 @@ import (
 
 // format.go renders diagnostics in the two output modes cmd/caribou-lint
 // offers. Both live here rather than in the command so the golden-output
-// and cold-vs-warm byte-identity tests exercise the exact bytes users
-// see.
+// test exercises the exact bytes users see.
 
 // FormatText renders diagnostics one per line as
 //
 //	file:line: [check] message
 //
 // with file paths relative to root. Input order is preserved — callers
-// pass the canonically sorted output of Finish/Run.
+// pass the canonically sorted output of Lint.
 func FormatText(root string, diags []Diagnostic) []byte {
 	var b bytes.Buffer
 	for _, d := range diags {

@@ -55,12 +55,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// LoadDir parses and type-checks the non-test .go files of a single
-// directory as the package pkgPath. The declared path matters: several
-// analyzers exempt or target packages by import path, and fixture tests
-// use this to stand a testdata directory in for, say,
-// caribou/internal/telemetry.
-func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
+// parseDir parses the non-test .go files of dir, in name order.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -77,9 +73,12 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
+	return files, nil
+}
+
+// check type-checks files as the package pkgPath and records the result
+// for later importers.
+func (l *Loader) check(pkgPath string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Uses:  make(map[*ast.Ident]types.Object),
@@ -92,6 +91,22 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 	}
 	l.done[pkgPath] = tpkg
 	return &Package{Path: pkgPath, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
+}
+
+// LoadDir parses and type-checks the non-test .go files of a single
+// directory as the package pkgPath. The declared path matters: several
+// analyzers exempt or target packages by import path, and fixture tests
+// use this to stand a testdata directory in for, say,
+// caribou/internal/telemetry.
+func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	return l.check(pkgPath, files)
 }
 
 // LoadModule loads every package of the module rooted at root (the
@@ -134,8 +149,6 @@ func LoadModule(root string) ([]*Package, error) {
 	// before any type-checking starts.
 	l := NewLoader()
 	type parsed struct {
-		dir     string
-		path    string
 		files   []*ast.File
 		imports []string // module-internal imports only
 	}
@@ -150,21 +163,12 @@ func LoadModule(root string) ([]*Package, error) {
 		if rel != "." {
 			pkgPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		entries, err := os.ReadDir(dir)
+		files, err := l.parseDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		p := &parsed{dir: dir, path: pkgPath}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			p.files = append(p.files, f)
+		p := &parsed{files: files}
+		for _, f := range files {
 			for _, imp := range f.Imports {
 				ip, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {
@@ -203,18 +207,11 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 		state[path] = 2
 
-		info := &types.Info{
-			Types: make(map[ast.Expr]types.TypeAndValue),
-			Uses:  make(map[*ast.Ident]types.Object),
-			Defs:  make(map[*ast.Ident]types.Object),
-		}
-		conf := types.Config{Importer: l}
-		tpkg, err := conf.Check(path, l.Fset, p.files, info)
+		pkg, err := l.check(path, p.files)
 		if err != nil {
-			return fmt.Errorf("analysis: type-checking %s: %w", path, err)
+			return err
 		}
-		l.done[path] = tpkg
-		pkgs = append(pkgs, &Package{Path: path, Fset: l.Fset, Files: p.files, Types: tpkg, Info: info})
+		pkgs = append(pkgs, pkg)
 		return nil
 	}
 	for _, path := range order {

@@ -11,19 +11,14 @@ import (
 
 // summary.go builds the per-package fact summaries the module-level
 // analyzers (dettaint, atomicpub's ownership rule) consume. A summary is
-// deliberately self-contained and JSON-serializable: the cached lint
-// driver (driver.go) stores it next to the package's raw diagnostics, so
-// a warm run can re-run the whole-module propagation phase without
-// type-checking a single package. Cold and warm runs therefore flow
-// through the identical data structure, which is what makes their output
-// byte-identical.
+// self-contained — plain strings and positions, no go/types objects — so
+// the module phase needs nothing of the type-checker's state.
 
 // PkgSummary is the module-analysis fact base extracted from one
 // type-checked package.
 type PkgSummary struct {
-	Path    string      `json:"path"`
-	Funcs   []FuncSum   `json:"funcs,omitempty"`
-	Methods []MethodSum `json:"methods,omitempty"`
+	Funcs   []FuncSum
+	Methods []MethodSum
 }
 
 // FuncSum summarizes one function or method body.
@@ -31,79 +26,79 @@ type FuncSum struct {
 	// ID is the stable identity used for call-graph edges:
 	// types.Func.FullName(), e.g. "caribou/internal/solver.assignKey" or
 	// "(*caribou/internal/solver.search).solveHBSS".
-	ID string `json:"id"`
+	ID string
 	// Name is the short display form used in printed taint chains, e.g.
 	// "Solve" or "(*search).solveHBSS".
-	Name     string `json:"name"`
-	Exported bool   `json:"exported,omitempty"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
+	Name     string
+	Exported bool
+	File     string
+	Line     int
+	Col      int
 
 	// Calls lists the module functions this body references — calls and
 	// bare function-value references alike (a reference can be invoked
 	// later, so treating it as an edge is the conservative choice).
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 	// Dyn lists interface-method call sites; the module phase resolves
 	// each against every module method with the same name and signature.
-	Dyn []DynCall `json:"dyn,omitempty"`
+	Dyn []DynCall
 	// Sinks lists direct wallclock/global-rand uses in the body.
-	Sinks []SinkSum `json:"sinks,omitempty"`
+	Sinks []SinkSum
 
 	// OwnedRecv marks methods of a shard-owned type (atomicpub): the
 	// owned type's key, e.g. "caribou/internal/controlplane.Tenant".
-	OwnedRecv string `json:"owned_recv,omitempty"`
+	OwnedRecv string
 	// Ctor marks the owned type's constructor (newT/NewT returning it);
 	// constructors may mutate freely — the value is not shared yet.
-	Ctor string `json:"ctor,omitempty"`
+	Ctor string
 	// OwnedWrites lists direct field writes to shard-owned state.
-	OwnedWrites []OwnedWrite `json:"owned_writes,omitempty"`
+	OwnedWrites []OwnedWrite
 	// OwnedCalls lists calls of shard-owned types' methods, with the
 	// syntactic worker-loop context (closure passed to shard submit).
-	OwnedCalls []OwnedCall `json:"owned_calls,omitempty"`
+	OwnedCalls []OwnedCall
 }
 
 // DynCall is one interface-dispatch call site: method name plus the
 // receiver-stripped signature string.
 type DynCall struct {
-	Method string `json:"method"`
-	Sig    string `json:"sig"`
+	Method string
+	Sig    string
 }
 
 // MethodSum is one concrete method in a named type's method set, indexed
 // by the module phase to resolve DynCalls.
 type MethodSum struct {
-	Method string `json:"method"`
-	Sig    string `json:"sig"`
-	FuncID string `json:"func_id"`
+	Method string
+	Sig    string
+	FuncID string
 }
 
 // SinkSum is one direct use of a wall-clock or global-rand function.
 type SinkSum struct {
-	Desc string `json:"desc"` // e.g. "time.Now", "rand.Intn"
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	Desc string // e.g. "time.Now", "rand.Intn"
+	File string
+	Line int
+	Col  int
 }
 
 // OwnedWrite is one direct field write to a shard-owned type.
 type OwnedWrite struct {
-	Type      string `json:"type"` // owned type key
-	Expr      string `json:"expr"` // e.g. "Tenant.deltas"
-	ViaSubmit bool   `json:"via_submit,omitempty"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
+	Type      string // owned type key
+	Expr      string // e.g. "Tenant.deltas"
+	ViaSubmit bool
+	File      string
+	Line      int
+	Col       int
 }
 
 // OwnedCall is one call of a shard-owned type's method.
 type OwnedCall struct {
-	Type      string `json:"type"`
-	Method    string `json:"method"`
-	ViaSubmit bool   `json:"via_submit,omitempty"` // lexically inside a closure passed to a shard submit
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
+	Type      string
+	Method    string
+	ViaSubmit bool // lexically inside a closure passed to a shard submit
+	File      string
+	Line      int
+	Col       int
 }
 
 // shardOwnedTypes registers the control-plane state whose mutation is
@@ -118,7 +113,7 @@ var shardOwnedTypes = map[string]bool{
 // package. Traversal follows declaration order file by file, so the
 // summary — and everything derived from it — is deterministic.
 func BuildSummary(pkg *Package) *PkgSummary {
-	sum := &PkgSummary{Path: pkg.Path}
+	sum := &PkgSummary{}
 	modPath := modulePrefix(pkg.Path)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -33,6 +34,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// decodeBody reads the request's one JSON value into v and refuses
+// anything after it. An empty body is io.EOF itself, so a handler whose
+// body is optional can tell it apart.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Decode reads one value and stops; Token skips whitespace and reports
+	// io.EOF only when nothing else follows.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON object")
+	}
+	return nil
 }
 
 type apiError struct {
@@ -102,8 +119,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sp := s.tel.rec.StartSpan("controlplane.register")
 	defer sp.End()
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if req.InitialTokens < 0 {
+		writeError(w, http.StatusBadRequest, "initial_tokens must be non-negative")
 		return
 	}
 	wl, err := workloads.ByName(req.Workload)
@@ -189,7 +210,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	solveTimer := s.tel.solveLatency.Start()
 	err = s.shardOf(id).submit(func() error {
 		var err error
-		tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.MaxIterations)
+		tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.Start.Add(s.cfg.Horizon), s.cfg.MaxIterations)
 		return err
 	})
 	if errors.Is(err, ErrOverloaded) {
@@ -275,7 +296,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TraceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -286,6 +307,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Invocations < 0 {
 		writeError(w, http.StatusBadRequest, "invocations must be non-negative")
+		return
+	}
+	// A day bounds any mean service time and keeps invocations × runtime,
+	// and with it the token balance, finite.
+	if req.MeanRuntimeSec < 0 || req.MeanRuntimeSec > 86400 {
+		writeError(w, http.StatusBadRequest, "mean_runtime_sec must be between 0 and 86400")
 		return
 	}
 	class := workloads.Small
@@ -307,6 +334,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	})
 	if errors.Is(err, ErrOverloaded) {
 		s.writeOverloaded(w)
+		return
+	}
+	if errors.Is(err, ErrBeyondHorizon) {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if err != nil {
@@ -428,6 +459,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tenant, ok := s.tenant(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown workflow %q", id)
+		return
+	}
+	// The solve takes no parameters: no body, or one (ignored) JSON value.
+	if err := decodeBody(r, new(any)); err != nil && err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	var g manager.Granularity

@@ -11,6 +11,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -80,6 +81,9 @@ type Tenant struct {
 
 	plan     atomic.Pointer[PlanSnapshot]
 	vnowNano atomic.Int64
+	// limit is the last instant virtual time may reach: the end of the
+	// server's horizon, which the shared carbon source covers.
+	limit time.Time
 
 	versions int
 	deltas   int
@@ -94,10 +98,11 @@ func TenantSeed(serverSeed int64, id string) int64 {
 }
 
 // newTenant builds the tenant's full planning stack and runs its initial
-// budget check at virtual time start. The carbon source and catalogue are
-// shared server-wide; each tenant gets its own metric window, estimator,
-// and solver seeded from spec.Seed.
-func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start time.Time, maxIterations int) (*Tenant, error) {
+// budget check at virtual time start; limit is as far as its virtual time
+// may advance. The carbon source and catalogue are shared server-wide;
+// each tenant gets its own metric window, estimator, and solver seeded
+// from spec.Seed.
+func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start, limit time.Time, maxIterations int) (*Tenant, error) {
 	sub, err := cat.Subset(spec.Regions)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: region set: %w", spec.ID, err)
@@ -133,6 +138,7 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start 
 		solv:   solv,
 		stream: stream,
 		synth:  newSynthesizer(spec.Workload, spec.Home, spec.Seed),
+		limit:  limit,
 	}
 	t.vnowNano.Store(start.UnixNano())
 
@@ -188,10 +194,19 @@ type DeltaResult struct {
 	NextDue     time.Time
 }
 
+// ErrBeyondHorizon rejects a delta stamped past the server's horizon: no
+// carbon data exists there, so nothing after it could be priced.
+var ErrBeyondHorizon = errors.New("timestamp beyond the server's horizon")
+
 // OnDelta ingests a trace delta: advances virtual time, expands the delta
 // into synthetic records, accrues tokens under the shared §5.2 rule, and
-// runs a budget check when one is due. Shard-worker only.
+// runs a budget check when one is due. A delta past the horizon is
+// refused before anything changes. Shard-worker only.
 func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
+	if d.At.After(t.limit) {
+		return DeltaResult{}, fmt.Errorf("tenant %s: at %s: %w (ends %s)", t.spec.ID,
+			d.At.UTC().Format(time.RFC3339), ErrBeyondHorizon, t.limit.UTC().Format(time.RFC3339))
+	}
 	prev := t.VNow()
 	now := t.advance(d.At)
 	t.deltas++

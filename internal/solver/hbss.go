@@ -71,8 +71,9 @@ func withMargin(t float64) float64 { return t + pruneMargin*math.Abs(t) }
 // stream DeriveRand(seed, "solver/<at>/<i>"), so a proposal depends only
 // on (seed, hour, iteration, incumbent) and never on which goroutine
 // evaluated it.
-func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
+func (c *search) solveHBSS(h int, homePlan *plan) (denseResult, error) {
 	s := c.s
+	home := denseResult{homePlan.assign, homePlan.hours[h].est}
 	regionsPerNode := 0
 	for _, e := range c.elig {
 		if len(e) > regionsPerNode {
@@ -97,15 +98,18 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 	gamma := gammaInit
 	current := home
 	best := home
-	seen := map[string]bool{assignKey(home.assign): true}
+	// The search's visited set is the seen flag of each plan's hour h.
+	homePlan.hours[h].seen = true
 	explored := int64(1)
 
-	// A round's proposals, their memo keys (computed once, shared with the
-	// memo lookup), prune thresholds and pre-drawn acceptance uniforms live
-	// in four buffers reused by every round. The proposed assignments
-	// themselves are handed to the memo and never touched again.
+	// A round's proposals (views of one flat scratch array — the plan table
+	// copies an assignment only when it is new to the solve), their plans,
+	// prune thresholds and pre-drawn acceptance uniforms live in buffers
+	// reused by every round.
+	n := len(c.elig)
+	scratch := make([]int, hbssBatch*n)
 	assigns := make([][]int, 0, hbssBatch)
-	keys := make([]string, 0, hbssBatch)
+	plans := make([]*plan, 0, hbssBatch)
 	thrs := make([]float64, 0, hbssBatch)
 	uAccept := make([]float64, 0, hbssBatch)
 
@@ -118,16 +122,16 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 		// derived from; the acceptance loop re-checks its premise before
 		// honoring a pruned (nil) estimate.
 		m0 := metricOf(current.est, s.obj.Priority)
-		assigns, keys, thrs, uAccept = assigns[:0], keys[:0], thrs[:0], uAccept[:0]
+		assigns, thrs, uAccept = assigns[:0], thrs[:0], uAccept[:0]
 		for i := iter; i < end; i++ {
 			labelBuf = append(labelBuf[:0], labelPrefix...)
 			labelBuf = strconv.AppendInt(labelBuf, int64(i), 10)
 			rng := simclock.AcquireDerived(s.seed, string(labelBuf))
-			nd := c.propose(current.assign, ranked, rng)
+			nd := scratch[len(assigns)*n:][:n:n]
+			propose(nd, current.assign, ranked, rng)
 			u := rng.Float64()
 			rng.Release()
 			assigns = append(assigns, nd)
-			keys = append(keys, assignKey(nd))
 			thrs = append(thrs, pruneThreshold(m0, gamma, u))
 			uAccept = append(uAccept, u)
 		}
@@ -138,19 +142,19 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 		// evaluating the whole round replays only the plans new to the
 		// solve — together, in one sweep.
 		s.tel.hbssBatches.Inc()
-		ests, err := c.evalAllPruned(assigns, keys, h, thrs)
-		if err != nil {
+		var err error
+		if plans, err = c.evalAllPruned(assigns, h, thrs, plans[:0]); err != nil {
 			return denseResult{}, err
 		}
 
 		// Sequential acceptance replay, identical at any worker count.
-		for j, key := range keys {
-			if seen[key] {
+		for j, p := range plans {
+			if p.hours[h].seen {
 				continue
 			}
-			seen[key] = true
+			p.hours[h].seen = true
 			explored++
-			est := ests[j]
+			est := p.hours[h].est
 			if est == nil {
 				// Pruned: the batch sweep proved the candidate's metric
 				// exceeds this proposal's cutoff at round-start state
@@ -168,14 +172,14 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 					continue
 				}
 				var eerr error
-				if est, eerr = c.estimate(assigns[j], h); eerr != nil {
+				if est, eerr = c.estimate(p.assign, h); eerr != nil {
 					return denseResult{}, eerr
 				}
 			}
 			if s.violates(est, home.est) {
 				continue
 			}
-			cand := denseResult{assigns[j], est}
+			cand := denseResult{p.assign, est}
 			accept := metricOf(cand.est, s.obj.Priority) < metricOf(current.est, s.obj.Priority) ||
 				acceptWorse(uAccept[j], gamma, current, cand, s.obj.Priority)
 			if accept {
@@ -193,12 +197,12 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 	return best, nil
 }
 
-// propose perturbs the incumbent: 1 + Geometric(1/2) stages (capped at
-// |N|) are reassigned, each drawn from the hour's intensity ranking with
-// geometric bias β^rank, so low-carbon regions are proposed most often
-// but the whole space stays reachable.
-func (c *search) propose(cur []int, ranked [][]int, rng *simclock.Rand) []int {
-	nd := append([]int(nil), cur...)
+// propose writes a perturbation of the incumbent cur into nd: 1 +
+// Geometric(1/2) stages (capped at |N|) are reassigned, each drawn from
+// the hour's intensity ranking with geometric bias β^rank, so low-carbon
+// regions are proposed most often but the whole space stays reachable.
+func propose(nd, cur []int, ranked [][]int, rng *simclock.Rand) {
+	copy(nd, cur)
 	k := 1
 	for k < len(nd) && rng.Bool(0.5) {
 		k++
@@ -207,7 +211,6 @@ func (c *search) propose(cur []int, ranked [][]int, rng *simclock.Rand) []int {
 	for _, idx := range perm[:k] {
 		nd[idx] = pickBiased(ranked[idx], rng)
 	}
-	return nd
 }
 
 // pickBiased selects from a ranked list with geometric weights β^rank.

@@ -34,9 +34,10 @@ const evalChunk = 16
 const rowSeries = 96
 
 // search is the per-solve context: the compiled evaluation snapshot,
-// dense per-stage eligibility, the (plan, hour) estimate memo shared
-// across HBSS, exhaustive enumeration, and all hourly solves, the per-plan
-// basis memo under it, and the semaphore bounding concurrent evaluations.
+// dense per-stage eligibility, the plan table — every assignment the
+// solve has met, with its (plan, hour) estimates and its basis — shared
+// across HBSS, exhaustive enumeration, and all hourly solves, and the
+// semaphore bounding concurrent evaluations.
 //
 // Determinism: a plan estimate is a pure function of (assignment, hour) —
 // the Monte Carlo stream is derived from (seed, workflow), never from
@@ -49,47 +50,63 @@ type search struct {
 	elig  [][]int // per dense node index: eligible region indices
 	space int64
 
-	mu    sync.Mutex
-	cache map[memoKey]*montecarlo.Estimate
-	// bases memoizes, per plan, its hour-free replay (montecarlo.Basis): the
-	// first hour that wants a plan replays it, every later hour prices the
-	// cached series, and the basis grows only when an hour needs a batch
-	// boundary no earlier hour reached. Blocks come from arena; release
-	// drops both when the solve returns.
-	bases map[string]*montecarlo.Basis
-	arena *montecarlo.BasisArena
-	// rowPlans counts the plans evalRows swept (their bases live only for
-	// the sweep), for the solve span's plans attribute.
-	rowPlans int64
+	// mu guards the plan table: the map, the key buffer, every plan's
+	// estimates and basis pointer, and the two counters.
+	mu     sync.Mutex
+	plans  map[string]*plan
+	keyBuf []byte
+	arena  *montecarlo.BasisArena
+	// replayed counts the plans given a basis or swept as an hour row and
+	// memoized the (plan, hour) estimates kept, for the solve span.
+	replayed, memoized int64
 
 	// sem bounds concurrent Monte Carlo replay across all hours; nil on a
 	// serial solver, which runs everything inline.
 	sem chan struct{}
 }
 
+// plan is the solve's one record of an assignment. hours[h] holds what
+// hour h knows about it: the memoized estimate (nil until priced
+// unpruned; written under search.mu) and whether that hour's HBSS search
+// has visited it (touched by hour h's coordinator alone).
+type plan struct {
+	assign []int
+	hours  []planHour
+	// basis memoizes the plan's hour-free replay (montecarlo.Basis): the
+	// first hour that wants the plan replays it, every later hour prices
+	// the cached series, and the basis grows only when an hour needs a
+	// batch boundary no earlier hour reached. Blocks come from the
+	// search's arena. Row sweeps keep their bases per chunk instead.
+	basis *montecarlo.Basis
+}
+
+type planHour struct {
+	est  *montecarlo.Estimate
+	seen bool
+}
+
 // release returns the basis slabs to their pool; the bases are dead
 // afterwards. Solve entry points defer it.
 func (c *search) release() {
 	c.arena.Release()
-	c.bases = nil
+	c.plans = nil
 }
 
-// memoKey identifies one (plan, hour) evaluation.
-type memoKey struct {
-	plan string
-	hour int
-}
-
-// assignKey encodes a dense assignment as a compact map key (two bytes
-// per stage), replacing the Plan.String keys — and the dag.Plan cloning
-// around them — of the pre-snapshot search.
-func assignKey(assign []int) string {
-	b := make([]byte, 2*len(assign))
-	for i, r := range assign {
-		b[2*i] = byte(r)
-		b[2*i+1] = byte(r >> 8)
+// intern returns the plan record of assign, made from a copy of it on
+// first sight. The key — two bytes per stage — is built in a reused
+// buffer, so looking up a known plan allocates nothing. Callers hold mu.
+func (c *search) intern(assign []int) *plan {
+	buf := c.keyBuf[:0]
+	for _, r := range assign {
+		buf = append(buf, byte(r), byte(r>>8))
 	}
-	return string(b)
+	c.keyBuf = buf
+	p := c.plans[string(buf)]
+	if p == nil {
+		p = &plan{assign: slices.Clone(assign), hours: make([]planHour, c.snap.NumHours())}
+		c.plans[string(buf)] = p
+	}
+	return p
 }
 
 // newSearch compiles the solver's Inputs into a snapshot covering the
@@ -132,8 +149,7 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 		snap:  snap,
 		elig:  elig,
 		space: s.searchSpace(),
-		cache: make(map[memoKey]*montecarlo.Estimate),
-		bases: make(map[string]*montecarlo.Basis),
+		plans: make(map[string]*plan),
 		arena: montecarlo.NewBasisArena(),
 	}
 	if s.workers > 1 {
@@ -144,11 +160,11 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 
 // estimate evaluates a single assignment at hour h through the memo.
 func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
-	ests, err := c.evalAllPruned([][]int{assign}, []string{assignKey(assign)}, h, nil)
+	plans, err := c.evalAllPruned([][]int{assign}, h, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ests[0], nil
+	return plans[0].hours[h].est, nil
 }
 
 // forEach runs fn(0) … fn(n-1): inline on a serial solver, otherwise each
@@ -193,12 +209,11 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 	}
 }
 
-// evalAllPruned returns estimates for the assignments at hour h (keys are
-// their assignKeys, computed once by the caller): memo hits are returned
-// directly, misses are deduplicated, computed, and memoized. Errors surface
+// evalAllPruned interns the assignments (appending their plans to plans)
+// and leaves each plan's estimate at hour h in its hours[h].est: memo hits
+// stand, misses are deduplicated, computed, and memoized. Errors surface
 // in first-assignment order so failure behaviour is as deterministic as
-// success. The assignments are retained, never copied: callers hand over
-// slices they will not modify.
+// success. The assignments are copied on first sight, never retained.
 //
 // A miss is priced from its plan's basis (montecarlo.EstimateBases): plans
 // new to the solve replay their first batch together in one shared sweep, a
@@ -207,49 +222,44 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 // holding an evaluation slot — the calling coordinator holds none; replay
 // takes one inside the sweep, after the basis lock. thr carries
 // per-assignment abandonment thresholds (nil, or +Inf entries, disable
-// pruning): a returned nil estimate means the sweep proved that candidate's
-// priority metric exceeds its threshold. Pruned results are never memoized
-// — the proof is relative to this call's thresholds — so out[i] stays nil
-// for every occurrence of a pruned plan, and the basis stays usable. A
-// duplicated assignment's job carries the threshold of its first
-// unmemoized occurrence; that is the only occurrence whose estimate the
-// HBSS acceptance loop can reach (later duplicates fail its seen check), so
-// the sharing cannot leak a prune decision across different thresholds.
-// With UntapedEstimates, EstimateBases itself evaluates every miss as a
-// plain untaped Estimate under an evaluation slot, one after the other,
-// unpruned.
-func (c *search) evalAllPruned(assigns [][]int, keys []string, h int, thr []float64) ([]*montecarlo.Estimate, error) {
-	out := make([]*montecarlo.Estimate, len(assigns))
-	jobs := make([]int, 0, len(assigns)) // first unmemoized occurrence of each plan
+// pruning): an estimate still nil afterwards means the sweep proved that
+// candidate's priority metric exceeds its threshold. Pruned results are
+// never memoized — the proof is relative to this call's thresholds — and
+// the basis stays usable. A duplicated assignment's job carries the
+// threshold of its first unmemoized occurrence; that is the only occurrence
+// whose estimate the HBSS acceptance loop can reach (later duplicates fail
+// its seen check), so the sharing cannot leak a prune decision across
+// different thresholds. With UntapedEstimates, EstimateBases itself
+// evaluates every miss as a plain untaped Estimate under an evaluation
+// slot, one after the other, unpruned.
+func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64, plans []*plan) ([]*plan, error) {
+	jobs := make([]*plan, 0, len(assigns)) // each unmemoized plan, at its first occurrence
 	bases := make([]*montecarlo.Basis, 0, len(assigns))
 	ts := make([]float64, 0, len(assigns))
 	var hits, basisHits int64
 	c.mu.Lock()
-next:
-	for i, k := range keys {
-		if est, ok := c.cache[memoKey{k, h}]; ok {
-			out[i] = est
+	for i, a := range assigns {
+		p := c.intern(a)
+		plans = append(plans, p)
+		if p.hours[h].est != nil {
 			hits++
 			continue
 		}
-		for _, j := range jobs {
-			if keys[j] == k {
-				continue next
-			}
+		if slices.Contains(jobs, p) {
+			continue
 		}
-		jobs = append(jobs, i)
-		b := c.bases[k]
-		if b == nil {
+		jobs = append(jobs, p)
+		if p.basis == nil {
 			var err error
-			if b, err = c.snap.NewBasis(c.arena, assigns[i]); err != nil {
+			if p.basis, err = c.snap.NewBasis(c.arena, p.assign); err != nil {
 				c.mu.Unlock()
 				return nil, err
 			}
-			c.bases[k] = b
+			c.replayed++
 		} else {
 			basisHits++
 		}
-		bases = append(bases, b)
+		bases = append(bases, p.basis)
 		t := math.Inf(1)
 		if thr != nil {
 			t = thr[i]
@@ -261,7 +271,7 @@ next:
 	c.s.tel.basisHits.Add(basisHits)
 	c.s.tel.estimates.Add(int64(len(jobs)))
 	if len(jobs) == 0 {
-		return out, nil
+		return plans, nil
 	}
 
 	prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
@@ -271,24 +281,14 @@ next:
 	}
 
 	c.mu.Lock()
-	for j, i := range jobs {
+	for j, p := range jobs {
 		if ests[j] != nil { // nil: pruned, valid only against this call's thresholds
-			c.cache[memoKey{keys[i], h}] = ests[j]
+			p.hours[h].est = ests[j]
+			c.memoized++
 		}
 	}
 	c.mu.Unlock()
-	for i := range out {
-		if out[i] != nil {
-			continue
-		}
-		for j, first := range jobs {
-			if keys[first] == keys[i] {
-				out[i] = ests[j]
-				break
-			}
-		}
-	}
-	return out, nil
+	return plans, nil
 }
 
 // evalRows returns, for distinct assignments, their estimates at every
@@ -312,22 +312,19 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 	H := c.snap.NumHours()
 	rows := make([][]*montecarlo.Estimate, len(assigns))
 	type job struct {
-		assign []int
-		key    string
-		i      int
+		p *plan
+		i int
 	}
 	var jobs []job
 	var hits, misses int64
 	cells := make([]*montecarlo.Estimate, len(assigns)*H)
 	c.mu.Lock()
 	for i, a := range assigns {
-		k := assignKey(a)
+		p := c.intern(a)
 		row := cells[i*H : (i+1)*H : (i+1)*H]
 		missing := 0
 		for h := range row {
-			if est, ok := c.cache[memoKey{k, h}]; ok {
-				row[h] = est
-			} else {
+			if row[h] = p.hours[h].est; row[h] == nil {
 				missing++
 			}
 		}
@@ -335,16 +332,16 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 		hits += int64(H - missing)
 		misses += int64(missing)
 		if missing > 0 {
-			jobs = append(jobs, job{a, k, i})
+			jobs = append(jobs, job{p, i})
 		}
 	}
+	c.replayed += int64(len(jobs))
 	c.mu.Unlock()
 	c.s.tel.memoHits.Add(hits)
 	c.s.tel.estimates.Add(misses)
 	if len(jobs) == 0 {
 		return rows, nil
 	}
-	c.rowPlans += int64(len(jobs))
 
 	ests := make([][]*montecarlo.Estimate, len(jobs))
 	bases := make([]*montecarlo.Basis, len(jobs))
@@ -359,7 +356,7 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 		arena := montecarlo.NewBasisArena()
 		defer arena.Release()
 		for j := lo; j < hi; j++ {
-			if bases[j], errs[lo] = c.snap.NewBasis(arena, jobs[j].assign); errs[lo] != nil {
+			if bases[j], errs[lo] = c.snap.NewBasis(arena, jobs[j].p.assign); errs[lo] != nil {
 				return
 			}
 		}
@@ -401,8 +398,8 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 			if row[h] != nil || est == nil {
 				continue // memoized already, or pruned against this call's thresholds
 			}
-			c.cache[memoKey{jb.key, h}] = est
-			row[h] = est
+			jb.p.hours[h].est, row[h] = est, est
+			c.memoized++
 		}
 	}
 	c.mu.Unlock()
@@ -430,13 +427,12 @@ func (c *search) solveAllHours() ([]Result, error) {
 	results := make([]Result, n)
 	errs := make([]error, n)
 	solve := func(h int) {
-		homeAssign := c.snap.HomeAssign()
-		homeEst, err := c.estimate(homeAssign, h)
+		home, err := c.evalAllPruned([][]int{c.snap.HomeAssign()}, h, nil, nil)
 		if err != nil {
 			errs[h] = err
 			return
 		}
-		best, err := c.solveHBSS(h, denseResult{homeAssign, homeEst})
+		best, err := c.solveHBSS(h, home[0])
 		results[h], errs[h] = Result{c.snap.PlanOf(best.assign), best.est}, err
 	}
 	if c.sem == nil {
@@ -467,12 +463,16 @@ func (c *search) solveAllHours() ([]Result, error) {
 // row and then every plan's hour row through the pool, and picks each
 // hour's winner by a sequential scan in enumeration order.
 func (c *search) solveExhaustive() ([]Result, error) {
-	var all [][]int
-	cur := make([]int, len(c.elig))
+	// One backing array for all of them: the plan table keeps its own copy.
+	n := len(c.elig)
+	flat := make([]int, 0, int(c.space)*n)
+	all := make([][]int, 0, c.space)
+	cur := make([]int, n)
 	var walk func(i int)
 	walk = func(i int) {
-		if i == len(c.elig) {
-			all = append(all, append([]int(nil), cur...))
+		if i == n {
+			flat = append(flat, cur...)
+			all = append(all, flat[len(flat)-n:len(flat):len(flat)])
 			return
 		}
 		for _, r := range c.elig[i] {

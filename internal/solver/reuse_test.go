@@ -108,12 +108,16 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 				for i := range o.counters {
 					o.counters[i] -= before[i]
 				}
-				for k, b := range c.bases {
-					o.bases[k] = b.Samples()
-				}
-				for k, est := range c.cache {
-					o.wanted[k.plan] = max(o.wanted[k.plan], est.Samples)
-					o.pairs += est.Samples
+				for k, p := range c.plans {
+					if p.basis != nil {
+						o.bases[k] = p.basis.Samples()
+					}
+					for _, ph := range p.hours {
+						if ph.est != nil {
+							o.wanted[k] = max(o.wanted[k], ph.est.Samples)
+							o.pairs += ph.est.Samples
+						}
+					}
 				}
 				if got := c.snap.Sweeps.Replays.Load() * montecarlo.BatchSize; got != o.counters[0] {
 					t.Errorf("workers %d: snapshot tallied %d replayed samples, montecarlo.samples grew by %d", workers, got, o.counters[0])

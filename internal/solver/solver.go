@@ -316,8 +316,7 @@ func (s *Solver) SolveHourly(dayStart, now time.Time) (dag.HourlyPlans, []Result
 		return plans, nil, fmt.Errorf("solver: %w", err)
 	}
 	sw := &c.snap.Sweeps
-	sp.Annotate(telemetry.Int("plans", int64(len(c.bases))+c.rowPlans),
-		telemetry.Int("estimates", int64(len(c.cache))),
+	sp.Annotate(telemetry.Int("plans", c.replayed), telemetry.Int("estimates", c.memoized),
 		telemetry.Int("replayed_samples", sw.Replays.Load()*montecarlo.BatchSize),
 		telemetry.Int("screened", sw.Screened.Load()), telemetry.Int("priced_cells", sw.Priced.Load()),
 		telemetry.Int("replay_ns", sw.ReplayNS.Load()), telemetry.Int("price_ns", sw.PriceNS.Load()),
