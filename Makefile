@@ -10,70 +10,45 @@ build:
 test:
 	$(GO) test ./...
 
-# The solver, montecarlo, eval, and carbon packages fan work across
-# goroutines; run them under the race detector in addition to the plain
-# suite. The eval pass includes the worker-pool determinism tests
-# (bit-identical figures at Workers=1 vs Workers=8), the telemetry
-# inertness tests (bit-identical figures with the recorder on vs off),
-# the shared trace-cache concurrency tests, the result codec's round
-# trip and byte-determinism (pool workers decode blobs concurrently against
-# the shared carbon traces), and TestSimulatorBlobDigests (every quick
-# Fig 7 run, a plain-SNS and a Step Functions day and an adaptive Fig 11
-# run must record the bytes whose SHA-256 is checked in: the simulator's
-# draws, event order and record layout under the detector's scheduling).
-# The first line runs -short: that skips only
-# the exhaustive-rows grid's untaped heavy-tail solve (6144 unpruned
-# estimates, a minute under the detector) — Workers 8 vs 1 on the row path,
-# with its counter totals, runs in full. The second line re-runs the shared-tape,
-# hour-row and basis tests twice in one process — the second pass re-enters
-# warm scratch, accumulator and arena-slab pools while Workers: 8 row chunks
-# (or 24 HBSS hour coordinators sharing one basis memo: a plan's first
-# replay in flight is waited for without holding an evaluation slot) extend
-# a fresh solve's one tape. TestScreen and TestExhaustiveScreen are the row
-# screen's soundness and solver-parity tests (the statistics against the
-# reference rule; screened, tightened exhaustive solves against untaped at
-# Workers 1 and 8); TestFuzzSeeds replays the corpus seeds that reach it.
+# race runs the concurrent packages under the race detector. Line 1:
+# solver, montecarlo and telemetry in full except -short's one skip (the
+# exhaustive-rows grid's untaped heavy-tail solve, a minute under the
+# detector). Line 2: the tape, basis, hour-row and screen parity tests twice
+# in one process, so the second pass re-enters warm scratch, accumulator
+# and arena pools while Workers: 8 extend a fresh solve's one tape. Line 3:
+# the control plane's shards, the manager and the run store. Line 4: the
+# eval pool's determinism (Workers 1 vs 8), telemetry inertness, the shared
+# carbon source, the result codec and TestSimulatorBlobDigests.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
 	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests' ./internal/eval/... ./internal/carbon/...
 
-# fuzz gives the module's native fuzz targets a short budget each (go test
-# takes one -fuzz target per package per run). FuzzEstimateRows: bytes →
-# fixture, metric, threshold scale and up to four dense assignments; every
-# row entry must equal Estimate(a, h) field for field, every pruned one
-# must really exceed its threshold. FuzzDecodeBlob and FuzzDecodeResult are
-# the two decoders of on-disk bytes (the store's frame, the result payload
-# inside it): neither may panic, and whatever one accepts must re-encode to
-# the same bytes. FuzzLoadManifest is the deployment manifest's JSON
-# decoder: it may not panic, and an accepted manifest must re-marshal and
-# re-load to an equal DeploymentConfig. FuzzEnvelope delivers arbitrary
-# bytes to a deployed function's topic and to the executor's drop callback
-# while an invocation is live: nothing panics, a payload that is not that
-# stage's envelope is nacked until the broker drops it, and the live
-# invocation's record does not change. FuzzBuild maps bytes to a node/edge
-# list (cycles, self-loops, duplicate and empty ids, several starts, NaN
-# and out-of-range probabilities): Build never panics and an accepted graph
-# has one start, a forward-pointing topological order, probabilities in
-# [0, 1], compiles into the executor's node table and drains an invocation
-# in every orchestration mode. FuzzRunSpec is the sweep manifest's run
-# decoder (bytes → RunSpec JSON → Config): nothing panics, the canonical
-# key of an accepted configuration is well-formed, and SpecOf(cfg) is a
-# fixed point of the JSON round trip. FuzzShardLock plants arbitrary bytes
-# as a shard's lock file: Claim and Renew never panic, a malformed lock
-# neither blocks a claim nor counts as the claimer's, and a live lock of
-# another owner is never stolen. Seed corpora live under each
-# package's testdata/fuzz/ (FuzzLoadManifest's seeds are inline, most of
-# FuzzRunSpec's and FuzzShardLock's too). FuzzTraceBody and
-# FuzzRegisterBody post arbitrary bytes as a trace delta of, and as a
-# registration beside, a freshly registered tenant: no 5xx, no panic, a
-# 2xx body is JSON, a refused request leaves that tenant's GET /plan
-# bytes and virtual time unchanged, virtual time never decreases, and the
-# tenant's next in-horizon delta answers 200 (seeds inline).
-# FuzzDecodeResult also seeds the checked-in 176 kB quick-fig7 blob, whose
-# mutants would each take the default minute to minimize, so that target
-# runs with minimization off.
+# fuzz gives each native fuzz target a short budget (go test takes one
+# -fuzz target per package per run); no target may panic, and:
+#   FuzzEstimateRows  every hour-row entry equals Estimate(a, h) field for
+#                     field; a pruned one really exceeds its threshold
+#   FuzzDecodeBlob, FuzzDecodeResult  (store frame, result payload) what a
+#                     decoder accepts re-encodes to the same bytes
+#   FuzzLoadManifest  an accepted manifest re-marshals and re-loads equal
+#   FuzzEnvelope      a payload that is not the stage's envelope is nacked
+#                     and dropped; the live invocation's record is unchanged
+#   FuzzBuild         an accepted graph has one start, a topological order,
+#                     probabilities in [0, 1], and runs in every mode
+#   FuzzRunSpec       an accepted run spec is a fixed point of SpecOf →
+#                     JSON → Config with a well-formed canonical key
+#   FuzzShardLock     a malformed lock neither blocks a claim nor counts as
+#                     the claimer's; a live lock is never stolen
+#   FuzzTraceBody, FuzzRegisterBody  no 5xx; a 2xx body is JSON; a refused
+#                     request leaves the tenant's plan bytes and virtual
+#                     time unchanged; its next in-horizon delta answers 200
+#   FuzzWorkflowID    no 5xx on register or the three {id} routes; a
+#                     registered id is reachable by its escaped path, a
+#                     refused one is served nowhere
+# Seeds are inline or under each package's testdata/fuzz/. FuzzDecodeResult
+# seeds the 176 kB quick-fig7 blob, whose mutants would each take the
+# default minute to minimize, so it runs with minimization off.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
@@ -86,6 +61,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzShardLock -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzTraceBody -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run xxx -fuzz FuzzRegisterBody -fuzztime $(FUZZTIME) ./internal/controlplane/
+	$(GO) test -run xxx -fuzz FuzzWorkflowID -fuzztime $(FUZZTIME) ./internal/controlplane/
 
 # vet runs with the same build tags as the build (none today; set
 # VET_TAGS if that changes) and pins GOFLAGS=-mod=mod so local runs and

@@ -14,7 +14,6 @@ import (
 
 	"caribou/internal/carbon"
 	"caribou/internal/core"
-	"caribou/internal/dag"
 	"caribou/internal/eval"
 	"caribou/internal/executor"
 	"caribou/internal/forecast"
@@ -289,19 +288,6 @@ func benchInputsHome(b *testing.B, wl *workloads.Workload, home region.ID) (*met
 		b.Fatal(err)
 	}
 	return mm, montecarlo.New(mm, carbon.BestCase(), 1)
-}
-
-func BenchmarkMonteCarloEstimate(b *testing.B) {
-	mm, est := benchInputs(b)
-	plan := dag.NewHomePlan(mm.DAG(), region.USEast1)
-	at := benchStart.Add(25 * time.Hour)
-	now := benchStart.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(plan, at, now); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func newBenchSolver(b *testing.B, mm *metrics.Manager, est *montecarlo.Estimator) *solver.Solver {

@@ -11,7 +11,6 @@ import (
 	"caribou/internal/core"
 	"caribou/internal/dag"
 	"caribou/internal/executor"
-	"caribou/internal/manager"
 	"caribou/internal/region"
 	"caribou/internal/solver"
 	"caribou/internal/trace"
@@ -194,7 +193,6 @@ func (c *Client) Deploy(w *Workflow, cfg DeploymentConfig) (*App, error) {
 		Constraint: cons,
 		Tx:         tx,
 		Adaptive:   cfg.Adaptive,
-		Manager:    manager.Config{},
 	})
 	if err != nil {
 		return nil, err

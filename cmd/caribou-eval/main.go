@@ -22,14 +22,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
+	"caribou/internal/diag"
 	"caribou/internal/eval"
 	"caribou/internal/runstore"
 	"caribou/internal/solver"
@@ -48,12 +45,8 @@ func realMain() int {
 	csvDir := flag.String("csv", "", "directory to also write per-experiment CSV files into")
 	seed := flag.Int64("seed", 17, "experiment seed")
 	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS)")
-	traceFile := flag.String("trace", "", "write an NDJSON telemetry trace to this file")
-	summary := flag.Bool("telemetry", false, "print a telemetry summary table to stderr")
 	evalMode := flag.String("eval-mode", "", "solver evaluation path: untaped, the draw-per-sample reference (default: shared sweeps over per-plan bases; the two are bit-identical)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	diagFlags := diag.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -64,9 +57,12 @@ func realMain() int {
 
 	// Telemetry must be enabled before any component is constructed:
 	// instrument handles are captured at construction time.
-	if *traceFile != "" || *summary {
-		telemetry.Enable(telemetry.Options{})
+	stopDiag, err := diagFlags.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
+		return 1
 	}
+	defer stopDiag()
 	// The evaluation-path override must likewise land before any solver
 	// is built. Both modes are bit-identical on stdout — the flag exists
 	// so that claim can be checked end-to-end (see EXPERIMENTS.md).
@@ -77,27 +73,6 @@ func realMain() int {
 	default:
 		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want untaped)\n", *evalMode)
 		return 2
-	}
-	if *pprofAddr != "" {
-		//caribou:allow goroutines pprof server lives outside the simulation; it never touches deterministic state
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "caribou-eval: pprof server: %v\n", err)
-			}
-		}()
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	// One pool for the whole invocation: figures that share runs (e.g. the
@@ -129,48 +104,11 @@ func realMain() int {
 
 	// All diagnostics go to stderr or side files so stdout stays
 	// bit-comparable across -workers and telemetry settings.
-	if *summary {
-		telemetry.Default().WriteSummary(os.Stderr)
-	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
-			code = 1
-		}
-	}
-	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
-			code = 1
-		}
+	if err := diagFlags.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
+		code = 1
 	}
 	return code
-}
-
-// writeTrace dumps the flight recorder and instrument registry as NDJSON.
-func writeTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Default().WriteNDJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // quickPerDay shrinks learning-day traffic under -quick.

@@ -32,16 +32,13 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"caribou/internal/controlplane"
-	"caribou/internal/telemetry"
+	"caribou/internal/diag"
 )
 
 func main() { os.Exit(realMain()) }
@@ -55,39 +52,17 @@ func realMain() int {
 	seed := flag.Int64("seed", 1, "server seed: derives tenant seeds and the carbon source")
 	sim := flag.Bool("sim", false, "serve against a simclock frozen at the virtual-time origin (byte-reproducible responses)")
 	solveIters := flag.Int("solve-iterations", 24, "HBSS iteration cap per tenant solve")
-	traceFile := flag.String("trace", "", "write an NDJSON telemetry trace to this file on shutdown")
-	summary := flag.Bool("telemetry", false, "print a telemetry summary table to stderr on shutdown")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	diagFlags := diag.Register(flag.CommandLine)
 	flag.Parse()
 
 	// Telemetry must be enabled before the server is constructed:
 	// instrument handles are captured at construction time.
-	if *traceFile != "" || *summary {
-		telemetry.Enable(telemetry.Options{})
+	stopDiag, err := diagFlags.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
+		return 1
 	}
-	if *pprofAddr != "" {
-		//caribou:allow goroutines pprof server lives outside the control plane; it never touches tenant state
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "caribou-server: pprof server: %v\n", err)
-			}
-		}()
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
+	defer stopDiag()
 
 	cfg := controlplane.Config{
 		Shards:        *shards,
@@ -141,46 +116,9 @@ func realMain() int {
 	}
 
 	// All diagnostics go to stderr or side files, mirroring caribou-eval.
-	if *summary {
-		telemetry.Default().WriteSummary(os.Stderr)
-	}
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
-			code = 1
-		}
-	}
-	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
-			code = 1
-		}
+	if err := diagFlags.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "caribou-server: %v\n", err)
+		code = 1
 	}
 	return code
-}
-
-// writeTrace dumps the flight recorder and instrument registry as NDJSON.
-func writeTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.Default().WriteNDJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // materialize up-to-date allocation statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -71,7 +71,8 @@ func (s *Server) writeOverloaded(w http.ResponseWriter) {
 
 // RegisterRequest is the POST /v1/workflows body.
 type RegisterRequest struct {
-	// ID names the workflow; empty assigns wf-<n>.
+	// ID names the workflow (at most MaxWorkflowIDLen bytes; not ".", ".."
+	// or "/"); empty assigns the next free wf-<n>.
 	ID string `json:"id,omitempty"`
 	// Workload picks one of the built-in workload profiles.
 	Workload string `json:"workload"`
@@ -103,6 +104,25 @@ type RegisterResponse struct {
 	ServedAt    string   `json:"served_at"`
 }
 
+// MaxWorkflowIDLen bounds an explicit workflow id, which lives on as a map
+// key and in every response that names the tenant.
+const MaxWorkflowIDLen = 128
+
+// checkWorkflowID refuses the ids the {id} routes cannot address by their
+// escaped path segment (url.PathEscape): ServeMux cleans "." and ".." out
+// of the request path and answers 301, and it takes the segment %2F, once
+// unescaped, for a trailing slash that no single wildcard matches — so a
+// tenant under any of the three could be registered and never reached.
+func checkWorkflowID(id string) error {
+	if len(id) > MaxWorkflowIDLen {
+		return fmt.Errorf("id is %d bytes long (at most %d)", len(id), MaxWorkflowIDLen)
+	}
+	if id == "." || id == ".." || id == "/" {
+		return fmt.Errorf("id %q is not addressable as a path segment", id)
+	}
+	return nil
+}
+
 func parsePriority(s string) (solver.Priority, error) {
 	switch s {
 	case "", "carbon":
@@ -125,6 +145,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.InitialTokens < 0 {
 		writeError(w, http.StatusBadRequest, "initial_tokens must be non-negative")
+		return
+	}
+	if err := checkWorkflowID(req.ID); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	wl, err := workloads.ByName(req.Workload)
@@ -180,10 +204,20 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// concurrent registration fails fast instead of racing.
 	id := req.ID
 	s.mu.Lock()
-	if id == "" {
-		id = fmt.Sprintf("wf-%d", s.nextID.Add(1))
+	taken := func() bool {
+		_, exists := s.tenants[id]
+		return exists || s.reserved[id]
 	}
-	if _, exists := s.tenants[id]; exists || s.reserved[id] {
+	if id == "" {
+		// A generated id skips the ones clients took by name.
+		for {
+			id = fmt.Sprintf("wf-%d", s.nextID.Add(1))
+			if !taken() {
+				break
+			}
+		}
+	}
+	if taken() {
 		s.mu.Unlock()
 		writeError(w, http.StatusConflict, "workflow %q already registered", id)
 		return

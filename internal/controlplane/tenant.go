@@ -124,14 +124,14 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: solver: %w", spec.ID, err)
 	}
-	stream := manager.NewStream(manager.Config{InitialTokens: spec.InitialTokens}, spec.Home, start)
-	if spec.InitialTokens == 0 {
+	tokens := spec.InitialTokens
+	if tokens == 0 {
 		// Default grant: twice the daily solve cost (priced at a
 		// conservative 400 gCO2e/kWh), so registration always affords an
 		// initial plan and leaves budget for one re-solve.
-		daily := stream.Config().SolveCost(400, spec.Workload.DAG.Len(), len(spec.Regions), false)
-		stream = manager.NewStream(manager.Config{InitialTokens: 2 * daily}, spec.Home, start)
+		tokens = 2 * manager.SolveCost(400, spec.Workload.DAG.Len(), len(spec.Regions), false)
 	}
+	stream := manager.NewStream(manager.Config{InitialTokens: tokens}, start)
 	t := &Tenant{
 		spec:   spec,
 		mm:     mm,
@@ -271,10 +271,9 @@ func (t *Tenant) costs(now time.Time) (hourly, daily float64) {
 	if err != nil {
 		intensity = 400
 	}
-	cfg := t.stream.Config()
-	daily = cfg.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), false)
+	daily = manager.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), false)
 	if t.spec.Hourly {
-		hourly = cfg.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), true)
+		hourly = manager.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), true)
 	} else {
 		hourly = math.Inf(1)
 	}

@@ -111,7 +111,6 @@ type AppConfig struct {
 	// Adaptive enables the Deployment Manager control loop; otherwise
 	// plans are set manually via SetStaticPlans/UseHomeOnly.
 	Adaptive bool
-	Manager  manager.Config
 	// BenchFraction overrides the 10 % benchmarking traffic share.
 	BenchFraction float64
 	Seed          int64
@@ -199,7 +198,7 @@ func (e *Env) NewAppWithCarbon(cfg AppConfig, src carbon.Source) (*App, error) {
 	}
 
 	if cfg.Adaptive {
-		app.Manager = manager.New(cfg.Manager, mm, app.Solver, app.Deployer, cfg.Home, e.Sched.Now())
+		app.Manager = manager.New(manager.Config{}, mm, app.Solver, app.Deployer, cfg.Home, e.Sched.Now())
 		eng.SetPlans(app.Deployer)
 	}
 	return app, nil

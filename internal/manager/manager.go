@@ -23,55 +23,33 @@ import (
 	"caribou/internal/telemetry"
 )
 
-// Config tunes the control loop.
-type Config struct {
-	// FrameworkRegion hosts the Deployment Manager and solver functions;
-	// their execution carbon is charged at this region's intensity.
-	FrameworkRegion region.ID
+// The control loop's fixed parameters. The Deployment Manager and solver
+// functions are hosted in the workflow's home region, so their execution
+// carbon is charged at home's intensity.
+const (
 	// MinCheckInterval and MaxCheckInterval bound the sigmoid-smoothed
 	// next-check schedule.
-	MinCheckInterval time.Duration
-	MaxCheckInterval time.Duration
+	MinCheckInterval = 6 * time.Hour
+	MaxCheckInterval = 48 * time.Hour
+	// SolveSecondsPerEstimate calibrates the solver's own compute cost:
+	// wall seconds of framework Lambda time per candidate-plan estimate.
+	// The paper reports ~534 s for a 24-solve generation of the
+	// Text2Speech DAG in Python and ~276 s with the Go Monte Carlo engine
+	// (§9.7); this matches the Go implementation.
+	SolveSecondsPerEstimate float64 = 276.0 / (24 * 144)
+	// SolverMemoryMB and SolverUtil describe the solver function.
+	SolverMemoryMB float64 = 1769
+	SolverUtil     float64 = 0.95
+	// PlanValidity is the minimum lifetime of an activated plan set;
+	// plans normally live until the next token check expires them.
+	PlanValidity = 24 * time.Hour
+)
+
+// Config holds the control loop's one setting.
+type Config struct {
 	// InitialTokens jump-starts the learning phase so the first solve
 	// can happen before savings have been realized.
 	InitialTokens float64
-	// SolveSecondsPerEstimate calibrates the solver's own compute cost:
-	// wall seconds of framework Lambda time per candidate-plan
-	// estimate. The paper reports ~534 s for a 24-solve generation of
-	// the Text2Speech DAG in Python and ~276 s with the Go Monte Carlo
-	// engine; the default matches the Go implementation.
-	SolveSecondsPerEstimate float64
-	// SolverMemoryMB and SolverUtil describe the solver function.
-	SolverMemoryMB float64
-	SolverUtil     float64
-	// PlanValidity is the minimum lifetime of an activated plan set;
-	// plans normally live until the next token check expires them.
-	PlanValidity time.Duration
-}
-
-func (c Config) withDefaults(home region.ID) Config {
-	if c.FrameworkRegion == "" {
-		c.FrameworkRegion = home
-	}
-	if c.MinCheckInterval <= 0 {
-		c.MinCheckInterval = 6 * time.Hour
-	}
-	if c.MaxCheckInterval <= 0 {
-		c.MaxCheckInterval = 48 * time.Hour
-	}
-	if c.SolveSecondsPerEstimate <= 0 {
-		c.SolveSecondsPerEstimate = 276.0 / (24 * 144) // §9.7, Go engine
-	}
-	if c.SolverMemoryMB <= 0 {
-		c.SolverMemoryMB = 1769
-	}
-	if c.SolverUtil <= 0 {
-		c.SolverUtil = 0.95
-	}
-	if c.PlanValidity <= 0 {
-		c.PlanValidity = 24 * time.Hour
-	}
-	return c
 }
 
 // IntensityProvider supplies current grid intensity per region; the
@@ -83,7 +61,6 @@ type IntensityProvider interface {
 
 // Manager runs the token-bucket control loop for one workflow.
 type Manager struct {
-	cfg  Config
 	mm   *metrics.Manager
 	solv *solver.Solver
 	dep  *deployer.Deployer
@@ -130,16 +107,14 @@ func newManagerTelemetry() managerTelemetry {
 
 // New wires a manager. start seeds the first check time.
 func New(cfg Config, mm *metrics.Manager, solv *solver.Solver, dep *deployer.Deployer, home region.ID, start time.Time) *Manager {
-	cfg = cfg.withDefaults(home)
 	return &Manager{
-		cfg:             cfg,
 		mm:              mm,
 		solv:            solv,
 		dep:             dep,
 		home:            home,
 		tokens:          cfg.InitialTokens,
 		lastCheck:       start,
-		nextCheck:       start.Add(cfg.MinCheckInterval),
+		nextCheck:       start.Add(MinCheckInterval),
 		stabilityFactor: 1,
 		tel:             newManagerTelemetry(),
 	}
@@ -172,7 +147,7 @@ func (m *Manager) Tick(now time.Time) (bool, error) {
 
 	periodHours := now.Sub(m.lastCheck).Hours()
 	if periodHours <= 0 {
-		periodHours = m.cfg.MinCheckInterval.Hours()
+		periodHours = MinCheckInterval.Hours()
 	}
 
 	// A due check expires the pre-determined deployment: traffic routes
@@ -192,10 +167,8 @@ func (m *Manager) Tick(now time.Time) (bool, error) {
 	// live exactly until that check expires them (§5.2: a due check
 	// expires the pre-determined deployment).
 	interval := m.checkInterval(cost, periodHours)
-	validity := interval + time.Hour // slack so the check, not the clock, expires plans
-	if m.cfg.PlanValidity > validity {
-		validity = m.cfg.PlanValidity
-	}
+	// An hour of slack so the check, not the clock, expires plans.
+	validity := max(interval+time.Hour, PlanValidity)
 
 	activated := false
 	switch {
@@ -272,23 +245,23 @@ func (m *Manager) earnTokens(now time.Time) (float64, error) {
 // solver compute time (scaling with DAG size and region count —
 // application complexity, §5.2) priced at the given grid intensity.
 // hourly solves cost 24× a single daily solve.
-func (c Config) SolveCost(intensity float64, dagNodes, regions int, hourly bool) float64 {
+func SolveCost(intensity float64, dagNodes, regions int, hourly bool) float64 {
 	estimates := float64(dagNodes) * float64(regions) * 6
-	seconds := estimates * c.SolveSecondsPerEstimate
+	seconds := estimates * SolveSecondsPerEstimate
 	if hourly {
 		seconds *= 24
 	}
-	return carbon.ExecutionCarbon(intensity, c.SolverMemoryMB, seconds, c.SolverUtil)
+	return carbon.ExecutionCarbon(intensity, SolverMemoryMB, seconds, SolverUtil)
 }
 
-// solveCost prices one plan generation at the framework region's current
+// solveCost prices one plan generation at the home region's current
 // intensity (conservative 400 gCO2eq/kWh when the lookup fails).
 func (m *Manager) solveCost(now time.Time, hourly bool) float64 {
-	intensity, err := m.mm.IntensityAt(m.cfg.FrameworkRegion, now, now)
+	intensity, err := m.mm.IntensityAt(m.home, now, now)
 	if err != nil {
 		intensity = 400 // conservative default
 	}
-	return m.cfg.SolveCost(intensity, m.mm.DAG().Len(), m.mm.Catalogue().Len(), hourly)
+	return SolveCost(intensity, m.mm.DAG().Len(), m.mm.Catalogue().Len(), hourly)
 }
 
 func (m *Manager) solveAndRollout(now time.Time, hourly bool, validity time.Duration) error {
@@ -349,7 +322,7 @@ func (m *Manager) chargeMigration(bytes float64, now time.Time) {
 // (capped at Max/Min) when at least three quarters of the hourly
 // assignments are unchanged from the previous plan set; otherwise the
 // cadence resets. A nil prev (first solve) leaves the factor untouched.
-func (c Config) planStability(prev *dag.HourlyPlans, plans dag.HourlyPlans, factor float64) float64 {
+func planStability(prev *dag.HourlyPlans, plans dag.HourlyPlans, factor float64) float64 {
 	if prev == nil {
 		return factor
 	}
@@ -364,7 +337,7 @@ func (c Config) planStability(prev *dag.HourlyPlans, plans dag.HourlyPlans, fact
 	}
 	if total > 0 && float64(same)/float64(total) >= 0.75 {
 		factor *= 2
-		maxFactor := c.MaxCheckInterval.Hours() / c.MinCheckInterval.Hours()
+		maxFactor := MaxCheckInterval.Hours() / MinCheckInterval.Hours()
 		if factor > maxFactor {
 			factor = maxFactor
 		}
@@ -377,7 +350,7 @@ func (c Config) planStability(prev *dag.HourlyPlans, plans dag.HourlyPlans, fact
 // updateStability compares the fresh plan set with the previous one and
 // adjusts the check backoff per the planStability rule.
 func (m *Manager) updateStability(plans dag.HourlyPlans) {
-	m.stabilityFactor = m.cfg.planStability(m.lastPlans, plans, m.stabilityFactor)
+	m.stabilityFactor = planStability(m.lastPlans, plans, m.stabilityFactor)
 	cp := plans
 	m.lastPlans = &cp
 }
@@ -387,18 +360,18 @@ func (m *Manager) updateStability(plans dag.HourlyPlans) {
 // sigmoid into [MinCheckInterval, MaxCheckInterval] so the cadence tracks
 // the past period's invocation rate, stretched by the plan-stability
 // backoff.
-func (c Config) scheduleInterval(tokens, cost, ratePerHour, stabilityFactor float64) time.Duration {
+func scheduleInterval(tokens, cost, ratePerHour, stabilityFactor float64) time.Duration {
 	var hoursNeeded float64
 	switch {
 	case tokens >= cost:
 		hoursNeeded = 0
 	case ratePerHour <= 0:
-		hoursNeeded = c.MaxCheckInterval.Hours()
+		hoursNeeded = MaxCheckInterval.Hours()
 	default:
 		hoursNeeded = (cost - tokens) / ratePerHour
 	}
-	minH := c.MinCheckInterval.Hours()
-	maxH := c.MaxCheckInterval.Hours()
+	minH := MinCheckInterval.Hours()
+	maxH := MaxCheckInterval.Hours()
 	mid := (minH + maxH) / 2
 	s := 1 / (1 + math.Exp(-(hoursNeeded-mid)/(maxH/8)))
 	h := minH + (maxH-minH)*s
@@ -415,5 +388,5 @@ func (c Config) scheduleInterval(tokens, cost, ratePerHour, stabilityFactor floa
 // window: the last period's earning rate feeds the shared cadence rule.
 func (m *Manager) checkInterval(cost, periodHours float64) time.Duration {
 	rate := m.lastEarned / periodHours // tokens per hour
-	return m.cfg.scheduleInterval(m.tokens, cost, rate, m.stabilityFactor)
+	return scheduleInterval(m.tokens, cost, rate, m.stabilityFactor)
 }

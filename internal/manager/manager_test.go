@@ -159,16 +159,15 @@ func TestCheckExpiresPreviousPlan(t *testing.T) {
 }
 
 func TestCheckIntervalWithinBounds(t *testing.T) {
-	cfg := Config{MinCheckInterval: 6 * time.Hour, MaxCheckInterval: 48 * time.Hour}
-	s := newStack(t, cfg)
+	s := newStack(t, Config{})
 	s.runTraffic(t, 300, 80*time.Second)
 	now := s.sched.Now()
 	if _, err := s.mgr.Tick(now); err != nil {
 		t.Fatal(err)
 	}
 	gap := s.mgr.NextCheck().Sub(now)
-	if gap < cfg.MinCheckInterval || gap > cfg.MaxCheckInterval {
-		t.Errorf("next check gap = %v outside [%v, %v]", gap, cfg.MinCheckInterval, cfg.MaxCheckInterval)
+	if gap < MinCheckInterval || gap > MaxCheckInterval {
+		t.Errorf("next check gap = %v outside [%v, %v]", gap, MinCheckInterval, MaxCheckInterval)
 	}
 }
 
@@ -199,7 +198,7 @@ func TestInitialTokensEnableEarlySolve(t *testing.T) {
 }
 
 func TestStabilityBackoffGrows(t *testing.T) {
-	s := newStack(t, Config{InitialTokens: 1e9, MinCheckInterval: 6 * time.Hour, MaxCheckInterval: 48 * time.Hour})
+	s := newStack(t, Config{InitialTokens: 1e9})
 	s.runTraffic(t, 200, time.Minute)
 
 	var gaps []time.Duration
@@ -241,15 +240,13 @@ func TestOnSolveObserver(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults(region.USEast1)
-	if c.FrameworkRegion != region.USEast1 {
-		t.Errorf("framework region = %v", c.FrameworkRegion)
+	// The values every -sim response byte and adaptive Fig 11 digest were
+	// recorded under; they were Config's defaults while it had the fields.
+	if MinCheckInterval != 6*time.Hour || MaxCheckInterval != 48*time.Hour || PlanValidity != 24*time.Hour {
+		t.Errorf("intervals: %v %v %v", MinCheckInterval, MaxCheckInterval, PlanValidity)
 	}
-	if c.MinCheckInterval <= 0 || c.MaxCheckInterval <= c.MinCheckInterval {
-		t.Errorf("intervals: %v %v", c.MinCheckInterval, c.MaxCheckInterval)
-	}
-	if c.PlanValidity <= 0 || c.SolverMemoryMB <= 0 || c.SolverUtil <= 0 || c.SolveSecondsPerEstimate <= 0 {
-		t.Error("defaults missing")
+	if SolverMemoryMB != 1769 || SolverUtil != 0.95 || SolveSecondsPerEstimate != 276.0/(24*144) {
+		t.Errorf("solver function: %v MB, util %v, %v s per estimate", SolverMemoryMB, SolverUtil, SolveSecondsPerEstimate)
 	}
 }
 

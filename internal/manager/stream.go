@@ -4,9 +4,8 @@
 // delta, solve decisions fire when the scheduled check time passes under
 // the advancing event timestamps, and the granularity downgrade, plan
 // expiry, and cadence rules are the exact helpers Manager uses
-// (TrafficTokens, Config.SolveCost, Config.scheduleInterval,
-// Config.planStability) — the §6 semantics, but without a clock driving
-// them. The control plane (internal/controlplane) runs one Stream per
+// (TrafficTokens, SolveCost, scheduleInterval, planStability) — the §6
+// semantics, but without a clock driving them. The control plane (internal/controlplane) runs one Stream per
 // registered tenant; the Stream itself performs no solves and reads no
 // clock, so it stays deterministic under any request interleaving that
 // preserves a tenant's own event order.
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"caribou/internal/dag"
-	"caribou/internal/region"
 )
 
 // Granularity is the plan resolution a budget decision affords.
@@ -48,7 +46,6 @@ func (g Granularity) String() string {
 // Methods must be called from one goroutine at a time (the control plane
 // serializes each tenant on its shard worker).
 type Stream struct {
-	cfg    Config
 	tokens float64
 
 	// periodStart and periodEarned track the current accrual period —
@@ -71,19 +68,14 @@ type Stream struct {
 
 // NewStream builds a stream whose first check is due immediately (the
 // learning phase runs on InitialTokens, as in Fig 6).
-func NewStream(cfg Config, home region.ID, start time.Time) *Stream {
-	cfg = cfg.withDefaults(home)
+func NewStream(cfg Config, start time.Time) *Stream {
 	return &Stream{
-		cfg:             cfg,
 		tokens:          cfg.InitialTokens,
 		periodStart:     start,
 		nextDue:         start,
 		stabilityFactor: 1,
 	}
 }
-
-// Config returns the defaulted configuration.
-func (s *Stream) Config() Config { return s.cfg }
 
 // Tokens reports the current carbon budget in grams.
 func (s *Stream) Tokens() float64 { return s.tokens }
@@ -150,16 +142,13 @@ func (s *Stream) Decide(hourlyCost, dailyCost float64) Granularity {
 func (s *Stream) NoteSolve(now time.Time, cost float64, plans dag.HourlyPlans) {
 	s.tokens -= cost
 	s.solves++
-	s.stabilityFactor = s.cfg.planStability(s.lastPlans, plans, s.stabilityFactor)
+	s.stabilityFactor = planStability(s.lastPlans, plans, s.stabilityFactor)
 	cp := plans
 	s.lastPlans = &cp
 
 	interval := s.schedule(now, cost)
-	validity := interval + time.Hour // slack so the check, not the timestamp, expires plans
-	if s.cfg.PlanValidity > validity {
-		validity = s.cfg.PlanValidity
-	}
-	s.planExpiry = now.Add(validity)
+	// An hour of slack so the check, not the timestamp, expires plans.
+	s.planExpiry = now.Add(max(interval+time.Hour, PlanValidity))
 	s.hasPlan = true
 }
 
@@ -180,10 +169,10 @@ func (s *Stream) NoteSkip(now time.Time, cost float64) {
 func (s *Stream) schedule(now time.Time, cost float64) time.Duration {
 	periodHours := now.Sub(s.periodStart).Hours()
 	if periodHours <= 0 {
-		periodHours = s.cfg.MinCheckInterval.Hours()
+		periodHours = MinCheckInterval.Hours()
 	}
 	rate := s.periodEarned / periodHours
-	interval := s.cfg.scheduleInterval(s.tokens, cost, rate, s.stabilityFactor)
+	interval := scheduleInterval(s.tokens, cost, rate, s.stabilityFactor)
 	s.nextDue = now.Add(interval)
 	s.periodStart = now
 	s.periodEarned = 0

@@ -9,12 +9,6 @@ import (
 	"caribou/internal/region"
 )
 
-// streamCfg mirrors the defaulted Config the fixed-window tests run with,
-// so the event-driven assertions line up with the Tick-driven ones.
-func streamCfg() Config {
-	return Config{MinCheckInterval: 6 * time.Hour, MaxCheckInterval: 48 * time.Hour}
-}
-
 // samplePlans builds a stable all-hours plan set for stability tests.
 func samplePlans(r region.ID) dag.HourlyPlans {
 	var plans dag.HourlyPlans
@@ -25,7 +19,7 @@ func samplePlans(r region.ID) dag.HourlyPlans {
 }
 
 func TestStreamAccrualFromDeltas(t *testing.T) {
-	s := NewStream(streamCfg(), region.USEast1, t0)
+	s := NewStream(Config{}, t0)
 	if s.Tokens() != 0 {
 		t.Fatalf("tokens = %v before any delta", s.Tokens())
 	}
@@ -70,7 +64,7 @@ func TestStreamAccrualMatchesManagerWindow(t *testing.T) {
 	// Event-driven accrual over N single-invocation deltas must equal the
 	// Tick-driven Manager's one pulled window of N invocations.
 	const n, runtime, home, min = 120, 1.5, 430.0, 110.0
-	s := NewStream(streamCfg(), region.USEast1, t0)
+	s := NewStream(Config{}, t0)
 	for i := 0; i < n; i++ {
 		s.Accrue(1, runtime, home, min)
 	}
@@ -81,10 +75,9 @@ func TestStreamAccrualMatchesManagerWindow(t *testing.T) {
 }
 
 func TestStreamGranularityDowngradeMidStream(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	s := NewStream(cfg, region.USEast1, t0)
-	hourly := cfg.SolveCost(400, 5, 4, true)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	s := NewStream(Config{}, t0)
+	hourly := SolveCost(400, 5, 4, true)
+	daily := SolveCost(400, 5, 4, false)
 
 	// Ample budget → full hourly solve.
 	s.tokens = 1.5 * hourly
@@ -120,9 +113,8 @@ func TestStreamGranularityDowngradeMidStream(t *testing.T) {
 }
 
 func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	s := NewStream(cfg, region.USEast1, t0)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	s := NewStream(Config{}, t0)
+	daily := SolveCost(400, 5, 4, false)
 	s.tokens = daily * 1.5
 	if !s.Due(t0) {
 		t.Fatal("first check not due at start")
@@ -147,7 +139,7 @@ func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
 		t.Error("stalled feed did not expire the plan")
 	}
 	if s.Due(heartbeat) {
-		hourly := cfg.SolveCost(400, 5, 4, true)
+		hourly := SolveCost(400, 5, 4, true)
 		if g := s.Decide(hourly, daily); g != GranularityNone {
 			t.Errorf("granularity = %v after stall, want none", g)
 		}
@@ -159,10 +151,9 @@ func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
 }
 
 func TestStreamNoSolveWithoutTokens(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	s := NewStream(cfg, region.USEast1, t0)
-	hourly := cfg.SolveCost(400, 5, 4, true)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	s := NewStream(Config{}, t0)
+	hourly := SolveCost(400, 5, 4, true)
+	daily := SolveCost(400, 5, 4, false)
 
 	if g := s.Decide(hourly, daily); g != GranularityNone {
 		t.Fatalf("granularity = %v with zero tokens, want none", g)
@@ -181,15 +172,14 @@ func TestStreamNoSolveWithoutTokens(t *testing.T) {
 }
 
 func TestStreamSkipExpiresActivePlan(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	s := NewStream(cfg, region.USEast1, t0)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	s := NewStream(Config{}, t0)
+	daily := SolveCost(400, 5, 4, false)
 	s.tokens = daily
 	s.NoteSolve(t0, daily, samplePlans(region.USEast1))
 
 	// A due check with an empty budget expires the pre-determined
 	// deployment immediately (§5.2), mirroring Manager.Tick's dep.Expire.
-	now := t0.Add(cfg.MinCheckInterval)
+	now := t0.Add(MinCheckInterval)
 	if s.PlanExpired(now) {
 		t.Fatal("plan already expired before the check")
 	}
@@ -200,8 +190,7 @@ func TestStreamSkipExpiresActivePlan(t *testing.T) {
 }
 
 func TestStreamScheduleWithinBounds(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	daily := SolveCost(400, 5, 4, false)
 
 	cases := []struct {
 		name   string
@@ -213,22 +202,21 @@ func TestStreamScheduleWithinBounds(t *testing.T) {
 		{"earning", daily / 4, daily / 2},
 	}
 	for _, tc := range cases {
-		s := NewStream(cfg, region.USEast1, t0)
+		s := NewStream(Config{}, t0)
 		s.tokens = tc.tokens
 		s.periodEarned = tc.earned
 		now := t0.Add(3 * time.Hour)
 		s.NoteSkip(now, daily)
 		gap := s.NextDue().Sub(now)
-		if gap < cfg.MinCheckInterval || gap > cfg.MaxCheckInterval {
-			t.Errorf("%s: next-due gap %v outside [%v, %v]", tc.name, gap, cfg.MinCheckInterval, cfg.MaxCheckInterval)
+		if gap < MinCheckInterval || gap > MaxCheckInterval {
+			t.Errorf("%s: next-due gap %v outside [%v, %v]", tc.name, gap, MinCheckInterval, MaxCheckInterval)
 		}
 	}
 }
 
 func TestStreamStabilityBackoffGrows(t *testing.T) {
-	cfg := streamCfg().withDefaults(region.USEast1)
-	s := NewStream(cfg, region.USEast1, t0)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	s := NewStream(Config{}, t0)
+	daily := SolveCost(400, 5, 4, false)
 	plans := samplePlans(region.USEast1)
 
 	// Identical consecutive plan sets back the cadence off multiplicatively,
@@ -259,11 +247,10 @@ func TestStreamStabilityBackoffGrows(t *testing.T) {
 }
 
 func TestStreamSolveCostMatchesManager(t *testing.T) {
-	// The Stream prices solves through the same Config.SolveCost the
+	// The Stream prices solves through the same SolveCost the
 	// Manager delegates to — pin the hourly/daily ratio it guarantees.
-	cfg := streamCfg().withDefaults(region.USEast1)
-	hourly := cfg.SolveCost(400, 5, 4, true)
-	daily := cfg.SolveCost(400, 5, 4, false)
+	hourly := SolveCost(400, 5, 4, true)
+	daily := SolveCost(400, 5, 4, false)
 	if hourly <= daily {
 		t.Errorf("hourly %v should exceed daily %v", hourly, daily)
 	}
@@ -273,7 +260,7 @@ func TestStreamSolveCostMatchesManager(t *testing.T) {
 }
 
 func TestStreamFirstCheckDueImmediately(t *testing.T) {
-	s := NewStream(streamCfg(), region.USEast1, t0)
+	s := NewStream(Config{}, t0)
 	if !s.Due(t0) {
 		t.Error("stream not due at its start time")
 	}

@@ -26,7 +26,7 @@ package montecarlo
 // record equals pricing the dense nR + nR² accumulators the reference
 // sampler (Snapshot.sampleOnce) hands to the same function:
 // the parity grid is bit-exact under this definition. Against the
-// per-event sums of Estimator.Estimate — Σ_events I·kwh_e·PUE — it differs
+// per-event sums of the tests' oracle — Σ_events I·kwh_e·PUE — it differs
 // by summation order only (≈1e-15 relative; tests hold it under 1e-12).
 //
 // One plan's basis serves every hour that wants the plan: the first hour

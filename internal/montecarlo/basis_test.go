@@ -92,9 +92,9 @@ func metricOfEstimate(e *Estimate, m BatchMetric) float64 {
 // unpruned, and under each priority's metric with thresholds set at the
 // plans' own true metrics plus the solver's 1e-9 slack (the prune checks
 // run, and must prune nothing).
-// Estimator.Estimate, which still prices carbon event by event over the
-// interface path, is the independent oracle: sample counts and the
-// converged flag equal, carbon fields within 1e-12 relative (summation
+// Estimator.oracleEstimate (oracle_test.go), which prices carbon event by
+// event over the Inputs interface, is the independent oracle: sample counts
+// and the converged flag equal, carbon fields within 1e-12 relative (summation
 // order), latency and cost within the affine transfer model's 1e-9.
 func TestEstimatePathsAgree(t *testing.T) {
 	rich := richInputs(t)
@@ -135,7 +135,7 @@ func TestEstimatePathsAgree(t *testing.T) {
 					if *single != *want[i][h] {
 						t.Fatalf("plan %v hour %d: Estimate %+v, EstimateUntaped %+v", a, h, single, want[i][h])
 					}
-					oracle, err := est.Estimate(snap.PlanOf(a), hours[h], t0)
+					oracle, err := est.oracleEstimate(snap.PlanOf(a), hours[h], t0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -11,7 +11,6 @@
 package montecarlo
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"caribou/internal/dag"
 	"caribou/internal/pricing"
 	"caribou/internal/region"
-	"caribou/internal/simclock"
 	"caribou/internal/stats"
 	"caribou/internal/telemetry"
 )
@@ -33,8 +31,8 @@ const (
 
 // controlBytes is the fixed size of orchestration messages (invoke
 // notifications, annotations) added on top of payload bytes. Shared by
-// the Inputs path, the snapshot path, and the tape compiler so all three
-// model the same wire traffic.
+// the untaped sampler, the tape compiler and the tests' per-event oracle so
+// all three model the same wire traffic.
 const controlBytes = 2e3
 
 // Inputs supplies the learned and external metrics the estimator samples
@@ -73,18 +71,18 @@ type Estimate struct {
 	Converged                    bool
 }
 
-// Estimator runs plan evaluations against fixed inputs.
+// Estimator is a compile handle: the Inputs, transmission model and seed
+// every Snapshot of one workflow is compiled from.
 type Estimator struct {
 	in   Inputs
 	tx   carbon.TransmissionModel
 	seed int64
-	tel  mcTelemetry
 }
 
-// mcTelemetry holds the sampling counters, captured at construction
-// (Estimator.New or Compile); nil-safe no-ops when telemetry is off. The
-// counters are bumped once per Estimate call — never inside the sampling
-// loop — so the instrumented hot path is unchanged.
+// mcTelemetry holds the sampling counters, captured at Compile; nil-safe
+// no-ops when telemetry is off. The counters are bumped once per Estimate
+// call — never inside the sampling loop — so the instrumented hot path is
+// unchanged.
 type mcTelemetry struct {
 	rec       *telemetry.Recorder // sweeps time their sections with rec.Lap
 	estimates *telemetry.Counter
@@ -136,57 +134,23 @@ func newMCTelemetry() mcTelemetry {
 
 // New returns an estimator using the given transmission-carbon model.
 func New(in Inputs, tx carbon.TransmissionModel, seed int64) *Estimator {
-	return &Estimator{in: in, tx: tx, seed: seed, tel: newMCTelemetry()}
+	return &Estimator{in: in, tx: tx, seed: seed}
 }
 
-// SetTransmissionModel swaps the transmission-carbon model (§9.3 sweeps).
-func (e *Estimator) SetTransmissionModel(tx carbon.TransmissionModel) { e.tx = tx }
-
 // Estimate evaluates plan as if in effect at `at`, solving at `now`
-// (carbon beyond now comes from forecasts).
+// (carbon beyond now comes from forecasts): a one-instant Snapshot over
+// the whole catalogue, priced once.
 func (e *Estimator) Estimate(plan dag.Plan, at, now time.Time) (*Estimate, error) {
-	d := e.in.DAG()
-	if len(plan) != d.Len() {
-		return nil, fmt.Errorf("montecarlo: plan covers %d of %d stages", len(plan), d.Len())
+	snap, err := e.Compile(nil, []time.Time{at}, now)
+	if err != nil {
+		return nil, err
 	}
-	intensity := make(map[region.ID]float64, len(plan)+1)
-	need := append(plan.Regions(), e.in.Home())
-	for _, r := range need {
-		if _, ok := intensity[r]; ok {
-			continue
-		}
-		v, err := e.in.IntensityAt(r, at, now)
-		if err != nil {
-			return nil, err
-		}
-		intensity[r] = v
-	}
-
-	// One stream per workflow, not per instant: estimates at different
-	// hours see the same draws and differ only through intensity (the
-	// Snapshot paths mirror this exactly).
-	rng := simclock.DeriveRand(e.seed, "mc/"+d.Name())
-	var acc seriesAcc
-	for acc.samples() < MaxSamples {
-		for i := 0; i < BatchSize; i++ {
-			s, err := e.sampleOnce(plan, intensity, rng)
-			if err != nil {
-				return nil, err
-			}
-			acc.add(s)
-		}
-		if acc.converged() {
-			break
-		}
-	}
-	e.tel.estimates.Inc()
-	e.tel.samples.Add(int64(acc.samples()))
-	return acc.summarize()
+	return snap.EstimatePlan(plan, 0)
 }
 
 // seriesAcc accumulates the per-sample series and applies the batched
-// stopping rule. The interface-backed Estimator and the compiled Snapshot
-// share it so both paths summarize with identical arithmetic.
+// stopping rule. The compiled Snapshot and the tests' per-event oracle
+// share it so both summarize with identical arithmetic.
 type seriesAcc struct {
 	lat, cost, carb, execC, txC []float64
 	done                        bool
@@ -288,166 +252,4 @@ type sample struct {
 	cost       float64
 	execCarbon float64
 	txCarbon   float64
-}
-
-// sampleOnce simulates one invocation under the plan. It mirrors the
-// executor's structure: entry routing, direct pub/sub edges,
-// KV staging and join for synchronization nodes, terminal write-back.
-func (e *Estimator) sampleOnce(plan dag.Plan, intensity map[region.ID]float64, rng *simclock.Rand) (sample, error) {
-	d := e.in.DAG()
-	home := e.in.Home()
-	book := e.in.CostBook()
-	msgOverhead := e.in.MessageOverheadSeconds()
-	var s sample
-
-	txCarbon := func(from, to region.ID, bytes float64) {
-		s.txCarbon += e.tx.Carbon(intensity[from], intensity[to], from == to, bytes)
-		s.cost += book.EgressCost(from, to, bytes)
-	}
-	sns := func(r region.ID) { s.cost += book.SNSCost(r, 1) }
-	kvRead := func() { s.cost += book.DynamoCost(home, 1, 0) }
-	kvWrite := func() { s.cost += book.DynamoCost(home, 0, 1) }
-
-	// executed[n] true → finish[n] holds its completion time.
-	executed := make(map[dag.NodeID]bool, d.Len())
-	finish := make(map[dag.NodeID]float64, d.Len())
-	// For sync nodes: latest data-ready time among reached edges and
-	// total staged bytes.
-	syncReady := make(map[dag.NodeID]float64)
-	syncStaged := make(map[dag.NodeID]float64)
-	syncReached := make(map[dag.NodeID]bool)
-	skipped := make(map[dag.NodeID]bool)
-
-	// Entry: DP fetch at home plus routed entry payload.
-	entry := d.Start()
-	entryRegion := plan[entry]
-	entryBytes := e.in.EntryBytes().Sample(rng.Float64()) + controlBytes
-	kvRead()
-	sns(home)
-	txCarbon(home, entryRegion, entryBytes)
-	entryLatency := e.in.KVAccessSeconds(home) + msgOverhead + e.in.TransferSeconds(home, entryRegion, entryBytes)
-
-	start := make(map[dag.NodeID]float64, d.Len())
-	start[entry] = entryLatency
-	executed[entry] = true
-
-	for _, n := range d.Nodes() {
-		if skipped[n] {
-			continue
-		}
-		if d.IsSync(n) {
-			if !syncReached[n] {
-				skipped[n] = true
-				continue
-			}
-			r := plan[n]
-			staged := syncStaged[n]
-			// The completing predecessor sends the invoke message
-			// (approximated as originating at home, where the
-			// annotation table lives); the sync node then loads its
-			// staged data from home.
-			sns(home)
-			txCarbon(home, r, controlBytes)
-			arrive := syncReady[n] + msgOverhead + e.in.TransferSeconds(home, r, controlBytes)
-			load := e.in.KVAccessSeconds(r) + e.in.TransferSeconds(home, r, staged)
-			kvRead()
-			txCarbon(home, r, staged)
-			start[n] = arrive + load
-			executed[n] = true
-		} else if n != entry {
-			if !executed[n] {
-				continue
-			}
-		}
-
-		r := plan[n]
-		dist, err := e.in.ExecDuration(n, r)
-		if err != nil {
-			return s, err
-		}
-		dur := dist.Sample(rng.Float64())
-		util := e.in.CPUUtil(n)
-		mem := e.in.MemoryMB(n)
-		finish[n] = start[n] + dur
-		if finish[n] > s.latency {
-			s.latency = finish[n]
-		}
-		s.execCarbon += carbon.ExecutionCarbon(intensity[r], mem, dur, util)
-		s.cost += book.ExecutionCost(r, mem, dur)
-
-		out := d.Out(n)
-		if len(out) == 0 {
-			if ob := e.in.OutputBytes(n); ob != nil {
-				txCarbon(r, home, ob.Sample(rng.Float64()))
-			}
-			continue
-		}
-		for _, edge := range out {
-			taken := !edge.Conditional || rng.Bool(e.in.EdgeProbability(edge))
-			if !taken {
-				e.propagateSkip(edge, skipped, syncReached, syncReady, finish[n])
-				kvWrite() // skip annotation
-				continue
-			}
-			var bytes float64
-			if bd := e.in.EdgeBytes(edge.From, edge.To); bd != nil {
-				bytes = bd.Sample(rng.Float64())
-			}
-			if d.IsSync(edge.To) {
-				// Stage data at home and annotate.
-				kvWrite()
-				kvWrite()
-				txCarbon(r, home, bytes)
-				ready := finish[n] + e.in.TransferSeconds(r, home, bytes) + e.in.KVAccessSeconds(r)
-				if ready > syncReady[edge.To] {
-					syncReady[edge.To] = ready
-				}
-				syncStaged[edge.To] += bytes
-				syncReached[edge.To] = true
-			} else {
-				sns(r)
-				total := bytes + controlBytes
-				txCarbon(r, plan[edge.To], total)
-				arrive := finish[n] + msgOverhead + e.in.TransferSeconds(r, plan[edge.To], total)
-				if arrive > start[edge.To] {
-					start[edge.To] = arrive
-				}
-				executed[edge.To] = true
-			}
-		}
-	}
-	return s, nil
-}
-
-// propagateSkip marks the downstream effect of an untaken edge: non-sync
-// descendants are skipped; edges into sync nodes count as annotated
-// skipped, which here simply means they do not contribute to readiness.
-// The walk is iterative with an explicit stack in the recursive form's
-// DFS preorder — recursion depth on a long chain of conditional edges is
-// bounded only by the DAG size, so a pathological workflow could
-// otherwise exhaust the goroutine stack.
-func (e *Estimator) propagateSkip(edge dag.Edge, skipped map[dag.NodeID]bool, syncReached map[dag.NodeID]bool, syncReady map[dag.NodeID]float64, at float64) {
-	d := e.in.DAG()
-	stack := make([]dag.Edge, 0, 16)
-	stack = append(stack, edge)
-	for len(stack) > 0 {
-		ed := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if d.IsSync(ed.To) {
-			// Annotation time could delay firing when the skip arrives
-			// last; model by advancing readiness without marking reached.
-			if at > syncReady[ed.To] && syncReached[ed.To] {
-				syncReady[ed.To] = at
-			}
-			continue
-		}
-		if skipped[ed.To] {
-			continue
-		}
-		skipped[ed.To] = true
-		out := d.Out(ed.To)
-		for i := len(out) - 1; i >= 0; i-- {
-			stack = append(stack, out[i])
-		}
-	}
 }

@@ -257,21 +257,31 @@ func TestEstimateDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestSetTransmissionModel(t *testing.T) {
-	in := chainInputs(t)
-	est := New(in, carbon.BestCase(), 1)
-	plan := dag.NewHomePlan(in.d, region.CACentral1)
-	before, err := est.Estimate(plan, t0, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est.SetTransmissionModel(carbon.WorstCase())
-	after, err := est.Estimate(plan, t0, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.TxCarbonMean <= before.TxCarbonMean {
-		t.Error("transmission model swap had no effect")
+// TestEstimateIsCompilePlusEstimatePlan pins Estimator.Estimate to the two
+// calls it is made of: a one-instant Snapshot over the whole catalogue and
+// one EstimatePlan at hour 0, bit for bit.
+func TestEstimateIsCompilePlusEstimatePlan(t *testing.T) {
+	for _, in := range []*fakeInputs{chainInputs(t), richInputs(t)} {
+		est := New(in, carbon.WorstCase(), 9)
+		at := t0.Add(5 * time.Hour)
+		for _, r := range []region.ID{region.USEast1, region.CACentral1} {
+			plan := dag.NewHomePlan(in.d, r)
+			got, err := est.Estimate(plan, at, t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := est.Compile(nil, []time.Time{at}, t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := snap.EstimatePlan(plan, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Errorf("%s in %s: Estimate %+v, Compile+EstimatePlan %+v", in.d.Name(), r, got, want)
+			}
+		}
 	}
 }
 

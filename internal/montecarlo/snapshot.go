@@ -22,8 +22,8 @@ import (
 // so the inner sampling loop performs no interface-method calls and no
 // map lookups — it reads only dense slices. Because compilation copies
 // everything it needs, a Snapshot is safe for concurrent use by any
-// number of goroutines, unlike the Inputs path whose lazily-sorted
-// Distributions are not.
+// number of goroutines, unlike the Inputs it was compiled from, whose
+// lazily-sorted Distributions are not.
 //
 // Transfer time is modeled as affine in payload size: the compiler probes
 // Inputs.TransferSeconds at 0 and 1 GB to recover the intercept and slope
@@ -89,7 +89,7 @@ type Snapshot struct {
 
 	// Per (node, region): exec[n*nR+r] holds sorted duration samples;
 	// execErr[n*nR+r] defers a missing-data error to first use, matching
-	// the lazy failure of the Inputs path.
+	// the lazy failure of Inputs.ExecDuration.
 	exec    [][]float64
 	execErr []error
 	// anyExecErr is true when at least one execErr entry is non-nil; the
@@ -141,11 +141,7 @@ type snapEdge struct {
 // only assign interned regions — and defaults to the full catalogue; the
 // home region is always interned.
 func (e *Estimator) Compile(regions []region.ID, hours []time.Time, now time.Time) (*Snapshot, error) {
-	return Compile(e.in, e.tx, e.seed, regions, hours, now)
-}
-
-// Compile builds a Snapshot from any Inputs; see Estimator.Compile.
-func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []region.ID, hours []time.Time, now time.Time) (*Snapshot, error) {
+	in, tx := e.in, e.tx
 	if len(hours) == 0 {
 		return nil, fmt.Errorf("montecarlo: snapshot needs at least one solve instant")
 	}
@@ -155,7 +151,7 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		regions = cat.IDs()
 	}
 	s := &Snapshot{
-		mcSeed:      simclock.DeriveSeed(seed, "mc/"+d.Name()),
+		mcSeed:      simclock.DeriveSeed(e.seed, "mc/"+d.Name()),
 		tx:          tx,
 		nodes:       dag.NewInterner(d),
 		regionIdx:   make(map[region.ID]int, len(regions)+1),
@@ -430,17 +426,15 @@ func (s *Snapshot) Assign(plan dag.Plan) ([]int, error) {
 	return out, nil
 }
 
-// Estimate evaluates a dense assignment at hour index h. It mirrors
-// Estimator.Estimate draw for draw — the RNG stream, the batched stopping
-// rule, and the sampled event sequence are identical — but the sampling
-// loop touches only the snapshot's baked slices, so estimates are pure
-// functions of (assign, h) and safe to compute concurrently. With tapes
-// enabled (the default) the plan is replayed against the solve's compiled
-// sample tape — a one-lane sweep (batch.go) — and the result is
-// bit-identical to the untaped path. Carbon is priced per sample from its
-// energy by region and gigabytes by region pair (basis.go), where
-// Estimator.Estimate prices every event: the two agree to summation order,
-// ≈1e-15 relative.
+// Estimate evaluates a dense assignment at hour index h. The sampling loop
+// touches only the snapshot's baked slices, so estimates are pure functions
+// of (assign, h) and safe to compute concurrently. With tapes enabled (the
+// default) the plan is replayed against the solve's compiled sample tape —
+// a one-lane sweep (batch.go) — and the result is bit-identical to the
+// untaped path. Carbon is priced per sample from its
+// energy by region and gigabytes by region pair (basis.go), where the tests'
+// per-event oracle (oracle_test.go) prices every event of the same draws:
+// the two agree to summation order, ≈1e-15 relative.
 func (s *Snapshot) Estimate(assign []int, h int) (*Estimate, error) {
 	if err := s.checkArgs(assign, h); err != nil {
 		return nil, err
@@ -565,7 +559,7 @@ func (sc *snapScratch) reset() {
 
 // sampleOnce simulates one invocation under the dense assignment and
 // prices it at hour h. The event sequence and RNG draw order replicate
-// Estimator.sampleOnce exactly; the data representation differs, and
+// the tests' per-event oracle exactly; the data representation differs, and
 // carbon is accumulated as energy by region and gigabytes by region pair
 // and priced once per sample (basis.go).
 func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapScratch) (sample, error) {
@@ -665,7 +659,7 @@ func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapS
 			}
 			if edge.toSync {
 				// Stage data at home and annotate (two writes, added
-				// separately to match the Inputs path's rounding).
+				// separately to match the per-event oracle's rounding).
 				smp.cost += s.dynWriteUSD
 				smp.cost += s.dynWriteUSD
 				txCarbon(r, home, bytes)
@@ -691,11 +685,13 @@ func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapS
 	return smp, nil
 }
 
-// propagateSkip mirrors Estimator.propagateSkip on dense indices. It
-// walks the downstream closure iteratively with an explicit stack in the
-// same DFS preorder the recursive form visited — recursion depth on a
-// long chain of conditional edges is bounded only by the DAG size, so a
-// pathological workflow could otherwise exhaust the goroutine stack.
+// propagateSkip marks the downstream effect of an untaken edge: non-sync
+// descendants are skipped, and a skip annotation arriving last at a reached
+// sync node advances its readiness. It walks the downstream closure
+// iteratively with an explicit stack in the same DFS preorder the recursive
+// form visited — recursion depth on a long chain of conditional edges is
+// bounded only by the DAG size, so a pathological workflow could otherwise
+// exhaust the goroutine stack.
 func (s *Snapshot) propagateSkip(edge snapEdge, sc *snapScratch, at float64) {
 	stack := append(sc.skipStack[:0], edge)
 	for len(stack) > 0 {

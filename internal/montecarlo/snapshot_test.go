@@ -65,7 +65,7 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// TestSnapshotMatchesEstimator pins the snapshot path to the Inputs path:
+// TestSnapshotMatchesEstimator pins the snapshot path to the per-event oracle:
 // same seed, same solve instant, same plan must produce the same estimate
 // up to the affine transfer-time approximation (≤ relative 1e-9).
 func TestSnapshotMatchesEstimator(t *testing.T) {
@@ -83,7 +83,7 @@ func TestSnapshotMatchesEstimator(t *testing.T) {
 	}
 	for _, plan := range plans {
 		for h, at := range hours {
-			want, err := est.Estimate(plan, at, t0)
+			want, err := est.oracleEstimate(plan, at, t0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func (c *countingInputs) IntensityAt(r region.ID, at, now time.Time) (float64, e
 // Inputs method calls — the inner sampling loop reads only baked slices.
 func TestSnapshotEliminatesInterfaceCallsFromSampling(t *testing.T) {
 	counting := &countingInputs{in: richInputs(t)}
-	snap, err := Compile(counting, carbon.BestCase(), 1, nil, []time.Time{t0}, t0)
+	snap, err := New(counting, carbon.BestCase(), 1).Compile(nil, []time.Time{t0}, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSnapshotEliminatesInterfaceCallsFromSampling(t *testing.T) {
 
 // TestSnapshotConcurrentEstimatesAgree drives the same snapshot from many
 // goroutines (run with -race in `make verify`): estimates must be
-// identical regardless of interleaving, unlike the Inputs path whose
+// identical regardless of interleaving, unlike the Inputs themselves, whose
 // lazily-sorted distributions forbid sharing.
 func TestSnapshotConcurrentEstimatesAgree(t *testing.T) {
 	in := richInputs(t)

@@ -282,7 +282,7 @@ func TestDeepConditionalChainSkipPropagation(t *testing.T) {
 	if taped.LatencyMean < 1 || taped.LatencyMean > 2 {
 		t.Errorf("latency %v, want ~1.1 s with the chain skipped", taped.LatencyMean)
 	}
-	want, err := est.Estimate(plan, t0, t0)
+	want, err := est.oracleEstimate(plan, t0, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
