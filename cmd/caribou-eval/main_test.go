@@ -64,10 +64,14 @@ func TestQuickFig7UntapedByteIdentical(t *testing.T) {
 // under testdata/ were recorded while that call still ran the per-event
 // map sampler; it is now a one-instant Snapshot, which moves a carbon mean
 // by summation order only (≤ 1e-9 relative), so the three printed decimals
-// must not move.
+// must not move. The same loop pins the two experiments driven by the
+// Deployment Manager's tick loop, fig11 and ext-shift, whose goldens were
+// recorded while Manager still carried its own copy of the token-bucket
+// decision; it now drives the shared Stream, and no solve time, overhead
+// or offload share may move.
 func TestSingleInstantExperimentGoldens(t *testing.T) {
 	run := buildEval(t)
-	for _, name := range []string{"ext-global", "ext-temporal", "ext-signal", "ablate-solver"} {
+	for _, name := range []string{"ext-global", "ext-temporal", "ext-signal", "ablate-solver", "fig11", "ext-shift"} {
 		want, err := os.ReadFile(filepath.Join("testdata", name+"-quick.golden"))
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,9 @@
 package controlplane
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -52,14 +54,32 @@ func runScript(t *testing.T, shards int) string {
 	return out.String()
 }
 
+// scriptGolden holds the script's shards=1 output; a deliberate change to
+// plan content or the budget schedule rewrites it with -update-golden.
+const scriptGolden = "testdata/script.golden"
+
+var updateScript = flag.Bool("update-golden", false, "rewrite "+scriptGolden+" from a fresh shards=1 run")
+
 // TestByteReproducibleAcrossRunsAndShardCounts is the integration-level
 // determinism guarantee: a SimClock-backed server produces byte-identical
 // response bodies for the same request script, across repeated runs and
-// across any shard count. Plan content depends only on tenant seeds and
-// pushed trace deltas — never on the serving clock, shard placement, or
-// scheduling.
+// across any shard count, and those bytes are the reviewed ones under
+// testdata/. Plan content depends only on tenant seeds and pushed trace
+// deltas — never on the serving clock, shard placement, or scheduling.
 func TestByteReproducibleAcrossRunsAndShardCounts(t *testing.T) {
 	baseline := runScript(t, 1)
+	if *updateScript {
+		if err := os.WriteFile(scriptGolden, []byte(baseline), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(scriptGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseline != string(want) {
+		t.Fatalf("shards=1 differs from %s:\n--- got ---\n%s\n--- want ---\n%s", scriptGolden, baseline, want)
+	}
 	if repeat := runScript(t, 1); repeat != baseline {
 		t.Fatalf("same shard count, different bytes:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", baseline, repeat)
 	}

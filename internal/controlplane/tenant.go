@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -75,6 +74,7 @@ func (s *PlanSnapshot) Stale(t time.Time) bool {
 type Tenant struct {
 	spec   TenantSpec
 	mm     *metrics.Manager
+	win    manager.Window
 	solv   *solver.Solver
 	stream *manager.Stream
 	synth  *synthesizer
@@ -135,6 +135,7 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 	t := &Tenant{
 		spec:   spec,
 		mm:     mm,
+		win:    manager.Window{MM: mm, Home: spec.Home, Hourly: spec.Hourly},
 		solv:   solv,
 		stream: stream,
 		synth:  newSynthesizer(spec.Workload, spec.Home, spec.Seed),
@@ -222,7 +223,7 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 		if runtime <= 0 {
 			runtime = t.spec.Workload.MeanServiceTimeSec(d.Class)
 		}
-		homeI, minI, err := t.intensitySpread(now)
+		homeI, minI, err := t.win.Spread(now)
 		if err != nil {
 			return res, fmt.Errorf("tenant %s: accrual: %w", t.spec.ID, err)
 		}
@@ -243,62 +244,22 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	return res, nil
 }
 
-// intensitySpread returns the home region's intensity and the greenest
-// reachable region's at virtual time now.
-func (t *Tenant) intensitySpread(now time.Time) (homeI, minI float64, err error) {
-	homeI, err = t.mm.IntensityAt(t.spec.Home, now, now)
-	if err != nil {
-		return 0, 0, err
-	}
-	minI = homeI
-	for _, id := range t.mm.Catalogue().IDs() {
-		v, err := t.mm.IntensityAt(id, now, now)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v < minI {
-			minI = v
-		}
-	}
-	return homeI, minI, nil
-}
-
-// costs prices the two solve granularities at the tenant's home intensity
-// (conservative 400 gCO2e/kWh when the lookup fails). Daily-pinned
-// tenants get an infinite hourly cost so Decide never upgrades them.
-func (t *Tenant) costs(now time.Time) (hourly, daily float64) {
-	intensity, err := t.mm.IntensityAt(t.spec.Home, now, now)
-	if err != nil {
-		intensity = 400
-	}
-	daily = manager.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), false)
-	if t.spec.Hourly {
-		hourly = manager.SolveCost(intensity, t.mm.DAG().Len(), t.mm.Catalogue().Len(), true)
-	} else {
-		hourly = math.Inf(1)
-	}
-	return hourly, daily
-}
-
-// check runs one due budget decision at virtual time now: solve at the
+// check runs one due budget check at virtual time now: solve at the
 // affordable granularity and publish a fresh snapshot, or record a skip
 // (which expires the active plan, routing traffic home). Shard-worker
 // only.
 func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
-	hourlyCost, dailyCost := t.costs(now)
-	g := t.stream.Decide(hourlyCost, dailyCost)
+	hourlyCost, dailyCost := t.win.Costs(now)
+	g := t.stream.Check(now, hourlyCost, dailyCost)
+	cost := dailyCost
 	switch g {
 	case manager.GranularityNone:
-		t.stream.NoteSkip(now, dailyCost)
 		return g, nil
 	case manager.GranularityHourly:
-		if err := t.solve(now, true, hourlyCost, g); err != nil {
-			return manager.GranularityNone, err
-		}
-	case manager.GranularityDaily:
-		if err := t.solve(now, false, dailyCost, g); err != nil {
-			return manager.GranularityNone, err
-		}
+		cost = hourlyCost
+	}
+	if err := t.solve(now, cost, g); err != nil {
+		return manager.GranularityNone, err
 	}
 	return g, nil
 }
@@ -307,18 +268,18 @@ func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
 // GranularityNone without scheduling side effects when the budget covers
 // no solve, so callers can map it to 409.
 func (t *Tenant) ForceCheck(now time.Time) (manager.Granularity, error) {
-	hourlyCost, dailyCost := t.costs(now)
-	if t.stream.Decide(hourlyCost, dailyCost) == manager.GranularityNone {
+	if t.stream.Decide(t.win.Costs(now)) == manager.GranularityNone {
 		return manager.GranularityNone, nil
 	}
 	return t.check(now)
 }
 
-// solve runs one plan generation and atomically publishes the result.
-func (t *Tenant) solve(now time.Time, hourly bool, cost float64, g manager.Granularity) error {
+// solve runs one plan generation at granularity g and atomically
+// publishes the result.
+func (t *Tenant) solve(now time.Time, cost float64, g manager.Granularity) error {
 	var plans dag.HourlyPlans
 	var est *montecarlo.Estimate
-	if hourly {
+	if g == manager.GranularityHourly {
 		hp, results, err := t.solv.SolveHourly(dayStart(now), now)
 		if err != nil {
 			return fmt.Errorf("tenant %s: hourly solve: %w", t.spec.ID, err)

@@ -9,6 +9,7 @@ import (
 	"caribou/internal/executor"
 	"caribou/internal/region"
 	"caribou/internal/solver"
+	"caribou/internal/trace"
 	"caribou/internal/workloads"
 )
 
@@ -200,3 +201,83 @@ func TestAdaptiveManagerProducesPlans(t *testing.T) {
 }
 
 func cbBest() carbon.TransmissionModel { return carbon.BestCase() }
+
+func TestScheduleTraceAndStaticPlanHelpers(t *testing.T) {
+	env, err := NewEnv(EnvConfig{
+		Seed: 21, Start: evalStart, End: evalStart.Add(24 * time.Hour),
+		Regions: region.EvaluationFour(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := env.NewApp(AppConfig{
+		Workload: workloads.DNAVisualization(),
+		Home:     region.USEast1,
+		Mode:     executor.ModeCaribou,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.Generate(trace.Uniform(96), evalStart, env.End, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mix of small and large classes from the trace.
+	app.ScheduleTrace(events)
+
+	// Route through a static plan in ca-central-1, then back home.
+	plan := dag.NewHomePlan(app.Workload.DAG, region.CACentral1)
+	if _, err := app.DeployPlanRegions(dag.Uniform(plan)); err != nil {
+		t.Fatal(err)
+	}
+	app.SetStaticPlans(dag.Uniform(plan))
+	env.RunUntil(evalStart.Add(12 * time.Hour))
+	app.UseHomeOnly()
+	env.Run()
+
+	if len(app.Records) < len(events)*9/10 {
+		t.Fatalf("completed %d of %d", len(app.Records), len(events))
+	}
+	sawRemote, sawHomeAfter := false, false
+	for _, r := range app.Records {
+		for _, e := range r.Executions {
+			if e.Region == region.CACentral1 {
+				sawRemote = true
+			}
+			if e.Region == region.USEast1 && r.End.After(evalStart.Add(13*time.Hour)) {
+				sawHomeAfter = true
+			}
+		}
+	}
+	if !sawRemote {
+		t.Error("static plan never routed to ca-central-1")
+	}
+	if !sawHomeAfter {
+		t.Error("UseHomeOnly did not take effect")
+	}
+	if app.InvokeErrors != 0 {
+		t.Errorf("invoke errors: %d", app.InvokeErrors)
+	}
+}
+
+func TestNewEnvValidation(t *testing.T) {
+	if _, err := NewEnv(EnvConfig{Start: evalStart, End: evalStart}); err == nil {
+		t.Error("want error when End is not after Start")
+	}
+	if _, err := NewEnv(EnvConfig{Start: evalStart, End: evalStart.Add(time.Hour), Regions: []region.ID{"aws:nowhere"}}); err == nil {
+		t.Error("want error for unknown region")
+	}
+}
+
+func TestNewAppValidation(t *testing.T) {
+	env, err := NewEnv(EnvConfig{Seed: 1, Start: evalStart, End: evalStart.Add(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.NewApp(AppConfig{}); err == nil {
+		t.Error("want error without workload")
+	}
+	if _, err := env.NewApp(AppConfig{Workload: workloads.DNAVisualization(), Home: "aws:nowhere"}); err == nil {
+		t.Error("want error for unknown home")
+	}
+}

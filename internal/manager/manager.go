@@ -52,33 +52,16 @@ type Config struct {
 	InitialTokens float64
 }
 
-// IntensityProvider supplies current grid intensity per region; the
-// Metric Manager satisfies it.
-type IntensityProvider interface {
-	IntensityAt(r region.ID, t, now time.Time) (float64, error)
-	Catalogue() *region.Catalogue
-}
-
-// Manager runs the token-bucket control loop for one workflow.
+// Manager is the pull-side driver of one workflow's Stream: on each due
+// Tick it reads the metric window since the last check, runs the check,
+// and solves, rolls out and charges the overhead of whatever the budget
+// affords.
 type Manager struct {
-	mm   *metrics.Manager
+	win  Window
 	solv *solver.Solver
 	dep  *deployer.Deployer
-	home region.ID
+	st   *Stream
 
-	tokens     float64
-	lastCheck  time.Time
-	nextCheck  time.Time
-	lastEarned float64 // tokens earned in the most recent period
-
-	solves     int
-	solveSkips int
-	// lastPlans and stabilityFactor implement the learning-phase
-	// behaviour of Fig 11: while consecutive solves produce similar
-	// 24-hour plan sets, checks back off multiplicatively; a shift in
-	// the produced plans resets the cadence.
-	lastPlans       *dag.HourlyPlans
-	stabilityFactor float64
 	// OverheadGrams accumulates the framework's own operational carbon:
 	// solver executions and migration transfers.
 	OverheadGrams float64
@@ -108,97 +91,166 @@ func newManagerTelemetry() managerTelemetry {
 // New wires a manager. start seeds the first check time.
 func New(cfg Config, mm *metrics.Manager, solv *solver.Solver, dep *deployer.Deployer, home region.ID, start time.Time) *Manager {
 	return &Manager{
-		mm:              mm,
-		solv:            solv,
-		dep:             dep,
-		home:            home,
-		tokens:          cfg.InitialTokens,
-		lastCheck:       start,
-		nextCheck:       start.Add(MinCheckInterval),
-		stabilityFactor: 1,
-		tel:             newManagerTelemetry(),
+		win:  Window{MM: mm, Home: home, Hourly: true},
+		solv: solv,
+		dep:  dep,
+		st:   NewStream(cfg, start),
+		tel:  newManagerTelemetry(),
 	}
 }
 
 // NextCheck reports when the next token check is due.
-func (m *Manager) NextCheck() time.Time { return m.nextCheck }
+func (m *Manager) NextCheck() time.Time { return m.st.NextDue() }
 
 // Tokens reports the current carbon budget in grams.
-func (m *Manager) Tokens() float64 { return m.tokens }
+func (m *Manager) Tokens() float64 { return m.st.Tokens() }
 
 // Solves reports how many plan generations have run.
-func (m *Manager) Solves() int { return m.solves }
+func (m *Manager) Solves() int { return m.st.Solves() }
 
 // Tick runs the Fig 6 loop at the current virtual time: when a check is
-// due it expires the active plan, collects metrics, converts them into
-// tokens, solves if the budget suffices, and schedules the next check. It
-// reports whether a new plan set was activated.
+// due it expires the active plan, accrues the window since the last check,
+// runs the check, and solves and rolls out at the granularity the budget
+// affords. It reports whether a new plan set was activated.
 func (m *Manager) Tick(now time.Time) (bool, error) {
-	if now.Before(m.nextCheck) {
-		// Between checks the Migrator retries any staged rollout.
-		if m.dep.HasPending() {
-			if err := m.dep.RetryPending(); err != nil {
-				return false, nil // keep waiting; home fallback serves traffic
-			}
-			return true, nil
-		}
-		return false, nil
-	}
-
-	periodHours := now.Sub(m.lastCheck).Hours()
-	if periodHours <= 0 {
-		periodHours = MinCheckInterval.Hours()
+	if !m.st.Due(now) {
+		// Between checks the Migrator retries any staged rollout; while
+		// it fails, the home fallback serves traffic.
+		return m.dep.HasPending() && m.dep.RetryPending() == nil, nil
 	}
 
 	// A due check expires the pre-determined deployment: traffic routes
 	// home until (and unless) a fresh plan activates (§5.2).
 	m.dep.Expire()
 
-	// Collect metrics → tokens.
-	earned, err := m.earnTokens(now)
-	if err != nil {
-		return false, fmt.Errorf("manager: token accrual: %w", err)
+	// The sliding-window assumption of §5.2 — next period resembles the
+	// last — is explicit here.
+	since := m.st.PeriodStart()
+	if n := m.win.MM.InvocationsSince(since); n > 0 {
+		homeI, minI, err := m.win.Spread(now)
+		if err != nil {
+			return false, fmt.Errorf("manager: token accrual: %w", err)
+		}
+		m.st.Accrue(n, m.win.MM.MeanRuntimeSince(since), homeI, minI)
 	}
-	m.tokens += earned
-	m.lastEarned = earned
 
-	cost := m.solveCost(now, true)
-	// The next check time is fixed before solving so the fresh plans can
-	// live exactly until that check expires them (§5.2: a due check
-	// expires the pre-determined deployment).
-	interval := m.checkInterval(cost, periodHours)
-	// An hour of slack so the check, not the clock, expires plans.
-	validity := max(interval+time.Hour, PlanValidity)
-
-	activated := false
-	switch {
-	case m.tokens >= cost:
-		if err := m.solveAndRollout(now, true, validity); err == nil {
-			m.tokens -= cost
-			activated = true
-		}
-	case m.tokens >= m.solveCost(now, false):
-		// Budget covers only a coarse daily plan: one solve reused
-		// for all 24 hours (§5.2 granularity adaptation).
-		if err := m.solveAndRollout(now, false, validity); err == nil {
-			m.tokens -= m.solveCost(now, false)
-			activated = true
-		}
-	default:
-		m.solveSkips++
+	hourlyCost, dailyCost := m.win.Costs(now)
+	g := m.st.Check(now, hourlyCost, dailyCost)
+	if g == GranularityNone {
 		m.tel.solveSkips.Inc()
+		return false, nil
 	}
+	cost, hourly := dailyCost, g == GranularityHourly
+	if hourly {
+		cost = hourlyCost
+	}
+	plans, results, err := m.solve(now, hourly)
+	if err != nil {
+		return false, nil // the home fallback serves traffic until the next check
+	}
+	m.tel.solves.Inc()
+	m.tel.rec.Event("manager.solve", now,
+		telemetry.String("hourly", fmt.Sprintf("%t", hourly)),
+		telemetry.Float("tokens", m.st.Tokens()))
+	m.OverheadGrams += cost
+	// The solve is paid for whatever the rollout's outcome: the Migrator
+	// retries a failed rollout of these same plans.
+	m.st.NoteSolve(now, cost, plans)
 
-	m.lastCheck = now
-	m.nextCheck = now.Add(interval)
-	return activated, nil
+	movedBytes, err := m.dep.Rollout(plans, m.st.PlanExpiry())
+	m.chargeMigration(movedBytes, now)
+	if err != nil {
+		return false, nil
+	}
+	if m.OnSolve != nil {
+		m.OnSolve(now, plans, results)
+	}
+	return true, nil
+}
+
+// solve generates a fresh plan set: 24 hourly plans, or one daily plan
+// reused for all hours (§5.2 granularity adaptation).
+func (m *Manager) solve(now time.Time, hourly bool) (dag.HourlyPlans, []solver.Result, error) {
+	if err := m.win.MM.RefreshForecasts(now); err != nil {
+		return dag.HourlyPlans{}, nil, err
+	}
+	if hourly {
+		return m.solv.SolveHourly(now, now)
+	}
+	res, err := m.solv.SolveOne(now, now)
+	if err != nil {
+		return dag.HourlyPlans{}, nil, err
+	}
+	return dag.Uniform(res.Plan), []solver.Result{res}, nil
+}
+
+// chargeMigration accounts image-replication transmission carbon against
+// the framework overhead (worst-case inter-region energy factor, a
+// conservative charge).
+func (m *Manager) chargeMigration(bytes float64, now time.Time) {
+	if bytes <= 0 {
+		return
+	}
+	intensity := m.win.homeIntensity(now)
+	m.OverheadGrams += carbon.WorstCase().Carbon(intensity, intensity, false, bytes)
+}
+
+// Window prices a workflow's budget checks off its metric window; both
+// drivers read their accrual spread and solve costs through it.
+type Window struct {
+	MM   *metrics.Manager
+	Home region.ID
+	// Hourly is false for a workflow pinned to daily solves.
+	Hourly bool
+}
+
+// Spread returns the home region's intensity and the greenest catalogue
+// region's at now: the differential TrafficTokens weights traffic by.
+func (w Window) Spread(now time.Time) (homeI, minI float64, err error) {
+	homeI, err = w.MM.IntensityAt(w.Home, now, now)
+	if err != nil {
+		return 0, 0, err
+	}
+	minI = homeI
+	for _, id := range w.MM.Catalogue().IDs() {
+		v, err := w.MM.IntensityAt(id, now, now)
+		if err != nil {
+			return 0, 0, err
+		}
+		if v < minI {
+			minI = v
+		}
+	}
+	return homeI, minI, nil
+}
+
+// Costs prices one solve at each granularity at the home region's
+// intensity. A daily-pinned window's hourly cost is +Inf, so Check never
+// buys it.
+func (w Window) Costs(now time.Time) (hourly, daily float64) {
+	intensity := w.homeIntensity(now)
+	daily = SolveCost(intensity, w.MM.DAG().Len(), w.MM.Catalogue().Len(), false)
+	hourly = math.Inf(1)
+	if w.Hourly {
+		hourly = SolveCost(intensity, w.MM.DAG().Len(), w.MM.Catalogue().Len(), true)
+	}
+	return hourly, daily
+}
+
+// homeIntensity is the home region's intensity at now, or a conservative
+// 400 gCO2e/kWh when the lookup fails.
+func (w Window) homeIntensity(now time.Time) float64 {
+	intensity, err := w.MM.IntensityAt(w.Home, now, now)
+	if err != nil {
+		return 400
+	}
+	return intensity
 }
 
 // TrafficTokens converts a window of observed traffic into a carbon
 // budget: invocations × mean runtime × per-second execution energy ×
 // (home intensity − greenest intensity) × PUE. It is the accrual rule of
-// §5.2 shared by the Tick-driven Manager and the event-driven Stream; a
-// non-positive intensity differential earns nothing.
+// §5.2; a non-positive intensity differential earns nothing.
 func TrafficTokens(invocations int, meanRuntimeSec, homeIntensity, minIntensity float64) float64 {
 	if invocations == 0 {
 		return 0
@@ -213,33 +265,6 @@ func TrafficTokens(invocations int, meanRuntimeSec, homeIntensity, minIntensity 
 	return float64(invocations) * perInvocation
 }
 
-// earnTokens converts the last period's observed traffic into a carbon
-// budget via TrafficTokens. The sliding-window assumption of §5.2 — next
-// period resembles the last — is explicit here.
-func (m *Manager) earnTokens(now time.Time) (float64, error) {
-	invocations := m.mm.InvocationsSince(m.lastCheck)
-	if invocations == 0 {
-		return 0, nil
-	}
-	meanRuntime := m.mm.MeanRuntimeSince(m.lastCheck)
-
-	homeI, err := m.mm.IntensityAt(m.home, now, now)
-	if err != nil {
-		return 0, err
-	}
-	minI := homeI
-	for _, id := range m.mm.Catalogue().IDs() {
-		v, err := m.mm.IntensityAt(id, now, now)
-		if err != nil {
-			return 0, err
-		}
-		if v < minI {
-			minI = v
-		}
-	}
-	return TrafficTokens(invocations, meanRuntime, homeI, minI), nil
-}
-
 // SolveCost estimates the carbon cost of one plan generation for a DAG of
 // dagNodes stages solved over a catalogue of regions candidate regions:
 // solver compute time (scaling with DAG size and region count —
@@ -252,141 +277,4 @@ func SolveCost(intensity float64, dagNodes, regions int, hourly bool) float64 {
 		seconds *= 24
 	}
 	return carbon.ExecutionCarbon(intensity, SolverMemoryMB, seconds, SolverUtil)
-}
-
-// solveCost prices one plan generation at the home region's current
-// intensity (conservative 400 gCO2eq/kWh when the lookup fails).
-func (m *Manager) solveCost(now time.Time, hourly bool) float64 {
-	intensity, err := m.mm.IntensityAt(m.home, now, now)
-	if err != nil {
-		intensity = 400 // conservative default
-	}
-	return SolveCost(intensity, m.mm.DAG().Len(), m.mm.Catalogue().Len(), hourly)
-}
-
-func (m *Manager) solveAndRollout(now time.Time, hourly bool, validity time.Duration) error {
-	if err := m.mm.RefreshForecasts(now); err != nil {
-		return err
-	}
-	var plans dag.HourlyPlans
-	var results []solver.Result
-	if hourly {
-		var err error
-		plans, results, err = m.solv.SolveHourly(now, now)
-		if err != nil {
-			return err
-		}
-	} else {
-		res, err := m.solv.SolveOne(now, now)
-		if err != nil {
-			return err
-		}
-		plans = dag.Uniform(res.Plan)
-		results = []solver.Result{res}
-	}
-	m.solves++
-	m.tel.solves.Inc()
-	m.tel.rec.Event("manager.solve", now,
-		telemetry.String("hourly", fmt.Sprintf("%t", hourly)),
-		telemetry.Float("tokens", m.tokens))
-	m.OverheadGrams += m.solveCost(now, hourly)
-	m.updateStability(plans)
-
-	movedBytes, err := m.dep.Rollout(plans, now.Add(validity))
-	m.chargeMigration(movedBytes, now)
-	if err != nil {
-		return err
-	}
-	if m.OnSolve != nil {
-		m.OnSolve(now, plans, results)
-	}
-	return nil
-}
-
-// chargeMigration accounts image-replication transmission carbon against
-// the framework overhead (worst-case inter-region energy factor, a
-// conservative charge).
-func (m *Manager) chargeMigration(bytes float64, now time.Time) {
-	if bytes <= 0 {
-		return
-	}
-	intensity, err := m.mm.IntensityAt(m.home, now, now)
-	if err != nil {
-		intensity = 400
-	}
-	m.OverheadGrams += carbon.WorstCase().Carbon(intensity, intensity, false, bytes)
-}
-
-// planStability implements the learning-phase backoff of Fig 11 as a pure
-// rule shared by Manager and Stream: the multiplicative factor doubles
-// (capped at Max/Min) when at least three quarters of the hourly
-// assignments are unchanged from the previous plan set; otherwise the
-// cadence resets. A nil prev (first solve) leaves the factor untouched.
-func planStability(prev *dag.HourlyPlans, plans dag.HourlyPlans, factor float64) float64 {
-	if prev == nil {
-		return factor
-	}
-	same, total := 0, 0
-	for h := range plans {
-		for n, r := range plans[h] {
-			total++
-			if prev[h][n] == r {
-				same++
-			}
-		}
-	}
-	if total > 0 && float64(same)/float64(total) >= 0.75 {
-		factor *= 2
-		maxFactor := MaxCheckInterval.Hours() / MinCheckInterval.Hours()
-		if factor > maxFactor {
-			factor = maxFactor
-		}
-	} else {
-		factor = 1
-	}
-	return factor
-}
-
-// updateStability compares the fresh plan set with the previous one and
-// adjusts the check backoff per the planStability rule.
-func (m *Manager) updateStability(plans dag.HourlyPlans) {
-	m.stabilityFactor = planStability(m.lastPlans, plans, m.stabilityFactor)
-	cp := plans
-	m.lastPlans = &cp
-}
-
-// scheduleInterval is the §5.2 cadence rule shared by Manager and Stream:
-// the shortfall between the solve cost and the earning rate, smoothed by a
-// sigmoid into [MinCheckInterval, MaxCheckInterval] so the cadence tracks
-// the past period's invocation rate, stretched by the plan-stability
-// backoff.
-func scheduleInterval(tokens, cost, ratePerHour, stabilityFactor float64) time.Duration {
-	var hoursNeeded float64
-	switch {
-	case tokens >= cost:
-		hoursNeeded = 0
-	case ratePerHour <= 0:
-		hoursNeeded = MaxCheckInterval.Hours()
-	default:
-		hoursNeeded = (cost - tokens) / ratePerHour
-	}
-	minH := MinCheckInterval.Hours()
-	maxH := MaxCheckInterval.Hours()
-	mid := (minH + maxH) / 2
-	s := 1 / (1 + math.Exp(-(hoursNeeded-mid)/(maxH/8)))
-	h := minH + (maxH-minH)*s
-	if stable := minH * stabilityFactor; stable > h {
-		h = stable
-	}
-	if h > maxH {
-		h = maxH
-	}
-	return time.Duration(h * float64(time.Hour))
-}
-
-// checkInterval schedules the next token check from the Manager's pulled
-// window: the last period's earning rate feeds the shared cadence rule.
-func (m *Manager) checkInterval(cost, periodHours float64) time.Duration {
-	rate := m.lastEarned / periodHours // tokens per hour
-	return scheduleInterval(m.tokens, cost, rate, m.stabilityFactor)
 }

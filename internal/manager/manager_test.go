@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ type stack struct {
 	sched *simclock.Scheduler
 	eng   *executor.Engine
 	mm    *metrics.Manager
+	solv  *solver.Solver
 	dep   *deployer.Deployer
 	mgr   *Manager
 }
@@ -72,7 +74,7 @@ func newStack(t *testing.T, cfg Config) *stack {
 	}
 	mgr := New(cfg, mm, solv, dep, region.USEast1, t0)
 	eng.SetPlans(dep)
-	return &stack{sched: sched, eng: eng, mm: mm, dep: dep, mgr: mgr}
+	return &stack{sched: sched, eng: eng, mm: mm, solv: solv, dep: dep, mgr: mgr}
 }
 
 func (s *stack) runTraffic(t *testing.T, n int, gap time.Duration) {
@@ -173,8 +175,7 @@ func TestCheckIntervalWithinBounds(t *testing.T) {
 
 func TestSolveCostScalesHourly(t *testing.T) {
 	s := newStack(t, Config{})
-	hourly := s.mgr.solveCost(t0, true)
-	daily := s.mgr.solveCost(t0, false)
+	hourly, daily := Window{MM: s.mm, Home: region.USEast1, Hourly: true}.Costs(t0)
 	if hourly <= daily {
 		t.Errorf("hourly %v should exceed daily %v", hourly, daily)
 	}
@@ -256,13 +257,11 @@ func TestDailyGranularityWhenBudgetIsTight(t *testing.T) {
 	now := s.sched.Now().Add(7 * time.Hour)
 	s.sched.RunUntil(now)
 
-	hourly := s.mgr.solveCost(now, true)
-	daily := s.mgr.solveCost(now, false)
-	// Grant a budget that covers a daily solve but not an hourly one,
-	// and exclude the warmup traffic from accrual so the budget stays
-	// exactly there.
-	s.mgr.tokens = (daily + hourly) / 2
-	s.mgr.lastCheck = s.sched.Now()
+	hourly, daily := Window{MM: s.mm, Home: region.USEast1, Hourly: true}.Costs(now)
+	// Grant a budget that covers a daily solve but not an hourly one to a
+	// manager starting now, so the warmup traffic lies outside its window
+	// and the budget stays exactly there.
+	s.mgr = New(Config{InitialTokens: (daily + hourly) / 2}, s.mm, s.solv, s.dep, region.USEast1, now)
 
 	var resultCounts []int
 	s.mgr.OnSolve = func(_ time.Time, _ dag.HourlyPlans, results []solver.Result) {
@@ -300,5 +299,52 @@ func TestHourlyGranularityWhenBudgetIsAmple(t *testing.T) {
 	}
 	if len(resultCounts) != 1 || resultCounts[0] != 24 {
 		t.Errorf("result counts = %v, want one 24-hour solve", resultCounts)
+	}
+}
+
+// TestFailedRolloutDebitsSolve pins that a completed solve is paid for
+// whatever its rollout's outcome: the Migrator later activates the staged
+// plans without another check, so a free failed rollout would be a free
+// solve.
+func TestFailedRolloutDebitsSolve(t *testing.T) {
+	s := newStack(t, Config{})
+	s.runTraffic(t, 300, 80*time.Second)
+	s.dep.FailDeploy = func(_ dag.NodeID, r region.ID) bool { return r != region.USEast1 }
+	now := s.sched.Now()
+
+	// The expected balance is priced from the metric window directly, not
+	// through Window, so the check stands apart from the code under test.
+	before := s.mgr.Tokens()
+	n := s.mm.InvocationsSince(t0)
+	homeI, err := s.mm.IntensityAt(region.USEast1, now, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minI := homeI
+	for _, id := range s.mm.Catalogue().IDs() {
+		v, err := s.mm.IntensityAt(id, now, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minI = min(minI, v)
+	}
+	earned := TrafficTokens(n, s.mm.MeanRuntimeSince(t0), homeI, minI)
+	cost := SolveCost(homeI, s.mm.DAG().Len(), s.mm.Catalogue().Len(), true)
+	if before+earned < cost {
+		cost = SolveCost(homeI, s.mm.DAG().Len(), s.mm.Catalogue().Len(), false)
+	}
+
+	activated, err := s.mgr.Tick(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if activated || !s.dep.HasPending() {
+		t.Fatalf("activated=%v pending=%v; the rollout should have failed and been staged", activated, s.dep.HasPending())
+	}
+	if s.mgr.Solves() != 1 {
+		t.Fatalf("solves = %d", s.mgr.Solves())
+	}
+	if got, want := s.mgr.Tokens(), before+earned-cost; math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+		t.Errorf("tokens after a failed rollout = %v, want before + earned - cost = %v + %v - %v = %v", got, before, earned, cost, want)
 	}
 }

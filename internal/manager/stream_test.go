@@ -113,11 +113,14 @@ func TestStreamGranularityDowngradeMidStream(t *testing.T) {
 }
 
 func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
-	s := NewStream(Config{}, t0)
+	hourly := SolveCost(400, 5, 4, true)
 	daily := SolveCost(400, 5, 4, false)
-	s.tokens = daily * 1.5
+	s := NewStream(Config{InitialTokens: daily * 1.5}, t0)
 	if !s.Due(t0) {
 		t.Fatal("first check not due at start")
+	}
+	if g := s.Check(t0, hourly, daily); g != GranularityDaily {
+		t.Fatalf("granularity = %v, want daily", g)
 	}
 	s.NoteSolve(t0, daily, samplePlans(region.USEast1))
 
@@ -139,11 +142,9 @@ func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
 		t.Error("stalled feed did not expire the plan")
 	}
 	if s.Due(heartbeat) {
-		hourly := SolveCost(400, 5, 4, true)
-		if g := s.Decide(hourly, daily); g != GranularityNone {
+		if g := s.Check(heartbeat, hourly, daily); g != GranularityNone {
 			t.Errorf("granularity = %v after stall, want none", g)
 		}
-		s.NoteSkip(heartbeat, daily)
 	}
 	if s.Solves() != 1 {
 		t.Errorf("solves = %d; stalled feed must not trigger a new solve", s.Solves())
@@ -155,26 +156,27 @@ func TestStreamNoSolveWithoutTokens(t *testing.T) {
 	hourly := SolveCost(400, 5, 4, true)
 	daily := SolveCost(400, 5, 4, false)
 
-	if g := s.Decide(hourly, daily); g != GranularityNone {
+	now := s.NextDue()
+	if g := s.Check(now, hourly, daily); g != GranularityNone {
 		t.Fatalf("granularity = %v with zero tokens, want none", g)
 	}
-	s.NoteSkip(t0, daily)
-	if s.SolveSkips() != 1 || s.Solves() != 0 {
-		t.Errorf("skips=%d solves=%d after tokenless check", s.SolveSkips(), s.Solves())
+	if s.Solves() != 0 {
+		t.Errorf("solves = %d after tokenless check", s.Solves())
 	}
 	// The skip schedules a future check: not due again immediately.
-	if s.Due(t0.Add(time.Minute)) {
+	if s.Due(now.Add(time.Minute)) {
 		t.Error("check due again immediately after a skip")
 	}
-	if !s.NextDue().After(t0) {
+	if !s.NextDue().After(now) {
 		t.Error("skip did not schedule a next check")
 	}
 }
 
 func TestStreamSkipExpiresActivePlan(t *testing.T) {
-	s := NewStream(Config{}, t0)
+	hourly := SolveCost(400, 5, 4, true)
 	daily := SolveCost(400, 5, 4, false)
-	s.tokens = daily
+	s := NewStream(Config{InitialTokens: daily}, t0)
+	s.Check(t0, hourly, daily)
 	s.NoteSolve(t0, daily, samplePlans(region.USEast1))
 
 	// A due check with an empty budget expires the pre-determined
@@ -183,7 +185,9 @@ func TestStreamSkipExpiresActivePlan(t *testing.T) {
 	if s.PlanExpired(now) {
 		t.Fatal("plan already expired before the check")
 	}
-	s.NoteSkip(now, daily)
+	if g := s.Check(now, hourly, daily); g != GranularityNone {
+		t.Fatalf("granularity = %v with a spent budget, want none", g)
+	}
 	if !s.PlanExpired(now.Add(time.Nanosecond)) {
 		t.Error("tokenless check did not expire the active plan")
 	}
@@ -206,7 +210,7 @@ func TestStreamScheduleWithinBounds(t *testing.T) {
 		s.tokens = tc.tokens
 		s.periodEarned = tc.earned
 		now := t0.Add(3 * time.Hour)
-		s.NoteSkip(now, daily)
+		s.Check(now, math.Inf(1), daily)
 		gap := s.NextDue().Sub(now)
 		if gap < MinCheckInterval || gap > MaxCheckInterval {
 			t.Errorf("%s: next-due gap %v outside [%v, %v]", tc.name, gap, MinCheckInterval, MaxCheckInterval)
@@ -215,33 +219,39 @@ func TestStreamScheduleWithinBounds(t *testing.T) {
 }
 
 func TestStreamStabilityBackoffGrows(t *testing.T) {
-	s := NewStream(Config{}, t0)
 	daily := SolveCost(400, 5, 4, false)
+	s := NewStream(Config{InitialTokens: 2 * daily}, t0)
 	plans := samplePlans(region.USEast1)
 
-	// Identical consecutive plan sets back the cadence off multiplicatively,
-	// exactly as Fig 11's learning phase.
-	var gaps []time.Duration
+	// solveAt runs one due check and a daily solve producing p, returning
+	// the gap the check scheduled. The budget is kept comfortable so the
+	// cadence is driven by the stability backoff, not by a shortfall.
 	now := t0
-	for i := 0; i < 3; i++ {
-		// Keep the budget comfortable so the cadence is driven by the
-		// stability backoff, not by a token shortfall.
+	solveAt := func(p dag.HourlyPlans) time.Duration {
 		s.tokens = 2 * daily
-		s.NoteSolve(now, daily, plans)
+		if g := s.Check(now, math.Inf(1), daily); g != GranularityDaily {
+			t.Fatalf("granularity = %v, want daily", g)
+		}
 		gap := s.NextDue().Sub(now)
-		gaps = append(gaps, gap)
+		s.NoteSolve(now, daily, p)
 		now = s.NextDue()
+		return gap
+	}
+
+	// Identical consecutive plan sets back the cadence off multiplicatively,
+	// exactly as Fig 11's learning phase; a check schedules with the
+	// backoff the solves before it left.
+	var gaps []time.Duration
+	for i := 0; i < 3; i++ {
+		gaps = append(gaps, solveAt(plans))
 	}
 	if gaps[2] <= gaps[0] {
 		t.Errorf("gaps did not grow under stable plans: %v", gaps)
 	}
 
-	// A shifted plan set resets the cadence.
-	shifted := samplePlans(region.USWest2)
-	s.tokens = 2 * daily
-	s.NoteSolve(now, daily, shifted)
-	reset := s.NextDue().Sub(now)
-	if reset >= gaps[2] {
+	// A shifted plan set resets the cadence from the next check on.
+	solveAt(samplePlans(region.USWest2))
+	if reset := solveAt(plans); reset >= gaps[2] {
 		t.Errorf("plan shift did not reset the backoff: %v !< %v", reset, gaps[2])
 	}
 }
@@ -260,7 +270,7 @@ func TestStreamSolveCostMatchesManager(t *testing.T) {
 }
 
 func TestStreamFirstCheckDueImmediately(t *testing.T) {
-	s := NewStream(Config{}, t0)
+	s := NewStream(Config{InitialTokens: 1}, t0)
 	if !s.Due(t0) {
 		t.Error("stream not due at its start time")
 	}
@@ -269,6 +279,41 @@ func TestStreamFirstCheckDueImmediately(t *testing.T) {
 	}
 	if !s.PlanExpiry().IsZero() {
 		t.Error("non-zero expiry before any solve")
+	}
+}
+
+// TestEmptyBucketWaitsMinInterval pins the first check of a stream granted
+// no tokens: it has no window to price yet, so it waits MinCheckInterval
+// like any check scheduled with nothing earned.
+func TestEmptyBucketWaitsMinInterval(t *testing.T) {
+	s := NewStream(Config{}, t0)
+	if s.Due(t0) || s.Due(t0.Add(MinCheckInterval-time.Nanosecond)) {
+		t.Errorf("empty bucket due before %v", t0.Add(MinCheckInterval))
+	}
+	if !s.Due(t0.Add(MinCheckInterval)) || !s.NextDue().Equal(t0.Add(MinCheckInterval)) {
+		t.Errorf("next due = %v, want %v", s.NextDue(), t0.Add(MinCheckInterval))
+	}
+}
+
+// TestDailyPinnedSchedulesAgainstDailyCost pins what a daily-pinned check
+// schedules against: its infinite hourly cost is never affordable, so a
+// schedule priced at it would always wait MaxCheckInterval.
+func TestDailyPinnedSchedulesAgainstDailyCost(t *testing.T) {
+	daily := SolveCost(400, 5, 4, false)
+	s := NewStream(Config{InitialTokens: 2 * daily}, t0)
+	s.Accrue(100, 1, 450, 120)
+	now := t0.Add(8 * time.Hour)
+	rate := s.periodEarned / 8
+	want := scheduleInterval(s.tokens, daily, rate, 1)
+	if g := s.Check(now, math.Inf(1), daily); g != GranularityDaily {
+		t.Fatalf("granularity = %v, want daily", g)
+	}
+	if gap := s.NextDue().Sub(now); gap != want || gap >= MaxCheckInterval {
+		t.Errorf("next-check gap = %v, want %v (priced at the daily cost)", gap, want)
+	}
+	s.NoteSolve(now, daily, samplePlans(region.USEast1))
+	if got, want := s.PlanExpiry(), now.Add(max(want+time.Hour, PlanValidity)); !got.Equal(want) {
+		t.Errorf("plan expiry = %v, want %v", got, want)
 	}
 }
 
