@@ -465,7 +465,7 @@ func BenchmarkScreenStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bases, arena := benchBases(b, snap, assigns)
-		if _, err := snap.EstimateBasisRows(bases, park); err != nil || bases[0].Parked() == nil {
+		if _, err := snap.EstimateBases(bases, 0, snap.NumHours(), park, nil); err != nil || bases[0].Parked() == nil {
 			b.Fatalf("first block proved nothing (err %v)", err)
 		}
 		arena.Release()
@@ -567,7 +567,7 @@ func BenchmarkSnapshotEstimateRows(b *testing.B) {
 	sweep := func() {
 		bases, arena := benchBases(b, snap, assigns)
 		defer arena.Release()
-		if _, err := snap.EstimateBasisRows(bases, nil); err != nil {
+		if _, err := snap.EstimateBases(bases, 0, snap.NumHours(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -609,7 +609,7 @@ func BenchmarkReplayBasis(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bases, arena := benchBases(b, snap, all[:k])
-				if _, err := snap.EstimateBases(bases, 0, nil, nil); err != nil {
+				if _, err := snap.EstimateBases(bases, 0, 1, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 				arena.Release()
@@ -628,7 +628,7 @@ func BenchmarkPriceHour(b *testing.B) {
 		snap, home := benchSnapshotAssign(b)
 		bases, arena := benchBases(b, snap, batchBenchAssigns(snap, home, 1))
 		defer arena.Release()
-		if _, err := snap.EstimateBases(bases, 0, nil, nil); err != nil {
+		if _, err := snap.EstimateBases(bases, 0, 1, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		if n := bases[0].Samples(); n != montecarlo.BatchSize {
@@ -637,7 +637,7 @@ func BenchmarkPriceHour(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := snap.EstimateBases(bases, 1+i%23, nil, nil); err != nil {
+			if _, err := snap.EstimateBases(bases, 1+i%23, 1, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -665,7 +665,7 @@ func BenchmarkPriceHour(b *testing.B) {
 			cand, arena := benchBases(b, snap, [][]int{a})
 			defer arena.Release()
 			for h := range hours {
-				if _, err := snap.EstimateBases(cand, h, nil, nil); err != nil {
+				if _, err := snap.EstimateBases(cand, h, 1, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -681,7 +681,7 @@ func BenchmarkPriceHour(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for h := range hours {
-				if _, err := snap.EstimateBases(bases, h, nil, nil); err != nil {
+				if _, err := snap.EstimateBases(bases, h, 1, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"caribou/internal/region"
 	"caribou/internal/telemetry"
+	"caribou/internal/workloads"
 )
 
 // newTestServer builds a SimClock-backed server over the evaluation
@@ -111,6 +114,24 @@ func TestRegisterValidation(t *testing.T) {
 	register(t, srv, `{"id":"dup","workload":"image-processing"}`)
 	if w := do(t, srv, "POST", "/v1/workflows", `{"id":"dup","workload":"image-processing"}`); w.Code != http.StatusConflict {
 		t.Errorf("duplicate id: status %d, want 409", w.Code)
+	}
+}
+
+// noCarbon is a carbon source with no data at all.
+type noCarbon struct{}
+
+func (noCarbon) At(zone string, _ time.Time) (float64, error) {
+	return 0, errors.New("no carbon data for " + zone)
+}
+
+// TestNewTenantFailsWithItsInitialSolve: registration's first solve cannot
+// price a plan without carbon data, and its error is the registration's —
+// no tenant is built, so the server stores none and releases the id.
+func TestNewTenantFailsWithItsInitialSolve(t *testing.T) {
+	spec := TenantSpec{ID: "t1", Workload: workloads.ImageProcessing(), Home: region.USEast1, Regions: region.EvaluationFour(), Seed: 1}
+	tenant, err := newTenant(spec, region.NorthAmerica(), noCarbon{}, DefaultStart, DefaultStart.Add(24*time.Hour), 0)
+	if err == nil {
+		t.Fatalf("initial solve without carbon data: tenant with plan %+v, no error", tenant.Plan())
 	}
 }
 

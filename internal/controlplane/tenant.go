@@ -150,8 +150,11 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 		mm.Ingest(rec)
 	}
 	// Registration runs the first budget check immediately: with an
-	// initial token grant the tenant has a plan before its first query.
-	t.check(start)
+	// initial token grant the tenant has a plan before its first query, and
+	// a solve that fails fails the registration.
+	if _, err := t.check(start); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

@@ -117,7 +117,7 @@ func (s *Snapshot) staticSlots(assign []int) (regs, pairs []int32) {
 // as [lat ×BatchSize][cost ×BatchSize][per sample: kwh by region slot, gb
 // by pair slot]. stat caches the hour-independent half of each boundary's
 // stopping rule, screen what the first block proves about every hour, parked
-// what a row sweep left instead of pricing it. mu serializes extension, the
+// what a sweep left instead of pricing it. mu serializes extension, the
 // caches and pricing; EstimateBases takes it before an evaluation slot,
 // never after.
 type Basis struct {

@@ -188,8 +188,9 @@ func TestEstimatePathsAgree(t *testing.T) {
 			check("unpruned", rows, func(h int) ([]*Estimate, error) { return snap.EstimateBatch(assigns, h, nil) })
 
 			for _, metric := range []BatchMetric{BatchCarbonMean, BatchCostMean, BatchLatencyMean} {
-				// A row threshold is per hour: the largest true metric among the
-				// plans prunes none of them. A batch threshold is per plan.
+				// Over the window a threshold is per hour: the largest true metric
+				// among the plans prunes none of them. At one hour, one plan per
+				// call sets each plan's own, looking ahead to the end of the tape.
 				rp := &RowPrune{Metric: metric, Threshold: make([]float64, H), Horizon: make([]int, H)}
 				for h := 0; h < H; h++ {
 					rp.Horizon[h] = MaxSamples
@@ -201,11 +202,15 @@ func TestEstimatePathsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("thresholds at the true metric", rows, func(h int) ([]*Estimate, error) {
-					thr := make([]float64, len(assigns))
-					for i := range thr {
-						thr[i] = metricOfEstimate(want[i][h], metric)
+					col := make([]*Estimate, len(assigns))
+					for i := range assigns {
+						es, err := snap.EstimateBatch(assigns[i:i+1], h, hourPrune(metric, h, metricOfEstimate(want[i][h], metric), MaxSamples))
+						if err != nil {
+							return nil, err
+						}
+						col[i] = es[0]
 					}
-					return snap.EstimateBatch(assigns, h, &BatchPrune{Metric: metric, Threshold: thr})
+					return col, nil
 				})
 			}
 		})
@@ -286,7 +291,7 @@ func TestBasisExtension(t *testing.T) {
 
 	price := func(snap *Snapshot, b *Basis, h int) {
 		t.Helper()
-		es, err := snap.EstimateBases([]*Basis{b}, h, nil, nil)
+		es, err := snap.estimateHour([]*Basis{b}, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +346,7 @@ func TestBasisExtension(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for h := g; h < len(want); h += 2 { // g 0: the short hours, g 1: the long ones
-				es, err := snap.EstimateBases([]*Basis{b}, h, nil, sem)
+				es, err := snap.estimateHour([]*Basis{b}, h, nil, sem)
 				if err != nil {
 					errs[h] = err
 					return
@@ -378,7 +383,7 @@ func TestBasisSurvivesPrunedHour(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := snap.tel.prunedCandidates.Value()
-	es, err := snap.EstimateBases([]*Basis{b}, 1, &BatchPrune{Metric: BatchCarbonMean, Threshold: []float64{0}}, nil)
+	es, err := snap.estimateHour([]*Basis{b}, 1, hourPrune(BatchCarbonMean, 1, 0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +398,7 @@ func TestBasisSurvivesPrunedHour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, err := snap.EstimateBases([]*Basis{b}, h, nil, nil)
+		es, err := snap.estimateHour([]*Basis{b}, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,10 +410,10 @@ func TestBasisSurvivesPrunedHour(t *testing.T) {
 
 // TestEstimateBasesPruneCountersIndependentOfGrouping: at one hour, the
 // pruned_candidates and samples totals of a set of lanes are the same
-// whether the lanes go one per sweep or all in one sweep, once the hour's
-// header — the prune horizon — is what both runs start from; and the nil
-// pattern is the same. (Lanes of one sweep settle boundary by boundary, so
-// a lane that runs long never lengthens the header a sibling reads.)
+// whether the lanes go one per sweep or all in one sweep, and so is the nil
+// pattern: the prune horizon is the RowPrune's — the home estimate's sample
+// count, as the exhaustive solver sets it — never how far a sibling lane
+// has taken the tape.
 func TestEstimateBasesPruneCountersIndependentOfGrouping(t *testing.T) {
 	enableTelemetry(t)
 	in := &heavyTailInputs{richInputs(t)}
@@ -418,23 +423,21 @@ func TestEstimateBasesPruneCountersIndependentOfGrouping(t *testing.T) {
 			t.Fatal(err)
 		}
 		assigns := spreadPlans(t, snap, in.d)
-		home, err := snap.Estimate(assigns[0], 0) // extends hour 0's header to the end
+		home, err := snap.Estimate(assigns[0], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		thr := make([]float64, len(assigns))
-		for i := range thr {
-			thr[i] = home.CarbonMean * 0.3 // between the all-green plan and the rest
-		}
+		// Between the all-green plan and the rest.
+		prune := hourPrune(BatchCarbonMean, 0, home.CarbonMean*0.3, home.Samples)
 		p0, s0 := snap.tel.prunedCandidates.Value(), snap.tel.samples.Value()
 		var got []*Estimate
 		if grouped {
-			if got, err = snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: thr}); err != nil {
+			if got, err = snap.EstimateBatch(assigns, 0, prune); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			for i := len(assigns) - 1; i >= 0; i-- {
-				es, err := snap.EstimateBatch(assigns[i:i+1], 0, &BatchPrune{Threshold: thr[i : i+1]})
+				es, err := snap.EstimateBatch(assigns[i:i+1], 0, prune)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -486,7 +489,7 @@ func hourDelta(t *testing.T, snap *Snapshot, plan dag.Plan) {
 		t.Fatal(err)
 	}
 	for h := snap.NumHours() - 1; h >= 0; h-- {
-		got, err := snap.EstimateBases([]*Basis{b}, h, nil, nil)
+		got, err := snap.estimateHour([]*Basis{b}, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,12 +557,12 @@ func TestEstimateDeltaIdenticalPlanReturnsBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := snap.EstimateBases([]*Basis{b}, 0, nil, nil)
+	first, err := snap.estimateHour([]*Basis{b}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replays := snap.tel.basisReplays.Value()
-	again, err := snap.EstimateBases([]*Basis{b}, 0, nil, nil)
+	again, err := snap.estimateHour([]*Basis{b}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +608,7 @@ func TestDeltaAnchorPiggybackedOnFallback(t *testing.T) {
 	}
 
 	// First request: one sweep replays both plans' first batch.
-	first, err := snap.EstimateBases(bases, 0, nil, nil)
+	first, err := snap.estimateHour(bases, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +630,7 @@ func TestDeltaAnchorPiggybackedOnFallback(t *testing.T) {
 
 	// Second hour: priced, never replayed.
 	prices := snap.tel.hourPrices.Value()
-	second, err := snap.EstimateBases(bases, 1, nil, nil)
+	second, err := snap.estimateHour(bases, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +716,7 @@ func TestDeltaHeavyTailConcurrentParity(t *testing.T) {
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
-			es, err := snap.EstimateBases([]*Basis{b}, h, nil, sem)
+			es, err := snap.estimateHour([]*Basis{b}, h, nil, sem)
 			if err != nil {
 				errs[h] = err
 				return
@@ -759,7 +762,7 @@ func TestEstimateDeltaFallsBackWithoutSoA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := snap.EstimateBases([]*Basis{b}, 0, &BatchPrune{Threshold: []float64{0}}, nil)
+		got, err := snap.estimateHour([]*Basis{b}, 0, &RowPrune{Threshold: []float64{0}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -811,7 +814,7 @@ func TestEstimateBatchDeltaBitIdenticalToFull(t *testing.T) {
 		bases = append(bases, b)
 	}
 	for h := 0; h < 2; h++ {
-		got, err := snap.EstimateBases(bases, h, nil, nil)
+		got, err := snap.estimateHour(bases, h, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

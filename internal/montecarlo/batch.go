@@ -1,6 +1,6 @@
 package montecarlo
 
-// Sweeps: the batched §7.1 stopping rule over plan bases.
+// Sweeps: the batched §7.1 stopping rule over plan bases and an hour window.
 //
 // The solver evaluates candidate plans in groups — an HBSS proposal round
 // at one hour, a chunk of an exhaustive enumeration at every hour — and
@@ -11,18 +11,18 @@ package montecarlo
 // prices the new block at each hour the lane still has open, and settles
 // every open (lane, hour) there — all lanes at one boundary before any
 // lane at the next, so what one lane does never reaches another's prune
-// decision:
+// decision. The one prune rule is RowPrune's, per absolute hour:
 //
-//   - row sweeps, first boundary, before the hour is priced: the first
-//     block's hour-free statistics (basis.go: screenRow) prove the estimate
-//     stops here with a metric mean above its threshold → screened, a nil
-//     Estimate, never priced;
+//   - first boundary of a window of at least screenMinHours hours, before
+//     the hour is priced: the first block's hour-free statistics (basis.go:
+//     screenRow) prove the estimate stops here with a metric mean above the
+//     hour's threshold → screened, a nil Estimate, never priced;
 //   - converged (the check runs at every boundary on exactly the series
 //     the reference rule sees: latency and cost CVs once per basis per
 //     boundary, the carbon CV per hour) or out of tape → summarized;
-//   - unconverged, and the bound columns (bounds.go) prove its final mean
-//     metric exceeds its threshold at every sample count it could still
-//     stop at → abandoned, a nil Estimate;
+//   - unconverged, and the hour's bound columns (bounds.go) prove its final
+//     mean metric exceeds the hour's threshold at every sample count it
+//     could still stop at → abandoned, a nil Estimate;
 //   - otherwise still open.
 //
 // Survivors finish the full stopping rule, so every field of every
@@ -34,6 +34,7 @@ package montecarlo
 // pooled accumulators.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -49,25 +50,6 @@ const (
 	BatchCostMean
 	BatchLatencyMean
 )
-
-// BatchPrune carries per-candidate abandonment thresholds: candidate i
-// may be abandoned once its final Metric mean provably exceeds
-// Threshold[i]. A nil BatchPrune (or +Inf entries) disables pruning for
-// the call (or candidate); thresholds must already include whatever
-// slack the caller needs for the bound's reassociation error (see
-// bounds.go). The bound looks ahead as far as the hour's header has been
-// extended — the furthest boundary any estimate of that hour has asked for.
-type BatchPrune struct {
-	Metric    BatchMetric
-	Threshold []float64
-}
-
-func (p *BatchPrune) threshold(i int) float64 {
-	if p == nil || i >= len(p.Threshold) {
-		return math.Inf(1)
-	}
-	return p.Threshold[i]
-}
 
 // hourAcc is one lane's per-hour store through a sweep: the carbon series
 // of every hour of the sweep's window in per-batch blocks (batch b's
@@ -145,24 +127,19 @@ func (b *Basis) sharedP95(st *boundStat, n int, tmp []float64) (err error) {
 // lane is one plan's state through a sweep.
 type lane struct {
 	b    *Basis
-	thr  float64     // single-hour sweeps: the candidate's threshold
 	out  []*Estimate // results by hour slot
 	open []int       // hour slots still sampling, ascending
 	acc  *hourAcc
 	ests []Estimate // backing store of this lane's summaries
 }
 
-// sweep is one call's shared state: the hour window [h0, h0+nh), the
-// prune rule — rows carries explicit per-hour thresholds and horizons,
-// without it lanes carry their own threshold and the bound looks ahead to
-// the hour's header hdr — and the evaluation slots replay is bounded by
-// (nil: the caller already holds one, or the solve is serial).
+// sweep is one call's shared state: the hour window [h0, h0+nh) — slot k
+// is hour h0+k — the prune rule, and the evaluation slots replay is
+// bounded by (nil: the caller already holds one, or the solve is serial).
 type sweep struct {
 	s      *Snapshot
 	h0, nh int
-	metric BatchMetric
 	rows   *RowPrune
-	hdr    *tapeData
 	sem    chan struct{}
 
 	tmp           *[MaxSamples]float64 // pooled percentile scratch, taken on first use
@@ -177,13 +154,13 @@ type sweep struct {
 	replayNS, priceNS, screenNS int64
 }
 
-// newSweep builds one lane per basis with every hour of the window open.
-// Callers point each lane's out at its result cells before run.
-func (s *Snapshot) newSweep(bases []*Basis, h0, nh int, sem chan struct{}) *sweep {
+// newSweep builds one lane per basis with every hour of the window open,
+// lane i's results going to out[i].
+func (s *Snapshot) newSweep(bases []*Basis, out [][]*Estimate, h0, nh int, rows *RowPrune, sem chan struct{}) *sweep {
 	n := len(bases)
 	ptrs := make([]*lane, 3*n)
 	sw := &sweep{
-		s: s, h0: h0, nh: nh, sem: sem,
+		s: s, h0: h0, nh: nh, rows: rows, sem: sem,
 		lanes:  make([]lane, n),
 		active: ptrs[:n:n],
 		held:   ptrs[n : n : 2*n],
@@ -192,7 +169,7 @@ func (s *Snapshot) newSweep(bases []*Basis, h0, nh int, sem chan struct{}) *swee
 	open := make([]int, n*nh)
 	for i, b := range bases {
 		ln := &sw.lanes[i]
-		ln.b, ln.thr = b, math.Inf(1)
+		ln.b, ln.out = b, out[i]
 		ln.open, open = open[:nh:nh], open[nh:]
 		for k := range ln.open {
 			ln.open[k] = k
@@ -260,12 +237,6 @@ func (sw *sweep) replay(n int) error {
 // waiting can neither starve the replay workers nor deadlock.
 func (sw *sweep) boundary(n int) error {
 	s := sw.s
-	if sw.rows == nil {
-		// Single-hour sweeps extend the hour's header (and bake its bound
-		// columns) as far as the hour's estimates sample: its length is the
-		// look-ahead horizon of this hour's prune checks.
-		sw.hdr = s.tapes[sw.h0].ensure(s, sw.h0, n)
-	}
 	// What a boundary spends outside replay and screening is pricing, with
 	// its summaries and prune checks (and any wait for a late lane's basis).
 	lap, other := s.tel.rec.Lap(), sw.replayNS+sw.screenNS
@@ -306,7 +277,7 @@ func (sw *sweep) boundary(n int) error {
 	return err
 }
 
-// screenMinHours is the shortest window a row sweep screens: the statistics
+// screenMinHours is the shortest window a sweep screens: the statistics
 // cost two hour pricings a plan, which a one-hour window cannot win back.
 // screenTol is how far a predicted carbon mean must clear a threshold: the
 // prediction is within 4e-13 of what pricing would return (screenRow), so
@@ -316,30 +287,32 @@ const (
 	screenTol      = 1e-12
 )
 
-// screen is settle's first clause, at the first boundary of a row sweep: it
-// closes, unpriced, every open hour at which the lane's first block proves
-// the estimate stops there with a metric mean above the hour's threshold
-// (latency and cost means are the estimate's own). The decision reads the
-// plan's block, the hour's tables and the hour's threshold, nothing else.
-// With rows.Park set, a lane proven at every hour and still open at one is
-// parked instead: its basis moves to Park carrying what the block proves
-// and every hour closes, uncounted — the caller's next sweep decides them.
+// screen is settle's first clause, at the first boundary of a window of at
+// least screenMinHours: it closes, unpriced, every open hour at which the
+// lane's first block proves the estimate stops there with a metric mean
+// above the hour's threshold (latency and cost means are the estimate's
+// own). The decision reads the plan's block, the hour's tables and the
+// hour's threshold, nothing else. With rows.Park set, a lane proven at
+// every compiled hour and still open at one is parked instead: its basis
+// moves to Park carrying what the block proves and every hour closes,
+// uncounted — the caller's next sweep decides them.
 func (sw *sweep) screen(ln *lane, st *boundStat) error {
 	b := ln.b
 	scr := sw.s.screenRow(b)
 	est := Estimate{Samples: BatchSize, Converged: true, LatencyMean: st.latSum / BatchSize, CostMean: st.costSum / BatchSize}
 	open, closed := ln.open[:0], len(ln.open)
 	for _, hs := range ln.open {
-		m := scr[hs]
+		h := sw.h0 + hs
+		m := scr[h]
 		if !math.IsInf(m, -1) {
-			switch sw.metric {
+			switch sw.rows.Metric {
 			case BatchCostMean:
 				m = est.CostMean
 			case BatchLatencyMean:
 				m = est.LatencyMean
 			}
 		}
-		if thr, _ := sw.rows.at(hs, BatchSize); !(m-screenTol*math.Abs(m) > thr) {
+		if thr, _ := sw.rows.at(h, BatchSize); !(m-screenTol*math.Abs(m) > thr) {
 			open = append(open, hs)
 		}
 	}
@@ -366,7 +339,7 @@ func (sw *sweep) screen(ln *lane, st *boundStat) error {
 // screened or parked whole never holds one — and at every boundary price.
 func (sw *sweep) settle(ln *lane, n int) error {
 	if n == BatchSize {
-		if st := ln.b.statAt(0); sw.rows != nil && sw.nh >= screenMinHours && st.sharedOK {
+		if st := ln.b.statAt(0); sw.nh >= screenMinHours && st.sharedOK {
 			lap := sw.s.tel.rec.Lap()
 			err := sw.screen(ln, st)
 			sw.screenNS += lap.NS()
@@ -445,13 +418,13 @@ func (sw *sweep) price(ln *lane, n int) error {
 			continue
 		}
 		partial := carbSum
-		switch sw.metric {
+		switch sw.rows.Metric {
 		case BatchCostMean:
 			partial = st.costSum
 		case BatchLatencyMean:
 			partial = st.latSum
 		}
-		if sw.prunedAt(ln, h, n, partial) {
+		if sw.prunedAt(h, n, partial) {
 			sw.pruned++
 			continue
 		}
@@ -464,34 +437,26 @@ func (sw *sweep) price(ln *lane, n int) error {
 	return nil
 }
 
-// prunedAt reports whether the lane can be abandoned at hour h, sample
-// count n: its running metric sum plus the hour's floors for the samples
-// still to come (lowerBound) exceeds the threshold at every count the
-// stopping rule could halt at. A row sweep looks ahead to max(n,
-// Horizon[h]), extending the hour's header that far on demand and never
-// reading how much further other rows took it; a single-hour sweep looks
-// ahead over the header boundary extended. Only the ok latch sees more
-// than that, and it only turns pruning off.
-func (sw *sweep) prunedAt(ln *lane, h, n int, partial float64) bool {
+// prunedAt reports whether a lane whose metric sum over its first n
+// samples at hour h is partial can be abandoned there: that sum plus the
+// hour's floors for the samples still to come (lowerBound) exceeds the
+// hour's threshold at every count the stopping rule could halt at. The
+// bound looks ahead to max(n, Horizon[h]), extending the hour's bound
+// columns that far on demand and never reading how much further other
+// checks took them; only the ok latch sees more than that, and it only
+// turns pruning off.
+func (sw *sweep) prunedAt(h, n int, partial float64) bool {
 	s := sw.s
-	thr, horizon, hdr := ln.thr, n, sw.hdr
-	if sw.rows != nil {
-		thr, horizon = sw.rows.at(h, n)
-	}
+	thr, horizon := sw.rows.at(h, n)
 	if math.IsInf(thr, 1) || !s.bnd.ok {
 		return false
 	}
-	if sw.rows != nil {
-		hdr = s.tapes[h].ensure(s, h, horizon)
-	} else {
-		horizon = hdr.n
-	}
-	bnd := hdr.bnd
-	if bnd == nil || !bnd.ok {
+	bnd := s.bounds[h].ensure(s, h, horizon)
+	if !bnd.ok {
 		return false
 	}
 	pre := bnd.preCarb
-	switch sw.metric {
+	switch sw.rows.Metric {
 	case BatchCostMean:
 		pre = bnd.preCost
 	case BatchLatencyMean:
@@ -520,49 +485,51 @@ func lowerBound(partial float64, pre []float64, n, horizon int) float64 {
 	return low
 }
 
-// EstimateBases evaluates the plans of bases at hour h, replaying only
-// what the bases lack: out[i] is nil exactly when pruning proved plan i's
-// Metric mean exceeds its threshold, and otherwise bit-identical to
-// Estimate(plan, h). Bases may be shared with concurrent calls at other
-// hours; sem, when non-nil, is the semaphore every replay runs under — a
-// call waits for another's basis without holding a slot. Snapshots without
-// tapes — and several plans on a snapshot with deferred exec errors, which
-// must surface in first-plan order — fall back to sequential evaluation
-// with pruning disabled, each Estimate under a slot of sem.
-func (s *Snapshot) EstimateBases(bases []*Basis, h int, prune *BatchPrune, sem chan struct{}) ([]*Estimate, error) {
-	out := make([]*Estimate, len(bases))
-	if len(bases) == 0 {
-		return out, nil
+// EstimateBases evaluates every plan of bases at every hour of the window
+// [h0, h0+nh), replaying only what the bases lack: out[i][k] is plan i at
+// hour h0+k — nil exactly when the sweep proved that plan's Metric mean
+// there exceeds prune's threshold for the hour, by the screen at the first
+// boundary or by the bounds at a later one, or parked the plan; otherwise
+// bit-identical to Estimate(plan, h0+k). A nil prune prunes nothing. Bases
+// may be shared with concurrent calls at other hours; sem, when non-nil, is
+// the semaphore every replay runs under — a call waits for another's basis
+// without holding a slot. Snapshots without tapes — and several plans on a
+// snapshot with deferred exec errors, which must surface in first-plan
+// order — fall back to one unpruned Estimate per (plan, hour), each under a
+// slot of sem.
+func (s *Snapshot) EstimateBases(bases []*Basis, h0, nh int, prune *RowPrune, sem chan struct{}) ([][]*Estimate, error) {
+	if nh < 1 || h0 < 0 || h0+nh > len(s.hours) {
+		return nil, fmt.Errorf("montecarlo: hour window [%d,%d) outside compiled window [0,%d)", h0, h0+nh, len(s.hours))
 	}
-	if err := s.checkArgs(bases[0].assign, h); err != nil {
-		return nil, err
+	out := make([][]*Estimate, len(bases))
+	cells := make([]*Estimate, len(bases)*nh)
+	for i := range out {
+		out[i] = cells[i*nh : (i+1)*nh : (i+1)*nh]
 	}
-	if s.tapes == nil || s.anyExecErr && len(bases) > 1 {
+	if s.tape == nil || s.anyExecErr && len(bases) > 1 {
 		for i, b := range bases {
-			if sem != nil {
-				sem <- struct{}{}
+			for k := range out[i] {
+				if sem != nil {
+					sem <- struct{}{}
+				}
+				est, err := s.Estimate(b.assign, h0+k)
+				if sem != nil {
+					<-sem
+				}
+				if err != nil {
+					return nil, err
+				}
+				out[i][k] = est
 			}
-			est, err := s.Estimate(b.assign, h)
-			if sem != nil {
-				<-sem
-			}
-			if err != nil {
-				return nil, err
-			}
-			out[i] = est
 		}
 		return out, nil
 	}
-	sw := s.newSweep(bases, h, 1, sem)
-	if prune != nil {
-		sw.metric = prune.Metric
+	if prune == nil {
+		prune = &RowPrune{}
 	}
-	s.tel.batchSweeps.Inc()
-	s.tel.batchPlans.Add(int64(len(bases)))
-	for i := range sw.lanes {
-		sw.lanes[i].out, sw.lanes[i].thr = out[i:i+1:i+1], prune.threshold(i)
-	}
-	if err := sw.run(); err != nil {
+	s.tel.sweeps.Inc()
+	s.tel.sweepLanes.Add(int64(len(bases)))
+	if err := s.newSweep(bases, out, h0, nh, prune, sem).run(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -582,16 +549,24 @@ func (s *Snapshot) newBases(assigns [][]int) ([]*Basis, *BasisArena, error) {
 	return bases, arena, nil
 }
 
-// EstimateBatch evaluates all candidate plans at hour h: replay once,
-// price h. Results align with assigns; an entry is nil exactly when
-// pruning proved that candidate's Metric mean exceeds its threshold, and
-// otherwise bit-identical to Estimate(assigns[i], h). It is EstimateBases
-// over bases that live for the call.
-func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
+// EstimateBatch evaluates all candidate plans at hour h: EstimateBases
+// over bases that live for the call, read at its one hour. Results align
+// with assigns; an entry is nil exactly when prune proved that candidate's
+// Metric mean at h exceeds Threshold[h], and otherwise bit-identical to
+// Estimate(assigns[i], h).
+func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *RowPrune) ([]*Estimate, error) {
 	bases, arena, err := s.newBases(assigns)
 	if err != nil {
 		return nil, err
 	}
 	defer arena.Release()
-	return s.EstimateBases(bases, h, prune, nil)
+	rows, err := s.EstimateBases(bases, h, 1, prune, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Estimate, len(rows))
+	for i, row := range rows {
+		out[i] = row[0]
+	}
+	return out, nil
 }

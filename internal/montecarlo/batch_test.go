@@ -139,11 +139,13 @@ func TestEstimateBatchSingleAndEmpty(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchPruningExact drives the exact-bound abandonment: on a
-// heavy-tailed workload (no lane converges at the first boundary, so the
-// prune check runs), a threshold of 0 is below any reachable metric floor
-// and must prune the lane to nil, while +Inf thresholds must never prune
-// and the survivors must stay bit-identical to standalone estimates.
+// TestEstimateBatchPruningExact drives the exact-bound abandonment at one
+// hour: on a heavy-tailed workload (no lane converges at the first
+// boundary, so the prune check runs), a threshold of 0 is below any
+// reachable metric floor and must prune the lane to nil, while +Inf
+// thresholds must never prune and the survivors must stay bit-identical to
+// standalone estimates. Thresholds differ per plan, so each plan is its
+// own call.
 func TestEstimateBatchPruningExact(t *testing.T) {
 	enableTelemetry(t)
 	in := &heavyTailInputs{richInputs(t)}
@@ -162,14 +164,14 @@ func TestEstimateBatchPruningExact(t *testing.T) {
 		}
 	}
 	for _, metric := range []BatchMetric{BatchCarbonMean, BatchCostMean, BatchLatencyMean} {
-		prune := &BatchPrune{
-			Metric:    metric,
-			Threshold: []float64{math.Inf(1), 0, math.Inf(1)},
-		}
 		p0 := snap.tel.prunedCandidates.Value()
-		got, err := snap.EstimateBatch(assigns, 0, prune)
-		if err != nil {
-			t.Fatal(err)
+		got := make([]*Estimate, len(assigns))
+		for i, thr := range []float64{math.Inf(1), 0, math.Inf(1)} {
+			es, err := snap.EstimateBatch(assigns[i:i+1], 0, hourPrune(metric, 0, thr, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = es[0]
 		}
 		if got[1] != nil {
 			t.Errorf("metric %d: threshold 0 should prune, got %+v", metric, got[1])
@@ -194,9 +196,12 @@ func TestEstimateBatchPruningExact(t *testing.T) {
 
 // TestEstimateBatchLowerBoundNeverExceedsMetric is the soundness half of
 // the pruning proof at the API level: a threshold set exactly at the
-// plan's true final metric must never prune it, because every
-// intermediate lower bound is ≤ the true mean by construction.
+// plan's true final metric, with the bound looking ahead to the end of the
+// tape, must never prune it, because every intermediate lower bound is ≤
+// the true mean by construction. Each plan is its own call, at its own
+// threshold; the bound columns baked show the checks ran.
 func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
+	enableTelemetry(t)
 	in := &noisyInputs{richInputs(t)}
 	snap, err := New(in, carbon.BestCase(), 42).Compile(nil, []time.Time{t0}, t0)
 	if err != nil {
@@ -221,15 +226,12 @@ func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
 		{BatchCostMean, func(e *Estimate) float64 { return e.CostMean }},
 		{BatchLatencyMean, func(e *Estimate) float64 { return e.LatencyMean }},
 	} {
-		thr := make([]float64, len(plans))
-		for i := range thr {
-			thr[i] = tc.of(full[i])
-		}
-		got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Metric: tc.metric, Threshold: thr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, est := range got {
+		for i := range plans {
+			got, err := snap.EstimateBatch(assigns[i:i+1], 0, hourPrune(tc.metric, 0, tc.of(full[i]), MaxSamples))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := got[0]
 			if est == nil {
 				t.Errorf("metric %d plan %d: pruned at its own true metric — bound not a lower bound", tc.metric, i)
 				continue
@@ -238,6 +240,9 @@ func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
 				t.Errorf("metric %d plan %d: estimate diverges under active thresholds", tc.metric, i)
 			}
 		}
+	}
+	if snap.tel.boundBakeSamples.Value() == 0 {
+		t.Error("no bound column was baked: no prune check ran")
 	}
 }
 
@@ -260,7 +265,7 @@ func TestEstimateBatchFallsBackWithoutSoA(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: []float64{0, 0, 0}})
+		got, err := snap.EstimateBatch(assigns, 0, &RowPrune{Threshold: []float64{0}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,9 @@ package montecarlo
 // lower bound on the metric contribution the sample makes under *any*
 // assignment. Because the tape fixes the event skeleton, such a bound is
 // computable once per (sample, hour) — carbon floors fold the hour's
-// intensities, so the columns live on the hour's header, not the shared
-// tape — by replaying the sample with every region-dependent coefficient
-// replaced by its minimum over the choices a plan could make:
+// intensities, so the columns live in a per-hour cache (boundCache), not
+// on the shared tape — by replaying the sample with every region-dependent
+// coefficient replaced by its minimum over the choices a plan could make:
 //
 //   - per (step, region) terms — the duration quantile, the
 //     intensity-weighted energy product, and the execution cost — take
@@ -38,15 +38,21 @@ package montecarlo
 // which the solver's 1e-9 threshold margin covers by four orders of
 // magnitude.
 //
-// Bounds are only valid as *floors of a mean* when per-sample values are
-// non-negative: samples past the hour's baked prefix contribute an
-// implicit 0 to the floor (they are unknown at prune time). If any baked
-// bound ever goes negative — possible only with pathological negative
-// duration or transfer inputs — ok latches false and pruning is disabled
-// for that hour; results are unaffected because pruning is an
+// Columns are baked only when a prune check asks for them, and only as far
+// as it looks ahead. Bounds are only valid as *floors of a mean* when
+// per-sample values are non-negative: samples past the look-ahead horizon
+// contribute an implicit 0 to the floor (they are unknown at prune time).
+// If any baked bound ever goes negative — possible only with pathological
+// negative duration or transfer inputs — ok latches false and pruning is
+// disabled for that hour; results are unaffected because pruning is an
 // optimization, never a semantic change.
 
-import "caribou/internal/carbon"
+import (
+	"sync"
+	"sync/atomic"
+
+	"caribou/internal/carbon"
+)
 
 // boundTables holds the snapshot-level coefficient minima the bound
 // replay substitutes for region-dependent lookups. Baked once at Compile;
@@ -72,8 +78,8 @@ func minOf(xs []float64) float64 {
 }
 
 // bakeBoundTables fills the snapshot's coefficient minima. Skipped when a
-// deferred exec error exists: the batch evaluator falls back to the
-// sequential path in that case, so bounds would never be read.
+// deferred exec error exists: such a snapshot never prunes, which changes
+// no result.
 func (s *Snapshot) bakeBoundTables() {
 	if s.anyExecErr {
 		return
@@ -120,39 +126,65 @@ func (s *Snapshot) bakeBoundTables() {
 	s.bnd.ok = true
 }
 
-// hourBounds holds one hour's pruning-bound columns over a prefix of the
-// shared tape: preLat/preCost/preCarb are per-sample metric-floor prefix
-// sums (len nSamples+1) — all a prune check reads. ok latches false —
-// disabling pruning for the hour, never changing a result — when a
-// per-sample floor goes negative. Immutable once attached to a published
-// header; extendBounds builds a longer copy.
+// hourBounds holds one hour's pruning-bound columns over the first n
+// samples of the shared tape: preLat/preCost/preCarb are per-sample
+// metric-floor prefix sums (len n+1) — all a prune check reads. ok latches
+// false — disabling pruning for the hour, never changing a result — when a
+// per-sample floor goes negative; the columns then stop growing. Immutable
+// once published; extendBounds builds a longer copy.
 type hourBounds struct {
+	n                        int
 	preLat, preCost, preCarb []float64
 	ok                       bool
 }
 
-// extendBounds returns hour h's bound columns over td's first td.n
-// samples: the columns of the hour's previous header (nil before its first)
-// copied, the new span baked with the hour's intensities. All columns are
-// carved from one arena block.
-func (s *Snapshot) extendBounds(old, td *tapeData, h int) *hourBounds {
-	prev, oldSamp := &hourBounds{ok: true}, 0
-	if old != nil {
-		prev, oldSamp = old.bnd, old.n
+// covers reports whether b answers a prune check looking n samples ahead.
+func (b *hourBounds) covers(n int) bool { return b != nil && (b.n >= n || !b.ok) }
+
+// boundCache is one hour's hourBounds, extended only as far as that hour's
+// prune checks have looked ahead — so its length never depends on what
+// other hours asked for. The mutex serializes extensions; readers load the
+// latest published columns through the atomic pointer.
+type boundCache struct {
+	mu   sync.Mutex
+	data atomic.Pointer[hourBounds]
+}
+
+// ensure returns hour h's bound columns over at least the first n samples
+// (capped at MaxSamples), extending the shared tape and then the columns
+// as needed. The fast path is a single atomic load.
+func (c *boundCache) ensure(s *Snapshot, h, n int) *hourBounds {
+	n = min(n, MaxSamples)
+	if b := c.data.Load(); b.covers(n) {
+		return b
 	}
-	if !prev.ok {
-		return prev
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.data.Load()
+	if old.covers(n) {
+		return old
 	}
-	n := td.n
+	b := s.extendBounds(old, s.tape.ensure(s, n), h, n)
+	c.data.Store(b)
+	return b
+}
+
+// extendBounds returns hour h's bound columns over td's first n samples:
+// old's columns (nil before the hour's first) copied, the new span baked
+// with the hour's intensities. All columns are carved from one arena block.
+func (s *Snapshot) extendBounds(old *hourBounds, td *tapeData, h, n int) *hourBounds {
+	if old == nil {
+		old = &hourBounds{ok: true}
+	}
 	arena := make([]float64, 3*(n+1))
-	b := &hourBounds{ok: true}
+	b := &hourBounds{n: n, ok: true}
 	b.preLat, arena = arena[:n+1:n+1], arena[n+1:]
 	b.preCost, b.preCarb = arena[:n+1:n+1], arena[n+1:]
-	copy(b.preLat, prev.preLat)
-	copy(b.preCost, prev.preCost)
-	copy(b.preCarb, prev.preCarb)
-	s.bakeBoundSamples(td, b, h, oldSamp, n)
-	s.tel.boundBakeSamples.Add(int64(n - oldSamp))
+	copy(b.preLat, old.preLat)
+	copy(b.preCost, old.preCost)
+	copy(b.preCarb, old.preCarb)
+	s.bakeBoundSamples(td, b, h, old.n, n)
+	s.tel.boundBakeSamples.Add(int64(n - old.n))
 	return b
 }
 

@@ -54,14 +54,42 @@ func (s *Snapshot) SlotLeak(assign []int) (leak string, touched int, err error) 
 	return leak, touched, nil
 }
 
-// EstimateRows is EstimateBasisRows over bases that live for the call.
+// EstimateRows is EstimateBases over every compiled hour and bases that
+// live for the call.
 func (s *Snapshot) EstimateRows(assigns [][]int, prune *RowPrune) ([][]*Estimate, error) {
+	return s.EstimateWindow(assigns, 0, len(s.hours), prune)
+}
+
+// EstimateWindow is EstimateBases over [h0, h0+nh) and bases that live for
+// the call.
+func (s *Snapshot) EstimateWindow(assigns [][]int, h0, nh int, prune *RowPrune) ([][]*Estimate, error) {
 	bases, arena, err := s.newBases(assigns)
 	if err != nil {
 		return nil, err
 	}
 	defer arena.Release()
-	return s.EstimateBasisRows(bases, prune)
+	return s.EstimateBases(bases, h0, nh, prune, nil)
+}
+
+// estimateHour is EstimateBases over the one-hour window at h, read at its
+// one column.
+func (s *Snapshot) estimateHour(bases []*Basis, h int, prune *RowPrune, sem chan struct{}) ([]*Estimate, error) {
+	rows, err := s.EstimateBases(bases, h, 1, prune, sem)
+	if err != nil {
+		return nil, err
+	}
+	col := make([]*Estimate, len(rows))
+	for i, row := range rows {
+		col[i] = row[0]
+	}
+	return col, nil
+}
+
+// hourPrune is a RowPrune holding one threshold and horizon, at hour h.
+func hourPrune(m BatchMetric, h int, thr float64, horizon int) *RowPrune {
+	p := &RowPrune{Metric: m, Threshold: make([]float64, h+1), Horizon: make([]int, h+1)}
+	p.Threshold[h], p.Horizon[h] = thr, horizon
+	return p
 }
 
 // ScreenRow replays assign's first batch onto a private basis and returns

@@ -92,20 +92,19 @@ type mcTelemetry struct {
 	// work done once per solve; tapeReplays counts evaluations served from
 	// it — their ratio is the common-random-number amortization factor.
 	// boundBakeSamples counts the per-hour work that remains: samples whose
-	// pruning bounds an hour's header baked (bounds.go).
+	// pruning bounds a prune check had an hour bake (bounds.go).
 	tapeBatches      *telemetry.Counter
 	tapeSamples      *telemetry.Counter
 	tapeReplays      *telemetry.Counter
 	boundBakeSamples *telemetry.Counter
-	// Sweep accounting (basis.go, batch.go): single-hour sweeps run and the
-	// plans they carried, all-hours row sweeps run, plan-batches replayed
-	// onto bases — samples/tapeReplays count each such sample once per plan,
-	// however many hours it is then priced at — (sample, hour) pairs priced,
-	// (plan, hour) candidates abandoned mid-sweep by the exact bound-based
-	// pruning rule, and row cells the screen clause closed unpriced.
-	batchSweeps      *telemetry.Counter
-	batchPlans       *telemetry.Counter
-	rowSweeps        *telemetry.Counter
+	// Sweep accounting (basis.go, batch.go): sweeps run and the lanes —
+	// plans — they carried, plan-batches replayed onto bases —
+	// samples/tapeReplays count each such sample once per plan, however many
+	// hours it is then priced at — (sample, hour) pairs priced, (plan, hour)
+	// cells abandoned mid-sweep by the exact bound-based pruning rule, and
+	// cells the screen clause closed unpriced.
+	sweeps           *telemetry.Counter
+	sweepLanes       *telemetry.Counter
 	basisReplays     *telemetry.Counter
 	hourPrices       *telemetry.Counter
 	prunedCandidates *telemetry.Counter
@@ -122,9 +121,8 @@ func newMCTelemetry() mcTelemetry {
 		tapeSamples:      rec.Counter("montecarlo.tape_samples"),
 		tapeReplays:      rec.Counter("montecarlo.tape_replays"),
 		boundBakeSamples: rec.Counter("montecarlo.bound_bake_samples"),
-		batchSweeps:      rec.Counter("montecarlo.batch_sweeps"),
-		batchPlans:       rec.Counter("montecarlo.batch_plans"),
-		rowSweeps:        rec.Counter("montecarlo.row_sweeps"),
+		sweeps:           rec.Counter("montecarlo.sweeps"),
+		sweepLanes:       rec.Counter("montecarlo.sweep_lanes"),
 		basisReplays:     rec.Counter("montecarlo.basis_replays"),
 		hourPrices:       rec.Counter("montecarlo.hour_prices"),
 		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),

@@ -235,7 +235,8 @@ func TestEstimateRowsMatchEstimate(t *testing.T) {
 // (plan, hour, threshold, horizon): the same plans swept alone, in one
 // chunk, in reverse order, and on a snapshot whose tape other estimates
 // already extended all the way give the same nil pattern and the same
-// pruned_candidates and screened_candidates counts — on the heavy-tail
+// pruned_candidates and screened_candidates counts, and swept over the
+// window's last twelve hours the same nil pattern there — on the heavy-tail
 // chain, where only the bounds fire, and on Text2Speech, where every nil
 // cell is a screened one.
 func TestEstimateRowsPruneIsPure(t *testing.T) {
@@ -341,6 +342,34 @@ func TestEstimateRowsPruneIsPure(t *testing.T) {
 			return rows
 		})
 		same("on a pre-extended tape", got, gotN, want, wantN)
+
+		// The same lanes over the window [h0, H), long enough to screen, on a
+		// fresh snapshot: thresholds, horizons and screens are read at the
+		// absolute hour, so the window closes exactly the cells the full
+		// window closes at those hours, by the same clause.
+		const h0 = 12
+		snap, prune, assigns = fresh()
+		H := snap.NumHours()
+		got, gotN = counted(func() [][]*montecarlo.Estimate {
+			rows, err := snap.EstimateWindow(assigns, h0, H-h0, prune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		})
+		var closed int64
+		for i, nilHere := range got {
+			p, h := i/(H-h0), h0+i%(H-h0)
+			if nilHere != want[p*H+h] {
+				t.Fatalf("%s plan %d hour %d: nil=%v over [%d, %d), %v over the full window", tc.wl.Name, p, h, nilHere, h0, H, want[p*H+h])
+			}
+			if nilHere {
+				closed++
+			}
+		}
+		if gotN[ci] == 0 || gotN[1-ci] != 0 || gotN[ci] != closed {
+			t.Errorf("%s: over [%d, %d) pruned/screened %v for %d nil cells", tc.wl.Name, h0, H, gotN, closed)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 					return nil, err
 				}
 			}
-			es, err := snap.EstimateBases([]*Basis{shared}, h, nil, nil)
+			es, err := snap.estimateHour([]*Basis{shared}, h, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -135,16 +135,16 @@ func TestHourInvarianceAcrossEvalModes(t *testing.T) {
 }
 
 // TestEstimateBatchBoundsPerHour pins what stays per hour over the shared
-// tape. An hour's bound columns cover only the prefix that hour asked
-// for, however far another hour has already extended the tape; extending
-// them later, in steps, bakes exactly the columns a one-shot bake gives;
-// two hours' latency and cost floors are bit-equal and only the carbon
-// floor folds the hour; an hour whose floors go negative latches its own
-// pruning off without touching its neighbour's; and none of it depends on
-// how long a plan's basis already is — hour 0 extends plan 0's basis over
-// several batches, and hour 1, pricing that same basis, still looks ahead
-// one batch at its first boundary and prunes exactly what a fresh snapshot
-// prunes.
+// tape: the bound columns. An unpruned sweep bakes none, however far it
+// extends the tape; an hour's columns cover only what that hour's prune
+// checks looked ahead to; extending them in steps bakes exactly what a
+// one-shot bake gives; two hours' latency and cost floors are bit-equal and
+// only the carbon floor folds the hour; an hour whose floors go negative
+// latches its own pruning off without touching its neighbours'; and none of
+// it depends on how long a plan's basis already is — hour 0 extends plan
+// 0's basis over several batches, and hour 1, pricing that same basis,
+// prunes exactly what a fresh snapshot prunes. Thresholds differ per plan,
+// so each plan is its own call.
 func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	enableTelemetry(t)
 	base := &heavyTailInputs{richInputs(t)}
@@ -178,9 +178,8 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	}
 
 	// Hour 0 extends the shared tape — and plan 0's basis — over several
-	// batches; hour 1 has asked for nothing yet, and its first batch must see
-	// a one-batch horizon.
-	es0, err := snap.EstimateBases(bases[:1], 0, nil, nil)
+	// batches, unpruned: no hour has bound columns yet.
+	es0, err := snap.estimateHour(bases[:1], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,25 +190,38 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	if got := snap.tape.data.Load().n; got != e0.Samples || got < 3*BatchSize {
 		t.Fatalf("shared tape holds %d samples after a %d-sample estimate, want several batches", got, e0.Samples)
 	}
-	if snap.tapes[1].data.Load() != nil {
-		t.Fatal("hour 1 has a header before any hour-1 estimate")
+	for h := range snap.bounds {
+		if snap.bounds[h].data.Load() != nil {
+			t.Fatalf("hour %d has bound columns before any prune check", h)
+		}
 	}
-	if d := snap.tapes[1].ensure(snap, 1, BatchSize); d.n != BatchSize || len(d.bnd.preLat) != BatchSize+1 {
-		t.Fatalf("hour 1 header covers %d samples (%d floors), want one batch", d.n, len(d.bnd.preLat)-1)
+	if b := snap.bounds[1].ensure(snap, 1, BatchSize); b.n != BatchSize || len(b.preLat) != BatchSize+1 {
+		t.Fatalf("hour 1 bounds cover %d samples (%d floors), want one batch", b.n, len(b.preLat)-1)
 	}
-	baked := snap.tel.boundBakeSamples.Value()
-	if want := int64(e0.Samples + BatchSize); baked != want {
-		t.Errorf("bound_bake_samples = %d, want %d (hour 0 in full, hour 1 one batch)", baked, want)
+	if baked := snap.tel.boundBakeSamples.Value(); baked != BatchSize {
+		t.Errorf("bound_bake_samples = %d, want %d (hour 0 unpruned, hour 1 one batch)", baked, BatchSize)
 	}
 
-	// Pruning parity at hour 1 on the stepwise-extended sidecar, through the
-	// bases: plan 0's is already long, the others are empty.
-	prune := &BatchPrune{Metric: BatchCarbonMean, Threshold: []float64{math.Inf(1), 0, math.Inf(1)}}
-	p1, s1 := snap.tel.prunedCandidates.Value(), snap.tel.samples.Value()
-	got, err := snap.EstimateBases(bases, 1, prune, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Plan 0's finite threshold is checked at every boundary and never
+	// prunes, extending hour 1's columns step by step; plan 1's 0 prunes.
+	thrs := []float64{1e300, 0, math.Inf(1)}
+	each := func(h int, eval func(i int, p *RowPrune) ([]*Estimate, error)) []*Estimate {
+		t.Helper()
+		got := make([]*Estimate, len(thrs))
+		for i, thr := range thrs {
+			es, err := eval(i, hourPrune(BatchCarbonMean, h, thr, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = es[0]
+		}
+		return got
 	}
+
+	// Pruning parity at hour 1 through the bases: plan 0's is already long,
+	// the others are empty.
+	p1, s1 := snap.tel.prunedCandidates.Value(), snap.tel.samples.Value()
+	got := each(1, func(i int, p *RowPrune) ([]*Estimate, error) { return snap.estimateHour(bases[i:i+1], 1, p, nil) })
 	if got[1] != nil {
 		t.Errorf("hour 1: threshold 0 should prune, got %+v", got[1])
 	}
@@ -220,10 +232,7 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 	pruned1, samples1 := snap.tel.prunedCandidates.Value()-p1, snap.tel.samples.Value()-s1
 	cold := compile()
 	pc, sc := cold.tel.prunedCandidates.Value(), cold.tel.samples.Value()
-	coldGot, err := cold.EstimateBatch(assigns, 1, prune)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldGot := each(1, func(i int, p *RowPrune) ([]*Estimate, error) { return cold.EstimateBatch(assigns[i:i+1], 1, p) })
 	for i := range got {
 		if (got[i] == nil) != (coldGot[i] == nil) {
 			t.Errorf("hour 1 plan %d: pruned=%v over a long basis, %v on a fresh snapshot", i, got[i] == nil, coldGot[i] == nil)
@@ -248,33 +257,29 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 
 	// Extended batch by batch ≡ baked in one shot, and floors differ between
 	// hours only in carbon.
-	h0, h1 := snap.tapes[0].data.Load().bnd, snap.tapes[1].data.Load().bnd
-	n1 := len(h1.preLat) - 1
-	if n1 < 3*BatchSize {
-		t.Fatalf("hour 1 bounds cover %d samples, want several extensions", n1)
+	h1 := snap.bounds[1].data.Load()
+	if h1.n < 3*BatchSize {
+		t.Fatalf("hour 1 bounds cover %d samples, want several extensions", h1.n)
 	}
 	fresh := compile()
-	oneShot := fresh.tapes[1].ensure(fresh, 1, n1).bnd
+	oneShot := fresh.bounds[1].ensure(fresh, 1, h1.n)
 	if !slices.Equal(h1.preLat, oneShot.preLat) ||
 		!slices.Equal(h1.preCost, oneShot.preCost) || !slices.Equal(h1.preCarb, oneShot.preCarb) {
 		t.Error("hour 1 bounds extended in steps differ from a one-shot bake")
 	}
-	m := min(len(h0.preLat), len(h1.preLat))
-	if !slices.Equal(h0.preLat[:m], h1.preLat[:m]) || !slices.Equal(h0.preCost[:m], h1.preCost[:m]) {
+	h0 := snap.bounds[0].ensure(snap, 0, h1.n)
+	if !slices.Equal(h0.preLat, h1.preLat) || !slices.Equal(h0.preCost, h1.preCost) {
 		t.Error("latency/cost floors differ between hours of one tape")
 	}
-	if slices.Equal(h0.preCarb[:m], h1.preCarb[:m]) {
+	if slices.Equal(h0.preCarb, h1.preCarb) {
 		t.Error("carbon floors ignore the hour's intensities")
 	}
 
 	// Hour 2's negative floors latch its bounds off: nothing is pruned
 	// there, results stay exact, and hours 0 and 1 keep pruning.
 	p0 := snap.tel.prunedCandidates.Value()
-	got, err = snap.EstimateBatch(assigns, 2, prune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.tapes[2].data.Load().bnd.ok {
+	got = each(2, func(i int, p *RowPrune) ([]*Estimate, error) { return snap.EstimateBatch(assigns[i:i+1], 2, p) })
+	if snap.bounds[2].data.Load().ok {
 		t.Fatal("negative carbon floors did not latch hour 2's bounds off")
 	}
 	for i := range assigns {
@@ -290,12 +295,10 @@ func TestEstimateBatchBoundsPerHour(t *testing.T) {
 		t.Error("hour 2 pruned a candidate with its bounds latched off")
 	}
 	for _, h := range []int{0, 1} {
-		if !snap.tapes[h].data.Load().bnd.ok {
+		if !snap.bounds[h].data.Load().ok {
 			t.Errorf("hour 2's latch disabled hour %d's bounds", h)
 		}
-		if got, err = snap.EstimateBatch(assigns, h, prune); err != nil {
-			t.Fatal(err)
-		} else if got[1] != nil {
+		if got = each(h, func(i int, p *RowPrune) ([]*Estimate, error) { return snap.EstimateBatch(assigns[i:i+1], h, p) }); got[1] != nil {
 			t.Errorf("hour %d stopped pruning after hour 2 latched off", h)
 		}
 	}

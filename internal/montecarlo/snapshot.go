@@ -46,13 +46,12 @@ type Snapshot struct {
 	// different hours differ only through intensity[h]/txRF[h].
 	mcSeed int64
 
-	// tape is the solve's lazily compiled sample tape and tapes[h] the
-	// hour's sidecar over it (tape.go); both nil when tape replay is
-	// disabled and every Estimate takes the untaped reference path. Replay
-	// (basis.go) reads tape directly; a sidecar is read only for its length
-	// and its pruning floors.
-	tape  *sampleTape
-	tapes []*hourTape
+	// tape is the solve's lazily compiled sample tape (tape.go) and
+	// bounds[h] the hour's pruning floors over it (bounds.go); both nil when
+	// tape replay is disabled and every Estimate takes the untaped reference
+	// path.
+	tape   *sampleTape
+	bounds []boundCache
 	// Sweeps is what this snapshot's sweeps did in its life — one solve's —
 	// for the solver's span: plan-batches replayed, row cells screened,
 	// (block, hour) pricings and, with telemetry on, nanoseconds in replay,
@@ -323,14 +322,11 @@ func (s *Snapshot) NumHours() int { return len(s.hours) }
 // flip it before sharing the snapshot.
 func (s *Snapshot) SetTapes(on bool) {
 	switch {
-	case on && s.tapes == nil:
+	case on && s.tape == nil:
 		s.tape = &sampleTape{}
-		s.tapes = make([]*hourTape, len(s.hours))
-		for i := range s.tapes {
-			s.tapes[i] = &hourTape{}
-		}
+		s.bounds = make([]boundCache, len(s.hours))
 	case !on:
-		s.tape, s.tapes = nil, nil
+		s.tape, s.bounds = nil, nil
 	}
 }
 
@@ -439,7 +435,7 @@ func (s *Snapshot) Estimate(assign []int, h int) (*Estimate, error) {
 	if err := s.checkArgs(assign, h); err != nil {
 		return nil, err
 	}
-	if s.tapes == nil {
+	if s.tape == nil {
 		return s.estimateUntaped(assign, h)
 	}
 	ests, err := s.EstimateBatch([][]int{assign}, h, nil)

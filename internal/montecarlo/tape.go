@@ -44,7 +44,7 @@ import (
 // hour-to-hour plan differences reflect intensity, never sampling noise.
 // Memory is bounded by MaxSamples × (nodes + edges) records per solve.
 // Only what reads intensity[h]/txRF[h] stays per hour: the pruning-bound
-// columns (hourTape) and pricing (basis.go).
+// columns (bounds.go) and pricing (basis.go).
 
 // Step flags.
 const (
@@ -75,9 +75,6 @@ const (
 // skip targets [skipOff[ei], skipOff[ei+1])): a start offset plus a closing
 // sentinel would have every extension rewrite an index a published header
 // can read.
-//
-// An hour's header (hourTape) is a copy of the shared one with n cut to the
-// prefix that hour has asked for and that hour's bound columns attached.
 type tapeData struct {
 	n int // samples compiled
 
@@ -123,8 +120,6 @@ type tapeData struct {
 	e9 []float64
 
 	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
-
-	bnd *hourBounds // hour headers only; nil when bounds are unavailable
 }
 
 // sampleTape owns the solve's lazily extended tape, shared read-only by
@@ -196,39 +191,6 @@ func (d *tapeData) reserve(samples, steps, edges, nR int) {
 	d.bytes = slices.Grow(d.bytes, edges)
 	d.e9 = slices.Grow(d.e9, edges)
 	d.skipOff = slices.Grow(d.skipOff, edges)
-}
-
-// hourTape is what stays per hour over the shared tape: the header
-// carrying the hour's pruning-bound columns (bounds.go), extended only as
-// far as this hour's estimates have asked for — so its n, the look-ahead
-// horizon of the single-hour prune rule, never depends on what other hours
-// compiled (row sweeps pass their own horizon and ignore n; rows.go). The
-// bound columns fold intensity[h]/txRF[h]; replay itself knows no hour.
-type hourTape struct {
-	mu   sync.Mutex // serializes header extensions
-	data atomic.Pointer[tapeData]
-}
-
-// ensure returns hour h's header over a shared-tape prefix of at least n
-// samples, extending the tape and then the hour's bound columns as needed.
-// The fast path is a single atomic load.
-func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
-	if d := t.data.Load(); d != nil && d.n >= n {
-		return d
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.data.Load()
-	if d != nil && d.n >= n {
-		return d
-	}
-	nd := *s.tape.ensure(s, n)
-	nd.n = min(n, nd.n)
-	if s.bnd.ok {
-		nd.bnd = s.extendBounds(d, &nd, h)
-	}
-	t.data.Store(&nd)
-	return &nd
 }
 
 // bakeStepCols resolves one step's region-dependent terms for every

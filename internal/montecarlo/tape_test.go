@@ -106,16 +106,24 @@ func (h *heavyTailInputs) ExecDuration(dag.NodeID, region.ID) (*stats.Distributi
 }
 
 // TestTapeLazyExtension checks the compile-on-demand contract: a
-// fast-converging plan builds only the first batch; a slow one extends
-// the same hour's tape to MaxSamples; a second hour stays untouched until
-// used.
+// fast-converging plan builds only the first batch of the shared tape; a
+// slow one extends it to MaxSamples; no hour bakes bound columns until a
+// prune check asks, and then only as far as it looks ahead.
 func TestTapeLazyExtension(t *testing.T) {
-	tapeLen := func(s *Snapshot, h int) int {
-		d := s.tapes[h].data.Load()
+	tapeLen := func(s *Snapshot) int {
+		d := s.tape.data.Load()
 		if d == nil {
 			return 0
 		}
 		return d.n
+	}
+	unbaked := func(s *Snapshot) {
+		t.Helper()
+		for h := range s.bounds {
+			if b := s.bounds[h].data.Load(); b != nil {
+				t.Errorf("hour %d baked %d bound samples without a prune check", h, b.n)
+			}
+		}
 	}
 
 	in := chainInputs(t)
@@ -135,11 +143,15 @@ func TestTapeLazyExtension(t *testing.T) {
 	if e.Samples != BatchSize {
 		t.Fatalf("constant inputs should converge in one batch, got %d samples", e.Samples)
 	}
-	if got := tapeLen(snap, 0); got != BatchSize {
-		t.Errorf("hour 0 tape holds %d samples, want exactly one batch (%d)", got, BatchSize)
+	if got := tapeLen(snap); got != BatchSize {
+		t.Errorf("tape holds %d samples, want exactly one batch (%d)", got, BatchSize)
 	}
-	if got := tapeLen(snap, 1); got != 0 {
-		t.Errorf("hour 1 tape compiled %d samples without any estimate", got)
+	unbaked(snap)
+	if b := snap.bounds[1].ensure(snap, 1, 2*BatchSize); b.n != 2*BatchSize || tapeLen(snap) != 2*BatchSize {
+		t.Errorf("hour 1 bounds cover %d samples over a %d-sample tape, want both at %d", b.n, tapeLen(snap), 2*BatchSize)
+	}
+	if b := snap.bounds[0].data.Load(); b != nil {
+		t.Errorf("hour 1's prune horizon baked %d samples at hour 0", b.n)
 	}
 
 	heavy := &heavyTailInputs{fakeInputs: chainInputs(t)}
@@ -160,9 +172,10 @@ func TestTapeLazyExtension(t *testing.T) {
 		t.Fatalf("heavy-tail inputs should exhaust MaxSamples unconverged, got %d converged=%v",
 			he.Samples, he.Converged)
 	}
-	if got := tapeLen(hsnap, 0); got != MaxSamples {
+	if got := tapeLen(hsnap); got != MaxSamples {
 		t.Errorf("tape extended to %d samples, want %d", got, MaxSamples)
 	}
+	unbaked(hsnap)
 	// Extension must not perturb results: parity after the tape is full.
 	assertTapeParity(t, hsnap, dag.NewHomePlan(heavy.d, region.CACentral1), 0)
 }

@@ -25,46 +25,6 @@ const (
 // count so the search trajectory is identical at any parallelism.
 const hbssBatch = 16
 
-// pruneMargin is the relative slack added to every prune threshold. The
-// bound replay's latency and cost floors are float-exact (bounds.go), but
-// its carbon floor sums events where a sample's carbon is priced from
-// per-region and per-pair totals, the prefix-sum floors are accumulated
-// in a different association than the lane's own running sum, and
-// inverting acceptWorse's exp into a metric cutoff crosses exp/ln once;
-// all three slacks are O(n·ε) ≈ 1e-13 relative, absorbed with four orders
-// of magnitude to spare. The margin only ever keeps a candidate alive
-// longer — never prunes one the reference would accept.
-const pruneMargin = 1e-9
-
-// clampDenom mirrors acceptWorse's denominator guard: the relative
-// regression divides by the incumbent metric, floored at 1e-12 for
-// non-positive metrics.
-func clampDenom(m float64) float64 {
-	if m <= 0 {
-		return 1e-12
-	}
-	return m
-}
-
-// pruneThreshold inverts the acceptance rule of one proposal into a
-// metric cutoff: with incumbent metric m0, temperature gamma, and the
-// proposal's pre-drawn uniform u, acceptWorse accepts a candidate metric
-// m iff u < exp(-(m-m0)/(clampDenom(m0)·gamma)), i.e. iff
-// m < m0 − clampDenom(m0)·gamma·ln(u); metrics below m0 are accepted by
-// the strict improvement test regardless. A candidate whose metric
-// provably exceeds the cutoff (plus margin) therefore cannot be accepted
-// by this proposal. u ≤ 0 always accepts (exp(·) > 0), so its cutoff is
-// +Inf — never pruned.
-func pruneThreshold(m0, gamma, u float64) float64 {
-	if u <= 0 {
-		return math.Inf(1)
-	}
-	return withMargin(m0 - clampDenom(m0)*gamma*math.Log(u))
-}
-
-// withMargin is metric cutoff t with pruneMargin's slack on top.
-func withMargin(t float64) float64 { return t + pruneMargin*math.Abs(t) }
-
 // solveHBSS runs the batched, deterministic variant of Alg. 1 from the
 // home deployment. Iteration i draws all of its randomness — the
 // perturbation and the pre-drawn acceptance uniform — from an independent
@@ -103,37 +63,27 @@ func (c *search) solveHBSS(h int, homePlan *plan) (denseResult, error) {
 	explored := int64(1)
 
 	// A round's proposals (views of one flat scratch array — the plan table
-	// copies an assignment only when it is new to the solve), their plans,
-	// prune thresholds and pre-drawn acceptance uniforms live in buffers
-	// reused by every round.
+	// copies an assignment only when it is new to the solve), their plans
+	// and pre-drawn acceptance uniforms live in buffers reused by every
+	// round.
 	n := len(c.elig)
 	scratch := make([]int, hbssBatch*n)
 	assigns := make([][]int, 0, hbssBatch)
 	plans := make([]*plan, 0, hbssBatch)
-	thrs := make([]float64, 0, hbssBatch)
 	uAccept := make([]float64, 0, hbssBatch)
 
 	for iter := 0; iter < alpha; {
-		end := iter + hbssBatch
-		if end > alpha {
-			end = alpha
-		}
-		// m0 is the round-start incumbent metric every prune threshold is
-		// derived from; the acceptance loop re-checks its premise before
-		// honoring a pruned (nil) estimate.
-		m0 := metricOf(current.est, s.obj.Priority)
-		assigns, thrs, uAccept = assigns[:0], thrs[:0], uAccept[:0]
+		end := min(iter+hbssBatch, alpha)
+		assigns, uAccept = assigns[:0], uAccept[:0]
 		for i := iter; i < end; i++ {
 			labelBuf = append(labelBuf[:0], labelPrefix...)
 			labelBuf = strconv.AppendInt(labelBuf, int64(i), 10)
 			rng := simclock.AcquireDerived(s.seed, string(labelBuf))
 			nd := scratch[len(assigns)*n:][:n:n]
 			propose(nd, current.assign, ranked, rng)
-			u := rng.Float64()
+			uAccept = append(uAccept, rng.Float64())
 			rng.Release()
 			assigns = append(assigns, nd)
-			thrs = append(thrs, pruneThreshold(m0, gamma, u))
-			uAccept = append(uAccept, u)
 		}
 		iter = end
 
@@ -143,7 +93,7 @@ func (c *search) solveHBSS(h int, homePlan *plan) (denseResult, error) {
 		// solve — together, in one sweep.
 		s.tel.hbssBatches.Inc()
 		var err error
-		if plans, err = c.evalAllPruned(assigns, h, thrs, plans[:0]); err != nil {
+		if plans, err = c.evalAll(assigns, h, plans[:0]); err != nil {
 			return denseResult{}, err
 		}
 
@@ -155,27 +105,6 @@ func (c *search) solveHBSS(h int, homePlan *plan) (denseResult, error) {
 			p.hours[h].seen = true
 			explored++
 			est := p.hours[h].est
-			if est == nil {
-				// Pruned: the batch sweep proved the candidate's metric
-				// exceeds this proposal's cutoff at round-start state
-				// (m0, round-start gamma). The rejection carries over to
-				// the live state exactly when the cutoff has not loosened
-				// since: gamma only cools (shrinking the cutoff), so it
-				// suffices that the incumbent metric has not risen past
-				// m0 and that the denominator clamp is monotone across
-				// the pair (it is not near 0, where m ≤ 0 clamps to 1e-12
-				// but a tiny positive m does not). Otherwise the proof's
-				// premise lapsed — evaluate in full (memoized,
-				// bit-identical) and run the normal acceptance.
-				mNew := metricOf(current.est, s.obj.Priority)
-				if mNew <= m0 && clampDenom(mNew) <= clampDenom(m0) {
-					continue
-				}
-				var eerr error
-				if est, eerr = c.estimate(p.assign, h); eerr != nil {
-					return denseResult{}, eerr
-				}
-			}
 			if s.violates(est, home.est) {
 				continue
 			}

@@ -16,14 +16,27 @@ import (
 // enumeration is cheaper than sampling.
 const exhaustiveCutoff = 256
 
-// evalChunk bounds how many plans one EstimateRows sweep carries, whatever
-// the worker count: longer job lists split into chunk-grained goroutines so
-// the worker bound still applies. Chunk boundaries depend only on the job
+// pruneMargin is the relative slack added to every row prune threshold.
+// The bound replay's latency and cost floors are float-exact (bounds.go),
+// but its carbon floor sums events where a sample's carbon is priced from
+// per-region and per-pair totals, and the prefix-sum floors are
+// accumulated in a different association than the lane's own running sum;
+// both slacks are O(n·ε) ≈ 1e-13 relative, absorbed with four orders of
+// magnitude to spare. The margin only ever keeps a candidate alive longer —
+// never prunes one that could win its hour.
+const pruneMargin = 1e-9
+
+// withMargin is metric cutoff t with pruneMargin's slack on top.
+func withMargin(t float64) float64 { return t + pruneMargin*math.Abs(t) }
+
+// evalChunk bounds how many plans one row sweep carries, whatever the
+// worker count: longer job lists split into chunk-grained goroutines so the
+// worker bound still applies. Chunk boundaries depend only on the job
 // order, never on scheduling. (An HBSS round's ≤ hbssBatch proposals are
-// one EstimateBases sweep.)
+// one single-hour sweep.)
 const evalChunk = 16
 
-// rowSeries bounds what one EstimateRows chunk holds in flight, in hour
+// rowSeries bounds what one row-sweep chunk holds in flight, in hour
 // series (lanes × hours): every row lane keeps hours × samples of carbon
 // series while it sweeps. A 24-hour window gets 4 lanes per chunk — a lane
 // there prices every hour at each tape event, so sharing the event's
@@ -158,15 +171,6 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 	return c, nil
 }
 
-// estimate evaluates a single assignment at hour h through the memo.
-func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
-	plans, err := c.evalAllPruned([][]int{assign}, h, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return plans[0].hours[h].est, nil
-}
-
 // forEach runs fn(0) … fn(n-1): inline on a serial solver, otherwise each
 // call under an evaluation slot — concurrently when there is more than one
 // — so Monte Carlo work stays bounded by the worker count however many
@@ -196,7 +200,7 @@ func (c *search) forEach(n int, fn func(i int)) {
 	}
 }
 
-// batchMetric maps the solver priority onto the batch sweep's pruning
+// batchMetric maps the solver priority onto the row sweep's pruning
 // metric — the same mean metricOf reads.
 func batchMetric(p Priority) montecarlo.BatchMetric {
 	switch p {
@@ -209,36 +213,27 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 	}
 }
 
-// evalAllPruned interns the assignments (appending their plans to plans)
-// and leaves each plan's estimate at hour h in its hours[h].est: memo hits
+// evalAll interns the assignments (appending their plans to plans) and
+// leaves each plan's estimate at hour h in its hours[h].est: memo hits
 // stand, misses are deduplicated, computed, and memoized. Errors surface
 // in first-assignment order so failure behaviour is as deterministic as
 // success. The assignments are copied on first sight, never retained.
 //
-// A miss is priced from its plan's basis (montecarlo.EstimateBases): plans
-// new to the solve replay their first batch together in one shared sweep, a
-// plan some hour already replayed costs only the pricing of this hour, and
-// a basis another hour's coordinator is working on is waited for without
-// holding an evaluation slot — the calling coordinator holds none; replay
-// takes one inside the sweep, after the basis lock. thr carries
-// per-assignment abandonment thresholds (nil, or +Inf entries, disable
-// pruning): an estimate still nil afterwards means the sweep proved that
-// candidate's priority metric exceeds its threshold. Pruned results are
-// never memoized — the proof is relative to this call's thresholds — and
-// the basis stays usable. A duplicated assignment's job carries the
-// threshold of its first unmemoized occurrence; that is the only occurrence
-// whose estimate the HBSS acceptance loop can reach (later duplicates fail
-// its seen check), so the sharing cannot leak a prune decision across
-// different thresholds. With UntapedEstimates, EstimateBases itself
+// A miss is priced from its plan's basis (montecarlo.EstimateBases over the
+// one-hour window, unpruned): plans new to the solve replay their first
+// batch together in one shared sweep, a plan some hour already replayed
+// costs only the pricing of this hour, and a basis another hour's
+// coordinator is working on is waited for without holding an evaluation
+// slot — the calling coordinator holds none; replay takes one inside the
+// sweep, after the basis lock. With UntapedEstimates, EstimateBases itself
 // evaluates every miss as a plain untaped Estimate under an evaluation
-// slot, one after the other, unpruned.
-func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64, plans []*plan) ([]*plan, error) {
+// slot, one after the other.
+func (c *search) evalAll(assigns [][]int, h int, plans []*plan) ([]*plan, error) {
 	jobs := make([]*plan, 0, len(assigns)) // each unmemoized plan, at its first occurrence
 	bases := make([]*montecarlo.Basis, 0, len(assigns))
-	ts := make([]float64, 0, len(assigns))
 	var hits, basisHits int64
 	c.mu.Lock()
-	for i, a := range assigns {
+	for _, a := range assigns {
 		p := c.intern(a)
 		plans = append(plans, p)
 		if p.hours[h].est != nil {
@@ -260,11 +255,6 @@ func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64, plans []*p
 			basisHits++
 		}
 		bases = append(bases, p.basis)
-		t := math.Inf(1)
-		if thr != nil {
-			t = thr[i]
-		}
-		ts = append(ts, t)
 	}
 	c.mu.Unlock()
 	c.s.tel.memoHits.Add(hits)
@@ -274,19 +264,16 @@ func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64, plans []*p
 		return plans, nil
 	}
 
-	prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
-	ests, err := c.snap.EstimateBases(bases, h, prune, c.sem)
+	ests, err := c.snap.EstimateBases(bases, h, 1, nil, c.sem)
 	if err != nil {
 		return nil, err
 	}
 
 	c.mu.Lock()
 	for j, p := range jobs {
-		if ests[j] != nil { // nil: pruned, valid only against this call's thresholds
-			p.hours[h].est = ests[j]
-			c.memoized++
-		}
+		p.hours[h].est = ests[j][0]
 	}
+	c.memoized += int64(len(jobs))
 	c.mu.Unlock()
 	return plans, nil
 }
@@ -294,8 +281,8 @@ func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64, plans []*p
 // evalRows returns, for distinct assignments, their estimates at every
 // hour of the compiled window: rows[i][h]. Memoized (plan, hour) pairs are
 // returned directly; a plan with any pair missing is evaluated as one hour
-// row through a montecarlo row sweep, where one pass over the tape prices
-// every hour (hour by hour through untaped Estimates with
+// row through a montecarlo sweep over the whole window, where one pass over
+// the tape prices every hour (hour by hour through untaped Estimates with
 // UntapedEstimates), in chunks of at most rowSeries hour series across the
 // worker semaphore. prune carries the per-hour abandonment thresholds (nil
 // disables pruning; the untaped path never prunes): a nil entry means the
@@ -361,7 +348,7 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 			}
 		}
 		var es [][]*montecarlo.Estimate
-		if es, errs[lo] = c.snap.EstimateBasisRows(bases[lo:hi], prune); errs[lo] == nil {
+		if es, errs[lo] = c.snap.EstimateBases(bases[lo:hi], 0, H, prune, nil); errs[lo] == nil {
 			copy(ests[lo:hi], es)
 		}
 	})
@@ -382,7 +369,7 @@ func (c *search) evalRows(assigns [][]int, prune *montecarlo.RowPrune, tighten f
 	if len(parked) > 0 {
 		var es [][]*montecarlo.Estimate
 		var err error
-		c.forEach(1, func(int) { es, err = c.snap.EstimateBasisRows(parked, tighten(parked)) })
+		c.forEach(1, func(int) { es, err = c.snap.EstimateBases(parked, 0, H, tighten(parked), nil) })
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +414,7 @@ func (c *search) solveAllHours() ([]Result, error) {
 	results := make([]Result, n)
 	errs := make([]error, n)
 	solve := func(h int) {
-		home, err := c.evalAllPruned([][]int{c.snap.HomeAssign()}, h, nil, nil)
+		home, err := c.evalAll([][]int{c.snap.HomeAssign()}, h, nil)
 		if err != nil {
 			errs[h] = err
 			return

@@ -34,6 +34,7 @@ var reuseCounters = []string{
 	"montecarlo.samples", "montecarlo.estimates", "montecarlo.pruned_candidates",
 	"montecarlo.basis_replays", "montecarlo.hour_prices", "montecarlo.tape_samples",
 	"solver.estimates", "solver.memo_hits", "solver.basis_hits", "solver.hbss_batches",
+	"montecarlo.bound_bake_samples",
 }
 
 // TestSolveHourlyPlanReuse pins the per-plan basis memo of an HBSS solve.
@@ -43,9 +44,10 @@ var reuseCounters = []string{
 // solve, montecarlo.samples is exactly the sum over distinct plans of the
 // furthest batch boundary any hour needed (the length of the plan's
 // basis), strictly less than the per-(plan, hour) total the parent
-// replayed; solver.basis_hits is estimates minus distinct plans; and where
-// nothing is pruned a basis is exactly as long as its hungriest memoized
-// estimate. Runs under -race, -count=2 in `make race`.
+// replayed; solver.basis_hits is estimates minus distinct plans; a basis is
+// exactly as long as its hungriest memoized estimate, since HBSS prunes
+// nothing; and no hour bakes a pruning bound. Runs under -race, -count=2 in
+// `make race`.
 func TestSolveHourlyPlanReuse(t *testing.T) {
 	rec := telemetry.Enable(telemetry.Options{})
 	t.Cleanup(telemetry.Disable)
@@ -55,7 +57,7 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 		in      montecarlo.Inputs
 		at      time.Time
 		maxIter int
-		pruning bool
+		multi   bool // some basis must outgrow its first batch
 	}{
 		{"image-processing", learned(t, workloads.ImageProcessing(), region.USEast1), now, 0, false},
 		{"spread-chain", &driftingInputs{&spreadInputs{chainInputs(t, 5)}}, t0, 0, true},
@@ -130,7 +132,7 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 			held := 0
 			for k, n := range ref.bases {
 				held += n
-				if w := ref.wanted[k]; n < w || !fx.pruning && n != w {
+				if w := ref.wanted[k]; n != w {
 					t.Errorf("plan %x: basis holds %d samples, its hungriest estimate needed %d", k, n, w)
 				}
 			}
@@ -146,10 +148,10 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 			if basisHits != estimates-int64(len(ref.bases)) {
 				t.Errorf("solver.basis_hits = %d, want estimates %d − distinct plans %d", basisHits, estimates, len(ref.bases))
 			}
-			if fx.pruning && ref.counters[2] == 0 {
-				t.Error("pruning never fired: the pruned-hour half of the check is vacuous")
+			if baked := ref.counters[10]; baked != 0 {
+				t.Errorf("montecarlo.bound_bake_samples grew by %d: an HBSS solve reads no pruning bound", baked)
 			}
-			if fx.pruning {
+			if fx.multi {
 				multi := false
 				for _, n := range ref.bases {
 					multi = multi || n > montecarlo.BatchSize

@@ -102,9 +102,9 @@ type Config struct {
 	// instead of shared sweeps over per-plan bases replayed from the
 	// solve's compiled sample tape. Results are bit-identical either way:
 	// surviving candidates replay the exact reference arithmetic, and every
-	// pruned candidate is one the acceptance rule provably rejects (asserted
-	// by the solver mode grid and the pruning property tests). The switch is
-	// the oracle those tests compare against.
+	// pruned (plan, hour) of an exhaustive enumeration provably cannot win
+	// its hour (asserted by the solver mode grid and the pruning property
+	// tests). The switch is the oracle those tests compare against.
 	UntapedEstimates bool
 }
 

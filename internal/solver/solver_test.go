@@ -122,6 +122,15 @@ func newSolver(t *testing.T, in montecarlo.Inputs, obj Objective, cons region.Co
 	return s
 }
 
+// estimate evaluates a single assignment at hour h through the memo.
+func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
+	plans, err := c.evalAll([][]int{assign}, h, nil)
+	if err != nil {
+		return nil, err
+	}
+	return plans[0].hours[h].est, nil
+}
+
 func TestExhaustiveFindsGreenestRegion(t *testing.T) {
 	in := chainInputs(t, 2) // 4^2 = 16 plans → exhaustive path
 	s := newSolver(t, in, Objective{Priority: PriorityCarbon}, region.Constraint{})
