@@ -18,12 +18,13 @@ test:
 # and arena pools while Workers: 8 extend a fresh solve's one tape. Line 3:
 # the control plane's shards, the manager and the run store. Line 4: the
 # eval pool's determinism (Workers 1 vs 8), telemetry inertness, the shared
-# carbon source, the result codec and TestSimulatorBlobDigests.
+# carbon source and forecasters, the result codec and
+# TestSimulatorBlobDigests.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
 	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
-	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests' ./internal/eval/... ./internal/carbon/...
+	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests|TestSharedForecasts' ./internal/eval/... ./internal/carbon/... ./internal/metrics/...
 
 # fuzz gives each native fuzz target a short budget (go test takes one
 # -fuzz target per package per run); no target may panic, and:

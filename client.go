@@ -11,6 +11,7 @@ import (
 	"caribou/internal/core"
 	"caribou/internal/dag"
 	"caribou/internal/executor"
+	"caribou/internal/manager"
 	"caribou/internal/region"
 	"caribou/internal/solver"
 	"caribou/internal/trace"
@@ -240,11 +241,7 @@ func (a *App) InvokeTrace(dailyInvocations float64) error {
 // Solve computes 24 hourly deployment plans for the day starting at the
 // current virtual time and applies them (manual alternative to Adaptive).
 func (a *App) Solve() error {
-	now := a.client.Now()
-	if err := a.inner.Metrics.RefreshForecasts(now); err != nil {
-		return err
-	}
-	plans, _, err := a.inner.Solver.SolveHourly(now, now)
+	plans, _, err := manager.Solve(a.inner.Metrics, a.inner.Solver, a.client.Now(), manager.GranularityHourly)
 	if err != nil {
 		return err
 	}

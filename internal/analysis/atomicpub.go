@@ -173,7 +173,7 @@ func rootObj(info *types.Info, expr ast.Expr) types.Object {
 func runShardOwnership(mp *ModulePass) {
 	// A method is a mutator if it writes owned fields directly or calls
 	// (on the same owned type) another mutator — computed to fixpoint so
-	// wrappers like ForceCheck -> check -> solve are covered.
+	// wrappers like ForceCheck -> check -> publish are covered.
 	type methodKey struct{ typ, name string }
 	methods := map[methodKey]*FuncSum{}
 	var keys []methodKey

@@ -13,7 +13,8 @@ import (
 // whose body must be deterministic: registrations across workloads and
 // granularities, interleaved trace deltas (including heartbeats and
 // out-of-order timestamps), plan queries (current hour and full set),
-// and a forced solve.
+// a forced solve, and a US-only tenant whose hourly plans follow the
+// carbon forecast.
 func scriptedRequests() []struct{ method, path, body string } {
 	at := func(h int) string { return DefaultStart.Add(time.Duration(h) * time.Hour).Format(time.RFC3339) }
 	return []struct{ method, path, body string }{
@@ -35,6 +36,9 @@ func scriptedRequests() []struct{ method, path, body string } {
 		{"GET", "/v1/workflows/beta/plan", ""},
 		{"POST", "/v1/workflows/gamma/trace", fmt.Sprintf(`{"at":%q,"invocations":250}`, at(16))},
 		{"GET", "/v1/workflows/gamma/plan?hours=all", ""},
+		{"POST", "/v1/workflows", usOnlyRegister("delta", "text2speech-censoring")},
+		{"POST", "/v1/workflows/delta/trace", fmt.Sprintf(`{"at":%q,"invocations":200}`, at(13))},
+		{"GET", "/v1/workflows/delta/plan?hours=all", ""},
 	}
 }
 

@@ -247,10 +247,10 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	return res, nil
 }
 
-// check runs one due budget check at virtual time now: solve at the
-// affordable granularity and publish a fresh snapshot, or record a skip
-// (which expires the active plan, routing traffic home). Shard-worker
-// only.
+// check runs one due budget check at virtual time now: run the planning
+// step (manager.Solve) at the affordable granularity and publish a fresh
+// snapshot, or record a skip (which expires the active plan, routing
+// traffic home). Shard-worker only.
 func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
 	hourlyCost, dailyCost := t.win.Costs(now)
 	g := t.stream.Check(now, hourlyCost, dailyCost)
@@ -261,9 +261,11 @@ func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
 	case manager.GranularityHourly:
 		cost = hourlyCost
 	}
-	if err := t.solve(now, cost, g); err != nil {
-		return manager.GranularityNone, err
+	plans, results, err := manager.Solve(t.mm, t.solv, now, g)
+	if err != nil {
+		return manager.GranularityNone, fmt.Errorf("tenant %s: %s solve: %w", t.spec.ID, g, err)
 	}
+	t.publish(now, cost, g, plans, results)
 	return g, nil
 }
 
@@ -277,46 +279,23 @@ func (t *Tenant) ForceCheck(now time.Time) (manager.Granularity, error) {
 	return t.check(now)
 }
 
-// solve runs one plan generation at granularity g and atomically
-// publishes the result.
-func (t *Tenant) solve(now time.Time, cost float64, g manager.Granularity) error {
-	var plans dag.HourlyPlans
-	var est *montecarlo.Estimate
+// publish debits a plan generation at granularity g and atomically
+// publishes its plans, with the current hour's estimate.
+func (t *Tenant) publish(now time.Time, cost float64, g manager.Granularity, plans dag.HourlyPlans, results []solver.Result) {
+	est := results[0].Estimate
 	if g == manager.GranularityHourly {
-		hp, results, err := t.solv.SolveHourly(dayStart(now), now)
-		if err != nil {
-			return fmt.Errorf("tenant %s: hourly solve: %w", t.spec.ID, err)
-		}
-		plans = hp
 		est = results[now.UTC().Hour()].Estimate
-	} else {
-		res, err := t.solv.SolveOne(now, now)
-		if err != nil {
-			return fmt.Errorf("tenant %s: daily solve: %w", t.spec.ID, err)
-		}
-		plans = dag.Uniform(res.Plan)
-		est = res.Estimate
 	}
 	t.stream.NoteSolve(now, cost, plans)
 	t.versions++
-	snap := &PlanSnapshot{
+	t.plan.Store(&PlanSnapshot{
 		Version:     t.versions,
 		Granularity: g,
 		GeneratedAt: now,
 		ExpiresAt:   t.stream.PlanExpiry(),
 		Plans:       plans,
-	}
-	if est != nil {
-		snap.CarbonMean = est.CarbonMean
-		snap.LatencyMean = est.LatencyMean
-		snap.CostMean = est.CostMean
-	}
-	t.plan.Store(snap)
-	return nil
-}
-
-// dayStart truncates t to the UTC day boundary SolveHourly expects.
-func dayStart(t time.Time) time.Time {
-	u := t.UTC()
-	return time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
+		CarbonMean:  est.CarbonMean,
+		LatencyMean: est.LatencyMean,
+		CostMean:    est.CostMean,
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"caribou/internal/core"
 	"caribou/internal/dag"
 	"caribou/internal/executor"
+	"caribou/internal/manager"
 	"caribou/internal/region"
 	"caribou/internal/solver"
 	"caribou/internal/stats"
@@ -256,7 +257,7 @@ func ExtSignal(p *Pool, wls []*workloads.Workload, seed int64, perDay int) ([]Ex
 			return fmt.Errorf("ext-signal %s: %w", wl.Name, err)
 		}
 		now := EvalStart.Add(24 * time.Hour)
-		aciPlans, _, err := app.Solver.SolveHourly(now, now)
+		aciPlans, _, err := manager.Solve(app.Metrics, app.Solver, now, manager.GranularityHourly)
 		if err != nil {
 			return err
 		}
@@ -286,10 +287,7 @@ func ExtSignal(p *Pool, wls []*workloads.Workload, seed int64, perDay int) ([]Ex
 		gap := 24 * time.Hour / time.Duration(perDay)
 		app2.ScheduleUniform(EvalStart, perDay, gap, workloads.Small)
 		env2.RunUntil(EvalStart.Add(24 * time.Hour))
-		if err := app2.Metrics.RefreshForecasts(now); err != nil {
-			return err
-		}
-		mciPlans, _, err := app2.Solver.SolveHourly(now, now)
+		mciPlans, _, err := manager.Solve(app2.Metrics, app2.Solver, now, manager.GranularityHourly)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"caribou/internal/carbon"
 	"caribou/internal/core"
 	"caribou/internal/executor"
+	"caribou/internal/manager"
 	"caribou/internal/metrics"
 	"caribou/internal/netmodel"
 	"caribou/internal/pricing"
@@ -133,10 +134,7 @@ func fig13aRun(freq int, scenario string, tx carbon.TransmissionModel, opt Fig13
 		at := start.Add(time.Duration(i)*period + time.Hour) // after some data exists
 		env.Sched.At(at, func() {
 			now := env.Sched.Now()
-			if err := app.Metrics.RefreshForecasts(now); err != nil {
-				return
-			}
-			plans, _, err := app.Solver.SolveHourly(now, now)
+			plans, _, err := manager.Solve(app.Metrics, app.Solver, now, manager.GranularityHourly)
 			if err != nil {
 				return
 			}

@@ -14,6 +14,7 @@ import (
 	"caribou/internal/core"
 	"caribou/internal/dag"
 	"caribou/internal/executor"
+	"caribou/internal/manager"
 	"caribou/internal/platform"
 	"caribou/internal/region"
 	"caribou/internal/solver"
@@ -160,10 +161,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		// start, run that day.
 		for d := 0; d < cfg.EvalDays; d++ {
 			dayStart := evalStartT.Add(time.Duration(d) * 24 * time.Hour)
-			if err := app.Metrics.RefreshForecasts(dayStart); err != nil {
-				return nil, err
-			}
-			plans, _, err := app.Solver.SolveHourly(dayStart, dayStart)
+			plans, _, err := manager.Solve(app.Metrics, app.Solver, dayStart, manager.GranularityHourly)
 			if err != nil {
 				return nil, err
 			}

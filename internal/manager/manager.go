@@ -144,7 +144,7 @@ func (m *Manager) Tick(now time.Time) (bool, error) {
 	if hourly {
 		cost = hourlyCost
 	}
-	plans, results, err := m.solve(now, hourly)
+	plans, results, err := Solve(m.win.MM, m.solv, now, g)
 	if err != nil {
 		return false, nil // the home fallback serves traffic until the next check
 	}
@@ -168,20 +168,19 @@ func (m *Manager) Tick(now time.Time) (bool, error) {
 	return true, nil
 }
 
-// solve generates a fresh plan set: 24 hourly plans, or one daily plan
-// reused for all hours (§5.2 granularity adaptation).
-func (m *Manager) solve(now time.Time, hourly bool) (dag.HourlyPlans, []solver.Result, error) {
-	if err := m.win.MM.RefreshForecasts(now); err != nil {
+// Solve is the one planning step of §5.2 and §7.2: it refits mm's carbon
+// forecasters through now and solves the 24 hours from now — 24 hourly
+// plans with results indexed by hour of day, or, at daily granularity, one
+// plan reused for every hour with its one result.
+func Solve(mm *metrics.Manager, solv *solver.Solver, now time.Time, g Granularity) (dag.HourlyPlans, []solver.Result, error) {
+	if err := mm.RefreshForecasts(now); err != nil {
 		return dag.HourlyPlans{}, nil, err
 	}
-	if hourly {
-		return m.solv.SolveHourly(now, now)
+	if g == GranularityHourly {
+		return solv.SolveHourly(now, now)
 	}
-	res, err := m.solv.SolveOne(now, now)
-	if err != nil {
-		return dag.HourlyPlans{}, nil, err
-	}
-	return dag.Uniform(res.Plan), []solver.Result{res}, nil
+	res, err := solv.SolveOne(now, now)
+	return dag.Uniform(res.Plan), []solver.Result{res}, err
 }
 
 // chargeMigration accounts image-replication transmission carbon against

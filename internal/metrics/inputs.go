@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"caribou/internal/carbon"
 	"caribou/internal/dag"
 	"caribou/internal/forecast"
 	"caribou/internal/platform"
@@ -121,36 +123,61 @@ func (m *Manager) DAG() *dag.DAG { return m.d }
 // Catalogue returns the region catalogue.
 func (m *Manager) Catalogue() *region.Catalogue { return m.cat }
 
-// RefreshForecasts refits the Holt-Winters carbon forecasters using the
-// hourly intensities of the week preceding now (§7.2: once a day, previous
-// week as input).
+// hourlySource is the history forecasters train on.
+type hourlySource interface {
+	Hourly(zone string, from, to time.Time) ([]float64, error)
+}
+
+// fits shares fitted forecasters process-wide, keyed by (source, zone,
+// trained-through hour), and fits each key once however many Managers ask
+// at once. A model is immutable after forecast.Fit. Entries are bounded by
+// hours × zones per source; a failed fit is dropped, so it is retried.
+var fits sync.Map // fitKey -> func() (*forecast.Model, error)
+
+type fitKey struct {
+	src  hourlySource
+	zone string
+	end  int64 // unix seconds
+}
+
+// fitWeek returns zone's Holt-Winters model trained on the week of src's
+// history that ends at end (§7.2).
+func fitWeek(src carbon.Source, zone string, end time.Time) (*forecast.Model, error) {
+	h, ok := src.(hourlySource)
+	if !ok {
+		return nil, fmt.Errorf("metrics: carbon source does not expose hourly history")
+	}
+	key := fitKey{h, zone, end.Unix()}
+	fit, _ := fits.LoadOrStore(key, sync.OnceValues(func() (*forecast.Model, error) {
+		series, err := h.Hourly(zone, end.Add(-7*24*time.Hour), end)
+		if err != nil {
+			return nil, err
+		}
+		return forecast.Fit(series, 24)
+	}))
+	model, err := fit.(func() (*forecast.Model, error))()
+	if err != nil {
+		fits.Delete(key)
+	}
+	return model, err
+}
+
+// RefreshForecasts refits the Holt-Winters carbon forecasters on the week
+// preceding now (§7.2: once a day, previous week as input). It fits every
+// zone before installing any, so a failed refresh keeps the forecasters and
+// the trained-through hour it had.
 func (m *Manager) RefreshForecasts(now time.Time) error {
 	end := now.UTC().Truncate(time.Hour)
-	start := end.Add(-7 * 24 * time.Hour)
-	type hourly interface {
-		Hourly(zone string, from, to time.Time) ([]float64, error)
-	}
-	h, ok := m.src.(hourly)
-	if !ok {
-		return fmt.Errorf("metrics: carbon source does not expose hourly history")
-	}
-	zones := map[string]bool{}
+	fitted := map[string]*forecast.Model{}
 	for _, id := range m.cat.IDs() {
 		r, _ := m.cat.Get(id)
-		zones[r.GridZone] = true
-	}
-	for z := range zones {
-		series, err := h.Hourly(z, start, end)
+		model, err := fitWeek(m.src, r.GridZone, end)
 		if err != nil {
-			return fmt.Errorf("metrics: history for %s: %w", z, err)
+			return fmt.Errorf("metrics: forecast %s: %w", r.GridZone, err)
 		}
-		model, err := forecast.Fit(series, 24)
-		if err != nil {
-			return fmt.Errorf("metrics: fit %s: %w", z, err)
-		}
-		m.forecasters[z] = model
+		fitted[r.GridZone] = model
 	}
-	m.forecastAt = end
+	m.forecasters, m.forecastAt = fitted, end
 	return nil
 }
 
@@ -207,26 +234,15 @@ func (m *Manager) ForecastMAPE(r region.ID, trainEnd time.Time, horizon int) (fl
 	if err != nil {
 		return 0, err
 	}
-	type hourly interface {
-		Hourly(zone string, from, to time.Time) ([]float64, error)
-	}
-	h, ok := m.src.(hourly)
-	if !ok {
-		return 0, fmt.Errorf("metrics: carbon source does not expose hourly history")
-	}
 	end := trainEnd.UTC().Truncate(time.Hour)
-	train, err := h.Hourly(zone, end.Add(-7*24*time.Hour), end)
+	model, err := fitWeek(m.src, zone, end)
 	if err != nil {
 		return 0, err
 	}
-	model, err := forecast.Fit(train, 24)
+	// fitWeek succeeded, so the source exposes hourly history.
+	actual, err := m.src.(hourlySource).Hourly(zone, end, end.Add(time.Duration(horizon)*time.Hour))
 	if err != nil {
 		return 0, err
 	}
-	actual, err := h.Hourly(zone, end, end.Add(time.Duration(horizon)*time.Hour))
-	if err != nil {
-		return 0, err
-	}
-	pred := model.ForecastRange(len(actual))
-	return stats.MAPE(actual, pred)
+	return stats.MAPE(actual, model.ForecastRange(len(actual)))
 }
