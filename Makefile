@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz vet lint bench sweep-clean verify eval-output
+.PHONY: all build test race fuzz vet lint bench sweep-clean verify
 
 all: build
 
@@ -22,7 +22,7 @@ test:
 # TestSimulatorBlobDigests.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestDeltaHeavyTail|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests|TestSharedForecasts' ./internal/eval/... ./internal/carbon/... ./internal/metrics/...
 
@@ -81,11 +81,12 @@ vet:
 lint:
 	$(GO) run ./cmd/caribou-lint ./...
 
-# bench is a short smoke pass (one iteration per benchmark) so the whole
-# suite stays in CI budget; use `go test -bench . -benchtime Nx .` for
-# stable timings, and `go run ./benchmark` for the serving workloads.
+# bench is a short smoke pass: one iteration of every kernel benchmark in
+# the module, each next to the package it measures. Use `go test -bench
+# NAME -benchtime Nx ./internal/PKG/` for stable timings, and `go run
+# ./benchmark` for the end-to-end workloads and per-layer metrics.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./...
 
 # sweep-clean removes the durable run cache: the default store
 # caribou-eval -cache-dir and caribou-sweep write to.
@@ -96,8 +97,3 @@ sweep-clean:
 # solver/montecarlo/telemetry/eval-pool + vet + the determinism lint.
 verify: build test race vet lint
 	@echo "verify: ok"
-
-# eval-output regenerates the quick-mode sample of every experiment. The
-# artifact is gitignored — regenerate locally instead of versioning it.
-eval-output:
-	$(GO) run ./cmd/caribou-eval -quick all > eval_output.txt

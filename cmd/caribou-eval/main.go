@@ -1,13 +1,18 @@
 // Command caribou-eval regenerates every table and figure of the paper's
-// evaluation (§9) on the simulated substrate.
+// evaluation (§9) on the simulated substrate, plus the extensions and
+// ablations beyond it.
 //
 // Usage:
 //
-//	caribou-eval [-quick] [-seed N] [-workers N] [-trace FILE] [-telemetry] <experiment>
+//	caribou-eval [flags] <experiment>
 //
-// where <experiment> is one of: fig2, table1, fig7, fig8, fig9, fig10,
-// fig11, fig12, fig13, table2, all. The -quick flag shrinks workload
-// counts and trace volumes for a fast sanity pass.
+// where <experiment> is one of the paper's exhibits (fig2, table1, fig7,
+// fig8, fig9, fig10, fig11, fig12, fig13, table2), an extension or ablation
+// (ext-global, ext-temporal, ext-signal, ext-shift, ablate-solver,
+// ablate-forecast, ablate-bench), or all, which runs every one of them in
+// that order. `caribou-eval -h` lists the flags. The -quick flag shrinks
+// workload counts and trace volumes for a fast sanity pass; -plot adds
+// terminal charts and -csv DIR writes per-experiment CSV files.
 //
 // Observability: -trace FILE dumps an NDJSON telemetry trace (spans,
 // events, instruments) and -telemetry prints a summary table to stderr;
@@ -39,14 +44,7 @@ func main() { os.Exit(realMain()) }
 // realMain carries main's body so deferred cleanup (profile flushes,
 // trace writes) runs before the process exits.
 func realMain() int {
-	quick := flag.Bool("quick", false, "reduced workload set and trace volume")
-	cacheDir := flag.String("cache-dir", "", "content-addressed run cache directory (see caribou-sweep); warm re-runs execute zero solver work")
-	plot := flag.Bool("plot", false, "also render terminal charts of the figure shapes")
-	csvDir := flag.String("csv", "", "directory to also write per-experiment CSV files into")
-	seed := flag.Int64("seed", 17, "experiment seed")
-	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS)")
-	evalMode := flag.String("eval-mode", "", "solver evaluation path: untaped, the draw-per-sample reference (default: shared sweeps over per-plan bases; the two are bit-identical)")
-	diagFlags := diag.Register(flag.CommandLine)
+	f := register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -57,7 +55,7 @@ func realMain() int {
 
 	// Telemetry must be enabled before any component is constructed:
 	// instrument handles are captured at construction time.
-	stopDiag, err := diagFlags.Start()
+	stopDiag, err := f.diag.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
 		return 1
@@ -66,12 +64,12 @@ func realMain() int {
 	// The evaluation-path override must likewise land before any solver
 	// is built. Both modes are bit-identical on stdout — the flag exists
 	// so that claim can be checked end-to-end (see EXPERIMENTS.md).
-	switch *evalMode {
+	switch f.evalMode {
 	case "":
 	case "untaped":
 		solver.SetDefaultUntapedEstimates(true)
 	default:
-		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want untaped)\n", *evalMode)
+		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want untaped)\n", f.evalMode)
 		return 2
 	}
 
@@ -80,11 +78,11 @@ func realMain() int {
 	// -cache-dir the pool gains a durable tier: results persist across
 	// invocations, and a warm cache serves every run from disk with
 	// byte-identical stdout.
-	pool := eval.NewPool(*workers)
+	pool := eval.NewPool(f.workers)
 	var store *runstore.Store
-	if *cacheDir != "" {
+	if f.cacheDir != "" {
 		var err error
-		store, err = runstore.Open(*cacheDir)
+		store, err = runstore.Open(f.cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
 			return 1
@@ -92,7 +90,7 @@ func realMain() int {
 		pool.AttachStore(store)
 	}
 	code := 0
-	if err := run(name, runOpts{quick: *quick, plot: *plot, csvDir: *csvDir, seed: *seed, pool: pool}); err != nil {
+	if err := run(name, runOpts{quick: f.quick, plot: f.plot, csvDir: f.csvDir, seed: f.seed, pool: pool}); err != nil {
 		fmt.Fprintf(os.Stderr, "caribou-eval %s: %v\n", name, err)
 		code = 1
 	}
@@ -104,7 +102,7 @@ func realMain() int {
 
 	// All diagnostics go to stderr or side files so stdout stays
 	// bit-comparable across -workers and telemetry settings.
-	if err := diagFlags.Finish(); err != nil {
+	if err := f.diag.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "caribou-eval: %v\n", err)
 		code = 1
 	}
@@ -119,8 +117,31 @@ func quickPerDay(quick bool) int {
 	return 0
 }
 
+// cliFlags are the command line's flags.
+type cliFlags struct {
+	quick, plot                bool
+	cacheDir, csvDir, evalMode string
+	seed                       int64
+	workers                    int
+	diag                       *diag.Flags
+}
+
+// register defines every flag on fs; usage prints whatever it defines.
+func register(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.BoolVar(&f.quick, "quick", false, "reduced workload set and trace volume")
+	fs.StringVar(&f.cacheDir, "cache-dir", "", "content-addressed run cache directory (see caribou-sweep); warm re-runs execute zero solver work")
+	fs.BoolVar(&f.plot, "plot", false, "also render terminal charts of the figure shapes")
+	fs.StringVar(&f.csvDir, "csv", "", "directory to also write per-experiment CSV files into")
+	fs.Int64Var(&f.seed, "seed", 17, "experiment seed")
+	fs.IntVar(&f.workers, "workers", 0, "concurrent experiment runs (0 = GOMAXPROCS)")
+	fs.StringVar(&f.evalMode, "eval-mode", "", "solver evaluation path: untaped, the draw-per-sample reference (default: shared sweeps over per-plan bases; the two are bit-identical)")
+	f.diag = diag.Register(fs)
+	return f
+}
+
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: caribou-eval [-quick] [-seed N] [-workers N] [-cache-dir DIR] [-trace FILE] [-telemetry] [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE] <experiment>
+	fmt.Fprintf(flag.CommandLine.Output(), `usage: caribou-eval [flags] <experiment>
 
 experiments:
   fig2    grid carbon intensity of the four evaluation regions
@@ -133,7 +154,6 @@ experiments:
   fig12   orchestrator overhead: Step Functions vs SNS vs Caribou
   fig13   solve-frequency sweep and forecast quality
   table2  framework capability taxonomy
-  all     everything above, in order
 
 extensions and ablations (beyond the paper's exhibits):
   ext-global      fine-grained shifting over a global region catalogue
@@ -143,7 +163,12 @@ extensions and ablations (beyond the paper's exhibits):
   ablate-solver   HBSS/exhaustive vs coarse single-region solving
   ablate-forecast Holt-Winters vs naive persistence forecasting
   ablate-bench    benchmarking-traffic fraction sweep
+
+  all     every experiment, extension and ablation above, in order
+
+flags:
 `)
+	flag.PrintDefaults()
 }
 
 type runOpts struct {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,26 +30,37 @@ func buildEval(t *testing.T) func(args ...string) (stdout, stderr []byte, err er
 	}
 }
 
-// TestQuickFig7UntapedByteIdentical builds the binary and drives it the
-// way a user does: the quick Fig 7 run must print the same bytes on the
-// default evaluation path and on the untaped reference path, and an eval
-// mode that does not exist must be refused with the accepted value named.
-func TestQuickFig7UntapedByteIdentical(t *testing.T) {
+// TestQuickAllGolden builds the binary and drives it the way a user does:
+// `-quick all` must print testdata/all-quick.golden byte for byte at
+// -workers 1 on the default evaluation path, and again at -workers 8 on the
+// untaped reference path, and an eval mode that does not exist must be
+// refused with the accepted value named. The golden was recorded before
+// any change it guards; rewrite it only for a deliberate change to figure
+// content, with
+//
+//	go run ./cmd/caribou-eval -quick -workers 1 all > cmd/caribou-eval/testdata/all-quick.golden
+//
+// testdata/all.golden is its full-scale twin (about 80 s on two cores), which
+// CI diffs against `caribou-eval -workers 8 all`; rewrite it with
+//
+//	go run ./cmd/caribou-eval -workers 8 all > cmd/caribou-eval/testdata/all.golden
+func TestQuickAllGolden(t *testing.T) {
 	run := buildEval(t)
-
-	def, stderr, err := run("-quick", "fig7")
+	want, err := os.ReadFile(filepath.Join("testdata", "all-quick.golden"))
 	if err != nil {
-		t.Fatalf("-quick fig7: %v\n%s", err, stderr)
+		t.Fatal(err)
 	}
-	if len(def) == 0 {
-		t.Fatal("-quick fig7 printed nothing")
-	}
-	untaped, stderr, err := run("-quick", "-eval-mode", "untaped", "fig7")
-	if err != nil {
-		t.Fatalf("-eval-mode untaped: %v\n%s", err, stderr)
-	}
-	if !bytes.Equal(def, untaped) {
-		t.Errorf("stdout differs between the default and untaped eval modes:\n--- default\n%s\n--- untaped\n%s", def, untaped)
+	for _, args := range [][]string{
+		{"-quick", "-workers", "1", "all"},
+		{"-quick", "-workers", "8", "-eval-mode", "untaped", "all"},
+	} {
+		got, stderr, err := run(args...)
+		if err != nil {
+			t.Fatalf("caribou-eval %v: %v\n%s", args, err, stderr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("caribou-eval %v: stdout differs from testdata/all-quick.golden at line %d", args, firstDiffLine(got, want))
+		}
 	}
 
 	stdout, stderr, err := run("-quick", "-eval-mode", "nobatch", "fig7")
@@ -59,32 +72,30 @@ func TestQuickFig7UntapedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSingleInstantExperimentGoldens pins the four experiments that price
-// single plans at single instants through Estimator.Estimate. The goldens
-// under testdata/ were recorded while that call still ran the per-event
-// map sampler; it is now a one-instant Snapshot, which moves a carbon mean
-// by summation order only (≤ 1e-9 relative), so the three printed decimals
-// must not move. The same loop pins the two experiments driven by the
-// Deployment Manager's tick loop, fig11 and ext-shift, whose goldens were
-// recorded while Manager still carried its own copy of the token-bucket
-// decision; it now drives the shared Stream, and no solve time, overhead
-// or offload share may move.
-func TestSingleInstantExperimentGoldens(t *testing.T) {
-	run := buildEval(t)
-	for _, name := range []string{"ext-global", "ext-temporal", "ext-signal", "ablate-solver", "fig11", "ext-shift"} {
-		want, err := os.ReadFile(filepath.Join("testdata", name+"-quick.golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range [][]string{nil, {"-eval-mode", "untaped"}} {
-			args := append(append([]string{"-quick"}, mode...), name)
-			got, stderr, err := run(args...)
-			if err != nil {
-				t.Fatalf("caribou-eval %v: %v\n%s", args, err, stderr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("caribou-eval %v: stdout differs from testdata/%s-quick.golden:\n--- got\n%s--- want\n%s", args, name, got, want)
-			}
+// firstDiffLine is the 1-based line on which got and want first differ.
+func firstDiffLine(got, want []byte) int {
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range g {
+		if i >= len(w) || !bytes.Equal(g[i], w[i]) {
+			return i + 1
 		}
 	}
+	return len(g) + 1
+}
+
+// TestHelpNamesEveryFlag checks that -h lists every flag register defines,
+// so the usage text cannot drift from the flag set.
+func TestHelpNamesEveryFlag(t *testing.T) {
+	run := buildEval(t)
+	_, help, err := run("-h")
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, help)
+	}
+	fs := flag.NewFlagSet("caribou-eval", flag.ContinueOnError)
+	register(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !regexp.MustCompile(`[\s\[]-` + regexp.QuoteMeta(f.Name) + `\b`).Match(help) {
+			t.Errorf("-h does not name -%s:\n%s", f.Name, help)
+		}
+	})
 }

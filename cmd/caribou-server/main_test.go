@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -12,13 +15,17 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"caribou/internal/controlplane"
 )
 
-// TestServerBinary builds the binary and drives its own flags and its
-// shutdown path: a -sim child on a free port answers /healthz, SIGTERM
-// drains it to exit 0 with the -trace file written and the -telemetry
-// summary on stderr, an unknown flag is a usage error (exit 2) and an
-// address already in use is a failure (exit 1).
+// TestServerBinary builds the binary and drives its own flags, the control
+// plane's smoke pass and its shutdown path: a -sim child on a free port
+// answers /healthz; a tenant registers, streams one trace delta and reads
+// back a well-formed plan over real HTTP; SIGTERM drains the child to exit
+// 0 with the -trace file written and the -telemetry summary on stderr; an
+// unknown flag is a usage error (exit 2) and an address already in use is a
+// failure (exit 1).
 func TestServerBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and starts a server")
@@ -77,13 +84,39 @@ func TestServerBinary(t *testing.T) {
 		t.Errorf("occupied -addr: exit %d, stderr %q; want exit 1 naming the address in use", exit, second.String())
 	}
 
-	resp, err := http.Post("http://"+addr+"/v1/workflows", "application/json", strings.NewReader(`{"id":"t","workload":"image-processing"}`))
-	if err != nil {
-		t.Fatal(err)
+	// Register one tenant, stream one trace delta and read its plan back.
+	at := controlplane.DefaultStart.Add(time.Hour).Format(time.RFC3339)
+	var body []byte
+	for _, step := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"register", "/v1/workflows", `{"id":"t","workload":"image-processing"}`, http.StatusCreated},
+		{"trace", "/v1/workflows/t/trace", fmt.Sprintf(`{"at":%q,"invocations":100}`, at), http.StatusOK},
+		{"plan", "/v1/workflows/t/plan", "", http.StatusOK},
+	} {
+		var resp *http.Response
+		if step.body == "" {
+			resp, err = http.Get("http://" + addr + step.path)
+		} else {
+			resp, err = http.Post("http://"+addr+step.path, "application/json", strings.NewReader(step.body))
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != step.want {
+			t.Fatalf("%s: status %d (want %d), %v: %s", step.name, resp.StatusCode, step.want, err, body)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Errorf("register: status %d", resp.StatusCode)
+	var plan struct {
+		Version     int               `json:"version"`
+		Granularity string            `json:"granularity"`
+		Assignments map[string]string `json:"assignments"`
+	}
+	if err := json.Unmarshal(body, &plan); err != nil || plan.Version < 1 || len(plan.Assignments) == 0 || plan.Granularity == "" {
+		t.Errorf("malformed plan body (%v): %s", err, body)
 	}
 
 	if err := server.Process.Signal(syscall.SIGTERM); err != nil {

@@ -130,7 +130,7 @@ func TestGoroutinesControlPlaneApproved(t *testing.T) {
 }
 
 func TestGoroutinesCommandBinary(t *testing.T) {
-	checkFixture(t, "goroutines_cmd", "caribou/cmd/caribou-load")
+	checkFixture(t, "goroutines_cmd", "caribou/cmd/caribou-server")
 }
 
 func TestWallclockClockSeam(t *testing.T) {

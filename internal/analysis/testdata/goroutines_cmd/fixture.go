@@ -1,5 +1,5 @@
 // Fixture: command binaries are not approved concurrency packages.
-// Loaded as caribou/cmd/caribou-load by the test harness: an unannotated
+// Loaded as caribou/cmd/caribou-server by the test harness: an unannotated
 // go statement (a load-generator worker) is a finding; the same pattern
 // under an allow comment with a reason is suppressed.
 package fixture

@@ -14,14 +14,14 @@ import (
 
 var testStart = time.Date(2023, 10, 15, 0, 0, 0, 0, time.UTC)
 
-func newTestEnv(t *testing.T) (*simclock.Scheduler, *platform.Platform) {
+func newTestEnv(t testing.TB) (*simclock.Scheduler, *platform.Platform) {
 	t.Helper()
 	return newTestEnvWith(t, platform.Options{})
 }
 
 // newTestEnvWith is newTestEnv with the caller's broker and concurrency
 // options.
-func newTestEnvWith(t *testing.T, opts platform.Options) (*simclock.Scheduler, *platform.Platform) {
+func newTestEnvWith(t testing.TB, opts platform.Options) (*simclock.Scheduler, *platform.Platform) {
 	t.Helper()
 	sched := simclock.New(testStart)
 	cat := region.NorthAmerica()

@@ -512,12 +512,12 @@ func neighborOf(d *dag.DAG, changes dag.Plan) dag.Plan {
 	return p
 }
 
-// TestEstimateDeltaBitIdenticalToFull sweeps the neighbour shapes HBSS
+// TestEstimateBasesLaterHoursBitIdenticalToFull sweeps the neighbour shapes HBSS
 // proposes — single-stage moves late, mid and at the entry, multi-stage
 // moves, a move from an already offloaded base, and the unmoved plan — on
 // the sync-rich workflow over hours with different intensity rows: every
 // hour priced from the plan's basis must be bit-identical to full replay.
-func TestEstimateDeltaBitIdenticalToFull(t *testing.T) {
+func TestEstimateBasesLaterHoursBitIdenticalToFull(t *testing.T) {
 	base := richInputs(t)
 	in := &hourlyInputs{Inputs: base, scale: map[int]float64{1: 3, 7: 0.4}}
 	hours := []time.Time{t0, t0.Add(time.Hour), t0.Add(7 * time.Hour)}
@@ -541,10 +541,10 @@ func TestEstimateDeltaBitIdenticalToFull(t *testing.T) {
 	}
 }
 
-// TestEstimateDeltaIdenticalPlanReturnsBase pins the no-delta case: pricing
+// TestEstimateBasesPricedHourReplaysNothing pins the repeat case: pricing
 // a (plan, hour) its basis has already been priced at replays nothing and
 // returns the same estimate again.
-func TestEstimateDeltaIdenticalPlanReturnsBase(t *testing.T) {
+func TestEstimateBasesPricedHourReplaysNothing(t *testing.T) {
 	enableTelemetry(t)
 	in := richInputs(t)
 	snap, err := New(in, carbon.BestCase(), 3).Compile(nil, []time.Time{t0}, t0)
@@ -574,11 +574,11 @@ func TestEstimateDeltaIdenticalPlanReturnsBase(t *testing.T) {
 	}
 }
 
-// TestDeltaAnchorPiggybackedOnFallback pins how a basis comes to exist: the
+// TestEstimateBasesFirstEstimateBuildsBasis pins how a basis comes to exist: the
 // first request for a plan builds it as a side effect of its own estimate
 // (no dedicated replay), every later hour prices it without touching the
 // tape, and a plan nobody asked for costs nothing.
-func TestDeltaAnchorPiggybackedOnFallback(t *testing.T) {
+func TestEstimateBasesFirstEstimateBuildsBasis(t *testing.T) {
 	enableTelemetry(t)
 	base := richInputs(t)
 	in := &hourlyInputs{Inputs: base, scale: map[int]float64{1: 3}}
@@ -645,13 +645,13 @@ func TestDeltaAnchorPiggybackedOnFallback(t *testing.T) {
 	}
 }
 
-// TestDeltaSkipConeCrossesSync exercises bases whose samples contain both a
+// TestEstimateBasesSkippedBranchCrossesSync exercises bases whose samples contain both a
 // conditionally-skipped branch (start→left has p=0.7, so some samples
 // skip-propagate into the join and never touch left's region or its
 // staging pair) and the join's sync wait: the slots such a sample leaves
 // at zero must price exactly like the dense accumulators of full replay,
 // for every placement of join and tail.
-func TestDeltaSkipConeCrossesSync(t *testing.T) {
+func TestEstimateBasesSkippedBranchCrossesSync(t *testing.T) {
 	base := richInputs(t)
 	in := &hourlyInputs{Inputs: base, scale: map[int]float64{3: 2.5}}
 	hours := []time.Time{t0, t0.Add(3 * time.Hour)}
@@ -666,14 +666,14 @@ func TestDeltaSkipConeCrossesSync(t *testing.T) {
 	}
 }
 
-// TestDeltaHeavyTailConcurrentParity drives one shared basis far down the
+// TestBasisHeavyTailConcurrentParity drives one shared basis far down the
 // tape: heavy-tail exec durations keep every hour unconverged for many
 // batches, so whichever goroutine gets there first extends the basis batch
 // after batch while the others wait for it — slotless — and then price
 // what it replayed. Eight goroutines at eight hours share the basis
 // (put under -race by `make race`) and each must match the serial full
 // replay bit for bit, with every batch replayed exactly once.
-func TestDeltaHeavyTailConcurrentParity(t *testing.T) {
+func TestBasisHeavyTailConcurrentParity(t *testing.T) {
 	enableTelemetry(t)
 	base := richInputs(t)
 	const goroutines = 8
@@ -738,11 +738,11 @@ func TestDeltaHeavyTailConcurrentParity(t *testing.T) {
 	}
 }
 
-// TestEstimateDeltaFallsBackWithoutSoA pins the reference mode: with no
+// TestEstimateBasesUntapedLeavesBasisEmpty pins the reference mode: with no
 // tapes there are no columns to sweep, so EstimateBases degrades to the
 // plan-at-a-time untaped path — still bit-identical — and leaves the basis
 // empty.
-func TestEstimateDeltaFallsBackWithoutSoA(t *testing.T) {
+func TestEstimateBasesUntapedLeavesBasisEmpty(t *testing.T) {
 	enableTelemetry(t)
 	in := richInputs(t)
 	neighbor := neighborOf(in.d, dag.Plan{"tail": region.CACentral1})
@@ -779,12 +779,12 @@ func TestEstimateDeltaFallsBackWithoutSoA(t *testing.T) {
 	})
 }
 
-// TestEstimateBatchDeltaBitIdenticalToFull covers a whole HBSS round: the
+// TestEstimateBatchRoundThenNextHourBitIdentical covers a whole HBSS round: the
 // neighbours of one incumbent — single-stage moves, an entry move, a
 // multi-stage move, the incumbent itself — share one sweep at the hour that
 // proposed them, and a second hour then prices all of them from the bases
 // that sweep left behind. Both are bit-identical to full replay.
-func TestEstimateBatchDeltaBitIdenticalToFull(t *testing.T) {
+func TestEstimateBatchRoundThenNextHourBitIdentical(t *testing.T) {
 	enableTelemetry(t)
 	base := richInputs(t)
 	in := &hourlyInputs{Inputs: base, scale: map[int]float64{1: 3}}

@@ -246,11 +246,11 @@ func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchFallsBackWithoutSoA pins the reference mode: with no
+// TestEstimateBatchUntapedMatchesEstimate pins the reference mode: with no
 // tapes there are no columns to sweep, so EstimateBatch must degrade to
 // sequential full estimates — still bit-identical, never pruned (the bound
 // needs the columns).
-func TestEstimateBatchFallsBackWithoutSoA(t *testing.T) {
+func TestEstimateBatchUntapedMatchesEstimate(t *testing.T) {
 	in := richInputs(t)
 	t.Run("untaped", func(t *testing.T) {
 		snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)

@@ -30,9 +30,9 @@ type rowFixture struct {
 	home []*montecarlo.Estimate
 }
 
-// learnSnapshot learns wl homed at home from 200 simulated invocations (as
-// bench_test.go's benchInputsHome) and compiles the next day's 24 hours
-// over the evaluation-four regions.
+// learnSnapshot learns wl homed at home from 200 simulated invocations on
+// the day rowsT0 and compiles the next day's 24 hours over the
+// evaluation-four regions.
 func learnSnapshot(tb testing.TB, wl *workloads.Workload, home region.ID) *montecarlo.Snapshot {
 	tb.Helper()
 	cat, err := region.NorthAmerica().Subset(region.EvaluationFour())

@@ -17,9 +17,10 @@ import (
 	"caribou/internal/workloads"
 )
 
-// learned learns wl homed at home from 200 simulated invocations (as
-// bench_test.go's benchInputsHome) over the evaluation-four regions.
-func learned(t *testing.T, wl *workloads.Workload, home region.ID) *metrics.Manager {
+// learned learns wl homed at home from 200 simulated invocations on the
+// day t0 over the evaluation-four regions, with forecasts refit through the
+// next midnight, where the tests and benchmarks solve.
+func learned(t testing.TB, wl *workloads.Workload, home region.ID) *metrics.Manager {
 	t.Helper()
 	cat, err := region.NorthAmerica().Subset(region.EvaluationFour())
 	if err != nil {
