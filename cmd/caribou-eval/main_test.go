@@ -30,11 +30,8 @@ func buildEval(t *testing.T) func(args ...string) (stdout, stderr []byte, err er
 	}
 }
 
-// TestQuickAllGolden builds the binary and drives it the way a user does:
-// `-quick all` must print testdata/all-quick.golden byte for byte at
-// -workers 1 on the default evaluation path, and again at -workers 8 on the
-// untaped reference path, and an eval mode that does not exist must be
-// refused with the accepted value named. The golden was recorded before
+// checkQuickAll runs caribou-eval with args and compares its stdout with
+// testdata/all-quick.golden byte for byte. The golden was recorded before
 // any change it guards; rewrite it only for a deliberate change to figure
 // content, with
 //
@@ -44,24 +41,36 @@ func buildEval(t *testing.T) func(args ...string) (stdout, stderr []byte, err er
 // CI diffs against `caribou-eval -workers 8 all`; rewrite it with
 //
 //	go run ./cmd/caribou-eval -workers 8 all > cmd/caribou-eval/testdata/all.golden
-func TestQuickAllGolden(t *testing.T) {
-	run := buildEval(t)
+func checkQuickAll(t *testing.T, run func(args ...string) ([]byte, []byte, error), args ...string) {
+	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", "all-quick.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"-quick", "-workers", "1", "all"},
-		{"-quick", "-workers", "8", "-eval-mode", "untaped", "all"},
-	} {
-		got, stderr, err := run(args...)
-		if err != nil {
-			t.Fatalf("caribou-eval %v: %v\n%s", args, err, stderr)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("caribou-eval %v: stdout differs from testdata/all-quick.golden at line %d", args, firstDiffLine(got, want))
-		}
+	got, stderr, err := run(args...)
+	if err != nil {
+		t.Fatalf("caribou-eval %v: %v\n%s", args, err, stderr)
 	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("caribou-eval %v: stdout differs from testdata/all-quick.golden at line %d", args, firstDiffLine(got, want))
+	}
+}
+
+// TestSingleInstantExperimentGoldens builds the binary and drives it the way
+// a user does: `-quick -workers 1 all` on the default evaluation path must
+// print testdata/all-quick.golden byte for byte, which pins every exhibit,
+// the single-instant experiments among them.
+func TestSingleInstantExperimentGoldens(t *testing.T) {
+	checkQuickAll(t, buildEval(t), "-quick", "-workers", "1", "all")
+}
+
+// TestQuickFig7UntapedByteIdentical checks that the untaped reference path
+// at -workers 8 prints the same golden as the default path at -workers 1,
+// fig7 and every other exhibit byte for byte, and that an eval mode that
+// does not exist is refused with the accepted value named.
+func TestQuickFig7UntapedByteIdentical(t *testing.T) {
+	run := buildEval(t)
+	checkQuickAll(t, run, "-quick", "-workers", "8", "-eval-mode", "untaped", "all")
 
 	stdout, stderr, err := run("-quick", "-eval-mode", "nobatch", "fig7")
 	if err == nil {
