@@ -72,12 +72,10 @@ VET_TAGS ?=
 vet:
 	GOFLAGS=-mod=mod $(GO) vet -tags '$(VET_TAGS)' ./...
 
-# lint runs the in-repo determinism & telemetry analyzer suite
-# (internal/analysis, driven by cmd/caribou-lint): wallclock, globalrand,
-# maporder, hotsprintf, goroutines, dettaint, hotalloc and atomicpub, plus
-# the allow meta-check on //caribou:allow <check> <reason> suppressions.
-# DESIGN.md "Static analysis" and "Static analysis v2" say what each
-# enforces and why.
+# lint runs the in-repo static analyzer suite (internal/analysis, driven
+# by cmd/caribou-lint) over the whole module. `go run ./cmd/caribou-lint
+# -h` lists every check; DESIGN.md "Static analysis" and "Static analysis
+# v2" say what each enforces and why.
 lint:
 	$(GO) run ./cmd/caribou-lint ./...
 

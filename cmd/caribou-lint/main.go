@@ -11,6 +11,8 @@
 //
 //	caribou-lint [-json] [dir]
 //
+// -h lists every check with a one-line description.
+//
 // dir defaults to the current directory; the nearest enclosing go.mod
 // determines the module. "./..." is accepted as an alias for "." so the
 // invocation reads like the other go tools. The module is loaded and
@@ -30,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"caribou/internal/analysis"
@@ -41,10 +44,7 @@ func main() {
 
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of file:line text")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: caribou-lint [-json] [dir]\n")
-		flag.PrintDefaults()
-	}
+	flag.Usage = func() { usage(flag.CommandLine.Output()) }
 	flag.Parse()
 	if flag.NArg() > 1 {
 		flag.Usage()
@@ -66,6 +66,18 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// usage prints the synopsis, the flags and every check with its doc.
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "usage: caribou-lint [-json] [dir]\n")
+	flag.CommandLine.SetOutput(w)
+	flag.PrintDefaults()
+	fmt.Fprintf(w, "\nchecks:\n")
+	for _, a := range analysis.Analyzers() {
+		fmt.Fprintf(w, "  %-10s %s\n", a.Name, a.Doc)
+	}
+	fmt.Fprintf(w, "  %-10s %s\n", "allow", "flag //caribou:allow comments that name no or an unknown check, give no reason, or suppress nothing")
 }
 
 // lint loads the module enclosing dir, runs the suite and renders the

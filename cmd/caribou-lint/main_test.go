@@ -6,7 +6,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"caribou/internal/analysis"
 )
 
 // TestLintBinary builds the binary and drives it the way `make lint` and
@@ -59,5 +62,21 @@ func TestLintBinary(t *testing.T) {
 		if !bytes.Equal(stdout.Bytes(), tc.stdout) {
 			t.Errorf("%s: stdout\n%s\nwant\n%s", tc.name, stdout.Bytes(), tc.stdout)
 		}
+	}
+}
+
+// TestUsageListsEveryCheck: -h names every check the suite runs, with its
+// doc, and the allow meta-check, so the help is the one list of checks.
+func TestUsageListsEveryCheck(t *testing.T) {
+	var buf bytes.Buffer
+	usage(&buf)
+	out := buf.String()
+	for _, a := range analysis.Analyzers() {
+		if !strings.Contains(out, a.Name) || !strings.Contains(out, a.Doc) {
+			t.Errorf("-h does not list %s with its doc", a.Name)
+		}
+	}
+	if !strings.Contains(out, "\n  allow ") {
+		t.Error("-h does not list the allow check")
 	}
 }

@@ -132,6 +132,7 @@ func Analyzers() []*Analyzer {
 		DetTaintAnalyzer,
 		HotAllocAnalyzer,
 		AtomicPubAnalyzer,
+		UnreachedAnalyzer,
 	}
 }
 

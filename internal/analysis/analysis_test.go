@@ -34,41 +34,54 @@ func loadFixture(t *testing.T, name, pkgPath string) ([]Diagnostic, []expectatio
 	}
 	diags := Lint([]*Package{pkg}, Analyzers())
 
-	var wants []expectation
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wants []expectation
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				wants = append(wants, expectation{line: i + 1, check: m[1], substr: strings.ReplaceAll(m[2], `\"`, `"`), file: path})
-			}
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			wants = append(wants, fileWants(t, filepath.Join(dir, e.Name()))...)
 		}
 	}
 	return diags, wants
 }
 
+// fileWants parses the want-annotations of one fixture source.
+func fileWants(t *testing.T, path string) []expectation {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []expectation
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
+			wants = append(wants, expectation{line: i + 1, check: m[1], substr: strings.ReplaceAll(m[2], `\"`, `"`), file: path})
+		}
+	}
+	return wants
+}
+
 // checkFixture asserts an exact match between diagnostics and the
-// fixture's want annotations: every want matched by exactly one
-// diagnostic on its line, and no diagnostic unaccounted for.
+// fixture's want annotations.
 func checkFixture(t *testing.T, name, pkgPath string) {
 	t.Helper()
 	diags, wants := loadFixture(t, name, pkgPath)
+	matchWants(t, diags, wants, false)
+}
+
+// matchWants asserts that every want is matched by exactly one diagnostic
+// on its line (and in its file, when byFile is set) and that no
+// diagnostic is unaccounted for.
+func matchWants(t *testing.T, diags []Diagnostic, wants []expectation, byFile bool) {
+	t.Helper()
 	used := make([]bool, len(diags))
 	for _, w := range wants {
 		found := false
 		for i, d := range diags {
 			if !used[i] && d.Check == w.check && d.Pos.Line == w.line &&
-				strings.Contains(d.Message, w.substr) {
+				(!byFile || d.Pos.Filename == w.file) && strings.Contains(d.Message, w.substr) {
 				used[i] = true
 				found = true
 				break
@@ -238,4 +251,31 @@ func TestAtomicPubNegativeCases(t *testing.T) {
 // that still suppresses one stays silent.
 func TestStaleAllowFixture(t *testing.T) {
 	checkFixture(t, "allow_stale", "caribou/internal/metrics")
+}
+
+// TestUnreachedFixture runs the unreached check over a module with a
+// binary and a root package. Every root and edge kind reaches its target
+// in internal/lib (static call, function value, interface dispatch,
+// fmt.Stringer and sort.Interface, init, a package initializer and the
+// root package's API); only Dead is reported, the allowed Oracle stays
+// silent, and the allow on the reached function is stale.
+func TestUnreachedFixture(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "unreachedmod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []expectation
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			wants = append(wants, fileWants(t, pkg.Fset.Position(f.Pos()).Filename)...)
+		}
+	}
+	if len(pkgs) != 3 || len(wants) != 2 {
+		t.Fatalf("loaded %d packages with %d want annotations, want 3 and 2", len(pkgs), len(wants))
+	}
+	matchWants(t, Lint(pkgs, Analyzers()), wants, true)
 }

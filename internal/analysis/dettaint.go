@@ -48,51 +48,13 @@ var DetTaintAnalyzer = &Analyzer{
 	},
 }
 
-// taintNode is one call-graph node during propagation.
-type taintNode struct {
-	fun  *FuncSum
-	pkg  string
-	sink *SinkSum // set on directly sinking nodes
-	via  string   // tainted through this callee's ID (propagation tree)
-}
-
 func runDetTaint(mp *ModulePass) {
-	// Node table and reverse-edge map. Units arrive path-sorted and
-	// functions in declaration order, so every iteration below is
-	// deterministic.
-	nodes := map[string]*taintNode{}
-	var order []string
-	methodIdx := map[DynCall][]string{} // (name, sig) -> method func IDs
-	for _, u := range mp.Units {
-		for i := range u.Summary.Funcs {
-			f := &u.Summary.Funcs[i]
-			if _, dup := nodes[f.ID]; dup {
-				continue // e.g. build-tag twins; first declaration wins
-			}
-			nodes[f.ID] = &taintNode{fun: f, pkg: u.Path}
-			order = append(order, f.ID)
-		}
-		for _, m := range u.Summary.Methods {
-			key := DynCall{Method: m.Method, Sig: m.Sig}
-			methodIdx[key] = append(methodIdx[key], m.FuncID)
-		}
-	}
-
+	g := buildCallGraph(mp.Units)
+	nodes, order := g.nodes, g.order
 	rev := map[string][]string{} // callee ID -> caller IDs
-	addEdge := func(caller, callee string) {
-		rev[callee] = append(rev[callee], caller)
-	}
 	for _, id := range order {
-		n := nodes[id]
-		for _, callee := range n.fun.Calls {
-			addEdge(id, callee)
-		}
-		for _, dyn := range n.fun.Dyn {
-			impls := methodIdx[dyn]
-			sort.Strings(impls)
-			for _, impl := range impls {
-				addEdge(id, impl)
-			}
+		for _, callee := range nodes[id].callees {
+			rev[callee] = append(rev[callee], id)
 		}
 	}
 
@@ -168,7 +130,7 @@ func runDetTaint(mp *ModulePass) {
 
 // taintChain walks the propagation tree from id down to the sinking
 // node, returning display names along the way and the sink itself.
-func taintChain(nodes map[string]*taintNode, id string) ([]string, *SinkSum) {
+func taintChain(nodes map[string]*graphNode, id string) ([]string, *SinkSum) {
 	var chain []string
 	for steps := 0; steps < 1024; steps++ {
 		n, ok := nodes[id]

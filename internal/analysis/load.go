@@ -98,6 +98,8 @@ func (l *Loader) check(pkgPath string, files []*ast.File) (*Package, error) {
 // analyzers exempt or target packages by import path, and fixture tests
 // use this to stand a testdata directory in for, say,
 // caribou/internal/telemetry.
+//
+//caribou:allow unreached loads the single-package fixtures of analysis_test.go (loadFixture) under a chosen import path
 func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 	files, err := l.parseDir(dir)
 	if err != nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -19,6 +20,14 @@ import (
 type PkgSummary struct {
 	Funcs   []FuncSum
 	Methods []MethodSum
+	// Entry marks a main package or the module's root package: the
+	// unreached check reports nothing for a module without one.
+	Entry bool
+	// StdIface lists the methods of the exported interfaces of the
+	// package's non-module imports, plus error's: the standard library
+	// may call any module method that matches one (fmt.Stringer,
+	// sort.Interface, types.Importer, rand.Source64).
+	StdIface []DynCall
 }
 
 // FuncSum summarizes one function or method body.
@@ -31,9 +40,13 @@ type FuncSum struct {
 	// "Solve" or "(*search).solveHBSS".
 	Name     string
 	Exported bool
-	File     string
-	Line     int
-	Col      int
+	// Root marks an entry point of the unreached check: main and init
+	// of a main package, any init, a package initializer, or exported
+	// API of the module's root package.
+	Root bool
+	File string
+	Line int
+	Col  int
 
 	// Calls lists the module functions this body references — calls and
 	// bare function-value references alike (a reference can be invoked
@@ -113,8 +126,27 @@ var shardOwnedTypes = map[string]bool{
 // package. Traversal follows declaration order file by file, so the
 // summary — and everything derived from it — is deterministic.
 func BuildSummary(pkg *Package) *PkgSummary {
-	sum := &PkgSummary{}
 	modPath := modulePrefix(pkg.Path)
+	sum := &PkgSummary{
+		Entry:    pkg.Types.Name() == "main" || pkg.Path == modPath,
+		StdIface: []DynCall{{Method: "Error", Sig: "()(string)"}},
+	}
+	for _, imp := range pkg.Types.Imports() {
+		if pathIn(imp.Path(), modPath) {
+			continue
+		}
+		for _, name := range imp.Scope().Names() {
+			tn, ok := imp.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !types.IsInterface(tn.Type()) {
+				continue
+			}
+			iface := tn.Type().Underlying().(*types.Interface)
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				sum.StdIface = append(sum.StdIface, DynCall{Method: m.Name(), Sig: sigString(m.Type().(*types.Signature))})
+			}
+		}
+	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -258,6 +290,11 @@ func buildFuncSum(pkg *Package, modPath string, d *ast.FuncDecl) FuncSum {
 	} else {
 		fs.ID = pkg.Path + "." + d.Name.Name
 	}
+	if d.Recv == nil && d.Name.Name == "init" {
+		fs.ID += fmt.Sprintf(":%s:%d", filepath.Base(pos.Filename), pos.Line) // a package may declare several
+	}
+	fs.Root = d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") ||
+		pkg.Path == modPath && fs.Exported
 	if owned, ctor := ownedCtor(pkg, d); ctor {
 		fs.Ctor = owned
 	}
@@ -282,9 +319,10 @@ func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, boo
 	}
 	pos := pkg.Fset.Position(d.Pos())
 	fs := FuncSum{
-		ID:       pkg.Path + ".init:" + filepath.Base(pos.Filename),
+		ID:       fmt.Sprintf("%s.init:%s:%d", pkg.Path, filepath.Base(pos.Filename), pos.Line),
 		Name:     "package initializer",
 		Exported: true,
+		Root:     true,
 		File:     pos.Filename,
 		Line:     pos.Line,
 		Col:      pos.Column,

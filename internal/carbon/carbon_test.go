@@ -181,7 +181,15 @@ func TestExecutionCarbonAppliesPUEAndIntensity(t *testing.T) {
 // the direct model: exact equality (not tolerance) across a grid that
 // covers the clamping edges, because the Monte Carlo tape replay relies
 // on the two computing the same float64 in the same operation order.
+// fromFactors is that replay's arithmetic on ExecutionFactors' output.
 func TestExecutionFactorsBitIdentical(t *testing.T) {
+	fromFactors := func(intensity, memKW, procKW, durationSec float64) float64 {
+		if durationSec < 0 {
+			durationSec = 0
+		}
+		hours := durationSec / 3600
+		return intensity * (memKW*hours + procKW*hours) * PUE
+	}
 	mems := []float64{-5, 0, 128, 1024, 1769, 10240}
 	utils := []float64{-0.5, 0, 0.3, 0.8, 1, 2}
 	durs := []float64{-1, 0, 1e-6, 0.37, 3, 3600, 1e5}
@@ -192,7 +200,7 @@ func TestExecutionFactorsBitIdentical(t *testing.T) {
 			for _, dur := range durs {
 				for _, in := range intensities {
 					want := ExecutionCarbon(in, mem, dur, util)
-					got := ExecutionCarbonFromFactors(in, memKW, procKW, dur)
+					got := fromFactors(in, memKW, procKW, dur)
 					if got != want {
 						t.Fatalf("mem=%v util=%v dur=%v in=%v: factored %v != direct %v",
 							mem, util, dur, in, got, want)

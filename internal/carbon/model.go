@@ -58,7 +58,8 @@ func ExecutionCarbon(intensity, memMB, durationSec, cpuUtil float64) float64 {
 // memKW·hours + procKW·hours, and both coefficients are the literal
 // intermediate products of that evaluation, so a caller that fixes
 // (memMB, cpuUtil) — e.g. per workflow stage — can hoist them and
-// reproduce ExecutionCarbon bit for bit via ExecutionCarbonFromFactors.
+// reproduce ExecutionCarbon bit for bit as intensity·(memKW·h+procKW·h)·PUE
+// (pinned by TestExecutionFactorsBitIdentical).
 func ExecutionFactors(memMB, cpuUtil float64) (memKW, procKW float64) {
 	if memMB < 0 {
 		memMB = 0
@@ -74,18 +75,6 @@ func ExecutionFactors(memMB, cpuUtil float64) (memKW, procKW float64) {
 	pVCPU := PMinKWPerVCPU + cpuUtil*(PMaxKWPerVCPU-PMinKWPerVCPU)
 	procKW = pVCPU * nVCPU
 	return memKW, procKW
-}
-
-// ExecutionCarbonFromFactors is ExecutionCarbon with the ExecutionFactors
-// coefficients pre-resolved: identical arithmetic in identical order, so
-// results are bit-identical to the unfactored call (pinned by
-// TestExecutionFactorsBitIdentical).
-func ExecutionCarbonFromFactors(intensity, memKW, procKW, durationSec float64) float64 {
-	if durationSec < 0 {
-		durationSec = 0
-	}
-	hours := durationSec / 3600
-	return intensity * (memKW*hours + procKW*hours) * PUE
 }
 
 // TransmissionModel parameterizes Eq 7.5 with separate inter- and

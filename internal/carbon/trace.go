@@ -192,12 +192,18 @@ func (s *SyntheticSource) Average(zone string, from, to time.Time) (float64, err
 }
 
 // Start returns the first instant covered by the source.
+//
+//caribou:allow unreached exercised only by TestHorizonAccessors
 func (s *SyntheticSource) Start() time.Time { return s.start }
 
 // End returns the first instant no longer covered by the source.
+//
+//caribou:allow unreached exercised only by TestHorizonAccessors
 func (s *SyntheticSource) End() time.Time { return s.start.Add(time.Duration(s.hours) * time.Hour) }
 
 // Zones lists the grid zones with materialized traces.
+//
+//caribou:allow unreached exercised only by TestHorizonAccessors and TestIntensityAboveFloor
 func (s *SyntheticSource) Zones() []string {
 	out := make([]string, 0, len(s.traces))
 	for z := range s.traces {

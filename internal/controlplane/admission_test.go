@@ -49,8 +49,8 @@ func TestAdmissionControlShedsOverload(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if srv.Rejections() != 1 {
-		t.Errorf("rejections = %d", srv.Rejections())
+	if srv.rejections.Load() != 1 {
+		t.Errorf("rejections = %d", srv.rejections.Load())
 	}
 	// Registration and forced solves shed the same way.
 	if w := do(t, srv, "POST", "/v1/workflows", `{"id":"t2","workload":"image-processing"}`); w.Code != http.StatusTooManyRequests {

@@ -45,6 +45,8 @@ func (c *SimClock) Now() time.Time {
 }
 
 // Advance moves the simulated time forward by d and returns the new time.
+//
+//caribou:allow unreached the fake clock TestSimClock drives
 func (c *SimClock) Advance(d time.Duration) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -53,6 +55,8 @@ func (c *SimClock) Advance(d time.Duration) time.Time {
 }
 
 // Set pins the simulated time to t.
+//
+//caribou:allow unreached the fake clock TestSimClock drives
 func (c *SimClock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -198,9 +198,3 @@ func (s *Server) Tenants() int {
 	defer s.mu.RUnlock()
 	return len(s.tenants)
 }
-
-// Rejections reports how many submissions admission control has shed.
-func (s *Server) Rejections() int64 { return s.rejections.Load() }
-
-// Solves reports how many plan generations have been served.
-func (s *Server) Solves() int64 { return s.solves.Load() }

@@ -225,9 +225,34 @@ func TestStreamedTrafficFundsResolve(t *testing.T) {
 	if !solved {
 		t.Fatal("72 hours of heavy traffic never funded a re-solve")
 	}
-	if srv.Solves() < 2 {
-		t.Errorf("server solves = %d, want initial + streamed", srv.Solves())
+	if srv.solves.Load() < 2 {
+		t.Errorf("server solves = %d, want initial + streamed", srv.solves.Load())
 	}
+}
+
+// TestSkippedCheckExpiresServedPlan: a due check the budget cannot pay
+// for expires the active plan (§5.2), so a GET at that virtual time must
+// answer stale with the check's time as the expiry, not the expiry the
+// last solve set, which can lie up to a day later.
+func TestSkippedCheckExpiresServedPlan(t *testing.T) {
+	srv := newTestServer(t, 1)
+	register(t, srv, `{"id":"t1","workload":"image-processing"}`)
+	for h := 1; h <= 72; h++ {
+		at := DefaultStart.Add(time.Duration(h) * time.Hour).Format(time.RFC3339)
+		w := do(t, srv, "POST", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":0}`, at))
+		if w.Code != http.StatusOK {
+			t.Fatalf("trace hour %d: status %d: %s", h, w.Code, w.Body.String())
+		}
+		if !decode[TraceResponse](t, w).Skipped {
+			continue
+		}
+		plan := decode[PlanResponse](t, do(t, srv, "GET", "/v1/workflows/t1/plan", ""))
+		if !plan.Stale || plan.ExpiresAt != plan.VirtualTime {
+			t.Fatalf("GET after the check skipped at %s: stale %v, expires_at %s", plan.VirtualTime, plan.Stale, plan.ExpiresAt)
+		}
+		return
+	}
+	t.Fatal("72 hours without traffic never skipped a check")
 }
 
 func TestForceSolveSpendsTokens(t *testing.T) {

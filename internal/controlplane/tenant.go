@@ -63,9 +63,10 @@ func (s *PlanSnapshot) PlanAt(t time.Time) dag.Plan {
 	return s.Plans[t.UTC().Hour()]
 }
 
-// Stale reports whether the snapshot has lapsed at virtual time t.
+// Stale reports whether the snapshot has lapsed at virtual time t: a
+// plan serves up to, not including, its expiry.
 func (s *PlanSnapshot) Stale(t time.Time) bool {
-	return t.After(s.ExpiresAt)
+	return !t.Before(s.ExpiresAt)
 }
 
 // Tenant is one registered workflow. All mutation happens on the owning
@@ -249,14 +250,21 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 
 // check runs one due budget check at virtual time now: run the planning
 // step (manager.Solve) at the affordable granularity and publish a fresh
-// snapshot, or record a skip (which expires the active plan, routing
-// traffic home). Shard-worker only.
+// snapshot, or record a skip, which expires the active plan and routes
+// traffic home. Shard-worker only.
 func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
 	hourlyCost, dailyCost := t.win.Costs(now)
 	g := t.stream.Check(now, hourlyCost, dailyCost)
 	cost := dailyCost
 	switch g {
 	case manager.GranularityNone:
+		// Republish the served snapshot with the expiry the check cut
+		// short, so GET reports the lapse.
+		if old := t.plan.Load(); old != nil && !old.ExpiresAt.Equal(t.stream.PlanExpiry()) {
+			cp := *old
+			cp.ExpiresAt = t.stream.PlanExpiry()
+			t.plan.Store(&cp)
+		}
 		return g, nil
 	case manager.GranularityHourly:
 		cost = hourlyCost

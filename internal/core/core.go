@@ -109,7 +109,7 @@ type AppConfig struct {
 	// regardless).
 	Tx carbon.TransmissionModel
 	// Adaptive enables the Deployment Manager control loop; otherwise
-	// plans are set manually via SetStaticPlans/UseHomeOnly.
+	// plans are set manually via SetStaticPlans.
 	Adaptive bool
 	// BenchFraction overrides the 10 % benchmarking traffic share.
 	BenchFraction float64
@@ -216,9 +216,6 @@ func seedOr(s, fallback int64) int64 {
 func (a *App) SetStaticPlans(plans dag.HourlyPlans) {
 	a.Engine.SetPlans(executor.StaticPlans{Hourly: plans})
 }
-
-// UseHomeOnly pins all traffic to the home region.
-func (a *App) UseHomeOnly() { a.Engine.SetPlans(executor.HomeOnly{}) }
 
 // DeployPlanRegions ensures deployments exist for every assignment in the
 // plan set, returning migrated image bytes.

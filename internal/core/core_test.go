@@ -232,7 +232,7 @@ func TestScheduleTraceAndStaticPlanHelpers(t *testing.T) {
 	}
 	app.SetStaticPlans(dag.Uniform(plan))
 	env.RunUntil(evalStart.Add(12 * time.Hour))
-	app.UseHomeOnly()
+	app.Engine.SetPlans(executor.HomeOnly{})
 	env.Run()
 
 	if len(app.Records) < len(events)*9/10 {

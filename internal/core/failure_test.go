@@ -41,9 +41,13 @@ func TestAdaptiveSurvivesRolloutFailures(t *testing.T) {
 	}
 
 	// All cross-region deployments fail for the first two days.
-	failing := true
+	failing, failed := true, 0
 	app.Deployer.FailDeploy = func(_ dag.NodeID, r region.ID) bool {
-		return failing && r != region.USEast1
+		if failing && r != region.USEast1 {
+			failed++ // each injected failure fails its rollout
+			return true
+		}
+		return false
 	}
 	env.Sched.At(evalStart.Add(48*time.Hour), func() { failing = false })
 
@@ -76,7 +80,6 @@ func TestAdaptiveSurvivesRolloutFailures(t *testing.T) {
 	if laterRemote == 0 {
 		t.Error("offloading never resumed after failures cleared")
 	}
-	_, failed, _ := app.Deployer.Stats()
 	if failed == 0 {
 		t.Error("no failed rollouts recorded despite injection")
 	}

@@ -57,7 +57,7 @@ func TestSummarizeEqualsPerRecordSums(t *testing.T) {
 			}
 			want.MeanExecCarbonG += execG
 			want.MeanTxCarbonG += txG
-			want.MeanCostUSD += r.CostUSD(env.Book)
+			want.MeanCostUSD += platform.NewAccounts(nil, nil, env.Book).CostUSD(r)
 		}
 		n := float64(len(recs))
 		want.MeanExecCarbonG /= n

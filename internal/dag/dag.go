@@ -281,25 +281,3 @@ func (d *DAG) Terminals() []NodeID {
 	}
 	return out
 }
-
-// Descendants returns every node reachable from n, excluding n itself.
-func (d *DAG) Descendants(n NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	var walk func(id NodeID)
-	walk = func(id NodeID) {
-		for _, e := range d.out[id] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				walk(e.To)
-			}
-		}
-	}
-	walk(n)
-	var out []NodeID
-	for _, id := range d.order {
-		if seen[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}

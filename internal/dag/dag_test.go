@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -175,21 +176,6 @@ func TestDefaultsAppliedOnAddNode(t *testing.T) {
 	}
 }
 
-func TestDescendants(t *testing.T) {
-	d := diamond(t)
-	desc := d.Descendants("start")
-	if len(desc) != 3 {
-		t.Errorf("descendants of start = %v", desc)
-	}
-	if ds := d.Descendants("join"); len(ds) != 0 {
-		t.Errorf("descendants of terminal = %v", ds)
-	}
-	da := d.Descendants("a")
-	if len(da) != 1 || da[0] != "join" {
-		t.Errorf("descendants of a = %v", da)
-	}
-}
-
 func TestAccessorsCopySemantics(t *testing.T) {
 	d := diamond(t)
 	out := d.Out("start")
@@ -216,21 +202,21 @@ func TestHomePlanAndValidate(t *testing.T) {
 	}
 
 	// Missing stage.
-	q := p.Clone()
+	q := maps.Clone(p)
 	delete(q, "a")
 	if err := q.Validate(d, cat, region.Constraint{}); err == nil {
 		t.Error("want error for missing stage")
 	}
 
 	// Unknown region.
-	q = p.Clone()
+	q = maps.Clone(p)
 	q["a"] = "aws:nowhere"
 	if err := q.Validate(d, cat, region.Constraint{}); err == nil {
 		t.Error("want error for unknown region")
 	}
 
 	// Workflow-level constraint violation.
-	q = p.Clone()
+	q = maps.Clone(p)
 	q["a"] = region.CACentral1
 	if err := q.Validate(d, cat, region.Constraint{AllowedCountries: []string{"US"}}); err == nil {
 		t.Error("want compliance violation")
@@ -260,12 +246,12 @@ func TestPlanValidateFunctionLevelConstraint(t *testing.T) {
 func TestPlanEqualCloneRegions(t *testing.T) {
 	d := diamond(t)
 	p := NewHomePlan(d, region.USEast1)
-	q := p.Clone()
-	if !p.Equal(q) {
+	q := maps.Clone(p)
+	if !maps.Equal(p, q) {
 		t.Error("clone not equal")
 	}
 	q["a"] = region.CACentral1
-	if p.Equal(q) {
+	if maps.Equal(p, q) {
 		t.Error("diverged plans reported equal")
 	}
 	if p["a"] != region.USEast1 {
@@ -278,7 +264,7 @@ func TestPlanEqualCloneRegions(t *testing.T) {
 	if q.IsSingleRegion() {
 		t.Error("multi-region plan reported single")
 	}
-	if p.Equal(Plan{}) {
+	if maps.Equal(p, Plan{}) {
 		t.Error("different sizes reported equal")
 	}
 }
@@ -296,19 +282,13 @@ func TestHourlyPlans(t *testing.T) {
 	d := diamond(t)
 	home := NewHomePlan(d, region.USEast1)
 	h := Uniform(home)
-	if h.DistinctPlans() != 1 {
-		t.Errorf("distinct = %d", h.DistinctPlans())
-	}
 	other := NewHomePlan(d, region.CACentral1)
 	h[3] = other
-	if h.DistinctPlans() != 2 {
-		t.Errorf("distinct = %d", h.DistinctPlans())
-	}
-	if !h.At(3).Equal(other) || !h.At(4).Equal(home) {
+	if !maps.Equal(h.At(3), other) || !maps.Equal(h.At(4), home) {
 		t.Error("At returned wrong plan")
 	}
 	// Out-of-range hours wrap.
-	if !h.At(27).Equal(other) || !h.At(-21).Equal(other) {
+	if !maps.Equal(h.At(27), other) || !maps.Equal(h.At(-21), other) {
 		t.Error("hour wrapping broken")
 	}
 }

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -23,29 +22,9 @@ func NewHomePlan(d *DAG, home region.ID) Plan {
 	return p
 }
 
-// Clone returns a deep copy.
-func (p Plan) Clone() Plan {
-	out := make(Plan, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-// Equal reports whether two plans assign identical regions.
-func (p Plan) Equal(q Plan) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for k, v := range p {
-		if q[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Regions returns the distinct regions used by the plan, sorted.
+//
+//caribou:allow unreached the per-event oracle's region set (montecarlo oracle_test.go) and IsSingleRegion's
 func (p Plan) Regions() []region.ID {
 	set := map[region.ID]bool{}
 	for _, r := range p {
@@ -71,12 +50,35 @@ func (p Plan) SortedNodes() []NodeID {
 	return out
 }
 
+// String renders the plan compactly, in topological-ish (sorted) order.
+func (p Plan) String() string {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, string(k))
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s→%s", k, p[NodeID(k)])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
 // IsSingleRegion reports whether all stages share one region.
+//
+//caribou:allow unreached oracle of TestSolveCoarse: a coarse plan uses one region
 func (p Plan) IsSingleRegion() bool { return len(p.Regions()) <= 1 }
 
 // Validate checks that the plan covers exactly the stages of d, that every
 // assigned region exists in the catalogue, and that each assignment
 // satisfies the merged workflow- and function-level constraints.
+//
+//caribou:allow unreached oracle of TestQuickSolvedPlansAlwaysSatisfyConstraints: every solved plan is compliant
 func (p Plan) Validate(d *DAG, cat *region.Catalogue, workflow region.Constraint) error {
 	if len(p) != d.Len() {
 		return fmt.Errorf("dag: plan covers %d stages, workflow %s has %d", len(p), d.Name(), d.Len())
@@ -96,54 +98,6 @@ func (p Plan) Validate(d *DAG, cat *region.Catalogue, workflow region.Constraint
 		}
 	}
 	return nil
-}
-
-// Key returns a compact canonical encoding of the plan: stage→region
-// pairs in sorted stage order, with no decorative formatting. Two plans
-// are Equal iff their Keys match, so Key serves as a cheap map key for
-// plan interning and estimate memoization.
-func (p Plan) Key() string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(string(p[NodeID(k)]))
-	}
-	return b.String()
-}
-
-// Hash returns a stable 64-bit FNV-1a hash of the plan's canonical Key.
-func (p Plan) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.Key()))
-	return h.Sum64()
-}
-
-// String renders the plan compactly, in topological-ish (sorted) order.
-func (p Plan) String() string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s→%s", k, p[NodeID(k)])
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // HourlyPlans is one deployment plan per hour of day. The solver emits 24
@@ -166,16 +120,6 @@ func (h HourlyPlans) At(hour int) Plan {
 		hour = ((hour % 24) + 24) % 24
 	}
 	return h[hour]
-}
-
-// DistinctPlans reports how many structurally distinct plans the set
-// contains.
-func (h HourlyPlans) DistinctPlans() int {
-	seen := make(map[string]bool, len(h))
-	for _, p := range h {
-		seen[p.Key()] = true
-	}
-	return len(seen)
 }
 
 // Interner assigns dense integer indices to a DAG's stages in topological
@@ -208,6 +152,3 @@ func (it *Interner) Index(n NodeID) (int, bool) {
 
 // Node returns the stage at dense index i.
 func (it *Interner) Node(i int) NodeID { return it.order[i] }
-
-// Nodes returns the interned stages in index order (a copy).
-func (it *Interner) Nodes() []NodeID { return append([]NodeID(nil), it.order...) }

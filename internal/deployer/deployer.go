@@ -32,13 +32,10 @@ type Deployer struct {
 	// failure-mode experiments): returning true fails that step.
 	FailDeploy func(node dag.NodeID, r region.ID) bool
 
-	key            string
-	active         *storedPlans // cache of the KV value
-	migratedBytes  float64
-	rollouts       int
-	failedRollouts int
-	pendingPlans   *dag.HourlyPlans // staged for retry after a failure
-	pendingExpiry  time.Time
+	key           string
+	active        *storedPlans     // cache of the KV value
+	pendingPlans  *dag.HourlyPlans // staged for retry after a failure
+	pendingExpiry time.Time
 
 	tel deployerTelemetry
 }
@@ -88,7 +85,6 @@ func (d *Deployer) InitialDeploy() error {
 // the image bytes replicated across regions, the migration overhead the
 // Deployment Manager charges against the carbon budget.
 func (d *Deployer) Rollout(plans dag.HourlyPlans, expiry time.Time) (float64, error) {
-	d.rollouts++
 	d.tel.rollouts.Inc()
 	var moved float64
 	for _, plan := range plans {
@@ -113,13 +109,11 @@ func (d *Deployer) Rollout(plans dag.HourlyPlans, expiry time.Time) (float64, er
 		}
 	}
 	d.activate(plans, expiry)
-	d.migratedBytes += moved
 	d.pendingPlans = nil
 	return moved, nil
 }
 
 func (d *Deployer) noteRolloutFailure(node dag.NodeID, r region.ID) {
-	d.failedRollouts++
 	d.tel.failed.Inc()
 	d.tel.rec.Event("deployer.rollout_failed", d.p.Scheduler().Now(),
 		telemetry.String("workflow", d.eng.Workload().Name),
@@ -193,14 +187,6 @@ func (d *Deployer) ActivePlan(now time.Time) dag.Plan {
 		plan[n] = r
 	}
 	return plan
-}
-
-// HasActive reports whether a non-expired plan set is active at now.
-func (d *Deployer) HasActive(now time.Time) bool { return d.ActivePlan(now) != nil }
-
-// Stats reports rollout counts and cumulative migrated image bytes.
-func (d *Deployer) Stats() (rollouts, failed int, migratedBytes float64) {
-	return d.rollouts, d.failedRollouts, d.migratedBytes
 }
 
 var _ executor.PlanSource = (*Deployer)(nil)

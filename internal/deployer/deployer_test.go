@@ -66,9 +66,6 @@ func TestRolloutActivatesAndRoutes(t *testing.T) {
 	if got == nil || got["profanity"] != region.CACentral1 {
 		t.Errorf("active plan = %v", got)
 	}
-	if !d.HasActive(t0.Add(time.Hour)) {
-		t.Error("HasActive false")
-	}
 	// After expiry: home fallback.
 	if d.ActivePlan(expiry.Add(time.Minute)) != nil {
 		t.Error("expired plan still active")
@@ -105,10 +102,6 @@ func TestRolloutFailureKeepsFallbackAndRetries(t *testing.T) {
 	got := d.ActivePlan(t0.Add(time.Hour))
 	if got == nil || got["compress"] != region.CACentral1 {
 		t.Errorf("plan after retry = %v", got)
-	}
-	rollouts, failed, _ := d.Stats()
-	if rollouts != 2 || failed != 1 {
-		t.Errorf("rollouts=%d failed=%d", rollouts, failed)
 	}
 }
 
@@ -160,19 +153,19 @@ func TestHourlyPlanSelection(t *testing.T) {
 func TestMigratedBytesAccumulate(t *testing.T) {
 	_, _, d, wl := newStack(t)
 	plan := dag.NewHomePlan(wl.DAG, region.USWest2)
-	if _, err := d.Rollout(dag.Uniform(plan), t0.Add(24*time.Hour)); err != nil {
+	bytes, err := d.Rollout(dag.Uniform(plan), t0.Add(24*time.Hour))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bytes := d.Stats()
 	if bytes != wl.ImageBytes {
 		t.Errorf("migrated = %v, want one image copy %v", bytes, wl.ImageBytes)
 	}
 	// Rolling out to the same region again copies nothing.
-	if _, err := d.Rollout(dag.Uniform(plan), t0.Add(48*time.Hour)); err != nil {
+	bytes2, err := d.Rollout(dag.Uniform(plan), t0.Add(48*time.Hour))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bytes2 := d.Stats()
-	if bytes2 != bytes {
+	if bytes2 != 0 {
 		t.Errorf("second rollout copied images again: %v", bytes2)
 	}
 }

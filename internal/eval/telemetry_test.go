@@ -23,7 +23,7 @@ import (
 // placed. With the recorder on, the exhaustive solves behind those plans
 // must have reported their in-solve attribution on the solve span.
 func TestTelemetryInertFig7(t *testing.T) {
-	if telemetry.Enabled() {
+	if telemetry.Default() != nil {
 		t.Fatal("telemetry unexpectedly enabled at test entry")
 	}
 	fine := RunConfig{Workload: workloads.DNAVisualization(), Class: workloads.Small, PerDay: 48, Seed: 7}

@@ -7,6 +7,7 @@ import (
 	"caribou/internal/platform"
 	"caribou/internal/region"
 	"caribou/internal/simclock"
+	"caribou/internal/telemetry"
 	"caribou/internal/workloads"
 )
 
@@ -15,6 +16,8 @@ import (
 // completion times stagger by roughly the execution duration and later
 // invocations' service times include their queueing delay.
 func TestRegionConcurrencyLimitSerializesExecutions(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	defer telemetry.Disable()
 	sched := simclock.New(testStart)
 	cat := region.NorthAmerica()
 	p, err := platform.New(platform.Options{
@@ -38,7 +41,7 @@ func TestRegionConcurrencyLimitSerializesExecutions(t *testing.T) {
 	if len(recs) != n {
 		t.Fatalf("completed %d of %d", len(recs), n)
 	}
-	peak, queued := p.ConcurrencyStats(region.USEast1)
+	peak, queued := rec.Gauge("platform.limiter.peak").Value(), rec.Counter("platform.limiter.queued").Value()
 	if peak != 1 {
 		t.Errorf("peak concurrency = %d, want 1", peak)
 	}
@@ -57,6 +60,8 @@ func TestRegionConcurrencyLimitSerializesExecutions(t *testing.T) {
 // TestUnlimitedConcurrencyRunsInParallel: the same burst with no cap
 // completes in about one execution duration.
 func TestUnlimitedConcurrencyRunsInParallel(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	defer telemetry.Disable()
 	sched := simclock.New(testStart)
 	cat := region.NorthAmerica()
 	p, err := platform.New(platform.Options{
@@ -85,8 +90,7 @@ func TestUnlimitedConcurrencyRunsInParallel(t *testing.T) {
 			t.Errorf("invocation %d took %.2fs; parallel burst should take ~%.1fs", r.ID, r.ServiceTime().Seconds(), mean)
 		}
 	}
-	_, queued := p.ConcurrencyStats(region.USEast1)
-	if queued != 0 {
+	if queued := rec.Counter("platform.limiter.queued").Value(); queued != 0 {
 		t.Errorf("queued = %d with unlimited capacity", queued)
 	}
 }

@@ -236,7 +236,7 @@ func TestCommonRandomNumbersAcrossPlans(t *testing.T) {
 		sched, p := newTestEnv(t)
 		var recs []*platform.InvocationRecord
 		e := newEngine(t, p, condWorkload(0.5), ModeCaribou, plans, &recs)
-		e.SetBenchFraction(0)
+		e.benchFr = 0
 		if deployRemote {
 			for _, n := range e.wl.DAG.Nodes() {
 				if _, err := e.EnsureDeployment(n, region.CACentral1); err != nil {

@@ -263,14 +263,6 @@ func (e *Engine) EnsureDeployment(node dag.NodeID, r region.ID) (float64, error)
 	return moved, nil
 }
 
-// RemoveDeployment tears down the function for node in r.
-func (e *Engine) RemoveDeployment(node dag.NodeID, r region.ID) {
-	e.p.RemoveFunction(platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r})
-	if pos, ok := e.pos[node]; ok {
-		delete(e.nodes[pos].deployed, r)
-	}
-}
-
 // DeployHome deploys every stage to the home region (initial deployment,
 // §6.1).
 func (e *Engine) DeployHome() error {
@@ -283,6 +275,8 @@ func (e *Engine) DeployHome() error {
 }
 
 // Live reports the number of in-flight invocations.
+//
+//caribou:allow unreached leak oracle of FuzzBuild and the executor drain tests: a run that finishes holds no invocation
 func (e *Engine) Live() int { return len(e.live) }
 
 func (e *Engine) onDrop(msg pubsub.Message) {
@@ -333,14 +327,6 @@ func (e *Engine) SetPlans(ps PlanSource) {
 	e.plans = ps
 }
 
-// SetBenchFraction adjusts the share of traffic pinned home for
-// benchmarking.
-func (e *Engine) SetBenchFraction(f float64) {
-	if f >= 0 && f < 1 {
-		e.benchFr = f
-	}
-}
-
 // The node table: the workflow compiled once into a slice indexed by
 // topological position, so the per-stage path reads successors, profiles
 // and payload sizes by index instead of copying edge lists out of the DAG
@@ -355,7 +341,7 @@ type node struct {
 	sigma  float64
 	output []float64 // a terminal's result written back home; 0 for none
 	// deployed is the stage's row of the handle table, kept by
-	// Ensure/RemoveDeployment.
+	// EnsureDeployment.
 	deployed map[region.ID]*platform.Deployment
 }
 

@@ -10,6 +10,14 @@ import (
 	"caribou/internal/workloads"
 )
 
+// removeDeployment tears the function for node in r down under a running
+// engine, as a region failure would: the platform forgets it and the
+// engine's deployment cache with it.
+func removeDeployment(e *Engine, node dag.NodeID, r region.ID) {
+	e.p.RemoveFunction(platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r})
+	delete(e.nodes[e.pos[node]].deployed, r)
+}
+
 // TestInFlightMessageToRemovedDeploymentFails exercises the message-loss
 // path: a deployment disappears while an invocation message is in flight;
 // the broker retries, exhausts attempts, and the invocation completes
@@ -25,14 +33,14 @@ func TestInFlightMessageToRemovedDeploymentFails(t *testing.T) {
 	}
 	plan := dag.NewHomePlan(wl.DAG, region.USWest2)
 	e.SetPlans(StaticPlans{Hourly: dag.Uniform(plan)})
-	e.SetBenchFraction(0)
+	e.benchFr = 0
 
 	if _, err := e.Invoke(workloads.Small); err != nil {
 		t.Fatal(err)
 	}
 	// The message is now in flight to us-west-2; the deployment vanishes
 	// before delivery (e.g. region failure).
-	e.RemoveDeployment("visualize", region.USWest2)
+	removeDeployment(e, "visualize", region.USWest2)
 	sched.Run()
 
 	if len(recs) != 1 {
@@ -60,12 +68,12 @@ func TestRecoveryAfterRedelivery(t *testing.T) {
 	}
 	plan := dag.NewHomePlan(wl.DAG, region.USWest2)
 	e.SetPlans(StaticPlans{Hourly: dag.Uniform(plan)})
-	e.SetBenchFraction(0)
+	e.benchFr = 0
 
 	if _, err := e.Invoke(workloads.Small); err != nil {
 		t.Fatal(err)
 	}
-	e.RemoveDeployment("visualize", region.USWest2)
+	removeDeployment(e, "visualize", region.USWest2)
 	// Redeploy shortly after: the first delivery attempt fails, a retry
 	// lands.
 	sched.After(2*time.Second, func() {
@@ -94,7 +102,7 @@ func TestColdStartsClusterAtDeploymentSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetPlans(StaticPlans{Hourly: dag.Uniform(dag.NewHomePlan(wl.DAG, region.CACentral1))})
-	e.SetBenchFraction(0)
+	e.benchFr = 0
 
 	runInvocations(t, e, sched, 20, workloads.Small, 5*time.Minute)
 	if len(recs) != 20 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestPutGetDelete(t *testing.T) {
@@ -40,26 +39,6 @@ func TestGetReturnsCopy(t *testing.T) {
 	v2, _ := s.Get("k")
 	if string(v2) != "abc" {
 		t.Error("caller mutation leaked into store")
-	}
-}
-
-func TestCounters(t *testing.T) {
-	s := New()
-	if got := s.Incr("c", 3); got != 3 {
-		t.Errorf("incr = %d", got)
-	}
-	if got := s.Incr("c", -1); got != 2 {
-		t.Errorf("incr = %d", got)
-	}
-	if got := s.Counter("c"); got != 2 {
-		t.Errorf("counter = %d", got)
-	}
-	if got := s.Counter("other"); got != 0 {
-		t.Errorf("fresh counter = %d", got)
-	}
-	s.Delete("c")
-	if got := s.Counter("c"); got != 0 {
-		t.Errorf("counter survived delete: %d", got)
 	}
 }
 
@@ -103,44 +82,6 @@ func TestUpdateSkipWrite(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	s := New()
-	// nil old = create-if-absent.
-	if !s.CompareAndSwap("k", nil, []byte("a")) {
-		t.Error("create-if-absent failed")
-	}
-	if s.CompareAndSwap("k", nil, []byte("b")) {
-		t.Error("create-if-absent succeeded on existing key")
-	}
-	if s.CompareAndSwap("k", []byte("wrong"), []byte("b")) {
-		t.Error("CAS succeeded with wrong old value")
-	}
-	if !s.CompareAndSwap("k", []byte("a"), []byte("b")) {
-		t.Error("CAS failed with matching old value")
-	}
-	v, _ := s.Get("k")
-	if string(v) != "b" {
-		t.Errorf("value = %q", v)
-	}
-	if s.CompareAndSwap("missing", []byte("x"), []byte("y")) {
-		t.Error("CAS succeeded on missing key with non-nil old")
-	}
-}
-
-func TestKeysPrefix(t *testing.T) {
-	s := New()
-	s.Put("dp/a", nil)
-	s.Put("dp/b", nil)
-	s.Put("sync/x", nil)
-	keys := s.Keys("dp/")
-	if len(keys) != 2 || keys[0] != "dp/a" || keys[1] != "dp/b" {
-		t.Errorf("keys = %v", keys)
-	}
-	if got := s.Keys("zz/"); len(got) != 0 {
-		t.Errorf("unexpected keys %v", got)
-	}
-}
-
 func TestJSONHelpers(t *testing.T) {
 	s := New()
 	type payload struct {
@@ -175,43 +116,8 @@ func TestStatsCountAccesses(t *testing.T) {
 	s := New()
 	s.Put("a", nil)
 	s.Get("a")
-	s.Incr("c", 1)
 	r, w := s.Stats()
 	if r == 0 || w == 0 {
 		t.Errorf("stats r=%d w=%d", r, w)
-	}
-}
-
-func TestQuickCASOnlySucceedsWithMatchingOld(t *testing.T) {
-	f := func(initial, old, next []byte) bool {
-		s := New()
-		s.Put("k", initial)
-		ok := s.CompareAndSwap("k", old, next)
-		v, _ := s.Get("k")
-		if string(initial) == string(old) && old != nil {
-			return ok && string(v) == string(next)
-		}
-		return !ok && string(v) == string(initial)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentIncr(t *testing.T) {
-	s := New()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				s.Incr("c", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := s.Counter("c"); got != 8000 {
-		t.Errorf("counter = %d, want 8000", got)
 	}
 }

@@ -99,12 +99,6 @@ func New(cfg Config, mm *metrics.Manager, solv *solver.Solver, dep *deployer.Dep
 	}
 }
 
-// NextCheck reports when the next token check is due.
-func (m *Manager) NextCheck() time.Time { return m.st.NextDue() }
-
-// Tokens reports the current carbon budget in grams.
-func (m *Manager) Tokens() float64 { return m.st.Tokens() }
-
 // Solves reports how many plan generations have run.
 func (m *Manager) Solves() int { return m.st.Solves() }
 

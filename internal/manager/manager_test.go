@@ -107,8 +107,8 @@ func TestNoTrafficNoTokensNoSolve(t *testing.T) {
 	if activated || s.mgr.Solves() != 0 {
 		t.Error("solve without traffic or initial tokens")
 	}
-	if s.mgr.Tokens() != 0 {
-		t.Errorf("tokens = %v", s.mgr.Tokens())
+	if s.mgr.st.Tokens() != 0 {
+		t.Errorf("tokens = %v", s.mgr.st.Tokens())
 	}
 }
 
@@ -146,7 +146,7 @@ func TestCheckExpiresPreviousPlan(t *testing.T) {
 	// rollout fails, traffic must route home (no active plan) rather
 	// than through the stale deployment.
 	s.dep.FailDeploy = func(_ dag.NodeID, r region.ID) bool { return r != region.USEast1 }
-	next := s.mgr.NextCheck()
+	next := s.mgr.st.NextDue()
 	s.sched.RunUntil(next.Add(time.Minute))
 	activated, err := s.mgr.Tick(s.sched.Now())
 	if err != nil {
@@ -167,7 +167,7 @@ func TestCheckIntervalWithinBounds(t *testing.T) {
 	if _, err := s.mgr.Tick(now); err != nil {
 		t.Fatal(err)
 	}
-	gap := s.mgr.NextCheck().Sub(now)
+	gap := s.mgr.st.NextDue().Sub(now)
 	if gap < MinCheckInterval || gap > MaxCheckInterval {
 		t.Errorf("next check gap = %v outside [%v, %v]", gap, MinCheckInterval, MaxCheckInterval)
 	}
@@ -204,7 +204,7 @@ func TestStabilityBackoffGrows(t *testing.T) {
 
 	var gaps []time.Duration
 	for i := 0; i < 3; i++ {
-		next := s.mgr.NextCheck()
+		next := s.mgr.st.NextDue()
 		if next.After(s.sched.Now()) {
 			s.sched.RunUntil(next.Add(time.Minute))
 		}
@@ -212,7 +212,7 @@ func TestStabilityBackoffGrows(t *testing.T) {
 		if _, err := s.mgr.Tick(before); err != nil {
 			t.Fatal(err)
 		}
-		gaps = append(gaps, s.mgr.NextCheck().Sub(before))
+		gaps = append(gaps, s.mgr.st.NextDue().Sub(before))
 	}
 	if s.mgr.Solves() < 2 {
 		t.Fatalf("solves = %d; backoff test needs repeated solves", s.mgr.Solves())
@@ -314,7 +314,7 @@ func TestFailedRolloutDebitsSolve(t *testing.T) {
 
 	// The expected balance is priced from the metric window directly, not
 	// through Window, so the check stands apart from the code under test.
-	before := s.mgr.Tokens()
+	before := s.mgr.st.Tokens()
 	n := s.mm.InvocationsSince(t0)
 	homeI, err := s.mm.IntensityAt(region.USEast1, now, now)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestFailedRolloutDebitsSolve(t *testing.T) {
 	if s.mgr.Solves() != 1 {
 		t.Fatalf("solves = %d", s.mgr.Solves())
 	}
-	if got, want := s.mgr.Tokens(), before+earned-cost; math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+	if got, want := s.mgr.st.Tokens(), before+earned-cost; math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 		t.Errorf("tokens after a failed rollout = %v, want before + earned - cost = %v + %v - %v = %v", got, before, earned, cost, want)
 	}
 }

@@ -108,13 +108,6 @@ func (s *Stream) Accrue(invocations int, meanRuntimeSec, homeIntensity, minInten
 // Due reports whether a budget check should run at now.
 func (s *Stream) Due(now time.Time) bool { return !now.Before(s.nextDue) }
 
-// PlanExpired reports whether a previously activated plan set has lapsed
-// at now — the stalled-feed case: with no deltas earning tokens, the plan
-// runs out and traffic must route home until the budget recovers.
-func (s *Stream) PlanExpired(now time.Time) bool {
-	return !s.planExpiry.IsZero() && now.After(s.planExpiry)
-}
-
 // Decide reports the granularity the current budget affords given the two
 // solve costs — the granularity-adaptation rule of §5.2: a full hourly
 // solve when tokens cover it, a downgraded single daily solve when they

@@ -128,8 +128,8 @@ func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
 	if expiry.IsZero() {
 		t.Fatal("no expiry recorded after solve")
 	}
-	if s.PlanExpired(expiry) {
-		t.Error("plan expired at its own expiry instant")
+	if !t0.Before(expiry) {
+		t.Errorf("plan solved at %v already lapsed at %v", t0, expiry)
 	}
 
 	// The delta feed stalls: only zero-invocation heartbeats advance the
@@ -138,7 +138,7 @@ func TestStreamPlanExpiryUnderStalledFeed(t *testing.T) {
 	// traffic routes home until tokens recover.
 	heartbeat := expiry.Add(time.Minute)
 	s.Accrue(0, 0, 0, 0)
-	if !s.PlanExpired(heartbeat) {
+	if heartbeat.Before(s.PlanExpiry()) {
 		t.Error("stalled feed did not expire the plan")
 	}
 	if s.Due(heartbeat) {
@@ -182,14 +182,14 @@ func TestStreamSkipExpiresActivePlan(t *testing.T) {
 	// A due check with an empty budget expires the pre-determined
 	// deployment immediately (§5.2), mirroring Manager.Tick's dep.Expire.
 	now := t0.Add(MinCheckInterval)
-	if s.PlanExpired(now) {
+	if !now.Before(s.PlanExpiry()) {
 		t.Fatal("plan already expired before the check")
 	}
 	if g := s.Check(now, hourly, daily); g != GranularityNone {
 		t.Fatalf("granularity = %v with a spent budget, want none", g)
 	}
-	if !s.PlanExpired(now.Add(time.Nanosecond)) {
-		t.Error("tokenless check did not expire the active plan")
+	if !s.PlanExpiry().Equal(now) {
+		t.Errorf("tokenless check at %v left the plan live until %v", now, s.PlanExpiry())
 	}
 }
 
@@ -274,8 +274,8 @@ func TestStreamFirstCheckDueImmediately(t *testing.T) {
 	if !s.Due(t0) {
 		t.Error("stream not due at its start time")
 	}
-	if s.PlanExpired(t0) {
-		t.Error("plan expired before any solve")
+	if t0.Before(s.PlanExpiry()) {
+		t.Error("a plan is live before any solve")
 	}
 	if !s.PlanExpiry().IsZero() {
 		t.Error("non-zero expiry before any solve")

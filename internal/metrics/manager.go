@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"caribou/internal/carbon"
@@ -210,9 +209,6 @@ func uniqueInfo(r *platform.InvocationRecord, coverage map[execKey]int) bool {
 	return false
 }
 
-// WindowSize reports the number of retained records.
-func (m *Manager) WindowSize() int { return len(m.records) }
-
 // InvocationsSince counts retained invocations that ended after t.
 func (m *Manager) InvocationsSince(t time.Time) int {
 	n := 0
@@ -246,17 +242,6 @@ func (m *Manager) MeanRuntimeSince(t time.Time) float64 {
 	return sum / float64(n)
 }
 
-// Records returns the retained window (oldest first). The slice is shared;
-// callers must not mutate it.
-func (m *Manager) Records() []*platform.InvocationRecord { return m.records }
-
-// HasExecData reports whether any execution has been observed for node in
-// the region.
-func (m *Manager) HasExecData(node dag.NodeID, r region.ID) bool {
-	d, ok := m.exec[execKey{node, r}]
-	return ok && d.Len() > 0
-}
-
 // zoneOf resolves a region's grid zone.
 func (m *Manager) zoneOf(r region.ID) (string, error) {
 	reg, ok := m.cat.Get(r)
@@ -264,12 +249,4 @@ func (m *Manager) zoneOf(r region.ID) (string, error) {
 		return "", fmt.Errorf("metrics: unknown region %q", r)
 	}
 	return reg.GridZone, nil
-}
-
-// Regions returns the catalogue's region IDs sorted, a convenience for
-// solvers.
-func (m *Manager) Regions() []region.ID {
-	ids := m.cat.IDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

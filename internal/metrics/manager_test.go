@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"caribou/internal/platform"
 	"caribou/internal/pricing"
 	"caribou/internal/region"
+	"caribou/internal/stats"
 	"caribou/internal/workloads"
 )
 
@@ -57,8 +57,8 @@ func TestIngestBuildsDistributions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Ingest(record(uint64(i), t0.Add(time.Duration(i)*time.Minute), region.USEast1, allNodes()...))
 	}
-	if m.WindowSize() != 10 {
-		t.Fatalf("window = %d", m.WindowSize())
+	if len(m.records) != 10 {
+		t.Fatalf("window = %d", len(m.records))
 	}
 	d, err := m.ExecDuration("validate", region.USEast1)
 	if err != nil {
@@ -67,11 +67,8 @@ func TestIngestBuildsDistributions(t *testing.T) {
 	if d.Len() != 10 {
 		t.Errorf("validate samples = %d", d.Len())
 	}
-	if !m.HasExecData("validate", region.USEast1) {
-		t.Error("HasExecData false")
-	}
-	if m.HasExecData("validate", region.CACentral1) {
-		t.Error("HasExecData true for unobserved region")
+	if _, ok := m.exec[execKey{"validate", region.CACentral1}]; ok {
+		t.Error("execution data for an unobserved region")
 	}
 	if u := m.CPUUtil("validate"); math.Abs(u-0.7) > 1e-9 {
 		t.Errorf("util = %v", u)
@@ -154,8 +151,8 @@ func TestWindowAgeEviction(t *testing.T) {
 	m, _ := newManager(t)
 	m.Ingest(record(1, t0, region.USEast1, "validate"))
 	m.Ingest(record(2, t0.Add(31*24*time.Hour), region.USEast1, "validate"))
-	if m.WindowSize() != 1 {
-		t.Errorf("window = %d after 30-day eviction", m.WindowSize())
+	if len(m.records) != 1 {
+		t.Errorf("window = %d after 30-day eviction", len(m.records))
 	}
 }
 
@@ -168,11 +165,11 @@ func TestWindowCapWithSelectiveRetention(t *testing.T) {
 	for i := 1; i <= MaxRecords+100; i++ {
 		m.Ingest(record(uint64(i), t0.Add(time.Duration(i)*time.Second), region.USEast1, "validate"))
 	}
-	if m.WindowSize() > MaxRecords {
-		t.Errorf("window = %d exceeds cap %d", m.WindowSize(), MaxRecords)
+	if len(m.records) > MaxRecords {
+		t.Errorf("window = %d exceeds cap %d", len(m.records), MaxRecords)
 	}
 	found := false
-	for _, r := range m.Records() {
+	for _, r := range m.records {
 		for _, e := range r.Executions {
 			if e.Region == region.CACentral1 {
 				found = true
@@ -206,11 +203,11 @@ func TestIgnoresForeignRecords(t *testing.T) {
 	rec := record(1, t0, region.USEast1, "validate")
 	rec.Workflow = "other-workflow"
 	m.Ingest(rec)
-	if m.WindowSize() != 0 {
+	if len(m.records) != 0 {
 		t.Error("foreign workflow record ingested")
 	}
 	m.Ingest(nil)
-	if m.WindowSize() != 0 {
+	if len(m.records) != 0 {
 		t.Error("nil record ingested")
 	}
 }
@@ -224,16 +221,16 @@ func TestTransferLearning(t *testing.T) {
 		platform.TransferEvent{Kind: platform.TransferOutput, From: region.USEast1, To: region.USEast1, FromNode: "compress", Bytes: 2000, At: t0},
 	)
 	m.Ingest(rec)
-	if d := m.EdgeBytes("validate", "text2speech"); d == nil || d.Mean() != 1000 {
+	if d := m.EdgeBytes("validate", "text2speech"); d == nil || stats.Mean(d.SortedValues()) != 1000 {
 		t.Errorf("edge bytes = %v", d)
 	}
 	if d := m.EdgeBytes("validate", "profanity"); d != nil {
 		t.Error("unobserved edge should be nil")
 	}
-	if m.EntryBytes().Mean() != 500 {
-		t.Errorf("entry bytes = %v", m.EntryBytes().Mean())
+	if stats.Mean(m.EntryBytes().SortedValues()) != 500 {
+		t.Errorf("entry bytes = %v", stats.Mean(m.EntryBytes().SortedValues()))
 	}
-	if d := m.OutputBytes("compress"); d == nil || d.Mean() != 2000 {
+	if d := m.OutputBytes("compress"); d == nil || stats.Mean(d.SortedValues()) != 2000 {
 		t.Errorf("output bytes = %v", d)
 	}
 	if d := m.OutputBytes("validate"); d != nil {
@@ -317,8 +314,8 @@ func TestKVAndMessageModelAccessors(t *testing.T) {
 	if m.Home() != region.USEast1 {
 		t.Errorf("home = %v", m.Home())
 	}
-	if len(m.Regions()) != 4 {
-		t.Errorf("regions = %v", m.Regions())
+	if ids := m.Catalogue().IDs(); len(ids) != 4 {
+		t.Errorf("regions = %v", ids)
 	}
 }
 
@@ -337,8 +334,8 @@ func TestWindowSizeStressMany(t *testing.T) {
 	for i := 0; i < 2*MaxRecords; i++ {
 		m.Ingest(record(uint64(i), t0.Add(time.Duration(i)*time.Second), region.USEast1, "validate"))
 	}
-	if m.WindowSize() > MaxRecords {
-		t.Fatalf("window %d over cap", m.WindowSize())
+	if len(m.records) > MaxRecords {
+		t.Fatalf("window %d over cap", len(m.records))
 	}
 	// Distributions stay bounded too.
 	d, err := m.ExecDuration("validate", region.USEast1)
@@ -348,5 +345,4 @@ func TestWindowSizeStressMany(t *testing.T) {
 	if d.Len() > 2000 {
 		t.Errorf("distribution grew unbounded: %d", d.Len())
 	}
-	_ = fmt.Sprintf("%d", d.Count())
 }

@@ -156,6 +156,8 @@ func (s *Snapshot) NewBasis(a *BasisArena, assign []int) (*Basis, error) {
 
 // Samples reports how many samples the basis holds. Not synchronized:
 // meaningful once no evaluation of the basis is in flight.
+//
+//caribou:allow unreached oracle of TestBasisExtension, TestBasisSurvivesPrunedHour and TestEstimateBasesUntapedLeavesBasisEmpty
 func (b *Basis) Samples() int { return b.n }
 
 // width is the per-sample record width of a block's slot section.

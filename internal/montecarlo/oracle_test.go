@@ -144,7 +144,7 @@ func (e *Estimator) sampleOnce(plan dag.Plan, intensity map[region.ID]float64, r
 			s.latency = finish[n]
 		}
 		s.execCarbon += carbon.ExecutionCarbon(intensity[r], mem, dur, util)
-		s.cost += book.ExecutionCost(r, mem, dur)
+		s.cost += book.Prices(r).ExecutionCost(mem, dur)
 
 		out := d.Out(n)
 		if len(out) == 0 {

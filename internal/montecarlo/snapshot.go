@@ -310,6 +310,8 @@ func (e *Estimator) Compile(regions []region.ID, hours []time.Time, now time.Tim
 // --- Accessors used by the solver's dense search layer ---
 
 // NumNodes reports the number of interned stages.
+//
+//caribou:allow unreached sizes the assignment vectors of the rows, basis, screen and shared-tape parity tests
 func (s *Snapshot) NumNodes() int { return s.nodes.Len() }
 
 // NumHours reports the number of compiled solve instants.
@@ -372,9 +374,6 @@ func (s *Snapshot) RegionIndex(id region.ID) (int, bool) {
 	i, ok := s.regionIdx[id]
 	return i, ok
 }
-
-// NodeID returns the stage at dense index i.
-func (s *Snapshot) NodeID(i int) dag.NodeID { return s.nodes.Node(i) }
 
 // IntensityIdx returns the pre-resolved grid intensity of region index r
 // at hour index h.

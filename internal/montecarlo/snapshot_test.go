@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -253,7 +254,7 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.PlanOf(assign).Equal(p) {
+	if !maps.Equal(snap.PlanOf(assign), p) {
 		t.Errorf("round trip mangled plan: %v", snap.PlanOf(assign))
 	}
 }

@@ -91,8 +91,8 @@ type tapeData struct {
 	edgeOff []int32   // len(node)+1
 	// Per (step, region) triples at (si*nR+r)*3: the resolved
 	// exec-duration quantile, the execution energy intermediate
-	// memKW·h+procKW·h of carbon.ExecutionCarbonFromFactors (so replay
-	// multiplies by intensity and PUE only), and the execution cost term
+	// memKW·h+procKW·h on carbon.ExecutionFactors' coefficients (so
+	// replay multiplies by intensity and PUE only), and the execution cost term
 	// (0 when the reference guard mem>=0 && dur>=0 fails — adding +0 to
 	// the non-negative cost accumulator is exact). Interleaving the three
 	// keeps a step's whole lookup on one cache line.
@@ -195,9 +195,9 @@ func (d *tapeData) reserve(samples, steps, edges, nR int) {
 
 // bakeStepCols resolves one step's region-dependent terms for every
 // region into the interleaved drc triples: the duration quantile, the
-// energy intermediate of carbon.ExecutionCarbonFromFactors (its exact
-// parenthesized subterm, so intensity·kwh·PUE at replay reproduces the
-// reference bit for bit), and the guarded execution cost. Regions with a
+// energy intermediate memKW·h+procKW·h on carbon.ExecutionFactors'
+// coefficients (so intensity·kwh·PUE at replay reproduces
+// carbon.ExecutionCarbon bit for bit), and the guarded execution cost. Regions with a
 // deferred exec error keep zero columns — replay raises the error before
 // reading them.
 func (s *Snapshot) bakeStepCols(n int, u float64, drc []float64) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"caribou/internal/region"
-	"caribou/internal/simclock"
 )
 
 // Model computes network metrics over a region catalogue.
@@ -31,8 +30,6 @@ const (
 	baseOverheadMs = 4.0
 	// intraRTTMs is the round-trip time within one region.
 	intraRTTMs = 1.2
-	// jitterSigma is the lognormal sigma applied when sampling.
-	jitterSigma = 0.10
 
 	// Per-flow bandwidths. Inter-region flows ride shared backbone
 	// links; intra-region flows stay inside the datacenter fabric.
@@ -59,16 +56,6 @@ func (m *Model) RTT(a, b region.ID) (time.Duration, error) {
 	distKm := region.DistanceKm(ra, rb)
 	ms := 2*distKm/fiberKmPerMs*routeInflation + baseOverheadMs
 	return time.Duration(ms * float64(time.Millisecond)), nil
-}
-
-// SampleRTT draws one RTT observation with lognormal jitter.
-func (m *Model) SampleRTT(a, b region.ID, rng *simclock.Rand) (time.Duration, error) {
-	mean, err := m.RTT(a, b)
-	if err != nil {
-		return 0, err
-	}
-	jitter := rng.LogNormal(0, jitterSigma)
-	return time.Duration(float64(mean) * jitter), nil
 }
 
 // MustRTTSeconds returns the mean RTT in seconds, substituting a small
@@ -104,14 +91,4 @@ func (m *Model) TransferTime(a, b region.ID, bytes float64) (time.Duration, erro
 	}
 	ser := bytes / m.Bandwidth(a, b)
 	return rtt/2 + time.Duration(ser*float64(time.Second)), nil
-}
-
-// SampleTransferTime draws one one-way delivery time with jitter.
-func (m *Model) SampleTransferTime(a, b region.ID, bytes float64, rng *simclock.Rand) (time.Duration, error) {
-	mean, err := m.TransferTime(a, b, bytes)
-	if err != nil {
-		return 0, err
-	}
-	jitter := rng.LogNormal(0, jitterSigma)
-	return time.Duration(float64(mean) * jitter), nil
 }

@@ -69,7 +69,7 @@ func TestAccountsMatchPerEventLookups(t *testing.T) {
 			var execG, txG, cost float64
 			for _, e := range r.Executions {
 				execG += carbon.ExecutionCarbon(at(e.Region, e.Start), e.MemoryMB, e.DurationSec, e.CPUUtil)
-				cost += book.ExecutionCost(e.Region, e.MemoryMB, e.DurationSec)
+				cost += book.Prices(e.Region).ExecutionCost(e.MemoryMB, e.DurationSec)
 			}
 			for _, reg := range sorted(r.Services.SNSPublishes) {
 				cost += book.SNSCost(reg, r.Services.SNSPublishes[reg])
@@ -89,7 +89,7 @@ func TestAccountsMatchPerEventLookups(t *testing.T) {
 			if err != nil || gotExec != execG || gotTx != txG {
 				t.Errorf("record %d CarbonGrams = %v, %v (%v), want %v, %v", id, gotExec, gotTx, err, execG, txG)
 			}
-			if got := r.CostUSD(book); got != cost {
+			if got := NewAccounts(nil, nil, book).CostUSD(r); got != cost {
 				t.Errorf("record %d CostUSD = %v, want %v", id, got, cost)
 			}
 			gotExec, gotTx, err = shared.CarbonGrams(r, tx)
@@ -123,7 +123,7 @@ func TestAccountsErrors(t *testing.T) {
 	}
 	atFallback := sampleRecord()
 	atFallback.Executions[1].Region = region.USEast1
-	if got, want := a.CostUSD(bad), atFallback.CostUSD(book); got != want {
+	if got, want := a.CostUSD(bad), NewAccounts(nil, nil, book).CostUSD(atFallback); got != want {
 		t.Errorf("cost with an unknown region = %v, want the us-east-1 fallback's %v", got, want)
 	}
 

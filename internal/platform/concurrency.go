@@ -22,7 +22,6 @@ type regionLimiter struct {
 	waiting []func()
 	head    int
 	peak    int
-	queued  uint64
 }
 
 func (p *Platform) limiter(r region.ID) *regionLimiter {
@@ -49,7 +48,6 @@ func (p *Platform) AcquireExecutionSlot(r region.ID, fn func()) {
 		fn()
 		return
 	}
-	l.queued++
 	l.waiting = append(l.waiting, fn)
 	p.tel.limiterQueued.Inc()
 	p.tel.rec.Event("platform.limiter.queued", p.sched.Now(),
@@ -75,11 +73,4 @@ func (p *Platform) ReleaseExecutionSlot(r region.ID) {
 	if l.inUse > 0 {
 		l.inUse--
 	}
-}
-
-// ConcurrencyStats reports a region's peak concurrent executions and how
-// many invocations had to queue.
-func (p *Platform) ConcurrencyStats(r region.ID) (peak int, queued uint64) {
-	l := p.limiter(r)
-	return l.peak, l.queued
 }

@@ -35,11 +35,11 @@ func TestLimiterSaturation(t *testing.T) {
 	if started != capacity {
 		t.Errorf("started = %d, want %d (cap)", started, capacity)
 	}
-	peak, queued := p.ConcurrencyStats(r)
-	if peak != capacity {
-		t.Errorf("peak = %d, want %d", peak, capacity)
+	l := p.limiter(r)
+	if l.peak != capacity {
+		t.Errorf("peak = %d, want %d", l.peak, capacity)
 	}
-	if queued != 3 {
+	if queued := len(l.waiting) - l.head; queued != 3 {
 		t.Errorf("queued = %d, want 3", queued)
 	}
 
@@ -57,8 +57,8 @@ func TestLimiterSaturation(t *testing.T) {
 	if started != 6 {
 		t.Errorf("post-drain acquire did not run immediately: started = %d", started)
 	}
-	if peak, _ := p.ConcurrencyStats(r); peak != capacity {
-		t.Errorf("peak moved to %d after drain, want %d", peak, capacity)
+	if l.peak != capacity {
+		t.Errorf("peak moved to %d after drain, want %d", l.peak, capacity)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestLimiterSaturateThenDrain(t *testing.T) {
 }
 
 // TestLimiterTelemetryCounters checks the instrument view of saturation:
-// the peak gauge and queued counter mirror ConcurrencyStats, and each
+// the peak gauge and queued counter count what the limiter did, and each
 // queueing emits a flight-recorder event stamped with simulated time.
 func TestLimiterTelemetryCounters(t *testing.T) {
 	rec := telemetry.Enable(telemetry.Options{})

@@ -11,7 +11,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"caribou/internal/kvstore"
@@ -163,7 +162,7 @@ func New(opts Options) (*Platform, error) {
 		limiters:          make(map[region.ID]*regionLimiter),
 		tel:               newPlatformTelemetry(),
 	}
-	p.broker = pubsub.NewBroker(opts.Sched, nil, opts.Pubsub, simclock.DeriveRand(opts.Seed, "platform/broker"))
+	p.broker = pubsub.NewBroker(opts.Sched, opts.Pubsub, simclock.DeriveRand(opts.Seed, "platform/broker"))
 	return p, nil
 }
 
@@ -243,12 +242,6 @@ func (p *Platform) CopyImage(workflow string, from, to region.ID) (time.Duration
 	return d, bytes, nil
 }
 
-// DropImage removes the image from a regional registry (used by tests and
-// failure injection).
-func (p *Platform) DropImage(workflow string, r region.ID) {
-	delete(p.registry[workflow], r)
-}
-
 // EnsureRole creates the workflow's IAM role in a region (step 2 of
 // initial deployment, §6.1: one role per function deployment region).
 // Idempotent.
@@ -307,28 +300,6 @@ func (p *Platform) IsDeployed(ref FunctionRef) bool { return p.deployments[ref].
 
 // Live reports whether the deployment exists; nil and retired handles do not.
 func (d *Deployment) Live() bool { return d != nil && d.live }
-
-// Deployments returns the refs of all live deployments of a workflow.
-func (p *Platform) Deployments(workflow string) []FunctionRef {
-	var out []FunctionRef
-	for _, d := range p.deployments {
-		if d.ref.Workflow == workflow {
-			out = append(out, d.ref)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Region < out[j].Region
-	})
-	return out
-}
-
-// ColdStartPenalty is Deployment.ColdStartPenalty for the deployment of ref.
-func (p *Platform) ColdStartPenalty(ref FunctionRef, imageBytes float64) time.Duration {
-	return p.deployments[ref].ColdStartPenalty(imageBytes)
-}
 
 // ColdStartPenalty returns the environment-initialization delay to charge
 // for an invocation of the deployment arriving now, and updates its usage

@@ -67,10 +67,6 @@ func TestImageRegistry(t *testing.T) {
 	if _, _, err := p.CopyImage("missing", region.USEast1, region.USWest2); err == nil {
 		t.Error("want error when source image missing")
 	}
-	p.DropImage("wf", region.CACentral1)
-	if p.HasImage("wf", region.CACentral1) {
-		t.Error("drop failed")
-	}
 }
 
 func TestDeployRequiresImageAndRole(t *testing.T) {
@@ -100,9 +96,6 @@ func TestDeployRequiresImageAndRole(t *testing.T) {
 	if !p.IsDeployed(ref) {
 		t.Error("deployment not registered")
 	}
-	if refs := p.Deployments("wf"); len(refs) != 1 || refs[0] != ref {
-		t.Errorf("deployments = %v", refs)
-	}
 	p.RemoveFunction(ref)
 	if p.IsDeployed(ref) {
 		t.Error("removal failed")
@@ -121,23 +114,23 @@ func TestColdStartLifecycle(t *testing.T) {
 	if err := p.DeployFunction(ref, func(pubsub.Message) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	first := p.ColdStartPenalty(ref, 500e6)
+	first := p.Deployment(ref).ColdStartPenalty(500e6)
 	if first <= 0 {
 		t.Error("first invocation should be cold")
 	}
-	warm := p.ColdStartPenalty(ref, 500e6)
+	warm := p.Deployment(ref).ColdStartPenalty(500e6)
 	if warm != 0 {
 		t.Errorf("immediate second invocation cold: %v", warm)
 	}
 	// After a long idle period the environment is reclaimed.
 	sched.After(2*time.Hour, func() {})
 	sched.Run()
-	again := p.ColdStartPenalty(ref, 500e6)
+	again := p.Deployment(ref).ColdStartPenalty(500e6)
 	if again <= 0 {
 		t.Error("post-idle invocation should be cold")
 	}
 	// Unknown deployment: no penalty bookkeeping.
-	if p.ColdStartPenalty(FunctionRef{Workflow: "x", Node: "y", Region: region.USEast1}, 1e6) != 0 {
+	if p.Deployment(FunctionRef{Workflow: "x", Node: "y", Region: region.USEast1}).ColdStartPenalty(1e6) != 0 {
 		t.Error("unknown deployment should report 0")
 	}
 }
@@ -203,9 +196,9 @@ func sampleRecord() *InvocationRecord {
 func TestRecordCostAccounting(t *testing.T) {
 	book := pricing.DefaultBook()
 	r := sampleRecord()
-	got := r.CostUSD(book)
-	want := book.ExecutionCost(region.USEast1, 1769, 5) +
-		book.ExecutionCost(region.CACentral1, 1024, 3) +
+	got := NewAccounts(nil, nil, book).CostUSD(r)
+	want := book.Prices(region.USEast1).ExecutionCost(1769, 5) +
+		book.Prices(region.CACentral1).ExecutionCost(1024, 3) +
 		book.SNSCost(region.USEast1, 2) +
 		book.DynamoCost(region.USEast1, 1, 3) +
 		book.EgressCost(region.USEast1, region.CACentral1, 1e6) +
@@ -254,12 +247,6 @@ func TestRecordHelpers(t *testing.T) {
 	if r.ServiceTime() != 10*time.Second {
 		t.Errorf("service time = %v", r.ServiceTime())
 	}
-	if got := r.TotalBytes(false); got != 3e6 {
-		t.Errorf("total bytes = %v", got)
-	}
-	if got := r.TotalBytes(true); got != 3e6 {
-		t.Errorf("inter-only bytes = %v", got)
-	}
 	regions := r.RegionsUsed()
 	if len(regions) != 2 {
 		t.Errorf("regions = %v", regions)
@@ -292,7 +279,7 @@ func TestDeploymentHandle(t *testing.T) {
 	if !d.Live() || !p.IsDeployed(ref) {
 		t.Fatal("a deployed ref has no live handle")
 	}
-	if d.ColdStartPenalty(500e6) <= 0 || d.ColdStartPenalty(500e6) != 0 || p.ColdStartPenalty(ref, 500e6) != 0 {
+	if d.ColdStartPenalty(500e6) <= 0 || d.ColdStartPenalty(500e6) != 0 || p.Deployment(ref).ColdStartPenalty(500e6) != 0 {
 		t.Error("want a cold first invocation and warm ones after it, by handle and by ref alike")
 	}
 	if err := d.Publish([]byte("in flight"), 100*time.Millisecond); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"caribou/internal/carbon"
 	"caribou/internal/dag"
-	"caribou/internal/pricing"
 	"caribou/internal/region"
 )
 
@@ -134,13 +133,6 @@ func NewInvocationRecord(workflow string, id uint64, class string) *InvocationRe
 // first function to the end of the last function).
 func (r *InvocationRecord) ServiceTime() time.Duration { return r.End.Sub(r.Start) }
 
-// CostUSD prices the invocation: Lambda execution, SNS publishes, KV
-// requests, and inter-region egress on every transfer. Callers pricing
-// many records share one Accounts instead.
-func (r *InvocationRecord) CostUSD(book *pricing.Book) float64 {
-	return NewAccounts(nil, nil, book).CostUSD(r)
-}
-
 // CarbonGrams accounts operational carbon under the given transmission
 // model: execution carbon per Eq 7.1-7.4 at the grid intensity in effect
 // when each execution ran, and transmission carbon per Eq 7.5 for every
@@ -149,19 +141,6 @@ func (r *InvocationRecord) CostUSD(book *pricing.Book) float64 {
 // Accounts instead.
 func (r *InvocationRecord) CarbonGrams(src carbon.Source, cat *region.Catalogue, tx carbon.TransmissionModel) (execG, txG float64, err error) {
 	return NewAccounts(src, cat, nil).CarbonGrams(r, tx)
-}
-
-// TotalBytes sums transferred bytes, optionally filtered to inter-region
-// movements only.
-func (r *InvocationRecord) TotalBytes(interOnly bool) float64 {
-	var sum float64
-	for _, t := range r.Transfers {
-		if interOnly && t.From == t.To {
-			continue
-		}
-		sum += t.Bytes
-	}
-	return sum
 }
 
 // RegionsUsed returns the distinct regions that executed stages.

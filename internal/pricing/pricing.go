@@ -80,12 +80,6 @@ func (b *Book) Prices(id region.ID) RegionPrices {
 	return b.regions[region.USEast1]
 }
 
-// ExecutionCost returns the Lambda cost of one execution: configured
-// memory (MB) for durationSec seconds plus the per-invocation fee.
-func (b *Book) ExecutionCost(id region.ID, memMB, durationSec float64) USD {
-	return b.Prices(id).ExecutionCost(memMB, durationSec)
-}
-
 // ExecutionCost is Book.ExecutionCost at an already resolved price row.
 func (p RegionPrices) ExecutionCost(memMB, durationSec float64) USD {
 	if memMB < 0 || durationSec < 0 {

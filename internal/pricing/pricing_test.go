@@ -12,7 +12,7 @@ func TestExecutionCostKnownValue(t *testing.T) {
 	b := DefaultBook()
 	// 1024 MB for 10 s in us-east-1: 10 GB-s at $0.0000166667 plus the
 	// $0.20/1M request fee.
-	got := b.ExecutionCost(region.USEast1, 1024, 10)
+	got := b.Prices(region.USEast1).ExecutionCost(1024, 10)
 	want := 10*0.0000166667 + 0.20/1e6
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("cost = %v, want %v", got, want)
@@ -21,8 +21,8 @@ func TestExecutionCostKnownValue(t *testing.T) {
 
 func TestExecutionCostRegionFactor(t *testing.T) {
 	b := DefaultBook()
-	east := b.ExecutionCost(region.USEast1, 1769, 60)
-	west1 := b.ExecutionCost(region.USWest1, 1769, 60)
+	east := b.Prices(region.USEast1).ExecutionCost(1769, 60)
+	west1 := b.Prices(region.USWest1).ExecutionCost(1769, 60)
 	if west1 <= east {
 		t.Errorf("us-west-1 (%v) should be pricier than us-east-1 (%v)", west1, east)
 	}
@@ -33,10 +33,10 @@ func TestExecutionCostRegionFactor(t *testing.T) {
 
 func TestExecutionCostNegativeInputs(t *testing.T) {
 	b := DefaultBook()
-	if b.ExecutionCost(region.USEast1, -1, 10) != 0 {
+	if b.Prices(region.USEast1).ExecutionCost(-1, 10) != 0 {
 		t.Error("negative memory should cost 0")
 	}
-	if b.ExecutionCost(region.USEast1, 1024, -1) != 0 {
+	if b.Prices(region.USEast1).ExecutionCost(1024, -1) != 0 {
 		t.Error("negative duration should cost 0")
 	}
 }
@@ -76,8 +76,8 @@ func TestServiceCosts(t *testing.T) {
 
 func TestUnknownRegionFallsBackToUSEast1(t *testing.T) {
 	b := DefaultBook()
-	got := b.ExecutionCost("aws:mars-north-1", 1024, 10)
-	want := b.ExecutionCost(region.USEast1, 1024, 10)
+	got := b.Prices("aws:mars-north-1").ExecutionCost(1024, 10)
+	want := b.Prices(region.USEast1).ExecutionCost(1024, 10)
 	if got != want {
 		t.Errorf("fallback pricing = %v, want %v", got, want)
 	}
@@ -88,8 +88,8 @@ func TestQuickCostLinearInDuration(t *testing.T) {
 	f := func(d16 uint16) bool {
 		d := float64(d16)
 		p := b.Prices(region.USEast1)
-		one := b.ExecutionCost(region.USEast1, 2048, d) - p.LambdaRequestUSD
-		two := b.ExecutionCost(region.USEast1, 2048, 2*d) - p.LambdaRequestUSD
+		one := b.Prices(region.USEast1).ExecutionCost(2048, d) - p.LambdaRequestUSD
+		two := b.Prices(region.USEast1).ExecutionCost(2048, 2*d) - p.LambdaRequestUSD
 		return math.Abs(two-2*one) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -28,11 +28,6 @@ type Message struct {
 // the message and triggers redelivery until MaxAttempts is reached.
 type Handler func(msg Message) error
 
-// LatencyFunc returns the delivery latency for a message of the given
-// payload size published to topic. The platform wires this to the network
-// model using the publisher's and subscriber's regions.
-type LatencyFunc func(topic string, size int) time.Duration
-
 // Config tunes delivery behaviour.
 type Config struct {
 	MaxAttempts int           // total delivery attempts before drop (default 5)
@@ -56,33 +51,23 @@ func (c Config) withDefaults() Config {
 // time. Broker is not safe for concurrent use; it belongs to the
 // single-threaded simulation like the scheduler itself.
 type Broker struct {
-	sched     *simclock.Scheduler
-	latency   LatencyFunc
-	cfg       Config
-	rng       *simclock.Rand
-	subs      map[string]Handler
-	published uint64
-	delivered uint64
-	dropped   uint64
-	inflight  int
-	onDrop    []func(Message)
+	sched  *simclock.Scheduler
+	cfg    Config
+	rng    *simclock.Rand
+	subs   map[string]Handler
+	onDrop []func(Message)
 }
 
-// NewBroker returns a broker on the given scheduler. latency may be nil,
-// in which case delivery is immediate (zero virtual delay).
-func NewBroker(sched *simclock.Scheduler, latency LatencyFunc, cfg Config, rng *simclock.Rand) *Broker {
-	if latency == nil {
-		latency = func(string, int) time.Duration { return 0 }
-	}
+// NewBroker returns a broker on the given scheduler.
+func NewBroker(sched *simclock.Scheduler, cfg Config, rng *simclock.Rand) *Broker {
 	if rng == nil {
 		rng = simclock.NewRand(1)
 	}
 	return &Broker{
-		sched:   sched,
-		latency: latency,
-		cfg:     cfg.withDefaults(),
-		rng:     rng,
-		subs:    make(map[string]Handler),
+		sched: sched,
+		cfg:   cfg.withDefaults(),
+		rng:   rng,
+		subs:  make(map[string]Handler),
 	}
 }
 
@@ -100,33 +85,21 @@ func (b *Broker) Subscribe(topic string, h Handler) {
 // Unsubscribe removes the subscriber for topic.
 func (b *Broker) Unsubscribe(topic string) { delete(b.subs, topic) }
 
-// HasSubscriber reports whether topic has a live subscriber.
-func (b *Broker) HasSubscriber(topic string) bool {
-	_, ok := b.subs[topic]
-	return ok
-}
-
 // OnDrop registers a callback invoked when a message exhausts its
 // delivery attempts. The executor uses this to surface lost invocations.
 // Multiple callbacks may be registered; all run on every drop.
 func (b *Broker) OnDrop(fn func(Message)) { b.onDrop = append(b.onDrop, fn) }
 
-// Publish schedules delivery of data to topic after the configured
-// latency. Publishing to a topic with no subscriber is not an immediate
-// error: the subscriber may appear before delivery (deployment racing
-// traffic); if none exists at delivery time the attempt counts and the
-// message retries, matching pub/sub redelivery behaviour.
-func (b *Broker) Publish(topic string, data []byte) error {
-	return b.PublishAfter(topic, data, b.latency(topic, len(data)))
-}
-
-// PublishAfter is Publish with an explicit delivery latency, used when the
-// caller has already computed network time from the publisher's region.
+// PublishAfter schedules delivery of data to topic after latency, which
+// the caller computes from the publisher's and subscriber's regions.
+// Publishing to a topic with no subscriber is not an immediate error: the
+// subscriber may appear before delivery (deployment racing traffic); if
+// none exists at delivery time the attempt counts and the message
+// retries, matching pub/sub redelivery behaviour.
 func (b *Broker) PublishAfter(topic string, data []byte, latency time.Duration) error {
 	if topic == "" {
 		return fmt.Errorf("pubsub: empty topic")
 	}
-	b.published++
 	b.scheduleDelivery(topic, data, latency)
 	if b.cfg.DuplicateProb > 0 && b.rng.Bool(b.cfg.DuplicateProb) {
 		b.scheduleDelivery(topic, data, latency+b.cfg.RetryDelay)
@@ -145,7 +118,6 @@ type delivery struct {
 func (b *Broker) scheduleDelivery(topic string, data []byte, after time.Duration) {
 	d := &delivery{b: b, msg: Message{Topic: topic, Data: append([]byte(nil), data...)}}
 	d.fire = d.attempt
-	b.inflight++
 	b.sched.After(after, d.fire)
 }
 
@@ -153,31 +125,21 @@ func (b *Broker) scheduleDelivery(topic string, data []byte, after time.Duration
 // backs off and retries until MaxAttempts, then drops.
 func (d *delivery) attempt() {
 	b := d.b
-	b.inflight--
 	d.msg.Attempt++
 	err := errNoSubscriber
 	if h, ok := b.subs[d.msg.Topic]; ok {
 		err = h(d.msg)
 	}
 	if err == nil {
-		b.delivered++
 		return
 	}
 	if d.msg.Attempt >= b.cfg.MaxAttempts {
-		b.dropped++
 		for _, fn := range b.onDrop {
 			fn(d.msg)
 		}
 		return
 	}
-	b.inflight++
 	b.sched.After(b.cfg.RetryDelay<<uint(d.msg.Attempt-1), d.fire)
 }
 
 var errNoSubscriber = errors.New("pubsub: no subscriber")
-
-// Stats reports cumulative publish/deliver/drop counts and in-flight
-// deliveries.
-func (b *Broker) Stats() (published, delivered, dropped uint64, inflight int) {
-	return b.published, b.delivered, b.dropped, b.inflight
-}

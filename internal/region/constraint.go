@@ -59,10 +59,23 @@ func (c Constraint) Permits(r *Region) bool {
 	return true
 }
 
-// Empty reports whether the constraint imposes no restriction.
-func (c Constraint) Empty() bool {
-	return len(c.AllowedRegions) == 0 && len(c.DisallowedRegions) == 0 &&
-		len(c.AllowedProviders) == 0 && len(c.AllowedCountries) == 0
+// Eligible returns the region IDs from the catalogue permitted by the
+// constraint, in stable order. It errors when nothing is eligible, since a
+// workflow with no deployable region is a configuration bug.
+//
+//caribou:allow unreached exercised only by TestEligible; the solver filters regions with Permits
+func (c Constraint) Eligible(cat *Catalogue) ([]ID, error) {
+	var out []ID
+	for _, id := range cat.IDs() {
+		r, _ := cat.Get(id)
+		if c.Permits(r) {
+			out = append(out, id)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("region: constraint permits no region in catalogue of %d", cat.Len())
+	}
+	return out, nil
 }
 
 // Merge layers a function-level constraint over a workflow-level one.
@@ -81,21 +94,4 @@ func Merge(workflow, function Constraint) Constraint {
 	}
 	out.DisallowedRegions = append(append([]ID(nil), workflow.DisallowedRegions...), function.DisallowedRegions...)
 	return out
-}
-
-// Eligible returns the region IDs from the catalogue permitted by the
-// constraint, in stable order. It errors when nothing is eligible, since a
-// workflow with no deployable region is a configuration bug.
-func (c Constraint) Eligible(cat *Catalogue) ([]ID, error) {
-	var out []ID
-	for _, id := range cat.IDs() {
-		r, _ := cat.Get(id)
-		if c.Permits(r) {
-			out = append(out, id)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("region: constraint permits no region in catalogue of %d", cat.Len())
-	}
-	return out, nil
 }

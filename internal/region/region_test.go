@@ -100,9 +100,6 @@ func TestConstraintPermits(t *testing.T) {
 	if !empty.Permits(ca) || !empty.Permits(us) {
 		t.Error("empty constraint must permit everything")
 	}
-	if !empty.Empty() {
-		t.Error("Empty() false for empty constraint")
-	}
 
 	usOnly := Constraint{AllowedCountries: []string{"US"}}
 	if usOnly.Permits(ca) {

@@ -117,9 +117,6 @@ func OpenSweep(store *Store, name string, clock Clock) (*Sweep, error) {
 // Manifest returns the sweep's manifest.
 func (s *Sweep) Manifest() *Manifest { return s.man }
 
-// Store returns the underlying object store.
-func (s *Sweep) Store() *Store { return s.store }
-
 // shardLock is the JSON body of a shard's lock file.
 type shardLock struct {
 	Owner        string `json:"owner"`

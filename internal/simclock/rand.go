@@ -80,9 +80,6 @@ func (r *Rand) Release() { randPool.Put(r) }
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 { return r.src.Float64() }
 
-// Intn returns a uniform value in [0, n).
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
-
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *Rand) Int63() int64 { return r.src.Int63() }
 

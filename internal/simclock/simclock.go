@@ -75,9 +75,6 @@ func New(start time.Time) *Scheduler {
 // Now reports the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.now }
 
-// Pending reports the number of events not yet fired.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // At schedules fn to run at the given virtual time. Scheduling in the past
 // is a programming error and panics, since it would silently reorder the
 // causal event stream.
@@ -131,4 +128,6 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 
 // Halt stops the currently running Run/RunUntil loop after the in-flight
 // event handler returns. It is intended to be called from inside an event.
+//
+//caribou:allow unreached exercised only by TestHaltStopsRun
 func (s *Scheduler) Halt() { s.halted = true }

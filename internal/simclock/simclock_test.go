@@ -72,8 +72,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if s.Now() != t0.Add(2*time.Hour) {
 		t.Fatalf("clock at %v, want deadline", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d", s.Pending())
+	if len(s.queue) != 1 {
+		t.Fatalf("pending %d", len(s.queue))
 	}
 	s.Run()
 	if !late {
@@ -143,7 +143,7 @@ func TestQuickEventOrderInvariant(t *testing.T) {
 			})
 		}
 		s.Run()
-		return ok && s.Pending() == 0
+		return ok && len(s.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestHeapFiresInTimeThenSchedulingOrder(t *testing.T) {
 	var scheduled, fired []stamp
 	var schedule func(depth int)
 	schedule = func(depth int) {
-		st := stamp{at: s.Now().Add(time.Duration(rng.Intn(8)) * time.Millisecond), seq: len(scheduled)}
+		st := stamp{at: s.Now().Add(time.Duration(rng.src.Intn(8)) * time.Millisecond), seq: len(scheduled)}
 		scheduled = append(scheduled, st)
 		s.At(st.at, func() {
 			fired = append(fired, st)
@@ -177,8 +177,8 @@ func TestHeapFiresInTimeThenSchedulingOrder(t *testing.T) {
 		schedule(0)
 	}
 	s.Run()
-	if len(fired) != len(scheduled) || s.Pending() != 0 {
-		t.Fatalf("fired %d of %d events, %d pending", len(fired), len(scheduled), s.Pending())
+	if len(fired) != len(scheduled) || len(s.queue) != 0 {
+		t.Fatalf("fired %d of %d events, %d pending", len(fired), len(scheduled), len(s.queue))
 	}
 	sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].at.Before(scheduled[j].at) })
 	for i := range fired {

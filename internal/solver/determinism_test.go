@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"testing"
@@ -37,7 +38,7 @@ func solveWith(t *testing.T, workers int) (dag.HourlyPlans, []Result) {
 func assertIdenticalSolves(t *testing.T, aPlans, bPlans dag.HourlyPlans, aRes, bRes []Result) {
 	t.Helper()
 	for h := 0; h < 24; h++ {
-		if !aPlans[h].Equal(bPlans[h]) {
+		if !maps.Equal(aPlans[h], bPlans[h]) {
 			t.Errorf("hour %d plans diverge: %v vs %v", h, aPlans[h], bPlans[h])
 		}
 		if *aRes[h].Estimate != *bRes[h].Estimate {
@@ -140,7 +141,7 @@ func TestParallelSolveOneMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !results[0].Plan.Equal(results[1].Plan) {
+		if !maps.Equal(results[0].Plan, results[1].Plan) {
 			t.Errorf("n=%d: serial plan %v != parallel plan %v", n, results[0].Plan, results[1].Plan)
 		}
 		if *results[0].Estimate != *results[1].Estimate {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,7 +110,7 @@ func TestQuickPruningPreservesSolveExactly(t *testing.T) {
 		if !ok {
 			return false
 		}
-		if !batched.Plan.Equal(plain.Plan) {
+		if !maps.Equal(batched.Plan, plain.Plan) {
 			t.Logf("seed %d prio %v: batched plan %v != untaped %v", seed, prio, batched.Plan, plain.Plan)
 			return false
 		}

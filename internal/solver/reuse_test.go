@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -164,7 +165,7 @@ func TestSolveHourlyPlanReuse(t *testing.T) {
 			for _, workers := range []int{2, 8} {
 				got := solve(workers)
 				for h := range ref.results {
-					if !ref.results[h].Plan.Equal(got.results[h].Plan) || *ref.results[h].Estimate != *got.results[h].Estimate {
+					if !maps.Equal(ref.results[h].Plan, got.results[h].Plan) || *ref.results[h].Estimate != *got.results[h].Estimate {
 						t.Errorf("workers %d hour %d: %v %+v, Workers 1 %v %+v", workers, h,
 							got.results[h].Plan, got.results[h].Estimate, ref.results[h].Plan, ref.results[h].Estimate)
 					}
@@ -235,7 +236,7 @@ func TestSolveHourlyTinySearches(t *testing.T) {
 					continue
 				}
 				for h := range ref {
-					if !ref[h].Plan.Equal(results[h].Plan) || *ref[h].Estimate != *results[h].Estimate {
+					if !maps.Equal(ref[h].Plan, results[h].Plan) || *ref[h].Estimate != *results[h].Estimate {
 						t.Errorf("%s workers=%d untaped=%v hour %d diverges", tc.name, workers, untaped, h)
 					}
 				}

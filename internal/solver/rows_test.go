@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -87,7 +88,7 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for h, r := range results {
-				if !r.Plan.Equal(plans[h]) {
+				if !maps.Equal(r.Plan, plans[h]) {
 					t.Fatalf("hour %d: plans and results disagree", h)
 				}
 			}
@@ -125,7 +126,7 @@ func TestExhaustiveRowsDeterministicAcrossEvalModes(t *testing.T) {
 				res, ctr := solve(workers, m.apply)
 				t.Run(fmt.Sprintf("%s/workers=%d_mode=%s", name, workers, m.name), func(t *testing.T) {
 					for h := range ref {
-						if !ref[h].Plan.Equal(res[h].Plan) {
+						if !maps.Equal(ref[h].Plan, res[h].Plan) {
 							t.Errorf("hour %d plans diverge: %v vs %v", h, ref[h].Plan, res[h].Plan)
 						}
 						if *ref[h].Estimate != *res[h].Estimate {
@@ -166,7 +167,7 @@ func TestSolveOneMatchesSolveHourlyHour(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !one.Plan.Equal(hourly[h].Plan) || *one.Estimate != *hourly[h].Estimate {
+				if !maps.Equal(one.Plan, hourly[h].Plan) || *one.Estimate != *hourly[h].Estimate {
 					t.Errorf("%s %s hour %d: SolveOne %v %+v, SolveHourly %v %+v", name, mode, h, one.Plan, one.Estimate, hourly[h].Plan, hourly[h].Estimate)
 				}
 			}
@@ -237,7 +238,7 @@ func TestExhaustiveScreenMatchesUntaped(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				got, screened, prices := solve(workers, false)
 				for h := range ref {
-					if !ref[h].Plan.Equal(got[h].Plan) {
+					if !maps.Equal(ref[h].Plan, got[h].Plan) {
 						t.Errorf("workers=%d hour %d: plan %v, untaped %v", workers, h, got[h].Plan, ref[h].Plan)
 					}
 					if *ref[h].Estimate != *got[h].Estimate {

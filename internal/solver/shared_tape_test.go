@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -122,7 +123,7 @@ func TestSharedTapeConcurrentHoursDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		parallel, parallelCtr := solve(workers)
 		for h := range serial {
-			if !serial[h].Plan.Equal(parallel[h].Plan) {
+			if !maps.Equal(serial[h].Plan, parallel[h].Plan) {
 				t.Errorf("workers %d hour %d plans diverge: %v vs %v", workers, h, serial[h].Plan, parallel[h].Plan)
 			}
 			if *serial[h].Estimate != *parallel[h].Estimate {

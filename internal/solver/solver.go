@@ -125,7 +125,6 @@ type Solver struct {
 	in   montecarlo.Inputs
 	est  *montecarlo.Estimator
 	obj  Objective
-	cons region.Constraint
 	seed int64
 	// eligible[i] lists candidate regions for node order[i], already
 	// filtered by merged workflow- and function-level constraints and
@@ -209,7 +208,6 @@ func New(cfg Config) (*Solver, error) {
 		in:       cfg.Inputs,
 		est:      cfg.Estimator,
 		obj:      cfg.Objective,
-		cons:     cfg.Constraint,
 		seed:     cfg.Seed,
 		order:    d.Nodes(),
 		eligible: make(map[dag.NodeID][]region.ID, d.Len()),

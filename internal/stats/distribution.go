@@ -13,8 +13,6 @@ type Distribution struct {
 	samples []float64
 	sorted  bool
 	max     int
-	count   int // total observations including evicted ones
-	sum     float64
 	next    int // ring index once the reservoir is full
 }
 
@@ -36,8 +34,6 @@ func NewDistribution(capHint int) *Distribution {
 // observation is replaced (FIFO), mirroring the Metric Manager's selective
 // forgetting of stale invocations.
 func (d *Distribution) Add(x float64) {
-	d.count++
-	d.sum += x
 	if len(d.samples) < d.max {
 		d.samples = append(d.samples, x)
 	} else {
@@ -50,23 +46,10 @@ func (d *Distribution) Add(x float64) {
 // Len reports the number of retained samples.
 func (d *Distribution) Len() int { return len(d.samples) }
 
-// Count reports the total number of observations ever recorded.
-func (d *Distribution) Count() int { return d.count }
-
-// Mean returns the mean of retained samples (0 when empty).
-func (d *Distribution) Mean() float64 { return Mean(d.samples) }
-
-// Percentile returns the p-th percentile of retained samples.
-func (d *Distribution) Percentile(p float64) float64 {
-	v, err := Percentile(d.samples, p)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // Sample draws one value by inverse-transform sampling of the empirical
 // CDF using u in [0,1). Empty distributions return 0.
+//
+//caribou:allow unreached the per-event oracle's draw (montecarlo oracle_test.go); production samples baked slices with SampleSorted
 func (d *Distribution) Sample(u float64) float64 {
 	if !d.sorted {
 		sort.Float64s(d.samples)
@@ -112,17 +95,13 @@ func (d *Distribution) SortedValues() []float64 {
 }
 
 // Scale returns a copy of the distribution with every sample multiplied by
-// k. The Metric Manager uses this to transplant a home-region execution
-// distribution onto a region with a different performance factor.
+// k.
+//
+//caribou:allow unreached exercised only by TestDistributionScale
 func (d *Distribution) Scale(k float64) *Distribution {
 	out := NewDistribution(d.max)
 	for _, s := range d.samples {
 		out.Add(s * k)
 	}
 	return out
-}
-
-// Values returns a copy of the retained samples.
-func (d *Distribution) Values() []float64 {
-	return append([]float64(nil), d.samples...)
 }

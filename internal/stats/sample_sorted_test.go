@@ -49,15 +49,15 @@ func TestSampleSortedMatchesDistributionSample(t *testing.T) {
 
 func TestSortedValuesDoesNotDisturbReservoir(t *testing.T) {
 	// SortedValues must neither mutate the retained samples nor flip the
-	// lazy-sort flag — Values() order must be preserved.
+	// lazy-sort flag — insertion order must be preserved.
 	d := NewDistribution(8)
 	for _, v := range []float64{3, 1, 2} {
 		d.Add(v)
 	}
-	before := d.Values()
+	before := append([]float64(nil), d.samples...)
 	s := d.SortedValues()
 	s[0] = -99
-	after := d.Values()
+	after := d.samples
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("reservoir disturbed: %v vs %v", before, after)

@@ -25,28 +25,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 when fewer than two
-// samples exist.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MeanVariance returns Mean(xs) and Variance(xs) in two passes instead of
-// the three a separate Mean+Variance call pair costs. The arithmetic is
-// identical — Variance's internal mean is the same value — so results are
-// bit-equal to calling both functions.
+// MeanVariance returns the mean and the population variance of xs; the
+// variance is 0 when fewer than two samples exist.
 func MeanVariance(xs []float64) (mean, variance float64) {
 	if len(xs) == 0 {
 		return 0, 0
@@ -61,21 +41,6 @@ func MeanVariance(xs []float64) (mean, variance float64) {
 		sum += d * d
 	}
 	return mean, sum / float64(len(xs))
-}
-
-// CoefficientOfVariation returns stddev/|mean|. It returns +Inf when the
-// mean is zero and samples vary, and 0 for constant or empty input. The
-// Monte Carlo estimator's stopping rule (§7.1) is defined on this value.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 {
-		return 0
-	}
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return sd / math.Abs(m)
 }
 
 // GeometricMean returns the geometric mean of xs. All values must be

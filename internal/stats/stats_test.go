@@ -12,11 +12,8 @@ func TestMeanVarianceKnownValues(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Errorf("mean = %v, want 5", m)
 	}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("variance = %v, want 4", v)
-	}
-	if sd := StdDev(xs); sd != 2 {
-		t.Errorf("stddev = %v, want 2", sd)
+	if m, v := MeanVariance(xs); m != 5 || v != 4 {
+		t.Errorf("MeanVariance = %v, %v, want 5, 4", m, v)
 	}
 }
 
@@ -24,21 +21,8 @@ func TestMeanEmptyAndSingle(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("mean of empty should be 0")
 	}
-	if Variance([]float64{5}) != 0 {
+	if _, v := MeanVariance([]float64{5}); v != 0 {
 		t.Error("variance of single should be 0")
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	if cv := CoefficientOfVariation([]float64{3, 3, 3}); cv != 0 {
-		t.Errorf("constant CV = %v", cv)
-	}
-	if cv := CoefficientOfVariation([]float64{-1, 1}); !math.IsInf(cv, 1) {
-		t.Errorf("zero-mean varying CV = %v, want +Inf", cv)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if cv := CoefficientOfVariation(xs); math.Abs(cv-0.4) > 1e-12 {
-		t.Errorf("CV = %v, want 0.4", cv)
 	}
 }
 
@@ -213,17 +197,13 @@ func TestDistributionFIFOEviction(t *testing.T) {
 		d.Add(v)
 	}
 	d.Add(4) // evicts 1
-	vals := d.Values()
-	if len(vals) != 3 {
-		t.Fatalf("len = %d", len(vals))
+	if len(d.samples) != 3 {
+		t.Fatalf("len = %d", len(d.samples))
 	}
-	for _, v := range vals {
+	for _, v := range d.samples {
 		if v == 1 {
 			t.Error("oldest sample not evicted")
 		}
-	}
-	if d.Count() != 4 {
-		t.Errorf("count = %d, want 4", d.Count())
 	}
 }
 
@@ -253,9 +233,6 @@ func TestDistributionEmptySample(t *testing.T) {
 	if v := d.Sample(0.5); v != 0 {
 		t.Errorf("empty sample = %v", v)
 	}
-	if d.Mean() != 0 || d.Percentile(95) != 0 {
-		t.Error("empty stats should be 0")
-	}
 }
 
 func TestDistributionScale(t *testing.T) {
@@ -263,10 +240,10 @@ func TestDistributionScale(t *testing.T) {
 	d.Add(2)
 	d.Add(4)
 	s := d.Scale(1.5)
-	if m := s.Mean(); math.Abs(m-4.5) > 1e-9 {
+	if m := Mean(s.samples); math.Abs(m-4.5) > 1e-9 {
 		t.Errorf("scaled mean = %v, want 4.5", m)
 	}
-	if m := d.Mean(); m != 3 {
+	if m := Mean(d.samples); m != 3 {
 		t.Errorf("original mutated: %v", m)
 	}
 }

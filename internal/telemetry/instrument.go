@@ -94,14 +94,6 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	return g
 }
 
-// Set stores v. No-op on nil.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Max raises the gauge to v if v exceeds the current value (CAS loop), so
 // concurrent observers keep a high-water mark. No-op on nil.
 func (g *Gauge) Max(v int64) {
@@ -234,6 +226,8 @@ func (l Lap) NS() int64 {
 }
 
 // Count reports total observations; zero on nil.
+//
+//caribou:allow unreached oracle of TestSimServerMeasuresRealLatency, TestInstrumentsConcurrent and TestStopwatchObservesElapsedSeconds
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
@@ -242,6 +236,8 @@ func (h *Histogram) Count() int64 {
 }
 
 // Sum reports the total of all observed values; zero on nil.
+//
+//caribou:allow unreached oracle of TestSimServerMeasuresRealLatency and TestStopwatchObservesElapsedSeconds
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0

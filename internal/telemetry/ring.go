@@ -10,8 +10,7 @@ import (
 type Record struct {
 	// Type is "span" or "event".
 	Type string `json:"type"`
-	// ID and Parent link spans; Parent is zero for roots. Events carry
-	// the enclosing span's ID in Parent when recorded through a span.
+	// ID and Parent link spans; Parent is zero for roots and events.
 	ID     uint64 `json:"id,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
 	Name   string `json:"name"`

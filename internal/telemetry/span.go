@@ -85,24 +85,6 @@ func (r *Recorder) Event(name string, sim time.Time, attrs ...Attr) {
 	})
 }
 
-// Event records an occurrence parented to the span (the span's ID lands
-// in the record's Parent). Safe on a nil span.
-func (s *Span) Event(name string, sim time.Time, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	if !sim.IsZero() {
-		attrs = append(attrs, Time("sim", sim))
-	}
-	s.r.ring.append(Record{
-		Type:   "event",
-		Parent: s.id,
-		Name:   name,
-		Wall:   time.Now(),
-		Attrs:  attrMap(attrs),
-	})
-}
-
 func attrMap(attrs []Attr) map[string]string {
 	if len(attrs) == 0 {
 		return nil

@@ -76,9 +76,6 @@ func Default() *Recorder {
 	return global.Load()
 }
 
-// Enabled reports whether a process-wide recorder is installed.
-func Enabled() bool { return global.Load() != nil }
-
 // Records snapshots the flight recorder's retained records, oldest first.
 // Nil-safe: a disabled recorder has no records.
 func (r *Recorder) Records() []Record {

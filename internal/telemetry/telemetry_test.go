@@ -27,7 +27,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	// All of these must be no-ops, not panics.
 	sp.End()
 	sp.Annotate(String("k", "v"))
-	sp.Event("e", time.Time{})
 	child := sp.StartChild("child")
 	child.End()
 	r.Event("e", time.Now())
@@ -38,7 +37,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 		t.Fatal("nil counter value must be 0")
 	}
 	var g *Gauge
-	g.Set(3)
 	g.Max(9)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value must be 0")
@@ -65,11 +63,11 @@ func TestEnableDisableDefault(t *testing.T) {
 		t.Fatal("default should start nil")
 	}
 	r := Enable(Options{})
-	if Default() != r || !Enabled() {
+	if Default() != r || Default() == nil {
 		t.Fatal("Enable must install the recorder")
 	}
 	Disable()
-	if Default() != nil || Enabled() {
+	if Default() != nil {
 		t.Fatal("Disable must clear the recorder")
 	}
 }
@@ -78,7 +76,7 @@ func TestSpanParentLinksAndEvents(t *testing.T) {
 	r := New(Options{})
 	root := r.StartSpan("root", String("kind", "test"))
 	child := root.StartChild("child")
-	child.Event("tick", time.Date(2023, 10, 15, 6, 0, 0, 0, time.UTC), Int("n", 3))
+	r.Event("tick", time.Date(2023, 10, 15, 6, 0, 0, 0, time.UTC), Int("n", 3))
 	child.End()
 	root.End()
 	recs, total := r.ring.snapshot()
@@ -102,8 +100,8 @@ func TestSpanParentLinksAndEvents(t *testing.T) {
 	if ch.Parent != rt.ID {
 		t.Fatalf("child parent %d != root id %d", ch.Parent, rt.ID)
 	}
-	if ev.Parent != ch.ID {
-		t.Fatalf("event parent %d != child id %d", ev.Parent, ch.ID)
+	if ev.Parent != 0 {
+		t.Fatalf("recorder event must have no parent, got %d", ev.Parent)
 	}
 	if rt.Parent != 0 {
 		t.Fatalf("root must have no parent, got %d", rt.Parent)

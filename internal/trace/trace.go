@@ -99,14 +99,3 @@ func (p Profile) HourlyRate(t time.Time) float64 {
 	}
 	return base * mod
 }
-
-// CountInWindow returns how many events fall in [from, to).
-func CountInWindow(events []Event, from, to time.Time) int {
-	n := 0
-	for _, e := range events {
-		if !e.At.Before(from) && e.At.Before(to) {
-			n++
-		}
-	}
-	return n
-}

@@ -120,20 +120,6 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-func TestCountInWindow(t *testing.T) {
-	events := []Event{
-		{At: t0},
-		{At: t0.Add(time.Hour)},
-		{At: t0.Add(2 * time.Hour)},
-	}
-	if n := CountInWindow(events, t0, t0.Add(90*time.Minute)); n != 2 {
-		t.Errorf("count = %d, want 2", n)
-	}
-	if n := CountInWindow(events, t0.Add(3*time.Hour), t0.Add(4*time.Hour)); n != 0 {
-		t.Errorf("count = %d, want 0", n)
-	}
-}
-
 func TestHourlyRateNeverNegative(t *testing.T) {
 	p := Profile{DailyInvocations: 240, DiurnalAmplitude: 2.0, PeakHourUTC: 12}
 	for h := 0; h < 24; h++ {

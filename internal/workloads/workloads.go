@@ -133,28 +133,6 @@ func (w *Workload) MeanServiceTimeSec(class InputClass) float64 {
 	return longest(w.DAG.Start())
 }
 
-// TotalEdgeBytes sums intermediate-data bytes across all edges for class,
-// the workload's transmission footprint.
-func (w *Workload) TotalEdgeBytes(class InputClass) float64 {
-	// Sorted edge order keeps the floating-point sum independent of map
-	// iteration order.
-	keys := make([]EdgeKey, 0, len(w.EdgeBytes))
-	for k := range w.EdgeBytes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	var sum float64
-	for _, k := range keys {
-		sum += w.EdgeBytes[k][class]
-	}
-	return sum
-}
-
 // All returns the five benchmark workloads in Table 1 order.
 func All() []*Workload {
 	return []*Workload{
