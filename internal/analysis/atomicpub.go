@@ -17,11 +17,12 @@ import (
 //     mutation of a pointee obtained from Load — loaded snapshots are
 //     shared and immutable; mutate-and-republish means build a fresh
 //     value;
-//   - the module pass enforces shard ownership: state registered in
+//   - the module pass enforces lock ownership: state registered in
 //     shardOwnedTypes (summary.go) may be written — directly or via a
-//     mutating method — only by the owned type's own methods, its
-//     constructor, or code lexically inside a closure handed to the
-//     shard's submit loop.
+//     mutating method — and read through a method that reads its
+//     non-atomic fields only by the owned type's own methods, its
+//     constructor, or code lexically inside a closure handed to submit,
+//     which runs it under the tenant's lock.
 //
 // Both rules are intraprocedural per site: a pointer laundered through a
 // helper's return value escapes the first rule, and indirect mutation
@@ -30,7 +31,7 @@ import (
 // enough that this catches the regressions that matter.
 var AtomicPubAnalyzer = &Analyzer{
 	Name: "atomicpub",
-	Doc:  "flag mutation of atomic.Pointer pointees after Store/Load and shard-owned control-plane state touched outside its worker loop",
+	Doc:  "flag mutation of atomic.Pointer pointees after Store/Load and shard-owned control-plane state touched outside a submit closure",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
@@ -168,12 +169,13 @@ func rootObj(info *types.Info, expr ast.Expr) types.Object {
 }
 
 // runShardOwnership is the module half: writes to shard-owned state and
-// calls of its mutating methods are legal only from the owned type's own
-// methods, its constructor, or inside a submit closure.
+// calls of its mutating or reading methods are legal only from the owned
+// type's own methods, its constructor, or inside a submit closure.
 func runShardOwnership(mp *ModulePass) {
 	// A method is a mutator if it writes owned fields directly or calls
 	// (on the same owned type) another mutator — computed to fixpoint so
-	// wrappers like ForceCheck -> check -> publish are covered.
+	// wrappers like ForceCheck -> check -> publish are covered — and a
+	// reader, the same way, if it reads a non-atomic owned field.
 	type methodKey struct{ typ, name string }
 	methods := map[methodKey]*FuncSum{}
 	var keys []methodKey
@@ -190,26 +192,31 @@ func runShardOwnership(mp *ModulePass) {
 			}
 		}
 	}
-	mutator := map[methodKey]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range keys {
-			if mutator[k] {
-				continue
-			}
-			f := methods[k]
-			isMut := len(f.OwnedWrites) > 0
-			for _, c := range f.OwnedCalls {
-				if c.Type == f.OwnedRecv && mutator[methodKey{c.Type, c.Method}] {
-					isMut = true
+	fixpoint := func(direct func(*FuncSum) bool) map[methodKey]bool {
+		set := map[methodKey]bool{}
+		for changed := true; changed; {
+			changed = false
+			for _, k := range keys {
+				if set[k] {
+					continue
+				}
+				f := methods[k]
+				in := direct(f)
+				for _, c := range f.OwnedCalls {
+					if c.Type == f.OwnedRecv && set[methodKey{c.Type, c.Method}] {
+						in = true
+					}
+				}
+				if in {
+					set[k] = true
+					changed = true
 				}
 			}
-			if isMut {
-				mutator[k] = true
-				changed = true
-			}
 		}
+		return set
 	}
+	mutator := fixpoint(func(f *FuncSum) bool { return len(f.OwnedWrites) > 0 })
+	reader := fixpoint(func(f *FuncSum) bool { return f.ReadsOwned })
 
 	short := func(key string) string { return key[strings.LastIndexByte(key, '.')+1:] }
 	for _, u := range mp.Units {
@@ -220,17 +227,19 @@ func runShardOwnership(mp *ModulePass) {
 					continue
 				}
 				mp.Reportf(token.Position{Filename: w.File, Line: w.Line, Column: w.Col},
-					"shard-owned %s is written (%s) outside its owning worker: route the mutation through the shard's submit loop", short(w.Type), w.Expr)
+					"shard-owned %s is written (%s) outside a submit closure: route the mutation through submit, which holds the tenant's lock", short(w.Type), w.Expr)
 			}
 			for _, c := range f.OwnedCalls {
 				if f.OwnedRecv == c.Type || f.Ctor == c.Type || c.ViaSubmit {
 					continue
 				}
-				if !mutator[methodKey{c.Type, c.Method}] {
-					continue
+				pos := token.Position{Filename: c.File, Line: c.Line, Column: c.Col}
+				switch k := (methodKey{c.Type, c.Method}); {
+				case mutator[k]:
+					mp.Reportf(pos, "mutator %s.%s of shard-owned state is called outside a submit closure: route the call through submit, which holds the tenant's lock", short(c.Type), c.Method)
+				case reader[k]:
+					mp.Reportf(pos, "%s.%s reads non-atomic shard-owned state outside a submit closure: a concurrent job may be writing it; capture the value inside the job", short(c.Type), c.Method)
 				}
-				mp.Reportf(token.Position{Filename: c.File, Line: c.Line, Column: c.Col},
-					"mutator %s.%s of shard-owned state is called outside its owning worker: route the call through the shard's submit loop", short(c.Type), c.Method)
 			}
 		}
 	}

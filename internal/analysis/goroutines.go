@@ -5,10 +5,10 @@ import "go/ast"
 // goroutinePkgs are the approved concurrency packages: the solver's
 // batch fan-out, the eval pool, platform's region-limited executor
 // machinery, pubsub delivery, telemetry's recorder, and the control
-// plane's shard workers. Keeping `go` statements inside this set keeps
-// determinism audits tractable — every other package is sequential by
-// construction, so bit-identity proofs only have to reason about these
-// six.
+// plane, whose tenant jobs run concurrently on request goroutines.
+// Keeping `go` statements inside this set keeps determinism audits
+// tractable — every other package is sequential by construction, so
+// bit-identity proofs only have to reason about these six.
 var goroutinePkgs = []string{
 	"caribou/internal/solver",
 	"caribou/internal/eval",

@@ -66,8 +66,12 @@ type FuncSum struct {
 	Ctor string
 	// OwnedWrites lists direct field writes to shard-owned state.
 	OwnedWrites []OwnedWrite
+	// ReadsOwned marks a method of a shard-owned type that reads a field
+	// of its own type whose type is not from sync/atomic: such a read is
+	// ordered against the writers only under the tenant's lock.
+	ReadsOwned bool
 	// OwnedCalls lists calls of shard-owned types' methods, with the
-	// syntactic worker-loop context (closure passed to shard submit).
+	// syntactic submit context (closure passed to submit).
 	OwnedCalls []OwnedCall
 }
 
@@ -108,16 +112,17 @@ type OwnedWrite struct {
 type OwnedCall struct {
 	Type      string
 	Method    string
-	ViaSubmit bool // lexically inside a closure passed to a shard submit
+	ViaSubmit bool // lexically inside a closure passed to submit
 	File      string
 	Line      int
 	Col       int
 }
 
-// shardOwnedTypes registers the control-plane state whose mutation is
-// pinned to one shard worker goroutine (DESIGN.md "Control plane"):
-// every write must happen on the owning worker, so writes and mutator
-// calls outside the worker loop are atomicpub findings.
+// shardOwnedTypes registers the control-plane state that only a job
+// holding the tenant's lock may touch (DESIGN.md "Control plane"): jobs
+// are the closures passed to submit, so writes, and calls of methods that
+// write or read its non-atomic fields, outside a submit closure are
+// atomicpub findings.
 var shardOwnedTypes = map[string]bool{
 	"caribou/internal/controlplane.Tenant": true,
 }
@@ -373,6 +378,10 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 			}
 		case *ast.CallExpr:
 			summarizeCall(pkg, e, fs, inSubmit)
+		case *ast.SelectorExpr:
+			if fs.OwnedRecv != "" && readsNonAtomicField(info, e, fs.OwnedRecv) {
+				fs.ReadsOwned = true
+			}
 		case *ast.AssignStmt:
 			for _, lhs := range e.Lhs {
 				recordOwnedWrite(pkg, lhs, fs, inSubmit)
@@ -467,6 +476,17 @@ func recordOwnedWrite(pkg *Package, lhs ast.Expr, fs *FuncSum, inSubmit func(tok
 	})
 }
 
+// readsNonAtomicField reports whether sel selects a field of owned type
+// key whose type does not come from sync/atomic.
+func readsNonAtomicField(info *types.Info, sel *ast.SelectorExpr, key string) bool {
+	field, ok := info.Uses[sel.Sel].(*types.Var)
+	if !ok || !field.IsField() || ownedTypeKey(info.TypeOf(sel.X)) != key {
+		return false
+	}
+	named, ok := field.Type().(*types.Named)
+	return !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic"
+}
+
 // ownedTypeKey resolves t (possibly a pointer) to a registered
 // shard-owned type key, or "".
 func ownedTypeKey(t types.Type) string {
@@ -490,7 +510,7 @@ func ownedTypeKey(t types.Type) string {
 // ownedCtor reports whether d constructs a shard-owned type: a
 // new*/New*-named function whose results include the owned type. The
 // constructor owns the value exclusively until it returns, so its
-// mutations are exempt from the worker-loop rule.
+// mutations are exempt from the submit rule.
 func ownedCtor(pkg *Package, d *ast.FuncDecl) (string, bool) {
 	if d.Recv != nil || d.Type.Results == nil {
 		return "", false
@@ -507,8 +527,8 @@ func ownedCtor(pkg *Package, d *ast.FuncDecl) (string, bool) {
 }
 
 // submitClosureRanges finds the source ranges of function literals passed
-// directly to a shard submit call — the syntactic marker that the closure
-// body runs on the owning worker goroutine.
+// directly to a submit call — the syntactic marker that the closure body
+// runs as a job, under the tenant's lock.
 func submitClosureRanges(info *types.Info, body ast.Node) [][2]token.Pos {
 	var ranges [][2]token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {

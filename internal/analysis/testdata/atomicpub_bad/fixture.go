@@ -3,7 +3,10 @@
 // registered shard-owned type).
 package controlplane
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 type snapshot struct {
 	version int
@@ -38,13 +41,28 @@ func (t *Tenant) bump() {
 	t.deltas++
 }
 
+func (t *Tenant) count() int {
+	return t.deltas
+}
+
+// summary reads shard-owned state through another reader.
+func (t *Tenant) summary() string {
+	return fmt.Sprint(t.count())
+}
+
 // pokeDirect writes shard-owned state from outside any worker loop.
 func pokeDirect(t *Tenant) {
 	t.deltas = 0 // want atomicpub "shard-owned Tenant is written"
 }
 
 // pokeViaMutator reaches the same state through a mutating method
-// without going through the shard's submit loop.
+// without going through a submit closure.
 func pokeViaMutator(t *Tenant) {
 	t.bump() // want atomicpub "mutator Tenant.bump of shard-owned state is called outside"
+}
+
+// peekOutside reads non-atomic shard-owned state, two methods down,
+// outside any submit closure: a concurrent job may be writing it.
+func peekOutside(t *Tenant) string {
+	return t.summary() // want atomicpub "Tenant.summary reads non-atomic shard-owned state outside a submit closure"
 }

@@ -36,16 +36,21 @@ func readLoaded(l *latch) int {
 
 // Tenant matches the shard-owned registry entry for this package.
 type Tenant struct {
-	deltas int
-	closed bool
+	deltas  int
+	closed  bool
+	version atomic.Int64
 }
 
 func (t *Tenant) bump() {
-	t.deltas++ // owned method: mutation on the owning worker's behalf
+	t.deltas++ // owned method: mutation on the submitting job's behalf
 }
 
 func (t *Tenant) snapshotDeltas() int {
-	return t.deltas // reader, not a mutator: callable from anywhere
+	return t.deltas // a reader: callable inside a submit closure
+}
+
+func (t *Tenant) snapshotVersion() int64 {
+	return t.version.Load() // reads only an atomic: callable from anywhere
 }
 
 // newTenant is the constructor: it owns the value exclusively until it
@@ -61,18 +66,21 @@ type shard struct{}
 
 func (s *shard) submit(fn func()) { fn() }
 
-// viaWorker routes the mutation through the shard's submit loop — the
-// sanctioned path.
-func viaWorker(s *shard, t *Tenant) {
+// viaWorker routes the mutation and the read through a submit closure —
+// the sanctioned path.
+func viaWorker(s *shard, t *Tenant) (n int) {
 	s.submit(func() {
 		t.bump()
 		t.deltas = 7
+		n = t.snapshotDeltas()
 	})
+	return n
 }
 
-// readAnywhere calls a non-mutating method outside the worker loop.
-func readAnywhere(t *Tenant) int {
-	return t.snapshotDeltas()
+// readAnywhere calls a method that reads only atomics outside any submit
+// closure.
+func readAnywhere(t *Tenant) int64 {
+	return t.snapshotVersion()
 }
 
 // drainSanctioned documents a reviewed exception with a reasoned allow.

@@ -1,16 +1,45 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestAdmissionControlShedsOverload pins the 429 path: with a single
-// shard whose queue holds one job, a busy worker plus a full queue must
-// reject further mutations immediately with Retry-After, while plan
-// queries — which never touch a shard — keep serving.
+// holdJob submits a job on tenant id (ten nil: a registration's) that
+// holds until release is called, and returns once the job runs; done
+// delivers its submit's error.
+func holdJob(t *testing.T, srv *Server, id string, ten *Tenant) (release func(), done <-chan error) {
+	t.Helper()
+	started, hold := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- srv.submit(id, ten, func() error {
+			close(started)
+			<-hold
+			return nil
+		})
+	}()
+	<-started
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release) // before the server's Close, which waits for the job
+	return release, errc
+}
+
+// waitUntil polls cond until it holds.
+func waitUntil(cond func() bool) {
+	for !cond() {
+		time.Sleep(time.Millisecond) //caribou:allow wallclock test polls real scheduling, not simulated time
+	}
+}
+
+// TestAdmissionControlShedsOverload pins the 429 path: with one partition
+// admitting one running and one waiting job, a full partition must reject
+// further mutations immediately with Retry-After, while plan queries —
+// which never submit — keep serving.
 func TestAdmissionControlShedsOverload(t *testing.T) {
 	srv, err := New(Config{Shards: 1, QueueDepth: 1, Seed: 1})
 	if err != nil {
@@ -18,29 +47,19 @@ func TestAdmissionControlShedsOverload(t *testing.T) {
 	}
 	defer srv.Close()
 	register(t, srv, `{"id":"t1","workload":"image-processing"}`)
+	t1, _ := srv.tenant("t1")
 
-	// Occupy the worker with a job that blocks until released, then fill
-	// the one queue slot with a second blocked submitter.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	sh := srv.shards[0]
-	go func() {
-		_ = sh.submit(func() error {
-			close(started)
-			<-release
-			return nil
-		})
-	}()
-	<-started
+	// One job runs holding t1's lock and the one run slot; a second waits
+	// for t1's lock.
+	release, running := holdJob(t, srv, "t1", t1)
 	queued := make(chan error, 1)
 	go func() {
-		queued <- sh.submit(func() error { return nil })
+		queued <- srv.submit("t1", t1, func() error { return nil })
 	}()
-	for len(sh.jobs) == 0 {
-		time.Sleep(time.Millisecond) //caribou:allow wallclock test polls real scheduling, not simulated time
-	}
+	sh := srv.shards[0]
+	waitUntil(func() bool { return sh.waiting.Load() == 1 })
 
-	// Worker busy + queue full: the next delta is shed.
+	// One running + one waiting: the next delta is shed.
 	at := DefaultStart.Add(time.Hour).Format(time.RFC3339)
 	w := do(t, srv, "POST", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":10}`, at))
 	if w.Code != http.StatusTooManyRequests {
@@ -65,8 +84,12 @@ func TestAdmissionControlShedsOverload(t *testing.T) {
 		t.Errorf("plan query during overload: status %d", w.Code)
 	}
 
-	// Releasing the worker drains the queue; mutations admit again.
-	close(release)
+	// Releasing the running job lets the waiting one run; mutations admit
+	// again.
+	release()
+	if err := <-running; err != nil {
+		t.Fatalf("running job failed: %v", err)
+	}
 	if err := <-queued; err != nil {
 		t.Fatalf("queued job failed: %v", err)
 	}
@@ -78,6 +101,57 @@ func TestAdmissionControlShedsOverload(t *testing.T) {
 	// A rejected registration leaves no reservation behind.
 	if w := do(t, srv, "POST", "/v1/workflows", `{"id":"t2","workload":"image-processing"}`); w.Code != http.StatusCreated {
 		t.Errorf("register after drain: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestCloseWaitsForRunningJobs pins shutdown with jobs in flight: Close
+// fails the waiting jobs with errClosed, returns only after the running
+// one finishes, and rejects every later submit.
+func TestCloseWaitsForRunningJobs(t *testing.T) {
+	srv, err := New(Config{Shards: 1, QueueDepth: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, srv, `{"id":"t1","workload":"image-processing"}`)
+	t1, _ := srv.tenant("t1")
+	release, running := holdJob(t, srv, "t1", t1)
+
+	// One job waits for t1's lock, one (a registration) for the run slot.
+	waiting := make(chan error, 2)
+	for _, ten := range []*Tenant{t1, nil} {
+		go func() {
+			waiting <- srv.submit("t1", ten, func() error {
+				t.Error("a job waiting at Close ran")
+				return nil
+			})
+		}()
+	}
+	waitUntil(func() bool { return srv.shards[0].waiting.Load() == 2 })
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+
+	// The registration fails at once; the other waits for t1's lock.
+	if err := <-waiting; !errors.Is(err, errClosed) {
+		t.Fatalf("job waiting for a run slot at Close: %v, want errClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was running")
+	default:
+	}
+	release()
+	if err := <-running; err != nil {
+		t.Errorf("running job: %v, want it to finish", err)
+	}
+	<-closed
+	if err := <-waiting; !errors.Is(err, errClosed) {
+		t.Errorf("job waiting for its tenant at Close: %v, want errClosed", err)
+	}
+	if err := srv.submit("t1", t1, func() error { return nil }); !errors.Is(err, errClosed) {
+		t.Errorf("submit after Close: %v, want errClosed", err)
 	}
 }
 

@@ -200,7 +200,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Reserve the ID before the shard builds the tenant, so a duplicate
+	// Reserve the ID before the job builds the tenant, so a duplicate
 	// concurrent registration fails fast instead of racing.
 	id := req.ID
 	s.mu.Lock()
@@ -240,12 +240,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		InitialTokens: req.InitialTokens,
 		Seed:          TenantSeed(s.cfg.Seed, id),
 	}
-	var tenant *Tenant
+	var (
+		tenant  *Tenant
+		tokens  float64
+		version int
+	)
 	solveTimer := s.tel.solveLatency.Start()
-	err = s.shardOf(id).submit(func() error {
+	err = s.submit(id, nil, func() error {
 		var err error
-		tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.Start.Add(s.cfg.Horizon), s.cfg.MaxIterations)
-		return err
+		if tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.Start.Add(s.cfg.Horizon), s.cfg.MaxIterations); err != nil {
+			return err
+		}
+		tokens, version = tenant.Tokens(), planVersion(tenant)
+		return nil
 	})
 	if errors.Is(err, ErrOverloaded) {
 		release()
@@ -265,9 +272,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.registered.Add(1)
 	s.tel.registers.Inc()
-	version := 0
-	if snap := tenant.Plan(); snap != nil {
-		version = snap.Version
+	if version > 0 {
 		s.solves.Add(1)
 	}
 	sp.Annotate(telemetry.String("workflow", id), telemetry.Int("plan_version", int64(version)))
@@ -278,7 +283,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Regions:     req.Regions,
 		Priority:    priority.String(),
 		Granularity: map[bool]string{true: "hourly", false: "daily"}[hourly],
-		Tokens:      tenant.Tokens(),
+		Tokens:      tokens,
 		PlanVersion: version,
 		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
 	}
@@ -361,7 +366,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	var res DeltaResult
 	solveTimer := s.tel.solveLatency.Start()
-	err = s.shardOf(id).submit(func() error {
+	err = s.submit(id, tenant, func() error {
 		var err error
 		res, err = tenant.OnDelta(Delta{At: at, Invocations: req.Invocations, Class: class, MeanRuntimeSec: req.MeanRuntimeSec})
 		return err
@@ -388,20 +393,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.deltas.Add(1)
 	s.tel.deltas.Inc()
 	sp.Annotate(telemetry.String("workflow", id), telemetry.Int("invocations", int64(req.Invocations)))
-
-	version := 0
-	if snap := tenant.Plan(); snap != nil {
-		version = snap.Version
-	}
 	resp := TraceResponse{
 		ID:          id,
-		VirtualTime: tenant.VNow().Format(time.RFC3339Nano),
+		VirtualTime: res.VNow.Format(time.RFC3339Nano),
 		Earned:      res.Earned,
 		Tokens:      res.Tokens,
 		Solved:      res.Solved,
 		Skipped:     res.Skipped,
 		NextCheck:   res.NextDue.UTC().Format(time.RFC3339Nano),
-		PlanVersion: version,
+		PlanVersion: res.PlanVersion,
 		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
 	}
 	if res.Solved {
@@ -477,6 +477,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// planVersion is the version of t's served plan, 0 before the first.
+func planVersion(t *Tenant) int {
+	if snap := t.Plan(); snap != nil {
+		return snap.Version
+	}
+	return 0
+}
+
 // SolveResponse is the POST /v1/workflows/{id}/solve reply.
 type SolveResponse struct {
 	ID          string  `json:"id"`
@@ -501,10 +509,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var g manager.Granularity
+	var resp SolveResponse
 	solveTimer := s.tel.solveLatency.Start()
-	err := s.shardOf(id).submit(func() error {
+	err := s.submit(id, tenant, func() error {
 		var err error
 		g, err = tenant.ForceCheck(tenant.VNow())
+		resp = SolveResponse{ID: id, Granularity: g.String(), PlanVersion: planVersion(tenant), Tokens: tenant.Tokens()}
 		return err
 	})
 	if errors.Is(err, ErrOverloaded) {
@@ -522,17 +532,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solves.Add(1)
 	solveTimer.Stop()
 	sp.Annotate(telemetry.String("workflow", id), telemetry.String("granularity", g.String()))
-	version := 0
-	if snap := tenant.Plan(); snap != nil {
-		version = snap.Version
-	}
-	writeJSON(w, http.StatusOK, SolveResponse{
-		ID:          id,
-		Granularity: g.String(),
-		PlanVersion: version,
-		Tokens:      tenant.Tokens(),
-		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
-	})
+	resp.ServedAt = s.clk.Now().UTC().Format(time.RFC3339Nano)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // StatsResponse is the GET /v1/stats body.
@@ -552,7 +553,7 @@ type StatsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	depths := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		depths[i] = len(sh.jobs)
+		depths[i] = int(sh.waiting.Load())
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Tenants:     s.Tenants(),

@@ -1,12 +1,12 @@
 // Package controlplane implements Caribou-as-a-service: a long-running
 // control plane hosting thousands of registered workflows, each with its
 // own metric window, solver, and event-driven token bucket
-// (manager.Stream). Tenant state is sharded — FNV(tenant id) mod N picks
-// the one worker goroutine that owns all mutation for that tenant — with
-// bounded per-shard queues providing admission control (full queue → 429 +
-// Retry-After). Plan reads bypass the shards entirely: GET /plan loads an
-// atomic.Pointer snapshot, so query latency is independent of solve
-// backlog.
+// (manager.Stream). A tenant's mutations serialize on the tenant's own
+// lock and run on the request's goroutine, at most Config.Shards at once;
+// FNV(tenant id) mod N picks the admission partition whose bound sheds
+// overload (full partition → 429 + Retry-After). Plan reads take no lock:
+// GET /plan loads an atomic.Pointer snapshot, so query latency is
+// independent of solve backlog.
 //
 // The §6 manager semantics run event-driven here: tokens accrue per
 // pushed trace delta, budget checks fire when a tenant's virtual time
@@ -34,11 +34,12 @@ var DefaultStart = time.Date(2023, 10, 15, 0, 0, 0, 0, time.UTC)
 
 // Config parameterizes a Server.
 type Config struct {
-	// Shards is the number of worker shards (default 4). Plan bodies are
-	// identical for every value; only scheduling changes.
+	// Shards is the number of jobs that run at once and of admission
+	// partitions (default 4). Plan bodies are identical for every value;
+	// only scheduling changes.
 	Shards int
-	// QueueDepth bounds each shard's job queue (default 64); a full
-	// queue rejects with 429.
+	// QueueDepth bounds each partition at 1 + QueueDepth jobs, running or
+	// waiting (default 64); the next is rejected with 429.
 	QueueDepth int
 	// Seed derives every tenant seed and the shared carbon source
 	// (default 1).
@@ -101,6 +102,12 @@ type Server struct {
 	shards []*shard
 	mux    *http.ServeMux
 
+	slots   chan struct{} // run slots: at most Config.Shards jobs run at once
+	quit    chan struct{} // closed by Close: fails waiting jobs
+	closeMu sync.RWMutex
+	closed  bool
+	jobs    sync.WaitGroup // admitted jobs, waited for by Close
+
 	mu       sync.RWMutex
 	tenants  map[string]*Tenant
 	reserved map[string]bool
@@ -127,6 +134,7 @@ type serverTelemetry struct {
 	rejections   *telemetry.Counter
 	queryLatency *telemetry.Histogram
 	solveLatency *telemetry.Histogram
+	queueWait    *telemetry.Histogram
 }
 
 func newServerTelemetry() serverTelemetry {
@@ -140,11 +148,13 @@ func newServerTelemetry() serverTelemetry {
 		rejections:   rec.Counter("controlplane.rejections"),
 		queryLatency: rec.Histogram("controlplane.query_latency_sec", latencyBounds),
 		solveLatency: rec.Histogram("controlplane.solve_latency_sec", latencyBounds),
+		// From admission until the job holds its tenant's lock and a run slot.
+		queueWait: rec.Histogram("controlplane.queue_wait_sec", latencyBounds),
 	}
 }
 
-// New builds a server: the shared carbon source, N worker shards, and the
-// HTTP mux.
+// New builds a server: the shared carbon source, N run slots and
+// admission partitions, and the HTTP mux.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	src, err := carbon.SharedSource(cfg.Seed, cfg.Start.Add(-8*24*time.Hour), cfg.Start.Add(cfg.Horizon+2*24*time.Hour))
@@ -157,6 +167,8 @@ func New(cfg Config) (*Server, error) {
 		src:      src,
 		tenants:  make(map[string]*Tenant),
 		reserved: make(map[string]bool),
+		slots:    make(chan struct{}, cfg.Shards),
+		quit:     make(chan struct{}),
 		tel:      newServerTelemetry(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -172,19 +184,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops all shard workers. In-flight jobs finish; queued jobs fail.
+// Close rejects later submits, fails waiting jobs with errClosed, and
+// returns once every running job has finished.
 func (s *Server) Close() {
-	for _, sh := range s.shards {
-		sh.close()
+	s.closeMu.Lock()
+	if !s.closed {
+		s.closed = true
+		close(s.quit)
 	}
+	s.closeMu.Unlock()
+	s.jobs.Wait()
 }
 
-// shardOf returns the shard owning tenant id.
+// shardOf returns tenant id's admission partition.
 func (s *Server) shardOf(id string) *shard {
 	return s.shards[shardFor(id, len(s.shards))]
 }
 
-// tenant looks a tenant up without touching its shard.
+// tenant looks a tenant up without taking its lock.
 func (s *Server) tenant(id string) (*Tenant, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

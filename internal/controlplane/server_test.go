@@ -354,3 +354,27 @@ func TestSimServerMeasuresRealLatency(t *testing.T) {
 		}
 	}
 }
+
+// TestSimServerMeasuresQueueWait: controlplane.queue_wait_sec times each
+// admitted job from admission until it holds its tenant's lock and a run
+// slot, on the real clock — so a -sim server observes one wait per
+// registration, delta and forced solve, and none for a plan query.
+func TestSimServerMeasuresQueueWait(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	t.Cleanup(telemetry.Disable)
+	srv := newTestServer(t, 2)
+	for _, rq := range [][3]string{
+		{"POST", "/v1/workflows", `{"id":"t1","workload":"text2speech-censoring","initial_tokens":1e9}`},
+		{"POST", "/v1/workflows/t1/trace", `{"at":"` + DefaultStart.Add(3*time.Hour).Format(time.RFC3339) + `","invocations":200}`},
+		{"POST", "/v1/workflows/t1/solve", ""},
+		{"GET", "/v1/workflows/t1/plan", ""},
+	} {
+		if w := do(t, srv, rq[0], rq[1], rq[2]); w.Code >= 300 {
+			t.Fatalf("%s %s: status %d: %s", rq[0], rq[1], w.Code, w.Body.String())
+		}
+	}
+	h := rec.Histogram("controlplane.queue_wait_sec", nil)
+	if h.Count() != 3 || !(h.Sum() > 0) {
+		t.Errorf("queue_wait_sec: %d observations summing to %g s on a frozen SimClock, want 3 of real time", h.Count(), h.Sum())
+	}
+}

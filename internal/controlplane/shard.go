@@ -1,44 +1,36 @@
-// shard.go implements the control plane's worker shards. A tenant hashes
-// to exactly one shard (FNV(tenant id) mod N), and that shard's single
-// worker goroutine owns all mutation of the tenant's planning stack —
-// registration, delta ingestion, forced solves — serialized through a
-// bounded job queue. The bound is the admission-control surface: a full
-// queue rejects immediately (the handler maps that to 429 + Retry-After)
-// instead of letting solve backlog grow without limit. Plan queries never
-// touch a shard; they read the tenant's atomic snapshot directly.
+// shard.go implements admission control and job scheduling for tenant
+// mutation. A tenant's jobs — delta ingestion, forced solves — serialize
+// on the tenant's own lock and run on the request's goroutine, so one
+// tenant's solve never waits behind another's; a registration takes no
+// lock, since its reserved id excludes every other job on the tenant. A
+// server-wide pool of Config.Shards run slots bounds how many jobs run at
+// once. FNV(tenant id) mod N picks the tenant's admission partition
+// (shard): each admits at most 1 + QueueDepth jobs, running or waiting,
+// and rejects the next immediately (the handler maps that to 429 +
+// Retry-After) instead of letting solve backlog grow without limit. Plan
+// queries never submit; they read the tenant's atomic snapshot directly.
 package controlplane
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
+	"sync/atomic"
 
 	"caribou/internal/telemetry"
 )
 
-// ErrOverloaded reports a shard queue at capacity; handlers translate it
-// to 429 Too Many Requests.
+// ErrOverloaded reports an admission partition at capacity; handlers
+// translate it to 429 Too Many Requests.
 var ErrOverloaded = errors.New("controlplane: shard queue full")
 
-// errClosed reports a submit after Close.
+// errClosed reports a submit after Close, or a job still waiting at Close.
 var errClosed = errors.New("controlplane: server closed")
 
-// job is one unit of tenant work executed on the shard worker.
-type job struct {
-	run  func() error
-	done chan error
-}
-
-// shard owns a slice of the tenant space.
+// shard is one admission partition of the tenant space.
 type shard struct {
-	index int
-	jobs  chan job
-	quit  chan struct{}
-	wg    sync.WaitGroup
-
-	mu     sync.RWMutex
-	closed bool
+	admitted chan struct{} // one token per admitted job, running or waiting
+	waiting  atomic.Int64  // admitted jobs not yet running
 
 	depth     *telemetry.Gauge
 	processed *telemetry.Counter
@@ -46,78 +38,61 @@ type shard struct {
 
 func newShard(index, queueDepth int) *shard {
 	rec := telemetry.Default()
-	s := &shard{
-		index:     index,
-		jobs:      make(chan job, queueDepth),
-		quit:      make(chan struct{}),
+	return &shard{
+		admitted:  make(chan struct{}, 1+queueDepth),
 		depth:     rec.Gauge(fmt.Sprintf("controlplane.shard.%d.queue_depth", index)),
 		processed: rec.Counter(fmt.Sprintf("controlplane.shard.%d.jobs", index)),
 	}
-	s.wg.Add(1)
-	// controlplane is an approved concurrency package: the shard worker
-	// owns its tenants' planning state for the server's lifetime.
-	go s.loop()
-	return s
 }
 
-// loop drains the job queue until Close.
-func (s *shard) loop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			j.done <- j.run()
-			s.processed.Inc()
-		case <-s.quit:
-			// Drain anything enqueued before the close flag was set so
-			// no submitter is left waiting.
-			for {
-				select {
-				case j := <-s.jobs:
-					j.done <- errClosed
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// submit enqueues fn and waits for its result. It fails fast with
-// ErrOverloaded when the queue is at capacity — the §6 manager never
-// queues unbounded work; excess re-plan pressure is shed to the client.
-func (s *shard) submit(fn func() error) error {
-	s.mu.RLock()
+// submit admits fn as one job on tenant id and runs it on the caller's
+// goroutine once it holds t's lock (t is nil for a registration) and then
+// a run slot — in that order, so no slot idles behind a tenant lock. It
+// fails fast with ErrOverloaded when id's partition is at capacity — the
+// §6 manager never queues unbounded work; excess re-plan pressure is shed
+// to the client.
+func (s *Server) submit(id string, t *Tenant, fn func() error) error {
+	sh := s.shardOf(id)
+	s.closeMu.RLock()
 	if s.closed {
-		s.mu.RUnlock()
+		s.closeMu.RUnlock()
 		return errClosed
 	}
-	j := job{run: fn, done: make(chan error, 1)}
 	select {
-	case s.jobs <- j:
-		s.depth.Max(int64(len(s.jobs)))
-		s.mu.RUnlock()
+	case sh.admitted <- struct{}{}:
 	default:
-		s.mu.RUnlock()
+		s.closeMu.RUnlock()
 		return ErrOverloaded
 	}
-	return <-j.done
-}
+	s.jobs.Add(1)
+	s.closeMu.RUnlock()
+	defer s.jobs.Done()
+	defer func() { <-sh.admitted }()
 
-// close stops the worker after the current job.
-func (s *shard) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	sh.depth.Max(sh.waiting.Add(1))
+	wait := s.tel.queueWait.Start()
+	if t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.quit)
-	s.wg.Wait()
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-s.quit:
+	}
+	sh.waiting.Add(-1)
+	select {
+	case <-s.quit:
+		return errClosed
+	default:
+	}
+	wait.Stop()
+	err := fn()
+	sh.processed.Inc()
+	return err
 }
 
-// shardFor maps a tenant ID onto one of n shards.
+// shardFor maps a tenant ID onto one of n admission partitions.
 func shardFor(id string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))

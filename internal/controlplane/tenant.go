@@ -7,13 +7,15 @@
 // from (tenant seed, pushed trace deltas) and the tenant's virtual time
 // vnow (the maximum delta timestamp seen). The serving Clock never leaks
 // in, so a scripted request sequence produces byte-identical plan bodies
-// across runs and across any shard count.
+// across runs, across any shard count, and whatever the interleaving of
+// other tenants' jobs: a tenant's jobs run one at a time under its lock.
 package controlplane
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,10 +71,11 @@ func (s *PlanSnapshot) Stale(t time.Time) bool {
 	return !t.Before(s.ExpiresAt)
 }
 
-// Tenant is one registered workflow. All mutation happens on the owning
-// shard's worker goroutine; the plan pointer and virtual time are the only
-// cross-goroutine reads.
+// Tenant is one registered workflow. All mutation happens in a job under
+// the tenant's lock (Server.submit); the plan pointer and virtual time are
+// the only reads outside it.
 type Tenant struct {
+	mu     sync.Mutex // serializes the tenant's jobs
 	spec   TenantSpec
 	mm     *metrics.Manager
 	win    manager.Window
@@ -120,7 +123,7 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 		},
 		Seed:          spec.Seed,
 		MaxIterations: maxIterations,
-		Workers:       1, // shard workers provide the concurrency
+		Workers:       1, // run slots provide the concurrency
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: solver: %w", spec.ID, err)
@@ -166,7 +169,7 @@ func (t *Tenant) VNow() time.Time { return time.Unix(0, t.vnowNano.Load()).UTC()
 // from any goroutine.
 func (t *Tenant) Plan() *PlanSnapshot { return t.plan.Load() }
 
-// Tokens reports the stream's current budget. Shard-worker only.
+// Tokens reports the stream's current budget. Under the tenant's lock.
 func (t *Tenant) Tokens() float64 { return t.stream.Tokens() }
 
 // advance moves virtual time forward monotonically.
@@ -189,7 +192,8 @@ type Delta struct {
 	MeanRuntimeSec float64
 }
 
-// DeltaResult reports what one delta did to the tenant.
+// DeltaResult reports what one delta did to the tenant, and the virtual
+// time and plan version it left.
 type DeltaResult struct {
 	Earned      float64
 	Tokens      float64
@@ -197,6 +201,8 @@ type DeltaResult struct {
 	Skipped     bool
 	Granularity manager.Granularity
 	NextDue     time.Time
+	VNow        time.Time
+	PlanVersion int
 }
 
 // ErrBeyondHorizon rejects a delta stamped past the server's horizon: no
@@ -206,7 +212,7 @@ var ErrBeyondHorizon = errors.New("timestamp beyond the server's horizon")
 // OnDelta ingests a trace delta: advances virtual time, expands the delta
 // into synthetic records, accrues tokens under the shared §5.2 rule, and
 // runs a budget check when one is due. A delta past the horizon is
-// refused before anything changes. Shard-worker only.
+// refused before anything changes. Under the tenant's lock.
 func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	if d.At.After(t.limit) {
 		return DeltaResult{}, fmt.Errorf("tenant %s: at %s: %w (ends %s)", t.spec.ID,
@@ -245,13 +251,14 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	}
 	res.Tokens = t.stream.Tokens()
 	res.NextDue = t.stream.NextDue()
+	res.VNow, res.PlanVersion = now, t.versions
 	return res, nil
 }
 
 // check runs one due budget check at virtual time now: run the planning
 // step (manager.Solve) at the affordable granularity and publish a fresh
 // snapshot, or record a skip, which expires the active plan and routes
-// traffic home. Shard-worker only.
+// traffic home. Under the tenant's lock.
 func (t *Tenant) check(now time.Time) (manager.Granularity, error) {
 	hourlyCost, dailyCost := t.win.Costs(now)
 	g := t.stream.Check(now, hourlyCost, dailyCost)

@@ -42,8 +42,8 @@ func (g Granularity) String() string {
 
 // Stream is the token bucket for one workflow. All times are the caller's
 // virtual time; the Stream never reads a clock. Methods must be called
-// from one goroutine at a time (the control plane serializes each tenant
-// on its shard worker).
+// from one goroutine at a time (the control plane runs each tenant's jobs
+// under the tenant's lock).
 type Stream struct {
 	tokens float64
 
