@@ -30,6 +30,8 @@ race:
 # -fuzz target per package per run); no target may panic, and:
 #   FuzzEstimateRows  every hour-row entry equals Estimate(a, h) field for
 #                     field; a pruned one really exceeds its threshold
+#   FuzzPriceBlock    the block pricing kernel gives every sample's carbon
+#                     and the running sums bit for bit as priceSample does
 #   FuzzDecodeBlob, FuzzDecodeResult  (store frame, result payload) what a
 #                     decoder accepts re-encodes to the same bytes
 #   FuzzLoadManifest  an accepted manifest re-marshals and re-loads equal
@@ -53,6 +55,7 @@ race:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
+	$(GO) test -run xxx -fuzz FuzzPriceBlock -fuzztime $(FUZZTIME) ./internal/montecarlo/
 	$(GO) test -run xxx -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .

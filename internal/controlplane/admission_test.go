@@ -155,8 +155,10 @@ func TestCloseWaitsForRunningJobs(t *testing.T) {
 	}
 }
 
-// TestCloseRejectsSubmissions pins shutdown: after Close, mutations fail
-// rather than hang.
+// TestCloseRejectsSubmissions pins shutdown: after Close, every mutation
+// fails rather than hangs, with 503 and a Retry-After hint — the server is
+// going away, the request was well formed. A refused registration leaves
+// its id free.
 func TestCloseRejectsSubmissions(t *testing.T) {
 	srv, err := New(Config{Shards: 2, Seed: 1})
 	if err != nil {
@@ -165,9 +167,17 @@ func TestCloseRejectsSubmissions(t *testing.T) {
 	register(t, srv, `{"id":"t1","workload":"image-processing"}`)
 	srv.Close()
 	at := DefaultStart.Add(time.Hour).Format(time.RFC3339)
-	w := do(t, srv, "POST", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":10}`, at))
-	if w.Code != http.StatusInternalServerError {
-		t.Errorf("trace after close: status %d", w.Code)
+	for _, req := range []struct{ name, path, body string }{
+		{"register", "/v1/workflows", `{"id":"t2","workload":"image-processing"}`},
+		{"register again", "/v1/workflows", `{"id":"t2","workload":"image-processing"}`},
+		{"trace", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":10}`, at)},
+		{"solve", "/v1/workflows/t1/solve", `{}`},
+	} {
+		w := do(t, srv, "POST", req.path, req.body)
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+			t.Errorf("%s after close: status %d, Retry-After %q; want 503 with a hint: %s",
+				req.name, w.Code, w.Header().Get("Retry-After"), w.Body.String())
+		}
 	}
 	// Idempotent close.
 	srv.Close()

@@ -60,13 +60,24 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeOverloaded maps admission-control rejection to 429. Retry-After is
-// a static hint, not a wall-clock computation.
-func (s *Server) writeOverloaded(w http.ResponseWriter) {
-	s.rejections.Add(1)
-	s.tel.rejections.Inc()
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, "shard queue full; retry later")
+// writeUnavailable answers a submit the server did not run: admission
+// control's rejection with 429, a closing server's with 503. Retry-After
+// is a static hint, not a wall-clock computation. It reports whether err
+// was either; any other error is the caller's to map.
+func (s *Server) writeUnavailable(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		s.rejections.Add(1)
+		s.tel.rejections.Inc()
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "shard queue full; retry later")
+	case errors.Is(err, errClosed):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "server shutting down; retry later")
+	default:
+		return false
+	}
+	return true
 }
 
 // RegisterRequest is the POST /v1/workflows body.
@@ -254,14 +265,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		tokens, version = tenant.Tokens(), planVersion(tenant)
 		return nil
 	})
-	if errors.Is(err, ErrOverloaded) {
-		release()
-		s.writeOverloaded(w)
-		return
-	}
 	if err != nil {
 		release()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		if !s.writeUnavailable(w, err) {
+			writeError(w, http.StatusBadRequest, "%v", err)
+		}
 		return
 	}
 	solveTimer.Stop()
@@ -371,8 +379,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		res, err = tenant.OnDelta(Delta{At: at, Invocations: req.Invocations, Class: class, MeanRuntimeSec: req.MeanRuntimeSec})
 		return err
 	})
-	if errors.Is(err, ErrOverloaded) {
-		s.writeOverloaded(w)
+	if s.writeUnavailable(w, err) {
 		return
 	}
 	if errors.Is(err, ErrBeyondHorizon) {
@@ -517,8 +524,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp = SolveResponse{ID: id, Granularity: g.String(), PlanVersion: planVersion(tenant), Tokens: tenant.Tokens()}
 		return err
 	})
-	if errors.Is(err, ErrOverloaded) {
-		s.writeOverloaded(w)
+	if s.writeUnavailable(w, err) {
 		return
 	}
 	if err != nil {

@@ -10,7 +10,7 @@
 package controlplane
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"caribou/internal/dag"
@@ -65,7 +65,7 @@ func (sy *synthesizer) expand(n int, class workloads.InputClass, at time.Time, w
 func (sy *synthesizer) one(class workloads.InputClass, start time.Time) *platform.InvocationRecord {
 	id := sy.next
 	sy.next++
-	rng := simclock.DeriveRand(sy.seed, fmt.Sprintf("cp/synth/%d", id))
+	rng := simclock.AcquireDerived(sy.seed, "cp/synth/"+strconv.FormatUint(id, 10))
 	defer rng.Release()
 
 	rec := platform.NewInvocationRecord(sy.wl.DAG.Name(), id, string(class))

@@ -12,8 +12,9 @@ package montecarlo
 //	kwh[r]   += energy of the step executed in region r
 //	gb[pair] += gigabytes moved over the region pair
 //
-// next to the latency chain and the cost sum, and hands the sample to one
-// pricing function (priceSample):
+// next to the latency chain and the cost sum, and prices the sample by one
+// definition (priceSample; a sweep runs it four samples at a time in
+// priceBlock):
 //
 //	exec(h) = Σ_{r asc}    I[h][r]     · kwh[r] · PUE
 //	tx(h)   = Σ_{pair asc} RF[h][pair] · gb[pair]
@@ -24,14 +25,14 @@ package montecarlo
 // per-batch blocks carved from a per-solve arena. A slot a sample never
 // reached holds an exact zero, and x + I·0·PUE = x, so pricing the compact
 // record equals pricing the dense nR + nR² accumulators the reference
-// sampler (Snapshot.sampleOnce) hands to the same function:
+// sampler (Snapshot.sampleOnce) prices by the same definition:
 // the parity grid is bit-exact under this definition. Against the
 // per-event sums of the tests' oracle — Σ_events I·kwh_e·PUE — it differs
 // by summation order only (≈1e-15 relative; tests hold it under 1e-12).
 //
 // One plan's basis serves every hour that wants the plan: the first hour
 // replays a batch (≈24 µs a plan on Text2Speech), later hours apply their
-// own §7.1 stopping rule to the cached series (≈3 µs per hour), and the
+// own §7.1 stopping rule to the cached series (≈3.2 µs per hour), and the
 // basis grows by a batch only when some hour needs a boundary no earlier
 // hour reached.
 
@@ -44,8 +45,10 @@ import (
 
 // priceSample prices one sample's energy and traffic at one hour: inten
 // and rf are the hour's intensity and transmission tables, regs/pairs the
-// table indices of the kwh/gb entries, ascending. Every carbon figure of
-// every Snapshot path comes from here.
+// table indices of the kwh/gb entries, ascending. It is the definition of
+// a sample's carbon: the reference sampler prices with it directly, and
+// a sweep's block kernel (priceBlock) runs its arithmetic four samples at
+// a time, term for term.
 func priceSample(inten, rf []float64, regs, pairs []int32, kwh, gb []float64) (exec, tx float64) {
 	for j, r := range regs {
 		exec += inten[r] * kwh[j] * carbon.PUE
@@ -54,6 +57,69 @@ func priceSample(inten, rf []float64, regs, pairs []int32, kwh, gb []float64) (e
 		tx += rf[p] * gb[j]
 	}
 	return exec, tx
+}
+
+// gather fills coef with hour tables' coefficients of the basis's slots:
+// inten[regs[j]] for the region slots, then rf[pairs[j]] for the pair
+// slots — what priceSample reads through the slot index, read once.
+func (b *Basis) gather(coef, inten, rf []float64) {
+	for j, r := range b.regs {
+		coef[j] = inten[r]
+	}
+	coef = coef[len(b.regs):]
+	for j, p := range b.pairs {
+		coef[j] = rf[p]
+	}
+}
+
+// priceBlock prices four samples per round and leaves no remainder, so
+// BatchSize must be a multiple of four (a compile error otherwise).
+var _ [0]struct{} = [BatchSize % 4]struct{}{}
+
+// priceBlock prices one block's samples at one hour. coef is the hour's
+// coefficient per slot (gather), its first nRegs the region slots; recs
+// holds len(series) records of len(coef) slots each. Sample i's carbon
+// goes to series[i], and the running sums sums[0..2] (exec, tx, carbon)
+// take its exec, tx and carbon in sample order. Each sample is
+// priceSample's two chains — c[j]·x[j]·PUE over the region slots, c[j]·x[j]
+// over the pair slots, j ascending — so every bit is the per-sample
+// loop's; four samples' chains are in flight at once, like the replay
+// kernel's lanes (lanesInFlight), since a chain is bound by add latency.
+func priceBlock(series, recs, coef []float64, nRegs int, sums *[3]float64) {
+	// Capping coef at w and cutting each record to w lets the compiler prove
+	// every index in the two chain loops in bounds.
+	w := len(coef)
+	coef = coef[:w:w]
+	cr := coef[:nRegs]
+	exSum, txSum, carbSum := sums[0], sums[1], sums[2]
+	for i := 0; i+4 <= len(series); i += 4 {
+		r0 := recs[i*w:]
+		r1, r2, r3 := r0[w:], r0[2*w:], r0[3*w:]
+		r0, r1, r2, r3 = r0[:w], r1[:w], r2[:w], r3[:w]
+		var e0, e1, e2, e3 float64
+		for j, c := range cr {
+			e0 += c * r0[j] * carbon.PUE
+			e1 += c * r1[j] * carbon.PUE
+			e2 += c * r2[j] * carbon.PUE
+			e3 += c * r3[j] * carbon.PUE
+		}
+		var t0, t1, t2, t3 float64
+		for j := nRegs; j < w; j++ {
+			c := coef[j]
+			t0 += c * r0[j]
+			t1 += c * r1[j]
+			t2 += c * r2[j]
+			t3 += c * r3[j]
+		}
+		c0, c1, c2, c3 := e0+t0, e1+t1, e2+t2, e3+t3
+		out := series[i : i+4]
+		out[0], out[1], out[2], out[3] = c0, c1, c2, c3
+		exSum, txSum, carbSum = exSum+e0, txSum+t0, carbSum+c0
+		exSum, txSum, carbSum = exSum+e1, txSum+t1, carbSum+c1
+		exSum, txSum, carbSum = exSum+e2, txSum+t2, carbSum+c2
+		exSum, txSum, carbSum = exSum+e3, txSum+t3, carbSum+c3
+	}
+	sums[0], sums[1], sums[2] = exSum, txSum, carbSum
 }
 
 // priceDense prices dense per-region and per-pair accumulators at hour h —
@@ -232,11 +298,9 @@ func (s *Snapshot) screenRow(b *Basis) []float64 {
 	}
 	for h := range scr {
 		scr[h] = math.Inf(-1)
-		for j, r := range b.regs {
-			coef[j] = s.intensity[h][r] * carbon.PUE
-		}
-		for j, p := range b.pairs {
-			coef[nRegs+j] = s.txRF[h][p]
+		b.gather(coef, s.intensity[h], s.txRF[h])
+		for j := range nRegs {
+			coef[j] *= carbon.PUE
 		}
 		var tot, abs, norm float64
 		for j, a := range coef {

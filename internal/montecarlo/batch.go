@@ -53,19 +53,19 @@ const (
 
 // hourAcc is one lane's per-hour store through a sweep: the carbon series
 // of every hour of the sweep's window in per-batch blocks (batch b's
-// samples of hour slot k at blocks[b][k*BatchSize:]) and the running sums
-// whose prefixes are the means. Blocks are appended as the lane outlives
-// batches — never regrown — and stay with the accumulator when it returns
-// to the pool.
+// samples of hour slot k at blocks[b][k*BatchSize:]) and the running exec,
+// tx and carbon sums whose prefixes are the means. Blocks are appended as
+// the lane outlives batches — never regrown — and stay with the
+// accumulator when it returns to the pool.
 type hourAcc struct {
-	blocks                [][]float64
-	exSum, txSum, carbSum []float64 // per hour slot
+	blocks [][]float64
+	sums   [][3]float64 // per hour slot: exec, tx, carbon
 }
 
 // block returns the carbon block of batch b, appending it on first use.
 func (a *hourAcc) block(b int) []float64 {
 	if b == len(a.blocks) {
-		a.blocks = append(a.blocks, make([]float64, len(a.exSum)*BatchSize))
+		a.blocks = append(a.blocks, make([]float64, len(a.sums)*BatchSize))
 	}
 	return a.blocks[b]
 }
@@ -147,6 +147,7 @@ type sweep struct {
 	active        []*lane              // lanes with an hour still open
 	held, late    []*lane              // boundary's partition of active
 	fresh         []replayLane
+	coef          []float64 // one hour's coefficients by slot, as wide as the widest basis
 	ests, pruned  int64
 	pricedSamples int64
 	screened      int64
@@ -166,6 +167,11 @@ func (s *Snapshot) newSweep(bases []*Basis, out [][]*Estimate, h0, nh int, rows 
 		held:   ptrs[n : n : 2*n],
 		late:   ptrs[2*n : 2*n],
 	}
+	w := 0
+	for _, b := range bases {
+		w = max(w, b.width())
+	}
+	sw.coef = make([]float64, w)
 	open := make([]int, n*nh)
 	for i, b := range bases {
 		ln := &sw.lanes[i]
@@ -352,9 +358,10 @@ func (sw *sweep) settle(ln *lane, n int) error {
 	return sw.price(ln, n)
 }
 
-// price prices the lane's newest block at every open hour and applies the
-// stopping rule and the prune rule at sample count n. A lane with an hour
-// still open afterwards rejoins sw.active.
+// price prices the lane's newest block at every open hour — one block
+// kernel call per hour (priceBlock) on the hour's coefficients gathered
+// once — and applies the stopping rule and the prune rule at sample count
+// n. A lane with an hour still open afterwards rejoins sw.active.
 func (sw *sweep) price(ln *lane, n int) error {
 	s := sw.s
 	b, a := ln.b, ln.acc
@@ -362,26 +369,17 @@ func (sw *sweep) price(ln *lane, n int) error {
 	st := b.statAt(k)
 	fn := float64(n)
 	latMean, costMean := st.latSum/fn, st.costSum/fn
-	blk, carb := b.blocks[k], a.block(k)
-	nRegs, w := len(b.regs), b.width()
+	recs, carb := b.blocks[k][2*BatchSize:], a.block(k)
+	coef := sw.coef[:b.width()]
 	sw.pricedSamples += int64(BatchSize * len(ln.open))
 
 	open := ln.open[:0]
 	for _, hs := range ln.open {
 		h := sw.h0 + hs
-		inten, rf := s.intensity[h], s.txRF[h]
-		exSum, txSum, carbSum := a.exSum[hs], a.txSum[hs], a.carbSum[hs]
-		series := carb[hs*BatchSize : (hs+1)*BatchSize]
-		for i := range series {
-			rec := blk[2*BatchSize+i*w : 2*BatchSize+(i+1)*w]
-			ex, tx := priceSample(inten, rf, b.regs, b.pairs, rec[:nRegs], rec[nRegs:])
-			c := ex + tx
-			series[i] = c
-			exSum += ex
-			txSum += tx
-			carbSum += c
-		}
-		a.exSum[hs], a.txSum[hs], a.carbSum[hs] = exSum, txSum, carbSum
+		b.gather(coef, s.intensity[h], s.txRF[h])
+		sums := &a.sums[hs]
+		priceBlock(carb[hs*BatchSize:(hs+1)*BatchSize], recs, coef, len(b.regs), sums)
+		exSum, txSum, carbSum := sums[0], sums[1], sums[2]
 
 		carbMean := carbSum / fn
 		done := st.sharedOK && a.carbCV(hs, n, carbMean) < TargetCV

@@ -1,0 +1,172 @@
+package montecarlo
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// priceCase is one block-kernel case: nR sizes the hour tables (nR + nR²
+// entries each, so every width 1 … nR + nR² fits), w is the basis width
+// and nRegs how many of its slots are region slots; seed draws the tables,
+// the slot indices, the records and the running sums.
+type priceCase struct {
+	nR, w, nRegs uint8
+	seed         uint64
+}
+
+// priceCases spans the widths 1 … nR + nR² and the region-slot counts
+// 0 … w, both ends of each included, for nR up to 6.
+func priceCases() []priceCase {
+	var cs []priceCase
+	rng := rand.New(rand.NewPCG(45, 4))
+	for nR := 1; nR <= 6; nR++ {
+		maxW := nR + nR*nR
+		for _, w := range []int{1, 2, 3, 4, 5, nR, maxW / 2, maxW - 1, maxW, 1 + rng.IntN(maxW)} {
+			if w < 1 || w > maxW {
+				continue
+			}
+			for _, nRegs := range []int{0, 1, w / 2, w - 1, w, rng.IntN(w + 1)} {
+				if nRegs < 0 || nRegs > w {
+					continue
+				}
+				cs = append(cs, priceCase{uint8(nR), uint8(w), uint8(nRegs), rng.Uint64()})
+			}
+		}
+	}
+	return cs
+}
+
+// priceSpecials are the values IEEE arithmetic treats apart: signed zeros,
+// subnormals, the smallest normal, infinities, NaN and extreme magnitudes.
+var priceSpecials = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -3.3e-315,
+	0x1p-1022, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300, 1e-300, 1, -1, 0.1,
+}
+
+// priceFixture builds case c's hour tables, basis slots, block records and
+// starting sums. Each value is a special with the case's rate (none, one in
+// sixteen, one in four — a block full of NaN would hide a reordering) and
+// otherwise a signed mantissa times 10^[-20, 20]. raw, 8 bytes a value,
+// overrides the tables' then the records' values with arbitrary bits.
+func priceFixture(c priceCase, raw []byte) (inten, rf []float64, b *Basis, recs []float64, sums [3]float64) {
+	// Fuzzed fields out of range wrap into it; the table's are in range.
+	nR, w, nRegs := int(c.nR), int(c.w), int(c.nRegs)
+	if nR < 1 || nR > 6 {
+		nR = 1 + nR%6
+	}
+	size := nR + nR*nR
+	if w < 1 || w > size {
+		w = 1 + w%size
+	}
+	nRegs %= w + 1
+	rng := rand.New(rand.NewPCG(c.seed, uint64(w)<<8|uint64(nRegs)))
+	rate := []int{0, 16, 4}[rng.IntN(3)]
+	draw := func() float64 {
+		if rate > 0 && rng.IntN(rate) == 0 {
+			return priceSpecials[rng.IntN(len(priceSpecials))]
+		}
+		return (2*rng.Float64() - 1) * math.Pow(10, float64(rng.IntN(41)-20))
+	}
+	tables := make([]float64, 2*size)
+	recs = make([]float64, BatchSize*w)
+	for _, xs := range [][]float64{tables, recs} {
+		for i := range xs {
+			xs[i] = draw()
+			if len(raw) >= 8 {
+				xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+				raw = raw[8:]
+			}
+		}
+	}
+	for k := range sums {
+		if rng.IntN(2) == 0 {
+			sums[k] = draw()
+		}
+	}
+	// Slot indices: ascending, distinct within each kind, anywhere in the
+	// tables.
+	pick := func(n int) []int32 {
+		idx := make([]int32, n)
+		for i, p := range rng.Perm(size)[:n] {
+			idx[i] = int32(p)
+		}
+		slices.Sort(idx)
+		return idx
+	}
+	b = &Basis{regs: pick(nRegs), pairs: pick(w - nRegs)}
+	return tables[:size], tables[size:], b, recs, sums
+}
+
+// sameBits reports whether x and y carry the same bits — signed zeros
+// apart — or are both NaN. A NaN's payload is not the program's: with two
+// NaN operands x86 returns the first one's, and the compiler may commute an
+// add.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
+// checkPriceBlock prices case c's block with the kernel and with a
+// priceSample loop, and requires every series entry and every running sum
+// to carry the same bits (sameBits).
+func checkPriceBlock(t *testing.T, c priceCase, raw []byte) {
+	t.Helper()
+	inten, rf, b, recs, sums := priceFixture(c, raw)
+	w, nRegs := b.width(), len(b.regs)
+
+	want, wantSums := make([]float64, BatchSize), sums
+	for i := range want {
+		rec := recs[i*w : (i+1)*w]
+		ex, tx := priceSample(inten, rf, b.regs, b.pairs, rec[:nRegs], rec[nRegs:])
+		want[i] = ex + tx
+		wantSums[0] += ex
+		wantSums[1] += tx
+		wantSums[2] += want[i]
+	}
+
+	coef := make([]float64, w)
+	b.gather(coef, inten, rf)
+	got, gotSums := make([]float64, BatchSize), sums
+	priceBlock(got, recs, coef, nRegs, &gotSums)
+
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%+v (w=%d, %d region slots): sample %d priced %v (%#x), priceSample gives %v (%#x)",
+				c, w, nRegs, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	for k, name := range []string{"exec", "tx", "carbon"} {
+		if !sameBits(gotSums[k], wantSums[k]) {
+			t.Fatalf("%+v (w=%d, %d region slots): %s sum %v (%#x), priceSample loop gives %v (%#x)",
+				c, w, nRegs, name, gotSums[k], math.Float64bits(gotSums[k]), wantSums[k], math.Float64bits(wantSums[k]))
+		}
+	}
+}
+
+// TestPriceBlockMatchesPriceSample pins the block kernel to the one-sample
+// definition, bit for bit, over widths, region-slot counts and values
+// that IEEE arithmetic treats apart.
+func TestPriceBlockMatchesPriceSample(t *testing.T) {
+	cases := priceCases()
+	if len(cases) < 100 {
+		t.Fatalf("only %d cases", len(cases))
+	}
+	for _, c := range cases {
+		checkPriceBlock(t, c, nil)
+	}
+}
+
+// FuzzPriceBlock is TestPriceBlockMatchesPriceSample's oracle over fuzzed
+// cases; raw sets table and record values bit by bit.
+func FuzzPriceBlock(f *testing.F) {
+	for _, c := range priceCases() {
+		f.Add(c.nR, c.w, c.nRegs, c.seed, []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, nR, w, nRegs uint8, seed uint64, raw []byte) {
+		checkPriceBlock(t, priceCase{nR, w, nRegs, seed}, raw)
+	})
+}

@@ -345,14 +345,11 @@ var hourAccPool = sync.Pool{New: func() any { return new(hourAcc) }}
 // keeping the blocks earlier lanes of the same width grew it to.
 func getHourAcc(nh int) *hourAcc {
 	a := hourAccPool.Get().(*hourAcc)
-	if len(a.exSum) != nh {
-		sums := make([]float64, 3*nh)
-		a.exSum, a.txSum, a.carbSum = sums[:nh:nh], sums[nh:2*nh:2*nh], sums[2*nh:]
+	if len(a.sums) != nh {
+		a.sums = make([][3]float64, nh)
 		a.blocks = nil
 	}
-	clear(a.exSum)
-	clear(a.txSum)
-	clear(a.carbSum)
+	clear(a.sums)
 	return a
 }
 
