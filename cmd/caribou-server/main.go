@@ -10,9 +10,10 @@
 //	               [-cpuprofile FILE] [-memprofile FILE]
 //
 // A tenant's mutations run one at a time under its own lock, at most
-// -shards of them at once across tenants; each of the -shards admission
-// partitions admits at most 1 + -queue-depth jobs, running or waiting,
-// and answers the next with 429 + Retry-After.
+// -shards of them (the run slots) at once across tenants. Each tenant
+// admits at most 1 + -queue-depth jobs, running or waiting, and the
+// server -shards × (1 + -queue-depth); the next is answered with 429 +
+// Retry-After.
 //
 // API (see DESIGN.md "Control plane"):
 //
@@ -20,7 +21,7 @@
 //	POST /v1/workflows/{id}/trace   push a streaming trace delta
 //	GET  /v1/workflows/{id}/plan    current plan + staleness metadata
 //	POST /v1/workflows/{id}/solve   force a re-solve (409 when tokens are short)
-//	GET  /v1/stats                  serving counters and partition queue depths
+//	GET  /v1/stats                  serving counters, run slots and jobs waiting
 //	GET  /healthz                   liveness
 //
 // -sim serves against a simclock frozen at the virtual-time origin, which
@@ -52,8 +53,8 @@ func main() { os.Exit(realMain()) }
 // trace writes, server shutdown) runs before the process exits.
 func realMain() int {
 	addr := flag.String("addr", "localhost:8455", "HTTP listen address")
-	shards := flag.Int("shards", 4, "tenant jobs that run at once, and admission partitions (a tenant's jobs run one at a time under its lock)")
-	queueDepth := flag.Int("queue-depth", 64, "an admission partition admits 1 + this many jobs, running or waiting; the next gets 429")
+	shards := flag.Int("shards", 4, "run slots: tenant jobs that run at once (a tenant's jobs run one at a time under its lock)")
+	queueDepth := flag.Int("queue-depth", 64, "a tenant admits 1 + this many jobs, running or waiting, and the server -shards times as many; the next gets 429")
 	seed := flag.Int64("seed", 1, "server seed: derives tenant seeds and the carbon source")
 	sim := flag.Bool("sim", false, "serve against a simclock frozen at the virtual-time origin (byte-reproducible responses)")
 	solveIters := flag.Int("solve-iterations", 24, "HBSS iteration cap per tenant solve")
@@ -99,7 +100,7 @@ func realMain() int {
 	errCh := make(chan error, 1)
 	//caribou:allow goroutines HTTP listener runs beside the signal handler; tenant jobs run on its request goroutines
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "caribou-server: listening on %s (shards=%d queue-depth=%d sim=%t)\n", *addr, *shards, *queueDepth, *sim)
+	fmt.Fprintf(os.Stderr, "caribou-server: listening on %s (shards=%d run slots, queue-depth=%d per tenant, sim=%t)\n", *addr, *shards, *queueDepth, *sim)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

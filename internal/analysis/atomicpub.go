@@ -18,7 +18,7 @@ import (
 //     shared and immutable; mutate-and-republish means build a fresh
 //     value;
 //   - the module pass enforces lock ownership: state registered in
-//     shardOwnedTypes (summary.go) may be written — directly or via a
+//     tenantOwnedTypes (summary.go) may be written — directly or via a
 //     mutating method — and read through a method that reads its
 //     non-atomic fields only by the owned type's own methods, its
 //     constructor, or code lexically inside a closure handed to submit,
@@ -31,7 +31,7 @@ import (
 // enough that this catches the regressions that matter.
 var AtomicPubAnalyzer = &Analyzer{
 	Name: "atomicpub",
-	Doc:  "flag mutation of atomic.Pointer pointees after Store/Load and shard-owned control-plane state touched outside a submit closure",
+	Doc:  "flag mutation of atomic.Pointer pointees after Store/Load and tenant-owned control-plane state touched outside a submit closure",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
@@ -43,7 +43,7 @@ var AtomicPubAnalyzer = &Analyzer{
 		}
 	},
 	RunModule: func(mp *ModulePass) {
-		runShardOwnership(mp)
+		runTenantOwnership(mp)
 	},
 }
 
@@ -168,10 +168,10 @@ func rootObj(info *types.Info, expr ast.Expr) types.Object {
 	return nil
 }
 
-// runShardOwnership is the module half: writes to shard-owned state and
+// runTenantOwnership is the module half: writes to tenant-owned state and
 // calls of its mutating or reading methods are legal only from the owned
 // type's own methods, its constructor, or inside a submit closure.
-func runShardOwnership(mp *ModulePass) {
+func runTenantOwnership(mp *ModulePass) {
 	// A method is a mutator if it writes owned fields directly or calls
 	// (on the same owned type) another mutator — computed to fixpoint so
 	// wrappers like ForceCheck -> check -> publish are covered — and a
@@ -227,7 +227,7 @@ func runShardOwnership(mp *ModulePass) {
 					continue
 				}
 				mp.Reportf(token.Position{Filename: w.File, Line: w.Line, Column: w.Col},
-					"shard-owned %s is written (%s) outside a submit closure: route the mutation through submit, which holds the tenant's lock", short(w.Type), w.Expr)
+					"tenant-owned %s is written (%s) outside a submit closure: route the mutation through submit, which holds the tenant's lock", short(w.Type), w.Expr)
 			}
 			for _, c := range f.OwnedCalls {
 				if f.OwnedRecv == c.Type || f.Ctor == c.Type || c.ViaSubmit {
@@ -236,9 +236,9 @@ func runShardOwnership(mp *ModulePass) {
 				pos := token.Position{Filename: c.File, Line: c.Line, Column: c.Col}
 				switch k := (methodKey{c.Type, c.Method}); {
 				case mutator[k]:
-					mp.Reportf(pos, "mutator %s.%s of shard-owned state is called outside a submit closure: route the call through submit, which holds the tenant's lock", short(c.Type), c.Method)
+					mp.Reportf(pos, "mutator %s.%s of tenant-owned state is called outside a submit closure: route the call through submit, which holds the tenant's lock", short(c.Type), c.Method)
 				case reader[k]:
-					mp.Reportf(pos, "%s.%s reads non-atomic shard-owned state outside a submit closure: a concurrent job may be writing it; capture the value inside the job", short(c.Type), c.Method)
+					mp.Reportf(pos, "%s.%s reads non-atomic tenant-owned state outside a submit closure: a concurrent job may be writing it; capture the value inside the job", short(c.Type), c.Method)
 				}
 			}
 		}

@@ -58,19 +58,19 @@ type FuncSum struct {
 	// Sinks lists direct wallclock/global-rand uses in the body.
 	Sinks []SinkSum
 
-	// OwnedRecv marks methods of a shard-owned type (atomicpub): the
+	// OwnedRecv marks methods of a tenant-owned type (atomicpub): the
 	// owned type's key, e.g. "caribou/internal/controlplane.Tenant".
 	OwnedRecv string
 	// Ctor marks the owned type's constructor (newT/NewT returning it);
 	// constructors may mutate freely — the value is not shared yet.
 	Ctor string
-	// OwnedWrites lists direct field writes to shard-owned state.
+	// OwnedWrites lists direct field writes to tenant-owned state.
 	OwnedWrites []OwnedWrite
-	// ReadsOwned marks a method of a shard-owned type that reads a field
+	// ReadsOwned marks a method of a tenant-owned type that reads a field
 	// of its own type whose type is not from sync/atomic: such a read is
 	// ordered against the writers only under the tenant's lock.
 	ReadsOwned bool
-	// OwnedCalls lists calls of shard-owned types' methods, with the
+	// OwnedCalls lists calls of tenant-owned types' methods, with the
 	// syntactic submit context (closure passed to submit).
 	OwnedCalls []OwnedCall
 }
@@ -98,7 +98,7 @@ type SinkSum struct {
 	Col  int
 }
 
-// OwnedWrite is one direct field write to a shard-owned type.
+// OwnedWrite is one direct field write to a tenant-owned type.
 type OwnedWrite struct {
 	Type      string // owned type key
 	Expr      string // e.g. "Tenant.deltas"
@@ -108,7 +108,7 @@ type OwnedWrite struct {
 	Col       int
 }
 
-// OwnedCall is one call of a shard-owned type's method.
+// OwnedCall is one call of a tenant-owned type's method.
 type OwnedCall struct {
 	Type      string
 	Method    string
@@ -118,12 +118,12 @@ type OwnedCall struct {
 	Col       int
 }
 
-// shardOwnedTypes registers the control-plane state that only a job
+// tenantOwnedTypes registers the control-plane state that only a job
 // holding the tenant's lock may touch (DESIGN.md "Control plane"): jobs
 // are the closures passed to submit, so writes, and calls of methods that
 // write or read its non-atomic fields, outside a submit closure are
 // atomicpub findings.
-var shardOwnedTypes = map[string]bool{
+var tenantOwnedTypes = map[string]bool{
 	"caribou/internal/controlplane.Tenant": true,
 }
 
@@ -442,7 +442,7 @@ func summarizeCall(pkg *Package, call *ast.CallExpr, fs *FuncSum, inSubmit func(
 	}
 }
 
-// recordOwnedWrite records a direct field write to a shard-owned type:
+// recordOwnedWrite records a direct field write to a tenant-owned type:
 // the written expression's root is a selector whose receiver (after
 // pointer unwrap) is an owned type.
 func recordOwnedWrite(pkg *Package, lhs ast.Expr, fs *FuncSum, inSubmit func(token.Pos) bool) {
@@ -488,7 +488,7 @@ func readsNonAtomicField(info *types.Info, sel *ast.SelectorExpr, key string) bo
 }
 
 // ownedTypeKey resolves t (possibly a pointer) to a registered
-// shard-owned type key, or "".
+// tenant-owned type key, or "".
 func ownedTypeKey(t types.Type) string {
 	if t == nil {
 		return ""
@@ -501,13 +501,13 @@ func ownedTypeKey(t types.Type) string {
 		return ""
 	}
 	key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-	if !shardOwnedTypes[key] {
+	if !tenantOwnedTypes[key] {
 		return ""
 	}
 	return key
 }
 
-// ownedCtor reports whether d constructs a shard-owned type: a
+// ownedCtor reports whether d constructs a tenant-owned type: a
 // new*/New*-named function whose results include the owned type. The
 // constructor owns the value exclusively until it returns, so its
 // mutations are exempt from the submit rule.

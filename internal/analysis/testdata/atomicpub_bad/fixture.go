@@ -1,6 +1,6 @@
 // Fixture: publication-discipline violations (loaded as
 // caribou/internal/controlplane, so the Tenant type below is the
-// registered shard-owned type).
+// registered tenant-owned type).
 package controlplane
 
 import (
@@ -32,7 +32,7 @@ func patchLoaded(l *latch) {
 	cur.version++ // want atomicpub "cur was obtained from atomic.Pointer.Load"
 }
 
-// Tenant matches the shard-owned registry entry for this package.
+// Tenant matches the tenant-owned registry entry for this package.
 type Tenant struct {
 	deltas int
 }
@@ -45,24 +45,24 @@ func (t *Tenant) count() int {
 	return t.deltas
 }
 
-// summary reads shard-owned state through another reader.
+// summary reads tenant-owned state through another reader.
 func (t *Tenant) summary() string {
 	return fmt.Sprint(t.count())
 }
 
-// pokeDirect writes shard-owned state from outside any worker loop.
+// pokeDirect writes tenant-owned state from outside any submit closure.
 func pokeDirect(t *Tenant) {
-	t.deltas = 0 // want atomicpub "shard-owned Tenant is written"
+	t.deltas = 0 // want atomicpub "tenant-owned Tenant is written"
 }
 
 // pokeViaMutator reaches the same state through a mutating method
 // without going through a submit closure.
 func pokeViaMutator(t *Tenant) {
-	t.bump() // want atomicpub "mutator Tenant.bump of shard-owned state is called outside"
+	t.bump() // want atomicpub "mutator Tenant.bump of tenant-owned state is called outside"
 }
 
-// peekOutside reads non-atomic shard-owned state, two methods down,
+// peekOutside reads non-atomic tenant-owned state, two methods down,
 // outside any submit closure: a concurrent job may be writing it.
 func peekOutside(t *Tenant) string {
-	return t.summary() // want atomicpub "Tenant.summary reads non-atomic shard-owned state outside a submit closure"
+	return t.summary() // want atomicpub "Tenant.summary reads non-atomic tenant-owned state outside a submit closure"
 }

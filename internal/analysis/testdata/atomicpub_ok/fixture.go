@@ -1,5 +1,5 @@
 // Fixture: publication-discipline negative and suppressed cases (loaded
-// as caribou/internal/controlplane; Tenant is the registered shard-owned
+// as caribou/internal/controlplane; Tenant is the registered tenant-owned
 // type).
 package controlplane
 
@@ -34,7 +34,7 @@ func readLoaded(l *latch) int {
 	return cur.version
 }
 
-// Tenant matches the shard-owned registry entry for this package.
+// Tenant matches the tenant-owned registry entry for this package.
 type Tenant struct {
 	deltas  int
 	closed  bool
@@ -62,13 +62,13 @@ func newTenant() *Tenant {
 	return t
 }
 
-type shard struct{}
+type Server struct{}
 
-func (s *shard) submit(fn func()) { fn() }
+func (s *Server) submit(fn func()) { fn() }
 
 // viaWorker routes the mutation and the read through a submit closure —
 // the sanctioned path.
-func viaWorker(s *shard, t *Tenant) (n int) {
+func viaWorker(s *Server, t *Tenant) (n int) {
 	s.submit(func() {
 		t.bump()
 		t.deltas = 7

@@ -66,11 +66,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // was either; any other error is the caller's to map.
 func (s *Server) writeUnavailable(w http.ResponseWriter, err error) bool {
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, errOverloaded):
 		s.rejections.Add(1)
 		s.tel.rejections.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "shard queue full; retry later")
+		writeError(w, http.StatusTooManyRequests, "too many requests in flight; retry later")
 	case errors.Is(err, errClosed):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "server shutting down; retry later")
@@ -257,7 +257,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		version int
 	)
 	solveTimer := s.tel.solveLatency.Start()
-	err = s.submit(id, nil, func() error {
+	err = s.submit(nil, func() error {
 		var err error
 		if tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.Start.Add(s.cfg.Horizon), s.cfg.MaxIterations); err != nil {
 			return err
@@ -374,7 +374,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	var res DeltaResult
 	solveTimer := s.tel.solveLatency.Start()
-	err = s.submit(id, tenant, func() error {
+	err = s.submit(tenant, func() error {
 		var err error
 		res, err = tenant.OnDelta(Delta{At: at, Invocations: req.Invocations, Class: class, MeanRuntimeSec: req.MeanRuntimeSec})
 		return err
@@ -518,7 +518,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var g manager.Granularity
 	var resp SolveResponse
 	solveTimer := s.tel.solveLatency.Start()
-	err := s.submit(id, tenant, func() error {
+	err := s.submit(tenant, func() error {
 		var err error
 		g, err = tenant.ForceCheck(tenant.VNow())
 		resp = SolveResponse{ID: id, Granularity: g.String(), PlanVersion: planVersion(tenant), Tokens: tenant.Tokens()}
@@ -546,7 +546,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 type StatsResponse struct {
 	Tenants     int    `json:"tenants"`
 	Shards      int    `json:"shards"`
-	QueueDepths []int  `json:"queue_depths"`
+	QueueDepth  int64  `json:"queue_depth"`
 	Registered  int64  `json:"registered"`
 	Deltas      int64  `json:"deltas"`
 	PlanQueries int64  `json:"plan_queries"`
@@ -557,14 +557,10 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	depths := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		depths[i] = int(sh.waiting.Load())
-	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Tenants:     s.Tenants(),
-		Shards:      len(s.shards),
-		QueueDepths: depths,
+		Shards:      s.cfg.Shards,
+		QueueDepth:  s.waiting.Load(),
 		Registered:  s.registered.Load(),
 		Deltas:      s.deltas.Load(),
 		PlanQueries: s.queries.Load(),

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// bodyFixture is a one-shard server with one registered tenant, "t", and
+// bodyFixture is a one-run-slot server with one registered tenant, "t", and
 // what that tenant looked like before the request under test.
 type bodyFixture struct {
 	srv  *Server

@@ -26,7 +26,7 @@ func (f ClockFunc) Now() time.Time { return f() }
 
 // SimClock is a manually advanced Clock: it returns exactly what the last
 // Set/Advance left, so servers built on it produce identical bytes across
-// runs and shard counts. Safe for concurrent use.
+// runs and run-slot counts. Safe for concurrent use.
 type SimClock struct {
 	mu  sync.Mutex
 	now time.Time

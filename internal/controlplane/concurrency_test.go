@@ -53,19 +53,15 @@ func TestConcurrentSolveAndTraceOnOneTenant(t *testing.T) {
 	}
 }
 
-// TestShardMateNotBlockedByHeldJob pins that the tenant, not the
-// partition, is the unit of serialization: while a job of tenant a is
-// held, a delta of b — a's partition-mate — completes.
+// TestShardMateNotBlockedByHeldJob pins that the tenant is the unit of
+// serialization: while a job of tenant a is held, a delta of b completes.
 func TestShardMateNotBlockedByHeldJob(t *testing.T) {
 	srv := newTestServer(t, 2)
 	a, b := "a", "b"
-	for i := 0; shardFor(b, 2) != shardFor(a, 2); i++ {
-		b = fmt.Sprintf("b%d", i)
-	}
-	register(t, srv, `{"id":"`+a+`","workload":"image-processing"}`)
-	register(t, srv, `{"id":"`+b+`","workload":"image-processing"}`)
+	register(t, srv, `{"id":"a","workload":"image-processing"}`)
+	register(t, srv, `{"id":"b","workload":"image-processing"}`)
 	ta, _ := srv.tenant(a)
-	release, _ := holdJob(t, srv, a, ta)
+	release, _ := holdJob(t, srv, ta)
 	defer release()
 
 	done := make(chan int, 1)
@@ -79,7 +75,7 @@ func TestShardMateNotBlockedByHeldJob(t *testing.T) {
 			t.Errorf("delta of %s: status %d", b, code)
 		}
 	case <-time.After(10 * time.Second): //caribou:allow wallclock bounds a wait on real scheduling
-		t.Fatalf("delta of %s waited behind a held job of its partition-mate %s", b, a)
+		t.Fatalf("delta of %s waited behind a held job of %s", b, a)
 	}
 }
 
@@ -103,7 +99,7 @@ func TestTenantJobsNeverOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- srv.submit("t1", t1, func() error {
+			errs <- srv.submit(t1, func() error {
 				if inside.Add(1) > 1 {
 					overlaps.Add(1)
 				}

@@ -43,7 +43,7 @@ func scriptedRequests() []struct{ method, path, body string } {
 }
 
 // runScript executes the script against a fresh server with the given
-// shard count and returns the concatenated status codes and bodies.
+// run-slot count and returns the concatenated status codes and bodies.
 func runScript(t *testing.T, shards int) string {
 	t.Helper()
 	srv := newTestServer(t, shards)
@@ -67,9 +67,9 @@ var updateScript = flag.Bool("update-golden", false, "rewrite "+scriptGolden+" f
 // TestByteReproducibleAcrossRunsAndShardCounts is the integration-level
 // determinism guarantee: a SimClock-backed server produces byte-identical
 // response bodies for the same request script, across repeated runs and
-// across any shard count, and those bytes are the reviewed ones under
+// across any run-slot count (Config.Shards), and those bytes are the reviewed ones under
 // testdata/. Plan content depends only on tenant seeds and pushed trace
-// deltas — never on the serving clock, shard placement, or scheduling.
+// deltas — never on the serving clock or scheduling.
 func TestByteReproducibleAcrossRunsAndShardCounts(t *testing.T) {
 	baseline := runScript(t, 1)
 	if *updateScript {

@@ -3,8 +3,8 @@
 // own metric window, solver, and event-driven token bucket
 // (manager.Stream). A tenant's mutations serialize on the tenant's own
 // lock and run on the request's goroutine, at most Config.Shards at once;
-// FNV(tenant id) mod N picks the admission partition whose bound sheds
-// overload (full partition → 429 + Retry-After). Plan reads take no lock:
+// a per-tenant and a server-wide admission bound shed overload (429 +
+// Retry-After). Plan reads take no lock:
 // GET /plan loads an atomic.Pointer snapshot, so query latency is
 // independent of solve backlog.
 //
@@ -34,12 +34,13 @@ var DefaultStart = time.Date(2023, 10, 15, 0, 0, 0, 0, time.UTC)
 
 // Config parameterizes a Server.
 type Config struct {
-	// Shards is the number of jobs that run at once and of admission
-	// partitions (default 4). Plan bodies are identical for every value;
-	// only scheduling changes.
+	// Shards is the number of run slots: jobs that run at once (default
+	// 4). Plan bodies are identical for every value; only scheduling
+	// changes.
 	Shards int
-	// QueueDepth bounds each partition at 1 + QueueDepth jobs, running or
-	// waiting (default 64); the next is rejected with 429.
+	// QueueDepth bounds each tenant at 1 + QueueDepth jobs, running or
+	// waiting, and the server at Shards × (1 + QueueDepth) (default 64);
+	// the next is rejected with 429.
 	QueueDepth int
 	// Seed derives every tenant seed and the shared carbon source
 	// (default 1).
@@ -96,17 +97,19 @@ func (c Config) withDefaults() Config {
 // Server hosts the control-plane API. Create with New, serve via
 // ServeHTTP (it implements http.Handler), stop with Close.
 type Server struct {
-	cfg    Config
-	clk    Clock
-	src    carbon.Source
-	shards []*shard
-	mux    *http.ServeMux
+	cfg Config
+	clk Clock
+	src carbon.Source
+	mux *http.ServeMux
 
 	slots   chan struct{} // run slots: at most Config.Shards jobs run at once
 	quit    chan struct{} // closed by Close: fails waiting jobs
 	closeMu sync.RWMutex
 	closed  bool
 	jobs    sync.WaitGroup // admitted jobs, waited for by Close
+
+	admitted chan struct{} // one token per admitted job, running or waiting
+	waiting  atomic.Int64  // admitted jobs not yet running
 
 	mu       sync.RWMutex
 	tenants  map[string]*Tenant
@@ -135,6 +138,8 @@ type serverTelemetry struct {
 	queryLatency *telemetry.Histogram
 	solveLatency *telemetry.Histogram
 	queueWait    *telemetry.Histogram
+	queueDepth   *telemetry.Gauge // most jobs admitted but not yet running
+	jobs         *telemetry.Counter
 }
 
 func newServerTelemetry() serverTelemetry {
@@ -148,13 +153,15 @@ func newServerTelemetry() serverTelemetry {
 		rejections:   rec.Counter("controlplane.rejections"),
 		queryLatency: rec.Histogram("controlplane.query_latency_sec", latencyBounds),
 		solveLatency: rec.Histogram("controlplane.solve_latency_sec", latencyBounds),
+		queueDepth:   rec.Gauge("controlplane.queue_depth"),
+		jobs:         rec.Counter("controlplane.jobs"),
 		// From admission until the job holds its tenant's lock and a run slot.
 		queueWait: rec.Histogram("controlplane.queue_wait_sec", latencyBounds),
 	}
 }
 
-// New builds a server: the shared carbon source, N run slots and
-// admission partitions, and the HTTP mux.
+// New builds a server: the shared carbon source, the run slots and
+// admission bound, and the HTTP mux.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	src, err := carbon.SharedSource(cfg.Seed, cfg.Start.Add(-8*24*time.Hour), cfg.Start.Add(cfg.Horizon+2*24*time.Hour))
@@ -167,12 +174,10 @@ func New(cfg Config) (*Server, error) {
 		src:      src,
 		tenants:  make(map[string]*Tenant),
 		reserved: make(map[string]bool),
+		admitted: make(chan struct{}, cfg.Shards*(1+cfg.QueueDepth)),
 		slots:    make(chan struct{}, cfg.Shards),
 		quit:     make(chan struct{}),
 		tel:      newServerTelemetry(),
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, cfg.QueueDepth))
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -194,11 +199,6 @@ func (s *Server) Close() {
 	}
 	s.closeMu.Unlock()
 	s.jobs.Wait()
-}
-
-// shardOf returns tenant id's admission partition.
-func (s *Server) shardOf(id string) *shard {
-	return s.shards[shardFor(id, len(s.shards))]
 }
 
 // tenant looks a tenant up without taking its lock.

@@ -286,8 +286,8 @@ func TestStatsAndHealth(t *testing.T) {
 	if stats.Tenants != 1 || stats.Shards != 3 || stats.Registered != 1 || stats.Deltas != 1 || stats.PlanQueries != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if len(stats.QueueDepths) != 3 {
-		t.Errorf("queue depths = %v", stats.QueueDepths)
+	if stats.QueueDepth != 0 {
+		t.Errorf("queue depth = %d with nothing in flight", stats.QueueDepth)
 	}
 
 	if w := do(t, srv, "GET", "/healthz", ""); w.Code != http.StatusOK {

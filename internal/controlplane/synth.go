@@ -4,7 +4,7 @@
 // re-expands them into representative records with seed-derived RNG
 // streams, so a tenant's learned distributions — and therefore its plans —
 // depend only on (tenant seed, delta sequence), never on arrival timing or
-// shard placement. This is the same synthesis discipline the simulator's
+// scheduling. This is the same synthesis discipline the simulator's
 // platform layer uses, scoped down to what §7's window needs: per-node
 // durations, per-edge payloads, and conditional-edge outcomes.
 package controlplane

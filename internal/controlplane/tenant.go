@@ -7,7 +7,7 @@
 // from (tenant seed, pushed trace deltas) and the tenant's virtual time
 // vnow (the maximum delta timestamp seen). The serving Clock never leaks
 // in, so a scripted request sequence produces byte-identical plan bodies
-// across runs, across any shard count, and whatever the interleaving of
+// across runs, across any run-slot count, and whatever the interleaving of
 // other tenants' jobs: a tenant's jobs run one at a time under its lock.
 package controlplane
 
@@ -85,6 +85,7 @@ type Tenant struct {
 
 	plan     atomic.Pointer[PlanSnapshot]
 	vnowNano atomic.Int64
+	admitted atomic.Int64 // jobs admitted, running or waiting (Tenant.admit)
 	// limit is the last instant virtual time may reach: the end of the
 	// server's horizon, which the shared carbon source covers.
 	limit time.Time
