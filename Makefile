@@ -13,16 +13,17 @@ test:
 # race runs the concurrent packages under the race detector. Line 1:
 # solver, montecarlo and telemetry in full except -short's one skip (the
 # exhaustive-rows grid's untaped heavy-tail solve, a minute under the
-# detector). Line 2: the tape, basis, hour-row and screen parity tests twice
-# in one process, so the second pass re-enters warm scratch, accumulator
-# and arena pools while Workers: 8 extend a fresh solve's one tape. Line 3:
+# detector). Line 2: the tape, node-index, basis, hour-row, screen and
+# exec-error parity tests twice in one process, so the second pass re-enters
+# warm scratch, accumulator and arena pools while Workers: 8 extend a fresh
+# solve's one tape. Line 3:
 # the control plane's shards, the manager and the run store. Line 4: the
 # eval pool's determinism (Workers 1 vs 8), telemetry inertness, the shared
 # carbon source and forecasters, the result codec and
 # TestSimulatorBlobDigests.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestScreen|TestExhaustiveScreen|TestFuzzSeeds' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestScreen|TestExhaustiveScreen|TestFuzzSeeds|TestNodeIndexRegroupsSteps|TestReplayExecErrorIsTheReferences' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests|TestSharedForecasts' ./internal/eval/... ./internal/carbon/... ./internal/metrics/...
 

@@ -135,6 +135,21 @@ func TestNewTenantFailsWithItsInitialSolve(t *testing.T) {
 	}
 }
 
+// TestRegisterWarmsEveryStage: t288 under seed 74 is a Text2Speech tenant
+// whose first warm-up day never takes the p = 0.5 profanity→censor edge, so
+// that day alone leaves censor without durations and the first solve
+// without a plan. Registration warms the window until every stage has run.
+func TestRegisterWarmsEveryStage(t *testing.T) {
+	srv, err := New(Config{Seed: 74})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if w := do(t, srv, "POST", "/v1/workflows", `{"id":"t288","workload":"text2speech-censoring"}`); w.Code != http.StatusCreated {
+		t.Fatalf("register t288: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
 func TestTraceDeltaAccruesAndAdvances(t *testing.T) {
 	srv := newTestServer(t, 2)
 	register(t, srv, `{"id":"t1","workload":"image-processing"}`)

@@ -150,9 +150,17 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 
 	// Warm the metric window with a day of synthetic home-region traffic
 	// preceding start, so the solver's home baseline and the estimator's
-	// duration distributions exist before the first real delta arrives.
-	for _, rec := range t.synth.expand(24, workloads.Small, start, 24*time.Hour) {
-		mm.Ingest(rec)
+	// duration distributions exist before the first real delta arrives. A
+	// day's records can all miss a conditional stage, which would leave the
+	// estimator without its durations, so the day is expanded again — at
+	// most maxWarmups times in all — until every stage has run.
+	for range maxWarmups {
+		for _, rec := range t.synth.expand(24, workloads.Small, start, 24*time.Hour) {
+			mm.Ingest(rec)
+		}
+		if t.everyStageRan() {
+			break
+		}
 	}
 	// Registration runs the first budget check immediately: with an
 	// initial token grant the tenant has a plan before its first query, and
@@ -161,6 +169,22 @@ func newTenant(spec TenantSpec, cat *region.Catalogue, src carbon.Source, start,
 		return nil, err
 	}
 	return t, nil
+}
+
+// maxWarmups caps registration's warm-up expansions: a stage that
+// maxWarmups warm-up days never ran fails registration as before, with the
+// solve's missing-data error.
+const maxWarmups = 8
+
+// everyStageRan reports whether the metric window holds home-region
+// durations for every stage.
+func (t *Tenant) everyStageRan() bool {
+	for _, n := range t.spec.Workload.DAG.Nodes() {
+		if _, err := t.mm.ExecDuration(n, t.spec.Home); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // VNow reports the tenant's virtual time: the newest trace timestamp.

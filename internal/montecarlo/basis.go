@@ -20,7 +20,7 @@ package montecarlo
 //	tx(h)   = Σ_{pair asc} RF[h][pair] · gb[pair]
 //
 // A Basis is what one plan's replay leaves behind: per sample the latency,
-// the cost, and kwh/gb compacted to the plan's static slots — the regions
+// the cost, and kwh/gb accumulated in the plan's static slots — the regions
 // and region pairs its assignment can touch at all (staticSlots) — in
 // per-batch blocks carved from a per-solve arena. A slot a sample never
 // reached holds an exact zero, and x + I·0·PUE = x, so pricing the compact
@@ -31,13 +31,15 @@ package montecarlo
 // by summation order only (≈1e-15 relative; tests hold it under 1e-12).
 //
 // One plan's basis serves every hour that wants the plan: the first hour
-// replays a batch (≈24 µs a plan on Text2Speech), later hours apply their
-// own §7.1 stopping rule to the cached series (≈3.2 µs per hour), and the
-// basis grows by a batch only when some hour needs a boundary no earlier
-// hour reached.
+// replays a batch node by node (replayPlan; ≈18–26 µs a plan on
+// Text2Speech with its pricing, BenchmarkReplayBasis), later hours apply
+// their own §7.1 stopping rule to the cached series (≈3.2 µs per hour), and
+// the basis grows by a batch only when some hour needs a boundary no
+// earlier hour reached.
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"caribou/internal/carbon"
@@ -83,8 +85,8 @@ var _ [0]struct{} = [BatchSize % 4]struct{}{}
 // take its exec, tx and carbon in sample order. Each sample is
 // priceSample's two chains — c[j]·x[j]·PUE over the region slots, c[j]·x[j]
 // over the pair slots, j ascending — so every bit is the per-sample
-// loop's; four samples' chains are in flight at once, like the replay
-// kernel's lanes (lanesInFlight), since a chain is bound by add latency.
+// loop's; four samples' chains are in flight at once, since a chain is
+// bound by add latency.
 func priceBlock(series, recs, coef []float64, nRegs int, sums *[3]float64) {
 	// Capping coef at w and cutting each record to w lets the compiler prove
 	// every index in the two chain loops in bounds.
@@ -325,283 +327,347 @@ func (b *Basis) moveTo(a *BasisArena) {
 	b.arena = a
 }
 
-// replayLane is one (plan, sample) in flight through the kernel: the
-// plan's assignment, a scratch of its own (the slice headers of b.assign
-// and sc, held directly so the step loop reaches them in one load), the
-// latency/cost chains and step cursor of the sample, and where the
-// finished sample goes.
-type replayLane struct {
-	assign    []int
-	buf       []float64 // sc.buf: start, ready, kwh, gb back to back
-	lat, cost float64
-	si, hi    int32 // steps [si, hi) of the sample are still to run
-	b         *Basis
-	sc        *replayScratch
-	blk       []float64 // the basis block being filled
-	j         int       // the sample's index within the block
+// batchScratch is one replayBatch call's per-sample state: the start and
+// ready times by sample of each node the batch runs — node n's at
+// [slot[n]·BatchSize, (slot[n]+1)·BatchSize), slots numbered in node order
+// over the nodes with samples — and the finish times of the node being
+// replayed. A node no sample runs is never read or written, so the vectors
+// grow with the nodes a batch runs, not with the DAG.
+type batchScratch struct {
+	slot         []int32
+	start, ready []float64
+	finish       vec
 }
 
-// commit stores the finished sample: latency, cost, and the dense
-// accumulators compacted to the plan's slots — which zeroes every entry
-// the sample touched for the next one.
-func (ln *replayLane) commit() {
-	b, blk, j := ln.b, ln.blk, ln.j
-	blk[j], blk[BatchSize+j] = ln.lat, ln.cost
-	w := b.width()
-	rec := blk[2*BatchSize+j*w : 2*BatchSize+(j+1)*w]
-	kwh, gb := ln.sc.kwh, ln.sc.gb
-	for k, r := range b.regs {
-		rec[k] = kwh[r]
-		kwh[r] = 0
-	}
-	rec = rec[len(b.regs):]
-	for k, p := range b.pairs {
-		rec[k] = gb[p]
-		gb[p] = 0
-	}
+func newBatchScratch(n int) *batchScratch { return &batchScratch{slot: make([]int32, n)} }
+
+// regSlot and pairSlot return where region r's and region pair p's slot
+// sits in a sample record; the static slots hold every one replay reaches
+// (TestStaticSlotsCoverDenseAccumulation).
+func (b *Basis) regSlot(r int) int {
+	j, _ := slices.BinarySearch(b.regs, int32(r))
+	return j
 }
 
-// lanesInFlight is how many independent (plan, sample) lanes the kernel
-// keeps in flight: a sample's latency and cost chains are serial float
-// dependencies, and the loop is bound by their latency, not by issue
-// width — overlapping a few independent chains recovers the stalled
-// pipeline. A sweep of many plans has its lanes already; one or two plans
-// run that many consecutive samples of each side by side.
-const lanesInFlight = 4
+func (b *Basis) pairSlot(p int) int {
+	j, _ := slices.BinarySearch(b.pairs, int32(p))
+	return len(b.regs) + j
+}
 
 // replayBatch appends samples [i0, i0+BatchSize) of the solve's tape to
 // every basis — all of which must hold exactly i0 samples and be owned by
-// the caller. lanes is scratch: its bases are read from lanes[:k] (k =
-// len(lanes)) and the slice is regrown to k × samples-in-flight entries.
-func (s *Snapshot) replayBatch(lanes []replayLane, i0 int) ([]replayLane, error) {
+// the caller. A deferred exec error fails the call before any basis grows:
+// of the plans that meet one, the first in order returns the error the
+// reference sampler raises for it (execErrIn).
+func (s *Snapshot) replayBatch(bases []*Basis, i0 int) error {
 	td := s.tape.ensure(s, i0+BatchSize)
-	k := len(lanes)
-	per := 1 // consecutive samples of one plan in flight; divides BatchSize
-	for per*k < lanesInFlight {
-		per *= 2
-	}
-	for t := k; t < per*k; t++ {
-		lanes = append(lanes, replayLane{b: lanes[t%k].b})
-	}
-	for t := range lanes {
-		ln := &lanes[t]
-		sc := s.getScratch()
-		ln.sc, ln.assign, ln.buf = sc, ln.b.assign, sc.buf
-		if t < k {
-			ln.blk = ln.b.arena.take(BatchSize * (2 + ln.b.width()))
-		} else {
-			ln.blk = lanes[t%k].blk
-		}
-	}
-	var err error
-	for i := i0; i < i0+BatchSize && err == nil; i += per {
-		for t := range lanes {
-			lanes[t].j = i - i0 + t/k
-		}
-		if err = s.replaySamples(td, i0, lanes); err == nil {
-			for t := range lanes {
-				lanes[t].commit()
+	if s.anyExecErr {
+		for _, b := range bases {
+			if err := s.execErrIn(td, i0, b.assign); err != nil {
+				return err
 			}
 		}
 	}
-	for t := range lanes {
-		ln := &lanes[t]
-		if err != nil {
-			clear(ln.sc.kwh)
-			clear(ln.sc.gb)
-		} else if t < k {
-			ln.b.blocks = append(ln.b.blocks, ln.blk)
-			ln.b.n += BatchSize
-		}
-		s.putScratch(ln.sc)
+	sc := s.batchPool.Get().(*batchScratch)
+	for _, b := range bases {
+		blk := b.arena.take(BatchSize * (2 + b.width()))
+		s.replayPlan(td, i0, b, blk, sc)
+		b.blocks = append(b.blocks, blk)
+		b.n += BatchSize
 	}
-	if err != nil {
-		return lanes, err
-	}
-	replayed := int64(k) * BatchSize
-	s.Sweeps.Replays.Add(int64(k))
-	s.tel.basisReplays.Add(int64(k))
-	s.tel.samples.Add(replayed)
-	s.tel.tapeReplays.Add(replayed)
-	return lanes, nil
+	s.batchPool.Put(sc)
+	k := int64(len(bases))
+	s.Sweeps.Replays.Add(k)
+	s.tel.basisReplays.Add(k)
+	s.tel.samples.Add(k * BatchSize)
+	s.tel.tapeReplays.Add(k * BatchSize)
+	return nil
 }
 
-// replaySamples is the one step kernel: it replays, for every lane, tape
-// sample i0+lane.j under the lane's plan, and knows no hour. Each lane
-// walks its own sample's steps; the lanes advance one step each per round,
-// so their independent dependency chains interleave, and since no result
-// of one lane feeds another, per-sample arithmetic order — and therefore
-// every bit — is that of a lane run alone. The body is closure-free —
-// transfer latency and egress are inlined against hoisted tables — and
-// every latency and cost operation happens in the reference order; where
-// the reference adds intensity-weighted carbon, the lane adds the energy
-// to kwh[region] and the gigabytes to gb[pair]. An exec-duration lookup
-// that failed at Compile surfaces at the step that reads it.
-func (s *Snapshot) replaySamples(td *tapeData, i0 int, lanes []replayLane) error {
-	home := s.home
-	nR := s.nR
-	entry := s.start
-	txBase, txPerByte := s.txBase, s.txPerByte
-	egress := s.egressPerGB
-	msgOverhead := s.msgOverhead
-	snsHome := s.snsUSD[home]
-	kvAccess := s.kvAccess
-	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
-	snsUSD := s.snsUSD
-	hasErr := s.anyExecErr
-	// Column headers hoisted into locals so the loop indexes registers
-	// instead of re-loading slice headers through the *tapeData pointer.
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := td.node, td.flags, td.staged, td.out, td.drc, td.aux9, td.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := td.edgeOff, td.to, td.kind, td.bytes, td.skipOff, td.e9
-	skipS := td.skipSyncs
+// execErrIn returns the deferred exec error the reference meets first
+// sampling [i0, i0+BatchSize) under assign — at the first sample's first
+// step whose (node, region) has no execution data — or nil. The tape keeps
+// steps sample by sample in step order, so that is the batch's first such
+// step.
+func (s *Snapshot) execErrIn(td *tapeData, i0 int, assign []int) error {
+	for _, n := range td.node[td.stepOff[i0]:td.stepOff[i0+BatchSize]] {
+		if err := s.execErr[int(n)*s.nR+assign[n]]; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayPlan is the one step kernel: it replays tape samples [i0,
+// i0+BatchSize) under b's plan into blk, the block's latencies, costs and
+// slot records, and knows no hour. It walks the nodes in interned order —
+// the order a sample runs its steps in — and, per node, the batch's samples
+// that executed it (the tape's node index), so the (node, region) and
+// (edge, region pair) coefficients and slot indices are read once per node,
+// not once per sample. Per-sample state lives in BatchSize-wide vectors; a
+// sample's edges only feed later nodes, so each sample still runs its own
+// operations in its own step order, and only independent samples
+// interleave: every bit is that of the sample replayed alone. Every latency
+// and cost operation happens in the reference order (Snapshot.sampleOnce);
+// where the reference accumulates energy by region and gigabytes by region
+// pair, the kernel adds them to the sample's record at the slot. An
+// exec-duration lookup that failed at Compile never gets here (execErrIn).
+func (s *Snapshot) replayPlan(td *tapeData, i0 int, b *Basis, blk []float64, sc *batchScratch) {
+	const bs = BatchSize
+	nN, nR, home := s.nodes.Len(), s.nR, s.home
+	assign := b.assign
+	clear(blk)
+	k := i0 / bs
+	idx := td.nodeOff[k*nN : (k+1)*nN+1]
+	m := 0
+	for n := range nN {
+		if idx[n] < idx[n+1] {
+			sc.slot[n] = int32(m)
+			m++
+		}
+	}
+	if len(sc.start) < m*bs {
+		sc.start, sc.ready = make([]float64, m*bs), make([]float64, m*bs)
+	}
+	clear(sc.start[:m*bs])
+	clear(sc.ready[:m*bs])
+	p := nodePass{
+		s: s, td: td, w: b.width(),
+		lat: (*vec)(blk), cost: (*vec)(blk[bs:]), recs: blk[2*bs:], finish: &sc.finish,
+		slot: sc.slot, start: sc.start, ready: sc.ready,
+	}
 
 	// Entry: the DP fetch at home and the routed entry payload. The transfer
 	// term is parenthesized so it is summed before being added to the
 	// access+overhead prefix, as the reference's helper call.
-	entryBase := kvAccess[home] + msgOverhead
-	// Offsets of the ready, kwh and gb vectors in a lane's buf.
-	oReady := s.nodes.Len()
-	oKwh := 2 * oReady
-	oGb := oKwh + nR
-	live := 0
-	for k := range lanes {
-		ln := &lanes[k]
-		i := i0 + ln.j
-		ln.sc.reset()
-		entryBytes := td.entry[i]
-		he := home*nR + ln.assign[entry]
-		var cost float64
-		cost += dynRead
-		cost += snsHome
-		if entryBytes > 0 {
-			q := td.entry9[i]
-			ln.buf[oGb+he] += q
-			cost += q * egress[he]
+	entry := s.start
+	rt := s.route(b, home*nR+assign[entry])
+	entryBase := s.kvAccess[home] + s.msgOverhead
+	var c0 float64
+	c0 += s.dynReadUSD
+	c0 += s.snsUSD[home]
+	entry9, cost, recs, w, st := td.entry9[i0:i0+bs], p.cost, p.recs, p.w, p.startOf(entry)
+	for j, eb := range td.entry[i0 : i0+bs] {
+		c := c0
+		if eb > 0 {
+			q := entry9[j]
+			recs[j*w+rt.slot] += q
+			c += q * rt.egress
 		}
-		eb := entryBytes
 		if eb < 0 {
 			eb = 0
 		}
-		ln.buf[entry] = entryBase + (txBase[he] + eb*txPerByte[he])
-		ln.lat, ln.cost = 0, cost
-		ln.si, ln.hi = td.stepOff[i], td.stepOff[i+1]
-		if ln.si < ln.hi {
-			live++
-		}
+		cost[j] = c
+		st[j] = entryBase + (rt.txBase + eb*rt.txPerByte)
 	}
 
-	for live > 0 {
-		for k := range lanes {
-			ln := &lanes[k]
-			si := ln.si
-			if si == ln.hi {
-				continue
+	for n := range nN {
+		lo, hi := idx[n], idx[n+1]
+		if lo == hi {
+			continue
+		}
+		p.smp, p.steps = td.nodeSample[lo:hi], td.nodeStep[lo:hi]
+		r := assign[n]
+		if s.isSync[n] {
+			p.sync(n, s.route(b, home*nR+r), s.kvAccess[r])
+		}
+		p.exec(n, r, b.regSlot(r))
+		out := s.outEdges[n]
+		if len(out) == 0 {
+			if s.output[n] != nil {
+				p.output(s.route(b, r*nR+home))
 			}
-			assign, buf := ln.assign, ln.buf
-			lat, cost := ln.lat, ln.cost
-			n := int(nodeC[si])
-			flags := flagsC[si]
-			r := assign[n]
-			var startN float64
-			if flags&stepSync != 0 {
-				staged := stagedC[si]
-				hr := home*nR + r
-				cost += snsHome
-				buf[oGb+hr] += controlBytes / 1e9
-				cost += controlBytes / 1e9 * egress[hr]
-				arrive := buf[oReady+n] + msgOverhead + (txBase[hr] + controlBytes*txPerByte[hr])
-				ld := staged
-				if ld < 0 {
-					ld = 0
-				}
-				load := kvAccess[r] + (txBase[hr] + ld*txPerByte[hr])
-				cost += dynRead
-				if staged > 0 {
-					q := aux9C[si]
-					buf[oGb+hr] += q
-					cost += q * egress[hr]
-				}
-				startN = arrive + load
+			continue
+		}
+		for e, edge := range out {
+			if edge.toSync { // staged at home
+				p.stage(e, edge.to, s.route(b, r*nR+home), s.kvAccess[r])
 			} else {
-				startN = buf[n]
-			}
-			if hasErr {
-				if err := s.execErr[n*nR+r]; err != nil {
-					return err
-				}
-			}
-			base := (int(si)*nR + r) * 3
-			finish := startN + drcC[base]
-			if finish > lat {
-				lat = finish
-			}
-			buf[oKwh+r] += drcC[base+1]
-			cost += drcC[base+2]
-			if flags&stepOutput != 0 {
-				if outC[si] > 0 {
-					q := out9C[si]
-					rh := r*nR + home
-					buf[oGb+rh] += q
-					cost += q * egress[rh]
-				}
-			} else {
-				eHi := edgeOffC[si+1]
-				for ei := edgeOffC[si]; ei < eHi; ei++ {
-					to := int(toC[ei])
-					switch kindC[ei] {
-					case tapeEdgeSkip:
-						for sk := skipOffC[ei]; sk < skipOffC[ei+1]; sk++ {
-							sn := int(skipS[sk])
-							if finish > buf[oReady+sn] {
-								buf[oReady+sn] = finish
-							}
-						}
-						cost += dynWrite // skip annotation
-					case tapeEdgeStage:
-						b := bytesC[ei]
-						rh := r*nR + home
-						cost += dynWrite
-						cost += dynWrite
-						tb := b
-						if tb < 0 {
-							tb = 0
-						}
-						if b > 0 {
-							q := e9C[ei]
-							buf[oGb+rh] += q
-							cost += q * egress[rh]
-						}
-						rdy := finish + (txBase[rh] + tb*txPerByte[rh]) + kvAccess[r]
-						if rdy > buf[oReady+to] {
-							buf[oReady+to] = rdy
-						}
-					case tapeEdgeDirect:
-						cost += snsUSD[r]
-						total := bytesC[ei] + controlBytes
-						rt := r*nR + assign[to]
-						if total > 0 {
-							q := e9C[ei]
-							buf[oGb+rt] += q
-							cost += q * egress[rt]
-						}
-						tb := total
-						if tb < 0 {
-							tb = 0
-						}
-						arrive := finish + msgOverhead + (txBase[rt] + tb*txPerByte[rt])
-						if arrive > buf[to] {
-							buf[to] = arrive
-						}
-					}
-				}
-			}
-			ln.lat, ln.cost = lat, cost
-			si++
-			ln.si = si
-			if si == ln.hi {
-				live--
+				p.direct(e, edge.to, s.route(b, r*nR+assign[edge.to]), s.snsUSD[r])
 			}
 		}
 	}
-	return nil
+}
+
+// nodePass is what the passes of replayPlan share: the snapshot, the tape,
+// the node's samples (their index in the batch) and their steps there, the
+// block's per-sample vectors and slot records (w slots a record), each
+// sample's finish at the node, and the start and ready vectors of the
+// nodes the batch runs (batchScratch). Each pass is a short loop of
+// independent per-sample chains, kept out of line so its few live values
+// stay in registers.
+type nodePass struct {
+	s                 *Snapshot
+	td                *tapeData
+	smp, steps        []int32
+	lat, cost, finish *vec
+	recs              []float64
+	w                 int
+	slot              []int32
+	start, ready      []float64
+}
+
+// vec is one value per sample of a batch.
+type vec = [BatchSize]float64
+
+func (p *nodePass) startOf(n int) *vec { return (*vec)(p.start[int(p.slot[n])*BatchSize:]) }
+
+func (p *nodePass) readyOf(n int) *vec { return (*vec)(p.ready[int(p.slot[n])*BatchSize:]) }
+
+// route is one region pair's coefficients as a replay reads them: its
+// slot in the plan's records, and its egress price and transfer terms.
+type route struct {
+	slot                      int
+	egress, txBase, txPerByte float64
+}
+
+func (s *Snapshot) route(b *Basis, pair int) route {
+	return route{b.pairSlot(pair), s.egressPerGB[pair], s.txBase[pair], s.txPerByte[pair]}
+}
+
+// sync runs fired sync node n's prefix: the completing predecessor's invoke
+// message from home over rt, then the load of its staged data from home;
+// their sum is the node's start.
+func (p *nodePass) sync(n int, rt route, kv float64) {
+	smp, steps, cost, recs, w := p.smp, p.steps, p.cost, p.recs, p.w
+	ready, start := p.readyOf(n), p.startOf(n)
+	stagedC, aux9C := p.td.staged, p.td.aux9
+	s := p.s
+	snsHome, msgOverhead, dynRead := s.snsUSD[s.home], s.msgOverhead, s.dynReadUSD
+	ctlCost := controlBytes / 1e9 * rt.egress
+	ctlTx := rt.txBase + controlBytes*rt.txPerByte
+	for x, j := range smp {
+		si := steps[x]
+		rec := recs[int(j)*w:]
+		c := cost[j]
+		c += snsHome
+		rec[rt.slot] += controlBytes / 1e9
+		c += ctlCost
+		arrive := ready[j] + msgOverhead + ctlTx
+		staged := stagedC[si]
+		ld := staged
+		if ld < 0 {
+			ld = 0
+		}
+		load := kv + (rt.txBase + ld*rt.txPerByte)
+		c += dynRead
+		if staged > 0 {
+			q := aux9C[si]
+			rec[rt.slot] += q
+			c += q * rt.egress
+		}
+		cost[j] = c
+		start[j] = arrive + load
+	}
+}
+
+// exec runs node n in region r: finish, the latency's running maximum, the
+// energy at region slot slot, and the cost.
+func (p *nodePass) exec(n, r, slot int) {
+	smp, steps, lat, cost, recs, finish, w := p.smp, p.steps, p.lat, p.cost, p.recs, p.finish, p.w
+	start, drc, nR := p.startOf(n), p.td.drc, p.s.nR
+	for x, j := range smp {
+		d := (*[3]float64)(drc[(int(steps[x])*nR+r)*3:])
+		f := start[j] + d[0]
+		if f > lat[j] {
+			lat[j] = f
+		}
+		recs[int(j)*w+slot] += d[1]
+		cost[j] += d[2]
+		finish[j] = f
+	}
+}
+
+// output runs a terminal node's write-back home over rt.
+func (p *nodePass) output(rt route) {
+	smp, steps, cost, recs, w := p.smp, p.steps, p.cost, p.recs, p.w
+	outC, out9C := p.td.out, p.td.out9
+	for x, j := range smp {
+		if si := steps[x]; outC[si] > 0 {
+			q := out9C[si]
+			recs[int(j)*w+rt.slot] += q
+			cost[j] += q * rt.egress
+		}
+	}
+}
+
+// skip is edge ei untaken for sample j: every sync node its skip
+// propagation reached gets the sample's finish as a readiness floor, and
+// the annotation is written.
+func (p *nodePass) skip(ei, j int32) {
+	td, fin := p.td, p.finish[j]
+	for sk := td.skipOff[ei]; sk < td.skipOff[ei+1]; sk++ {
+		at := int(p.slot[td.skipSyncs[sk]])*BatchSize + int(j)
+		if fin > p.ready[at] {
+			p.ready[at] = fin
+		}
+	}
+	p.cost[j] += p.s.dynWriteUSD // skip annotation
+}
+
+// stage runs the node's e-th out-edge, into sync node to: a taken edge
+// stages the payload home over rt and annotates it (two writes), readying
+// the sync node once the data is stored (kv).
+func (p *nodePass) stage(e, to int, rt route, kv float64) {
+	smp, steps, cost, recs, finish, w := p.smp, p.steps, p.cost, p.recs, p.finish, p.w
+	edgeOffC, kindC, bytesC, e9C := p.td.edgeOff, p.td.kind, p.td.bytes, p.td.e9
+	ready, dynWrite := p.readyOf(to), p.s.dynWriteUSD
+	for x, j := range smp {
+		ei := edgeOffC[steps[x]] + int32(e)
+		if kindC[ei] == tapeEdgeSkip {
+			p.skip(ei, j)
+			continue
+		}
+		bb := bytesC[ei]
+		c := cost[j]
+		c += dynWrite
+		c += dynWrite
+		tb := bb
+		if tb < 0 {
+			tb = 0
+		}
+		if bb > 0 {
+			q := e9C[ei]
+			recs[int(j)*w+rt.slot] += q
+			c += q * rt.egress
+		}
+		cost[j] = c
+		rdy := finish[j] + (rt.txBase + tb*rt.txPerByte) + kv
+		if rdy > ready[j] {
+			ready[j] = rdy
+		}
+	}
+}
+
+// direct runs the node's e-th out-edge, a pub/sub edge to node to: a taken
+// edge publishes the payload and control envelope over rt at the price of
+// one message (sns), and the arrival floors the successor's start.
+func (p *nodePass) direct(e, to int, rt route, sns float64) {
+	smp, steps, cost, recs, finish, w := p.smp, p.steps, p.cost, p.recs, p.finish, p.w
+	edgeOffC, kindC, bytesC, e9C := p.td.edgeOff, p.td.kind, p.td.bytes, p.td.e9
+	start, msgOverhead := p.startOf(to), p.s.msgOverhead
+	for x, j := range smp {
+		ei := edgeOffC[steps[x]] + int32(e)
+		if kindC[ei] == tapeEdgeSkip {
+			p.skip(ei, j)
+			continue
+		}
+		c := cost[j]
+		c += sns
+		total := bytesC[ei] + controlBytes
+		if total > 0 {
+			q := e9C[ei]
+			recs[int(j)*w+rt.slot] += q
+			c += q * rt.egress
+		}
+		cost[j] = c
+		tb := total
+		if tb < 0 {
+			tb = 0
+		}
+		arrive := finish[j] + msgOverhead + (rt.txBase + tb*rt.txPerByte)
+		if arrive > start[j] {
+			start[j] = arrive
+		}
+	}
 }

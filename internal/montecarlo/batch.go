@@ -146,7 +146,7 @@ type sweep struct {
 	lanes         []lane               // one per basis, in the caller's order
 	active        []*lane              // lanes with an hour still open
 	held, late    []*lane              // boundary's partition of active
-	fresh         []replayLane
+	fresh         []*Basis
 	coef          []float64 // one hour's coefficients by slot, as wide as the widest basis
 	ests, pruned  int64
 	pricedSamples int64
@@ -225,8 +225,7 @@ func (sw *sweep) replay(n int) error {
 		sw.sem <- struct{}{}
 	}
 	lap := sw.s.tel.rec.Lap()
-	var err error
-	sw.fresh, err = sw.s.replayBatch(sw.fresh, n-BatchSize)
+	err := sw.s.replayBatch(sw.fresh, n-BatchSize)
 	sw.replayNS += lap.NS()
 	if sw.sem != nil {
 		<-sw.sem
@@ -254,7 +253,7 @@ func (sw *sweep) boundary(n int) error {
 		}
 		held = append(held, ln)
 		if ln.b.n < n {
-			sw.fresh = append(sw.fresh, replayLane{b: ln.b})
+			sw.fresh = append(sw.fresh, ln.b)
 		}
 	}
 	err := sw.replay(n)
@@ -271,7 +270,7 @@ func (sw *sweep) boundary(n int) error {
 		}
 		ln.b.mu.Lock()
 		if ln.b.n < n {
-			sw.fresh = append(sw.fresh, replayLane{b: ln.b})
+			sw.fresh = append(sw.fresh, ln.b)
 			err = sw.replay(n)
 		}
 		if err == nil {

@@ -70,9 +70,10 @@ func BenchmarkSnapshotEstimateRows(b *testing.B) {
 
 // BenchmarkReplayBasis measures what the first hour to want a plan pays:
 // K fresh Text2Speech bases replayed through one shared sweep (one batch —
-// every lane converges at the first boundary) and priced at one hour.
-// Subtract K × BenchmarkPriceHour/one-more-hour for the replay alone; the
-// per-lane cost at 8 and 16 lanes against 1 is what sharing a sweep buys.
+// every plan converges at the first boundary) and priced at one hour,
+// reported per plan as ns/plan. Subtract BenchmarkPriceHour/one-more-hour
+// from it for the replay alone; ns/plan at 8 and 16 plans against 1 is what
+// sharing a sweep buys.
 func BenchmarkReplayBasis(b *testing.B) {
 	snap, home := benchSnapshot(b)
 	all := benchAssigns(snap, home, 16)
@@ -89,6 +90,7 @@ func BenchmarkReplayBasis(b *testing.B) {
 				}
 				arena.Release()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/plan")
 		})
 	}
 }

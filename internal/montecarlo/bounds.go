@@ -214,7 +214,7 @@ func stepFloor(drc, inten []float64) (minD, minE, minC float64) {
 // boundReplay replays recorded sample i with every region-dependent
 // coefficient at its minimum, returning per-sample floors for the three
 // convergence metrics. The control flow mirrors the step kernel
-// (replaySamples) expression for expression, with the carbon of each event
+// (replayPlan) expression for expression, with the carbon of each event
 // added where the kernel adds its energy or gigabytes, so float
 // monotonicity applies term-wise to latency and cost and the carbon floor
 // is a per-event sum — equal, up to summation order, to a floor on the

@@ -1,50 +1,58 @@
 package montecarlo
 
-import "fmt"
+import (
+	"fmt"
 
-// SlotLeak replays assign's first batch one sample at a time and reports
-// the first sample that left a dense kwh/gb accumulator non-zero outside
-// the plan's static slot lists ("" when none did), plus how many dense
+	"caribou/internal/simclock"
+)
+
+// SlotLeak samples assign's first batch through the reference sampler,
+// one sample at a time, and reports the first sample that left its dense
+// kwh/gb accumulators non-zero outside the plan's static slot lists, or
+// non-zero anywhere once priced ("" when none did), plus how many dense
 // entries the batch touched at all.
 func (s *Snapshot) SlotLeak(assign []int) (leak string, touched int, err error) {
-	b, err := s.NewBasis(nil, assign)
-	if err != nil {
+	if err := s.checkArgs(assign, 0); err != nil {
 		return "", 0, err
 	}
+	regs, pairs := s.staticSlots(assign)
 	inSlot := make([]bool, s.nR+s.nR*s.nR)
-	for _, r := range b.regs {
+	for _, r := range regs {
 		inSlot[r] = true
 	}
-	for _, p := range b.pairs {
+	for _, p := range pairs {
 		inSlot[s.nR+int(p)] = true
 	}
 	seen := make([]bool, len(inSlot))
-	td := s.tape.ensure(s, BatchSize)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	lanes := []replayLane{{b: b, sc: sc, assign: assign, buf: sc.buf, blk: make([]float64, BatchSize*(2+b.width()))}}
+	rng := simclock.AcquireRand(s.mcSeed)
+	defer rng.Release()
+	sc := newSnapScratch(s.nodes.Len(), s.nR)
+	dense := func(k int) float64 { // kwh then gb
+		if k < s.nR {
+			return sc.kwh[k]
+		}
+		return sc.gb[k-s.nR]
+	}
 	for i := 0; i < BatchSize; i++ {
-		lanes[0].j = i
-		if err := s.replaySamples(td, 0, lanes); err != nil {
+		if _, err := s.sampleDense(assign, rng, sc); err != nil {
 			return "", 0, err
 		}
-		for k, v := range sc.buf[2*s.nodes.Len():] { // kwh then gb, dense
+		for k := range inSlot {
+			v := dense(k)
 			if v == 0 {
 				continue
 			}
 			seen[k] = true
 			if !inSlot[k] && leak == "" {
-				leak = fmt.Sprintf("sample %d: dense entry %d (of %d regions + %d pairs) = %g is outside regs %v pairs %v", i, k, s.nR, s.nR*s.nR, v, b.regs, b.pairs)
+				leak = fmt.Sprintf("sample %d: dense entry %d (of %d regions + %d pairs) = %g is outside regs %v pairs %v", i, k, s.nR, s.nR*s.nR, v, regs, pairs)
 			}
 		}
-		lanes[0].commit()
-		for k, v := range sc.buf[2*s.nodes.Len():] {
-			if v != 0 && leak == "" {
-				leak = fmt.Sprintf("sample %d: commit left dense entry %d = %g behind", i, k, v)
+		s.priceDense(0, sc.kwh, sc.gb)
+		for k := range inSlot {
+			if v := dense(k); v != 0 && leak == "" {
+				leak = fmt.Sprintf("sample %d: pricing left dense entry %d = %g behind", i, k, v)
 			}
 		}
-		clear(sc.kwh)
-		clear(sc.gb)
 	}
 	for _, ok := range seen {
 		if ok {
@@ -101,9 +109,7 @@ func (s *Snapshot) ScreenRow(assign []int) ([]float64, error) {
 		return nil, err
 	}
 	defer arena.Release()
-	lanes := make([]replayLane, 1, lanesInFlight)
-	lanes[0].b = bases[0]
-	if _, err := s.replayBatch(lanes, 0); err != nil {
+	if err := s.replayBatch(bases, 0); err != nil {
 		return nil, err
 	}
 	return append([]float64(nil), s.screenRow(bases[0])...), nil

@@ -428,7 +428,7 @@ func TestFuzzSeedsHitScreen(t *testing.T) {
 // five Table-1 workflows (and the heavy-tail chain), at both homes, no
 // sample of any plan — home, every single-region plan, 40 seeded random
 // ones — leaves a non-zero in the dense nR + nR² accumulators outside the
-// plan's static slot lists, and commit leaves the accumulators zero.
+// plan's static slot lists, and pricing leaves the accumulators zero.
 func TestStaticSlotsCoverDenseAccumulation(t *testing.T) {
 	for _, f := range rowFixtures(t) {
 		rng := rand.New(rand.NewSource(3))

@@ -58,12 +58,13 @@ type Snapshot struct {
 	// pricing with its summaries, and screening, summed over workers.
 	Sweeps struct{ Replays, Screened, Priced, ReplayNS, PriceNS, ScreenNS atomic.Int64 }
 
-	// scratchPool, snapPool, and accPool recycle the per-Estimate replay
-	// scratch, the untaped path's sampling scratch, and series accumulators
-	// across the thousands of evaluations one solve performs; all hold
-	// state that is fully reset on reuse, so pooling cannot leak one plan's
-	// numbers into another's.
+	// scratchPool, batchPool, snapPool, and accPool recycle the bound
+	// replay's scratch, the batch replay's, the untaped path's sampling
+	// scratch, and series accumulators across the thousands of evaluations
+	// one solve performs; all hold state that is fully reset on reuse, so
+	// pooling cannot leak one plan's numbers into another's.
 	scratchPool sync.Pool
+	batchPool   sync.Pool
 	snapPool    sync.Pool
 	accPool     sync.Pool
 
@@ -176,7 +177,8 @@ func (e *Estimator) Compile(regions []region.ID, hours []time.Time, now time.Tim
 
 	n := s.nodes.Len()
 	nR := s.nR
-	s.scratchPool.New = func() any { return newReplayScratch(n, nR) }
+	s.scratchPool.New = func() any { return newReplayScratch(n) }
+	s.batchPool.New = func() any { return newBatchScratch(n) }
 	s.snapPool.New = func() any { return newSnapScratch(n, nR) }
 	s.allRegs = make([]int32, nR)
 	for i := range s.allRegs {
@@ -555,6 +557,17 @@ func (sc *snapScratch) reset() {
 // carbon is accumulated as energy by region and gigabytes by region pair
 // and priced once per sample (basis.go).
 func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapScratch) (sample, error) {
+	smp, err := s.sampleDense(assign, rng, sc)
+	if err != nil {
+		return smp, err
+	}
+	smp.execCarbon, smp.txCarbon = s.priceDense(h, sc.kwh, sc.gb)
+	return smp, nil
+}
+
+// sampleDense is sampleOnce short of pricing: it leaves the sample's
+// energy and gigabytes in sc.kwh and sc.gb (zeroed on error).
+func (s *Snapshot) sampleDense(assign []int, rng *simclock.Rand, sc *snapScratch) (sample, error) {
 	sc.reset()
 	var smp sample
 	home := s.home
@@ -673,7 +686,6 @@ func (s *Snapshot) sampleOnce(assign []int, h int, rng *simclock.Rand, sc *snapS
 			}
 		}
 	}
-	smp.execCarbon, smp.txCarbon = s.priceDense(h, sc.kwh, sc.gb)
 	return smp, nil
 }
 

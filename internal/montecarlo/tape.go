@@ -120,6 +120,16 @@ type tapeData struct {
 	e9 []float64
 
 	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
+
+	// Per batch: the node index replay walks (basis.go). For batch k and
+	// node n, entries [nodeOff[k*N+n], nodeOff[k*N+n+1]) (N nodes) list the
+	// batch's samples that executed n, ascending: nodeSample is the sample's
+	// index within the batch, nodeStep its step executing n. A sample
+	// executes a node at most once, so the entries are the batch's steps
+	// regrouped by node and span the same offsets as the step columns.
+	nodeOff    []int32 // len batches*N+1
+	nodeSample []int32
+	nodeStep   []int32
 }
 
 // sampleTape owns the solve's lazily extended tape, shared read-only by
@@ -149,7 +159,7 @@ func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 	if t.rng == nil {
 		t.rng = simclock.NewRand(s.mcSeed)
 		t.bld = newTapeBuilder(s)
-		t.cols = tapeData{stepOff: []int32{0}, edgeOff: []int32{0}, skipOff: []int32{0}}
+		t.cols = tapeData{stepOff: []int32{0}, edgeOff: []int32{0}, skipOff: []int32{0}, nodeOff: []int32{0}}
 	}
 	cols := &t.cols
 	if more := min(n, MaxSamples) - cols.n; more > 0 {
@@ -160,6 +170,7 @@ func (t *sampleTape) ensure(s *Snapshot, n int) *tapeData {
 		for i := 0; i < BatchSize; i++ {
 			s.compileSample(t.bld, t.rng, cols)
 		}
+		t.bld.indexBatch(cols)
 		s.tel.tapeBatches.Inc()
 		s.tel.tapeSamples.Add(BatchSize)
 	}
@@ -191,6 +202,37 @@ func (d *tapeData) reserve(samples, steps, edges, nR int) {
 	d.bytes = slices.Grow(d.bytes, edges)
 	d.e9 = slices.Grow(d.e9, edges)
 	d.skipOff = slices.Grow(d.skipOff, edges)
+}
+
+// indexBatch appends the node index of the batch compiled last: a counting
+// sort of its steps by node, walking samples and their steps in order, so
+// every node's entries come out with samples ascending. The new entries lie
+// past every published length, like the other columns' appends. The index
+// grows by what the batch ran, not by reserve's bound.
+func (b *tapeBuilder) indexBatch(d *tapeData) {
+	i0 := d.n - BatchSize
+	lo, hi := d.stepOff[i0], d.stepOff[d.n]
+	next := b.next
+	clear(next)
+	for _, n := range d.node[lo:hi] {
+		next[n]++
+	}
+	at := lo
+	for n, c := range next {
+		next[n] = at
+		at += c
+		d.nodeOff = append(d.nodeOff, at)
+	}
+	d.nodeSample = slices.Grow(d.nodeSample, int(hi-lo))[:hi]
+	d.nodeStep = slices.Grow(d.nodeStep, int(hi-lo))[:hi]
+	for j := range BatchSize {
+		for si := d.stepOff[i0+j]; si < d.stepOff[i0+j+1]; si++ {
+			n := d.node[si]
+			d.nodeSample[next[n]] = int32(j)
+			d.nodeStep[next[n]] = si
+			next[n]++
+		}
+	}
 }
 
 // bakeStepCols resolves one step's region-dependent terms for every
@@ -231,6 +273,7 @@ type tapeBuilder struct {
 	staged      []float64
 	stack       []snapEdge // explicit DFS stack for skip propagation
 	edges       int        // out-edges in the DAG: the most one sample resolves
+	next        []int32    // indexBatch's per-node write cursor
 }
 
 func newTapeBuilder(s *Snapshot) *tapeBuilder {
@@ -240,6 +283,7 @@ func newTapeBuilder(s *Snapshot) *tapeBuilder {
 		skipped:     make([]bool, n),
 		syncReached: make([]bool, n),
 		staged:      make([]float64, n),
+		next:        make([]int32, n),
 	}
 	for _, out := range s.outEdges {
 		b.edges += len(out)
@@ -375,31 +419,18 @@ func (b *tapeBuilder) propagateSkip(s *Snapshot, edge snapEdge, syncs []int32) [
 	return syncs
 }
 
-// replayScratch holds the region-dependent per-sample times and the dense
-// energy-by-region and gigabytes-by-pair accumulators of the sample in
-// flight. Time slots hold real zeros between samples (reset is a pair of
-// small memclears), so every access is a plain indexed load/store with no
-// per-access staleness branch; kwh and gb are zeroed by whoever consumes
-// the sample (commit, priceDense), which touches only what the sample did.
+// replayScratch holds the per-node times of the sample the bound replay
+// (bounds.go) walks. The slots hold real zeros between samples (reset is a
+// pair of small memclears), so every access is a plain indexed load/store
+// with no per-access staleness branch.
 type replayScratch struct {
 	start []float64
 	ready []float64
-	kwh   []float64 // per region
-	gb    []float64 // per region pair, from*nR+to
-	// buf backs the four vectors in that order, so the step kernel reaches
-	// all of a lane's state through one slice header.
-	buf []float64
 }
 
-func newReplayScratch(n, nR int) *replayScratch {
-	buf := make([]float64, 2*n+nR+nR*nR)
-	return &replayScratch{
-		start: buf[:n:n],
-		ready: buf[n : 2*n : 2*n],
-		kwh:   buf[2*n : 2*n+nR : 2*n+nR],
-		gb:    buf[2*n+nR:],
-		buf:   buf,
-	}
+func newReplayScratch(n int) *replayScratch {
+	buf := make([]float64, 2*n)
+	return &replayScratch{start: buf[:n:n], ready: buf[n:]}
 }
 
 // reset zeroes the time slots, the state the reference path starts a sample

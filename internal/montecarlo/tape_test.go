@@ -303,3 +303,144 @@ func TestDeepConditionalChainSkipPropagation(t *testing.T) {
 		t.Errorf("snapshot %+v disagrees with estimator %+v", taped, want)
 	}
 }
+
+// TestNodeIndexRegroupsSteps pins the tape's node index: each batch lists
+// every one of its steps exactly once, grouped by node in ascending order,
+// with samples ascending within a node and each entry naming its sample's
+// step at that node.
+func TestNodeIndexRegroupsSteps(t *testing.T) {
+	for name, in := range map[string]Inputs{"rich": richInputs(t), "diamond": diamondInputs(t), "gaps": gapInputs(t)} {
+		snap, err := New(in, carbon.BestCase(), 42).Compile(nil, hoursFrom(1), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		td := snap.tape.ensure(snap, 3*BatchSize)
+		nN := snap.nodes.Len()
+		if len(td.nodeOff) != td.n/BatchSize*nN+1 {
+			t.Fatalf("%s: %d node offsets for %d batches of %d nodes", name, len(td.nodeOff), td.n/BatchSize, nN)
+		}
+		for k := 0; k < td.n/BatchSize; k++ {
+			i0 := k * BatchSize
+			lo, hi := td.stepOff[i0], td.stepOff[i0+BatchSize]
+			if td.nodeOff[k*nN] != lo || td.nodeOff[(k+1)*nN] != hi {
+				t.Fatalf("%s batch %d: index spans [%d, %d), steps [%d, %d)", name, k, td.nodeOff[k*nN], td.nodeOff[(k+1)*nN], lo, hi)
+			}
+			listed := make([]int, hi-lo)
+			for n := 0; n < nN; n++ {
+				prev := int32(-1)
+				for x := td.nodeOff[k*nN+n]; x < td.nodeOff[k*nN+n+1]; x++ {
+					j, si := td.nodeSample[x], td.nodeStep[x]
+					switch {
+					case j <= prev:
+						t.Fatalf("%s batch %d node %d: sample %d listed after %d", name, k, n, j, prev)
+					case si < td.stepOff[i0+int(j)] || si >= td.stepOff[i0+int(j)+1]:
+						t.Fatalf("%s batch %d node %d: step %d is not sample %d's", name, k, n, si, j)
+					case td.node[si] != int32(n):
+						t.Fatalf("%s batch %d: step %d of node %d listed under node %d", name, k, si, td.node[si], n)
+					}
+					listed[si-lo]++
+					prev = j
+				}
+			}
+			for x, c := range listed {
+				if c != 1 {
+					t.Fatalf("%s batch %d: step %d listed %d times", name, k, int(lo)+x, c)
+				}
+			}
+		}
+	}
+}
+
+// gappedInputs is start → a (conditional), start → m → b (conditional) with
+// no execution data for a or b in ca-central-1: a plan placing both there
+// fails at whichever of the two its first sample to reach either runs
+// first.
+type gappedInputs struct{ *fakeInputs }
+
+func gapInputs(t *testing.T) *gappedInputs {
+	t.Helper()
+	d, err := dag.NewBuilder("gaps").
+		AddNode(dag.Node{ID: "start"}).
+		AddNode(dag.Node{ID: "a"}).
+		AddNode(dag.Node{ID: "m"}).
+		AddNode(dag.Node{ID: "b"}).
+		AddConditionalEdge("start", "a", 0.2).
+		AddEdge("start", "m").
+		AddConditionalEdge("m", "b", 0.2).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &gappedInputs{&fakeInputs{
+		d:         d,
+		cat:       region.NorthAmerica(),
+		durations: map[dag.NodeID]float64{"start": 1, "a": 2, "m": 1, "b": 3},
+		bytes:     map[[2]dag.NodeID]float64{{"start", "a"}: 1e5, {"start", "m"}: 2e5, {"m", "b"}: 3e5},
+		probs:     map[[2]dag.NodeID]float64{{"start", "a"}: 0.2, {"m", "b"}: 0.2},
+		intensity: map[region.ID]float64{region.USEast1: 400, region.USWest2: 250, region.CACentral1: 35},
+		output:    map[dag.NodeID]float64{"a": 1e4, "b": 1e4},
+	}}
+}
+
+func (g *gappedInputs) ExecDuration(id dag.NodeID, r region.ID) (*stats.Distribution, error) {
+	if (id == "a" || id == "b") && r == region.CACentral1 {
+		return nil, fmt.Errorf("no execution data for %s in %s", id, r)
+	}
+	return g.fakeInputs.ExecDuration(id, r)
+}
+
+// TestReplayExecErrorIsTheReferences: with deferred exec errors on two
+// stages that different samples reach, the taped estimate fails with the
+// error the untaped reference raises — its first sample to reach either
+// stage, at that sample's first errored step — whichever stage that is,
+// across seeds where each comes first. Replaying several plans, the kernel
+// returns the first failing plan's error and grows no basis.
+func TestReplayExecErrorIsTheReferences(t *testing.T) {
+	in := gapInputs(t)
+	seen := map[string]bool{}
+	for seed := int64(1); seed <= 12; seed++ {
+		snap, err := New(in, carbon.BestCase(), seed).Compile(nil, hoursFrom(1), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := func(gaps ...dag.NodeID) []int {
+			p := dag.NewHomePlan(in.d, region.USEast1)
+			for _, id := range gaps {
+				p[id] = region.CACentral1
+			}
+			a, err := snap.Assign(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		both, onlyB := plan("a", "b"), plan("b")
+		_, want := snap.EstimateUntaped(both, 0)
+		if want == nil {
+			t.Fatalf("seed %d: the reference met no exec error", seed)
+		}
+		seen[want.Error()] = true
+		if _, got := snap.Estimate(both, 0); got == nil || got.Error() != want.Error() {
+			t.Errorf("seed %d: taped error %v, reference %v", seed, got, want)
+		}
+		// EstimateBases evaluates several plans on such a snapshot one at a
+		// time; the kernel itself is handed them together here.
+		_, wantB := snap.EstimateUntaped(onlyB, 0)
+		bases, arena, err := snap.newBases([][]int{snap.HomeAssign(), onlyB, both})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.replayBatch(bases, 0); got == nil || wantB == nil || got.Error() != wantB.Error() {
+			t.Errorf("seed %d: a batch of plans failed with %v, want the first failing plan's %v", seed, got, wantB)
+		}
+		for i, b := range bases {
+			if b.Samples() != 0 {
+				t.Errorf("seed %d: plan %d's basis grew to %d samples in a failed batch", seed, i, b.Samples())
+			}
+		}
+		arena.Release()
+	}
+	if len(seen) != 2 {
+		t.Errorf("reference errors over the seeds: %v, want both stages' to come first somewhere", seen)
+	}
+}
