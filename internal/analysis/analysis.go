@@ -7,17 +7,19 @@
 // counts, telemetry on/off, and taped vs untaped Monte Carlo paths. The
 // analyzers turn the rules that make that possible — simulated time only,
 // derived RNG streams only, no output from unsorted map iteration, no
-// formatting or allocation in sampling-loop hot paths, goroutines only
-// where the determinism audit expects them, atomically published values
-// never mutated after publication — into machine-checked diagnostics, so
-// the invariants survive refactoring instead of living in reviewers'
-// heads.
+// formatting or allocation on hot paths, goroutines only where the
+// determinism audit expects them, atomically published values never
+// mutated after publication — into machine-checked diagnostics, so the
+// invariants survive refactoring instead of living in reviewers' heads.
 //
 // v2 adds a whole-module layer: per-package analyzers inspect one
 // type-checked package at a time, while module analyzers (dettaint,
-// atomicpub's ownership rule) run over a conservative call graph built
-// from per-package fact summaries (summary.go) — static call edges plus
-// name-and-signature method-set matching for interface dispatch.
+// hotpath, unreached, atomicpub's ownership rule) run over a
+// conservative call graph built from per-package fact summaries
+// (summary.go) — static call edges, function-value references and
+// name-and-signature method-set matching for interface dispatch. A hot
+// path is rooted in code, not in a list: the loops of a function whose
+// doc comment carries //caribou:hot, and every function they reach.
 //
 // A finding can be suppressed with a trailing or preceding comment
 //
@@ -127,10 +129,9 @@ func Analyzers() []*Analyzer {
 		WallclockAnalyzer,
 		GlobalRandAnalyzer,
 		MapOrderAnalyzer,
-		HotSprintfAnalyzer,
 		GoroutinesAnalyzer,
 		DetTaintAnalyzer,
-		HotAllocAnalyzer,
+		HotPathAnalyzer,
 		AtomicPubAnalyzer,
 		UnreachedAnalyzer,
 	}

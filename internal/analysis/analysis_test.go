@@ -238,6 +238,14 @@ func TestHotAllocNegativeCases(t *testing.T) {
 	checkFixture(t, "hotalloc_ok", "caribou/internal/montecarlo")
 }
 
+// TestHotPathCallChain pins the interprocedural half of hotpath: a
+// helper's formatting and concatenation one call below a hot root's
+// loop, and a boxing two calls below it, are reported with the chain
+// from the root.
+func TestHotPathCallChain(t *testing.T) {
+	checkFixture(t, "hotpath_chain", "caribou/internal/controlplane")
+}
+
 func TestAtomicPubFixture(t *testing.T) {
 	checkFixture(t, "atomicpub_bad", "caribou/internal/controlplane")
 }

@@ -12,13 +12,14 @@ type callGraph struct {
 	methods map[DynCall][]string // (name, sig) -> method func IDs, sorted
 }
 
-// graphNode is one function; sink and via are dettaint's propagation state.
+// graphNode is one function; sink and via are the propagation state of
+// the check that built the graph.
 type graphNode struct {
 	fun     *FuncSum
 	pkg     string
 	callees []string
-	sink    *SinkSum // set on directly sinking nodes
-	via     string   // tainted through this callee's ID (propagation tree)
+	sink    *SinkSum // dettaint: set on directly sinking nodes
+	via     string   // dettaint: tainted through this callee; hotpath: reached from this caller
 }
 
 // buildCallGraph builds the graph from every unit's summary. Units arrive

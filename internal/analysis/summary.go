@@ -11,9 +11,10 @@ import (
 )
 
 // summary.go builds the per-package fact summaries the module-level
-// analyzers (dettaint, atomicpub's ownership rule) consume. A summary is
-// self-contained — plain strings and positions, no go/types objects — so
-// the module phase needs nothing of the type-checker's state.
+// analyzers (dettaint, hotpath, unreached, atomicpub's ownership rule)
+// consume. A summary is self-contained — plain strings and positions, no
+// go/types objects — so the module phase needs nothing of the
+// type-checker's state.
 
 // PkgSummary is the module-analysis fact base extracted from one
 // type-checked package.
@@ -55,6 +56,16 @@ type FuncSum struct {
 	// Dyn lists interface-method call sites; the module phase resolves
 	// each against every module method with the same name and signature.
 	Dyn []DynCall
+	// LoopCalls and LoopDyn are the entries of Calls and Dyn made inside
+	// a loop of the body.
+	LoopCalls []string
+	LoopDyn   []DynCall
+	// HotRoot marks a function whose doc comment carries //caribou:hot:
+	// its loop bodies are hot (hotpath).
+	HotRoot bool
+	// Sites lists the body's allocation candidates hotpath reports when
+	// they sit in a hot region.
+	Sites []HotSite
 	// Sinks lists direct wallclock/global-rand uses in the body.
 	Sinks []SinkSum
 
@@ -88,6 +99,16 @@ type MethodSum struct {
 	Method string
 	Sig    string
 	FuncID string
+}
+
+// HotSite is one allocation candidate: what allocates and how to avoid
+// it, and whether it sits inside a loop of its function.
+type HotSite struct {
+	Msg    string
+	InLoop bool
+	File   string
+	Line   int
+	Col    int
 }
 
 // SinkSum is one direct use of a wall-clock or global-rand function.
@@ -289,6 +310,7 @@ func buildFuncSum(pkg *Package, modPath string, d *ast.FuncDecl) FuncSum {
 		File:     pos.Filename,
 		Line:     pos.Line,
 		Col:      pos.Column,
+		HotRoot:  isHotRoot(d.Doc),
 	}
 	if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
 		fs.ID = funcID(fn)
@@ -349,10 +371,16 @@ func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, boo
 }
 
 // summarizeBody walks one body (or initializer expression) collecting
-// call edges, sinks, and owned-state facts into fs.
+// call edges, sinks, allocation sites and owned-state facts into fs.
 func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 	info := pkg.Info
-	calls := map[string]bool{}
+	calls, loopCalls := map[string]bool{}, map[string]bool{}
+	loops := loopRanges(body)
+	inLoop := func(pos token.Pos) bool {
+		_, ok := innermostLoop(loops, pos)
+		return ok
+	}
+	hotSites(pkg, body, loops, fs)
 	submitRanges := submitClosureRanges(info, body)
 	inSubmit := func(pos token.Pos) bool {
 		for _, r := range submitRanges {
@@ -375,9 +403,12 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 				fs.Sinks = append(fs.Sinks, SinkSum{Desc: sinkDesc(fn), File: p.Filename, Line: p.Line, Col: p.Column})
 			case fn.Pkg().Path() == modPath || strings.HasPrefix(fn.Pkg().Path(), modPath+"/"):
 				calls[funcID(fn)] = true
+				if inLoop(e.Pos()) {
+					loopCalls[funcID(fn)] = true
+				}
 			}
 		case *ast.CallExpr:
-			summarizeCall(pkg, e, fs, inSubmit)
+			summarizeCall(pkg, e, fs, inSubmit, inLoop)
 		case *ast.SelectorExpr:
 			if fs.OwnedRecv != "" && readsNonAtomicField(info, e, fs.OwnedRecv) {
 				fs.ReadsOwned = true
@@ -394,7 +425,11 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 	for id := range calls {
 		fs.Calls = append(fs.Calls, id)
 	}
+	for id := range loopCalls {
+		fs.LoopCalls = append(fs.LoopCalls, id)
+	}
 	sort.Strings(fs.Calls)
+	sort.Strings(fs.LoopCalls)
 }
 
 // sinkDesc classifies fn as a determinism sink: a wall-clock time
@@ -416,7 +451,7 @@ func sinkDesc(fn *types.Func) string {
 
 // summarizeCall records dynamic-dispatch and owned-method call facts for
 // one call expression.
-func summarizeCall(pkg *Package, call *ast.CallExpr, fs *FuncSum, inSubmit func(token.Pos) bool) {
+func summarizeCall(pkg *Package, call *ast.CallExpr, fs *FuncSum, inSubmit, inLoop func(token.Pos) bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -430,7 +465,11 @@ func summarizeCall(pkg *Package, call *ast.CallExpr, fs *FuncSum, inSubmit func(
 		return
 	}
 	if types.IsInterface(sig.Recv().Type()) {
-		fs.Dyn = append(fs.Dyn, DynCall{Method: fn.Name(), Sig: sigString(sig)})
+		d := DynCall{Method: fn.Name(), Sig: sigString(sig)}
+		fs.Dyn = append(fs.Dyn, d)
+		if inLoop(call.Pos()) {
+			fs.LoopDyn = append(fs.LoopDyn, d)
+		}
 		return
 	}
 	if key := ownedTypeKey(sig.Recv().Type()); key != "" {

@@ -1,6 +1,6 @@
-// Fixture: the same formatting produces no findings when the package is
-// loaded as caribou/internal/eval — hotsprintf only covers the
-// montecarlo/solver/stats hot paths.
+// Fixture: no root, no report. The formatting and regrowth that the
+// loop of a //caribou:hot function would report stay silent here: no
+// root reaches sprintfInLoop, whatever package it sits in.
 package fixture
 
 import "fmt"

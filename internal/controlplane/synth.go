@@ -40,6 +40,8 @@ func newSynthesizer(wl *workloads.Workload, home region.ID, seed int64) *synthes
 // expand synthesizes up to maxSynthPerDelta records for a delta of n
 // invocations of class at virtual time at, spreading record timestamps
 // evenly across the window ending at at.
+//
+//caribou:hot
 func (sy *synthesizer) expand(n int, class workloads.InputClass, at time.Time, window time.Duration) []*platform.InvocationRecord {
 	if n <= 0 {
 		return nil
@@ -61,11 +63,14 @@ func (sy *synthesizer) expand(n int, class workloads.InputClass, at time.Time, w
 }
 
 // one synthesizes a single home-region invocation record starting at
-// start. The RNG stream is derived from (tenant seed, record ID) alone.
+// start. The RNG stream is derived from (tenant seed, record ID) alone;
+// its label "cp/synth/<id>" is built and hashed in a stack buffer.
 func (sy *synthesizer) one(class workloads.InputClass, start time.Time) *platform.InvocationRecord {
 	id := sy.next
 	sy.next++
-	rng := simclock.AcquireDerived(sy.seed, "cp/synth/"+strconv.FormatUint(id, 10))
+	var buf [32]byte
+	label := strconv.AppendUint(append(buf[:0], "cp/synth/"...), id, 10)
+	rng := simclock.AcquireRand(simclock.DeriveSeedBytes(sy.seed, label))
 	defer rng.Release()
 
 	rec := platform.NewInvocationRecord(sy.wl.DAG.Name(), id, string(class))

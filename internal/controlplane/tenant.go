@@ -238,6 +238,8 @@ var ErrBeyondHorizon = errors.New("timestamp beyond the server's horizon")
 // into synthetic records, accrues tokens under the shared §5.2 rule, and
 // runs a budget check when one is due. A delta past the horizon is
 // refused before anything changes. Under the tenant's lock.
+//
+//caribou:hot
 func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	if d.At.After(t.limit) {
 		return DeltaResult{}, fmt.Errorf("tenant %s: at %s: %w (ends %s)", t.spec.ID,

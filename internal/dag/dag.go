@@ -238,7 +238,11 @@ func (d *DAG) In(n NodeID) []Edge { return append([]Edge(nil), d.in[n]...) }
 
 // Edges returns every edge, ordered by topological position of the source.
 func (d *DAG) Edges() []Edge {
-	var out []Edge
+	m := 0
+	for _, n := range d.order {
+		m += len(d.out[n])
+	}
+	out := make([]Edge, 0, m)
 	for _, n := range d.order {
 		out = append(out, d.out[n]...)
 	}
@@ -273,7 +277,7 @@ func (d *DAG) HasConditional() bool {
 
 // Terminals returns the nodes with no outgoing edges.
 func (d *DAG) Terminals() []NodeID {
-	var out []NodeID
+	out := make([]NodeID, 0, len(d.order))
 	for _, n := range d.order {
 		if len(d.out[n]) == 0 {
 			out = append(out, n)

@@ -217,6 +217,8 @@ func (sw *sweep) run() error {
 
 // replay appends one batch to the bases of sw.fresh under an evaluation
 // slot. The callers hold those bases' locks: lock first, slot second.
+//
+//caribou:hot
 func (sw *sweep) replay(n int) error {
 	if len(sw.fresh) == 0 {
 		return nil
@@ -342,6 +344,8 @@ func (sw *sweep) screen(ln *lane, st *boundStat) error {
 // settle brings the lane to sample count n: at the first boundary the
 // screen clause, then an accumulator for what is left to price — a lane
 // screened or parked whole never holds one — and at every boundary price.
+//
+//caribou:hot
 func (sw *sweep) settle(ln *lane, n int) error {
 	if n == BatchSize {
 		if st := ln.b.statAt(0); sw.nh >= screenMinHours && st.sharedOK {
@@ -361,6 +365,8 @@ func (sw *sweep) settle(ln *lane, n int) error {
 // kernel call per hour (priceBlock) on the hour's coefficients gathered
 // once — and applies the stopping rule and the prune rule at sample count
 // n. A lane with an hour still open afterwards rejoins sw.active.
+//
+//caribou:hot
 func (sw *sweep) price(ln *lane, n int) error {
 	s := sw.s
 	b, a := ln.b, ln.acc

@@ -31,6 +31,8 @@ const hbssBatch = 16
 // stream DeriveRand(seed, "solver/<at>/<i>"), so a proposal depends only
 // on (seed, hour, iteration, incumbent) and never on which goroutine
 // evaluated it.
+//
+//caribou:hot
 func (c *search) solveHBSS(h int, homePlan *plan) (denseResult, error) {
 	s := c.s
 	home := denseResult{homePlan.assign, homePlan.hours[h].est}
