@@ -64,7 +64,6 @@ type Pass struct {
 	Fset    *token.FileSet
 	Files   []*ast.File
 	PkgPath string
-	Pkg     *types.Package
 	Info    *types.Info
 
 	check string
@@ -159,7 +158,6 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer) *PkgUnit {
 			Fset:    pkg.Fset,
 			Files:   pkg.Files,
 			PkgPath: pkg.Path,
-			Pkg:     pkg.Types,
 			Info:    pkg.Info,
 			check:   a.Name,
 			out:     &unit.Raw,

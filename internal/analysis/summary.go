@@ -116,13 +116,12 @@ type SinkSum struct {
 	Desc string // e.g. "time.Now", "rand.Intn"
 	File string
 	Line int
-	Col  int
 }
 
 // OwnedWrite is one direct field write to a tenant-owned type.
 type OwnedWrite struct {
 	Type      string // owned type key
-	Expr      string // e.g. "Tenant.deltas"
+	Expr      string // e.g. "Tenant.versions"
 	ViaSubmit bool
 	File      string
 	Line      int
@@ -400,7 +399,7 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 			switch {
 			case sinkDesc(fn) != "":
 				p := pkg.Fset.Position(e.Pos())
-				fs.Sinks = append(fs.Sinks, SinkSum{Desc: sinkDesc(fn), File: p.Filename, Line: p.Line, Col: p.Column})
+				fs.Sinks = append(fs.Sinks, SinkSum{Desc: sinkDesc(fn), File: p.Filename, Line: p.Line})
 			case fn.Pkg().Path() == modPath || strings.HasPrefix(fn.Pkg().Path(), modPath+"/"):
 				calls[funcID(fn)] = true
 				if inLoop(e.Pos()) {

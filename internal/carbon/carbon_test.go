@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"caribou/internal/region"
 )
 
 var (
@@ -144,7 +146,10 @@ func TestHourlyFloorLookup(t *testing.T) {
 
 func TestIntensityAboveFloor(t *testing.T) {
 	src := newSource(t)
-	for _, zone := range src.Zones() {
+	cat := region.Global()
+	for _, id := range cat.IDs() {
+		r, _ := cat.Get(id)
+		zone := r.GridZone
 		hs, err := src.Hourly(zone, evalFrom, evalTo)
 		if err != nil {
 			t.Fatal(err)
@@ -295,13 +300,20 @@ func TestQuickTransmissionLinearInBytes(t *testing.T) {
 
 func TestHorizonAccessors(t *testing.T) {
 	src := newSource(t)
-	if !src.Start().Equal(evalFrom) {
-		t.Errorf("Start = %v", src.Start())
+	last := evalTo.Add(-time.Hour)
+	if _, err := src.At("CA-QC", evalFrom); err != nil {
+		t.Errorf("At(evalFrom): %v", err)
 	}
-	if !src.End().Equal(evalTo) {
-		t.Errorf("End = %v", src.End())
+	if _, err := src.At("CA-QC", last); err != nil {
+		t.Errorf("At(evalTo-1h): %v", err)
 	}
-	if len(src.Zones()) < 5 {
-		t.Errorf("zones = %v", src.Zones())
+	if _, err := src.At("CA-QC", evalTo); err == nil {
+		t.Error("At(evalTo) should be outside the horizon")
+	}
+	if _, err := src.Hourly("CA-QC", last, evalTo); err != nil {
+		t.Errorf("Hourly(evalTo-1h, evalTo): %v", err)
+	}
+	if _, err := src.Hourly("CA-QC", evalTo, evalTo.Add(time.Hour)); err == nil {
+		t.Error("Hourly(evalTo, evalTo+1h) should be outside the horizon")
 	}
 }

@@ -56,8 +56,8 @@ func (m *MarginalSource) At(zone string, t time.Time) (float64, error) {
 	return v, nil
 }
 
-// Hourly mirrors SyntheticSource.Hourly so the Metric Manager's
-// forecasting path works against MCI too.
+// Hourly implements Source: the marginal series for [from, to), so the
+// Metric Manager's forecasters train on MCI as they do on averages.
 func (m *MarginalSource) Hourly(zone string, from, to time.Time) ([]float64, error) {
 	var out []float64
 	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {

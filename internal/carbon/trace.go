@@ -9,7 +9,6 @@ package carbon
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"caribou/internal/simclock"
@@ -21,6 +20,9 @@ import (
 type Source interface {
 	// At returns the hourly average carbon intensity in effect at t.
 	At(zone string, t time.Time) (float64, error)
+	// Hourly returns one value per hour of [from, to), the history the
+	// forecasters train on (§7.2).
+	Hourly(zone string, from, to time.Time) ([]float64, error)
 }
 
 // zoneProfile parameterizes the synthetic trace of one electrical grid.
@@ -65,7 +67,6 @@ var zoneProfiles = map[string]zoneProfile{
 // lookups are O(1) and identical across runs.
 type SyntheticSource struct {
 	start  time.Time
-	hours  int
 	traces map[string][]float64
 }
 
@@ -81,7 +82,7 @@ func NewSyntheticSource(seed int64, start, end time.Time) (*SyntheticSource, err
 	if end.Sub(start)%time.Hour != 0 {
 		hours++
 	}
-	s := &SyntheticSource{start: start, hours: hours, traces: make(map[string][]float64)}
+	s := &SyntheticSource{start: start, traces: make(map[string][]float64)}
 	for zone, p := range zoneProfiles {
 		s.traces[zone] = synthesize(p, simclock.DeriveRand(seed, "carbon/"+zone), start, hours)
 	}
@@ -189,26 +190,4 @@ func (s *SyntheticSource) Average(zone string, from, to time.Time) (float64, err
 		sum += v
 	}
 	return sum / float64(len(hs)), nil
-}
-
-// Start returns the first instant covered by the source.
-//
-//caribou:allow unreached exercised only by TestHorizonAccessors
-func (s *SyntheticSource) Start() time.Time { return s.start }
-
-// End returns the first instant no longer covered by the source.
-//
-//caribou:allow unreached exercised only by TestHorizonAccessors
-func (s *SyntheticSource) End() time.Time { return s.start.Add(time.Duration(s.hours) * time.Hour) }
-
-// Zones lists the grid zones with materialized traces.
-//
-//caribou:allow unreached exercised only by TestHorizonAccessors and TestIntensityAboveFloor
-func (s *SyntheticSource) Zones() []string {
-	out := make([]string, 0, len(s.traces))
-	for z := range s.traces {
-		out = append(out, z)
-	}
-	sort.Strings(out)
-	return out
 }

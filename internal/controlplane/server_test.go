@@ -124,6 +124,10 @@ func (noCarbon) At(zone string, _ time.Time) (float64, error) {
 	return 0, errors.New("no carbon data for " + zone)
 }
 
+func (noCarbon) Hourly(zone string, _, _ time.Time) ([]float64, error) {
+	return nil, errors.New("no carbon data for " + zone)
+}
+
 // TestNewTenantFailsWithItsInitialSolve: registration's first solve cannot
 // price a plan without carbon data, and its error is the registration's —
 // no tenant is built, so the server stores none and releases the id.

@@ -91,7 +91,6 @@ type Tenant struct {
 	limit time.Time
 
 	versions int
-	deltas   int
 }
 
 // TenantSeed derives a tenant's RNG seed from the server seed and its ID —
@@ -247,7 +246,6 @@ func (t *Tenant) OnDelta(d Delta) (DeltaResult, error) {
 	}
 	prev := t.VNow()
 	now := t.advance(d.At)
-	t.deltas++
 
 	window := now.Sub(prev)
 	for _, rec := range t.synth.expand(d.Invocations, d.Class, now, window) {

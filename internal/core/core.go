@@ -41,7 +41,6 @@ type EnvConfig struct {
 // Env is one simulated cloud environment on a shared virtual clock.
 type Env struct {
 	Seed     int64
-	Start    time.Time
 	End      time.Time
 	Sched    *simclock.Scheduler
 	Cat      *region.Catalogue
@@ -81,7 +80,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, err
 	}
 	return &Env{
-		Seed: cfg.Seed, Start: cfg.Start, End: cfg.End,
+		Seed: cfg.Seed, End: cfg.End,
 		Sched: sched, Cat: cat, Carbon: src, Net: net,
 		Book: pricing.DefaultBook(), Platform: p,
 	}, nil

@@ -228,13 +228,19 @@ func (d *DAG) Node(id NodeID) (*Node, bool) {
 }
 
 // Nodes returns all stage IDs in topological order.
-func (d *DAG) Nodes() []NodeID { return append([]NodeID(nil), d.order...) }
+//
+// Nodes, Out and In return the DAG's own slices, not copies: callers must
+// treat them as read-only. Each is capped at its length, so a caller's
+// append reallocates instead of writing into the DAG.
+func (d *DAG) Nodes() []NodeID { return capped(d.order) }
 
-// Out returns the outgoing edges of n in insertion order.
-func (d *DAG) Out(n NodeID) []Edge { return append([]Edge(nil), d.out[n]...) }
+// Out returns the outgoing edges of n in insertion order; read-only.
+func (d *DAG) Out(n NodeID) []Edge { return capped(d.out[n]) }
 
-// In returns the incoming edges of n in insertion order.
-func (d *DAG) In(n NodeID) []Edge { return append([]Edge(nil), d.in[n]...) }
+// In returns the incoming edges of n in insertion order; read-only.
+func (d *DAG) In(n NodeID) []Edge { return capped(d.in[n]) }
+
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // Edges returns every edge, ordered by topological position of the source.
 func (d *DAG) Edges() []Edge {

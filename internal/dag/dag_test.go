@@ -176,17 +176,33 @@ func TestDefaultsAppliedOnAddNode(t *testing.T) {
 	}
 }
 
+// TestAccessorsCopySemantics: Nodes, Out and In share the DAG's slices
+// read-only, and an append to a returned slice copies it. The fan of three
+// leaves the DAG's slices spare capacity (5 nodes, 3 edges each way), so an
+// uncapped accessor would let two callers' appends write the same slot.
 func TestAccessorsCopySemantics(t *testing.T) {
-	d := diamond(t)
-	out := d.Out("start")
-	out[0].To = "mutated"
-	if d.Out("start")[0].To == "mutated" {
-		t.Error("Out leaked internal slice")
+	b := NewBuilder("fan").AddNode(Node{ID: "start"}).AddNode(Node{ID: "join"})
+	for _, id := range []NodeID{"a", "b", "c"} {
+		b = b.AddNode(Node{ID: id}).AddEdge("start", id).AddEdge(id, "join")
 	}
-	nodes := d.Nodes()
-	nodes[0] = "mutated"
-	if d.Nodes()[0] == "mutated" {
-		t.Error("Nodes leaked internal slice")
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := fmt.Sprint(d.Nodes())
+	x, y := append(d.Nodes(), "x"), append(d.Nodes(), "y")
+	if x[len(x)-1] != "x" || y[len(y)-1] != "y" || fmt.Sprint(d.Nodes()) != nodes {
+		t.Errorf("append to Nodes wrote into the DAG: %v %v, nodes %v", x, y, d.Nodes())
+	}
+	for _, acc := range []struct {
+		name string
+		get  func() []Edge
+	}{{"Out", func() []Edge { return d.Out("start") }}, {"In", func() []Edge { return d.In("join") }}} {
+		before := fmt.Sprint(acc.get())
+		x, y := append(acc.get(), Edge{To: "x"}), append(acc.get(), Edge{To: "y"})
+		if x[len(x)-1].To != "x" || y[len(y)-1].To != "y" || fmt.Sprint(acc.get()) != before {
+			t.Errorf("append to %s wrote into the DAG: %v %v", acc.name, x, y)
+		}
 	}
 }
 

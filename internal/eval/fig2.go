@@ -15,7 +15,6 @@ import (
 // Fig2Series is one region's trace at the requested resolution.
 type Fig2Series struct {
 	Region region.ID
-	Zone   string
 	Times  []time.Time
 	Values []float64
 }
@@ -51,7 +50,7 @@ func Fig2(opt Fig2Options) ([]Fig2Series, error) {
 	var out []Fig2Series
 	for _, id := range region.EvaluationFour() {
 		r, _ := cat.Get(id)
-		s := Fig2Series{Region: id, Zone: r.GridZone}
+		s := Fig2Series{Region: id}
 		for t := opt.From; t.Before(opt.To); t = t.Add(time.Duration(opt.StepHours) * time.Hour) {
 			v, err := src.At(r.GridZone, t)
 			if err != nil {

@@ -19,10 +19,8 @@ import (
 // Store is a linearizable key-value store with atomic updates.
 // The zero value is not usable; call New.
 type Store struct {
-	mu     sync.Mutex
-	data   map[string][]byte
-	reads  uint64
-	writes uint64
+	mu   sync.Mutex
+	data map[string][]byte
 }
 
 // New returns an empty store.
@@ -36,7 +34,6 @@ func New() *Store {
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reads++
 	v, ok := s.data[key]
 	if !ok {
 		return nil, false
@@ -48,7 +45,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 func (s *Store) Put(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes++
 	s.data[key] = append([]byte(nil), value...)
 }
 
@@ -56,7 +52,6 @@ func (s *Store) Put(key string, value []byte) {
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes++
 	delete(s.data, key)
 }
 
@@ -67,7 +62,6 @@ func (s *Store) Delete(key string) {
 func (s *Store) Update(key string, fn func(cur []byte, exists bool) ([]byte, bool)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reads++
 	cur, ok := s.data[key]
 	var curCopy []byte
 	if ok {
@@ -75,7 +69,6 @@ func (s *Store) Update(key string, fn func(cur []byte, exists bool) ([]byte, boo
 	}
 	next, write := fn(curCopy, ok)
 	if write {
-		s.writes++
 		s.data[key] = append([]byte(nil), next...)
 	}
 }
@@ -108,14 +101,4 @@ func (s *Store) GetJSON(key string, v interface{}) (bool, error) {
 		return true, fmt.Errorf("kvstore: unmarshal %s: %w", key, err)
 	}
 	return true, nil
-}
-
-// Stats reports cumulative read and write request counts, the billable
-// dimensions of the DynamoDB stand-in.
-//
-//caribou:allow unreached exercised only by TestStatsCountAccesses; platform accounts bill KV requests from invocation records
-func (s *Store) Stats() (reads, writes uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads, s.writes
 }

@@ -111,13 +111,3 @@ func TestJSONHelpers(t *testing.T) {
 		t.Error("want marshal error")
 	}
 }
-
-func TestStatsCountAccesses(t *testing.T) {
-	s := New()
-	s.Put("a", nil)
-	s.Get("a")
-	r, w := s.Stats()
-	if r == 0 || w == 0 {
-		t.Errorf("stats r=%d w=%d", r, w)
-	}
-}

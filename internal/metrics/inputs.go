@@ -123,11 +123,6 @@ func (m *Manager) DAG() *dag.DAG { return m.d }
 // Catalogue returns the region catalogue.
 func (m *Manager) Catalogue() *region.Catalogue { return m.cat }
 
-// hourlySource is the history forecasters train on.
-type hourlySource interface {
-	Hourly(zone string, from, to time.Time) ([]float64, error)
-}
-
 // fits shares fitted forecasters process-wide, keyed by (source, zone,
 // trained-through hour), and fits each key once however many Managers ask
 // at once. A model is immutable after forecast.Fit. Entries are bounded by
@@ -135,7 +130,7 @@ type hourlySource interface {
 var fits sync.Map // fitKey -> func() (*forecast.Model, error)
 
 type fitKey struct {
-	src  hourlySource
+	src  carbon.Source
 	zone string
 	end  int64 // unix seconds
 }
@@ -143,13 +138,9 @@ type fitKey struct {
 // fitWeek returns zone's Holt-Winters model trained on the week of src's
 // history that ends at end (§7.2).
 func fitWeek(src carbon.Source, zone string, end time.Time) (*forecast.Model, error) {
-	h, ok := src.(hourlySource)
-	if !ok {
-		return nil, fmt.Errorf("metrics: carbon source does not expose hourly history")
-	}
-	key := fitKey{h, zone, end.Unix()}
+	key := fitKey{src, zone, end.Unix()}
 	fit, _ := fits.LoadOrStore(key, sync.OnceValues(func() (*forecast.Model, error) {
-		series, err := h.Hourly(zone, end.Add(-7*24*time.Hour), end)
+		series, err := src.Hourly(zone, end.Add(-7*24*time.Hour), end)
 		if err != nil {
 			return nil, err
 		}
@@ -239,8 +230,7 @@ func (m *Manager) ForecastMAPE(r region.ID, trainEnd time.Time, horizon int) (fl
 	if err != nil {
 		return 0, err
 	}
-	// fitWeek succeeded, so the source exposes hourly history.
-	actual, err := m.src.(hourlySource).Hourly(zone, end, end.Add(time.Duration(horizon)*time.Hour))
+	actual, err := m.src.Hourly(zone, end, end.Add(time.Duration(horizon)*time.Hour))
 	if err != nil {
 		return 0, err
 	}

@@ -31,7 +31,6 @@ import (
 // serialization at fixed bandwidth) and every Inputs implementation in
 // the repository.
 type Snapshot struct {
-	tx    carbon.TransmissionModel
 	nodes *dag.Interner
 
 	regions   []region.ID
@@ -152,7 +151,6 @@ func (e *Estimator) Compile(regions []region.ID, hours []time.Time, now time.Tim
 	}
 	s := &Snapshot{
 		mcSeed:      simclock.DeriveSeed(e.seed, "mc/"+d.Name()),
-		tx:          tx,
 		nodes:       dag.NewInterner(d),
 		regionIdx:   make(map[region.ID]int, len(regions)+1),
 		hours:       append([]time.Time(nil), hours...),

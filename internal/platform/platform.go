@@ -69,7 +69,7 @@ type Options struct {
 	Catalogue *region.Catalogue
 	Net       *netmodel.Model
 	Seed      int64
-	// Pubsub tunes broker delivery; zero values take defaults.
+	// Pubsub configures the broker's duplicate-delivery fault injection.
 	Pubsub pubsub.Config
 	// RegionConcurrency caps concurrent executions per region
 	// (DefaultRegionConcurrency when zero; negative disables the cap).

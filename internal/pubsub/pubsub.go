@@ -25,26 +25,19 @@ type Message struct {
 }
 
 // Handler consumes a delivered message. Returning a non-nil error nacks
-// the message and triggers redelivery until MaxAttempts is reached.
+// the message and triggers redelivery until maxAttempts is reached.
 type Handler func(msg Message) error
 
-// Config tunes delivery behaviour.
+const (
+	maxAttempts = 5           // total delivery attempts before drop
+	retryDelay  = time.Second // base redelivery backoff, doubled per attempt
+)
+
+// Config holds the broker's one option: duplicate-delivery fault injection.
 type Config struct {
-	MaxAttempts int           // total delivery attempts before drop (default 5)
-	RetryDelay  time.Duration // base redelivery backoff (default 1s, doubled per attempt)
 	// DuplicateProb injects duplicate deliveries with this probability
 	// to exercise at-least-once semantics in tests. Default 0.
 	DuplicateProb float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = time.Second
-	}
-	return c
 }
 
 // Broker routes messages from publishers to topic subscribers on virtual
@@ -65,7 +58,7 @@ func NewBroker(sched *simclock.Scheduler, cfg Config, rng *simclock.Rand) *Broke
 	}
 	return &Broker{
 		sched: sched,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		rng:   rng,
 		subs:  make(map[string]Handler),
 	}
@@ -102,7 +95,7 @@ func (b *Broker) PublishAfter(topic string, data []byte, latency time.Duration) 
 	}
 	b.scheduleDelivery(topic, data, latency)
 	if b.cfg.DuplicateProb > 0 && b.rng.Bool(b.cfg.DuplicateProb) {
-		b.scheduleDelivery(topic, data, latency+b.cfg.RetryDelay)
+		b.scheduleDelivery(topic, data, latency+retryDelay)
 	}
 	return nil
 }
@@ -122,7 +115,7 @@ func (b *Broker) scheduleDelivery(topic string, data []byte, after time.Duration
 }
 
 // attempt delivers the message once; nacked or without a subscriber it
-// backs off and retries until MaxAttempts, then drops.
+// backs off and retries until maxAttempts, then drops.
 func (d *delivery) attempt() {
 	b := d.b
 	d.msg.Attempt++
@@ -133,13 +126,13 @@ func (d *delivery) attempt() {
 	if err == nil {
 		return
 	}
-	if d.msg.Attempt >= b.cfg.MaxAttempts {
+	if d.msg.Attempt >= maxAttempts {
 		for _, fn := range b.onDrop {
 			fn(d.msg)
 		}
 		return
 	}
-	b.sched.After(b.cfg.RetryDelay<<uint(d.msg.Attempt-1), d.fire)
+	b.sched.After(retryDelay<<uint(d.msg.Attempt-1), d.fire)
 }
 
 var errNoSubscriber = errors.New("pubsub: no subscriber")

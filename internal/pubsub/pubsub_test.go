@@ -54,7 +54,7 @@ func TestDeliveryRespectsLatency(t *testing.T) {
 }
 
 func TestRedeliveryOnNack(t *testing.T) {
-	sched, b := newBroker(Config{RetryDelay: time.Second})
+	sched, b := newBroker(Config{})
 	attempts := 0
 	b.Subscribe("t", func(m Message) error {
 		attempts++
@@ -73,7 +73,7 @@ func TestRedeliveryOnNack(t *testing.T) {
 }
 
 func TestDropAfterMaxAttempts(t *testing.T) {
-	sched, b := newBroker(Config{MaxAttempts: 3, RetryDelay: time.Second})
+	sched, b := newBroker(Config{})
 	attempts := 0
 	b.Subscribe("t", func(Message) error {
 		attempts++
@@ -85,8 +85,8 @@ func TestDropAfterMaxAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
+	if attempts != maxAttempts {
+		t.Errorf("attempts = %d, want %d", attempts, maxAttempts)
 	}
 	if len(dropped) != 1 || dropped[0].Topic != "t" {
 		t.Errorf("dropped = %v", dropped)
@@ -94,7 +94,7 @@ func TestDropAfterMaxAttempts(t *testing.T) {
 }
 
 func TestMultipleOnDropCallbacks(t *testing.T) {
-	sched, b := newBroker(Config{MaxAttempts: 1})
+	sched, b := newBroker(Config{})
 	calls := 0
 	b.OnDrop(func(Message) { calls++ })
 	b.OnDrop(func(Message) { calls++ })
@@ -110,7 +110,7 @@ func TestMultipleOnDropCallbacks(t *testing.T) {
 func TestSubscriberAppearingBeforeDelivery(t *testing.T) {
 	// Deployment racing traffic: a publish before Subscribe still
 	// delivers if the subscriber exists at (re)delivery time.
-	sched, b := newBroker(Config{RetryDelay: time.Second})
+	sched, b := newBroker(Config{})
 	if err := b.PublishAfter("late", []byte("x"), latency); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPayloadIsolation(t *testing.T) {
 }
 
 func TestBackoffDoubling(t *testing.T) {
-	sched, b := newBroker(Config{MaxAttempts: 4, RetryDelay: time.Second})
+	sched, b := newBroker(Config{})
 	var times []time.Time
 	b.Subscribe("t", func(Message) error {
 		times = append(times, sched.Now())
@@ -199,11 +199,11 @@ func TestBackoffDoubling(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	if len(times) != 4 {
-		t.Fatalf("attempts = %d", len(times))
+	if len(times) != maxAttempts {
+		t.Fatalf("attempts = %d, want %d", len(times), maxAttempts)
 	}
-	// Gaps: 1s, 2s, 4s.
-	for i, want := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second} {
+	// Gaps: 1s, 2s, 4s, 8s.
+	for i, want := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
 		if gap := times[i+1].Sub(times[i]); gap != want {
 			t.Errorf("gap %d = %v, want %v", i, gap, want)
 		}

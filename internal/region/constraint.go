@@ -1,7 +1,5 @@
 package region
 
-import "fmt"
-
 // Constraint captures the compliance rules of §8: a workflow- or
 // function-level allow/deny list over regions, providers, and countries.
 // Function-level constraints supersede workflow-level ones; an empty allow
@@ -57,25 +55,6 @@ func (c Constraint) Permits(r *Region) bool {
 		}
 	}
 	return true
-}
-
-// Eligible returns the region IDs from the catalogue permitted by the
-// constraint, in stable order. It errors when nothing is eligible, since a
-// workflow with no deployable region is a configuration bug.
-//
-//caribou:allow unreached exercised only by TestEligible; the solver filters regions with Permits
-func (c Constraint) Eligible(cat *Catalogue) ([]ID, error) {
-	var out []ID
-	for _, id := range cat.IDs() {
-		r, _ := cat.Get(id)
-		if c.Permits(r) {
-			out = append(out, id)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("region: constraint permits no region in catalogue of %d", cat.Len())
-	}
-	return out, nil
 }
 
 // Merge layers a function-level constraint over a workflow-level one.

@@ -19,7 +19,6 @@ type ID string
 type Region struct {
 	ID       ID
 	Provider string
-	Name     string
 	Country  string // ISO 3166-1 alpha-2, drives data-residency compliance
 	Lat      float64
 	Lon      float64
@@ -115,12 +114,12 @@ const (
 // variation the paper attributes to hardware and co-tenancy differences.
 func NorthAmerica() *Catalogue {
 	c, err := NewCatalogue([]Region{
-		{ID: USEast1, Provider: "aws", Name: "N. Virginia", Country: "US", Lat: 38.95, Lon: -77.45, PerfFactor: 1.00, GridZone: "US-MIDA-PJM"},
-		{ID: USEast2, Provider: "aws", Name: "Ohio", Country: "US", Lat: 40.10, Lon: -82.75, PerfFactor: 1.01, GridZone: "US-MIDA-PJM"},
-		{ID: USWest1, Provider: "aws", Name: "N. California", Country: "US", Lat: 37.35, Lon: -121.96, PerfFactor: 1.02, GridZone: "US-CAL-CISO"},
-		{ID: USWest2, Provider: "aws", Name: "Oregon", Country: "US", Lat: 45.84, Lon: -119.70, PerfFactor: 1.00, GridZone: "US-NW-PACW"},
-		{ID: CACentral1, Provider: "aws", Name: "Montreal", Country: "CA", Lat: 45.50, Lon: -73.57, PerfFactor: 1.01, GridZone: "CA-QC"},
-		{ID: CAWest1, Provider: "aws", Name: "Calgary", Country: "CA", Lat: 51.05, Lon: -114.07, PerfFactor: 1.02, GridZone: "CA-AB"},
+		{ID: USEast1, Provider: "aws", Country: "US", Lat: 38.95, Lon: -77.45, PerfFactor: 1.00, GridZone: "US-MIDA-PJM"},  // N. Virginia
+		{ID: USEast2, Provider: "aws", Country: "US", Lat: 40.10, Lon: -82.75, PerfFactor: 1.01, GridZone: "US-MIDA-PJM"},  // Ohio
+		{ID: USWest1, Provider: "aws", Country: "US", Lat: 37.35, Lon: -121.96, PerfFactor: 1.02, GridZone: "US-CAL-CISO"}, // N. California
+		{ID: USWest2, Provider: "aws", Country: "US", Lat: 45.84, Lon: -119.70, PerfFactor: 1.00, GridZone: "US-NW-PACW"},  // Oregon
+		{ID: CACentral1, Provider: "aws", Country: "CA", Lat: 45.50, Lon: -73.57, PerfFactor: 1.01, GridZone: "CA-QC"},     // Montreal
+		{ID: CAWest1, Provider: "aws", Country: "CA", Lat: 51.05, Lon: -114.07, PerfFactor: 1.02, GridZone: "CA-AB"},       // Calgary
 	})
 	if err != nil {
 		panic(err) // static data, cannot fail
@@ -157,12 +156,12 @@ func Global() *Catalogue {
 		regions = append(regions, *r)
 	}
 	regions = append(regions,
-		Region{ID: EUWest1, Provider: "aws", Name: "Ireland", Country: "IE", Lat: 53.35, Lon: -6.26, PerfFactor: 1.01, GridZone: "IE"},
-		Region{ID: EUCentral1, Provider: "aws", Name: "Frankfurt", Country: "DE", Lat: 50.11, Lon: 8.68, PerfFactor: 1.01, GridZone: "DE"},
-		Region{ID: EUNorth1, Provider: "aws", Name: "Stockholm", Country: "SE", Lat: 59.33, Lon: 18.07, PerfFactor: 1.02, GridZone: "SE"},
-		Region{ID: APNortheast1, Provider: "aws", Name: "Tokyo", Country: "JP", Lat: 35.68, Lon: 139.69, PerfFactor: 1.02, GridZone: "JP-TK"},
-		Region{ID: APSoutheast2, Provider: "aws", Name: "Sydney", Country: "AU", Lat: -33.87, Lon: 151.21, PerfFactor: 1.02, GridZone: "AU-NSW"},
-		Region{ID: SAEast1, Provider: "aws", Name: "São Paulo", Country: "BR", Lat: -23.55, Lon: -46.63, PerfFactor: 1.03, GridZone: "BR-CS"},
+		Region{ID: EUWest1, Provider: "aws", Country: "IE", Lat: 53.35, Lon: -6.26, PerfFactor: 1.01, GridZone: "IE"},            // Ireland
+		Region{ID: EUCentral1, Provider: "aws", Country: "DE", Lat: 50.11, Lon: 8.68, PerfFactor: 1.01, GridZone: "DE"},          // Frankfurt
+		Region{ID: EUNorth1, Provider: "aws", Country: "SE", Lat: 59.33, Lon: 18.07, PerfFactor: 1.02, GridZone: "SE"},           // Stockholm
+		Region{ID: APNortheast1, Provider: "aws", Country: "JP", Lat: 35.68, Lon: 139.69, PerfFactor: 1.02, GridZone: "JP-TK"},   // Tokyo
+		Region{ID: APSoutheast2, Provider: "aws", Country: "AU", Lat: -33.87, Lon: 151.21, PerfFactor: 1.02, GridZone: "AU-NSW"}, // Sydney
+		Region{ID: SAEast1, Provider: "aws", Country: "BR", Lat: -23.55, Lon: -46.63, PerfFactor: 1.03, GridZone: "BR-CS"},       // São Paulo
 	)
 	c, err := NewCatalogue(regions)
 	if err != nil {

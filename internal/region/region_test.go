@@ -163,20 +163,6 @@ func TestMergeEmptyFunctionKeepsWorkflow(t *testing.T) {
 	}
 }
 
-func TestEligible(t *testing.T) {
-	c := NorthAmerica()
-	ids, err := Constraint{AllowedCountries: []string{"CA"}}.Eligible(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 {
-		t.Fatalf("CA regions = %v", ids)
-	}
-	if _, err := (Constraint{AllowedProviders: []string{"azure"}}).Eligible(c); err == nil {
-		t.Error("want error when nothing is eligible")
-	}
-}
-
 func TestQuickDenyAlwaysExcludes(t *testing.T) {
 	c := NorthAmerica()
 	ids := c.IDs()

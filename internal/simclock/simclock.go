@@ -15,10 +15,9 @@ import (
 // model is cooperative, with every event handler running to completion on
 // the caller's goroutine.
 type Scheduler struct {
-	now    time.Time
-	queue  []event // binary min-heap on (at, seq), sifted by hand: no boxing
-	seq    uint64
-	halted bool
+	now   time.Time
+	queue []event // binary min-heap on (at, seq), sifted by hand: no boxing
+	seq   uint64
 }
 
 type event struct {
@@ -98,7 +97,7 @@ func (s *Scheduler) After(d time.Duration, fn func()) {
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 || s.halted {
+	if len(s.queue) == 0 {
 		return false
 	}
 	ev := s.pop()
@@ -107,27 +106,19 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Halt is called.
+// Run fires events until the queue drains.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
-	s.halted = false
 }
 
 // RunUntil fires events with timestamps not after deadline, then advances
 // the clock to deadline. Events scheduled beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline time.Time) {
-	for len(s.queue) > 0 && !s.halted && !s.queue[0].at.After(deadline) {
+	for len(s.queue) > 0 && !s.queue[0].at.After(deadline) {
 		s.Step()
 	}
-	s.halted = false
 	if s.now.Before(deadline) {
 		s.now = deadline
 	}
 }
-
-// Halt stops the currently running Run/RunUntil loop after the in-flight
-// event handler returns. It is intended to be called from inside an event.
-//
-//caribou:allow unreached exercised only by TestHaltStopsRun
-func (s *Scheduler) Halt() { s.halted = true }

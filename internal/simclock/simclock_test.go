@@ -104,29 +104,6 @@ func TestNegativeAfterClampsToNow(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := New(t0)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		i := i
-		s.After(time.Duration(i)*time.Second, func() {
-			count++
-			if i == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d after halt", count)
-	}
-	// Run resumes after a halt.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after resume", count)
-	}
-}
-
 func TestQuickEventOrderInvariant(t *testing.T) {
 	// Property: for any set of offsets, firing times observed by
 	// handlers are non-decreasing.

@@ -93,15 +93,3 @@ func (d *Distribution) SortedValues() []float64 {
 	sort.Float64s(out)
 	return out
 }
-
-// Scale returns a copy of the distribution with every sample multiplied by
-// k.
-//
-//caribou:allow unreached exercised only by TestDistributionScale
-func (d *Distribution) Scale(k float64) *Distribution {
-	out := NewDistribution(d.max)
-	for _, s := range d.samples {
-		out.Add(s * k)
-	}
-	return out
-}

@@ -235,19 +235,6 @@ func TestDistributionEmptySample(t *testing.T) {
 	}
 }
 
-func TestDistributionScale(t *testing.T) {
-	d := NewDistribution(0)
-	d.Add(2)
-	d.Add(4)
-	s := d.Scale(1.5)
-	if m := Mean(s.samples); math.Abs(m-4.5) > 1e-9 {
-		t.Errorf("scaled mean = %v, want 4.5", m)
-	}
-	if m := Mean(d.samples); m != 3 {
-		t.Errorf("original mutated: %v", m)
-	}
-}
-
 func TestQuickDistributionSampleWithinRange(t *testing.T) {
 	f := func(raw []float64, u8 uint8) bool {
 		d := NewDistribution(0)

@@ -34,8 +34,7 @@ func newRegistry() registry {
 // Counter is a monotonically increasing atomic count. The nil *Counter is
 // the disabled instrument: Add/Inc on nil are single-branch no-ops.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Counter interns a counter by name; nil Recorder yields the nil
@@ -48,7 +47,7 @@ func (r *Recorder) Counter(name string) *Counter {
 	defer r.reg.mu.Unlock()
 	c, ok := r.reg.ctrs[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.reg.ctrs[name] = c
 	}
 	return c
@@ -75,8 +74,7 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an atomic level (int64). The nil *Gauge is disabled.
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Gauge interns a gauge by name; nil Recorder yields the nil gauge.
@@ -88,7 +86,7 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	defer r.reg.mu.Unlock()
 	g, ok := r.reg.gags[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.reg.gags[name] = g
 	}
 	return g
@@ -120,7 +118,6 @@ func (g *Gauge) Value() int64 {
 // values <= bounds[i], with one overflow bucket past the last bound. The
 // nil *Histogram is disabled.
 type Histogram struct {
-	name   string
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1
 	sumF   float64Adder
@@ -154,7 +151,6 @@ func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
 	h, ok := r.reg.hists[name]
 	if !ok {
 		h = &Histogram{
-			name:   name,
 			bounds: append([]float64(nil), bounds...),
 			counts: make([]atomic.Int64, len(bounds)+1),
 		}
