@@ -40,10 +40,6 @@ race:
 #                     and dropped; the live invocation's record is unchanged
 #   FuzzBuild         an accepted graph has one start, a topological order,
 #                     probabilities in [0, 1], and runs in every mode
-#   FuzzRunSpec       an accepted run spec is a fixed point of SpecOf →
-#                     JSON → Config with a well-formed canonical key
-#   FuzzShardLock     a malformed lock neither blocks a claim nor counts as
-#                     the claimer's; a live lock is never stolen
 #   FuzzTraceBody, FuzzRegisterBody  no 5xx; a 2xx body is JSON; a refused
 #                     request leaves the tenant's plan bytes and virtual
 #                     time unchanged; its next in-horizon delta answers 200
@@ -62,8 +58,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzEnvelope -fuzztime $(FUZZTIME) ./internal/executor/
 	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/dag/
-	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime $(FUZZTIME) ./internal/eval/
-	$(GO) test -run xxx -fuzz FuzzShardLock -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzTraceBody -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run xxx -fuzz FuzzRegisterBody -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run xxx -fuzz FuzzWorkflowID -fuzztime $(FUZZTIME) ./internal/controlplane/
@@ -91,7 +85,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./...
 
 # sweep-clean removes the durable run cache: the default store
-# caribou-eval -cache-dir and caribou-sweep write to.
+# caribou-eval -cache-dir writes to.
 sweep-clean:
 	rm -rf .caribou-cache
 

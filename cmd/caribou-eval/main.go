@@ -130,7 +130,7 @@ type cliFlags struct {
 func register(fs *flag.FlagSet) *cliFlags {
 	f := &cliFlags{}
 	fs.BoolVar(&f.quick, "quick", false, "reduced workload set and trace volume")
-	fs.StringVar(&f.cacheDir, "cache-dir", "", "content-addressed run cache directory (see caribou-sweep); warm re-runs execute zero solver work")
+	fs.StringVar(&f.cacheDir, "cache-dir", "", "content-addressed run cache directory; warm re-runs execute zero solver work")
 	fs.BoolVar(&f.plot, "plot", false, "also render terminal charts of the figure shapes")
 	fs.StringVar(&f.csvDir, "csv", "", "directory to also write per-experiment CSV files into")
 	fs.Int64Var(&f.seed, "seed", 17, "experiment seed")

@@ -9,6 +9,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"caribou/internal/eval"
+	"caribou/internal/runstore"
 )
 
 // buildEval builds the binary and returns a function that runs it.
@@ -107,4 +110,49 @@ func TestHelpNamesEveryFlag(t *testing.T) {
 			t.Errorf("-h does not name -%s:\n%s", f.Name, help)
 		}
 	})
+}
+
+// TestExpandedStoreServesFiguresWarm fills a store from the quick
+// fig7–fig10 preset expansion in process, then runs the binary's own
+// -quick figures against it: each must execute nothing. This is what
+// keeps eval.ExpandSweep's presets equal to the configurations main.go's
+// -quick reductions really submit, not to a restatement of them.
+func TestExpandedStoreServesFiguresWarm(t *testing.T) {
+	run := buildEval(t)
+	dir := t.TempDir()
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := eval.ExpandSweep(eval.SweepSpec{Figures: eval.FigurePresets(), Quick: true, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]eval.RunConfig, len(runs))
+	for i, r := range runs {
+		cfgs[i] = r.Cfg
+	}
+	pool := eval.NewPool(2)
+	pool.AttachStore(store)
+	if _, err := pool.RunAll(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.DiskWrites != len(runs) {
+		t.Fatalf("filled %d of %d runs into the store", st.DiskWrites, len(runs))
+	}
+
+	line := regexp.MustCompile(`\[cache: submitted=(\d+) executed=(\d+) `)
+	for _, fig := range eval.FigurePresets() {
+		_, stderr, err := run("-quick", "-cache-dir", dir, fig)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", fig, err, stderr)
+		}
+		m := line.FindSubmatch(stderr)
+		if m == nil {
+			t.Fatalf("%s: no [cache: …] line on stderr:\n%s", fig, stderr)
+		}
+		if string(m[1]) == "0" || string(m[2]) != "0" {
+			t.Errorf("%s: submitted=%s executed=%s, want every run served from the store", fig, m[1], m[2])
+		}
+	}
 }

@@ -151,8 +151,7 @@ func TestWallclockClockSeam(t *testing.T) {
 }
 
 // TestWallclockRunstoreSeam pins that internal/runstore is NOT
-// wallclock-exempt: lease timestamps must flow through the injected
-// runstore.Clock, and a bare time.Now in the package is a finding.
+// wallclock-exempt: a bare time.Now in the package is a finding.
 func TestWallclockRunstoreSeam(t *testing.T) {
 	checkFixture(t, "wallclock_runstore", "caribou/internal/runstore")
 }

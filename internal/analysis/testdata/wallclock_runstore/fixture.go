@@ -1,28 +1,11 @@
-// Fixture: the durable sweep engine's clock seam. Loaded as
-// caribou/internal/runstore (not wallclock-exempt): lease-expiry
-// decisions flow through the injected runstore.Clock, so calls on the
-// interface value are clean, while a bare time.Now in the store itself
-// remains a finding — the wall clock may enter only at the annotated
-// injection site in cmd/caribou-sweep.
+// Fixture: the durable run store. Loaded as caribou/internal/runstore
+// (not wallclock-exempt): blob content is addressed by run configuration
+// and never stamped, so a bare time.Now in the store is a finding.
 package fixture
 
 import "time"
 
-type clock interface {
-	Now() time.Time
-}
-
-type lock struct {
-	acquiredUnix int64
-	leaseSec     int64
-}
-
-// expired decides lease expiry purely through the seam: no findings.
-func (l lock) expired(clk clock) bool {
-	return clk.Now().Unix() >= l.acquiredUnix+l.leaseSec
-}
-
-// stamp bypasses the seam inside the store package: still a finding.
+// stamp reads the wall clock inside the store package: a finding.
 func stamp() int64 {
 	return time.Now().Unix() // want wallclock "time.Now reads the wall clock"
 }

@@ -243,7 +243,7 @@ func TestEncodeDecodeResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range scenarios() {
+	for _, sc := range Scenarios() {
 		want, err := res.Summarize(sc.Tx)
 		if err != nil {
 			t.Fatal(err)

@@ -186,7 +186,7 @@ func TestRunSmokeCoarse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := res.Summarize(scenarios()[0].Tx)
+	sum, err := res.Summarize(Scenarios()[0].Tx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func fig10Defaults(opt Fig10Options) Fig10Options {
 func fig10Configs(opt Fig10Options) []RunConfig {
 	var cfgs []RunConfig
 	for _, wl := range opt.Workloads {
-		for _, sc := range scenarios() {
+		for _, sc := range Scenarios() {
 			cfgs = append(cfgs, RunConfig{
 				Workload: wl, Class: opt.Class,
 				Strategy: CoarseIn("aws:us-east-1"),
@@ -101,7 +101,7 @@ func Fig10(opt Fig10Options) ([]Fig10Point, error) {
 	var points []Fig10Point
 	i := 0
 	for _, wl := range opt.Workloads {
-		for _, sc := range scenarios() {
+		for _, sc := range Scenarios() {
 			// Home baseline (for carbon normalization and the QoS
 			// definition), run over the same days and summarized on
 			// the same final day as the fine runs so both sides see

@@ -91,7 +91,7 @@ func Fig11(opt Fig11Options) ([]Fig11Result, error) {
 	// events slice is shared read-only.
 	pool := opt.Pool.orDefault()
 	coarseRegions := []region.ID{region.USEast1, region.USWest1, region.USWest2}
-	scens := scenarios()
+	scens := Scenarios()
 	outs := make([]*fig11Out, len(coarseRegions)+len(scens))
 	err = pool.Do(len(outs), func(i int) error {
 		if i < len(coarseRegions) {

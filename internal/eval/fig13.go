@@ -70,7 +70,7 @@ func Fig13(opt Fig13Options) ([]Fig13aRow, []Fig13bRow, error) {
 		opt.Seed = 17
 	}
 
-	scens := scenarios()
+	scens := Scenarios()
 	aRows := make([]Fig13aRow, len(opt.Frequencies)*len(scens))
 	err := opt.Pool.orDefault().Do(len(aRows), func(i int) error {
 		freq := opt.Frequencies[i/len(scens)]

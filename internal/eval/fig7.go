@@ -52,15 +52,16 @@ func Fig7Strategies() []struct {
 	}
 }
 
-// scenarios pairs the accounting models of Fig 7's two bar styles.
-func scenarios() []struct {
+// Scenario is one of the paper's transmission-carbon accounting
+// scenarios (the two bar styles of Fig 7).
+type Scenario struct {
 	Name string
 	Tx   carbon.TransmissionModel
-} {
-	return []struct {
-		Name string
-		Tx   carbon.TransmissionModel
-	}{
+}
+
+// Scenarios lists the accounting scenarios in figure legend order.
+func Scenarios() []Scenario {
+	return []Scenario{
 		{"best", carbon.BestCase()},
 		{"worst", carbon.WorstCase()},
 	}
@@ -96,16 +97,16 @@ type fig7Group struct {
 
 // fig7Plan enumerates the figure's runs for already-defaulted options:
 // one config per coarse strategy, one per (fine strategy, scenario); idx
-// maps (group, strategy, scenario) to its config slot. caribou-sweep's
-// fig7 preset expands the same plan, so a sweep-populated cache serves
-// the figure driver without executing.
+// maps (group, strategy, scenario) to its config slot. ExpandSweep's
+// fig7 preset expands the same plan, so a store it filled serves the
+// figure driver without executing.
 func fig7Plan(opt Fig7Options) (cfgs []RunConfig, idx map[[3]int]int, groups []fig7Group) {
 	for _, wl := range opt.Workloads {
 		for _, class := range opt.Classes {
 			groups = append(groups, fig7Group{wl, class})
 		}
 	}
-	strats, scens := Fig7Strategies(), scenarios()
+	strats, scens := Fig7Strategies(), Scenarios()
 	idx = map[[3]int]int{}
 	for gi, g := range groups {
 		for si, strat := range strats {
@@ -144,7 +145,7 @@ func Fig7(opt Fig7Options) ([]Fig7Row, error) {
 	opt = fig7Defaults(opt)
 	pool := opt.Pool.orDefault()
 	cfgs, idx, groups := fig7Plan(opt)
-	strats, scens := Fig7Strategies(), scenarios()
+	strats, scens := Fig7Strategies(), Scenarios()
 	results, err := pool.RunAll(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)

@@ -51,7 +51,7 @@ func fig8Configs(opt Fig8Options) []RunConfig {
 	var cfgs []RunConfig
 	for _, wl := range opt.Workloads {
 		for _, class := range opt.Classes {
-			for _, sc := range scenarios() {
+			for _, sc := range Scenarios() {
 				cfgs = append(cfgs,
 					RunConfig{
 						Workload: wl, Class: class,
@@ -84,7 +84,7 @@ func Fig8(opt Fig8Options) ([]Fig8Point, error) {
 	i := 0
 	for _, wl := range opt.Workloads {
 		for _, class := range opt.Classes {
-			for _, sc := range scenarios() {
+			for _, sc := range Scenarios() {
 				home, fine := results[i], results[i+1]
 				i += 2
 				// Ratio uses the uniform best-case factor so intra-region

@@ -18,7 +18,7 @@ import (
 // independent RunConfigs execute concurrently; results are returned in
 // submission order regardless of worker count, and each run's determinism
 // comes from its own seed, so figure output is bit-identical at any
-// Workers setting.
+// worker count.
 //
 // Submissions are memoized by a canonical serialization of the defaulted
 // RunConfig: identical configurations — within one figure and across
@@ -127,9 +127,6 @@ func (p *Pool) orDefault() *Pool {
 	}
 	return NewPool(0)
 }
-
-// Workers reports the pool's concurrency bound.
-func (p *Pool) Workers() int { return cap(p.sem) }
 
 // AttachStore adds a durable memo tier: in-memory memo misses consult
 // the store (runstore.KeyOf of the canonical configuration, ResultSchema

@@ -27,10 +27,10 @@ func fig7TestOptions(pool *Pool) Fig7Options {
 }
 
 func TestPoolWorkersDefault(t *testing.T) {
-	if got := NewPool(0).Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := cap(NewPool(0).sem); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("default workers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewPool(3).Workers(); got != 3 {
+	if got := cap(NewPool(3).sem); got != 3 {
 		t.Errorf("workers = %d, want 3", got)
 	}
 }

@@ -38,8 +38,7 @@ var Fine = Strategy{}
 func CoarseIn(r region.ID) Strategy { return Strategy{Coarse: r} }
 
 // String labels the strategy in figure legends and canonical keys: the
-// coarse region without its provider prefix. The region may come from a
-// sweep manifest and be any string.
+// coarse region without its provider prefix.
 func (s Strategy) String() string {
 	if s.Coarse != "" {
 		return "coarse(" + strings.TrimPrefix(string(s.Coarse), "aws:") + ")"

@@ -3,182 +3,29 @@ package eval
 import (
 	"fmt"
 
-	"caribou/internal/carbon"
-	"caribou/internal/region"
-	"caribou/internal/solver"
 	"caribou/internal/workloads"
 )
 
-// This file is the sweep-manifest side of the durable run cache: a
-// SweepSpec expands into the exact RunConfigs the figure drivers submit
-// (figure presets reuse the figNConfigs planners), so a sweep-populated
-// store serves a later figure run entirely from disk. RunSpec is the
-// JSON-stable form of a RunConfig used in sweep manifests — workloads
-// travel by name, the planning inputs by value.
+// This file expands figure presets into the exact RunConfigs the figure
+// drivers submit (the presets reuse the figNConfigs planners), so a store
+// filled from an expansion serves a later figure run entirely from disk.
 
-// Scenario is one of the paper's transmission-carbon accounting
-// scenarios (the two bar styles of Fig 7).
-type Scenario struct {
-	Name string
-	Tx   carbon.TransmissionModel
-}
-
-// Scenarios lists the accounting scenarios in figure legend order, for
-// callers (caribou-sweep export) that re-account cached results the way
-// the figure drivers do.
-func Scenarios() []Scenario {
-	var out []Scenario
-	for _, sc := range scenarios() {
-		out = append(out, Scenario{Name: sc.Name, Tx: sc.Tx})
-	}
-	return out
-}
-
-// TolSpec is the JSON form of solver.Tolerances: each non-nil field is a
-// set limit in percent. The distinction between an absent tolerances
-// object and an empty one is meaningful — absent means the run uses the
-// default 25 % latency slack, empty means explicitly unconstrained — and
-// both survive the round trip.
-type TolSpec struct {
-	Latency *float64 `json:"latency,omitempty"`
-	Cost    *float64 `json:"cost,omitempty"`
-	Carbon  *float64 `json:"carbon,omitempty"`
-}
-
-// RunSpec is the JSON form of one RunConfig.
-type RunSpec struct {
-	Workload      string   `json:"workload"`
-	Class         string   `json:"class,omitempty"`
-	Regions       []string `json:"regions,omitempty"`
-	Home          string   `json:"home,omitempty"`
-	Coarse        string   `json:"coarse,omitempty"`
-	PlanTxInter   float64  `json:"plan_tx_inter,omitempty"`
-	PlanTxIntra   float64  `json:"plan_tx_intra,omitempty"`
-	Tolerances    *TolSpec `json:"tolerances,omitempty"`
-	PerDay        int      `json:"per_day,omitempty"`
-	BenchFraction float64  `json:"bench_fraction,omitempty"`
-	WarmupDays    int      `json:"warmup_days,omitempty"`
-	EvalDays      int      `json:"eval_days,omitempty"`
-	Seed          int64    `json:"seed,omitempty"`
-}
-
-// SpecOf serializes cfg (defaulted first, so the spec is explicit about
-// every parameter that enters the canonical key).
-func SpecOf(cfg RunConfig) RunSpec {
-	cfg = cfg.withDefaults()
-	s := RunSpec{
-		Class:         string(cfg.Class),
-		Home:          string(cfg.Home),
-		Coarse:        string(cfg.Strategy.Coarse),
-		PlanTxInter:   cfg.PlanTx.InterRegionKWhPerGB,
-		PlanTxIntra:   cfg.PlanTx.IntraRegionKWhPerGB,
-		PerDay:        cfg.PerDay,
-		BenchFraction: cfg.BenchFraction,
-		WarmupDays:    cfg.WarmupDays,
-		EvalDays:      cfg.EvalDays,
-		Seed:          cfg.Seed,
-	}
-	if cfg.Workload != nil {
-		s.Workload = cfg.Workload.Name
-	}
-	for _, r := range cfg.Regions {
-		s.Regions = append(s.Regions, string(r))
-	}
-	if cfg.Tolerances != nil {
-		s.Tolerances = &TolSpec{
-			Latency: limitSpec(cfg.Tolerances.Latency),
-			Cost:    limitSpec(cfg.Tolerances.Cost),
-			Carbon:  limitSpec(cfg.Tolerances.Carbon),
-		}
-	}
-	return s
-}
-
-func limitSpec(l solver.Limit) *float64 {
-	if !l.Set {
-		return nil
-	}
-	pct := l.Pct
-	return &pct
-}
-
-func specLimit(p *float64) solver.Limit {
-	if p == nil {
-		return solver.Limit{}
-	}
-	return solver.Tol(*p)
-}
-
-// Config reconstructs the RunConfig a spec describes. The workload is
-// resolved by name; SpecOf followed by Config preserves the canonical
-// key exactly.
-func (s RunSpec) Config() (RunConfig, error) {
-	wl, err := workloads.ByName(s.Workload)
-	if err != nil {
-		return RunConfig{}, fmt.Errorf("eval: run spec: %w", err)
-	}
-	cfg := RunConfig{
-		Workload: wl,
-		Class:    workloads.InputClass(s.Class),
-		Home:     region.ID(s.Home),
-		Strategy: Strategy{Coarse: region.ID(s.Coarse)},
-		PlanTx: carbon.TransmissionModel{
-			InterRegionKWhPerGB: s.PlanTxInter,
-			IntraRegionKWhPerGB: s.PlanTxIntra,
-		},
-		PerDay:        s.PerDay,
-		BenchFraction: s.BenchFraction,
-		WarmupDays:    s.WarmupDays,
-		EvalDays:      s.EvalDays,
-		Seed:          s.Seed,
-	}
-	for _, r := range s.Regions {
-		cfg.Regions = append(cfg.Regions, region.ID(r))
-	}
-	if s.Tolerances != nil {
-		cfg.Tolerances = &solver.Tolerances{
-			Latency: specLimit(s.Tolerances.Latency),
-			Cost:    specLimit(s.Tolerances.Cost),
-			Carbon:  specLimit(s.Tolerances.Carbon),
-		}
-	}
-	return cfg, nil
-}
-
-// SweepSpec describes a sweep to submit: any combination of figure
-// presets, a cross-product grid, and explicit runs. Expansion dedupes by
-// canonical key, so overlapping sources (e.g. fig8 and fig9 sharing home
+// SweepSpec names the figure presets to expand. Expansion dedupes by
+// canonical key, so overlapping figures (e.g. fig8 and fig9 sharing home
 // baselines) cost one run each.
 type SweepSpec struct {
 	// Figures lists figure presets ("fig7" … "fig10"); each expands to
 	// exactly the runs the corresponding caribou-eval experiment submits.
-	Figures []string `json:"figures,omitempty"`
+	Figures []string
 	// Quick mirrors caribou-eval -quick: the reduced workload set and
 	// swept parameter lists.
-	Quick bool  `json:"quick,omitempty"`
-	Seed  int64 `json:"seed,omitempty"`
-	// Grid expands a cross product of workloads × classes × strategies ×
-	// seeds.
-	Grid *GridSpec `json:"grid,omitempty"`
-	// Runs are explicit additional runs.
-	Runs []RunSpec `json:"runs,omitempty"`
+	Quick bool
+	Seed  int64
 }
 
-// GridSpec is a cross-product sweep: every combination of the listed
-// axes becomes one run. Strategies entries are "fine" or a coarse region
-// ID (e.g. "aws:us-west-2").
-type GridSpec struct {
-	Workloads  []string `json:"workloads"`
-	Classes    []string `json:"classes,omitempty"`    // default: small, large
-	Strategies []string `json:"strategies,omitempty"` // default: fine
-	Seeds      []int64  `json:"seeds,omitempty"`      // default: the spec seed
-	PerDay     int      `json:"per_day,omitempty"`
-	EvalDays   int      `json:"eval_days,omitempty"`
-}
-
-// SweepRun is one expanded run: its manifest label (the canonical
-// configuration serialization, which is also what its storage key
-// hashes) and the configuration itself.
+// SweepRun is one expanded run: its label (the canonical configuration
+// serialization, which is also what its storage key hashes) and the
+// configuration itself.
 type SweepRun struct {
 	Name string
 	Cfg  RunConfig
@@ -194,20 +41,6 @@ func ExpandSweep(spec SweepSpec) ([]SweepRun, error) {
 			return nil, err
 		}
 		cfgs = append(cfgs, fc...)
-	}
-	if spec.Grid != nil {
-		gc, err := spec.Grid.configs(spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, gc...)
-	}
-	for _, rs := range spec.Runs {
-		cfg, err := rs.Config()
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
 	}
 	seen := map[string]bool{}
 	var out []SweepRun
@@ -255,49 +88,4 @@ func figureConfigs(fig string, quick bool, seed int64) ([]RunConfig, error) {
 		return fig10Configs(fig10Defaults(opt)), nil
 	}
 	return nil, fmt.Errorf("eval: unknown figure preset %q (want one of %v)", fig, FigurePresets())
-}
-
-// configs expands the grid's cross product in axis order.
-func (g *GridSpec) configs(specSeed int64) ([]RunConfig, error) {
-	if len(g.Workloads) == 0 {
-		return nil, fmt.Errorf("eval: grid spec needs at least one workload")
-	}
-	classes := g.Classes
-	if len(classes) == 0 {
-		classes = []string{string(workloads.Small), string(workloads.Large)}
-	}
-	strategies := g.Strategies
-	if len(strategies) == 0 {
-		strategies = []string{"fine"}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{specSeed}
-	}
-	var cfgs []RunConfig
-	for _, name := range g.Workloads {
-		wl, err := workloads.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("eval: grid spec: %w", err)
-		}
-		for _, class := range classes {
-			for _, strat := range strategies {
-				strategy := Fine
-				if strat != "fine" {
-					strategy = CoarseIn(region.ID(strat))
-				}
-				for _, seed := range seeds {
-					cfgs = append(cfgs, RunConfig{
-						Workload: wl,
-						Class:    workloads.InputClass(class),
-						Strategy: strategy,
-						PerDay:   g.PerDay,
-						EvalDays: g.EvalDays,
-						Seed:     seed,
-					})
-				}
-			}
-		}
-	}
-	return cfgs, nil
 }

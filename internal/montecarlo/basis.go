@@ -81,19 +81,18 @@ var _ [0]struct{} = [BatchSize % 4]struct{}{}
 // priceBlock prices one block's samples at one hour. coef is the hour's
 // coefficient per slot (gather), its first nRegs the region slots; recs
 // holds len(series) records of len(coef) slots each. Sample i's carbon
-// goes to series[i], and the running sums sums[0..2] (exec, tx, carbon)
-// take its exec, tx and carbon in sample order. Each sample is
+// goes to series[i] and, in sample order, to the running carbon sum, which
+// priceBlock returns. Each sample is
 // priceSample's two chains — c[j]·x[j]·PUE over the region slots, c[j]·x[j]
 // over the pair slots, j ascending — so every bit is the per-sample
 // loop's; four samples' chains are in flight at once, since a chain is
 // bound by add latency.
-func priceBlock(series, recs, coef []float64, nRegs int, sums *[3]float64) {
+func priceBlock(series, recs, coef []float64, nRegs int, sum float64) float64 {
 	// Capping coef at w and cutting each record to w lets the compiler prove
 	// every index in the two chain loops in bounds.
 	w := len(coef)
 	coef = coef[:w:w]
 	cr := coef[:nRegs]
-	exSum, txSum, carbSum := sums[0], sums[1], sums[2]
 	for i := 0; i+4 <= len(series); i += 4 {
 		r0 := recs[i*w:]
 		r1, r2, r3 := r0[w:], r0[2*w:], r0[3*w:]
@@ -116,12 +115,9 @@ func priceBlock(series, recs, coef []float64, nRegs int, sums *[3]float64) {
 		c0, c1, c2, c3 := e0+t0, e1+t1, e2+t2, e3+t3
 		out := series[i : i+4]
 		out[0], out[1], out[2], out[3] = c0, c1, c2, c3
-		exSum, txSum, carbSum = exSum+e0, txSum+t0, carbSum+c0
-		exSum, txSum, carbSum = exSum+e1, txSum+t1, carbSum+c1
-		exSum, txSum, carbSum = exSum+e2, txSum+t2, carbSum+c2
-		exSum, txSum, carbSum = exSum+e3, txSum+t3, carbSum+c3
+		sum = sum + c0 + c1 + c2 + c3
 	}
-	sums[0], sums[1], sums[2] = exSum, txSum, carbSum
+	return sum
 }
 
 // priceDense prices dense per-region and per-pair accumulators at hour h —

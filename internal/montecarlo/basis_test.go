@@ -150,8 +150,6 @@ func TestEstimatePathsAgree(t *testing.T) {
 					}{
 						{"CarbonMean", single.CarbonMean, oracle.CarbonMean, 1e-12},
 						{"CarbonP95", single.CarbonP95, oracle.CarbonP95, 1e-12},
-						{"ExecCarbonMean", single.ExecCarbonMean, oracle.ExecCarbonMean, 1e-12},
-						{"TxCarbonMean", single.TxCarbonMean, oracle.TxCarbonMean, 1e-12},
 						{"LatencyMean", single.LatencyMean, oracle.LatencyMean, 1e-9},
 						{"LatencyP95", single.LatencyP95, oracle.LatencyP95, 1e-9},
 						{"CostMean", single.CostMean, oracle.CostMean, 1e-9},

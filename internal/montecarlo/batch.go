@@ -53,13 +53,13 @@ const (
 
 // hourAcc is one lane's per-hour store through a sweep: the carbon series
 // of every hour of the sweep's window in per-batch blocks (batch b's
-// samples of hour slot k at blocks[b][k*BatchSize:]) and the running exec,
-// tx and carbon sums whose prefixes are the means. Blocks are appended as
+// samples of hour slot k at blocks[b][k*BatchSize:]) and the running
+// carbon sums whose prefixes are the means. Blocks are appended as
 // the lane outlives batches — never regrown — and stay with the
 // accumulator when it returns to the pool.
 type hourAcc struct {
 	blocks [][]float64
-	sums   [][3]float64 // per hour slot: exec, tx, carbon
+	sums   []float64 // per hour slot: carbon
 }
 
 // block returns the carbon block of batch b, appending it on first use.
@@ -382,9 +382,8 @@ func (sw *sweep) price(ln *lane, n int) error {
 	for _, hs := range ln.open {
 		h := sw.h0 + hs
 		b.gather(coef, s.intensity[h], s.txRF[h])
-		sums := &a.sums[hs]
-		priceBlock(carb[hs*BatchSize:(hs+1)*BatchSize], recs, coef, len(b.regs), sums)
-		exSum, txSum, carbSum := sums[0], sums[1], sums[2]
+		carbSum := priceBlock(carb[hs*BatchSize:(hs+1)*BatchSize], recs, coef, len(b.regs), a.sums[hs])
+		a.sums[hs] = carbSum
 
 		carbMean := carbSum / fn
 		done := st.sharedOK && a.carbCV(hs, n, carbMean) < TargetCV
@@ -405,16 +404,14 @@ func (sw *sweep) price(ln *lane, n int) error {
 			}
 			est := &ln.ests[hs]
 			*est = Estimate{
-				Samples:        n,
-				LatencyMean:    latMean,
-				LatencyP95:     st.latP95,
-				CostMean:       costMean,
-				CostP95:        st.costP95,
-				CarbonMean:     carbMean,
-				CarbonP95:      carbP95,
-				ExecCarbonMean: exSum / fn,
-				TxCarbonMean:   txSum / fn,
-				Converged:      done,
+				Samples:     n,
+				LatencyMean: latMean,
+				LatencyP95:  st.latP95,
+				CostMean:    costMean,
+				CostP95:     st.costP95,
+				CarbonMean:  carbMean,
+				CarbonP95:   carbP95,
+				Converged:   done,
 			}
 			ln.out[hs] = est
 			sw.ests++

@@ -65,10 +65,7 @@ type Estimate struct {
 	LatencyMean, LatencyP95 float64
 	CostMean, CostP95       float64
 	CarbonMean, CarbonP95   float64
-	// ExecCarbonMean and TxCarbonMean split the carbon mean into
-	// execution and transmission components (Fig 8).
-	ExecCarbonMean, TxCarbonMean float64
-	Converged                    bool
+	Converged               bool
 }
 
 // Estimator is a compile handle: the Inputs, transmission model and seed
@@ -150,8 +147,8 @@ func (e *Estimator) Estimate(plan dag.Plan, at, now time.Time) (*Estimate, error
 // stopping rule. The compiled Snapshot and the tests' per-event oracle
 // share it so both summarize with identical arithmetic.
 type seriesAcc struct {
-	lat, cost, carb, execC, txC []float64
-	done                        bool
+	lat, cost, carb []float64
+	done            bool
 	// Means computed by the last converged() call, valid while the series
 	// still holds meanAt samples. summarize reuses them instead of
 	// re-averaging the three largest series: stats.Mean is deterministic,
@@ -168,8 +165,6 @@ func (a *seriesAcc) reset() {
 	a.lat = a.lat[:0]
 	a.cost = a.cost[:0]
 	a.carb = a.carb[:0]
-	a.execC = a.execC[:0]
-	a.txC = a.txC[:0]
 	a.done = false
 	a.meanAt = 0
 }
@@ -177,18 +172,14 @@ func (a *seriesAcc) reset() {
 func (a *seriesAcc) add(s sample) {
 	if a.lat == nil {
 		// Most estimates converge within the first batch; reserving it up
-		// front avoids regrowing five slices through the hot loop.
+		// front avoids regrowing three slices through the hot loop.
 		a.lat = make([]float64, 0, BatchSize)
 		a.cost = make([]float64, 0, BatchSize)
 		a.carb = make([]float64, 0, BatchSize)
-		a.execC = make([]float64, 0, BatchSize)
-		a.txC = make([]float64, 0, BatchSize)
 	}
 	a.lat = append(a.lat, s.latency)
 	a.cost = append(a.cost, s.cost)
 	a.carb = append(a.carb, s.execCarbon+s.txCarbon)
-	a.execC = append(a.execC, s.execCarbon)
-	a.txC = append(a.txC, s.txCarbon)
 }
 
 func (a *seriesAcc) converged() bool {
@@ -205,10 +196,8 @@ func (a *seriesAcc) converged() bool {
 
 func (a *seriesAcc) summarize() (*Estimate, error) {
 	est := &Estimate{
-		Samples:        len(a.lat),
-		Converged:      a.done,
-		ExecCarbonMean: stats.Mean(a.execC),
-		TxCarbonMean:   stats.Mean(a.txC),
+		Samples:   len(a.lat),
+		Converged: a.done,
 	}
 	if a.meanAt == len(a.lat) {
 		est.LatencyMean, est.CostMean, est.CarbonMean = a.latMean, a.costMean, a.carbMean

@@ -11,7 +11,7 @@ import (
 // priceCase is one block-kernel case: nR sizes the hour tables (nR + nR²
 // entries each, so every width 1 … nR + nR² fits), w is the basis width
 // and nRegs how many of its slots are region slots; seed draws the tables,
-// the slot indices, the records and the running sums.
+// the slot indices, the records and the running sum.
 type priceCase struct {
 	nR, w, nRegs uint8
 	seed         uint64
@@ -49,11 +49,11 @@ var priceSpecials = []float64{
 }
 
 // priceFixture builds case c's hour tables, basis slots, block records and
-// starting sums. Each value is a special with the case's rate (none, one in
+// starting carbon sum. Each value is a special with the case's rate (none, one in
 // sixteen, one in four — a block full of NaN would hide a reordering) and
 // otherwise a signed mantissa times 10^[-20, 20]. raw, 8 bytes a value,
 // overrides the tables' then the records' values with arbitrary bits.
-func priceFixture(c priceCase, raw []byte) (inten, rf []float64, b *Basis, recs []float64, sums [3]float64) {
+func priceFixture(c priceCase, raw []byte) (inten, rf []float64, b *Basis, recs []float64, sum float64) {
 	// Fuzzed fields out of range wrap into it; the table's are in range.
 	nR, w, nRegs := int(c.nR), int(c.w), int(c.nRegs)
 	if nR < 1 || nR > 6 {
@@ -83,10 +83,8 @@ func priceFixture(c priceCase, raw []byte) (inten, rf []float64, b *Basis, recs 
 			}
 		}
 	}
-	for k := range sums {
-		if rng.IntN(2) == 0 {
-			sums[k] = draw()
-		}
+	if rng.IntN(2) == 0 {
+		sum = draw()
 	}
 	// Slot indices: ascending, distinct within each kind, anywhere in the
 	// tables.
@@ -99,7 +97,7 @@ func priceFixture(c priceCase, raw []byte) (inten, rf []float64, b *Basis, recs 
 		return idx
 	}
 	b = &Basis{regs: pick(nRegs), pairs: pick(w - nRegs)}
-	return tables[:size], tables[size:], b, recs, sums
+	return tables[:size], tables[size:], b, recs, sum
 }
 
 // sameBits reports whether x and y carry the same bits — signed zeros
@@ -111,27 +109,25 @@ func sameBits(x, y float64) bool {
 }
 
 // checkPriceBlock prices case c's block with the kernel and with a
-// priceSample loop, and requires every series entry and every running sum
-// to carry the same bits (sameBits).
+// priceSample loop, and requires every series entry and the running carbon
+// sum to carry the same bits (sameBits).
 func checkPriceBlock(t *testing.T, c priceCase, raw []byte) {
 	t.Helper()
-	inten, rf, b, recs, sums := priceFixture(c, raw)
+	inten, rf, b, recs, sum := priceFixture(c, raw)
 	w, nRegs := b.width(), len(b.regs)
 
-	want, wantSums := make([]float64, BatchSize), sums
+	want, wantSum := make([]float64, BatchSize), sum
 	for i := range want {
 		rec := recs[i*w : (i+1)*w]
 		ex, tx := priceSample(inten, rf, b.regs, b.pairs, rec[:nRegs], rec[nRegs:])
 		want[i] = ex + tx
-		wantSums[0] += ex
-		wantSums[1] += tx
-		wantSums[2] += want[i]
+		wantSum += want[i]
 	}
 
 	coef := make([]float64, w)
 	b.gather(coef, inten, rf)
-	got, gotSums := make([]float64, BatchSize), sums
-	priceBlock(got, recs, coef, nRegs, &gotSums)
+	got := make([]float64, BatchSize)
+	gotSum := priceBlock(got, recs, coef, nRegs, sum)
 
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
@@ -139,11 +135,9 @@ func checkPriceBlock(t *testing.T, c priceCase, raw []byte) {
 				c, w, nRegs, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
-	for k, name := range []string{"exec", "tx", "carbon"} {
-		if !sameBits(gotSums[k], wantSums[k]) {
-			t.Fatalf("%+v (w=%d, %d region slots): %s sum %v (%#x), priceSample loop gives %v (%#x)",
-				c, w, nRegs, name, gotSums[k], math.Float64bits(gotSums[k]), wantSums[k], math.Float64bits(wantSums[k]))
-		}
+	if !sameBits(gotSum, wantSum) {
+		t.Fatalf("%+v (w=%d, %d region slots): carbon sum %v (%#x), priceSample loop gives %v (%#x)",
+			c, w, nRegs, gotSum, math.Float64bits(gotSum), wantSum, math.Float64bits(wantSum))
 	}
 }
 

@@ -346,7 +346,7 @@ var hourAccPool = sync.Pool{New: func() any { return new(hourAcc) }}
 func getHourAcc(nh int) *hourAcc {
 	a := hourAccPool.Get().(*hourAcc)
 	if len(a.sums) != nh {
-		a.sums = make([][3]float64, nh)
+		a.sums = make([]float64, nh)
 		a.blocks = nil
 	}
 	clear(a.sums)

@@ -100,7 +100,6 @@ func TestSnapshotMatchesEstimator(t *testing.T) {
 				{got.LatencyMean, want.LatencyMean}, {got.LatencyP95, want.LatencyP95},
 				{got.CostMean, want.CostMean}, {got.CostP95, want.CostP95},
 				{got.CarbonMean, want.CarbonMean}, {got.CarbonP95, want.CarbonP95},
-				{got.ExecCarbonMean, want.ExecCarbonMean}, {got.TxCarbonMean, want.TxCarbonMean},
 			}
 			for i, p := range pairs {
 				if relDiff(p[0], p[1]) > 1e-9 {

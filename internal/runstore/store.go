@@ -1,6 +1,5 @@
 // Package runstore is a stdlib-only, content-addressed on-disk result
-// store plus the shard/lease machinery for multi-process experiment
-// sweeps. It is the durable tier behind eval.Pool's in-memory run memo:
+// store. It is the durable tier behind eval.Pool's in-memory run memo:
 // a run's canonical configuration string hashes to a SHA-256 key, the
 // key addresses one immutable blob, and blobs are written atomically
 // (temp file + rename) so concurrent writers and killed processes can
@@ -10,13 +9,12 @@
 // consuming garbage.
 //
 // The repo's determinism invariants (caribou-lint, seeded streams) make
-// every run reproducible bit-for-bit, which is what lets N processes
-// share one store with no coordination beyond exclusive shard locks: any
-// two writers of the same key write identical results, so last-rename-
-// wins is safe. As of eval.ResultSchema @v3 that holds for the bytes too:
-// the payload codec is byte-deterministic (maps are written in sorted key
-// order), so two stores populated from the same manifest hold identical
-// objects whoever computed them.
+// every run reproducible bit-for-bit, so any two writers of the same key
+// write identical results and last-rename-wins is safe. As of
+// eval.ResultSchema @v3 that holds for the bytes too: the payload codec
+// is byte-deterministic (maps are written in sorted key order), so two
+// stores filled from the same configurations hold identical objects
+// whoever computed them.
 package runstore
 
 import (
@@ -98,9 +96,6 @@ func Open(dir string) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats snapshots the activity counters.
 func (s *Store) Stats() StoreStats {
 	return StoreStats{
@@ -118,12 +113,6 @@ func (s *Store) Path(key string) string {
 		return filepath.Join(s.dir, "objects", "short", key)
 	}
 	return filepath.Join(s.dir, "objects", key[:2], key[2:])
-}
-
-// Has reports whether a blob exists under key without validating it.
-func (s *Store) Has(key string) bool {
-	_, err := os.Stat(s.Path(key))
-	return err == nil
 }
 
 // Get returns the payload stored under key, validating the header and

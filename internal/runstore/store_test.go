@@ -224,7 +224,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		t.Fatal("final object is not any writer's payload")
 	}
 	// No temp files may leak.
-	entries, err := os.ReadDir(s.Dir() + "/objects/" + key[:2])
+	entries, err := os.ReadDir(filepath.Dir(s.Path(key)))
 	if err != nil {
 		t.Fatal(err)
 	}
