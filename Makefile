@@ -13,8 +13,8 @@ test:
 # race runs the concurrent packages under the race detector. Line 1:
 # solver, montecarlo and telemetry in full except -short's one skip (the
 # exhaustive-rows grid's untaped heavy-tail solve, a minute under the
-# detector). Line 2: the tape, node-index, basis, hour-row, screen and
-# exec-error parity tests twice in one process, so the second pass re-enters
+# detector). Line 2: the tape, node-index, basis, hour-row, screen,
+# prune-before-pricing and exec-error parity tests twice in one process, so the second pass re-enters
 # warm scratch, accumulator and arena pools while Workers: 8 extend a fresh
 # solve's one tape. Line 3:
 # the control plane's shards, the manager and the run store. Line 4: the
@@ -23,7 +23,7 @@ test:
 # TestSimulatorBlobDigests.
 race:
 	$(GO) test -race -short ./internal/solver/... ./internal/montecarlo/... ./internal/telemetry/...
-	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestScreen|TestExhaustiveScreen|TestFuzzSeeds|TestNodeIndexRegroupsSteps|TestReplayExecErrorIsTheReferences' ./internal/solver/ ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharedTape|TestHourInvariance|TestEstimateBatchBoundsPerHour|TestEstimateRows|TestSolveOneMatches|TestSolveHourlyPlanReuse|TestSolveHourlyTiny|TestBasis|TestScreen|TestExhaustiveScreen|TestFuzzSeeds|TestPruneBeforePricing|TestNodeIndexRegroupsSteps|TestReplayExecErrorIsTheReferences' ./internal/solver/ ./internal/montecarlo/
 	$(GO) test -race ./internal/controlplane/... ./internal/manager/... ./internal/runstore/...
 	$(GO) test -race -run 'TestPool|TestFig7|TestCoarse|TestRunAll|TestDo|TestSharedSource|TestTelemetry|TestCodecRoundTrip|TestEncodeResultDeterministic|TestSimulatorBlobDigests|TestSharedForecasts' ./internal/eval/... ./internal/carbon/... ./internal/metrics/...
 
@@ -33,6 +33,9 @@ race:
 #                     field; a pruned one really exceeds its threshold
 #   FuzzPriceBlock    the block pricing kernel gives every sample's carbon
 #                     and the running sums bit for bit as priceSample does
+#   FuzzBlockCarbonFloor  on non-negative records, coefficients and running
+#                     sum, the carbon floor from the block's slot sums is at
+#                     most the sum priceBlock returns, within 3·screenTol
 #   FuzzDecodeBlob, FuzzDecodeResult  (store frame, result payload) what a
 #                     decoder accepts re-encodes to the same bytes
 #   FuzzLoadManifest  an accepted manifest re-marshals and re-loads equal
@@ -53,6 +56,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEstimateRows -fuzztime $(FUZZTIME) ./internal/montecarlo/
 	$(GO) test -run xxx -fuzz FuzzPriceBlock -fuzztime $(FUZZTIME) ./internal/montecarlo/
+	$(GO) test -run xxx -fuzz FuzzBlockCarbonFloor -fuzztime $(FUZZTIME) ./internal/montecarlo/
 	$(GO) test -run xxx -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME) ./internal/runstore/
 	$(GO) test -run xxx -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/eval/
 	$(GO) test -run xxx -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) .

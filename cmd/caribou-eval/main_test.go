@@ -3,26 +3,54 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"caribou/internal/eval"
 	"caribou/internal/runstore"
 )
 
-// buildEval builds the binary and returns a function that runs it.
+// binDir holds the binary buildEval links, once for all of the package's
+// tests; TestMain removes it when they are done.
+var (
+	binDir    string
+	buildOnce sync.Once
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "caribou-eval-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildEval builds the binary on the package's first call and returns a
+// function that runs it.
 func buildEval(t *testing.T) func(args ...string) (stdout, stderr []byte, err error) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "caribou-eval")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin := filepath.Join(binDir, "caribou-eval")
+	buildOnce.Do(func() {
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
 	return func(args ...string) (stdout, stderr []byte, err error) {
 		var so, se bytes.Buffer

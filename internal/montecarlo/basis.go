@@ -199,13 +199,16 @@ type Basis struct {
 
 // boundStat is what the first (plan, hour) to settle at a boundary leaves
 // for the others: the latency and cost running sums through the boundary
-// (their prefixes are the means), whether both CVs pass, and — once some
-// hour stopped there — both p95s.
+// (their prefixes are the means), whether both CVs pass, once some hour
+// stopped there both p95s, and once some hour's prune check wanted the
+// carbon floor the block's per-slot record sums (slotSums).
 type boundStat struct {
 	latSum, costSum float64
 	sharedOK        bool
 	haveP95         bool
 	latP95, costP95 float64
+	haveSlot        bool
+	slotSum         []float64 // nil when a record is negative or not finite
 }
 
 // NewBasis returns assign's empty basis over arena a. The assignment is
@@ -264,6 +267,68 @@ func (b *Basis) statAt(k int) *boundStat {
 	return &b.stat[k]
 }
 
+// slotSums returns block k's per-slot record sums S_j = Σ_i x_ij, computed
+// on first use into the basis arena, or nil when some record is negative
+// or not finite — the carbon floor (carbonFloor) then does not hold. The
+// caller holds the basis and has taken statAt(k).
+func (b *Basis) slotSums(k int) []float64 {
+	st := &b.stat[k]
+	if st.haveSlot {
+		return st.slotSum
+	}
+	st.haveSlot = true
+	w := b.width()
+	sum := b.arena.take(w)
+	clear(sum)
+	// A float is non-negative and finite exactly when its bits, read as an
+	// unsigned integer, are below +Inf's: the sign bit and NaN lie above.
+	var top uint64
+	recs := b.blocks[k][2*BatchSize:]
+	for i := 0; i+w <= len(recs); i += w {
+		rec := recs[i : i+w : i+w]
+		sum := sum[:len(rec)]
+		for j, x := range rec {
+			sum[j] += x
+			top = max(top, math.Float64bits(x))
+		}
+	}
+	if top >= math.Float64bits(math.Inf(1)) {
+		return nil
+	}
+	st.slotSum = sum
+	return sum
+}
+
+// carbonFloor floors the running carbon sum priceBlock(series, recs, coef,
+// nRegs, sum) returns, given the block's slot sums (slotSums): sum +
+// Σ_j coef_j·S_j, PUE on the region slots, less screenTol relative. With
+// every coefficient, record and sum non-negative and finite, both sides are
+// non-negative sums of the same real terms, each within (BatchSize+w+4)·ε
+// ≈ 5e-14 relative of their exact total — far inside screenTol — so the
+// floor is below; products that underflow lose at most 2⁻¹⁰⁷⁵ apiece, which
+// the absolute 2⁻¹⁰⁰⁰ covers. ok is false where the floor does not hold: a
+// negative or non-finite coefficient or sum, no slot sums, or an overflow.
+func carbonFloor(slotSum, coef []float64, nRegs int, sum float64) (floor float64, ok bool) {
+	if slotSum == nil || !(sum >= 0) {
+		return 0, false
+	}
+	x := sum
+	for j, c := range coef {
+		if !(c >= 0 && c <= math.MaxFloat64) {
+			return 0, false
+		}
+		t := c * slotSum[j]
+		if j < nRegs {
+			t *= carbon.PUE
+		}
+		x += t
+	}
+	if !(x <= math.MaxFloat64) {
+		return 0, false
+	}
+	return x*(1-screenTol) - 0x1p-1000, true
+}
+
 // screenRow returns what the first block proves about each hour, hour-free
 // (DESIGN.md "Row screening"): scr[h] is the CarbonMean the reference rule
 // stops with at hour h after one batch, or -Inf where the block does not
@@ -314,11 +379,15 @@ func (s *Snapshot) screenRow(b *Basis) []float64 {
 	return scr
 }
 
-// moveTo re-homes the basis, which the caller owns, in arena a.
+// moveTo re-homes the basis, which the caller owns, in arena a; slot sums
+// are dropped, to be taken again on first use.
 func (b *Basis) moveTo(a *BasisArena) {
 	for k, blk := range b.blocks {
 		b.blocks[k] = a.take(len(blk))
 		copy(b.blocks[k], blk)
+	}
+	for k := range b.stat {
+		b.stat[k].haveSlot, b.stat[k].slotSum = false, nil
 	}
 	b.arena = a
 }

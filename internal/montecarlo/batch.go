@@ -17,6 +17,11 @@ package montecarlo
 //     the hour is priced: the first block's hour-free statistics (basis.go:
 //     screenRow) prove the estimate stops here with a metric mean above the
 //     hour's threshold → screened, a nil Estimate, never priced;
+//   - the latency or cost CV fails short of MaxSamples, so no hour can stop
+//     here, and the bound columns prove the hour's final mean metric
+//     exceeds its threshold from the exact latency or cost sum, or from a
+//     floor of the carbon sum the block would price to (basis.go:
+//     carbonFloor) → abandoned before pricing, a nil Estimate;
 //   - converged (the check runs at every boundary on exactly the series
 //     the reference rule sees: latency and cost CVs once per basis per
 //     boundary, the carbon CV per hour) or out of tape → summarized;
@@ -149,6 +154,7 @@ type sweep struct {
 	fresh         []*Basis
 	coef          []float64 // one hour's coefficients by slot, as wide as the widest basis
 	ests, pruned  int64
+	unpriced      int64 // of pruned, closed before pricing
 	pricedSamples int64
 	screened      int64
 	// Section nanoseconds by Lap: zeros with telemetry off.
@@ -208,6 +214,7 @@ func (sw *sweep) run() error {
 	s.tel.hourPrices.Add(sw.pricedSamples)
 	s.tel.screened.Add(sw.screened)
 	s.Sweeps.Screened.Add(sw.screened)
+	s.Sweeps.PrunedUnpriced.Add(sw.unpriced)
 	s.Sweeps.Priced.Add(sw.pricedSamples / BatchSize)
 	s.Sweeps.ReplayNS.Add(sw.replayNS)
 	s.Sweeps.PriceNS.Add(sw.priceNS)
@@ -364,7 +371,12 @@ func (sw *sweep) settle(ln *lane, n int) error {
 // price prices the lane's newest block at every open hour — one block
 // kernel call per hour (priceBlock) on the hour's coefficients gathered
 // once — and applies the stopping rule and the prune rule at sample count
-// n. A lane with an hour still open afterwards rejoins sw.active.
+// n. Where the shared half already rules out a stop (the latency or cost CV
+// fails short of MaxSamples), the prune check runs first, on the exact
+// cost or latency sum or on the carbon floor (carbonFloor), and a cell it
+// closes is never priced; the floor is below the priced sum and lowerBound
+// is monotone in it, so the exact check would close the cell too. A lane
+// with an hour still open afterwards rejoins sw.active.
 //
 //caribou:hot
 func (sw *sweep) price(ln *lane, n int) error {
@@ -376,14 +388,30 @@ func (sw *sweep) price(ln *lane, n int) error {
 	latMean, costMean := st.latSum/fn, st.costSum/fn
 	recs, carb := b.blocks[k][2*BatchSize:], a.block(k)
 	coef := sw.coef[:b.width()]
-	sw.pricedSamples += int64(BatchSize * len(ln.open))
+	early := !st.sharedOK && n < MaxSamples && len(sw.rows.Threshold) > 0 && s.bnd.ok
+	var slotSum []float64
+	if early && sw.rows.Metric == BatchCarbonMean {
+		slotSum = b.slotSums(k)
+	}
 
 	open := ln.open[:0]
 	for _, hs := range ln.open {
 		h := sw.h0 + hs
 		b.gather(coef, s.intensity[h], s.txRF[h])
+		if early {
+			partial, ok := sw.sharedSum(st)
+			if !ok {
+				partial, ok = carbonFloor(slotSum, coef, len(b.regs), a.sums[hs])
+			}
+			if ok && sw.prunedAt(h, n, partial) {
+				sw.pruned++
+				sw.unpriced++
+				continue
+			}
+		}
 		carbSum := priceBlock(carb[hs*BatchSize:(hs+1)*BatchSize], recs, coef, len(b.regs), a.sums[hs])
 		a.sums[hs] = carbSum
+		sw.pricedSamples += BatchSize
 
 		carbMean := carbSum / fn
 		done := st.sharedOK && a.carbCV(hs, n, carbMean) < TargetCV
@@ -417,12 +445,9 @@ func (sw *sweep) price(ln *lane, n int) error {
 			sw.ests++
 			continue
 		}
-		partial := carbSum
-		switch sw.rows.Metric {
-		case BatchCostMean:
-			partial = st.costSum
-		case BatchLatencyMean:
-			partial = st.latSum
+		partial, shared := sw.sharedSum(st)
+		if !shared {
+			partial = carbSum
 		}
 		if sw.prunedAt(h, n, partial) {
 			sw.pruned++
@@ -435,6 +460,19 @@ func (sw *sweep) price(ln *lane, n int) error {
 		sw.active = append(sw.active, ln)
 	}
 	return nil
+}
+
+// sharedSum returns the boundary's running sum of the pruned metric when
+// it is latency or cost — hour-free, the basis's own — and ok false for
+// carbon.
+func (sw *sweep) sharedSum(st *boundStat) (sum float64, ok bool) {
+	switch sw.rows.Metric {
+	case BatchCostMean:
+		return st.costSum, true
+	case BatchLatencyMean:
+		return st.latSum, true
+	}
+	return 0, false
 }
 
 // prunedAt reports whether a lane whose metric sum over its first n

@@ -118,3 +118,54 @@ func (s *Snapshot) ScreenRow(assign []int) ([]float64, error) {
 // HourTables returns hour h's live intensity (by region) and route factor
 // (by region pair) tables, for tests that hand-build an hour's signal.
 func (s *Snapshot) HourTables(h int) (inten, rf []float64) { return s.intensity[h], s.txRF[h] }
+
+// PriceFirstRows is the prune rule with every (plan, hour) priced before
+// its prune check — the order a sweep kept before it learned to prune from
+// the carbon floor — walked one (plan, hour) at a time over private bases:
+// at each boundary the block is priced (priceBlock), the stopping rule
+// checked, and only then the bound check run on the exact running sum.
+// Screening is not modelled: on a snapshot whose first blocks prove no stop
+// it closes nothing. out[i][h] is Estimate(assigns[i], h), or nil where the
+// check abandoned the cell; pruned counts the nil cells.
+func (s *Snapshot) PriceFirstRows(assigns [][]int, prune *RowPrune) (out [][]*Estimate, pruned int, err error) {
+	bases, arena, err := s.newBases(assigns)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer arena.Release()
+	sw := &sweep{s: s, rows: prune}
+	out = make([][]*Estimate, len(bases))
+	for i, b := range bases {
+		out[i] = make([]*Estimate, len(s.hours))
+		coef := make([]float64, b.width())
+		for h := range s.hours {
+			a := &hourAcc{sums: make([]float64, 1)}
+			for n := BatchSize; ; n += BatchSize {
+				k := n/BatchSize - 1
+				if b.n < n {
+					if err := s.replayBatch(bases[i:i+1], n-BatchSize); err != nil {
+						return nil, 0, err
+					}
+				}
+				st := b.statAt(k)
+				b.gather(coef, s.intensity[h], s.txRF[h])
+				a.sums[0] = priceBlock(a.block(k), b.blocks[k][2*BatchSize:], coef, len(b.regs), a.sums[0])
+				if st.sharedOK && a.carbCV(0, n, a.sums[0]/float64(n)) < TargetCV || n >= MaxSamples {
+					if out[i][h], err = s.Estimate(assigns[i], h); err != nil {
+						return nil, 0, err
+					}
+					break
+				}
+				partial, shared := sw.sharedSum(st)
+				if !shared {
+					partial = a.sums[0]
+				}
+				if sw.prunedAt(h, n, partial) {
+					pruned++
+					break
+				}
+			}
+		}
+	}
+	return out, pruned, nil
+}

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -162,5 +163,83 @@ func FuzzPriceBlock(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, nR, w, nRegs uint8, seed uint64, raw []byte) {
 		checkPriceBlock(t, priceCase{nR, w, nRegs, seed}, raw)
+	})
+}
+
+// checkBlockCarbonFloor builds case c's block with every table value,
+// record and the running sum made non-negative (|x|) and checks its carbon
+// floor (checkFloor).
+func checkBlockCarbonFloor(t *testing.T, c priceCase, raw []byte) bool {
+	t.Helper()
+	inten, rf, b, recs, sum := priceFixture(c, raw)
+	for _, xs := range [][]float64{inten, rf, recs} {
+		for i, x := range xs {
+			xs[i] = math.Abs(x)
+		}
+	}
+	coef := make([]float64, b.width())
+	b.gather(coef, inten, rf)
+	return checkFloor(t, fmt.Sprintf("%+v", c), b, coef, recs, math.Abs(sum))
+}
+
+// checkFloor takes the block's slot sums (slotSums) and requires the carbon
+// floor, wherever it claims to hold, to be at most the running sum
+// priceBlock returns and, for a finite sum, within 3·screenTol (less
+// 2⁻⁹⁹⁹) of it: the margin is enough and the floor is no looser. It
+// reports whether the floor held.
+func checkFloor(t *testing.T, name string, b *Basis, coef, recs []float64, sum float64) bool {
+	t.Helper()
+	nRegs := len(b.regs)
+	blk := make([]float64, 2*BatchSize+len(recs))
+	copy(blk[2*BatchSize:], recs)
+	b.blocks, b.stat, b.arena = [][]float64{blk}, make([]boundStat, 1), NewBasisArena()
+	floor, ok := carbonFloor(b.slotSums(0), coef, nRegs, sum)
+	got := priceBlock(make([]float64, BatchSize), recs, coef, nRegs, sum)
+	if !ok {
+		return false
+	}
+	if !(floor <= got) {
+		t.Fatalf("%s (w=%d, %d region slots): floor %v (%#x) above the priced sum %v (%#x)",
+			name, len(coef), nRegs, floor, math.Float64bits(floor), got, math.Float64bits(got))
+	}
+	if got <= math.MaxFloat64 && !(floor >= got*(1-3*screenTol)-0x1p-999) {
+		t.Fatalf("%s (w=%d, %d region slots): floor %v is looser than 3·screenTol under the priced sum %v", name, len(coef), nRegs, floor, got)
+	}
+	return true
+}
+
+// TestBlockCarbonFloor holds the carbon floor under the priced sum over
+// the block-kernel cases, and requires it to hold on at least a quarter of
+// them: a third carry no special value, and the rest hold unless a
+// non-finite value or an overflow voids the floor. A block whose every
+// product underflows to zero in the kernel, while coefficient × slot sum
+// does not, needs the floor's absolute slack.
+func TestBlockCarbonFloor(t *testing.T) {
+	held, cases := 0, priceCases()
+	for _, c := range cases {
+		if checkBlockCarbonFloor(t, c, nil) {
+			held++
+		}
+	}
+	if 4*held < len(cases) {
+		t.Errorf("the floor held on %d of %d cases", held, len(cases))
+	}
+	recs := make([]float64, BatchSize)
+	for i := range recs {
+		recs[i] = 0x1p-540
+	}
+	if !checkFloor(t, "underflow", &Basis{pairs: []int32{0}}, []float64{0x1p-536}, recs, 0) {
+		t.Error("underflow: the floor did not hold")
+	}
+}
+
+// FuzzBlockCarbonFloor is TestBlockCarbonFloor's oracle over fuzzed cases;
+// raw sets table and record values bit by bit (their magnitudes).
+func FuzzBlockCarbonFloor(f *testing.F) {
+	for _, c := range priceCases() {
+		f.Add(c.nR, c.w, c.nRegs, c.seed, []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, nR, w, nRegs uint8, seed uint64, raw []byte) {
+		checkBlockCarbonFloor(t, priceCase{nR, w, nRegs, seed}, raw)
 	})
 }

@@ -463,3 +463,86 @@ func TestStaticSlotsCoverDenseAccumulation(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneBeforePricingMatchesPriceFirst pins the prune-before-pricing
+// clause to the order it replaced, on the heavy-tail chain homed in
+// ca-central-1 — where the latency and cost CVs keep boundaries open and
+// the bounds do the pruning: every plan × every hour, swept as one chunk
+// under the home row's thresholds (carbon) and under half the home row's
+// mean (each metric), gives the nil pattern, the estimates (field for
+// field) and the pruned_candidates count of PriceFirstRows, which prices
+// every (plan, hour) before its prune check. Under the home-row carbon
+// thresholds every pruned cell must have been closed unpriced, so a floor
+// that stopped firing fails here; some case must also prune a cell only
+// after pricing it, at a boundary whose shared CVs pass.
+func TestPruneBeforePricingMatchesPriceFirst(t *testing.T) {
+	rec := telemetry.Enable(telemetry.Options{})
+	t.Cleanup(telemetry.Disable)
+	prunedCtr := rec.Counter("montecarlo.pruned_candidates")
+	snap := learnSnapshot(t, workloads.HeavyTailAnalytics(), region.CACentral1)
+	H, nR, nN := snap.NumHours(), snap.Regions(), snap.NumNodes()
+	var assigns [][]int
+	for p := 0; len(assigns) == 0 || p > 0; p = (p + 1) % int(math.Pow(float64(nR), float64(nN))) {
+		a := make([]int, nN)
+		for i, q := 0, p; i < nN; i, q = i+1, q/nR {
+			a[i] = q % nR
+		}
+		assigns = append(assigns, a)
+	}
+	if len(assigns) != 256 {
+		t.Fatalf("%d plans, want 256", len(assigns))
+	}
+	home, err := snap.EstimateRows([][]int{snap.HomeAssign()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pricedFirst := false
+	for _, tc := range []struct {
+		metric      montecarlo.BatchMetric
+		scale       float64
+		allUnpriced bool
+	}{
+		{montecarlo.BatchCarbonMean, 1 + 1e-9, true},
+		{montecarlo.BatchCarbonMean, 0.5, false},
+		{montecarlo.BatchCostMean, 0.5, false},
+		{montecarlo.BatchLatencyMean, 0.5, false},
+	} {
+		prune := &montecarlo.RowPrune{Metric: tc.metric, Threshold: make([]float64, H), Horizon: make([]int, H)}
+		for h, e := range home[0] {
+			prune.Threshold[h] = metricMean(e, tc.metric) * tc.scale
+			prune.Horizon[h] = e.Samples
+		}
+		want, wantPruned, err := snap.PriceFirstRows(assigns, prune)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr, unpriced, screened := prunedCtr.Value(), snap.Sweeps.PrunedUnpriced.Load(), snap.Sweeps.Screened.Load()
+		got, err := snap.EstimateRows(assigns, prune)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned := prunedCtr.Value() - ctr
+		unpriced = snap.Sweeps.PrunedUnpriced.Load() - unpriced
+		if n := snap.Sweeps.Screened.Load() - screened; n != 0 {
+			t.Fatalf("%+v: %d cells screened; PriceFirstRows does not model the screen", tc, n)
+		}
+		for i := range assigns {
+			for h := 0; h < H; h++ {
+				g, w := got[i][h], want[i][h]
+				if (g == nil) != (w == nil) || g != nil && *g != *w {
+					t.Fatalf("%+v plan %v hour %d: sweep %+v, price-first %+v", tc, assigns[i], h, g, w)
+				}
+			}
+		}
+		if pruned != int64(wantPruned) {
+			t.Errorf("%+v: sweep pruned %d cells, price-first %d", tc, pruned, wantPruned)
+		}
+		if unpriced <= 0 || unpriced > pruned || tc.allUnpriced && unpriced != pruned {
+			t.Errorf("%+v: %d of %d pruned cells closed before pricing", tc, unpriced, pruned)
+		}
+		pricedFirst = pricedFirst || unpriced < pruned
+	}
+	if !pricedFirst {
+		t.Error("every pruned cell was closed unpriced: the check after pricing is not covered")
+	}
+}

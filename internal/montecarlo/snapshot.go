@@ -52,10 +52,13 @@ type Snapshot struct {
 	tape   *sampleTape
 	bounds []boundCache
 	// Sweeps is what this snapshot's sweeps did in its life — one solve's —
-	// for the solver's span: plan-batches replayed, row cells screened,
-	// (block, hour) pricings and, with telemetry on, nanoseconds in replay,
-	// pricing with its summaries, and screening, summed over workers.
-	Sweeps struct{ Replays, Screened, Priced, ReplayNS, PriceNS, ScreenNS atomic.Int64 }
+	// for the solver's span: plan-batches replayed, row cells screened, row
+	// cells pruned before their block was priced, (block, hour) pricings
+	// and, with telemetry on, nanoseconds in replay, pricing with its
+	// summaries, and screening, summed over workers.
+	Sweeps struct {
+		Replays, Screened, PrunedUnpriced, Priced, ReplayNS, PriceNS, ScreenNS atomic.Int64
+	}
 
 	// scratchPool, batchPool, snapPool, and accPool recycle the bound
 	// replay's scratch, the batch replay's, the untaped path's sampling

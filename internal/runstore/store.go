@@ -58,7 +58,6 @@ type StoreStats struct {
 	Hits    int64 // Get found a valid blob
 	Misses  int64 // Get found no blob
 	Corrupt int64 // Get found a blob but rejected it (bad header/checksum)
-	Writes  int64 // Put published a blob
 }
 
 // Store is a content-addressed blob store rooted at one directory.
@@ -70,7 +69,6 @@ type Store struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	corrupt atomic.Int64
-	writes  atomic.Int64
 
 	telHits    *telemetry.Counter
 	telMisses  *telemetry.Counter
@@ -102,7 +100,6 @@ func (s *Store) Stats() StoreStats {
 		Hits:    s.hits.Load(),
 		Misses:  s.misses.Load(),
 		Corrupt: s.corrupt.Load(),
-		Writes:  s.writes.Load(),
 	}
 }
 
@@ -154,7 +151,6 @@ func (s *Store) Put(key, schema string, payload []byte) error {
 	if err := atomicWrite(dst, blob); err != nil {
 		return fmt.Errorf("runstore: put %s: %w", key, err)
 	}
-	s.writes.Add(1)
 	s.telWrites.Inc()
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"caribou/internal/telemetry"
 )
 
 const testSchema = "runstore/test@v1"
@@ -23,6 +25,8 @@ func openTestStore(t *testing.T) *Store {
 }
 
 func TestStorePutGetRoundTrip(t *testing.T) {
+	writes := telemetry.Enable(telemetry.Options{}).Counter("runstore.writes")
+	t.Cleanup(telemetry.Disable)
 	s := openTestStore(t)
 	key := KeyOf("wl=x|class=small|seed=17")
 	payload := []byte("the result payload \x00 with binary\xff bytes")
@@ -40,8 +44,8 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 		t.Fatalf("payload mismatch: got %q want %q", got, payload)
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Corrupt != 0 {
-		t.Fatalf("stats = %+v", st)
+	if st.Hits != 1 || st.Misses != 1 || st.Corrupt != 0 || writes.Value() != 1 {
+		t.Fatalf("stats = %+v, runstore.writes = %d", st, writes.Value())
 	}
 }
 

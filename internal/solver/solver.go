@@ -316,7 +316,8 @@ func (s *Solver) SolveHourly(dayStart, now time.Time) (dag.HourlyPlans, []Result
 	sw := &c.snap.Sweeps
 	sp.Annotate(telemetry.Int("plans", c.replayed), telemetry.Int("estimates", c.memoized),
 		telemetry.Int("replayed_samples", sw.Replays.Load()*montecarlo.BatchSize),
-		telemetry.Int("screened", sw.Screened.Load()), telemetry.Int("priced_cells", sw.Priced.Load()),
+		telemetry.Int("screened", sw.Screened.Load()), telemetry.Int("pruned_unpriced", sw.PrunedUnpriced.Load()),
+		telemetry.Int("priced_cells", sw.Priced.Load()),
 		telemetry.Int("replay_ns", sw.ReplayNS.Load()), telemetry.Int("price_ns", sw.PriceNS.Load()),
 		telemetry.Int("screen_ns", sw.ScreenNS.Load()))
 	results := make([]Result, 24)
