@@ -26,7 +26,7 @@
 //
 // where the reason is mandatory — an allow without one is itself a
 // finding, and so is an allow that no longer suppresses anything. See
-// DESIGN.md "Static analysis v2" for what each check enforces and why.
+// DESIGN.md "Static analysis" for what each check enforces and why.
 package main
 
 import (

@@ -24,7 +24,7 @@
 //	GET  /v1/stats                  serving counters, run slots and jobs waiting
 //	GET  /healthz                   liveness
 //
-// -sim serves against a simclock frozen at the virtual-time origin, which
+// -sim serves against a clock frozen at the virtual-time origin, which
 // makes every response body byte-reproducible for a given request script;
 // the default wall clock only ever stamps served_at metadata — plan
 // content is identical either way. Observability flags follow the
@@ -56,7 +56,7 @@ func realMain() int {
 	shards := flag.Int("shards", 4, "run slots: tenant jobs that run at once (a tenant's jobs run one at a time under its lock)")
 	queueDepth := flag.Int("queue-depth", 64, "a tenant admits 1 + this many jobs, running or waiting, and the server -shards times as many; the next gets 429")
 	seed := flag.Int64("seed", 1, "server seed: derives tenant seeds and the carbon source")
-	sim := flag.Bool("sim", false, "serve against a simclock frozen at the virtual-time origin (byte-reproducible responses)")
+	sim := flag.Bool("sim", false, "serve against a clock frozen at the virtual-time origin (byte-reproducible responses)")
 	solveIters := flag.Int("solve-iterations", 24, "HBSS iteration cap per tenant solve")
 	diagFlags := diag.Register(flag.CommandLine)
 	flag.Parse()
@@ -78,10 +78,10 @@ func realMain() int {
 	}
 	if !*sim {
 		// The serving edge's one wall-clock site: the injected clock
-		// stamps served_at metadata and latency instruments only; plan
-		// content never reads it (see DESIGN.md "Control plane").
+		// stamps served_at metadata only; plan content never reads it
+		// (see DESIGN.md "Control plane").
 		//caribou:allow wallclock serving-edge clock stamps served_at metadata only; plan content never reads it
-		cfg.Clock = controlplane.ClockFunc(time.Now)
+		cfg.Clock = time.Now
 	}
 	srv, err := controlplane.New(cfg)
 	if err != nil {

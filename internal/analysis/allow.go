@@ -72,8 +72,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File, valid map[string]bool
 
 // allowIndex tracks every well-formed allow in the module and whether it
 // earned its keep: a suppression is "used" when it suppresses at least
-// one finding or sanctions at least one module-analysis site (e.g. a
-// dettaint clock seam). Unused allows are stale diagnostics.
+// one finding. Unused allows are stale diagnostics.
 type allowIndex struct {
 	// byKey maps (check, file, line) to the allow's slice index.
 	byKey  map[allowKey]int

@@ -13,8 +13,8 @@
 // invariants survive refactoring instead of living in reviewers' heads.
 //
 // v2 adds a whole-module layer: per-package analyzers inspect one
-// type-checked package at a time, while module analyzers (dettaint,
-// hotpath, unreached, atomicpub's ownership rule) run over a
+// type-checked package at a time, while module analyzers (hotpath,
+// unreached, atomicpub's ownership rule) run over a
 // conservative call graph built from per-package fact summaries
 // (summary.go) — static call edges, function-value references and
 // name-and-signature method-set matching for interface dispatch. A hot
@@ -28,7 +28,7 @@
 // where the reason is mandatory: an allow comment without one is itself
 // a diagnostic (check "allow"), and so is a well-formed allow that
 // suppresses nothing — burn-downs cannot leave dead annotations behind.
-// See cmd/caribou-lint for the command and DESIGN.md "Static analysis v2"
+// See cmd/caribou-lint for the command and DESIGN.md "Static analysis"
 // for the rationale behind each check.
 package analysis
 
@@ -85,9 +85,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type ModulePass struct {
 	Units []*PkgUnit
 
-	check  string
-	out    *[]Diagnostic
-	allows *allowIndex
+	check string
+	out   *[]Diagnostic
 }
 
 // Reportf records a module-level finding at pos.
@@ -97,15 +96,6 @@ func (mp *ModulePass) Reportf(pos token.Position, format string, args ...any) {
 		Check:   mp.check,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// SiteSanctioned reports whether a well-formed //caribou:allow comment
-// for the pass's check covers (file, line) — same line or the line above
-// — and marks it used. Module analyzers use this to let an annotation at
-// a *source site* (e.g. a sanctioned clock seam) stop fact propagation,
-// not just suppress a finding.
-func (mp *ModulePass) SiteSanctioned(file string, line int) bool {
-	return mp.allows.use(mp.check, file, line)
 }
 
 // PkgUnit is one package's analysis result: the raw (pre-suppression)
@@ -129,7 +119,6 @@ func Analyzers() []*Analyzer {
 		GlobalRandAnalyzer,
 		MapOrderAnalyzer,
 		GoroutinesAnalyzer,
-		DetTaintAnalyzer,
 		HotPathAnalyzer,
 		AtomicPubAnalyzer,
 		UnreachedAnalyzer,
@@ -189,7 +178,7 @@ func finish(units []*PkgUnit, analyzers []*Analyzer) []Diagnostic {
 		if a.RunModule == nil {
 			continue
 		}
-		mp := &ModulePass{Units: units, check: a.Name, out: &raw, allows: allows}
+		mp := &ModulePass{Units: units, check: a.Name, out: &raw}
 		a.RunModule(mp)
 	}
 

@@ -150,6 +150,14 @@ func TestWallclockClockSeam(t *testing.T) {
 	checkFixture(t, "wallclock_clockseam", "caribou/internal/controlplane")
 }
 
+// TestWallclockCallChain pins that a wall-clock read two calls below an
+// exported solver function is one finding, at the sink, and that the
+// allow on the sink is its whole sanction: the allowed chain reports
+// nothing and its allow is not stale.
+func TestWallclockCallChain(t *testing.T) {
+	checkFixture(t, "wallclock_chain", "caribou/internal/solver")
+}
+
 // TestWallclockRunstoreSeam pins that internal/runstore is NOT
 // wallclock-exempt: a bare time.Now in the package is a finding.
 func TestWallclockRunstoreSeam(t *testing.T) {
@@ -219,14 +227,6 @@ func TestAllowCommentValidation(t *testing.T) {
 			t.Errorf("line %d: expected [%s] diagnostic containing %q", w.line, w.check, w.substr)
 		}
 	}
-}
-
-func TestDetTaintFixture(t *testing.T) {
-	checkFixture(t, "dettaint_bad", "caribou/internal/solver")
-}
-
-func TestDetTaintNegativeCases(t *testing.T) {
-	checkFixture(t, "dettaint_ok", "caribou/internal/solver")
 }
 
 func TestHotAllocFixture(t *testing.T) {

@@ -12,14 +12,13 @@ type callGraph struct {
 	methods map[DynCall][]string // (name, sig) -> method func IDs, sorted
 }
 
-// graphNode is one function; sink and via are the propagation state of
-// the check that built the graph.
+// graphNode is one function; via is hotpath's propagation state: the
+// caller it was reached from.
 type graphNode struct {
 	fun     *FuncSum
 	pkg     string
 	callees []string
-	sink    *SinkSum // dettaint: set on directly sinking nodes
-	via     string   // dettaint: tainted through this callee; hotpath: reached from this caller
+	via     string
 }
 
 // buildCallGraph builds the graph from every unit's summary. Units arrive

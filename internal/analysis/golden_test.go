@@ -8,7 +8,7 @@ import (
 )
 
 // lintmodDir is the seeded golden module: one wallclock call two levels
-// below an exported solver function (dettaint + wallclock), one
+// below an exported solver function (wallclock, at the sink), one
 // post-Store mutation in controlplane (atomicpub), and one stale allow
 // (allow) — the three regressions the acceptance criteria require the
 // suite to turn red on.

@@ -14,7 +14,7 @@ import (
 const hotDirective = "//caribou:hot"
 
 // HotPathAnalyzer guards the per-iteration paths the repo profiled down
-// to zero-allocation loops (DESIGN.md "Static analysis v2"). "Hot" has
+// to zero-allocation loops (DESIGN.md "Static analysis"). "Hot" has
 // one definition: the loop bodies of a function whose doc comment carries
 // //caribou:hot, and the whole body of every function called or
 // referenced from a hot region, transitively over the module call graph

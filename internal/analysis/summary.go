@@ -11,7 +11,7 @@ import (
 )
 
 // summary.go builds the per-package fact summaries the module-level
-// analyzers (dettaint, hotpath, unreached, atomicpub's ownership rule)
+// analyzers (hotpath, unreached, atomicpub's ownership rule)
 // consume. A summary is self-contained — plain strings and positions, no
 // go/types objects — so the module phase needs nothing of the
 // type-checker's state.
@@ -37,10 +37,9 @@ type FuncSum struct {
 	// types.Func.FullName(), e.g. "caribou/internal/solver.assignKey" or
 	// "(*caribou/internal/solver.search).solveHBSS".
 	ID string
-	// Name is the short display form used in printed taint chains, e.g.
+	// Name is the short display form used in printed call chains, e.g.
 	// "Solve" or "(*search).solveHBSS".
-	Name     string
-	Exported bool
+	Name string
 	// Root marks an entry point of the unreached check: main and init
 	// of a main package, any init, a package initializer, or exported
 	// API of the module's root package.
@@ -66,8 +65,6 @@ type FuncSum struct {
 	// Sites lists the body's allocation candidates hotpath reports when
 	// they sit in a hot region.
 	Sites []HotSite
-	// Sinks lists direct wallclock/global-rand uses in the body.
-	Sinks []SinkSum
 
 	// OwnedRecv marks methods of a tenant-owned type (atomicpub): the
 	// owned type's key, e.g. "caribou/internal/controlplane.Tenant".
@@ -109,13 +106,6 @@ type HotSite struct {
 	File   string
 	Line   int
 	Col    int
-}
-
-// SinkSum is one direct use of a wall-clock or global-rand function.
-type SinkSum struct {
-	Desc string // e.g. "time.Now", "rand.Intn"
-	File string
-	Line int
 }
 
 // OwnedWrite is one direct field write to a tenant-owned type.
@@ -304,12 +294,11 @@ func buildMethodSum(pkg *Package, d *ast.FuncDecl) (MethodSum, bool) {
 func buildFuncSum(pkg *Package, modPath string, d *ast.FuncDecl) FuncSum {
 	pos := pkg.Fset.Position(d.Name.Pos())
 	fs := FuncSum{
-		Name:     displayName(d),
-		Exported: exportedFunc(d),
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Col:      pos.Column,
-		HotRoot:  isHotRoot(d.Doc),
+		Name:    displayName(d),
+		File:    pos.Filename,
+		Line:    pos.Line,
+		Col:     pos.Column,
+		HotRoot: isHotRoot(d.Doc),
 	}
 	if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
 		fs.ID = funcID(fn)
@@ -320,7 +309,7 @@ func buildFuncSum(pkg *Package, modPath string, d *ast.FuncDecl) FuncSum {
 		fs.ID += fmt.Sprintf(":%s:%d", filepath.Base(pos.Filename), pos.Line) // a package may declare several
 	}
 	fs.Root = d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") ||
-		pkg.Path == modPath && fs.Exported
+		pkg.Path == modPath && exportedFunc(d)
 	if owned, ctor := ownedCtor(pkg, d); ctor {
 		fs.Ctor = owned
 	}
@@ -336,8 +325,8 @@ func buildFuncSum(pkg *Package, modPath string, d *ast.FuncDecl) FuncSum {
 }
 
 // buildVarInitSum attributes package-level variable initializers to a
-// synthetic "<pkg>.init" node so a sink in an initializer of a target
-// package is reported rather than silently dropped (the initializer runs
+// synthetic "<pkg>.init" root node, so what an initializer calls is
+// reached and its owned-state writes are checked (the initializer runs
 // in every importer's process).
 func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, bool) {
 	if d.Tok != token.VAR {
@@ -345,13 +334,12 @@ func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, boo
 	}
 	pos := pkg.Fset.Position(d.Pos())
 	fs := FuncSum{
-		ID:       fmt.Sprintf("%s.init:%s:%d", pkg.Path, filepath.Base(pos.Filename), pos.Line),
-		Name:     "package initializer",
-		Exported: true,
-		Root:     true,
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Col:      pos.Column,
+		ID:   fmt.Sprintf("%s.init:%s:%d", pkg.Path, filepath.Base(pos.Filename), pos.Line),
+		Name: "package initializer",
+		Root: true,
+		File: pos.Filename,
+		Line: pos.Line,
+		Col:  pos.Column,
 	}
 	for _, spec := range d.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
@@ -362,7 +350,7 @@ func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, boo
 			summarizeBody(pkg, modPath, v, &fs)
 		}
 	}
-	if len(fs.Calls) == 0 && len(fs.Dyn) == 0 && len(fs.Sinks) == 0 &&
+	if len(fs.Calls) == 0 && len(fs.Dyn) == 0 &&
 		len(fs.OwnedWrites) == 0 && len(fs.OwnedCalls) == 0 {
 		return FuncSum{}, false
 	}
@@ -370,7 +358,7 @@ func buildVarInitSum(pkg *Package, modPath string, d *ast.GenDecl) (FuncSum, boo
 }
 
 // summarizeBody walks one body (or initializer expression) collecting
-// call edges, sinks, allocation sites and owned-state facts into fs.
+// call edges, allocation sites and owned-state facts into fs.
 func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 	info := pkg.Info
 	calls, loopCalls := map[string]bool{}, map[string]bool{}
@@ -396,11 +384,7 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 			if !ok || fn.Pkg() == nil {
 				return true
 			}
-			switch {
-			case sinkDesc(fn) != "":
-				p := pkg.Fset.Position(e.Pos())
-				fs.Sinks = append(fs.Sinks, SinkSum{Desc: sinkDesc(fn), File: p.Filename, Line: p.Line})
-			case fn.Pkg().Path() == modPath || strings.HasPrefix(fn.Pkg().Path(), modPath+"/"):
+			if fn.Pkg().Path() == modPath || strings.HasPrefix(fn.Pkg().Path(), modPath+"/") {
 				calls[funcID(fn)] = true
 				if inLoop(e.Pos()) {
 					loopCalls[funcID(fn)] = true
@@ -429,23 +413,6 @@ func summarizeBody(pkg *Package, modPath string, body ast.Node, fs *FuncSum) {
 	}
 	sort.Strings(fs.Calls)
 	sort.Strings(fs.LoopCalls)
-}
-
-// sinkDesc classifies fn as a determinism sink: a wall-clock time
-// function or a math/rand package function. Empty means not a sink.
-func sinkDesc(fn *types.Func) string {
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return ""
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if wallclockFuncs[fn.Name()] {
-			return "time." + fn.Name()
-		}
-	case "math/rand", "math/rand/v2":
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return ""
 }
 
 // summarizeCall records dynamic-dispatch and owned-method call facts for

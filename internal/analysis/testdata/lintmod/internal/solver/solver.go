@@ -1,5 +1,6 @@
-// Package solver seeds the acceptance-criteria violation for dettaint:
-// a wallclock call two levels below an exported solver entry point.
+// Package solver seeds the acceptance-criteria violation for wallclock:
+// a wall-clock call two levels below an exported solver entry point,
+// reported once, at the call.
 package solver
 
 import "time"

@@ -1,32 +1,28 @@
 // Fixture: the control plane's clock seam. Loaded as
 // caribou/internal/controlplane (not wallclock-exempt): time flows
-// through an injected Clock interface, so calls on the interface value
-// are clean; constructing the real clock is the one unavoidable
-// wall-clock site and carries an allow comment with a reason; a bare
-// time.Now anywhere else in the package remains a finding.
+// through an injected func() time.Time, so calling it is clean; handing
+// over the real clock is the one unavoidable wall-clock site and carries
+// an allow comment with a reason; a bare time.Now anywhere else in the
+// package remains a finding.
 package fixture
 
 import "time"
 
-type clock interface {
-	Now() time.Time
+type config struct {
+	clock func() time.Time
 }
-
-type clockFunc func() time.Time
-
-func (f clockFunc) Now() time.Time { return f() }
 
 // serve stamps serving metadata through the seam: no findings, whatever
 // clock was injected.
-func serve(clk clock) time.Time {
-	return clk.Now()
+func serve(cfg config) time.Time {
+	return cfg.clock()
 }
 
 // realClock is the server binary's injection site: the single annotated
-// wall-clock read behind the seam.
-func realClock() clock {
+// wall-clock reference behind the seam.
+func realClock() config {
 	//caribou:allow wallclock serving-edge clock stamps served_at metadata only; plan content never reads it
-	return clockFunc(time.Now)
+	return config{clock: time.Now}
 }
 
 // leaky bypasses the seam: still a finding.

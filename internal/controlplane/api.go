@@ -1,7 +1,7 @@
 // api.go is the HTTP/JSON surface of the control plane. All request and
 // response times are RFC 3339 UTC; plan bodies are deterministic (Go's
 // encoding/json sorts map keys) so a scripted request sequence against a
-// SimClock-backed server is byte-reproducible.
+// server with no Config.Clock is byte-reproducible.
 package controlplane
 
 import (
@@ -192,13 +192,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if len(regions) == 0 {
 		regions = region.EvaluationFour()
 	}
-	if _, ok := s.cfg.Catalogue.Get(home); !ok {
+	if _, ok := s.cat.Get(home); !ok {
 		writeError(w, http.StatusBadRequest, "unknown home region %q", home)
 		return
 	}
 	homeListed := false
 	for _, id := range regions {
-		if _, ok := s.cfg.Catalogue.Get(id); !ok {
+		if _, ok := s.cat.Get(id); !ok {
 			writeError(w, http.StatusBadRequest, "unknown region %q", id)
 			return
 		}
@@ -259,7 +259,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	solveTimer := s.tel.solveLatency.Start()
 	err = s.submit(nil, func() error {
 		var err error
-		if tenant, err = newTenant(spec, s.cfg.Catalogue, s.src, s.cfg.Start, s.cfg.Start.Add(s.cfg.Horizon), s.cfg.MaxIterations); err != nil {
+		if tenant, err = newTenant(spec, s.cat, s.src, DefaultStart, DefaultStart.Add(horizon), s.cfg.MaxIterations); err != nil {
 			return err
 		}
 		tokens, version = tenant.Tokens(), planVersion(tenant)
@@ -293,7 +293,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Granularity: map[bool]string{true: "hourly", false: "daily"}[hourly],
 		Tokens:      tokens,
 		PlanVersion: version,
-		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
+		ServedAt:    s.cfg.Clock().UTC().Format(time.RFC3339Nano),
 	}
 	if resp.Regions == nil {
 		for _, rid := range regions {
@@ -409,7 +409,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		Skipped:     res.Skipped,
 		NextCheck:   res.NextDue.UTC().Format(time.RFC3339Nano),
 		PlanVersion: res.PlanVersion,
-		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
+		ServedAt:    s.cfg.Clock().UTC().Format(time.RFC3339Nano),
 	}
 	if res.Solved {
 		resp.Granularity = res.Granularity.String()
@@ -463,7 +463,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		CarbonMean:  snap.CarbonMean,
 		LatencyMean: snap.LatencyMean,
 		CostMean:    snap.CostMean,
-		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
+		ServedAt:    s.cfg.Clock().UTC().Format(time.RFC3339Nano),
 	}
 	for n, rid := range snap.PlanAt(vnow) {
 		resp.Assignments[string(n)] = string(rid)
@@ -538,7 +538,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solves.Add(1)
 	solveTimer.Stop()
 	sp.Annotate(telemetry.String("workflow", id), telemetry.String("granularity", g.String()))
-	resp.ServedAt = s.clk.Now().UTC().Format(time.RFC3339Nano)
+	resp.ServedAt = s.cfg.Clock().UTC().Format(time.RFC3339Nano)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -567,7 +567,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Solves:      s.solves.Load(),
 		SolveSkips:  s.skips.Load(),
 		Rejections:  s.rejections.Load(),
-		ServedAt:    s.clk.Now().UTC().Format(time.RFC3339Nano),
+		ServedAt:    s.cfg.Clock().UTC().Format(time.RFC3339Nano),
 	})
 }
 

@@ -57,7 +57,7 @@ func (fx *bodyFixture) check(t *testing.T, what string, code int, body []byte, a
 		t.Fatalf("%s: virtual time ran backwards: %v -> %v", what, fx.vnow, vnow)
 	}
 	next := vnow.Add(time.Hour)
-	if limit := DefaultStart.Add(fx.srv.cfg.Horizon); next.After(limit) {
+	if limit := DefaultStart.Add(horizon); next.After(limit) {
 		next = limit
 	}
 	w := do(t, fx.srv, "POST", "/v1/workflows/t/trace", fmt.Sprintf(`{"at":%q,"invocations":10}`, next.Format(time.RFC3339)))

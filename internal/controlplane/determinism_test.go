@@ -65,7 +65,7 @@ const scriptGolden = "testdata/script.golden"
 var updateScript = flag.Bool("update-golden", false, "rewrite "+scriptGolden+" from a fresh shards=1 run")
 
 // TestByteReproducibleAcrossRunsAndShardCounts is the integration-level
-// determinism guarantee: a SimClock-backed server produces byte-identical
+// determinism guarantee: a server with no Config.Clock produces byte-identical
 // response bodies for the same request script, across repeated runs and
 // across any run-slot count (Config.Shards), and those bytes are the reviewed ones under
 // testdata/. Plan content depends only on tenant seeds and pushed trace

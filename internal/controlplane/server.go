@@ -32,6 +32,10 @@ import (
 // source; it matches the evaluation window used across the repo.
 var DefaultStart = time.Date(2023, 10, 15, 0, 0, 0, 0, time.UTC)
 
+// horizon bounds how far past DefaultStart tenants may advance; the
+// shared carbon source covers [DefaultStart−8d, DefaultStart+horizon+2d].
+const horizon = 14 * 24 * time.Hour
+
 // Config parameterizes a Server.
 type Config struct {
 	// Shards is the number of run slots: jobs that run at once (default
@@ -45,21 +49,15 @@ type Config struct {
 	// Seed derives every tenant seed and the shared carbon source
 	// (default 1).
 	Seed int64
-	// Start is the virtual-time origin for registered tenants (default
-	// DefaultStart).
-	Start time.Time
-	// Horizon bounds how far past Start tenants may advance; the shared
-	// carbon source covers [Start−8d, Start+Horizon+2d] (default 14d).
-	Horizon time.Duration
-	// Catalogue is the universe of candidate regions (default
-	// region.NorthAmerica()).
-	Catalogue *region.Catalogue
-	// Clock stamps serving-side metadata (served_at) and never influences
-	// plan content. Defaults to a SimClock frozen at Start — inject the
-	// wall clock explicitly to get real timestamps. Latency instruments do
-	// not read it: they time themselves with telemetry stopwatches, so a
-	// -sim server still measures real durations.
-	Clock Clock
+	// Clock stamps the served_at field of responses and nothing else —
+	// the determinism seam between the simulation core and the serving
+	// edge. Everything that decides plan content (token accrual, solve
+	// triggering, expiry) advances on tenant-pushed trace timestamps,
+	// never on this clock, and latency instruments time themselves with
+	// telemetry stopwatches. nil freezes served_at at DefaultStart, which
+	// makes every response body byte-reproducible; cmd/caribou-server
+	// passes time.Now behind an annotated //caribou:allow wallclock site.
+	Clock func() time.Time
 	// MaxIterations caps each tenant solver's HBSS iterations (default
 	// 24): thousands of tenants trade per-solve search depth for
 	// throughput.
@@ -76,17 +74,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Start.IsZero() {
-		c.Start = DefaultStart
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 14 * 24 * time.Hour
-	}
-	if c.Catalogue == nil {
-		c.Catalogue = region.NorthAmerica()
-	}
 	if c.Clock == nil {
-		c.Clock = NewSimClock(c.Start)
+		c.Clock = func() time.Time { return DefaultStart }
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 24
@@ -98,7 +87,7 @@ func (c Config) withDefaults() Config {
 // ServeHTTP (it implements http.Handler), stop with Close.
 type Server struct {
 	cfg Config
-	clk Clock
+	cat *region.Catalogue // the universe of candidate regions
 	src carbon.Source
 	mux *http.ServeMux
 
@@ -164,13 +153,13 @@ func newServerTelemetry() serverTelemetry {
 // admission bound, and the HTTP mux.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	src, err := carbon.SharedSource(cfg.Seed, cfg.Start.Add(-8*24*time.Hour), cfg.Start.Add(cfg.Horizon+2*24*time.Hour))
+	src, err := carbon.SharedSource(cfg.Seed, DefaultStart.Add(-8*24*time.Hour), DefaultStart.Add(horizon+2*24*time.Hour))
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: carbon source: %w", err)
 	}
 	s := &Server{
 		cfg:      cfg,
-		clk:      cfg.Clock,
+		cat:      region.NorthAmerica(),
 		src:      src,
 		tenants:  make(map[string]*Tenant),
 		reserved: make(map[string]bool),

@@ -15,9 +15,9 @@ import (
 	"caribou/internal/workloads"
 )
 
-// newTestServer builds a SimClock-backed server over the evaluation
-// regions. Tests never inject a real clock, so every response body is a
-// pure function of the request script.
+// newTestServer builds a server with no Config.Clock, so served_at is
+// frozen at DefaultStart. Tests never inject a real clock, so every
+// response body is a pure function of the request script.
 func newTestServer(t *testing.T, shards int) *Server {
 	t.Helper()
 	srv, err := New(Config{Shards: shards, Seed: 1})
@@ -314,27 +314,8 @@ func TestStatsAndHealth(t *testing.T) {
 	}
 }
 
-func TestSimClock(t *testing.T) {
-	clk := NewSimClock(DefaultStart)
-	if !clk.Now().Equal(DefaultStart) {
-		t.Fatal("clock not frozen at start")
-	}
-	clk.Advance(time.Hour)
-	if !clk.Now().Equal(DefaultStart.Add(time.Hour)) {
-		t.Error("advance failed")
-	}
-	clk.Set(DefaultStart)
-	if !clk.Now().Equal(DefaultStart) {
-		t.Error("set failed")
-	}
-	var fn Clock = ClockFunc(func() time.Time { return DefaultStart })
-	if !fn.Now().Equal(DefaultStart) {
-		t.Error("ClockFunc adapter broken")
-	}
-}
-
-// TestSimServerMeasuresRealLatency: a SimClock freezes served_at, not the
-// latency instruments — they are telemetry stopwatches on the real clock.
+// TestSimServerMeasuresRealLatency: a nil Config.Clock freezes served_at,
+// not the latency instruments — they are telemetry stopwatches on the real clock.
 // With telemetry on, a -sim server records non-zero solve and query
 // latency, and its response bodies are byte-identical to the bodies of the
 // same script with telemetry off.
@@ -369,7 +350,7 @@ func TestSimServerMeasuresRealLatency(t *testing.T) {
 	for _, name := range []string{"controlplane.solve_latency_sec", "controlplane.query_latency_sec"} {
 		h := rec.Histogram(name, nil)
 		if h.Count() == 0 || !(h.Sum() > 0) {
-			t.Errorf("%s: %d observations summing to %g s on a frozen SimClock, want real time", name, h.Count(), h.Sum())
+			t.Errorf("%s: %d observations summing to %g s on a frozen served_at clock, want real time", name, h.Count(), h.Sum())
 		}
 	}
 }
@@ -394,6 +375,6 @@ func TestSimServerMeasuresQueueWait(t *testing.T) {
 	}
 	h := rec.Histogram("controlplane.queue_wait_sec", nil)
 	if h.Count() != 3 || !(h.Sum() > 0) {
-		t.Errorf("queue_wait_sec: %d observations summing to %g s on a frozen SimClock, want 3 of real time", h.Count(), h.Sum())
+		t.Errorf("queue_wait_sec: %d observations summing to %g s on a frozen served_at clock, want 3 of real time", h.Count(), h.Sum())
 	}
 }

@@ -5,10 +5,11 @@
 // Determinism boundary: everything that shapes plan *content* — synthetic
 // records, token accrual, solve scheduling, the solver's RNG — derives
 // from (tenant seed, pushed trace deltas) and the tenant's virtual time
-// vnow (the maximum delta timestamp seen). The serving Clock never leaks
-// in, so a scripted request sequence produces byte-identical plan bodies
-// across runs, across any run-slot count, and whatever the interleaving of
-// other tenants' jobs: a tenant's jobs run one at a time under its lock.
+// vnow (the maximum delta timestamp seen). The serving clock
+// (Config.Clock) never leaks in, so a scripted request sequence produces
+// byte-identical plan bodies across runs, across any run-slot count, and
+// whatever the interleaving of other tenants' jobs: a tenant's jobs run
+// one at a time under its lock.
 package controlplane
 
 import (

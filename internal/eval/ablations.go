@@ -89,17 +89,15 @@ func ablationSolverOne(wl *workloads.Workload, seed int64, perDay int) ([]Ablati
 	}
 	var rows []AblationSolverRow
 	for _, s := range strategies {
-		//caribou:allow dettaint wall-clock solve timing feeds only the ablation's ms column, never simulated results
 		start := time.Now() //caribou:allow wallclock times the real solver run for the ablation's ms column, not simulated time
 		carbonMean, err := s.fn()
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationSolverRow{
-			Workload:   wl.Name,
-			Strategy:   s.name,
-			Normalized: carbonMean / homeEst.CarbonMean,
-			//caribou:allow dettaint wall-clock solve timing feeds only the ablation's ms column, never simulated results
+			Workload:    wl.Name,
+			Strategy:    s.name,
+			Normalized:  carbonMean / homeEst.CarbonMean,
 			SolveMillis: time.Since(start).Milliseconds(), //caribou:allow wallclock times the real solver run for the ablation's ms column, not simulated time
 		})
 	}

@@ -28,27 +28,21 @@ type Fig10Point struct {
 
 // Fig10Options scales the sweep.
 type Fig10Options struct {
-	Workloads  []*workloads.Workload
-	Class      workloads.InputClass
 	Tolerances []float64
-	PerDay     int
 	Seed       int64
 	// Pool runs and memoizes the sweep's runs; nil uses a private
 	// default-width pool.
 	Pool *Pool
 }
 
+// fig10Workloads are the figure's two workflows, each run with the small
+// input.
+func fig10Workloads() []*workloads.Workload {
+	return []*workloads.Workload{workloads.DNAVisualization(), workloads.ImageProcessing()}
+}
+
 // fig10Defaults fills unset options with the figure's full scale.
 func fig10Defaults(opt Fig10Options) Fig10Options {
-	if len(opt.Workloads) == 0 {
-		opt.Workloads = []*workloads.Workload{
-			workloads.DNAVisualization(),
-			workloads.ImageProcessing(),
-		}
-	}
-	if opt.Class == "" {
-		opt.Class = workloads.Small
-	}
 	if len(opt.Tolerances) == 0 {
 		opt.Tolerances = []float64{0, 2.5, 5, 7.5, 10}
 	}
@@ -60,13 +54,13 @@ func fig10Defaults(opt Fig10Options) Fig10Options {
 // per tolerance.
 func fig10Configs(opt Fig10Options) []RunConfig {
 	var cfgs []RunConfig
-	for _, wl := range opt.Workloads {
+	for _, wl := range fig10Workloads() {
 		for _, sc := range Scenarios() {
 			cfgs = append(cfgs, RunConfig{
-				Workload: wl, Class: opt.Class,
+				Workload: wl, Class: workloads.Small,
 				Strategy: CoarseIn("aws:us-east-1"),
 				EvalDays: 2,
-				PlanTx:   sc.Tx, PerDay: opt.PerDay, Seed: opt.Seed,
+				PlanTx:   sc.Tx, Seed: opt.Seed,
 			})
 			for _, tolPct := range opt.Tolerances {
 				// Two measured days: day one feeds remote observations
@@ -74,12 +68,12 @@ func fig10Configs(opt Fig10Options) []RunConfig {
 				// two is the reported steady state after the corrective
 				// re-solve.
 				cfgs = append(cfgs, RunConfig{
-					Workload: wl, Class: opt.Class,
+					Workload: wl, Class: workloads.Small,
 					Strategy:   Fine,
 					PlanTx:     sc.Tx,
 					Tolerances: &solver.Tolerances{Latency: solver.Tol(tolPct)},
 					EvalDays:   2,
-					PerDay:     opt.PerDay, Seed: opt.Seed,
+					Seed:       opt.Seed,
 				})
 			}
 		}
@@ -100,7 +94,7 @@ func Fig10(opt Fig10Options) ([]Fig10Point, error) {
 
 	var points []Fig10Point
 	i := 0
-	for _, wl := range opt.Workloads {
+	for _, wl := range fig10Workloads() {
 		for _, sc := range Scenarios() {
 			// Home baseline (for carbon normalization and the QoS
 			// definition), run over the same days and summarized on
@@ -130,7 +124,7 @@ func Fig10(opt Fig10Options) ([]Fig10Point, error) {
 					relCarbon = fineSum.MeanCarbonG / homeSum.MeanCarbonG
 				}
 				points = append(points, Fig10Point{
-					Workload: wl.Name, Class: opt.Class, Scenario: sc.Name,
+					Workload: wl.Name, Class: workloads.Small, Scenario: sc.Name,
 					TolerancePct: tolPct,
 					RelCarbon:    relCarbon,
 					RelTime:      relTime,

@@ -43,13 +43,14 @@ type Fig11Result struct {
 	Overhead   float64 // framework carbon, grams
 }
 
+// fig11Bin is the width of one time bin of the series.
+const fig11Bin = 6 * time.Hour
+
 // Fig11Options scales the experiment.
 type Fig11Options struct {
-	Days    int // default 6, matching the figure's span
-	PerDay  float64
-	BinHrs  int
-	Seed    int64
-	PerDayP trace.Profile // optional full profile override
+	Days   int // default 6, matching the figure's span
+	PerDay float64
+	Seed   int64
 	// Pool bounds the treatments' concurrency; nil uses a private
 	// default-width pool. Fig 11's bespoke trace-driven runs are not
 	// RunConfig-shaped, so they ride the pool's generic job lane.
@@ -64,18 +65,12 @@ func Fig11(opt Fig11Options) ([]Fig11Result, error) {
 	if opt.PerDay == 0 {
 		opt.PerDay = 800 // half the Azure P5 rate keeps the run fast while preserving shape
 	}
-	if opt.BinHrs == 0 {
-		opt.BinHrs = 6
-	}
 	if opt.Seed == 0 {
 		opt.Seed = 17
 	}
 	profile := trace.AzureP5()
 	profile.DailyInvocations = opt.PerDay
 	profile.LargeFraction = 1 // the figure uses the large input size
-	if opt.PerDayP.DailyInvocations > 0 {
-		profile = opt.PerDayP
-	}
 
 	wl := workloads.Text2SpeechCensoring()
 	start := EvalStart
@@ -125,8 +120,8 @@ func Fig11(opt Fig11Options) ([]Fig11Result, error) {
 		caribouOut := outs[len(coarseRegions)+si]
 		res := Fig11Result{Scenario: sc.Name, SolveTimes: caribouOut.solves, Overhead: caribouOut.overhead}
 
-		for t := start; t.Before(end); t = t.Add(time.Duration(opt.BinHrs) * time.Hour) {
-			binEnd := t.Add(time.Duration(opt.BinHrs) * time.Hour)
+		for t := start; t.Before(end); t = t.Add(fig11Bin) {
+			binEnd := t.Add(fig11Bin)
 			bin := Fig11Bin{Start: t, RelCarbon: map[string]float64{}}
 
 			baseMean, baseN := binCarbon(coarse["us-east-1"], t, binEnd, tx)

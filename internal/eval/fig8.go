@@ -27,7 +27,6 @@ type Fig8Point struct {
 type Fig8Options struct {
 	Workloads []*workloads.Workload
 	Classes   []workloads.InputClass
-	PerDay    int
 	Seed      int64
 	// Pool runs and memoizes the experiment's runs; nil uses a private
 	// default-width pool.
@@ -56,12 +55,12 @@ func fig8Configs(opt Fig8Options) []RunConfig {
 					RunConfig{
 						Workload: wl, Class: class,
 						Strategy: CoarseIn("aws:us-east-1"),
-						PlanTx:   sc.Tx, PerDay: opt.PerDay, Seed: opt.Seed,
+						PlanTx:   sc.Tx, Seed: opt.Seed,
 					},
 					RunConfig{
 						Workload: wl, Class: class,
 						Strategy: Fine,
-						PlanTx:   sc.Tx, PerDay: opt.PerDay, Seed: opt.Seed,
+						PlanTx:   sc.Tx, Seed: opt.Seed,
 					})
 			}
 		}

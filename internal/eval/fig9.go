@@ -27,7 +27,6 @@ type Fig9Options struct {
 	Factors   []float64
 	Workloads []*workloads.Workload
 	Classes   []workloads.InputClass
-	PerDay    int
 	Seed      int64
 	// Pool runs and memoizes the sweep's runs; nil uses a private
 	// default-width pool.
@@ -79,12 +78,12 @@ func fig9Configs(opt Fig9Options) []RunConfig {
 						RunConfig{
 							Workload: wl, Class: class,
 							Strategy: CoarseIn("aws:us-east-1"),
-							PlanTx:   tx, PerDay: opt.PerDay, Seed: opt.Seed,
+							PlanTx:   tx, Seed: opt.Seed,
 						},
 						RunConfig{
 							Workload: wl, Class: class,
 							Strategy: Fine,
-							PlanTx:   tx, PerDay: opt.PerDay, Seed: opt.Seed,
+							PlanTx:   tx, Seed: opt.Seed,
 						})
 				}
 			}

@@ -217,12 +217,10 @@ func (p *Pool) Run(cfg RunConfig) (*Result, error) {
 			telemetry.String("strategy", cfg.Strategy.String()))
 		var start time.Time
 		if sp != nil {
-			//caribou:allow dettaint wall-clock span of the real experiment feeds only the run_seconds histogram, never simulated results
 			start = time.Now() //caribou:allow wallclock times the real experiment run for the run_seconds histogram, not simulated time
 		}
 		e.res, e.err = Run(cfg)
 		if sp != nil {
-			//caribou:allow dettaint wall-clock span of the real experiment feeds only the run_seconds histogram, never simulated results
 			p.tel.runSeconds.Observe(time.Since(start).Seconds()) //caribou:allow wallclock times the real experiment run for the run_seconds histogram, not simulated time
 		}
 		sp.End()

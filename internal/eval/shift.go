@@ -69,10 +69,9 @@ type ExtShiftDay struct {
 
 // ExtShiftOptions scales the experiment.
 type ExtShiftOptions struct {
-	Days     int // total days; the shift happens halfway
-	PerDay   int
-	Seed     int64
-	Workload *workloads.Workload
+	Days   int // total days; the shift happens halfway
+	PerDay int
+	Seed   int64
 	// Pool bounds the experiment's concurrency; nil uses a private
 	// default-width pool. The shift experiment is a single continuous
 	// adaptive run (its days are causally chained through the learning
@@ -101,9 +100,6 @@ func extShiftRun(opt ExtShiftOptions) ([]ExtShiftDay, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 17
 	}
-	if opt.Workload == nil {
-		opt.Workload = shiftWorkload()
-	}
 	start := EvalStart
 	end := start.Add(time.Duration(opt.Days) * 24 * time.Hour)
 	env, err := core.NewEnv(core.EnvConfig{
@@ -114,7 +110,7 @@ func extShiftRun(opt ExtShiftOptions) ([]ExtShiftDay, error) {
 	}
 	tx := carbon.WorstCase()
 	app, err := env.NewApp(core.AppConfig{
-		Workload: opt.Workload,
+		Workload: shiftWorkload(),
 		Home:     region.USEast1,
 		Mode:     executor.ModeCaribou,
 		Adaptive: true,

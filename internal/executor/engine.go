@@ -85,9 +85,6 @@ type Options struct {
 	Workload *workloads.Workload
 	Home     region.ID
 	Mode     Mode
-	// Plans supplies active deployment plans (Caribou mode only). nil
-	// behaves like HomeOnly.
-	Plans PlanSource
 	// BenchFraction is the share of traffic pinned to the home region
 	// for benchmarking; defaults to 0.10 in Caribou mode (§6.2).
 	BenchFraction float64
@@ -186,9 +183,6 @@ func New(opts Options) (*Engine, error) {
 	if _, ok := opts.Platform.Catalogue().Get(opts.Home); !ok {
 		return nil, fmt.Errorf("executor: unknown home region %q", opts.Home)
 	}
-	if opts.Plans == nil {
-		opts.Plans = HomeOnly{}
-	}
 	if opts.BenchFraction == 0 && opts.Mode == ModeCaribou {
 		opts.BenchFraction = 0.10
 	}
@@ -205,7 +199,7 @@ func New(opts Options) (*Engine, error) {
 		wl:      opts.Workload,
 		home:    opts.Home,
 		mode:    opts.Mode,
-		plans:   opts.Plans,
+		plans:   HomeOnly{},
 		benchFr: opts.BenchFraction,
 		seed:    opts.Seed,
 		rng:     simclock.DeriveRand(opts.Seed, "executor/"+opts.Workload.Name),

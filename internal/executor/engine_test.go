@@ -48,12 +48,13 @@ func runInvocations(t *testing.T, e *Engine, sched *simclock.Scheduler, n int, c
 func newEngine(t *testing.T, p *platform.Platform, wl *workloads.Workload, mode Mode, plans PlanSource, sink *[]*platform.InvocationRecord) *Engine {
 	t.Helper()
 	e, err := New(Options{
-		Platform: p, Workload: wl, Home: region.USEast1, Mode: mode, Plans: plans, Seed: 7,
+		Platform: p, Workload: wl, Home: region.USEast1, Mode: mode, Seed: 7,
 		OnComplete: func(r *platform.InvocationRecord) { *sink = append(*sink, r) },
 	})
 	if err != nil {
 		t.Fatalf("executor.New: %v", err)
 	}
+	e.SetPlans(plans)
 	if err := e.DeployHome(); err != nil {
 		t.Fatalf("DeployHome: %v", err)
 	}
