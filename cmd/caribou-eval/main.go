@@ -6,13 +6,11 @@
 //
 //	caribou-eval [flags] <experiment>
 //
-// where <experiment> is one of the paper's exhibits (fig2, table1, fig7,
-// fig8, fig9, fig10, fig11, fig12, fig13, table2), an extension or ablation
-// (ext-global, ext-temporal, ext-signal, ext-shift, ablate-solver,
-// ablate-forecast, ablate-bench), or all, which runs every one of them in
-// that order. `caribou-eval -h` lists the flags. The -quick flag shrinks
-// workload counts and trace volumes for a fast sanity pass; -plot adds
-// terminal charts and -csv DIR writes per-experiment CSV files.
+// where <experiment> is one of eval.Experiments(), or all, which runs
+// every one of them in order; `caribou-eval -h` lists both and every
+// flag. The -quick flag runs each experiment at its own reduced scale for
+// a fast sanity pass; -plot adds terminal charts and -csv DIR writes
+// per-experiment CSV files.
 //
 // Observability: -trace FILE dumps an NDJSON telemetry trace (spans,
 // events, instruments) and -telemetry prints a summary table to stderr;
@@ -28,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"caribou/internal/diag"
@@ -36,7 +33,6 @@ import (
 	"caribou/internal/runstore"
 	"caribou/internal/solver"
 	"caribou/internal/telemetry"
-	"caribou/internal/workloads"
 )
 
 func main() { os.Exit(realMain()) }
@@ -90,7 +86,9 @@ func realMain() int {
 		pool.AttachStore(store)
 	}
 	code := 0
-	if err := run(name, runOpts{quick: f.quick, plot: f.plot, csvDir: f.csvDir, seed: f.seed, pool: pool}); err != nil {
+	scale := eval.Scale{Seed: f.seed, Quick: f.quick, Pool: pool}
+	out := eval.Output{W: os.Stdout, Timings: os.Stderr, Plot: f.plot, CSVDir: f.csvDir}
+	if err := run(name, scale, out); err != nil {
 		fmt.Fprintf(os.Stderr, "caribou-eval %s: %v\n", name, err)
 		code = 1
 	}
@@ -107,14 +105,6 @@ func realMain() int {
 		code = 1
 	}
 	return code
-}
-
-// quickPerDay shrinks learning-day traffic under -quick.
-func quickPerDay(quick bool) int {
-	if quick {
-		return 96
-	}
-	return 0
 }
 
 // cliFlags are the command line's flags.
@@ -141,252 +131,46 @@ func register(fs *flag.FlagSet) *cliFlags {
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `usage: caribou-eval [flags] <experiment>
-
-experiments:
-  fig2    grid carbon intensity of the four evaluation regions
-  table1  benchmark workflow structures
-  fig7    carbon normalized to us-east-1: coarse vs fine strategies
-  fig8    normalized carbon vs execution/transmission carbon ratio
-  fig9    geomean normalized carbon vs transmission energy factor
-  fig10   carbon and relative time vs runtime tolerance
-  fig11   week-long adaptive operation (Text2Speech, Azure-style trace)
-  fig12   orchestrator overhead: Step Functions vs SNS vs Caribou
-  fig13   solve-frequency sweep and forecast quality
-  table2  framework capability taxonomy
-
-extensions and ablations (beyond the paper's exhibits):
-  ext-global      fine-grained shifting over a global region catalogue
-  ext-temporal    temporal vs geospatial vs combined shifting
-  ext-signal      ACI vs MCI carbon-signal sensitivity
-  ext-shift       input-distribution shift adaptation
-  ablate-solver   HBSS/exhaustive vs coarse single-region solving
-  ablate-forecast Holt-Winters vs naive persistence forecasting
-  ablate-bench    benchmarking-traffic fraction sweep
-
-  all     every experiment, extension and ablation above, in order
-
-flags:
-`)
+	w := flag.CommandLine.Output()
+	fmt.Fprintf(w, "usage: caribou-eval [flags] <experiment>\n\nexperiments:\n")
+	paper := true
+	for _, e := range eval.Experiments() {
+		if paper && !e.Paper {
+			fmt.Fprintf(w, "\nextensions and ablations (beyond the paper's exhibits):\n")
+			paper = false
+		}
+		fmt.Fprintf(w, "  %-15s %s\n", e.Name, e.Desc)
+	}
+	fmt.Fprintf(w, "\n  %-15s every experiment, extension and ablation above, in order\n\nflags:\n", "all")
 	flag.PrintDefaults()
 }
 
-type runOpts struct {
-	quick  bool
-	plot   bool
-	csvDir string
-	seed   int64
-	pool   *eval.Pool
-}
-
-// writeCSV writes rows to <csvDir>/<name>.csv when -csv is set.
-func writeCSV(opts runOpts, name string, rows interface{}) error {
-	if opts.csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(opts.csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(opts.csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return eval.WriteCSV(f, rows)
-}
-
-func run(name string, opts runOpts) error {
-	quick, plot, seed, pool := opts.quick, opts.plot, opts.seed, opts.pool
-	w := os.Stdout
+// run runs experiment name, or every experiment in table order for all,
+// and reports its wall time on stderr: stdout carries only the
+// deterministic figure content, byte-identical at any -workers or
+// telemetry setting.
+func run(name string, s eval.Scale, o eval.Output) error {
 	started := time.Now() //caribou:allow wallclock times the real experiment for the stderr completion line, not simulated time
 	sp := telemetry.Default().StartSpan("eval/" + name)
 	defer sp.End()
-	// Wall time goes to stderr: stdout carries only the deterministic
-	// figure content, byte-identical at any -workers or telemetry setting.
 	defer func() {
 		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, time.Since(started).Round(time.Millisecond)) //caribou:allow wallclock times the real experiment for the stderr completion line, not simulated time
 	}()
 
-	var quickWLs []*workloads.Workload
-	var quickClasses []workloads.InputClass
-	if quick {
-		quickWLs = []*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.ImageProcessing()}
-		quickClasses = []workloads.InputClass{workloads.Small}
-	}
-
-	switch name {
-	case "fig2":
-		series, err := eval.Fig2(eval.Fig2Options{Seed: seed})
-		if err != nil {
-			return err
-		}
-		eval.PrintFig2(w, series)
-		if plot {
-			eval.PlotFig2(w, series)
-		}
-		stats, err := eval.Fig2Stats(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nEvaluation-week averages (gCO2eq/kWh): %v\n", stats)
-	case "table1":
-		eval.PrintTable1(w, eval.Table1())
-	case "table2":
-		eval.PrintTable2(w, eval.Table2())
-	case "fig7":
-		rows, err := eval.Fig7(eval.Fig7Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses, Pool: pool})
-		if err != nil {
-			return err
-		}
-		eval.PrintFig7(w, rows)
-		if err := writeCSV(opts, "fig7", rows); err != nil {
-			return err
-		}
-		if plot {
-			eval.PlotFig7(w, rows)
-		}
-	case "fig8":
-		points, err := eval.Fig8(eval.Fig8Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses, Pool: pool})
-		if err != nil {
-			return err
-		}
-		eval.PrintFig8(w, points)
-		if err := writeCSV(opts, "fig8", points); err != nil {
-			return err
-		}
-	case "fig9":
-		opt := eval.Fig9Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses, Pool: pool}
-		if quick {
-			opt.Factors = []float64{1e-4, 1e-3, 1e-2}
-		}
-		points, err := eval.Fig9(opt)
-		if err != nil {
-			return err
-		}
-		eval.PrintFig9(w, points)
-		if err := writeCSV(opts, "fig9", points); err != nil {
-			return err
-		}
-		if plot {
-			eval.PlotFig9(w, points)
-		}
-	case "fig10":
-		opt := eval.Fig10Options{Seed: seed, Pool: pool}
-		if quick {
-			opt.Tolerances = []float64{0, 5, 10}
-		}
-		points, err := eval.Fig10(opt)
-		if err != nil {
-			return err
-		}
-		eval.PrintFig10(w, points)
-		if err := writeCSV(opts, "fig10", points); err != nil {
-			return err
-		}
-	case "fig11":
-		opt := eval.Fig11Options{Seed: seed, Pool: pool}
-		if quick {
-			opt.Days = 3
-			opt.PerDay = 300
-		}
-		results, err := eval.Fig11(opt)
-		if err != nil {
-			return err
-		}
-		eval.PrintFig11(w, results)
-		if plot {
-			eval.PlotFig11(w, results)
-		}
-	case "fig12":
-		rows, err := eval.Fig12(eval.Fig12Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses, Pool: pool})
-		if err != nil {
-			return err
-		}
-		eval.PrintFig12(w, rows)
-		if err := writeCSV(opts, "fig12", rows); err != nil {
-			return err
-		}
-	case "fig13":
-		opt := eval.Fig13Options{Seed: seed, Pool: pool}
-		if quick {
-			opt.Frequencies = []int{1, 4, 7}
-			opt.PerDay = 400
-			opt.Days = 7
-		}
-		a, b, err := eval.Fig13(opt)
-		if err != nil {
-			return err
-		}
-		eval.PrintFig13(w, a, b)
-		if err := writeCSV(opts, "fig13a", a); err != nil {
-			return err
-		}
-		if err := writeCSV(opts, "fig13b", b); err != nil {
-			return err
-		}
-		if plot {
-			eval.PlotFig13b(w, b)
-		}
-	case "ext-global":
-		rows, err := eval.ExtGlobal(pool, quickWLs, seed, quickPerDay(quick))
-		if err != nil {
-			return err
-		}
-		eval.PrintExtGlobal(w, rows)
-	case "ext-temporal":
-		rows, err := eval.ExtTemporal(pool, quickWLs, seed, quickPerDay(quick))
-		if err != nil {
-			return err
-		}
-		eval.PrintExtTemporal(w, rows)
-	case "ext-signal":
-		rows, err := eval.ExtSignal(pool, quickWLs, seed, quickPerDay(quick))
-		if err != nil {
-			return err
-		}
-		eval.PrintExtSignal(w, rows)
-	case "ext-shift":
-		opt := eval.ExtShiftOptions{Seed: seed, Pool: pool}
-		if quick {
-			opt.Days = 4
-			opt.PerDay = 120
-		}
-		rows, err := eval.ExtShift(opt)
-		if err != nil {
-			return err
-		}
-		eval.PrintExtShift(w, rows)
-	case "ablate-solver":
-		rows, err := eval.AblationSolver(pool, seed, quickPerDay(quick))
-		if err != nil {
-			return err
-		}
-		eval.PrintAblationSolver(w, os.Stderr, rows)
-	case "ablate-forecast":
-		rows, err := eval.AblationForecast(seed)
-		if err != nil {
-			return err
-		}
-		eval.PrintAblationForecast(w, rows)
-	case "ablate-bench":
-		rows, err := eval.AblationBenchTraffic(pool, seed, quickPerDay(quick))
-		if err != nil {
-			return err
-		}
-		eval.PrintAblationBenchTraffic(w, rows)
-	case "all":
-		for _, n := range []string{
-			"fig2", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table2",
-			"ext-global", "ext-temporal", "ext-signal", "ext-shift", "ablate-solver", "ablate-forecast", "ablate-bench",
-		} {
-			fmt.Fprintf(w, "\n===== %s =====\n", n)
-			if err := run(n, opts); err != nil {
+	if name == "all" {
+		for _, e := range eval.Experiments() {
+			fmt.Fprintf(o.W, "\n===== %s =====\n", e.Name)
+			if err := run(e.Name, s, o); err != nil {
 				return err
 			}
 		}
-	default:
-		usage()
-		return fmt.Errorf("unknown experiment %q", name)
+		return nil
 	}
-	return nil
+	for _, e := range eval.Experiments() {
+		if e.Name == name {
+			return e.Run(s, o)
+		}
+	}
+	usage()
+	return fmt.Errorf("unknown experiment %q", name)
 }

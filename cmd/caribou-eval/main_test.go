@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -138,6 +139,33 @@ func TestHelpNamesEveryFlag(t *testing.T) {
 			t.Errorf("-h does not name -%s:\n%s", f.Name, help)
 		}
 	})
+}
+
+// TestUnknownExperimentListsEveryExperiment checks that a name
+// eval.Experiments() does not hold exits 1 with nothing on stdout, and
+// that the usage it prints names every experiment of the table and all.
+func TestUnknownExperimentListsEveryExperiment(t *testing.T) {
+	run := buildEval(t)
+	stdout, stderr, err := run("fig99")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("unknown experiment: err = %v, want exit status 1\n%s", err, stderr)
+	}
+	if len(stdout) != 0 {
+		t.Errorf("unknown experiment wrote to stdout:\n%s", stdout)
+	}
+	if !strings.Contains(string(stderr), `unknown experiment "fig99"`) {
+		t.Errorf("stderr does not name the unknown experiment:\n%s", stderr)
+	}
+	names := []string{"all"}
+	for _, e := range eval.Experiments() {
+		names = append(names, e.Name)
+	}
+	for _, name := range names {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(name) + ` `).Match(stderr) {
+			t.Errorf("usage does not list %s:\n%s", name, stderr)
+		}
+	}
 }
 
 // TestExpandedStoreServesFiguresWarm fills a store from the quick

@@ -30,16 +30,15 @@ type AblationSolverRow struct {
 
 // AblationSolver runs the three strategies on workloads small enough to
 // enumerate exhaustively (search space ≤ 4^|N|). The per-workload
-// learning runs execute concurrently on the pool (nil uses a private
-// default-width pool).
-func AblationSolver(p *Pool, seed int64, perDay int) ([]AblationSolverRow, error) {
+// learning runs execute concurrently on the pool.
+func AblationSolver(s Scale) ([]AblationSolverRow, error) {
 	wls := []*workloads.Workload{
 		workloads.DNAVisualization(), // 4 plans
 		workloads.RAGDataIngestion(), // 16 plans
 	}
 	perWL := make([][]AblationSolverRow, len(wls))
-	err := p.orDefault().Do(len(wls), func(i int) error {
-		rows, err := ablationSolverOne(wls[i], seed, perDay)
+	err := s.Pool.orDefault().Do(len(wls), func(i int) error {
+		rows, err := ablationSolverOne(wls[i], s.Seed, s.perDay())
 		if err != nil {
 			return err
 		}
@@ -57,7 +56,7 @@ func AblationSolver(p *Pool, seed int64, perDay int) ([]AblationSolverRow, error
 }
 
 func ablationSolverOne(wl *workloads.Workload, seed int64, perDay int) ([]AblationSolverRow, error) {
-	_, app, err := learnedApp(wl, region.EvaluationFour(), seed, perDayOr(perDay))
+	_, app, err := learnedApp(wl, region.EvaluationFour(), seed, perDay)
 	if err != nil {
 		return nil, fmt.Errorf("ablate-solver %s: %w", wl.Name, err)
 	}
@@ -102,13 +101,6 @@ func ablationSolverOne(wl *workloads.Workload, seed int64, perDay int) ([]Ablati
 		})
 	}
 	return rows, nil
-}
-
-func perDayOr(v int) int {
-	if v > 0 {
-		return v
-	}
-	return 192
 }
 
 // PrintAblationSolver renders the comparison to w. The table carries only
@@ -198,27 +190,26 @@ type AblationBenchTrafficRow struct {
 }
 
 // AblationBenchTraffic sweeps the benchmarking fraction on Text2Speech.
-// All runs execute concurrently on the pool (nil uses a private
-// default-width pool); the home baseline is shared with any other figure
-// on the same pool via the memo.
-func AblationBenchTraffic(p *Pool, seed int64, perDay int) ([]AblationBenchTrafficRow, error) {
+// All runs execute concurrently on the pool; the home baseline is shared
+// with any other figure on the same pool via the memo.
+func AblationBenchTraffic(s Scale) ([]AblationBenchTrafficRow, error) {
 	wl := workloads.Text2SpeechCensoring()
 	tx := carbon.BestCase()
 	fracs := []float64{0.02, 0.10, 0.25, 0.50}
 	cfgs := []RunConfig{{
 		Workload: wl, Class: workloads.Small,
 		Strategy: CoarseIn(region.USEast1),
-		PlanTx:   tx, PerDay: perDay, Seed: seed,
+		PlanTx:   tx, PerDay: s.perDay(), Seed: s.Seed,
 	}}
 	for _, frac := range fracs {
 		cfgs = append(cfgs, RunConfig{
 			Workload: wl, Class: workloads.Small,
 			Strategy: Fine,
-			PlanTx:   tx, PerDay: perDay, Seed: seed,
+			PlanTx:   tx, PerDay: s.perDay(), Seed: s.Seed,
 			BenchFraction: frac,
 		})
 	}
-	results, err := p.orDefault().RunAll(cfgs)
+	results, err := s.Pool.orDefault().RunAll(cfgs)
 	if err != nil {
 		return nil, err
 	}

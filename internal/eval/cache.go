@@ -59,8 +59,8 @@ func EncodeResult(cfg RunConfig, res *Result) ([]byte, error) {
 		Workload:     workloadName(cfg),
 		Seed:         cfg.Seed,
 		Regions:      cfg.Regions,
-		Home:         cfg.Home,
-		WarmupDays:   cfg.WarmupDays,
+		Home:         evalHome,
+		WarmupDays:   warmupDays,
 		EvalDays:     cfg.EvalDays,
 		Start:        res.Start,
 		InvokeErrors: res.App.InvokeErrors,
@@ -97,12 +97,12 @@ func DecodeResult(cfg RunConfig, payload []byte) (*Result, error) {
 	}
 	// The environment is rebuilt from cfg, so the blob must describe the
 	// same one — which also keeps a corrupt window from sizing the traces.
-	if blob.Seed != cfg.Seed || blob.Home != cfg.Home || !slices.Equal(blob.Regions, cfg.Regions) ||
-		blob.WarmupDays != cfg.WarmupDays || blob.EvalDays != cfg.EvalDays {
+	if blob.Seed != cfg.Seed || blob.Home != evalHome || !slices.Equal(blob.Regions, cfg.Regions) ||
+		blob.WarmupDays != warmupDays || blob.EvalDays != cfg.EvalDays {
 		return nil, fmt.Errorf("eval: cached result is for another configuration (seed %d, home %s, regions %v, %d+%d days)",
 			blob.Seed, blob.Home, blob.Regions, blob.WarmupDays, blob.EvalDays)
 	}
-	total := time.Duration(cfg.WarmupDays+cfg.EvalDays) * 24 * time.Hour
+	total := time.Duration(warmupDays+cfg.EvalDays) * 24 * time.Hour
 	env, err := core.NewEnv(core.EnvConfig{
 		Seed:    cfg.Seed,
 		Start:   EvalStart,
@@ -115,7 +115,7 @@ func DecodeResult(cfg RunConfig, payload []byte) (*Result, error) {
 	app := &core.App{
 		Env:          env,
 		Workload:     cfg.Workload,
-		Home:         cfg.Home,
+		Home:         evalHome,
 		Records:      blob.Records,
 		InvokeErrors: blob.InvokeErrors,
 	}

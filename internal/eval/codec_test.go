@@ -189,12 +189,30 @@ func TestDecodeResultRefusesOtherConfiguration(t *testing.T) {
 		"workload": func(c *RunConfig) { c.Workload = workloads.ImageProcessing() },
 		"seed":     func(c *RunConfig) { c.Seed = 99 },
 		"regions":  func(c *RunConfig) { c.Regions = []region.ID{region.USEast1} },
-		"home":     func(c *RunConfig) { c.Home = region.USWest2 },
 		"window":   func(c *RunConfig) { c.EvalDays = 3 },
 	} {
 		other := cfg
 		mutate(&other)
 		if _, err := DecodeResult(other, payload); err == nil {
+			t.Errorf("decode accepted a blob for another %s", name)
+		}
+	}
+	// Every run has the same home and warm-up, so a header naming another
+	// one is the blob's edit, not the configuration's.
+	for name, mutate := range map[string]func(*resultBlob){
+		"home":    func(b *resultBlob) { b.Home = region.USWest2 },
+		"warm-up": func(b *resultBlob) { b.WarmupDays = 2 },
+	} {
+		blob, err := decodeBlob(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(blob)
+		other, err := encodeBlob(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResult(cfg, other); err == nil {
 			t.Errorf("decode accepted a blob for another %s", name)
 		}
 	}

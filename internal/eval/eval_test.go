@@ -205,7 +205,7 @@ func TestRunSmokeCoarse(t *testing.T) {
 }
 
 func TestFig13bForecastHorizonDegrades(t *testing.T) {
-	rows, err := fig13b(Fig13Options{Frequencies: []int{1, 7}, Seed: 17})
+	rows, err := fig13b([]int{1, 7}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

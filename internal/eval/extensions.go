@@ -71,19 +71,14 @@ type ExtGlobalRow struct {
 // because executing against far regions is dominated by the same model
 // terms; the NA numbers cross-check against Fig 7's measured runs. The
 // per-(workload, region set) learning runs execute concurrently on the
-// pool (nil uses a private default-width pool).
-func ExtGlobal(p *Pool, wls []*workloads.Workload, seed int64, perDay int) ([]ExtGlobalRow, error) {
-	if len(wls) == 0 {
-		wls = workloads.All()
-	}
-	if perDay == 0 {
-		perDay = 192
-	}
+// pool.
+func ExtGlobal(s Scale) ([]ExtGlobalRow, error) {
+	wls, perDay := s.workloads(), s.perDay()
 	regionSets := [][]region.ID{region.EvaluationFour(), region.Global().IDs()}
 	norms := make([]float64, len(wls)*len(regionSets))
-	err := p.orDefault().Do(len(norms), func(i int) error {
+	err := s.Pool.orDefault().Do(len(norms), func(i int) error {
 		wl, regs := wls[i/len(regionSets)], regionSets[i%len(regionSets)]
-		_, app, err := learnedApp(wl, regs, seed, perDay)
+		_, app, err := learnedApp(wl, regs, s.Seed, perDay)
 		if err != nil {
 			return fmt.Errorf("ext-global %s: %w", wl.Name, err)
 		}
@@ -148,19 +143,13 @@ type ExtTemporalRow struct {
 }
 
 // ExtTemporal quantifies §2.2's contrast on the same modeling substrate.
-// Workloads are scored concurrently on the pool (nil uses a private
-// default-width pool).
-func ExtTemporal(p *Pool, wls []*workloads.Workload, seed int64, perDay int) ([]ExtTemporalRow, error) {
-	if len(wls) == 0 {
-		wls = workloads.All()
-	}
-	if perDay == 0 {
-		perDay = 192
-	}
+// Workloads are scored concurrently on the pool.
+func ExtTemporal(s Scale) ([]ExtTemporalRow, error) {
+	wls, perDay := s.workloads(), s.perDay()
 	rows := make([]ExtTemporalRow, len(wls))
-	err := p.orDefault().Do(len(wls), func(i int) error {
+	err := s.Pool.orDefault().Do(len(wls), func(i int) error {
 		wl := wls[i]
-		_, app, err := learnedApp(wl, region.EvaluationFour(), seed, perDay)
+		_, app, err := learnedApp(wl, region.EvaluationFour(), s.Seed, perDay)
 		if err != nil {
 			return fmt.Errorf("ext-temporal %s: %w", wl.Name, err)
 		}
@@ -239,18 +228,17 @@ type ExtSignalRow struct {
 	MCIPlanACICarbon float64
 }
 
-// ExtSignal runs the sensitivity study the §7.1 discussion calls for.
-// Workloads are scored concurrently on the pool (nil uses a private
-// default-width pool).
-func ExtSignal(p *Pool, wls []*workloads.Workload, seed int64, perDay int) ([]ExtSignalRow, error) {
-	if len(wls) == 0 {
-		wls = []*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.VideoAnalytics()}
-	}
-	if perDay == 0 {
-		perDay = 192
-	}
+// ExtSignal runs the sensitivity study the §7.1 discussion calls for, on
+// Text2Speech Censoring and Video Analytics, or under Quick on
+// Text2Speech Censoring and Image Processing. Workloads are scored
+// concurrently on the pool.
+func ExtSignal(s Scale) ([]ExtSignalRow, error) {
+	wls := pick(s,
+		[]*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.VideoAnalytics()},
+		[]*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.ImageProcessing()})
+	seed, perDay := s.Seed, s.perDay()
 	rows := make([]ExtSignalRow, len(wls))
-	err := p.orDefault().Do(len(wls), func(i int) error {
+	err := s.Pool.orDefault().Do(len(wls), func(i int) error {
 		wl := wls[i]
 		env, app, err := learnedApp(wl, region.EvaluationFour(), seed, perDay)
 		if err != nil {

@@ -26,33 +26,20 @@ type Fig10Point struct {
 	QoSMet       bool
 }
 
-// Fig10Options scales the sweep.
-type Fig10Options struct {
-	Tolerances []float64
-	Seed       int64
-	// Pool runs and memoizes the sweep's runs; nil uses a private
-	// default-width pool.
-	Pool *Pool
-}
-
 // fig10Workloads are the figure's two workflows, each run with the small
 // input.
 func fig10Workloads() []*workloads.Workload {
 	return []*workloads.Workload{workloads.DNAVisualization(), workloads.ImageProcessing()}
 }
 
-// fig10Defaults fills unset options with the figure's full scale.
-func fig10Defaults(opt Fig10Options) Fig10Options {
-	if len(opt.Tolerances) == 0 {
-		opt.Tolerances = []float64{0, 2.5, 5, 7.5, 10}
-	}
-	return opt
+// fig10Tolerances are the swept runtime tolerances (%) at scale s.
+func fig10Tolerances(s Scale) []float64 {
+	return pick(s, []float64{0, 2.5, 5, 7.5, 10}, []float64{0, 5, 10})
 }
 
-// fig10Configs enumerates the sweep's runs for already-defaulted options:
-// per (workload, scenario), the home baseline followed by one fine run
-// per tolerance.
-func fig10Configs(opt Fig10Options) []RunConfig {
+// fig10Configs enumerates the sweep's runs at scale s: per (workload,
+// scenario), the home baseline followed by one fine run per tolerance.
+func fig10Configs(s Scale) []RunConfig {
 	var cfgs []RunConfig
 	for _, wl := range fig10Workloads() {
 		for _, sc := range Scenarios() {
@@ -60,9 +47,9 @@ func fig10Configs(opt Fig10Options) []RunConfig {
 				Workload: wl, Class: workloads.Small,
 				Strategy: CoarseIn("aws:us-east-1"),
 				EvalDays: 2,
-				PlanTx:   sc.Tx, Seed: opt.Seed,
+				PlanTx:   sc.Tx, Seed: s.Seed,
 			})
-			for _, tolPct := range opt.Tolerances {
+			for _, tolPct := range fig10Tolerances(s) {
 				// Two measured days: day one feeds remote observations
 				// (including cold-start tails) back into the model; day
 				// two is the reported steady state after the corrective
@@ -73,7 +60,7 @@ func fig10Configs(opt Fig10Options) []RunConfig {
 					PlanTx:     sc.Tx,
 					Tolerances: &solver.Tolerances{Latency: solver.Tol(tolPct)},
 					EvalDays:   2,
-					Seed:       opt.Seed,
+					Seed:       s.Seed,
 				})
 			}
 		}
@@ -84,10 +71,8 @@ func fig10Configs(opt Fig10Options) []RunConfig {
 // Fig10 runs the tolerance sweep. The coarse home baseline is
 // scenario-independent, so the memo collapses it to one execution per
 // workload.
-func Fig10(opt Fig10Options) ([]Fig10Point, error) {
-	opt = fig10Defaults(opt)
-	pool := opt.Pool.orDefault()
-	results, err := pool.RunAll(fig10Configs(opt))
+func Fig10(s Scale) ([]Fig10Point, error) {
+	results, err := s.Pool.orDefault().RunAll(fig10Configs(s))
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
@@ -107,7 +92,7 @@ func Fig10(opt Fig10Options) ([]Fig10Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, tolPct := range opt.Tolerances {
+			for _, tolPct := range fig10Tolerances(s) {
 				fine := results[i]
 				i++
 				fineSum, err := fine.SummarizeWindow(sc.Tx, lastDay, lastDay.Add(24*time.Hour))

@@ -46,36 +46,21 @@ type Fig11Result struct {
 // fig11Bin is the width of one time bin of the series.
 const fig11Bin = 6 * time.Hour
 
-// Fig11Options scales the experiment.
-type Fig11Options struct {
-	Days   int // default 6, matching the figure's span
-	PerDay float64
-	Seed   int64
-	// Pool bounds the treatments' concurrency; nil uses a private
-	// default-width pool. Fig 11's bespoke trace-driven runs are not
-	// RunConfig-shaped, so they ride the pool's generic job lane.
-	Pool *Pool
-}
-
-// Fig11 runs the continuous evaluation for both transmission scenarios.
-func Fig11(opt Fig11Options) ([]Fig11Result, error) {
-	if opt.Days == 0 {
-		opt.Days = 6
-	}
-	if opt.PerDay == 0 {
-		opt.PerDay = 800 // half the Azure P5 rate keeps the run fast while preserving shape
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 17
-	}
+// Fig11 runs the continuous evaluation for both transmission scenarios:
+// six days at half the Azure P5 rate (which keeps the run fast while
+// preserving shape), or three days at 300 a day under Quick. Its bespoke
+// trace-driven runs are not RunConfig-shaped, so they ride the pool's
+// generic job lane.
+func Fig11(s Scale) ([]Fig11Result, error) {
+	days, seed := pick(s, 6, 3), s.seed()
 	profile := trace.AzureP5()
-	profile.DailyInvocations = opt.PerDay
+	profile.DailyInvocations = pick(s, 800.0, 300.0)
 	profile.LargeFraction = 1 // the figure uses the large input size
 
 	wl := workloads.Text2SpeechCensoring()
 	start := EvalStart
-	end := start.Add(time.Duration(opt.Days) * 24 * time.Hour)
-	events, err := trace.Generate(profile, start, end, opt.Seed)
+	end := start.Add(time.Duration(days) * 24 * time.Hour)
+	events, err := trace.Generate(profile, start, end, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -84,13 +69,13 @@ func Fig11(opt Fig11Options) ([]Fig11Result, error) {
 	// baselines (scenario-independent, run once each) plus one adaptive
 	// Caribou run per scenario. Each job owns an isolated Env; the trace
 	// events slice is shared read-only.
-	pool := opt.Pool.orDefault()
+	pool := s.Pool.orDefault()
 	coarseRegions := []region.ID{region.USEast1, region.USWest1, region.USWest2}
 	scens := Scenarios()
 	outs := make([]*fig11Out, len(coarseRegions)+len(scens))
 	err = pool.Do(len(outs), func(i int) error {
 		if i < len(coarseRegions) {
-			out, err := fig11Run(wl, events, start, end, opt.Seed, nil, coarseRegions[i])
+			out, err := fig11Run(wl, events, start, end, seed, nil, coarseRegions[i])
 			if err != nil {
 				return fmt.Errorf("fig11 coarse %s: %w", coarseRegions[i], err)
 			}
@@ -99,7 +84,7 @@ func Fig11(opt Fig11Options) ([]Fig11Result, error) {
 		}
 		sc := scens[i-len(coarseRegions)]
 		tx := sc.Tx
-		out, err := fig11Run(wl, events, start, end, opt.Seed, &tx, "")
+		out, err := fig11Run(wl, events, start, end, seed, &tx, "")
 		if err != nil {
 			return fmt.Errorf("fig11 caribou %s: %w", sc.Name, err)
 		}

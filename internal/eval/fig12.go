@@ -27,32 +27,14 @@ type Fig12Row struct {
 	P95Seconds  float64
 }
 
-// Fig12Options scales the experiment.
-type Fig12Options struct {
-	Workloads   []*workloads.Workload
-	Classes     []workloads.InputClass
-	Invocations int
-	Seed        int64
-	// Pool bounds the measurements' concurrency; nil uses a private
-	// default-width pool. Fig 12's single-day orchestrator measurements
-	// are not RunConfig-shaped, so they ride the pool's generic job lane.
-	Pool *Pool
-}
+// fig12Invocations is the invocation count of one measurement day.
+const fig12Invocations = 60
 
-// Fig12 measures all mode/workload/class combinations concurrently.
-func Fig12(opt Fig12Options) ([]Fig12Row, error) {
-	if len(opt.Workloads) == 0 {
-		opt.Workloads = workloads.All()
-	}
-	if len(opt.Classes) == 0 {
-		opt.Classes = workloads.Classes()
-	}
-	if opt.Invocations == 0 {
-		opt.Invocations = 60
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 17
-	}
+// Fig12 measures all mode/workload/class combinations concurrently. Its
+// single-day orchestrator measurements are not RunConfig-shaped, so they
+// ride the pool's generic job lane.
+func Fig12(s Scale) ([]Fig12Row, error) {
+	wls, classes, seed := s.workloads(), s.classes(), s.seed()
 	modes := []executor.Mode{executor.ModeStepFunctions, executor.ModePlainSNS, executor.ModeCaribou}
 
 	type combo struct {
@@ -61,17 +43,17 @@ func Fig12(opt Fig12Options) ([]Fig12Row, error) {
 		mode  executor.Mode
 	}
 	var combos []combo
-	for _, wl := range opt.Workloads {
-		for _, class := range opt.Classes {
+	for _, wl := range wls {
+		for _, class := range classes {
 			for _, mode := range modes {
 				combos = append(combos, combo{wl, class, mode})
 			}
 		}
 	}
 	rows := make([]Fig12Row, len(combos))
-	err := opt.Pool.orDefault().Do(len(combos), func(i int) error {
+	err := s.Pool.orDefault().Do(len(combos), func(i int) error {
 		c := combos[i]
-		mean, p95, err := fig12Run(c.wl, c.class, c.mode, opt)
+		mean, p95, err := fig12Run(c.wl, c.class, c.mode, seed)
 		if err != nil {
 			return fmt.Errorf("fig12 %s/%s/%s: %w", c.wl.Name, c.class, c.mode, err)
 		}
@@ -87,8 +69,8 @@ func Fig12(opt Fig12Options) ([]Fig12Row, error) {
 	return rows, nil
 }
 
-func fig12Run(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, opt Fig12Options) (mean, p95 float64, err error) {
-	app, err := fig12App(wl, class, mode, opt)
+func fig12Run(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, seed int64) (mean, p95 float64, err error) {
+	app, err := fig12App(wl, class, mode, seed)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -105,9 +87,9 @@ func fig12Run(wl *workloads.Workload, class workloads.InputClass, mode executor.
 
 // fig12App drives one measurement day of pure home execution under mode
 // and returns the drained application.
-func fig12App(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, opt Fig12Options) (*core.App, error) {
+func fig12App(wl *workloads.Workload, class workloads.InputClass, mode executor.Mode, seed int64) (*core.App, error) {
 	env, err := core.NewEnv(core.EnvConfig{
-		Seed:    opt.Seed,
+		Seed:    seed,
 		Start:   EvalStart,
 		End:     EvalStart.Add(24 * time.Hour),
 		Regions: region.EvaluationFour(),
@@ -119,17 +101,17 @@ func fig12App(wl *workloads.Workload, class workloads.InputClass, mode executor.
 		Workload:      wl,
 		Home:          region.USEast1,
 		Mode:          mode,
-		Seed:          opt.Seed,
+		Seed:          seed,
 		BenchFraction: -1, // pure home execution in all modes
 	})
 	if err != nil {
 		return nil, err
 	}
-	gap := 24 * time.Hour / time.Duration(opt.Invocations)
-	app.ScheduleUniform(EvalStart, opt.Invocations, gap, class)
+	gap := 24 * time.Hour / fig12Invocations
+	app.ScheduleUniform(EvalStart, fig12Invocations, gap, class)
 	env.Run()
-	if len(app.Records) < opt.Invocations {
-		return nil, fmt.Errorf("completed %d of %d", len(app.Records), opt.Invocations)
+	if len(app.Records) < fig12Invocations {
+		return nil, fmt.Errorf("completed %d of %d", len(app.Records), fig12Invocations)
 	}
 	return app, nil
 }

@@ -42,40 +42,23 @@ type Fig13bRow struct {
 	MAPEPct       float64
 }
 
-// Fig13Options scales the experiment.
-type Fig13Options struct {
-	Frequencies []int
-	PerDay      float64
-	Days        int
-	Seed        int64
-	// Pool bounds the sweep's concurrency; nil uses a private
-	// default-width pool. Fig 13a's fixed-period solve runs are not
-	// RunConfig-shaped, so they ride the pool's generic job lane.
-	Pool *Pool
-}
+// fig13Days is the span of one fixed-period run: a week.
+const fig13Days = 7
 
 // Fig13 runs both sub-figures. The workload is Text2Speech Censoring with
-// the small input, per §9.7.
-func Fig13(opt Fig13Options) ([]Fig13aRow, []Fig13bRow, error) {
-	if len(opt.Frequencies) == 0 {
-		opt.Frequencies = []int{1, 2, 3, 4, 5, 6, 7}
-	}
-	if opt.PerDay == 0 {
-		opt.PerDay = 1600 // Azure 5th-percentile DAG (§9.7)
-	}
-	if opt.Days == 0 {
-		opt.Days = 7
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 17
-	}
-
+// the small input at the Azure 5th-percentile DAG's 1 600 invocations a
+// day (§9.7), swept over one to seven solves a week; Quick runs 400 a day
+// at one, four and seven. Fig 13a's fixed-period solve runs are not
+// RunConfig-shaped, so they ride the pool's generic job lane.
+func Fig13(s Scale) ([]Fig13aRow, []Fig13bRow, error) {
+	freqs := pick(s, []int{1, 2, 3, 4, 5, 6, 7}, []int{1, 4, 7})
+	perDay, seed := pick(s, 1600.0, 400.0), s.seed()
 	scens := Scenarios()
-	aRows := make([]Fig13aRow, len(opt.Frequencies)*len(scens))
-	err := opt.Pool.orDefault().Do(len(aRows), func(i int) error {
-		freq := opt.Frequencies[i/len(scens)]
+	aRows := make([]Fig13aRow, len(freqs)*len(scens))
+	err := s.Pool.orDefault().Do(len(aRows), func(i int) error {
+		freq := freqs[i/len(scens)]
 		sc := scens[i%len(scens)]
-		row, err := fig13aRun(freq, sc.Name, sc.Tx, opt)
+		row, err := fig13aRun(freq, sc.Name, sc.Tx, perDay, seed)
 		if err != nil {
 			return fmt.Errorf("fig13a f=%d %s: %w", freq, sc.Name, err)
 		}
@@ -86,7 +69,7 @@ func Fig13(opt Fig13Options) ([]Fig13aRow, []Fig13bRow, error) {
 		return nil, nil, err
 	}
 
-	bRows, err := fig13b(opt)
+	bRows, err := fig13b(freqs, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,12 +77,12 @@ func Fig13(opt Fig13Options) ([]Fig13aRow, []Fig13bRow, error) {
 }
 
 // fig13aRun executes one week with solves at a fixed period.
-func fig13aRun(freq int, scenario string, tx carbon.TransmissionModel, opt Fig13Options) (*Fig13aRow, error) {
+func fig13aRun(freq int, scenario string, tx carbon.TransmissionModel, perDay float64, seed int64) (*Fig13aRow, error) {
 	wl := workloads.Text2SpeechCensoring()
 	start := EvalStart
-	end := start.Add(time.Duration(opt.Days) * 24 * time.Hour)
+	end := start.Add(fig13Days * 24 * time.Hour)
 	env, err := core.NewEnv(core.EnvConfig{
-		Seed: opt.Seed, Start: start, End: end, Regions: region.EvaluationFour(),
+		Seed: seed, Start: start, End: end, Regions: region.EvaluationFour(),
 	})
 	if err != nil {
 		return nil, err
@@ -113,14 +96,14 @@ func fig13aRun(freq int, scenario string, tx carbon.TransmissionModel, opt Fig13
 			Tolerances: solver.Tolerances{Latency: solver.Tol(25)},
 		},
 		Tx:   tx,
-		Seed: opt.Seed,
+		Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	profile := trace.Uniform(opt.PerDay)
-	events, err := trace.Generate(profile, start, end, opt.Seed)
+	profile := trace.Uniform(perDay)
+	events, err := trace.Generate(profile, start, end, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +111,7 @@ func fig13aRun(freq int, scenario string, tx carbon.TransmissionModel, opt Fig13
 
 	// Fixed-period solving: the solver runs in ca-central-1 (as in the
 	// paper's cost accounting), producing 24-hour granular plans.
-	period := time.Duration(opt.Days) * 24 * time.Hour / time.Duration(freq)
+	period := fig13Days * 24 * time.Hour / time.Duration(freq)
 	var overhead float64
 	for i := 0; i < freq; i++ {
 		at := start.Add(time.Duration(i)*period + time.Hour) // after some data exists
@@ -178,8 +161,8 @@ func fig13SolveCost(env *core.Env, now time.Time) float64 {
 // fig13b scores forecast MAPE at the horizon implied by each frequency:
 // solving f times per week means plans rely on forecasts up to 7/f days
 // old.
-func fig13b(opt Fig13Options) ([]Fig13bRow, error) {
-	src, err := carbon.SharedSource(opt.Seed, EvalStart.Add(-8*24*time.Hour), EvalStart.Add(9*24*time.Hour))
+func fig13b(freqs []int, seed int64) ([]Fig13bRow, error) {
+	src, err := carbon.SharedSource(seed, EvalStart.Add(-8*24*time.Hour), EvalStart.Add(9*24*time.Hour))
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +175,7 @@ func fig13b(opt Fig13Options) ([]Fig13bRow, error) {
 	mm := metrics.New(wl.DAG, region.USEast1, four, netmodel.New(four), src, pricing.DefaultBook())
 
 	var rows []Fig13bRow
-	for _, freq := range opt.Frequencies {
+	for _, freq := range freqs {
 		horizon := 7 * 24 / freq
 		for _, id := range region.EvaluationFour() {
 			mape, err := mm.ForecastMAPE(id, EvalStart, horizon)

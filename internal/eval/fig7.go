@@ -89,6 +89,11 @@ func fig7Defaults(opt Fig7Options) Fig7Options {
 	return opt
 }
 
+// fig7Options is the figure at scale s.
+func fig7Options(s Scale) Fig7Options {
+	return Fig7Options{Workloads: s.workloads(), Classes: s.classes(), Seed: s.Seed, Pool: s.Pool}
+}
+
 // fig7Group is one (workload, class) bar group.
 type fig7Group struct {
 	wl    *workloads.Workload

@@ -23,44 +23,23 @@ type Fig8Point struct {
 	Normalized float64 // fine(all) carbon / home carbon
 }
 
-// Fig8Options scales the experiment.
-type Fig8Options struct {
-	Workloads []*workloads.Workload
-	Classes   []workloads.InputClass
-	Seed      int64
-	// Pool runs and memoizes the experiment's runs; nil uses a private
-	// default-width pool.
-	Pool *Pool
-}
-
-// fig8Defaults fills unset options with the figure's full scale.
-func fig8Defaults(opt Fig8Options) Fig8Options {
-	if len(opt.Workloads) == 0 {
-		opt.Workloads = workloads.All()
-	}
-	if len(opt.Classes) == 0 {
-		opt.Classes = workloads.Classes()
-	}
-	return opt
-}
-
-// fig8Configs enumerates the figure's runs for already-defaulted options:
-// two configs per (workload, class, scenario), home then fine.
-func fig8Configs(opt Fig8Options) []RunConfig {
+// fig8Configs enumerates the figure's runs at scale s: two configs per
+// (workload, class, scenario), home then fine.
+func fig8Configs(s Scale) []RunConfig {
 	var cfgs []RunConfig
-	for _, wl := range opt.Workloads {
-		for _, class := range opt.Classes {
+	for _, wl := range s.workloads() {
+		for _, class := range s.classes() {
 			for _, sc := range Scenarios() {
 				cfgs = append(cfgs,
 					RunConfig{
 						Workload: wl, Class: class,
 						Strategy: CoarseIn("aws:us-east-1"),
-						PlanTx:   sc.Tx, Seed: opt.Seed,
+						PlanTx:   sc.Tx, Seed: s.Seed,
 					},
 					RunConfig{
 						Workload: wl, Class: class,
 						Strategy: Fine,
-						PlanTx:   sc.Tx, Seed: opt.Seed,
+						PlanTx:   sc.Tx, Seed: s.Seed,
 					})
 			}
 		}
@@ -71,18 +50,16 @@ func fig8Configs(opt Fig8Options) []RunConfig {
 // Fig8 runs home and fine(all) per combination and derives the scatter.
 // The home deployment is coarse and scenario-independent, so the memo
 // collapses it to one execution per (workload, class).
-func Fig8(opt Fig8Options) ([]Fig8Point, error) {
-	opt = fig8Defaults(opt)
-	pool := opt.Pool.orDefault()
-	results, err := pool.RunAll(fig8Configs(opt))
+func Fig8(s Scale) ([]Fig8Point, error) {
+	results, err := s.Pool.orDefault().RunAll(fig8Configs(s))
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
 
 	var points []Fig8Point
 	i := 0
-	for _, wl := range opt.Workloads {
-		for _, class := range opt.Classes {
+	for _, wl := range s.workloads() {
+		for _, class := range s.classes() {
 			for _, sc := range Scenarios() {
 				home, fine := results[i], results[i+1]
 				i += 2

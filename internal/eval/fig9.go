@@ -22,34 +22,9 @@ type Fig9Point struct {
 	Geomean float64
 }
 
-// Fig9Options scales the sweep.
-type Fig9Options struct {
-	Factors   []float64
-	Workloads []*workloads.Workload
-	Classes   []workloads.InputClass
-	Seed      int64
-	// Pool runs and memoizes the sweep's runs; nil uses a private
-	// default-width pool.
-	Pool *Pool
-}
-
-// DefaultFig9Factors spans the figure's x-axis (kWh/GB).
-func DefaultFig9Factors() []float64 {
-	return []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
-}
-
-// fig9Defaults fills unset options with the figure's full scale.
-func fig9Defaults(opt Fig9Options) Fig9Options {
-	if len(opt.Factors) == 0 {
-		opt.Factors = DefaultFig9Factors()
-	}
-	if len(opt.Workloads) == 0 {
-		opt.Workloads = workloads.All()
-	}
-	if len(opt.Classes) == 0 {
-		opt.Classes = workloads.Classes()
-	}
-	return opt
+// fig9Factors spans the figure's x-axis (kWh/GB) at scale s.
+func fig9Factors(s Scale) []float64 {
+	return pick(s, []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}, []float64{1e-4, 1e-3, 1e-2})
 }
 
 // fig9Model is one factor structure of the sweep.
@@ -65,25 +40,25 @@ func fig9Models() []fig9Model {
 	}
 }
 
-// fig9Configs enumerates the sweep's runs for already-defaulted options:
-// two configs per (model, class, factor, workload), home then fine.
-func fig9Configs(opt Fig9Options) []RunConfig {
+// fig9Configs enumerates the sweep's runs at scale s: two configs per
+// (model, class, factor, workload), home then fine.
+func fig9Configs(s Scale) []RunConfig {
 	var cfgs []RunConfig
 	for _, m := range fig9Models() {
-		for _, class := range opt.Classes {
-			for _, f := range opt.Factors {
+		for _, class := range s.classes() {
+			for _, f := range fig9Factors(s) {
 				tx := m.mk(f)
-				for _, wl := range opt.Workloads {
+				for _, wl := range s.workloads() {
 					cfgs = append(cfgs,
 						RunConfig{
 							Workload: wl, Class: class,
 							Strategy: CoarseIn("aws:us-east-1"),
-							PlanTx:   tx, Seed: opt.Seed,
+							PlanTx:   tx, Seed: s.Seed,
 						},
 						RunConfig{
 							Workload: wl, Class: class,
 							Strategy: Fine,
-							PlanTx:   tx, Seed: opt.Seed,
+							PlanTx:   tx, Seed: s.Seed,
 						})
 				}
 			}
@@ -95,25 +70,23 @@ func fig9Configs(opt Fig9Options) []RunConfig {
 // Fig9 runs the sweep. For each (scenario, factor, class) the geometric
 // mean is over workloads of Caribou-fine carbon normalized to the home
 // deployment, both accounted under the swept factor model.
-func Fig9(opt Fig9Options) ([]Fig9Point, error) {
-	opt = fig9Defaults(opt)
-	models := fig9Models()
-	pool := opt.Pool.orDefault()
+func Fig9(s Scale) ([]Fig9Point, error) {
 	// The home run is coarse, so the memo collapses the whole sweep's
 	// baselines to one execution per (workload, class).
-	results, err := pool.RunAll(fig9Configs(opt))
+	results, err := s.Pool.orDefault().RunAll(fig9Configs(s))
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}
 
 	var points []Fig9Point
 	i := 0
-	for _, m := range models {
-		for _, class := range opt.Classes {
-			for _, f := range opt.Factors {
+	wls := s.workloads()
+	for _, m := range fig9Models() {
+		for _, class := range s.classes() {
+			for _, f := range fig9Factors(s) {
 				tx := m.mk(f)
 				var norms []float64
-				for range opt.Workloads {
+				for range wls {
 					home, fine := results[i], results[i+1]
 					i += 2
 					homeSum, err := home.Summarize(tx)

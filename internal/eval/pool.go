@@ -311,15 +311,17 @@ func (c RunConfig) canonicalKey() string {
 		name = c.Workload.Name
 	}
 	fmt.Fprintf(&b, "wl=%s|class=%s|regions=%s|home=%s|strategy=%s|perday=%d|warmup=%d|eval=%d|seed=%d",
-		name, c.Class, joinRegions(c.Regions), c.Home, c.Strategy, c.PerDay, c.WarmupDays, c.EvalDays, c.Seed)
+		name, c.Class, joinRegions(c.Regions), evalHome, c.Strategy, c.PerDay, warmupDays, c.EvalDays, c.Seed)
 	if c.Strategy.Coarse == "" {
 		tol := solver.Tolerances{Latency: solver.Tol(25)}
 		if c.Tolerances != nil {
 			tol = *c.Tolerances
 		}
-		fmt.Fprintf(&b, "|plantx=%v/%v|tol=%s,%s,%s|bench=%v",
+		// The third tol= slot once held a carbon tolerance; it stays "-" so
+		// keys, and the blobs stored under them, do not move.
+		fmt.Fprintf(&b, "|plantx=%v/%v|tol=%s,%s,-|bench=%v",
 			c.PlanTx.InterRegionKWhPerGB, c.PlanTx.IntraRegionKWhPerGB,
-			limitKey(tol.Latency), limitKey(tol.Cost), limitKey(tol.Carbon),
+			limitKey(tol.Latency), limitKey(tol.Cost),
 			c.BenchFraction)
 	}
 	return b.String()

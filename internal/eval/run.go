@@ -1,6 +1,7 @@
 // Package eval reproduces every table and figure of the paper's
 // evaluation (§9) on the simulated substrate: each FigN/TableN function
-// runs the corresponding experiment and returns printable rows. The
+// runs the corresponding experiment and returns printable rows, and
+// Experiments lists every experiment, each run at one Scale. The
 // cmd/caribou-eval binary and the repository's benchmark suite are thin
 // wrappers around this package.
 package eval
@@ -31,6 +32,14 @@ type Strategy struct {
 	Coarse region.ID
 }
 
+// evalHome is every run's home region, and warmupDays the home-only days
+// before a run's measured phase. Both are written into the canonical key
+// and the blob header, so a change to either moves every cache key.
+const (
+	evalHome   = region.USEast1
+	warmupDays = 1
+)
+
 // Fine is the Caribou fine-grained strategy.
 var Fine = Strategy{}
 
@@ -50,9 +59,8 @@ func (s Strategy) String() string {
 type RunConfig struct {
 	Workload *workloads.Workload
 	Class    workloads.InputClass
-	// Regions is the candidate set (home must be included).
+	// Regions is the candidate set (evalHome must be included).
 	Regions  []region.ID
-	Home     region.ID
 	Strategy Strategy
 	// PlanTx is the transmission model the solver optimizes under
 	// (fine strategy only).
@@ -65,23 +73,17 @@ type RunConfig struct {
 	// BenchFraction overrides the benchmarking-traffic share for fine
 	// runs (0 keeps the 10 % default).
 	BenchFraction float64
-	// WarmupDays run home-only to seed metrics; EvalDays are measured.
-	WarmupDays, EvalDays int
-	Seed                 int64
+	// EvalDays are measured, after warmupDays at home seed the metrics.
+	EvalDays int
+	Seed     int64
 }
 
 func (c RunConfig) withDefaults() RunConfig {
-	if c.Home == "" {
-		c.Home = region.USEast1
-	}
 	if len(c.Regions) == 0 {
 		c.Regions = region.EvaluationFour()
 	}
 	if c.PerDay == 0 {
 		c.PerDay = 192
-	}
-	if c.WarmupDays == 0 {
-		c.WarmupDays = 1
 	}
 	if c.EvalDays == 0 {
 		c.EvalDays = 1
@@ -107,7 +109,7 @@ type Result struct {
 // phase under the strategy's deployment.
 func Run(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	total := time.Duration(cfg.WarmupDays+cfg.EvalDays) * 24 * time.Hour
+	total := time.Duration(warmupDays+cfg.EvalDays) * 24 * time.Hour
 	env, err := core.NewEnv(core.EnvConfig{
 		Seed:    cfg.Seed,
 		Start:   EvalStart,
@@ -123,7 +125,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	app, err := env.NewApp(core.AppConfig{
 		Workload:  cfg.Workload,
-		Home:      cfg.Home,
+		Home:      evalHome,
 		Mode:      executor.ModeCaribou,
 		Objective: solver.Objective{Priority: solver.PriorityCarbon, Tolerances: tol},
 		Tx:        cfg.PlanTx,
@@ -140,8 +142,8 @@ func Run(cfg RunConfig) (*Result, error) {
 	gap := 24 * time.Hour / time.Duration(cfg.PerDay)
 
 	// Warmup phase: home only.
-	app.ScheduleUniform(EvalStart, cfg.WarmupDays*cfg.PerDay, gap, cfg.Class)
-	evalStartT := EvalStart.Add(time.Duration(cfg.WarmupDays) * 24 * time.Hour)
+	app.ScheduleUniform(EvalStart, warmupDays*cfg.PerDay, gap, cfg.Class)
+	evalStartT := EvalStart.Add(time.Duration(warmupDays) * 24 * time.Hour)
 	env.RunUntil(evalStartT)
 	startIdx := len(app.Records)
 

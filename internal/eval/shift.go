@@ -67,43 +67,26 @@ type ExtShiftDay struct {
 	CarbonG float64
 }
 
-// ExtShiftOptions scales the experiment.
-type ExtShiftOptions struct {
-	Days   int // total days; the shift happens halfway
-	PerDay int
-	Seed   int64
-	// Pool bounds the experiment's concurrency; nil uses a private
-	// default-width pool. The shift experiment is a single continuous
-	// adaptive run (its days are causally chained through the learning
-	// loop), so it occupies one worker slot on the generic job lane.
-	Pool *Pool
-}
-
-// ExtShift runs the experiment and returns per-day rows.
-func ExtShift(opt ExtShiftOptions) ([]ExtShiftDay, error) {
+// ExtShift runs the experiment — six days at 240 invocations a day, or
+// four at 120 under Quick; the shift happens halfway — and returns
+// per-day rows. It is a single continuous adaptive run (its days are
+// causally chained through the learning loop), so it occupies one worker
+// slot on the pool's generic job lane.
+func ExtShift(s Scale) ([]ExtShiftDay, error) {
 	var rows []ExtShiftDay
-	err := opt.Pool.orDefault().Do(1, func(int) error {
+	err := s.Pool.orDefault().Do(1, func(int) error {
 		var err error
-		rows, err = extShiftRun(opt)
+		rows, err = extShiftRun(pick(s, 6, 4), pick(s, 240, 120), s.seed())
 		return err
 	})
 	return rows, err
 }
 
-func extShiftRun(opt ExtShiftOptions) ([]ExtShiftDay, error) {
-	if opt.Days == 0 {
-		opt.Days = 6
-	}
-	if opt.PerDay == 0 {
-		opt.PerDay = 240
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 17
-	}
+func extShiftRun(days, perDay int, seed int64) ([]ExtShiftDay, error) {
 	start := EvalStart
-	end := start.Add(time.Duration(opt.Days) * 24 * time.Hour)
+	end := start.Add(time.Duration(days) * 24 * time.Hour)
 	env, err := core.NewEnv(core.EnvConfig{
-		Seed: opt.Seed, Start: start, End: end, Regions: region.EvaluationFour(),
+		Seed: seed, Start: start, End: end, Regions: region.EvaluationFour(),
 	})
 	if err != nil {
 		return nil, err
@@ -119,27 +102,27 @@ func extShiftRun(opt ExtShiftOptions) ([]ExtShiftDay, error) {
 			Priority:   solver.PriorityCarbon,
 			Tolerances: solver.Tolerances{Latency: solver.Tol(25)},
 		},
-		Seed: opt.Seed,
+		Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	shiftAt := start.Add(time.Duration(opt.Days/2) * 24 * time.Hour)
-	gap := 24 * time.Hour / time.Duration(opt.PerDay)
-	for d := 0; d < opt.Days; d++ {
+	shiftAt := start.Add(time.Duration(days/2) * 24 * time.Hour)
+	gap := 24 * time.Hour / time.Duration(perDay)
+	for d := 0; d < days; d++ {
 		dayStart := start.Add(time.Duration(d) * 24 * time.Hour)
 		class := workloads.Small
 		if !dayStart.Before(shiftAt) {
 			class = workloads.Large
 		}
-		app.ScheduleUniform(dayStart, opt.PerDay, gap, class)
+		app.ScheduleUniform(dayStart, perDay, gap, class)
 	}
 	app.ScheduleManagerTicks(time.Hour)
 	env.Run()
 
 	var rows []ExtShiftDay
-	for d := 0; d < opt.Days; d++ {
+	for d := 0; d < days; d++ {
 		from := start.Add(time.Duration(d) * 24 * time.Hour)
 		to := from.Add(24 * time.Hour)
 		row := ExtShiftDay{Day: d + 1}

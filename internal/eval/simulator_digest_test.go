@@ -55,7 +55,7 @@ func TestSimulatorBlobDigests(t *testing.T) {
 
 	wl := workloads.Text2SpeechCensoring()
 	for _, mode := range []executor.Mode{executor.ModePlainSNS, executor.ModeStepFunctions} {
-		app, err := fig12App(wl, workloads.Small, mode, Fig12Options{Invocations: 60, Seed: seed})
+		app, err := fig12App(wl, workloads.Small, mode, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

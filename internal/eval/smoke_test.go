@@ -26,20 +26,20 @@ func TestExtensionsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration experiment")
 	}
-	wls := []*workloads.Workload{workloads.Text2SpeechCensoring()}
+	quick := Scale{Seed: 3, Quick: true}
 
-	global, err := ExtGlobal(nil, wls, 3, 96)
+	global, err := ExtGlobal(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(global) != 1 || global[0].GlobalNormalized <= 0 {
+	if len(global) != 2 || global[0].GlobalNormalized <= 0 {
 		t.Fatalf("global rows = %+v", global)
 	}
 	if global[0].GlobalNormalized > global[0].NANormalized*1.05 {
 		t.Errorf("global set should not be worse than NA: %+v", global[0])
 	}
 
-	temporal, err := ExtTemporal(nil, wls, 3, 96)
+	temporal, err := ExtTemporal(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExtensionsSmoke(t *testing.T) {
 		t.Errorf("both strategies should save carbon: %+v", tr)
 	}
 
-	signal, err := ExtSignal(nil, wls, 3, 96)
+	signal, err := ExtSignal(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration experiment")
 	}
-	solverRows, err := AblationSolver(nil, 3, 96)
+	solverRows, err := AblationSolver(Scale{Seed: 3, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package eval
 
-import (
-	"fmt"
-
-	"caribou/internal/workloads"
-)
+import "fmt"
 
 // This file expands figure presets into the exact RunConfigs the figure
-// drivers submit (the presets reuse the figNConfigs planners), so a store
-// filled from an expansion serves a later figure run entirely from disk.
+// drivers submit (the presets call the drivers' own planners at the same
+// Scale), so a store filled from an expansion serves a later figure run
+// entirely from disk.
 
 // SweepSpec names the figure presets to expand. Expansion dedupes by
 // canonical key, so overlapping figures (e.g. fig8 and fig9 sharing home
@@ -17,8 +14,8 @@ type SweepSpec struct {
 	// Figures lists figure presets ("fig7" … "fig10"); each expands to
 	// exactly the runs the corresponding caribou-eval experiment submits.
 	Figures []string
-	// Quick mirrors caribou-eval -quick: the reduced workload set and
-	// swept parameter lists.
+	// Quick expands each figure at its Quick scale, the one
+	// caribou-eval -quick runs.
 	Quick bool
 	Seed  int64
 }
@@ -36,7 +33,7 @@ type SweepRun struct {
 func ExpandSweep(spec SweepSpec) ([]SweepRun, error) {
 	var cfgs []RunConfig
 	for _, fig := range spec.Figures {
-		fc, err := figureConfigs(fig, spec.Quick, spec.Seed)
+		fc, err := figureConfigs(fig, Scale{Seed: spec.Seed, Quick: spec.Quick})
 		if err != nil {
 			return nil, err
 		}
@@ -58,34 +55,20 @@ func ExpandSweep(spec SweepSpec) ([]SweepRun, error) {
 // FigurePresets lists the figure names ExpandSweep accepts.
 func FigurePresets() []string { return []string{"fig7", "fig8", "fig9", "fig10"} }
 
-// figureConfigs expands one figure preset into the same configurations
-// the caribou-eval experiment of that name submits (including its -quick
-// reductions), via the figNConfigs planners the drivers themselves use.
-func figureConfigs(fig string, quick bool, seed int64) ([]RunConfig, error) {
-	var wls []*workloads.Workload
-	var classes []workloads.InputClass
-	if quick {
-		wls = []*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.ImageProcessing()}
-		classes = []workloads.InputClass{workloads.Small}
-	}
+// figureConfigs expands one figure preset at scale s into the
+// configurations the experiment of that name submits, through the
+// planner its driver uses.
+func figureConfigs(fig string, s Scale) ([]RunConfig, error) {
 	switch fig {
 	case "fig7":
-		cfgs, _, _ := fig7Plan(fig7Defaults(Fig7Options{Seed: seed, Workloads: wls, Classes: classes}))
+		cfgs, _, _ := fig7Plan(fig7Options(s))
 		return cfgs, nil
 	case "fig8":
-		return fig8Configs(fig8Defaults(Fig8Options{Seed: seed, Workloads: wls, Classes: classes})), nil
+		return fig8Configs(s), nil
 	case "fig9":
-		opt := Fig9Options{Seed: seed, Workloads: wls, Classes: classes}
-		if quick {
-			opt.Factors = []float64{1e-4, 1e-3, 1e-2}
-		}
-		return fig9Configs(fig9Defaults(opt)), nil
+		return fig9Configs(s), nil
 	case "fig10":
-		opt := Fig10Options{Seed: seed}
-		if quick {
-			opt.Tolerances = []float64{0, 5, 10}
-		}
-		return fig10Configs(fig10Defaults(opt)), nil
+		return fig10Configs(s), nil
 	}
 	return nil, fmt.Errorf("eval: unknown figure preset %q (want one of %v)", fig, FigurePresets())
 }

@@ -1,17 +1,13 @@
 package eval
 
-import (
-	"testing"
-
-	"caribou/internal/workloads"
-)
+import "testing"
 
 // TestExpandSweepCoversFigures is the sweep↔figure parity contract: the
 // fig7–fig10 presets must expand to exactly the canonical keys the
-// figure drivers submit, so a store filled from the expansion serves a
-// warm figure run with zero executions, and an unknown preset is refused.
-// TestExpandedStoreServesFiguresWarm (cmd/caribou-eval) checks the same
-// against the binary's own -quick reductions.
+// figure drivers submit at the same Scale, so a store filled from the
+// expansion serves a warm figure run with zero executions, and an unknown
+// preset is refused. TestExpandedStoreServesFiguresWarm (cmd/caribou-eval)
+// checks the same against the binary's -quick.
 func TestExpandSweepCoversFigures(t *testing.T) {
 	const seed = int64(17)
 	runs, err := ExpandSweep(SweepSpec{
@@ -27,16 +23,11 @@ func TestExpandSweepCoversFigures(t *testing.T) {
 		have[r.Cfg.CanonicalKey()] = true
 	}
 
-	quickWLs := []*workloads.Workload{workloads.Text2SpeechCensoring(), workloads.ImageProcessing()}
-	quickClasses := []workloads.InputClass{workloads.Small}
-	var want []RunConfig
-	f7, _, _ := fig7Plan(fig7Defaults(Fig7Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses}))
-	want = append(want, f7...)
-	want = append(want, fig8Configs(fig8Defaults(Fig8Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses}))...)
-	want = append(want, fig9Configs(fig9Defaults(Fig9Options{Seed: seed, Workloads: quickWLs, Classes: quickClasses,
-		Factors: []float64{1e-4, 1e-3, 1e-2}}))...)
-	want = append(want, fig10Configs(fig10Defaults(Fig10Options{Seed: seed,
-		Tolerances: []float64{0, 5, 10}}))...)
+	quick := Scale{Seed: seed, Quick: true}
+	want, _, _ := fig7Plan(fig7Options(quick))
+	want = append(want, fig8Configs(quick)...)
+	want = append(want, fig9Configs(quick)...)
+	want = append(want, fig10Configs(quick)...)
 
 	for _, cfg := range want {
 		if !have[cfg.CanonicalKey()] {

@@ -485,6 +485,7 @@ func (c *search) solveExhaustive() ([]Result, error) {
 		Metric:    batchMetric(prio),
 		Threshold: make([]float64, len(home)),
 		Horizon:   make([]int, len(home)),
+		Park:      c.arena,
 	}
 	for h, est := range home {
 		prune.Threshold[h] = withMargin(metricOf(est, prio))
@@ -495,11 +496,8 @@ func (c *search) solveExhaustive() ([]Result, error) {
 	// metric is its screen mean, to 4e-13: no cell above that mean plus the
 	// margin can be the hour's argmin either, and everything within the
 	// margin of the minimum is still priced exactly, so ties resolve as
-	// before. CarbonP95 is not hour-free: with a carbon tolerance set nothing
-	// is parked and the home thresholds stand alone.
-	if !c.s.obj.Tolerances.Carbon.Set {
-		prune.Park = c.arena
-	}
+	// before. That holds because tolerances bound only the hour-free latency
+	// and cost p95s, never CarbonP95.
 	tighten := func(parked []*montecarlo.Basis) *montecarlo.RowPrune {
 		tight := montecarlo.RowPrune{Metric: prune.Metric, Threshold: slices.Clone(prune.Threshold), Horizon: prune.Horizon}
 		for _, b := range parked {

@@ -181,8 +181,7 @@ func TestSolveOneMatchesSolveHourlyHour(t *testing.T) {
 // estimate field for field, at Workers 1 and 8, with the screen counter
 // equal between the two: on a converged workflow (every plan deferred,
 // thresholds tightened), on the heavy-tail chain (nothing proven, swept
-// immediately), with a carbon tolerance (tightening off: CarbonP95 is not
-// hour-free, the home thresholds screen alone), under cost priority (the
+// immediately), under cost priority (the
 // screen compares the block's own cost mean), and on a tie: a one-stage
 // workflow whose home and us-west-1 share an intensity, so the two plans'
 // carbon means are the same float — both are priced exactly, and home,
@@ -204,7 +203,6 @@ func TestExhaustiveScreenMatchesUntaped(t *testing.T) {
 	}{
 		{"converged", rag, Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(25)}}, true, false},
 		{"heavy-tail", learnedHeavyTail(t), Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(25)}}, false, true},
-		{"carbon-tolerance", rag, Objective{Priority: PriorityCarbon, Tolerances: Tolerances{Latency: Tol(25), Carbon: Tol(5)}}, true, false},
 		{"cost-priority", rag, Objective{Priority: PriorityCost, Tolerances: Tolerances{Latency: Tol(25)}}, true, false},
 		{"tie", tie, Objective{Priority: PriorityCarbon}, true, false},
 	} {

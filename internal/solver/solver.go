@@ -68,7 +68,6 @@ func Tol(pct float64) Limit { return Limit{Set: true, Pct: pct} }
 type Tolerances struct {
 	Latency Limit
 	Cost    Limit
-	Carbon  Limit
 }
 
 // Objective couples a priority with tolerances.
@@ -264,9 +263,6 @@ func (s *Solver) violates(est, home *montecarlo.Estimate) bool {
 		return true
 	}
 	if t.Cost.Set && est.CostP95 > home.CostP95*(1+t.Cost.Pct/100) {
-		return true
-	}
-	if t.Carbon.Set && est.CarbonP95 > home.CarbonP95*(1+t.Carbon.Pct/100) {
 		return true
 	}
 	return false

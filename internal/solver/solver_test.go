@@ -373,13 +373,13 @@ func TestMaxIterationsCapsHBSS(t *testing.T) {
 	}
 }
 
-func TestCarbonAndCostTolerances(t *testing.T) {
+func TestCostTolerance(t *testing.T) {
 	in := chainInputs(t, 2)
-	// A strict carbon ceiling at the home level can never reject the
-	// home plan itself, and any accepted plan must respect it.
+	// A strict cost ceiling at the home level can never reject the home
+	// plan itself, and any accepted plan must respect it.
 	s := newSolver(t, in, Objective{
 		Priority:   PriorityLatency,
-		Tolerances: Tolerances{Carbon: Tol(0), Cost: Tol(0)},
+		Tolerances: Tolerances{Cost: Tol(0)},
 	}, region.Constraint{})
 	res, err := s.SolveOne(t0, t0)
 	if err != nil {
@@ -389,9 +389,6 @@ func TestCarbonAndCostTolerances(t *testing.T) {
 	homeEst, err := s.est.Estimate(home, t0, t0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Estimate.CarbonP95 > homeEst.CarbonP95*1.0001 {
-		t.Errorf("carbon tolerance violated: %v > %v", res.Estimate.CarbonP95, homeEst.CarbonP95)
 	}
 	if res.Estimate.CostP95 > homeEst.CostP95*1.0001 {
 		t.Errorf("cost tolerance violated: %v > %v", res.Estimate.CostP95, homeEst.CostP95)
